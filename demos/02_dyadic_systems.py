@@ -14,6 +14,7 @@ from dyadica import (
     coverage_bound,
     generate_space,
     replay_coverage,
+    require,
 )
 from dyadica.dyadic import dyadic_parameters
 
@@ -38,9 +39,10 @@ for k in sys0.generation_range():
 # Five structural checks, all exact: each generation partitions the
 # space, children refine parents, every cube sits between an inner and an
 # outer ball, outer balls of descendants nest, and centers persist
-# through the generations.
-for report in check_system(sys0, strict=True):
-    print(f"  {report.name:22s} {report.status}")
+# through the generations. Each check returns a report; require() turns a
+# failed one into its typed error (here PropertyViolation) with the witness.
+for report in check_system(sys0):
+    print(f"  {report.name:22s} {require(report).status}")
 
 # The adjacency certificate: every ball in a seeded sample (plus the
 # extreme radii) landed inside a cube whose diameter is at most C times

@@ -69,7 +69,7 @@ from .operators import (
     check_self_adjoint,
     check_shifted_sandwich,
 )
-from .policy import TOLERANCES, CheckReport
+from .policy import TOLERANCES, CheckReport, require
 from .reporting import Report, Scenario
 from .space import (
     PointMeasure,
@@ -151,6 +151,7 @@ __all__ = [
     "phi_table",
     "random_measure",
     "replay_coverage",
+    "require",
     "rho_grid",
     "run_scenario",
     "save_space",

@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .dyadic import build_adjacent_systems
-from .errors import ConfigError, DyadicaError
+from .dyadic import build_adjacent_systems, dyadic_parameters
+from .errors import BadParams, ConfigError, DyadicaError
 from .harness import random_measure, run_scenario, sweep
 from .reporting import (
     Report,
@@ -331,7 +331,10 @@ def _cmd_build_dyadic(args) -> int:
         raise ConfigError("out: required for build-dyadic")
     space, _ = load_space(args.space)
     if args.delta is not None:
-        strict = 96.0 * space.a0**6 * args.delta <= 1.0 + 1e-12
+        try:
+            _, _, _, strict = dyadic_parameters(space.a0, args.delta)
+        except BadParams as exc:
+            raise ConfigError(f"delta: {exc}") from exc
         if not strict and not args.relaxed_delta:
             raise ConfigError("delta: exceeds the strict bound; pass "
                               "--relaxed-delta to proceed")

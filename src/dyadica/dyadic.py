@@ -56,7 +56,7 @@ from .errors import (
     SamePoint,
     Unsatisfiable,
 )
-from .policy import TOLERANCES, CheckReport
+from .policy import TOLERANCES, CheckReport, outcome
 from .space import PointMeasure, QuasiMetricSpace, ball
 
 _SALT_SYSTEM = 0xD7AD
@@ -239,6 +239,8 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
     a coarser finest generation; the value is clamped to the computed window
     and a truncated finest generation may keep non-singleton cubes.
     """
+    if max_attempts < 1:
+        raise BadParams("need at least one attempt", max_attempts=max_attempts)
     delta, c1, C1, strict = dyadic_parameters(space.a0, delta)
     k_min, k_auto = _window(space, delta, c1, C1)
     if k_max is None:
@@ -249,7 +251,6 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
     if x0 is not None and not 0 <= x0 < n:
         raise OutOfRange(x0=x0, n=n)
     d = space.dist
-    last_failure: CheckReport | None = None
 
     for attempt in range(max_attempts):
         rng = np.random.default_rng(
@@ -302,13 +303,11 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
                            nets={k: tuple(v) for k, v in nets.items()},
                            ancestor=ancestor, cubes=cubes, generations=generations,
                            x0=x0)
-        reports = check_system(sys, strict=False)
-        bad = [r for r in reports if not r.ok]
+        bad = [r for r in check_system(sys) if not r.ok]
         if not bad:
             return sys
         last_failure = bad[0]
 
-    assert last_failure is not None
     raise PropertyViolation(f"property '{last_failure.name}' failed after "
                             f"{max_attempts} attempts",
                             **(last_failure.witness or {}))
@@ -318,16 +317,7 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
 # structural property checks
 # ---------------------------------------------------------------------------
 
-def _report(sys: DyadicSystem, name: str, ok: bool, witness: dict | None = None,
-            strict: bool = True, **details) -> CheckReport:
-    rep = CheckReport(name=name, status="pass" if ok else "fail",
-                      strict_mode=sys.strict_delta, witness=witness, details=details)
-    if strict and not ok:
-        raise PropertyViolation(f"property '{name}' violated", **(witness or {}))
-    return rep
-
-
-def check_partition(sys: DyadicSystem, strict: bool = True) -> CheckReport:
+def check_partition(sys: DyadicSystem) -> CheckReport:
     """Every generation splits the space into pairwise disjoint cubes."""
     n = sys.space.n
     for k in sys.generation_range():
@@ -337,25 +327,25 @@ def check_partition(sys: DyadicSystem, strict: bool = True) -> CheckReport:
                 seen[x] += 1
         if not np.all(seen == 1):
             x = int(np.flatnonzero(seen != 1)[0])
-            return _report(sys, "partition", False,
-                           {"k": k, "x": x, "multiplicity": int(seen[x])}, strict)
-    return _report(sys, "partition", True, strict=strict)
+            return outcome("partition", sys.strict_delta, PropertyViolation,
+                           {"k": k, "x": x, "multiplicity": int(seen[x])})
+    return outcome("partition", sys.strict_delta, PropertyViolation)
 
 
-def check_nesting(sys: DyadicSystem, strict: bool = True) -> CheckReport:
+def check_nesting(sys: DyadicSystem) -> CheckReport:
     """Each cube lies inside a single cube of the previous generation."""
     for k in range(sys.k_min, sys.k_max):
         gi = k - sys.k_min
         for cube in sys.generations[k + 1]:
             owners = np.unique(sys.ancestor[gi, list(cube.members)])
             if owners.size != 1 or owners[0] != sys.parent(cube).center:
-                return _report(sys, "nesting", False,
+                return outcome("nesting", sys.strict_delta, PropertyViolation,
                                {"k": k + 1, "center": cube.center,
-                                "owners": [int(o) for o in owners]}, strict)
-    return _report(sys, "nesting", True, strict=strict)
+                                "owners": [int(o) for o in owners]})
+    return outcome("nesting", sys.strict_delta, PropertyViolation)
 
 
-def check_ball_sandwich(sys: DyadicSystem, strict: bool = True) -> CheckReport:
+def check_ball_sandwich(sys: DyadicSystem) -> CheckReport:
     """B(z, c1 d^k) inside the cube inside B(z, C1 d^k), strict balls."""
     d = sys.space.dist
     for cube in sys.all_cubes():
@@ -363,17 +353,17 @@ def check_ball_sandwich(sys: DyadicSystem, strict: bool = True) -> CheckReport:
         outer = set(np.flatnonzero(d[cube.center] < sys.C1 * sys.delta**cube.k))
         mem = set(cube.members)
         if not inner <= mem:
-            return _report(sys, "ball_sandwich", False,
+            return outcome("ball_sandwich", sys.strict_delta, PropertyViolation,
                            {"k": cube.k, "center": cube.center, "side": "inner",
-                            "missing": sorted(inner - mem)}, strict)
+                            "missing": sorted(inner - mem)})
         if not mem <= outer:
-            return _report(sys, "ball_sandwich", False,
+            return outcome("ball_sandwich", sys.strict_delta, PropertyViolation,
                            {"k": cube.k, "center": cube.center, "side": "outer",
-                            "excess": sorted(mem - outer)}, strict)
-    return _report(sys, "ball_sandwich", True, strict=strict)
+                            "excess": sorted(mem - outer)})
+    return outcome("ball_sandwich", sys.strict_delta, PropertyViolation)
 
 
-def check_outer_ball_nesting(sys: DyadicSystem, strict: bool = True) -> CheckReport:
+def check_outer_ball_nesting(sys: DyadicSystem) -> CheckReport:
     """The containing ball of a cube lies inside its parent's containing ball.
 
     Containment composes along ancestor chains, so the parent step implies the
@@ -387,31 +377,30 @@ def check_outer_ball_nesting(sys: DyadicSystem, strict: bool = True) -> CheckRep
             outer = d[par.center, inner] < sys.outer_ball_radius(par.k)
             if not outer.all():
                 y = int(inner[~outer][0])
-                return _report(sys, "outer_ball_nesting", False,
+                return outcome("outer_ball_nesting", sys.strict_delta,
+                               PropertyViolation,
                                {"k": k, "center": cube.center,
-                                "parent_center": par.center, "escapes": y}, strict)
-    return _report(sys, "outer_ball_nesting", True, strict=strict)
+                                "parent_center": par.center, "escapes": y})
+    return outcome("outer_ball_nesting", sys.strict_delta, PropertyViolation)
 
 
-def check_center_chain(sys: DyadicSystem, strict: bool = True) -> CheckReport:
+def check_center_chain(sys: DyadicSystem) -> CheckReport:
     """Every center recurs one generation finer, and owns itself there."""
     for k in range(sys.k_min, sys.k_max):
         gi1 = k + 1 - sys.k_min
         for cube in sys.generations[k]:
             z = cube.center
             if (k + 1, z) not in sys.cubes:
-                return _report(sys, "center_chain", False,
-                               {"k": k, "center": z, "reason": "not a finer center"},
-                               strict)
-            if int(sys.ancestor[gi1, z]) != z:
-                return _report(sys, "center_chain", False,
-                               {"k": k, "center": z, "reason": "not self-owned"},
-                               strict)
-            if sys.parent(sys.cubes[(k + 1, z)]).center != z:
-                return _report(sys, "center_chain", False,
-                               {"k": k, "center": z, "reason": "parent differs"},
-                               strict)
-    return _report(sys, "center_chain", True, strict=strict)
+                reason = "not a finer center"
+            elif int(sys.ancestor[gi1, z]) != z:
+                reason = "not self-owned"
+            elif sys.parent(sys.cubes[(k + 1, z)]).center != z:
+                reason = "parent differs"
+            else:
+                continue
+            return outcome("center_chain", sys.strict_delta, PropertyViolation,
+                           {"k": k, "center": z, "reason": reason})
+    return outcome("center_chain", sys.strict_delta, PropertyViolation)
 
 
 _CHECKS = {
@@ -423,9 +412,9 @@ _CHECKS = {
 }
 
 
-def check_system(sys: DyadicSystem, strict: bool = True) -> list[CheckReport]:
-    """Run all five structural checks; in strict mode the first failure raises."""
-    return [_CHECKS[name](sys, strict=strict) for name in PROPERTY_NAMES]
+def check_system(sys: DyadicSystem) -> list[CheckReport]:
+    """Run all five structural checks, one report each."""
+    return [_CHECKS[name](sys) for name in PROPERTY_NAMES]
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +484,7 @@ def band_index(delta: float, r: float) -> int:
     return k
 
 
-def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...],
-                        strict: bool = True,
+def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...]
                         ) -> tuple[CheckReport, CoverageCertificate | None]:
     """Certify that every strict ball embeds in one cube of one system.
 
@@ -506,6 +494,7 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...],
     hardest as r decreases to lo, so testing at lo settles the whole regime.
     Candidate cubes are the containing cubes of x at the band generation of
     the regime and coarser; any candidate meeting both constraints certifies.
+    The certificate is None exactly when the report fails.
     """
     if not systems:
         raise BadParams("need at least one system")
@@ -524,11 +513,9 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...],
     r_large_ok = space.diameter <= C * delta ** (k_min + 1)
     r_small_ok = delta ** (k_max + 2) < space.min_distance
     if not (r_large_ok and r_small_ok):
-        witness = {"r_large_ok": r_large_ok, "r_small_ok": r_small_ok}
-        if strict:
-            raise CoverageIncomplete("radius regimes beyond the band window fail",
-                                     **witness)
-        return CheckReport("ball_coverage", "fail", strict_mode, witness), None
+        return outcome("ball_coverage", strict_mode, CoverageIncomplete,
+                       {"r_large_ok": r_large_ok,
+                        "r_small_ok": r_small_ok}), None
 
     entries: list[CoverageEntry] = []
     observed = 0.0
@@ -555,12 +542,10 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...],
                     if hit is not None:
                         break
                 if hit is None:
-                    witness = {"x": x, "band_k": k, "lo": lo,
-                               "members": [int(m) for m in members]}
-                    if strict:
-                        raise CoverageIncomplete("ball embeds in no cube", **witness)
-                    return CheckReport("ball_coverage", "fail", strict_mode,
-                                       witness), None
+                    return outcome("ball_coverage", strict_mode,
+                                   CoverageIncomplete,
+                                   {"x": x, "band_k": k, "lo": lo,
+                                    "members": [int(m) for m in members]}), None
                 entries.append(hit)
                 if lo > 0:
                     observed = max(observed, hit.diameter / lo)
@@ -568,10 +553,8 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...],
     cert = CoverageCertificate(C_bound=C, observed_C=observed,
                                num_systems=len(systems), entries=tuple(entries),
                                r_large_ok=r_large_ok, r_small_ok=r_small_ok)
-    report = CheckReport("ball_coverage", "pass", strict_mode,
-                         details={"entries": len(entries), "observed_C": observed,
-                                  "C_bound": C})
-    return report, cert
+    return outcome("ball_coverage", strict_mode, CoverageIncomplete,
+                   entries=len(entries), observed_C=observed, C_bound=C), cert
 
 
 def replay_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...],
@@ -613,20 +596,17 @@ def build_adjacent_systems(space: QuasiMetricSpace, seed: int = 0,
     target = num_systems if num_systems is not None else 1
     if target < 1:
         raise BadParams("need at least one system", num_systems=num_systems)
-    last_witness: dict | None = None
     while True:
         while len(systems) < target:
             systems.append(build_system(space, seed=seed, delta=delta,
                                         system_id=len(systems), x0=x0))
-        report, cert = check_ball_coverage(systems, strict=False)
-        if report.status == "pass":
-            assert cert is not None
+        report, cert = check_ball_coverage(systems)
+        if cert is not None:
             return AdjacentSystems(systems=tuple(systems), certificate=cert)
-        last_witness = report.witness
         if num_systems is not None or target >= max_systems:
             raise CoverageIncomplete(
                 f"coverage incomplete with {len(systems)} systems",
-                **(last_witness or {}))
+                **(report.witness or {}))
         target += 1
 
 

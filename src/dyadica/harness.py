@@ -28,8 +28,13 @@ import time
 
 import numpy as np
 
-from .dyadic import build_adjacent_systems, generalize, replay_coverage
-from .errors import ConfigError, DyadicaError
+from .dyadic import (
+    build_adjacent_systems,
+    dyadic_parameters,
+    generalize,
+    replay_coverage,
+)
+from .errors import BadParams, ConfigError, DyadicaError
 from .kernel import build_kernel, check_kernel_estimates
 from .maximal import (
     check_maximal_equivalence,
@@ -225,8 +230,10 @@ class _Run:
         dy = self.sc.dyadic
         delta = dy.get("delta")
         if delta is not None:
-            delta = float(delta)
-            strict = 96.0 * space.a0**6 * delta <= 1.0 + 1e-12
+            try:
+                delta, _, _, strict = dyadic_parameters(space.a0, float(delta))
+            except BadParams as exc:
+                raise ConfigError(f"dyadic.delta: {exc}") from exc
             if not strict and not self.sc.relaxed_delta:
                 raise ConfigError(
                     "dyadic.delta: exceeds the strict bound "
@@ -354,7 +361,7 @@ def _stage_dyadic(run: _Run) -> None:
 
     family = run.family
     for t, sys in enumerate(family):
-        for rep in check_system(sys, strict=False):
+        for rep in check_system(sys):
             run.from_check(f"dyadic.t{t}.{rep.name}", rep)
     cert = family.certificate
     ok = cert.observed_C <= cert.C_bound and cert.r_large_ok \
@@ -373,7 +380,7 @@ def _stage_kernel(run: _Run) -> None:
     kernel = run.kernel
     est = None
     for t, sys in enumerate(run.family):
-        est = check_kernel_estimates(kernel, sys, strict=False)
+        est = check_kernel_estimates(kernel, sys)
         for rep in est.reports:
             run.from_check(f"kernel.t{t}.{rep.name}", rep,
                            constant_key="worst_ratio")
@@ -386,20 +393,18 @@ def _stage_operators(run: _Run) -> None:
     budget = run.sc.budget
     for t, op in enumerate(ops):
         run.from_check(f"operators.t{t}.forms_agree",
-                       check_forms_agree(op, strict=False),
+                       check_forms_agree(op),
                        constant_key="worst_rel_err")
         run.from_check(
             f"operators.t{t}.self_adjoint",
-            check_self_adjoint(op, seed=run.sc.seed,
-                               trials=max(budget, 8), strict=False),
+            check_self_adjoint(op, seed=run.sc.seed, trials=max(budget, 8)),
             constant_key="worst_rel_err")
         rng = run.trial_rng(1, t)
         for m in (1, 2, 3):
             worst = 0.0
             bad = None
             for _ in range(budget):
-                rep = check_shifted_sandwich(op, rng.random(op.n), m,
-                                             strict=False)
+                rep = check_shifted_sandwich(op, rng.random(op.n), m)
                 if rep.status != "pass":
                     bad = rep
                     break
@@ -410,15 +415,15 @@ def _stage_operators(run: _Run) -> None:
                 run.manual(f"operators.t{t}.sandwich_m{m}", True,
                            constant=worst)
         run.from_check(f"operators.t{t}.dyadic_below_direct",
-                       check_dyadic_below_direct(op, strict=False),
+                       check_dyadic_below_direct(op),
                        constant_key="worst_ratio")
     run.from_check("operators.direct_below_family",
-                   check_direct_below_family(ops, strict=False),
+                   check_direct_below_family(ops),
                    constant_key="worst_margin")
     rng = run.trial_rng(2)
     bad = None
     for _ in range(budget):
-        rep = check_family_domination(ops, rng.random(ops[0].n), strict=False)
+        rep = check_family_domination(ops, rng.random(ops[0].n))
         if rep.status != "pass":
             bad = rep
             break
@@ -445,8 +450,7 @@ def _stage_theorem_b(run: _Run) -> None:
         run.from_check(f"theorem-b.t{t}.point_cubes",
                        check_point_cube_testing(op, p, q,
                                                 verdict.testing.strong,
-                                                verdict.testing.dual,
-                                                strict=False),
+                                                verdict.testing.dual),
                        constant_key="worst_ratio")
     run.constants.update(testing_strong=verdict.testing.strong,
                          testing_dual=verdict.testing.dual,
@@ -489,7 +493,7 @@ def _stage_stopping(run: _Run) -> None:
                                       check_max_principle_2)):
                     if key in bad:
                         continue
-                    rep = checker(op, f, float(rho), strict=False)
+                    rep = checker(op, f, float(rho))
                     if rep.status == "fail":
                         bad[key] = rep
                     elif rep.status == "pass" and agg[key] == "vacuous":
@@ -554,8 +558,7 @@ def _stage_theorem_a(run: _Run) -> None:
     if math.isfinite(verdict.doubling):
         eq = check_maximal_equivalence(
             family, maximal_params(space, mu, gamma),
-            trials=max(10, 2 * run.sc.budget), seed=run.sc.seed,
-            strict=False)
+            trials=max(10, 2 * run.sc.budget), seed=run.sc.seed)
         run.manual("theorem-a.ball_dyadic_equivalence", eq.violations == 0,
                    constant=eq.dyadic_over_ball,
                    witness=None if eq.violations == 0 else

@@ -38,7 +38,7 @@ from .errors import (
     EstimateViolated,
     Unbounded,
 )
-from .policy import CheckReport, leq
+from .policy import CheckReport, leq, outcome
 from .space import PointMeasure, QuasiMetricSpace
 
 
@@ -230,8 +230,7 @@ class EstimateReport:
 
 
 def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
-                           phi: PhiTable | None = None,
-                           strict: bool = True) -> EstimateReport:
+                           phi: PhiTable | None = None) -> EstimateReport:
     """Check the three envelope estimates exactly on the finite space."""
     space = sys.space
     d = space.dist
@@ -241,14 +240,9 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
     C_K, k1, k2 = kernel_bound_constant(kernel, space, sys.delta)
     reports: list[CheckReport] = []
 
-    def emit(name: str, ok: bool, witness: dict | None = None, **details):
-        rep = CheckReport(name=name, status="pass" if ok else "fail",
-                          strict_mode=sys.strict_delta, witness=witness,
-                          details=details)
-        reports.append(rep)
-        if strict and not ok:
-            raise EstimateViolated(f"kernel estimate '{name}' failed",
-                                   **(witness or {}))
+    def emit(name: str, witness: dict | None = None, **details):
+        reports.append(outcome(name, sys.strict_delta, EstimateViolated,
+                               witness, **details))
 
     # (1) the envelope never exceeds C_K times any separated pair value
     worst = 0.0
@@ -268,12 +262,12 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
             witness = {"k": cube.k, "center": cube.center,
                        "phi": v, "min_pair_value": low}
         if not leq(v, C_K * low):
-            emit("bounded_on_separated_pairs", False,
+            emit("bounded_on_separated_pairs",
                  {"k": cube.k, "center": cube.center, "phi": v,
                   "min_pair_value": low, "C_K": C_K})
             break
     else:
-        emit("bounded_on_separated_pairs", True, worst_ratio=worst, C_K=C_K,
+        emit("bounded_on_separated_pairs", worst_ratio=worst, C_K=C_K,
              worst_case=witness)
 
     # (2) ancestors never exceed C_K times descendants
@@ -291,17 +285,16 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
                 np.inf if phi.of(walk) > 0 else 0.0)
             worst2 = max(worst2, ratio)
             if not leq(phi.of(walk), C_K * phi.of(cube)):
-                emit("bounded_along_ancestry", False,
+                emit("bounded_along_ancestry",
                      {"ancestor": (walk.k, walk.center),
                       "descendant": (cube.k, cube.center),
                       "phi_ancestor": phi.of(walk),
                       "phi_descendant": phi.of(cube), "C_K": C_K})
                 done = True
     if not done:
-        emit("bounded_along_ancestry", True, worst_ratio=worst2, C_K=C_K)
+        emit("bounded_along_ancestry", worst_ratio=worst2, C_K=C_K)
 
     # (3) a cube with no separated pair collapses onto its only child
-    ok = True
     witness = None
     seen_vacuous = False
     for cube in sys.all_cubes():
@@ -310,14 +303,13 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
         seen_vacuous = True
         kids = sys.children(cube)
         if len(kids) != 1 or kids[0].members != cube.members:
-            ok = False
             witness = {"k": cube.k, "center": cube.center,
                        "children": len(kids)}
             break
-    if ok and not seen_vacuous:
+    if seen_vacuous:
+        emit("vacuous_cubes_collapse", witness)
+    else:
         reports.append(CheckReport("vacuous_cubes_collapse", "vacuous",
                                    sys.strict_delta))
-    else:
-        emit("vacuous_cubes_collapse", ok, witness)
 
     return EstimateReport(k1=k1, k2=k2, C_K=C_K, reports=reports)

@@ -28,7 +28,6 @@ from .dyadic import Cube, DyadicSystem, _family_systems
 from .errors import (
     BadParams,
     BadExponents,
-    EquivalenceViolated,
     Infinite,
     LowerBoundViolated,
     NotAbsolutelyContinuous,
@@ -211,7 +210,8 @@ def _containment_ratio_bound(system: DyadicSystem, mu: PointMeasure,
     return best
 
 
-def _trial_functions(n: int, trials: int, seed: int):
+def _trial_functions(n: int, trials: int, salt: int, seed: int):
+    """The constant one, then every point mass, then seeded random functions."""
     for t in range(trials):
         if t == 0:
             yield np.ones(n)
@@ -221,23 +221,24 @@ def _trial_functions(n: int, trials: int, seed: int):
             yield e
         else:
             rng = np.random.default_rng(
-                np.random.SeedSequence([MAXIMAL_SALT, seed, t]))
+                np.random.SeedSequence([salt, seed, t]))
             yield rng.random(n)
 
 
 def check_maximal_equivalence(family, params: MaximalParams,
-                              trials: int = 50, seed: int = 0,
-                              strict: bool = True) -> MaximalEquivalence:
+                              trials: int = 50, seed: int = 0
+                              ) -> MaximalEquivalence:
     """Pointwise comparison of ball and dyadic maximal functions.
 
-    Direction one is asserted per system against the explicit containment
+    Direction one is checked per system against the explicit containment
     bound: every cube value is dominated by the value of its covering ball
     times the mass ratio, so M^D f <= ratio_bound * M f pointwise up to
     roundoff.  Direction two records the supremum of M f over the sum of
     the per-system dyadic functions and requires it finite: wherever
     M f > 0, the whole-space cube already gives every M^D a positive value.
     Trials run the constant function, the point masses, then seeded random
-    functions.  strict=False records violations instead of raising.
+    functions.  Each trial that breaks either direction counts one entry
+    in ``violations``.
     """
     systems = _family_systems(family)
     dc = params.doubling_constant
@@ -250,33 +251,20 @@ def check_maximal_equivalence(family, params: MaximalParams,
               for s in systems]
     g = TOLERANCES["exact_guard_rel"]
     d_over_b, b_over_s, violations = 0.0, 0.0, 0
-    for trial, f in enumerate(_trial_functions(params.space.n, trials, seed)):
+    for f in _trial_functions(params.space.n, trials, MAXIMAL_SALT, seed):
         mb = apply_M(params, f)
         total = np.zeros(params.space.n)
         for sysi, system in enumerate(systems):
             md = apply_M_dyadic(system, params, f)
             total += md
-            ok = md <= bounds[sysi] * mb * (1.0 + g)
-            if not np.all(ok):
+            if not np.all(md <= bounds[sysi] * mb * (1.0 + g)):
                 violations += 1
-                if strict:
-                    x = int(np.flatnonzero(~ok)[0])
-                    raise EquivalenceViolated(
-                        "dyadic maximal exceeds its ball bound",
-                        system=system.system_id, trial=trial, x=x,
-                        dyadic=float(md[x]), ball=float(mb[x]),
-                        bound=bounds[sysi])
             pos = mb > 0.0
             if np.any(pos):
                 d_over_b = max(d_over_b, float(np.max(md[pos] / mb[pos])))
         pos = mb > 0.0
         if np.any(pos) and np.any(total[pos] == 0.0):
             violations += 1
-            if strict:
-                x = int(np.flatnonzero(pos & (total == 0.0))[0])
-                raise EquivalenceViolated(
-                    "ball maximal positive where every dyadic one vanishes",
-                    trial=trial, x=x, ball=float(mb[x]))
         elif np.any(pos):
             b_over_s = max(b_over_s, float(np.max(mb[pos] / total[pos])))
     return MaximalEquivalence(ratio_bound=max(bounds), dyadic_over_ball=d_over_b,

@@ -281,8 +281,10 @@ def _norm_search(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
         return NormEstimate(0.0, 0.0, None, "vacuous", details)
 
     replay = value(witness)
-    assert replay is not None and close(replay, best,
-                                        TOLERANCES["witness_replay_rel"])
+    if replay is None or not close(replay, best,
+                                   TOLERANCES["witness_replay_rel"]):
+        raise LowerBoundViolated("witness replay does not reproduce the bound",
+                                 replayed=replay, recorded=best)
     estimate = best
     if (not weak and p == 2.0 and q == 2.0 and matrix is not None
             and np.all(np.isfinite(matrix))):
@@ -492,12 +494,7 @@ def verdict_weak_type(kernel: Kernel, family, sigma: PointMeasure,
     _check_structural("dual", tc.dual, adj.lower)
     weak = operator_norm_weak(op.apply, sigma, omega, p, q, budget, seeds,
                               seed=seed)
-    if weak.lower == 0.0 and tc.dual == 0.0:
-        ratio = 1.0
-    elif tc.dual == 0.0:
-        ratio = math.inf
-    else:
-        ratio = weak.lower / tc.dual
+    ratio = _equivalence_ratio(weak.lower, tc.dual)
 
     per_system = []
     sub_budget = max(2, budget // 3)
@@ -513,12 +510,7 @@ def verdict_weak_type(kernel: Kernel, family, sigma: PointMeasure,
                           dtc.dual, dadj.lower)
         dweak = operator_norm_weak(dop.apply, sigma, omega, p, q, sub_budget,
                                    sys_seeds, seed=seed + 200 + t)
-        if dweak.lower == 0.0 and dtc.dual == 0.0:
-            dratio = 1.0
-        elif dtc.dual == 0.0:
-            dratio = math.inf
-        else:
-            dratio = dweak.lower / dtc.dual
         per_system.append({"system": sys.system_id, "dual_testing": dtc.dual,
-                           "weak_lb": dweak.lower, "ratio": dratio})
+                           "weak_lb": dweak.lower,
+                           "ratio": _equivalence_ratio(dweak.lower, dtc.dual)})
     return WeakVerdict(ex, tc, weak, adj, ratio, tuple(per_system))

@@ -47,7 +47,7 @@ from .errors import (
     SandwichViolated,
 )
 from .kernel import Kernel, PhiTable, kernel_bound_constant, phi_table
-from .policy import TOLERANCES, CheckReport, close, guard, guard_vec
+from .policy import TOLERANCES, CheckReport, close, guard, guard_vec, outcome
 from .space import PointMeasure
 
 
@@ -252,7 +252,7 @@ def _vec_close(a: np.ndarray, b: np.ndarray, rel: float) -> tuple[bool, int, flo
     return True, worst_i, worst
 
 
-def check_forms_agree(op: DyadicOperator, strict: bool = True,
+def check_forms_agree(op: DyadicOperator,
                       rel: float = TOLERANCES["dual_form_rel"]) -> CheckReport:
     """Kernel form and telescoping form agree on every basis density."""
     n = op.n
@@ -265,18 +265,14 @@ def check_forms_agree(op: DyadicOperator, strict: bool = True,
         ok, i, err = _vec_close(a, b, rel)
         worst = max(worst, 0.0 if np.isinf(err) else err)
         if not ok:
-            witness = {"basis": j, "x": i, "kernel_form": float(a[i]),
-                       "telescoped": float(b[i])}
-            if strict:
-                raise FormMismatch("operator forms disagree", **witness)
-            return CheckReport("forms_agree", "fail",
-                               op.system.strict_delta, witness)
-    return CheckReport("forms_agree", "pass", op.system.strict_delta,
-                       details={"worst_rel_err": worst, "rel": rel})
+            return outcome("forms_agree", op.system.strict_delta, FormMismatch,
+                           {"basis": j, "x": i, "kernel_form": float(a[i]),
+                            "telescoped": float(b[i])})
+    return outcome("forms_agree", op.system.strict_delta, FormMismatch,
+                   worst_rel_err=worst, rel=rel)
 
 
 def check_self_adjoint(op: DyadicOperator, seed: int = 0, trials: int = 20,
-                       strict: bool = True,
                        rel: float = TOLERANCES["duality_rel"]) -> CheckReport:
     """<T_D(g dsigma), h>_omega == <g, T_D(h domega)>_sigma on random pairs."""
     rng = np.random.default_rng(np.random.SeedSequence([0xAD01, seed]))
@@ -291,25 +287,17 @@ def check_self_adjoint(op: DyadicOperator, seed: int = 0, trials: int = 20,
         if np.isinf(lhs) or np.isinf(rhs):
             if lhs == rhs:
                 continue
-            witness = {"trial": t, "lhs": lhs, "rhs": rhs}
-            if strict:
-                raise DualityViolated("pairing mismatch", **witness)
-            return CheckReport("self_adjoint", "fail",
-                               op.system.strict_delta, witness)
-        if not close(lhs, rhs, rel):
-            witness = {"trial": t, "lhs": lhs, "rhs": rhs}
-            if strict:
-                raise DualityViolated("pairing mismatch", **witness)
-            return CheckReport("self_adjoint", "fail",
-                               op.system.strict_delta, witness)
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return CheckReport("self_adjoint", "pass", op.system.strict_delta,
-                       details={"trials": trials, "worst_rel_err": worst})
+        elif close(lhs, rhs, rel):
+            scale = max(abs(lhs), abs(rhs), 1.0)
+            worst = max(worst, abs(lhs - rhs) / scale)
+            continue
+        return outcome("self_adjoint", op.system.strict_delta, DualityViolated,
+                       {"trial": t, "lhs": lhs, "rhs": rhs})
+    return outcome("self_adjoint", op.system.strict_delta, DualityViolated,
+                   trials=trials, worst_rel_err=worst)
 
 
-def check_shifted_sandwich(op: DyadicOperator, f, m: int,
-                           strict: bool = True) -> CheckReport:
+def check_shifted_sandwich(op: DyadicOperator, f, m: int) -> CheckReport:
     """T_D <= T_D^m (no tolerance) and T_D^m <= C_K m T_D (roundoff guard)."""
     fv = _as_density(f, op.n)
     if np.any(fv < 0):
@@ -323,22 +311,18 @@ def check_shifted_sandwich(op: DyadicOperator, f, m: int,
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(base > 0, shifted / base, 1.0)
         ratio = float(np.nanmax(np.where(np.isfinite(ratio), ratio, 1.0)))
-        return CheckReport("shifted_sandwich", "pass", op.system.strict_delta,
-                           details={"m": m, "cap": op.C_K * m,
-                                    "worst_ratio": ratio})
+        return outcome("shifted_sandwich", op.system.strict_delta,
+                       SandwichViolated, m=m, cap=op.C_K * m, worst_ratio=ratio)
     side = "lower" if not low_ok else "upper"
     bad = np.flatnonzero(~(shifted >= base) if not low_ok
                          else ~(shifted <= guard_vec(cap)))
     x = int(bad[0])
-    witness = {"m": m, "side": side, "x": x, "base": float(base[x]),
-               "shifted": float(shifted[x]), "cap": op.C_K * m}
-    if strict:
-        raise SandwichViolated(f"{side} sandwich bound failed", **witness)
-    return CheckReport("shifted_sandwich", "fail", op.system.strict_delta, witness)
+    return outcome("shifted_sandwich", op.system.strict_delta, SandwichViolated,
+                   {"m": m, "side": side, "x": x, "base": float(base[x]),
+                    "shifted": float(shifted[x]), "cap": op.C_K * m})
 
 
-def check_dyadic_below_direct(op: DyadicOperator,
-                              strict: bool = True) -> CheckReport:
+def check_dyadic_below_direct(op: DyadicOperator) -> CheckReport:
     """Entrywise phi(Q(x,y)) <= C_K K(x,y) and <= C_K K(y,x).
 
     This makes T_D(f dsigma) <= C_K T(f dsigma) and <= C_K T*(f dsigma)
@@ -359,20 +343,18 @@ def check_dyadic_below_direct(op: DyadicOperator,
                     worst = ratio
                     witness = {"x": x, "y": y, "against": label}
                 if not v <= guard(op.C_K * target):
-                    bad = {"x": x, "y": y, "against": label, "phi": float(v),
-                           "kernel": float(target), "C_K": op.C_K}
-                    if strict:
-                        raise EquivalenceViolated(
-                            "dyadic kernel exceeds the direct one", **bad)
-                    return CheckReport("dyadic_below_direct", "fail",
-                                       op.system.strict_delta, bad)
-    return CheckReport("dyadic_below_direct", "pass", op.system.strict_delta,
-                       details={"worst_ratio": worst, "C_K": op.C_K,
-                                "worst_at": witness})
+                    return outcome(
+                        "dyadic_below_direct", op.system.strict_delta,
+                        EquivalenceViolated,
+                        {"x": x, "y": y, "against": label, "phi": float(v),
+                         "kernel": float(target), "C_K": op.C_K})
+    return outcome("dyadic_below_direct", op.system.strict_delta,
+                   EquivalenceViolated, worst_ratio=worst, C_K=op.C_K,
+                   worst_at=witness)
 
 
-def check_direct_below_family(ops: list[DyadicOperator] | tuple[DyadicOperator, ...],
-                              strict: bool = True) -> CheckReport:
+def check_direct_below_family(
+        ops: list[DyadicOperator] | tuple[DyadicOperator, ...]) -> CheckReport:
     """Entrywise K(x,y) <= 3 C_K sum_t phi_t(Q_t(x,y)) off the diagonal.
 
     Summed against any nonnegative density this gives
@@ -403,20 +385,16 @@ def check_direct_below_family(ops: list[DyadicOperator] | tuple[DyadicOperator, 
                 worst = ratio
                 witness = {"x": x, "y": y}
             if not K[x, y] <= guard(rhs):
-                bad = {"x": x, "y": y, "kernel": float(K[x, y]),
-                       "family_sum": float(total[x, y]), "C_K": C_K}
-                if strict:
-                    raise EquivalenceViolated(
-                        "direct kernel exceeds the dyadic family", **bad)
-                return CheckReport("direct_below_family", "fail",
-                                   ops[0].system.strict_delta, bad)
-    return CheckReport("direct_below_family", "pass",
-                       ops[0].system.strict_delta,
-                       details={"worst_margin": worst, "systems": len(ops)})
+                return outcome("direct_below_family", ops[0].system.strict_delta,
+                               EquivalenceViolated,
+                               {"x": x, "y": y, "kernel": float(K[x, y]),
+                                "family_sum": float(total[x, y]), "C_K": C_K})
+    return outcome("direct_below_family", ops[0].system.strict_delta,
+                   EquivalenceViolated, worst_margin=worst, systems=len(ops))
 
 
 def check_family_domination(ops: list[DyadicOperator] | tuple[DyadicOperator, ...],
-                            f, strict: bool = True) -> CheckReport:
+                            f) -> CheckReport:
     """T(f dsigma) <= 3 C_K sum_t T_Dt(f dsigma) at omega-charged points."""
     if not ops:
         raise BadParams("need at least one dyadic operator")
@@ -440,19 +418,16 @@ def check_family_domination(ops: list[DyadicOperator] | tuple[DyadicOperator, ..
         if np.isinf(L) and np.isinf(R):
             continue
         if not L <= guard(R):
-            witness = {"x": int(x), "direct": L, "family_bound": R}
-            if strict:
-                raise EquivalenceViolated("direct operator exceeds the family",
-                                          **witness)
-            return CheckReport("family_domination", "fail",
-                               ops[0].system.strict_delta, witness)
-    return CheckReport("family_domination", "pass", ops[0].system.strict_delta,
-                       details={"points": len(idx), "systems": len(ops)})
+            return outcome("family_domination", ops[0].system.strict_delta,
+                           EquivalenceViolated,
+                           {"x": int(x), "direct": L, "family_bound": R})
+    return outcome("family_domination", ops[0].system.strict_delta,
+                   EquivalenceViolated, points=len(idx), systems=len(ops))
 
 
 def check_point_cube_testing(op: DyadicOperator, p: float, q: float,
-                             strong_constant: float, dual_constant: float,
-                             strict: bool = True) -> CheckReport:
+                             strong_constant: float,
+                             dual_constant: float) -> CheckReport:
     """Finite testing constants force the point-cube bounds at joint atoms.
 
     At a joint atom x the two inequalities read
@@ -487,15 +462,13 @@ def check_point_cube_testing(op: DyadicOperator, p: float, q: float,
             if np.isinf(lhs) and np.isinf(rhs):
                 continue
             if not lhs <= guard(rhs):
-                witness = {"x": int(x), "side": label, "lhs": float(lhs),
-                           "rhs": float(rhs), "kxx_infinite": bool(np.isinf(kxx))}
-                if strict:
-                    raise PointCubeViolated("point-cube testing bound failed",
-                                            **witness)
-                return CheckReport("point_cube_testing", "fail",
-                                   op.system.strict_delta, witness)
+                return outcome("point_cube_testing", op.system.strict_delta,
+                               PointCubeViolated,
+                               {"x": int(x), "side": label, "lhs": float(lhs),
+                                "rhs": float(rhs),
+                                "kxx_infinite": bool(np.isinf(kxx))})
             if rhs > 0 and np.isfinite(lhs / rhs):
                 worst = max(worst, float(lhs / rhs))
-    return CheckReport("point_cube_testing", "pass", op.system.strict_delta,
-                       details={"joint_atoms": len(gen.joint_atoms),
-                                "worst_ratio": worst})
+    return outcome("point_cube_testing", op.system.strict_delta,
+                   PointCubeViolated, joint_atoms=len(gen.joint_atoms),
+                   worst_ratio=worst)

@@ -10,6 +10,10 @@ products and quotients.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
+from .errors import DyadicaError
+
 TOLERANCES: dict[str, float] = {
     # float-roundoff guard on exact-in-real-arithmetic ratio comparisons
     "exact_guard_rel": 1e-12,
@@ -45,16 +49,14 @@ def close(a: float, b: float, rel: float) -> bool:
     return abs(a - b) <= rel * scale
 
 
-from dataclasses import dataclass, field
-
-
 @dataclass
 class CheckReport:
     """Outcome of one structural check.
 
     ``status`` is "pass", "fail", or "vacuous" (nothing to check). A report
     produced under relaxed construction parameters carries
-    ``strict_mode=False`` so downstream consumers can discount it.
+    ``strict_mode=False`` so downstream consumers can discount it. ``error``
+    is the exception class a failure stands for; ``require`` raises it.
     """
 
     name: str
@@ -62,10 +64,30 @@ class CheckReport:
     strict_mode: bool = True
     witness: dict | None = None
     details: dict = field(default_factory=dict)
+    error: type[DyadicaError] = DyadicaError
 
     @property
     def ok(self) -> bool:
         return self.status in ("pass", "vacuous")
+
+
+def outcome(name: str, strict_mode: bool, error: type[DyadicaError],
+            witness: dict | None = None, **details) -> CheckReport:
+    """A pass report when ``witness`` is None, else a fail report."""
+    return CheckReport(name, "pass" if witness is None else "fail",
+                       strict_mode, witness, details, error)
+
+
+def require(report: CheckReport) -> CheckReport:
+    """Return a pass or vacuous report; raise a failed one's error.
+
+    The raised error carries the report's witness, so a failure found by a
+    check is caught as the same typed error wherever it is required.
+    """
+    if report.status == "fail":
+        raise report.error(f"check '{report.name}' failed",
+                           **(report.witness or {}))
+    return report
 
 
 def guard_vec(values, rel: float = TOLERANCES["exact_guard_rel"]):

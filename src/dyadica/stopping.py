@@ -31,7 +31,7 @@ from .errors import (
     PrincipleViolated,
     PropertyViolation,
 )
-from .maximal import MaximalParams, apply_M_dyadic
+from .maximal import MaximalParams, _trial_functions, apply_M_dyadic
 from .norms import lp_norm
 from .policy import TOLERANCES, CheckReport, guard, guard_vec
 from .space import PointMeasure
@@ -140,8 +140,8 @@ def _principle_input(op, f, rho):
     return a
 
 
-def check_max_principle_1(op, f, rho: float, C: float | None = None,
-                          strict: bool = True) -> CheckReport:
+def check_max_principle_1(op, f, rho: float,
+                          C: float | None = None) -> CheckReport:
     """Off-cube mass is small on level cubes of the lowered threshold.
 
     For every Q in q_{rho/C} with C >= 2 C_K, the operator applied to f
@@ -165,20 +165,17 @@ def check_max_principle_1(op, f, rho: float, C: float | None = None,
             if val > worst:
                 worst = val
             if val > guard(bound):
-                if strict:
-                    raise PrincipleViolated("off-cube image exceeds rho/2",
-                                            k=cube.k, center=cube.center, x=x,
-                                            value=val, bound=bound)
                 witness = {"k": cube.k, "center": cube.center, "x": x,
                            "value": val}
     status = "vacuous" if not dec.q_rho else ("fail" if witness else "pass")
     return CheckReport(name="max_principle_1", status=status, witness=witness,
                        details={"rho": rho, "C": C, "bound": bound,
-                                "worst": worst, "cubes": len(dec.q_rho)})
+                                "worst": worst, "cubes": len(dec.q_rho)},
+                       error=PrincipleViolated)
 
 
-def check_max_principle_2(op, f, rho: float, C_m: float | None = None,
-                          strict: bool = True) -> CheckReport:
+def check_max_principle_2(op, f, rho: float,
+                          C_m: float | None = None) -> CheckReport:
     """Localized operator stays above rho/2 inside the original level set.
 
     For every Q in q_{rho/C_m} and every x in Q that also lies in the
@@ -207,17 +204,14 @@ def check_max_principle_2(op, f, rho: float, C_m: float | None = None,
             if val < worst:
                 worst = val
             if not val > bound * (1.0 - TOLERANCES["exact_guard_rel"]):
-                if strict:
-                    raise PrincipleViolated("localized image fails to clear rho/2",
-                                            k=cube.k, center=cube.center, x=x,
-                                            value=val, bound=bound)
                 witness = {"k": cube.k, "center": cube.center, "x": x,
                            "value": val}
     status = "vacuous" if checked == 0 else ("fail" if witness else "pass")
     return CheckReport(name="max_principle_2", status=status, witness=witness,
                        details={"rho": rho, "C_m": C_m, "bound": bound,
                                 "worst": worst if checked else None,
-                                "points": checked})
+                                "points": checked},
+                       error=PrincipleViolated)
 
 
 @dataclass
@@ -393,18 +387,9 @@ def check_universal_maximal(system: DyadicSystem, w: PointMeasure, p: float,
         raise BadExponents("need 1 < p < inf", p=p)
     p_prime = p / (p - 1.0)
     params = MaximalParams(space=system.space, mu=w, gamma=0.0)
-    n = system.space.n
     worst = 0.0
-    for t in range(trials):
-        if t == 0:
-            f = np.ones(n)
-        elif t <= n:
-            f = np.zeros(n)
-            f[t - 1] = 1.0
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([STOPPING_SALT, seed, t]))
-            f = rng.random(n)
+    for t, f in enumerate(_trial_functions(system.space.n, trials,
+                                           STOPPING_SALT, seed)):
         lhs = lp_norm(apply_M_dyadic(system, params, f), w, p)
         rhs = p_prime * lp_norm(f, w, p)
         if lhs > guard(rhs):

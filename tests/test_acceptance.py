@@ -157,7 +157,7 @@ def test_criterion_01_adjacent_certificates():
                                           power=1.5 if i % 2 else 2.0)
             fam = build_adjacent_systems(space, seed=i)
             for sys_ in fam.systems:
-                assert all(r.ok for r in check_system(sys_, strict=True))
+                assert all(r.status == "pass" for r in check_system(sys_))
             cert = fam.certificate
             bound = coverage_bound(space.a0, fam.systems[0].delta)
             assert cert.observed_C <= bound
@@ -177,8 +177,8 @@ def test_criterion_02_kernel_estimates():
                 kernel = build_kernel(space, mu, "ball_volume_closed",
                                       gamma=gamma)
                 for sys_ in fam.systems:
-                    est = check_kernel_estimates(kernel, sys_, strict=True)
-                    assert all(r.ok for r in est.reports)
+                    est = check_kernel_estimates(kernel, sys_)
+                    assert all(r.ok for r in est.reports), est.reports
                     assert est.C_K == est.k1 ** 2
                     assert est.k2 == growth_scale_factor(space.a0, sys_.delta)
                     checked += 1
@@ -190,8 +190,8 @@ def test_criterion_03_operator_comparisons():
         trials = 100
         for idx, (label, ops) in enumerate(_operator_sets()):
             for op in ops:
-                check_dyadic_below_direct(op, strict=True)
-            check_direct_below_family(ops, strict=True)
+                assert check_dyadic_below_direct(op).status == "pass"
+            assert check_direct_below_family(ops).status == "pass"
             rng = _rng(3, idx)
             n = ops[0].n
             for _ in range(trials):
@@ -199,8 +199,10 @@ def test_criterion_03_operator_comparisons():
                 f[rng.random(n) < 0.2] = 0.0
                 for op in ops:
                     for m in (1, 2, 3):
-                        check_shifted_sandwich(op, f, m, strict=True)
-                check_family_domination(ops, f, strict=True)
+                        rep = check_shifted_sandwich(op, f, m)
+                        assert rep.status == "pass", rep.witness
+                rep = check_family_domination(ops, f)
+                assert rep.status == "pass", rep.witness
         box.detail = f"{len(_operator_sets())} instances x {trials} densities"
 
 
@@ -227,8 +229,8 @@ def test_criterion_05_maximum_principles():
                     f = rng.random(n)
                     f[rng.random(n) < 0.2] = 0.0
                     rho = float(rng.choice(rho_grid(op, f)))
-                    r1 = check_max_principle_1(op, f, rho, strict=True)
-                    r2 = check_max_principle_2(op, f, rho, strict=True)
+                    r1 = check_max_principle_1(op, f, rho)
+                    r2 = check_max_principle_2(op, f, rho)
                     assert r1.status in ("pass", "vacuous")
                     assert r2.status in ("pass", "vacuous")
                     nonvac += (r1.status == "pass") + (r2.status == "pass")
@@ -397,8 +399,8 @@ def test_criterion_10_oracle_equivalences():
     with _criterion(10, "independent-oracles") as box:
         for _, ops in _operator_sets():
             for op in ops:
-                rep = check_forms_agree(op, strict=True)
-                assert rep.ok
+                rep = check_forms_agree(op)
+                assert rep.status == "pass", rep.witness
         op = dict(_operator_sets())["segment16"][0]
         for j in range(op.n):
             e = np.zeros(op.n)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from dyadica.cli import main
+from dyadica.dyadic import dyadic_parameters
+from dyadica.errors import ConfigError
+from dyadica.harness import run_scenario
 from dyadica.space import load_space
 
 BV_KERNEL = ('{"type":"ball_volume","gamma":0.5,'
@@ -107,6 +110,43 @@ class TestBuildDyadic:
         assert main(args + ["--relaxed-delta"]) == 0
         doc = json.loads((tmp_path / "dy.json").read_text())
         assert doc["strict"] is False
+
+    @pytest.mark.parametrize("ulps,strict", [(0, True), (3, True),
+                                             (10_000, False)])
+    def test_strict_bound_classed_alike(self, space_file, tmp_path, ulps,
+                                        strict):
+        # on the segment a0 = 1, so the bound is delta = 1/96; a few ulps
+        # above it stay inside the roundoff guard, ten thousand do not
+        space, _ = load_space(space_file)
+        delta = 1.0 / 96.0
+        for _ in range(ulps):
+            delta = float(np.nextafter(delta, 1.0))
+        assert dyadic_parameters(space.a0, delta)[3] is strict
+
+        out = tmp_path / "dy.json"
+        rc = main(["build-dyadic", "--space", space_file, "--delta",
+                   repr(delta), "--out", str(out)])
+        assert rc == (0 if strict else 2)
+        if strict:
+            assert json.loads(out.read_text())["strict"] is True
+
+        doc = {"space": {"file": space_file}, "dyadic": {"delta": delta},
+               "checks": ["dyadic"]}
+        if strict:
+            rep = run_scenario(doc)
+            assert rep.counts["pass"] > 0 and rep.counts["non-strict"] == 0
+        else:
+            with pytest.raises(ConfigError, match="strict bound"):
+                run_scenario(doc)
+
+    def test_delta_out_of_range_is_a_config_error(self, space_file, tmp_path):
+        rc = main(["build-dyadic", "--space", space_file, "--delta", "1.5",
+                   "--relaxed-delta", "--out", str(tmp_path / "dy.json")])
+        assert rc == 2
+        with pytest.raises(ConfigError, match="dyadic.delta"):
+            run_scenario({"space": {"file": space_file},
+                          "dyadic": {"delta": 0.0}, "checks": ["dyadic"],
+                          "relaxed_delta": True})
 
 
 class TestCheckCommands:

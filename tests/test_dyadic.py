@@ -101,7 +101,7 @@ class TestProperties:
     def test_all_properties_strict(self, fixture, request):
         space, _ = request.getfixturevalue(fixture)
         sys = build_system(space)
-        reports = check_system(sys, strict=True)
+        reports = check_system(sys)
         assert [r.name for r in reports] == list(PROPERTY_NAMES)
         assert all(r.status == "pass" for r in reports)
         assert all(r.strict_mode for r in reports)
@@ -111,15 +111,19 @@ class TestProperties:
     def test_properties_on_random_spaces(self, seed):
         space, _ = generate_space("euclidean_random_points", seed=seed, n=18, dim=2)
         sys = build_system(space, seed=seed)
-        assert all(r.ok for r in check_system(sys, strict=False))
+        assert all(r.ok for r in check_system(sys))
 
     def test_relaxed_delta_reports_non_strict(self, segment16):
         space, _ = segment16
         # delta=1/8 still small enough for the line to build cleanly
         sys = build_system(space, delta=1.0 / 8.0)
         assert not sys.strict_delta
-        reports = check_system(sys, strict=False)
+        reports = check_system(sys)
         assert all(not r.strict_mode for r in reports)
+
+    def test_build_needs_an_attempt(self, segment16):
+        with pytest.raises(BadParams, match="attempt"):
+            build_system(segment16[0], max_attempts=0)
 
 
 class TestNavigation:
@@ -266,7 +270,7 @@ class TestCoverage:
         s1 = build_system(segment16[0])
         s2 = build_system(tree27[0])
         with pytest.raises(BadParams):
-            check_ball_coverage([s1, s2], strict=False)
+            check_ball_coverage([s1, s2])
 
 
 class TestPinnedPoint:
@@ -322,7 +326,7 @@ class TestTruncatedWindow:
         space, _ = tree27
         sys = build_system(space, k_max=1)
         assert sys.k_max == 1
-        assert all(r.ok for r in check_system(sys, strict=False))
+        assert all(r.ok for r in check_system(sys))
         for x in range(space.n):
             leaf = sys.leaf(x)
             assert leaf.k == 1

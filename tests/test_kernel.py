@@ -240,7 +240,7 @@ class TestEstimates:
         space, mu = request.getfixturevalue(fixture)
         sys = build_system(space)
         ker = build_kernel(space, mu, kind, **params)
-        est = check_kernel_estimates(ker, sys, strict=True)
+        est = check_kernel_estimates(ker, sys)
         assert est.ok
         assert est.C_K == est.k1 * est.k1
         names = [r.name for r in est.reports]
@@ -253,7 +253,7 @@ class TestEstimates:
         space, mu = generate_space("euclidean_random_points", seed=seed, n=14, dim=2)
         sys = build_system(space, seed=seed)
         ker = build_kernel(space, mu, "ball_volume", gamma=0.5)
-        est = check_kernel_estimates(ker, sys, strict=False)
+        est = check_kernel_estimates(ker, sys)
         assert est.ok
 
     def test_bound_constant_consistency(self, segment16):

@@ -216,6 +216,18 @@ class TestStrongNorm:
         got = lp_norm(op.apply(est.witness), mu, 2.0) / lp_norm(est.witness, mu, 1.5)
         assert abs(got - est.lower) <= 1e-9 * est.lower
 
+    def test_witness_replay_mismatch_is_typed(self, two_point):
+        # an operator that grows with every call cannot replay its witness
+        _, mu = two_point
+        calls = [0]
+
+        def drifting(f):
+            calls[0] += 1
+            return np.asarray(f) * calls[0]
+
+        with pytest.raises(LowerBoundViolated, match="replay"):
+            operator_norm_strong(drifting, mu, mu, 2.0, 2.0, budget=1)
+
     def test_infinite_diagonal_raises(self):
         space, _ = generate_space("integer_segment_counting", n=1)
         kernel = build_kernel(space, PointMeasure(np.zeros(1)), "ball_volume_closed",

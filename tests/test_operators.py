@@ -29,6 +29,7 @@ from dyadica.operators import (
     pairing,
     weighted_apply,
 )
+from dyadica.policy import require
 from dyadica.space import PointMeasure, generate_space
 
 from conftest import random_masses
@@ -139,7 +140,7 @@ class TestDyadicForms:
         rng = np.random.default_rng(7)
         sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
         op = line_operator(space, mu, sigma=sigma, omega=sigma)
-        rep = check_forms_agree(op, strict=True)
+        rep = check_forms_agree(op)
         assert rep.status == "pass"
 
     def test_forms_agree_with_infinite_diagonal(self, segment4):
@@ -147,7 +148,7 @@ class TestDyadicForms:
         sys = build_system(space)
         ker = build_kernel(space, mu, "frac_rho", alpha=0.5, n_dim=1.0)
         op = build_dyadic_operator(ker, generalize(sys, mu, mu))
-        rep = check_forms_agree(op, strict=True)
+        rep = check_forms_agree(op)
         assert rep.status == "pass"
 
     def test_tampered_matrix_mismatch(self, segment16):
@@ -156,7 +157,7 @@ class TestDyadicForms:
         op.matrix[0, 1] *= 2.0
         op.matrix[1, 0] *= 2.0
         with pytest.raises(FormMismatch):
-            check_forms_agree(op, strict=True)
+            require(check_forms_agree(op))
 
     def test_bad_m(self, segment16):
         space, mu = segment16
@@ -201,7 +202,7 @@ class TestJointAtomDiagonal:
         sigma = PointMeasure(random_masses(rng, 16, zero_fraction=0.3))
         omega = PointMeasure(random_masses(rng, 16, zero_fraction=0.3))
         op = line_operator(space, mu, sigma=sigma, omega=omega)
-        assert check_forms_agree(op, strict=True).status == "pass"
+        assert check_forms_agree(op).status == "pass"
 
 
 class TestCubeSums:
@@ -242,7 +243,7 @@ class TestSelfAdjoint:
         sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.2))
         omega = PointMeasure(random_masses(rng, space.n, zero_fraction=0.2))
         op = line_operator(space, mu, sigma=sigma, omega=omega)
-        rep = check_self_adjoint(op, seed=1, trials=25, strict=True)
+        rep = check_self_adjoint(op, seed=1, trials=25)
         assert rep.status == "pass"
 
     def test_pairing_conventions(self):
@@ -264,7 +265,7 @@ class TestSandwich:
             f = rng.uniform(0, 2, space.n)
             sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
             op = build_dyadic_operator(ker, generalize(sys, sigma, sigma))
-            rep = check_shifted_sandwich(op, f, m=m, strict=True)
+            rep = check_shifted_sandwich(op, f, m=m)
             assert rep.status == "pass"
 
     def test_deterministic_rebuild(self, tree27):
@@ -289,11 +290,11 @@ class TestSandwich:
         op.phi.values[(sys.k_min + 1, sys.top.center)] = 0.0
         f = np.zeros(16)
         f[sys.top.center] = 1.0
-        rep = check_shifted_sandwich(op, f, m=2, strict=False)
+        rep = check_shifted_sandwich(op, f, m=2)
         assert rep.status == "fail"
         assert rep.witness["side"] == "upper"
         with pytest.raises(SandwichViolated):
-            check_shifted_sandwich(op, f, m=2, strict=True)
+            require(rep)
 
 
 class TestTruncatedWindow:
@@ -306,11 +307,11 @@ class TestTruncatedWindow:
         assert any(c.size > 1 for c in sys.generations[sys.k_max])
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
         op = build_dyadic_operator(ker, generalize(sys, mu, mu))
-        assert check_forms_agree(op, strict=True).status == "pass"
+        assert check_forms_agree(op).status == "pass"
         rng = np.random.default_rng(13)
         for m in (1, 2, 3):
             f = rng.uniform(0, 1, space.n)
-            assert check_shifted_sandwich(op, f, m=m, strict=True).status == "pass"
+            assert check_shifted_sandwich(op, f, m=m).status == "pass"
         assert check_self_adjoint(op, seed=2, trials=10).status == "pass"
 
 
@@ -319,7 +320,7 @@ class TestEquivalences:
     def test_dyadic_below_direct(self, fixture, request):
         space, mu = request.getfixturevalue(fixture)
         op = line_operator(space, mu)
-        rep = check_dyadic_below_direct(op, strict=True)
+        rep = check_dyadic_below_direct(op)
         assert rep.status == "pass"
         assert rep.details["worst_ratio"] <= op.C_K * (1 + 1e-12)
 
@@ -329,7 +330,7 @@ class TestEquivalences:
         fam = build_adjacent_systems(space)
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
         ops = [build_dyadic_operator(ker, generalize(s, mu, mu)) for s in fam]
-        rep = check_direct_below_family(ops, strict=True)
+        rep = check_direct_below_family(ops)
         assert rep.status == "pass"
 
     def test_family_domination_functional(self, tree27):
@@ -343,7 +344,7 @@ class TestEquivalences:
             omega = PointMeasure(random_masses(rng, space.n, zero_fraction=0.2))
             ops = [build_dyadic_operator(ker, generalize(s, sigma, omega))
                    for s in fam]
-            rep = check_family_domination(ops, f, strict=True)
+            rep = check_family_domination(ops, f)
             assert rep.status == "pass"
 
     @settings(max_examples=10, deadline=None)
@@ -353,7 +354,7 @@ class TestEquivalences:
         sys = build_system(space, seed=seed)
         ker = build_kernel(space, mu, "ball_volume", gamma=0.5)
         op = build_dyadic_operator(ker, generalize(sys, mu, mu))
-        assert check_dyadic_below_direct(op, strict=False).status == "pass"
+        assert check_dyadic_below_direct(op).status == "pass"
 
 
 class TestPointCubeTesting:
@@ -379,18 +380,18 @@ class TestPointCubeTesting:
         assert rep.status == "pass"
         assert rep.details["worst_ratio"] == pytest.approx(1.0)
         with pytest.raises(PointCubeViolated):
-            check_point_cube_testing(op, 2.0, 2.0, 11.9, 12.0)
+            require(check_point_cube_testing(op, 2.0, 2.0, 11.9, 12.0))
 
     def test_infinite_diagonal_fails_finite_constants(self, segment4):
         space, mu = segment4
         sys = build_system(space)
         ker = build_kernel(space, mu, "frac_rho", alpha=0.5, n_dim=1.0)
         op = build_dyadic_operator(ker, generalize(sys, mu, mu))
-        rep = check_point_cube_testing(op, 2.0, 2.0, 5.0, 5.0, strict=False)
+        rep = check_point_cube_testing(op, 2.0, 2.0, 5.0, 5.0)
         assert rep.status == "fail"
         assert rep.witness["kxx_infinite"] is True
         with pytest.raises(PointCubeViolated):
-            check_point_cube_testing(op, 2.0, 2.0, 5.0, 5.0)
+            require(rep)
 
 
 class TestMixedSystems:

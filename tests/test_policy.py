@@ -1,0 +1,81 @@
+"""Report-first checks: one raise path, and no strict knob left behind."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import dyadica
+from dyadica.dyadic import build_system, check_partition
+from dyadica.errors import DyadicaError, PropertyViolation, SandwichViolated
+from dyadica.policy import CheckReport, outcome, require
+from dyadica.space import generate_space
+
+
+class TestRequire:
+    def test_fail_raises_recorded_error_with_witness(self):
+        witness = {"x": 3, "side": "upper"}
+        rep = outcome("shifted_sandwich", True, SandwichViolated, witness)
+        assert rep.status == "fail"
+        with pytest.raises(SandwichViolated) as info:
+            require(rep)
+        assert info.value.witness == witness
+
+    @pytest.mark.parametrize("status", ["pass", "vacuous"])
+    def test_non_failing_report_returned_unchanged(self, status):
+        rep = CheckReport("shifted_sandwich", status, witness=None,
+                          details={"m": 2}, error=SandwichViolated)
+        before = CheckReport("shifted_sandwich", status, witness=None,
+                             details={"m": 2}, error=SandwichViolated)
+        assert require(rep) is rep
+        assert rep == before
+
+    def test_real_check_failure_is_catchable(self):
+        space, _ = generate_space("integer_segment_counting", n=8)
+        sys = build_system(space)
+        finest = sys.generations[sys.k_max]
+        sys.generations[sys.k_max] = finest + (finest[0],)
+        rep = check_partition(sys)
+        assert rep.status == "fail"
+        assert rep.witness["multiplicity"] == 2
+        with pytest.raises(PropertyViolation) as info:
+            require(rep)
+        assert isinstance(info.value, DyadicaError)
+        assert info.value.witness == rep.witness
+
+
+def _public_modules():
+    for info in pkgutil.iter_modules(dyadica.__path__):
+        yield importlib.import_module(f"dyadica.{info.name}")
+
+
+def _callables(module):
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != \
+                module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield f"{module.__name__}.{name}", obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "__func__", member)
+                if inspect.isfunction(fn):
+                    yield f"{module.__name__}.{name}.{attr}", fn
+
+
+def test_no_strict_parameter_anywhere():
+    offenders = [name for module in _public_modules()
+                 for name, fn in _callables(module)
+                 if "strict" in inspect.signature(fn).parameters]
+    assert offenders == []
+
+
+def test_no_bare_asserts_in_the_package():
+    src = Path(dyadica.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
