@@ -21,7 +21,6 @@ from .dyadic import (
     build_system,
     check_ball_coverage,
     check_system,
-    cover_ball,
     coverage_bound,
     generalize,
     maximal_cubes,
@@ -58,7 +57,7 @@ from .norms import (
 )
 from .operators import (
     DyadicOperator,
-    PotentialOperator,
+    MatrixOperator,
     apply_direct,
     build_dyadic_operator,
     check_direct_below_family,
@@ -103,8 +102,8 @@ __all__ = [
     "Exponents",
     "GeneralizedSystem",
     "Kernel",
+    "MatrixOperator",
     "PointMeasure",
-    "PotentialOperator",
     "QuasiMetricSpace",
     "Report",
     "Scenario",
@@ -133,7 +132,6 @@ __all__ = [
     "check_shifted_sandwich",
     "check_system",
     "check_universal_maximal",
-    "cover_ball",
     "coverage_bound",
     "decompose_level_set",
     "dual_weight",

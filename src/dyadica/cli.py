@@ -23,7 +23,6 @@ from .errors import BadParams, ConfigError, DyadicaError
 from .harness import random_measure, run_scenario, sweep
 from .reporting import (
     Report,
-    canonical_json,
     jsonable,
     report_to_csv,
     reports_to_csv,

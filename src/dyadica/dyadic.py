@@ -34,8 +34,8 @@ Two optional build knobs: pinning a point makes it a cube center at every
 generation (it is swept first, so every net keeps it), and a truncated
 window stops refinement early, leaving non-singleton finest cubes. A pair
 of measures extends a system with point cubes at the joint atoms that are
-not already singleton cubes; maximal_cubes, cover_ball and
-expanding_cube_chain supply the cube combinatorics built on top.
+not already singleton cubes; maximal_cubes supplies the cube
+combinatorics built on top.
 """
 
 from __future__ import annotations
@@ -49,12 +49,9 @@ from .errors import (
     BadParams,
     CoverageIncomplete,
     MixedSystems,
-    NonPositiveRadius,
-    NotCovered,
     OutOfRange,
     PropertyViolation,
     SamePoint,
-    Unsatisfiable,
 )
 from .policy import TOLERANCES, CheckReport, outcome
 from .space import PointMeasure, QuasiMetricSpace, ball
@@ -472,18 +469,6 @@ def coverage_bound(a0: float, delta: float) -> float:
     return 8.0 * a0**3 / delta**2
 
 
-def band_index(delta: float, r: float) -> int:
-    """The generation k whose radius band (delta^{k+2}, delta^{k+1}] holds r."""
-    if not r > 0:
-        raise BadParams("radius must be positive", r=r)
-    k = int(np.floor(np.log(r) / np.log(delta))) - 1
-    while r > delta ** (k + 1):
-        k -= 1
-    while r <= delta ** (k + 2):
-        k += 1
-    return k
-
-
 def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...]
                         ) -> tuple[CheckReport, CoverageCertificate | None]:
     """Certify that every strict ball embeds in one cube of one system.
@@ -696,36 +681,6 @@ def maximal_cubes(cubes) -> tuple[Cube, ...]:
     return tuple(kept)
 
 
-def find_cube_with_positive_masses(system: DyadicSystem, sigma: PointMeasure,
-                                   omega: PointMeasure, A) -> Cube:
-    """Deepest standard cube with sigma mass that meets A in omega mass.
-
-    The top cube always qualifies when sigma is nontrivial and omega charges
-    A at all, so the scan from the finest generation upward cannot miss.
-    """
-    n = system.space.n
-    pts = sorted({int(a) for a in A})
-    for a in pts:
-        if not 0 <= a < n:
-            raise OutOfRange(point=a, n=n)
-    a_mask = np.zeros(n, dtype=bool)
-    a_mask[pts] = True
-    omega_on_a = float(np.sum(omega.masses[a_mask])) if pts else 0.0
-    if not (sigma.total > 0 and omega_on_a > 0):
-        raise Unsatisfiable(sigma_total=sigma.total, omega_on_A=omega_on_a)
-    for k in range(system.k_max, system.k_min - 1, -1):
-        for cube in system.generations[k]:
-            inside = [m for m in cube.members if a_mask[m]]
-            if sigma.of(cube.members) > 0 and inside and omega.of(inside) > 0:
-                return cube
-    raise PropertyViolation("the top cube failed to qualify; measures are "
-                            "inconsistent with the space", n=n)
-
-
-# ---------------------------------------------------------------------------
-# ball covers and expanding chains
-# ---------------------------------------------------------------------------
-
 def _family_systems(family) -> tuple[DyadicSystem, ...]:
     if isinstance(family, AdjacentSystems):
         return family.systems
@@ -735,69 +690,3 @@ def _family_systems(family) -> tuple[DyadicSystem, ...]:
     if not systems:
         raise BadParams("need at least one system")
     return systems
-
-
-def cover_ball(family, x: int, r: float, closed: bool = False) -> tuple[int, Cube]:
-    """Find (system index, cube) containing B(x, r) with diameter <= C r.
-
-    C is the coverage bound 8 a0^3 / delta^2. The ball is strict by default;
-    closed=True covers {y : dist(x, y) <= r} instead. Within each system only
-    the finest containing cube matters because diameters grow along ancestry,
-    so the first system whose finest containing cube meets the diameter cap
-    wins.
-    """
-    systems = _family_systems(family)
-    space = systems[0].space
-    if not 0 <= x < space.n:
-        raise OutOfRange(x=x, n=space.n)
-    r_ok = r >= 0 if closed else r > 0
-    if not r_ok:
-        raise NonPositiveRadius(x=x, r=r, closed=closed)
-    row = space.dist[x]
-    mset = {int(i) for i in np.flatnonzero(row <= r if closed else row < r)}
-    cap = coverage_bound(space.a0, systems[0].delta) * r
-    for t, sys in enumerate(systems):
-        for k in range(sys.k_max, sys.k_min - 1, -1):
-            cube = sys.containing_cube(k, x)
-            if mset <= set(cube.members):
-                if cube.diameter <= cap:
-                    return t, cube
-                break
-    raise NotCovered("no cube holds the ball within the diameter cap",
-                     x=x, r=r, closed=closed, cap=cap)
-
-
-def expanding_cube_chain(family, x: int, r: float) -> tuple[tuple[int, Cube], ...]:
-    """Nested cubes swallowing geometrically inflated balls around B(x, r).
-
-    With c0 the coverage bound, link j contains the closed ball of radius
-    c0^j r (link 0 contains the strict ball B(x, r)) and sits inside the
-    closed ball of radius c0^{j+1} r; successive links nest. The chain stops
-    at the first link equal to the whole space, which the geometric inflation
-    reaches after O(log diameter / log c0) steps.
-    """
-    systems = _family_systems(family)
-    space = systems[0].space
-    if not r > 0:
-        raise NonPositiveRadius(x=x, r=r)
-    c0 = coverage_bound(space.a0, systems[0].delta)
-    d = space.dist
-    links: list[tuple[int, Cube]] = []
-    t, cube = cover_ball(family, x, r)
-    target = c0 * r
-    for _ in range(64):
-        if float(np.max(d[x, list(cube.members)])) > target:
-            raise PropertyViolation("chain link escapes its closed inflated ball",
-                                    x=x, r=r, target=target,
-                                    link=(cube.k, cube.center))
-        links.append((t, cube))
-        if cube.size == space.n:
-            return tuple(links)
-        prev = set(cube.members)
-        t, cube = cover_ball(family, x, target, closed=True)
-        if not prev <= set(cube.members):
-            raise PropertyViolation("chain link is not nested in its successor",
-                                    x=x, r=r, target=target)
-        target = c0 * target
-    raise PropertyViolation("expanding chain failed to reach the whole space",
-                            x=x, r=r)

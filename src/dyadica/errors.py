@@ -68,15 +68,7 @@ class SamePoint(DyadicaError):
     pass
 
 
-class NotCovered(DyadicaError):
-    pass
-
-
 class MixedSystems(DyadicaError):
-    pass
-
-
-class Unsatisfiable(DyadicaError):
     pass
 
 

@@ -37,10 +37,8 @@ from .dyadic import (
 from .errors import BadParams, ConfigError, DyadicaError
 from .kernel import build_kernel, check_kernel_estimates
 from .maximal import (
+    MaximalParams,
     check_maximal_equivalence,
-    dual_weight,
-    maximal_params,
-    measure_doubling_constant,
     verdict_theorem_a,
 )
 from .norms import verdict_theorem_b, verdict_weak_type
@@ -549,20 +547,22 @@ def _stage_theorem_a(run: _Run) -> None:
                    constant=verdict.norm.lower)
         run.manual("theorem-a.equivalence_ratio", True,
                    constant=verdict.ratio)
-        dual_weight(mu, sigma, p)
         run.manual("theorem-a.dual_weight", True)
         run.constants.update(maximal_testing=verdict.testing.value,
                              maximal_norm_lb=verdict.norm.lower,
                              maximal_ratio=verdict.ratio,
                              maximal_testing_dyadic=verdict.dyadic_testing.value)
     if math.isfinite(verdict.doubling):
+        params = MaximalParams(space=space, mu=mu, gamma=gamma,
+                               doubling_constant=verdict.doubling)
         eq = check_maximal_equivalence(
-            family, maximal_params(space, mu, gamma),
-            trials=max(10, 2 * run.sc.budget), seed=run.sc.seed)
+            family, params, trials=max(10, 2 * run.sc.budget),
+            seed=run.sc.seed)
         run.manual("theorem-a.ball_dyadic_equivalence", eq.violations == 0,
                    constant=eq.dyadic_over_ball,
                    witness=None if eq.violations == 0 else
-                   {"violations": eq.violations})
+                   {"violations": eq.violations,
+                    "first": eq.first_violation})
         run.constants.update(equiv_dyadic_over_ball=eq.dyadic_over_ball,
                              equiv_ball_over_sum=eq.ball_over_sum)
     else:

@@ -37,6 +37,7 @@ from .norms import (
     Exponents,
     NormEstimate,
     _equivalence_ratio,
+    cube_testing,
     indicator,
     lp_norm,
     operator_norm_strong,
@@ -187,7 +188,11 @@ class MaximalEquivalence:
     ratio_bound is the explicit a-priori bound on M^D f / M f: the largest
     (mu(outer ball of Q) / mu(Q))^(1-gamma) over standard cubes with
     positive mass.  The two observed fields are the empirical suprema over
-    all trials, systems, and points.
+    all trials, systems, and points.  first_violation names the first
+    trial that broke a direction: the trial index, the system index (None
+    for the sum direction), the point, and the two compared values lhs and
+    rhs (M^D f(x) against ratio_bound * M f(x), or M f(x) against the
+    per-system sum at x).
     """
 
     ratio_bound: float
@@ -196,6 +201,7 @@ class MaximalEquivalence:
     trials: int
     systems: int
     violations: int = 0
+    first_violation: dict | None = None
 
 
 def _containment_ratio_bound(system: DyadicSystem, mu: PointMeasure,
@@ -225,6 +231,13 @@ def _trial_functions(n: int, trials: int, salt: int, seed: int):
             yield rng.random(n)
 
 
+def _violation(trial: int, system: int | None, bad: np.ndarray,
+               lhs: np.ndarray, rhs: np.ndarray) -> dict:
+    x = int(np.flatnonzero(bad)[0])
+    return {"trial": trial, "system": system, "x": x,
+            "lhs": float(lhs[x]), "rhs": float(rhs[x])}
+
+
 def check_maximal_equivalence(family, params: MaximalParams,
                               trials: int = 50, seed: int = 0
                               ) -> MaximalEquivalence:
@@ -250,26 +263,30 @@ def check_maximal_equivalence(family, params: MaximalParams,
     bounds = [_containment_ratio_bound(s, params.mu, params.gamma)
               for s in systems]
     g = TOLERANCES["exact_guard_rel"]
-    d_over_b, b_over_s, violations = 0.0, 0.0, 0
-    for f in _trial_functions(params.space.n, trials, MAXIMAL_SALT, seed):
+    d_over_b, b_over_s = 0.0, 0.0
+    found: list[dict] = []
+    for t, f in enumerate(_trial_functions(params.space.n, trials,
+                                           MAXIMAL_SALT, seed)):
         mb = apply_M(params, f)
         total = np.zeros(params.space.n)
+        pos = mb > 0.0
         for sysi, system in enumerate(systems):
             md = apply_M_dyadic(system, params, f)
             total += md
-            if not np.all(md <= bounds[sysi] * mb * (1.0 + g)):
-                violations += 1
-            pos = mb > 0.0
+            cap = bounds[sysi] * mb
+            ok = md <= cap * (1.0 + g)
+            if not np.all(ok):
+                found.append(_violation(t, sysi, ~ok, md, cap))
             if np.any(pos):
                 d_over_b = max(d_over_b, float(np.max(md[pos] / mb[pos])))
-        pos = mb > 0.0
         if np.any(pos) and np.any(total[pos] == 0.0):
-            violations += 1
+            found.append(_violation(t, None, pos & (total == 0.0), mb, total))
         elif np.any(pos):
             b_over_s = max(b_over_s, float(np.max(mb[pos] / total[pos])))
     return MaximalEquivalence(ratio_bound=max(bounds), dyadic_over_ball=d_over_b,
                               ball_over_sum=b_over_s, trials=trials,
-                              systems=len(systems), violations=violations)
+                              systems=len(systems), violations=len(found),
+                              first_violation=found[0] if found else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,26 +339,6 @@ class MaximalTesting:
     per_system: tuple[float, ...] = ()
 
 
-def _testing_sweep(cubes, action, normalizer: PointMeasure, omega: PointMeasure,
-                   p: float, q: float, n: int):
-    best, argmax, hits = 0.0, None, 0
-    for cube in cubes:
-        mass = normalizer.of(cube.members)
-        if mass == 0.0:
-            hits += 1
-            continue
-        chi = indicator(n, cube.members)
-        img = np.asarray(action(cube, chi), dtype=float)
-        img = np.where(chi > 0.0, img, 0.0)
-        val = lp_norm(img, omega, q) / mass ** (1.0 / p)
-        if math.isinf(val):
-            raise Infinite("infinite testing ratio", k=cube.k,
-                           center=cube.center)
-        if val > best:
-            best, argmax = val, cube
-    return best, argmax, hits
-
-
 def testing_constant_maximal(family, mu: PointMeasure, sigma: PointMeasure,
                              omega: PointMeasure, gamma: float,
                              p: float, q: float, *,
@@ -357,27 +354,27 @@ def testing_constant_maximal(family, mu: PointMeasure, sigma: PointMeasure,
     """
     Exponents(p, q)
     systems = _family_systems(family)
-    n = mu.masses.size
     params = MaximalParams(space=systems[0].space, mu=mu, gamma=gamma)
-    if not dyadic:
+    if dyadic:
+        sweeps = [(s.all_cubes(), sigma,
+                   lambda chi, s=s: apply_M_dyadic(s, params, chi, inside=sigma))
+                  for s in systems]
+    else:
         dw = dual_weight(mu, sigma, p)
-        cubes = [c for s in systems for c in s.all_cubes()]
-        value, argmax, hits = _testing_sweep(
-            cubes, lambda _, chi: apply_M(params, chi, inside=dw.v_measure),
-            dw.v_measure, omega, p, q, n)
-        return MaximalTesting(value, argmax, hits)
-    best, argmax, hits = 0.0, None, 0
-    per = []
-    for system in systems:
-        val, arg, h = _testing_sweep(
-            system.all_cubes(),
-            lambda _, chi, s=system: apply_M_dyadic(s, params, chi, inside=sigma),
-            sigma, omega, p, q, n)
+        sweeps = [(standard_cubes(systems), dw.v_measure,
+                   lambda chi: apply_M(params, chi, inside=dw.v_measure))]
+    best, argmax, hits, per = 0.0, None, 0, []
+    for cubes, normalizer, action in sweeps:
+        val, arg, h, infinite = cube_testing(cubes, action, normalizer, omega,
+                                             q, p)
+        if infinite:
+            raise Infinite("infinite testing ratio", k=infinite[0].k,
+                           center=infinite[0].center)
         per.append(val)
         hits += h
         if val > best:
             best, argmax = val, arg
-    return MaximalTesting(best, argmax, hits, tuple(per))
+    return MaximalTesting(best, argmax, hits, tuple(per) if dyadic else ())
 
 
 @dataclass

@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveOperator,
 )
 from .kernel import Kernel
-from .operators import PotentialOperator, build_dyadic_operator
+from .operators import MatrixOperator, build_dyadic_operator
 from .policy import TOLERANCES, close
 from .space import PointMeasure
 
@@ -353,6 +353,36 @@ def cube_seeds(family, n: int) -> list[np.ndarray]:
     return [indicator(n, c.members) for c in standard_cubes(family)]
 
 
+def cube_testing(cubes, action, normalizer: PointMeasure,
+                 inside: PointMeasure, r_out: float, r_norm: float):
+    """sup_Q normalizer(Q)^(-1/r_norm) ||chi_Q action(chi_Q)||_{L^r_out(inside)}.
+
+    Returns (sup, argmax, convention hits, infinite cubes): a cube whose
+    normalizing mass vanishes is skipped and counted (the inf * 0 = 0
+    reading); a cube with an infinite ratio is listed and makes the sup
+    infinite.
+    """
+    n = normalizer.masses.size
+    best, argmax, hits = 0.0, None, 0
+    infinite: list[Cube] = []
+    for cube in cubes:
+        mass = normalizer.of(cube.members)
+        if mass == 0.0:
+            hits += 1
+            continue
+        chi = indicator(n, cube.members)
+        img = np.asarray(action(chi), dtype=float)
+        img = np.where(chi > 0.0, img, 0.0)
+        val = lp_norm(img, inside, r_out) / mass ** (1.0 / r_norm)
+        if math.isinf(val):
+            infinite.append(cube)
+            best = math.inf
+            continue
+        if val > best:
+            best, argmax = val, cube
+    return best, argmax, hits, infinite
+
+
 def testing_constants(op, family, sigma: PointMeasure, omega: PointMeasure,
                       p: float, q: float) -> TestingConstants:
     """Both testing constants for op over the family's standard cubes.
@@ -363,31 +393,10 @@ def testing_constants(op, family, sigma: PointMeasure, omega: PointMeasure,
     ex = Exponents(p, q)
     require_finite_q(ex)
     cubes = standard_cubes(family)
-    n = sigma.masses.size
-
-    def sweep(action, normalizer, r_out, r_norm, inside):
-        best, argmax, hits = 0.0, None, 0
-        infinite: list[Cube] = []
-        for cube in cubes:
-            mass = normalizer.of(cube.members)
-            if mass == 0.0:
-                hits += 1
-                continue
-            chi = indicator(n, cube.members)
-            img = np.asarray(action(chi), dtype=float)
-            img = np.where(chi > 0.0, img, 0.0)
-            val = lp_norm(img, inside, r_out) / mass ** (1.0 / r_norm)
-            if math.isinf(val):
-                infinite.append(cube)
-                best = math.inf
-                continue
-            if val > best:
-                best, argmax = val, cube
-        return best, argmax, hits, infinite
-
-    s_val, s_arg, s_hits, s_inf = sweep(op.apply, sigma, ex.q, ex.p, omega)
-    d_val, d_arg, d_hits, d_inf = sweep(op.apply_adjoint, omega, ex.p_prime,
-                                        ex.q_prime, sigma)
+    s_val, s_arg, s_hits, s_inf = cube_testing(cubes, op.apply, sigma, omega,
+                                               ex.q, ex.p)
+    d_val, d_arg, d_hits, d_inf = cube_testing(cubes, op.apply_adjoint, omega,
+                                               sigma, ex.p_prime, ex.q_prime)
     return TestingConstants(s_val, d_val, s_arg, d_arg, s_hits + d_hits,
                             tuple(s_inf + d_inf))
 
@@ -425,29 +434,32 @@ def _check_structural(label: str, testing_value: float, bound: float) -> None:
             witness={"testing": testing_value, "bound": bound})
 
 
-def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
-                      omega: PointMeasure, p: float, q: float, *,
-                      budget: int = 8, seed: int = 0) -> StrongVerdict:
-    """Strong-type verdict: norm lower bound vs the two testing constants."""
+def _potential_prologue(kernel: Kernel, family, sigma: PointMeasure,
+                        omega: PointMeasure, p: float, q: float):
+    """Exponents, direct operator, finite testing constants, cube seeds."""
     ex = Exponents(p, q)
     require_finite_q(ex)
-    op = PotentialOperator(kernel, sigma, omega)
+    op = MatrixOperator(kernel.matrix, sigma, omega)
     tc = testing_constants(op, family, sigma, omega, p, q)
     if tc.infinite_cubes:
         raise InfiniteTesting("testing constant is infinite",
                               witness={"cubes": [(c.k, c.center)
                                                  for c in tc.infinite_cubes]})
-    n = sigma.masses.size
-    seeds = cube_seeds(family, n)
-    mat = kernel.matrix if (p == 2.0 and q == 2.0) else None
+    return ex, op, tc, cube_seeds(family, sigma.masses.size)
+
+
+def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
+                      omega: PointMeasure, p: float, q: float, *,
+                      budget: int = 8, seed: int = 0) -> StrongVerdict:
+    """Strong-type verdict: norm lower bound vs the two testing constants."""
+    ex, op, tc, seeds = _potential_prologue(kernel, family, sigma, omega, p, q)
     nrm = operator_norm_strong(op.apply, sigma, omega, p, q, budget, seeds,
-                               apply_adjoint=op.apply_adjoint, matrix=mat,
-                               seed=seed)
+                               apply_adjoint=op.apply_adjoint,
+                               matrix=op.matrix, seed=seed)
     dual_ex = ex.dual()
-    adj_mat = kernel.matrix.T if (dual_ex.p == 2.0 and dual_ex.q == 2.0) else None
     adj = operator_norm_strong(op.apply_adjoint, omega, sigma,
                                dual_ex.p, dual_ex.q, budget, seeds,
-                               apply_adjoint=op.apply, matrix=adj_mat,
+                               apply_adjoint=op.apply, matrix=op.matrix.T,
                                seed=seed + 1)
     _check_structural("strong", tc.strong, nrm.lower)
     _check_structural("dual", tc.dual, adj.lower)
@@ -477,16 +489,7 @@ class WeakVerdict:
 def verdict_weak_type(kernel: Kernel, family, sigma: PointMeasure,
                       omega: PointMeasure, p: float, q: float, *,
                       budget: int = 8, seed: int = 0) -> WeakVerdict:
-    ex = Exponents(p, q)
-    require_finite_q(ex)
-    op = PotentialOperator(kernel, sigma, omega)
-    tc = testing_constants(op, family, sigma, omega, p, q)
-    if tc.infinite_cubes:
-        raise InfiniteTesting("testing constant is infinite",
-                              witness={"cubes": [(c.k, c.center)
-                                                 for c in tc.infinite_cubes]})
-    n = sigma.masses.size
-    seeds = cube_seeds(family, n)
+    ex, op, tc, seeds = _potential_prologue(kernel, family, sigma, omega, p, q)
     dual_ex = ex.dual()
     adj = operator_norm_strong(op.apply_adjoint, omega, sigma,
                                dual_ex.p, dual_ex.q, budget, seeds,
@@ -501,7 +504,7 @@ def verdict_weak_type(kernel: Kernel, family, sigma: PointMeasure,
     for t, sys in enumerate(_family_systems(family)):
         dop = build_dyadic_operator(kernel, generalize(sys, sigma, omega))
         dtc = testing_constants(dop, sys, sigma, omega, p, q)
-        sys_seeds = cube_seeds(sys, n)
+        sys_seeds = cube_seeds(sys, sigma.masses.size)
         dadj = operator_norm_strong(dop.apply_adjoint, omega, sigma,
                                     dual_ex.p, dual_ex.q, sub_budget,
                                     sys_seeds, apply_adjoint=dop.apply,

@@ -85,37 +85,36 @@ def apply_direct(kernel: Kernel, f, sigma: PointMeasure) -> np.ndarray:
     return weighted_apply(kernel.matrix, f, sigma)
 
 
-def apply_direct_adjoint(kernel: Kernel, f, sigma: PointMeasure) -> np.ndarray:
-    return weighted_apply(kernel.matrix.T, f, sigma)
-
-
 @dataclass(eq=False)
-class PotentialOperator:
-    """Direct kernel operator f -> sum_y K(., y) f(y) sigma({y}).
+class MatrixOperator:
+    """Kernel-matrix operator f -> sum_y M(., y) f(y) sigma({y}).
 
-    The adjoint integrates against omega instead; for the symmetric kernels
-    built here the two share a matrix, but both are kept explicit so the
-    norm machinery can treat any operator pair uniformly.
+    The adjoint integrates the transposed matrix against omega. The direct
+    operator is MatrixOperator(kernel.matrix, sigma, omega); the dyadic
+    model operator is the same action on its envelope matrix.
     """
 
-    kernel: Kernel
+    matrix: np.ndarray = field(repr=False)
     sigma: PointMeasure
     omega: PointMeasure
 
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
     def apply(self, f) -> np.ndarray:
-        return weighted_apply(self.kernel.matrix, f, self.sigma)
+        return weighted_apply(self.matrix, f, self.sigma)
 
     def apply_adjoint(self, h) -> np.ndarray:
-        return weighted_apply(self.kernel.matrix.T, h, self.omega)
+        return weighted_apply(self.matrix.T, h, self.omega)
 
 
 @dataclass(eq=False)
-class DyadicOperator:
+class DyadicOperator(MatrixOperator):
     """Dyadic model operator bound to a generalized system and its measures.
 
-    apply integrates against gen.sigma and apply_adjoint against gen.omega;
-    the matrix is symmetric, so the adjoint is the same operator with the
-    other measure inside. The diagonal is positive only at joint atoms.
+    sigma and omega are the generalized system's pair; the matrix is
+    symmetric and its diagonal is positive only at joint atoms.
     """
 
     kernel: Kernel
@@ -124,29 +123,10 @@ class DyadicOperator:
     C_K: float
     k1: float
     k2: float
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def system(self):
         return self.gen.base
-
-    @property
-    def sigma(self) -> PointMeasure:
-        return self.gen.sigma
-
-    @property
-    def omega(self) -> PointMeasure:
-        return self.gen.omega
-
-    def apply(self, f) -> np.ndarray:
-        return weighted_apply(self.matrix, f, self.gen.sigma)
-
-    def apply_adjoint(self, h) -> np.ndarray:
-        return weighted_apply(self.matrix.T, h, self.gen.omega)
 
 
 def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
@@ -170,8 +150,9 @@ def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
                     "envelope undefined on a cube separating two points",
                     x=x, y=y, k=q.k, center=q.center)
             M[x, y] = M[y, x] = phi.of(q)
-    return DyadicOperator(kernel=kernel, gen=gen, phi=phi,
-                          C_K=C_K, k1=k1, k2=k2, matrix=M)
+    return DyadicOperator(matrix=M, sigma=gen.sigma, omega=gen.omega,
+                          kernel=kernel, gen=gen, phi=phi,
+                          C_K=C_K, k1=k1, k2=k2)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ TOLERANCES: dict[str, float] = {
     "testing_le_norm_abs": 1e-9,
     # dual weight identity v^p sigma == v mu, per point
     "dual_weight_rel": 1e-12,
-    # fixed-point vs multistart agreement for p=q=2 linear operators
-    "fixed_point_vs_multistart_rel": 1e-6,
     # sweep stability: max equivalence ratio across re-seeded draws
     "sweep_stability_rel": 0.10,
 }

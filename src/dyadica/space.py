@@ -148,10 +148,6 @@ def ball(space: QuasiMetricSpace, x: int, r: float) -> Ball:
     return Ball(center=x, radius=float(r), members=tuple(int(i) for i in members))
 
 
-def closed_ball_members(space: QuasiMetricSpace, x: int, r: float) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.flatnonzero(space.dist[x] <= r))
-
-
 def estimate_geometric_doubling(space: QuasiMetricSpace) -> DoublingEstimate:
     """Greedy-cover upper bound for the geometric doubling constant.
 

@@ -146,7 +146,8 @@ def check_max_principle_1(op, f, rho: float,
 
     For every Q in q_{rho/C} with C >= 2 C_K, the operator applied to f
     killed on Q is at most rho/2 at every point of Q.  Vacuous when the
-    lowered level set has no cubes.
+    lowered level set has no cubes.  A failure names the first violating
+    point in q_rho-then-member order.
     """
     if C is None:
         C = 2.0 * op.C_K
@@ -164,9 +165,9 @@ def check_max_principle_1(op, f, rho: float,
             val = float(img[x])
             if val > worst:
                 worst = val
-            if val > guard(bound):
+            if witness is None and val > guard(bound):
                 witness = {"k": cube.k, "center": cube.center, "x": x,
-                           "value": val}
+                           "value": val, "bound": bound}
     status = "vacuous" if not dec.q_rho else ("fail" if witness else "pass")
     return CheckReport(name="max_principle_1", status=status, witness=witness,
                        details={"rho": rho, "C": C, "bound": bound,
@@ -180,7 +181,8 @@ def check_max_principle_2(op, f, rho: float,
 
     For every Q in q_{rho/C_m} and every x in Q that also lies in the
     level set at rho itself, the operator applied to f restricted to Q
-    exceeds rho/2 strictly.  Vacuous when no such point exists.
+    exceeds rho/2 strictly.  Vacuous when no such point exists.  A failure
+    names the first violating point in q_rho-then-member order.
     """
     if C_m is None:
         C_m = shell_params(op.C_K).C_m
@@ -203,9 +205,10 @@ def check_max_principle_2(op, f, rho: float,
             val = float(img[x])
             if val < worst:
                 worst = val
-            if not val > bound * (1.0 - TOLERANCES["exact_guard_rel"]):
+            if witness is None and not val > bound * (
+                    1.0 - TOLERANCES["exact_guard_rel"]):
                 witness = {"k": cube.k, "center": cube.center, "x": x,
-                           "value": val}
+                           "value": val, "bound": bound}
     status = "vacuous" if checked == 0 else ("fail" if witness else "pass")
     return CheckReport(name="max_principle_2", status=status, witness=witness,
                        details={"rho": rho, "C_m": C_m, "bound": bound,

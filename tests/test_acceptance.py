@@ -19,7 +19,7 @@ import pytest
 
 from dyadica import (
     PointMeasure,
-    PotentialOperator,
+    MatrixOperator,
     build_adjacent_systems,
     build_dyadic_operator,
     build_kernel,
@@ -428,7 +428,7 @@ def test_criterion_10_oracle_equivalences():
         one = build_space([[0.0]])
         k1 = build_kernel(one, None, "matrix", values=[[1.0]])
         sigma1, omega1 = PointMeasure(np.array([4.0])), PointMeasure(np.array([9.0]))
-        direct = PotentialOperator(k1, sigma1, omega1)
+        direct = MatrixOperator(k1.matrix, sigma1, omega1)
         est = operator_norm_strong(direct.apply, sigma1, omega1, 2.0, 2.0,
                                    budget=8, seeds=[np.ones(1)], seed=0)
         assert math.isclose(est.lower, 6.0, rel_tol=TOLERANCES["witness_replay_rel"])
@@ -438,7 +438,7 @@ def test_criterion_10_oracle_equivalences():
         k2 = build_kernel(two, None, "matrix", values=K.tolist())
         sigma2 = PointMeasure(np.array([4.0, 1.0]))
         omega2 = PointMeasure(np.array([9.0, 2.0]))
-        direct2 = PotentialOperator(k2, sigma2, omega2)
+        direct2 = MatrixOperator(k2.matrix, sigma2, omega2)
         A = np.diag(np.sqrt(omega2.masses)) @ K @ np.diag(np.sqrt(sigma2.masses))
         oracle = float(np.linalg.svd(A, compute_uv=False)[0])
         est2 = operator_norm_strong(direct2.apply, sigma2, omega2, 2.0, 2.0,

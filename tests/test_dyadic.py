@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 
 from dyadica.dyadic import (
     PROPERTY_NAMES,
-    band_index,
     build_adjacent_systems,
     build_system,
     check_ball_coverage,
     check_system,
-    cover_ball,
     coverage_bound,
     dyadic_parameters,
-    expanding_cube_chain,
-    find_cube_with_positive_masses,
     generalize,
     maximal_cubes,
     replay_coverage,
@@ -22,10 +18,8 @@ from dyadica.dyadic import (
 from dyadica.errors import (
     BadParams,
     MixedSystems,
-    NonPositiveRadius,
     OutOfRange,
     SamePoint,
-    Unsatisfiable,
 )
 from dyadica.space import PointMeasure, generate_space
 
@@ -201,26 +195,6 @@ class TestDeterminism:
         s1 = build_system(space, seed=11)
         s2 = build_system(space, seed=12)
         assert s1.nets != s2.nets or not np.array_equal(s1.ancestor, s2.ancestor)
-
-
-class TestBands:
-    def test_band_index_values(self):
-        delta = 1.0 / 96.0
-        assert band_index(delta, 1.0) == -1
-        assert band_index(delta, 1.0 / 96.0) == 0
-        assert band_index(delta, 0.5) == -1
-        assert band_index(delta, 96.0) == -2
-
-    def test_band_edges(self):
-        delta = 1.0 / 96.0
-        for k in (-2, 0, 3):
-            r = delta ** (k + 1)
-            assert band_index(delta, r) == k
-            assert band_index(delta, r * 1.0000001) == k - 1
-
-    def test_band_rejects_nonpositive(self):
-        with pytest.raises(BadParams):
-            band_index(1.0 / 96.0, 0.0)
 
 
 class TestCoverage:
@@ -449,127 +423,3 @@ class TestMaximalCubes:
         s1 = build_system(space, system_id=1)
         with pytest.raises(MixedSystems):
             maximal_cubes([s0.top, s1.top])
-
-
-class TestFindCube:
-    def test_deepest_common_support(self, segment16):
-        space, _ = segment16
-        sys = build_system(space)
-        sigma = PointMeasure(np.where(np.arange(16) == 3, 2.0, 0.0))
-        omega = PointMeasure(np.where(np.arange(16) == 12, 5.0, 0.0))
-        got = find_cube_with_positive_masses(sys, sigma, omega, [12])
-        want = sys.smallest_common_cube(3, 12)
-        assert (got.k, got.center) == (want.k, want.center)
-
-    def test_leaf_when_both_charge_a_point(self, segment16):
-        space, mu = segment16
-        sys = build_system(space)
-        got = find_cube_with_positive_masses(sys, mu, mu, [5])
-        assert got.members == (5,)
-
-    def test_unsatisfiable(self, segment16):
-        space, mu = segment16
-        sys = build_system(space)
-        zero = PointMeasure(np.zeros(16))
-        with pytest.raises(Unsatisfiable):
-            find_cube_with_positive_masses(sys, zero, mu, [5])
-        with pytest.raises(Unsatisfiable):
-            find_cube_with_positive_masses(sys, mu, zero, [5])
-        with pytest.raises(Unsatisfiable):
-            find_cube_with_positive_masses(sys, mu, mu, [])
-
-    def test_point_out_of_range(self, segment16):
-        space, mu = segment16
-        sys = build_system(space)
-        with pytest.raises(OutOfRange):
-            find_cube_with_positive_masses(sys, mu, mu, [16])
-
-
-class TestCoverBall:
-    def test_tiny_radius_hits_leaf(self, segment16):
-        space, _ = segment16
-        fam = build_adjacent_systems(space)
-        t, cube = cover_ball(fam, 5, 1e-9)
-        assert cube.members == (5,)
-
-    def test_huge_radius_hits_top(self, segment16):
-        space, _ = segment16
-        fam = build_adjacent_systems(space)
-        t, cube = cover_ball(fam, 0, space.diameter + 1.0)
-        assert cube.size == space.n
-
-    def test_mid_radius_containment_and_cap(self, segment16):
-        space, _ = segment16
-        fam = build_adjacent_systems(space)
-        t, cube = cover_ball(fam, 8, 1.5)
-        members = set(np.flatnonzero(space.dist[8] < 1.5))
-        assert members == {7, 8, 9}
-        assert members <= set(cube.members)
-        C = coverage_bound(space.a0, fam[0].delta)
-        assert cube.diameter <= C * 1.5
-
-    def test_closed_ball_cover(self, segment16):
-        space, _ = segment16
-        fam = build_adjacent_systems(space)
-        t, cube = cover_ball(fam, 8, 1.0, closed=True)
-        assert {7, 8, 9} <= set(cube.members)
-        t, cube = cover_ball(fam, 8, 0.0, closed=True)
-        assert cube.members == (8,)
-
-    def test_bare_system_accepted(self, segment16):
-        space, _ = segment16
-        sys = build_system(space)
-        t, cube = cover_ball(sys, 3, 0.5)
-        assert t == 0 and cube.members == (3,)
-
-    def test_bad_radius(self, segment16):
-        space, _ = segment16
-        fam = build_adjacent_systems(space)
-        with pytest.raises(NonPositiveRadius):
-            cover_ball(fam, 0, 0.0)
-        with pytest.raises(NonPositiveRadius):
-            cover_ball(fam, 0, -1.0, closed=True)
-        with pytest.raises(OutOfRange):
-            cover_ball(fam, 99, 1.0)
-
-
-class TestExpandingChain:
-    def test_chain_properties(self, segment16):
-        space, _ = segment16
-        fam = build_adjacent_systems(space)
-        x, r = 8, 1.5
-        chain = expanding_cube_chain(fam, x, r)
-        assert len(chain) >= 1
-        d = space.dist
-        ball = set(np.flatnonzero(d[x] < r))
-        assert ball <= set(chain[0][1].members)
-        c0 = coverage_bound(space.a0, fam[0].delta)
-        target = c0 * r
-        prev_target = None
-        for j, (t, cube) in enumerate(chain):
-            mem = set(cube.members)
-            assert float(np.max(d[x, list(mem)])) <= target
-            if j > 0:
-                assert set(chain[j - 1][1].members) <= mem
-                assert set(np.flatnonzero(d[x] < prev_target)) <= mem
-            prev_target, target = target, c0 * target
-        assert chain[-1][1].size == space.n
-
-    def test_huge_ball_single_link(self, segment16):
-        space, _ = segment16
-        fam = build_adjacent_systems(space)
-        chain = expanding_cube_chain(fam, 0, space.diameter + 1.0)
-        assert len(chain) == 1
-        assert chain[0][1].size == space.n
-
-    def test_single_point_space(self):
-        space, _ = generate_space("integer_segment_counting", n=1)
-        fam = build_adjacent_systems(space)
-        chain = expanding_cube_chain(fam, 0, 1.0)
-        assert len(chain) == 1
-
-    def test_bad_radius(self, segment16):
-        space, _ = segment16
-        fam = build_adjacent_systems(space)
-        with pytest.raises(NonPositiveRadius):
-            expanding_cube_chain(fam, 0, 0.0)

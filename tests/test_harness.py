@@ -255,6 +255,21 @@ class TestRunScenario:
                          "diag": 1.0}
         assert not run_scenario(doc).failed
 
+    def test_ball_dyadic_equivalence_fail_row_names_first_violation(
+            self, monkeypatch):
+        import dyadica.maximal as maximal
+
+        monkeypatch.setattr(maximal, "_containment_ratio_bound",
+                            lambda *args: 1e-6)
+        rep = run_scenario(segment_scenario(checks=["theorem-a"]))
+        by_name = {r["name"]: r for r in rep.checks}
+        witness = by_name["theorem-a.ball_dyadic_equivalence"]["witness"]
+        assert by_name["theorem-a.ball_dyadic_equivalence"]["status"] == "fail"
+        assert witness["violations"] >= 1
+        assert witness["first"]["trial"] == 0
+        assert witness["first"]["system"] == 0
+        assert witness["first"]["lhs"] > witness["first"]["rhs"]
+
     def test_x0_pin_via_dyadic_params(self):
         rep = run_scenario(segment_scenario(checks=["dyadic"],
                                             dyadic={"x0": 3}))

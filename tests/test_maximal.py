@@ -237,6 +237,26 @@ class TestEquivalence:
         rep = check_maximal_equivalence(fam, params, trials=10)
         assert rep.violations == 0
 
+    def test_first_violation_is_recorded(self, segment16, monkeypatch):
+        # a containment bound far below the truth makes direction one fail
+        # on the very first trial (the constant function) in system 0
+        import dyadica.maximal as maximal
+
+        space, mu = segment16
+        fam = build_adjacent_systems(space)
+        params = maximal_params(space, mu, 0.25)
+        monkeypatch.setattr(maximal, "_containment_ratio_bound",
+                            lambda *args: 1e-6)
+        rep = check_maximal_equivalence(fam, params, trials=4)
+        assert rep.violations >= 2
+        f = np.ones(space.n)
+        md = apply_M_dyadic(fam[0], params, f)
+        cap = 1e-6 * apply_M(params, f)
+        x = int(np.flatnonzero(md > cap * (1.0 + 1e-12))[0])
+        assert rep.first_violation == {"trial": 0, "system": 0, "x": x,
+                                       "lhs": float(md[x]),
+                                       "rhs": float(cap[x])}
+
     def test_needs_doubling(self, segment4):
         space, _ = segment4
         mu = PointMeasure(np.array([1.0, 0.0, 0.0, 0.0]))

@@ -28,7 +28,7 @@ from dyadica.norms import (
     weak_quasinorm,
 )
 from dyadica.norms import testing_constants as compute_testing
-from dyadica.operators import PotentialOperator
+from dyadica.operators import MatrixOperator
 from dyadica.space import PointMeasure, build_space, generate_space
 
 from conftest import random_masses
@@ -132,7 +132,7 @@ class TestWeakQuasinorm:
 class TestStrongNorm:
     def test_one_point_closed_form(self):
         space, kernel, sigma, omega = one_point_setup()
-        op = PotentialOperator(kernel, sigma, omega)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
         est = operator_norm_strong(op.apply, sigma, omega, 2.0, 2.0,
                                    budget=4, apply_adjoint=op.apply_adjoint,
                                    matrix=kernel.matrix)
@@ -145,7 +145,7 @@ class TestStrongNorm:
         _, kernel, _, omega = one_point_setup()
         for s in (1.0, 4.0, 16.0):
             sigma = PointMeasure(np.array([4.0 * s]))
-            op = PotentialOperator(kernel, sigma, omega)
+            op = MatrixOperator(kernel.matrix, sigma, omega)
             est = operator_norm_strong(op.apply, sigma, omega, 2.0, 2.0,
                                        budget=2)
             assert abs(est.lower - 6.0 * s ** 0.5) <= 1e-9 * 6.0 * s ** 0.5
@@ -153,7 +153,7 @@ class TestStrongNorm:
     def test_zero_kernel(self, two_point):
         space, mu = two_point
         kernel = build_kernel(space, None, "matrix", values=np.zeros((2, 2)))
-        op = PotentialOperator(kernel, mu, mu)
+        op = MatrixOperator(kernel.matrix, mu, mu)
         est = operator_norm_strong(op.apply, mu, mu, 2.0, 3.0, budget=2)
         assert est.lower == 0.0
 
@@ -165,7 +165,7 @@ class TestStrongNorm:
         sigma = PointMeasure(random_masses(rng, 4))
         omega = PointMeasure(random_masses(rng, 4))
         want = float(np.max(diag * np.sqrt(sigma.masses * omega.masses)))
-        op = PotentialOperator(kernel, sigma, omega)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
         est = operator_norm_strong(op.apply, sigma, omega, 2.0, 2.0, budget=4,
                                    apply_adjoint=op.apply_adjoint,
                                    matrix=kernel.matrix)
@@ -179,7 +179,7 @@ class TestStrongNorm:
                               values=[[2.0, 1.0], [1.0, 3.0]])
         sigma = PointMeasure(np.array([4.0, 1.0]))
         omega = PointMeasure(np.array([1.0, 9.0]))
-        op = PotentialOperator(kernel, sigma, omega)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
 
         def objective(f):
             num = lp_norm(op.apply(f), omega, q)
@@ -199,7 +199,7 @@ class TestStrongNorm:
         rng = np.random.default_rng(5)
         sigma = PointMeasure(random_masses(rng, 4))
         omega = PointMeasure(random_masses(rng, 4))
-        op = PotentialOperator(kernel, sigma, omega)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
         est = operator_norm_strong(op.apply, sigma, omega, 2.0, 2.0, budget=6,
                                    apply_adjoint=op.apply_adjoint,
                                    matrix=kernel.matrix)
@@ -211,7 +211,7 @@ class TestStrongNorm:
     def test_witness_replays(self, segment4):
         space, mu = segment4
         kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
-        op = PotentialOperator(kernel, mu, mu)
+        op = MatrixOperator(kernel.matrix, mu, mu)
         est = operator_norm_strong(op.apply, mu, mu, 1.5, 2.0, budget=3)
         got = lp_norm(op.apply(est.witness), mu, 2.0) / lp_norm(est.witness, mu, 1.5)
         assert abs(got - est.lower) <= 1e-9 * est.lower
@@ -233,7 +233,7 @@ class TestStrongNorm:
         kernel = build_kernel(space, PointMeasure(np.zeros(1)), "ball_volume_closed",
                               gamma=0.5)
         m = PointMeasure(np.ones(1))
-        op = PotentialOperator(kernel, m, m)
+        op = MatrixOperator(kernel.matrix, m, m)
         with pytest.raises(Infinite):
             operator_norm_strong(op.apply, m, m, 2.0, 2.0, budget=2)
 
@@ -247,14 +247,14 @@ class TestStrongNorm:
 class TestWeakNorm:
     def test_one_point(self):
         space, kernel, sigma, omega = one_point_setup()
-        op = PotentialOperator(kernel, sigma, omega)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
         est = operator_norm_weak(op.apply, sigma, omega, 2.0, 2.0, budget=4)
         assert abs(est.lower - 6.0) <= 1e-9
 
     def test_zero_operator(self, two_point):
         space, mu = two_point
         kernel = build_kernel(space, None, "matrix", values=np.zeros((2, 2)))
-        op = PotentialOperator(kernel, mu, mu)
+        op = MatrixOperator(kernel.matrix, mu, mu)
         est = operator_norm_weak(op.apply, mu, mu, 2.0, 2.0, budget=2)
         assert est.lower == 0.0
 
@@ -264,7 +264,7 @@ class TestWeakNorm:
         kernel = build_kernel(space, None, "matrix", values=np.diag(diag))
         sigma = PointMeasure(np.array([1.0, 4.0]))
         omega = PointMeasure(np.array([2.0, 1.0]))
-        op = PotentialOperator(kernel, sigma, omega)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
         p = q = 2.0
 
         def objective(f):
@@ -284,7 +284,7 @@ class TestWeakNorm:
     def test_weak_below_strong(self, segment4):
         space, mu = segment4
         kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
-        op = PotentialOperator(kernel, mu, mu)
+        op = MatrixOperator(kernel.matrix, mu, mu)
         weak = operator_norm_weak(op.apply, mu, mu, 2.0, 2.0, budget=4)
         strong = operator_norm_strong(op.apply, mu, mu, 2.0, 2.0, budget=4,
                                       apply_adjoint=op.apply_adjoint)
@@ -295,7 +295,7 @@ class TestTestingConstants:
     def test_one_point_equals_norm(self):
         space, kernel, sigma, omega = one_point_setup()
         fam = build_adjacent_systems(space)
-        op = PotentialOperator(kernel, sigma, omega)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
         tc = compute_testing(op, fam, sigma, omega, 2.0, 2.0)
         assert abs(tc.strong - 6.0) <= 1e-12
         # dual side: omega(Q)^{-1/q'} ||chi T*(chi dw)||_{p'} = 9^{-1/2}*9*2 = 6
@@ -307,7 +307,7 @@ class TestTestingConstants:
         kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
         fam = build_adjacent_systems(space)
         zero = PointMeasure(np.zeros(4))
-        op = PotentialOperator(kernel, zero, mu)
+        op = MatrixOperator(kernel.matrix, zero, mu)
         tc = compute_testing(op, fam, zero, mu, 2.0, 2.0)
         assert tc.strong == 0.0 and tc.dual == 0.0
         assert tc.convention_hits == len(standard_cubes(fam))
@@ -316,7 +316,7 @@ class TestTestingConstants:
         space, mu = segment16
         kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
         fam = build_adjacent_systems(space)
-        op = PotentialOperator(kernel, mu, mu)
+        op = MatrixOperator(kernel.matrix, mu, mu)
         tc = compute_testing(op, fam, mu, mu, 2.0, 2.0)
         assert 0.0 < tc.strong < math.inf
         assert 0.0 < tc.dual < math.inf
@@ -330,7 +330,7 @@ class TestTestingConstants:
         rng = np.random.default_rng(7)
         sigma = PointMeasure(random_masses(rng, 16, zero_fraction=0.2))
         omega = PointMeasure(random_masses(rng, 16, zero_fraction=0.2))
-        op = PotentialOperator(kernel, sigma, omega)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
         tc = compute_testing(op, fam, sigma, omega, 2.0, 3.0)
         est = operator_norm_strong(op.apply, sigma, omega, 2.0, 3.0, budget=2,
                                    seeds=cube_seeds(fam, 16))
@@ -417,7 +417,7 @@ class TestHelpers:
     def test_seed_size_validated(self, two_point):
         space, mu = two_point
         kernel = build_kernel(space, None, "matrix", values=np.zeros((2, 2)))
-        op = PotentialOperator(kernel, mu, mu)
+        op = MatrixOperator(kernel.matrix, mu, mu)
         with pytest.raises(BadParams):
             operator_norm_strong(op.apply, mu, mu, 2.0, 2.0, budget=1,
                                  seeds=[np.ones(3)])

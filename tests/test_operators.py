@@ -14,8 +14,8 @@ from dyadica.errors import (
 )
 from dyadica.kernel import build_kernel, phi_table
 from dyadica.operators import (
+    MatrixOperator,
     apply_direct,
-    apply_direct_adjoint,
     apply_dyadic_partition,
     build_dyadic_operator,
     check_direct_below_family,
@@ -60,7 +60,7 @@ class TestDirect:
                            values=np.array([[1.0, 2.0], [3.0, 1.0]]))
         e0 = np.array([1.0, 0.0])
         assert apply_direct(ker, e0, mu)[1] == 3.0
-        assert apply_direct_adjoint(ker, e0, mu)[1] == 2.0
+        assert MatrixOperator(ker.matrix, mu, mu).apply_adjoint(e0)[1] == 2.0
 
     def test_weights_scale_terms(self, segment4):
         space, mu = segment4

@@ -79,3 +79,26 @@ def test_no_bare_asserts_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports_in_the_package():
+    src = Path(dyadica.__file__).parent
+    found = [f"{path.name}:{entry}" for path in sorted(src.glob("*.py"))
+             if path.name != "__init__.py"
+             for entry in _unused_imports(ast.parse(path.read_text()))]
+    assert found == []

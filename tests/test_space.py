@@ -18,7 +18,6 @@ from dyadica.space import (
     PointMeasure,
     ball,
     build_space,
-    closed_ball_members,
     estimate_geometric_doubling,
     generate_space,
     load_space,
@@ -102,10 +101,6 @@ class TestBalls:
         assert b.members == (1,)
         b = ball(space, 1, 1.5)
         assert b.members == (0, 1, 2)
-
-    def test_closed_ball(self, segment4):
-        space, _ = segment4
-        assert closed_ball_members(space, 1, 1.0) == (0, 1, 2)
 
     def test_radius_must_be_positive(self, segment4):
         space, _ = segment4

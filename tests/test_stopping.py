@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -180,6 +181,42 @@ class TestMaxPrinciples:
             check_max_principle_1(op, np.ones(4), 1.0, C=op.C_K)
         with pytest.raises(BadParams):
             check_max_principle_2(op, np.ones(4), 1.0, C_m=op.C_K)
+
+    def test_witness_names_first_violation(self, segment16):
+        # understating C_K lowers the thresholds below what the principles
+        # need, so both fail at several points; each witness must name the
+        # first of them in q_rho-then-member order, with its bound
+        space, mu = segment16
+        op = dataclasses.replace(line_operator(space, mu), C_K=0.5)
+        f = np.random.default_rng(0).random(16)
+        g = 1e-12
+        for rho in rho_grid(op, f):
+            rho = float(rho)
+            # C = 2 C_K = 1 and C_m = 1: both decompose at rho itself
+            dec = decompose_level_set(op, f, rho)
+            in_omega = op.apply(f) > rho
+            first, second = [], []
+            for cube in dec.q_rho:
+                chi = np.zeros(16)
+                chi[list(cube.members)] = 1.0
+                off_img = op.apply(f * (1.0 - chi))
+                on_img = op.apply(f * chi)
+                for x in cube.members:
+                    if off_img[x] > rho / 2 * (1 + g):
+                        first.append((cube.k, cube.center, x, off_img[x]))
+                    if in_omega[x] and not on_img[x] > rho / 2 * (1 - g):
+                        second.append((cube.k, cube.center, x, on_img[x]))
+            if len(first) >= 2 and len(second) >= 2:
+                break
+        else:
+            pytest.fail("no threshold forces two violations of each")
+        rep1 = check_max_principle_1(op, f, rho)
+        rep2 = check_max_principle_2(op, f, rho, C_m=1.0)
+        for rep, found in ((rep1, first), (rep2, second)):
+            k, center, x, value = found[0]
+            assert rep.status == "fail"
+            assert rep.witness == {"k": k, "center": center, "x": x,
+                                   "value": float(value), "bound": rho / 2}
 
     def test_tree(self, tree27):
         space, mu = tree27
