@@ -29,12 +29,19 @@ print(f"a0={space.a0}  delta={delta:.6f}  c1={c1:.6f}  C1={C1:.1f}  "
 family = build_adjacent_systems(space, seed=0)
 print(f"family size: {len(family.systems)} system(s)")
 
+# A cube is an integer id into sys0.cubes, which is sorted by (k, center);
+# generation(k) is the slice of ids at scale k, label[k - k_min, x] is the
+# id of the generation-k cube holding x, and parent[id] is -1 at the top.
 sys0 = family.systems[0]
 print(f"\nscale window k = {sys0.k_min} .. {sys0.k_max}")
 for k in sys0.generation_range():
-    sizes = sorted((c.size for c in sys0.generations[k]), reverse=True)
-    print(f"  generation {k:3d}: {len(sys0.generations[k]):2d} cubes, "
+    ids = sys0.generation(k)
+    sizes = sorted((c.size for c in sys0.cubes[ids]), reverse=True)
+    print(f"  generation {k:3d}: ids {ids.start:2d}..{ids.stop - 1:2d}, "
           f"sizes {sizes}")
+leaf = sys0.leaf(0)
+print(f"point 0: cube ids {[int(i) for i in sys0.label[:, 0]]} coarsest "
+      f"first; its leaf {leaf.id} has parent {sys0.parent[leaf.id]}")
 
 # Five structural checks, all exact: each generation partitions the
 # space, children refine parents, every cube sits between an inner and an

@@ -283,32 +283,27 @@ def _cmd_gen_space(args) -> int:
 # build-dyadic
 # ---------------------------------------------------------------------------
 
+def _alpha(sys_, i: int) -> int:
+    """Index of cube i among the cubes of its generation."""
+    return i - sys_.generation(sys_.cubes[i].k).start
+
+
 def _dump_family(family) -> dict:
     systems = []
-    alpha_of: dict[tuple[int, int, int], int] = {}
-    for t, sys_ in enumerate(family):
-        for k in sys_.generation_range():
-            for a, cube in enumerate(sys_.generations[k]):
-                alpha_of[(t, k, cube.center)] = a
-        cubes = []
-        for k in sys_.generation_range():
-            for a, cube in enumerate(sys_.generations[k]):
-                if k == sys_.k_min:
-                    parent = None
-                else:
-                    up = sys_.parent(cube)
-                    parent = alpha_of[(t, up.k, up.center)]
-                cubes.append({"k": k, "alpha": a, "center": cube.center,
-                              "members": list(cube.members),
-                              "parent": parent})
-        systems.append(cubes)
+    for sys_ in family:
+        systems.append([{"k": cube.k, "alpha": _alpha(sys_, cube.id),
+                         "center": cube.center, "members": list(cube.members),
+                         "parent": None if sys_.parent[cube.id] < 0
+                         else _alpha(sys_, sys_.parent[cube.id])}
+                        for cube in sys_.cubes])
     cert = family.certificate
     entries = []
     for e in cert.entries:
+        cube = family[e.t].containing_cube(e.cube_k, e.cube_center)
         entries.append({
             "ball": {"center": e.x, "radius": e.hi},
             "system": e.t,
-            "cube": [e.cube_k, alpha_of[(e.t, e.cube_k, e.cube_center)]],
+            "cube": [e.cube_k, _alpha(family[e.t], cube.id)],
             "ratio": e.diameter / e.lo if e.lo > 0 else None,
         })
     sys0 = family[0]

@@ -8,6 +8,14 @@ cube at generation k is the set of points whose ancestor chain passes
 through the same center. The window is chosen so the coarsest generation is
 one cube equal to the whole space and the finest consists of singletons.
 
+A cube is an integer id. The system stores one cube table, ``cubes``,
+sorted by (k, center) so that ``cubes[i].id == i`` and ``generation(k)`` is
+a slice of it; one label array, ``label[k - k_min, x]`` = the id of the
+generation-k cube containing x; and one parent array, ``parent[i]`` = the
+id of cube i's parent, -1 at the coarsest generation. Per-cube tables
+elsewhere (envelope values, cube sums, stopping-time averages) are arrays
+indexed by id.
+
 Geometry constants are calibrated as
 
     c1 = 1 / (12 a0^4),   C1 = 4 a0^2,   96 a0^6 delta <= 1,
@@ -34,13 +42,15 @@ Two optional build knobs: pinning a point makes it a cube center at every
 generation (it is swept first, so every net keeps it), and a truncated
 window stops refinement early, leaving non-singleton finest cubes. A pair
 of measures extends a system with point cubes at the joint atoms that are
-not already singleton cubes; maximal_cubes supplies the cube
-combinatorics built on top.
+not already singleton cubes; their ids follow the last standard cube.
+maximal_cubes supplies the cube combinatorics built on top.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -70,6 +80,7 @@ PROPERTY_NAMES = (
 @dataclass(frozen=True)
 class Cube:
     system_id: int
+    id: int
     k: int
     center: int
     members: tuple[int, ...]
@@ -83,6 +94,9 @@ class Cube:
         return x in self.members
 
 
+_cube_k = attrgetter("k")
+
+
 @dataclass(eq=False)
 class DyadicSystem:
     space: QuasiMetricSpace
@@ -94,11 +108,12 @@ class DyadicSystem:
     k_min: int
     k_max: int
     strict_delta: bool
-    nets: dict[int, tuple[int, ...]]
-    # ancestor[k - k_min, x] = center of the generation-k cube containing x
-    ancestor: np.ndarray = field(repr=False)
-    cubes: dict[tuple[int, int], Cube] = field(repr=False)
-    generations: dict[int, tuple[Cube, ...]] = field(repr=False)
+    # sorted by (k, center): cubes[i].id == i
+    cubes: tuple[Cube, ...] = field(repr=False)
+    # label[k - k_min, x] = id of the generation-k cube containing x
+    label: np.ndarray = field(repr=False)
+    # parent[i] = id of cube i's parent, -1 at the coarsest generation
+    parent: np.ndarray = field(repr=False)
     x0: int | None = None
 
     @property
@@ -113,19 +128,18 @@ class DyadicSystem:
             raise OutOfRange(k=k, k_min=self.k_min, k_max=self.k_max)
         return k - self.k_min
 
-    def cube(self, k: int, center: int) -> Cube:
+    def generation(self, k: int) -> slice:
+        """The ids of the generation-k cubes, as a slice of ``cubes``."""
         self._gi(k)
-        key = (k, center)
-        if key not in self.cubes:
-            raise OutOfRange(k=k, center=center)
-        return self.cubes[key]
+        return slice(bisect_left(self.cubes, k, key=_cube_k),
+                     bisect_right(self.cubes, k, key=_cube_k))
 
     def containing_cube(self, k: int, x: int) -> Cube:
-        return self.cubes[(k, int(self.ancestor[self._gi(k), x]))]
+        return self.cubes[self.label[self._gi(k), x]]
 
     @property
     def top(self) -> Cube:
-        return self.generations[self.k_min][0]
+        return self.cubes[0]
 
     def leaf(self, x: int) -> Cube:
         return self.containing_cube(self.k_max, x)
@@ -134,33 +148,22 @@ class DyadicSystem:
         if cube.system_id != self.system_id:
             raise MixedSystems(cube_system=cube.system_id, system=self.system_id)
 
-    def parent(self, cube: Cube) -> Cube:
-        self._own(cube)
-        if cube.k == self.k_min:
-            raise OutOfRange("coarsest cube has no parent", k=cube.k)
-        gi = self._gi(cube.k - 1)
-        return self.cubes[(cube.k - 1, int(self.ancestor[gi, cube.center]))]
-
     def children(self, cube: Cube) -> tuple[Cube, ...]:
+        """The cubes whose parent is ``cube``, in id (= center) order."""
         self._own(cube)
-        if cube.k == self.k_max:
-            return ()
-        gi = self._gi(cube.k + 1)
-        centers = sorted({int(self.ancestor[gi, x]) for x in cube.members})
-        return tuple(self.cubes[(cube.k + 1, z)] for z in centers)
+        return tuple(self.cubes[i] for i in np.flatnonzero(self.parent == cube.id))
 
     def cube_chain(self, x: int) -> tuple[Cube, ...]:
         """Cubes containing x, coarsest first."""
-        return tuple(self.containing_cube(k, x) for k in self.generation_range())
+        return tuple(self.cubes[i] for i in self.label[:, x])
 
     def smallest_common_cube(self, x: int, y: int) -> Cube:
         """Finest-generation cube containing both points; requires x != y."""
         if x == y:
             raise SamePoint(x=x)
-        for k in range(self.k_max, self.k_min - 1, -1):
-            gi = k - self.k_min
-            if self.ancestor[gi, x] == self.ancestor[gi, y]:
-                return self.containing_cube(k, x)
+        for row in self.label[::-1]:
+            if row[x] == row[y]:
+                return self.cubes[row[x]]
         raise PropertyViolation("no common cube; coarsest generation is not the whole space",
                                 x=x, y=y)
 
@@ -170,10 +173,6 @@ class DyadicSystem:
     def outer_ball_members(self, cube: Cube) -> tuple[int, ...]:
         """Strict ball around the cube center guaranteed to contain the cube."""
         return ball(self.space, cube.center, self.outer_ball_radius(cube.k)).members
-
-    def all_cubes(self) -> Iterator[Cube]:
-        for k in self.generation_range():
-            yield from self.generations[k]
 
 
 def dyadic_parameters(a0: float, delta: float | None = None) -> tuple[float, float, float, bool]:
@@ -207,13 +206,14 @@ def _window(space: QuasiMetricSpace, delta: float, c1: float, C1: float) -> tupl
 
 
 def _greedy_nets(space: QuasiMetricSpace, perm: np.ndarray,
-                 k_min: int, k_max: int, delta: float) -> dict[int, list[int]]:
+                 k_min: int, k_max: int, delta: float) -> list[list[int]]:
+    """The nested nets of generations k_min..k_max, coarsest first."""
     n = space.n
     d = space.dist
     in_net = np.zeros(n, dtype=bool)
     min_dist_to_net = np.full(n, np.inf)
     current: list[int] = []
-    nets: dict[int, list[int]] = {}
+    nets: list[list[int]] = []
     for k in range(k_min, k_max + 1):
         sep = delta**k
         for p in perm:
@@ -222,7 +222,7 @@ def _greedy_nets(space: QuasiMetricSpace, perm: np.ndarray,
                 in_net[p] = True
                 current.append(p)
                 np.minimum(min_dist_to_net, d[p], out=min_dist_to_net)
-        nets[k] = list(current)
+        nets.append(list(current))
     return nets
 
 
@@ -258,47 +258,47 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
         perm_rank = np.empty(n, dtype=int)
         perm_rank[perm] = np.arange(n)
         nets = _greedy_nets(space, perm, k_min, k_max, delta)
-        if k_max == k_auto and len(nets[k_max]) != n:
+        if k_max == k_auto and len(nets[-1]) != n:
             raise PropertyViolation(
                 "finest net is not the whole space; window selection is broken",
-                k_max=k_max, net_size=len(nets[k_max]), n=n)
+                k_max=k_max, net_size=len(nets[-1]), n=n)
 
+        # owner[gi, x] = center of the generation-(k_min + gi) cube holding x
         gens = k_max - k_min + 1
-        ancestor = np.empty((gens, n), dtype=int)
-        fin = np.asarray(nets[k_max])
+        owner = np.empty((gens, n), dtype=int)
+        fin = np.asarray(nets[-1])
         for x in range(n):
             dd = d[x, fin]
             best = np.lexsort((perm_rank[fin], dd))[0]
-            ancestor[gens - 1, x] = fin[best]
-        for k in range(k_max, k_min, -1):
-            prev = np.asarray(nets[k - 1])
-            link = np.empty(n, dtype=int)  # valid on nets[k] only
-            for z in nets[k]:
+            owner[gens - 1, x] = fin[best]
+        for gi in range(gens - 1, 0, -1):
+            prev = np.asarray(nets[gi - 1])
+            link = np.empty(n, dtype=int)  # valid on nets[gi] only
+            for z in nets[gi]:
                 dd = d[z, prev]
                 best = np.lexsort((perm_rank[prev], dd))[0]
                 link[z] = prev[best]
-            ancestor[k - 1 - k_min] = link[ancestor[k - k_min]]
+            owner[gi - 1] = link[owner[gi]]
 
-        cubes: dict[tuple[int, int], Cube] = {}
-        generations: dict[int, tuple[Cube, ...]] = {}
-        for k in range(k_min, k_max + 1):
-            gi = k - k_min
-            gen_cubes = []
-            for z in sorted(nets[k]):
-                members = tuple(int(i) for i in np.flatnonzero(ancestor[gi] == z))
+        cubes: list[Cube] = []
+        label = np.empty((gens, n), dtype=int)
+        parent = []
+        for gi in range(gens):
+            for z in sorted(nets[gi]):
+                inside = owner[gi] == z
+                members = tuple(int(i) for i in np.flatnonzero(inside))
                 if not members:
-                    raise PropertyViolation("net point owns no cube", k=k, center=z)
+                    raise PropertyViolation("net point owns no cube",
+                                            k=k_min + gi, center=z)
                 diam = float(d[np.ix_(members, members)].max()) if len(members) > 1 else 0.0
-                cube = Cube(system_id=system_id, k=k, center=z,
-                            members=members, diameter=diam)
-                cubes[(k, z)] = cube
-                gen_cubes.append(cube)
-            generations[k] = tuple(gen_cubes)
+                label[gi, inside] = len(cubes)
+                parent.append(int(label[gi - 1, z]) if gi else -1)
+                cubes.append(Cube(system_id=system_id, id=len(cubes), k=k_min + gi,
+                                  center=z, members=members, diameter=diam))
 
         sys = DyadicSystem(space=space, system_id=system_id, seed=seed, delta=delta,
                            c1=c1, C1=C1, k_min=k_min, k_max=k_max, strict_delta=strict,
-                           nets={k: tuple(v) for k, v in nets.items()},
-                           ancestor=ancestor, cubes=cubes, generations=generations,
+                           cubes=tuple(cubes), label=label, parent=np.asarray(parent),
                            x0=x0)
         bad = [r for r in check_system(sys) if not r.ok]
         if not bad:
@@ -316,36 +316,37 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
 
 def check_partition(sys: DyadicSystem) -> CheckReport:
     """Every generation splits the space into pairwise disjoint cubes."""
-    n = sys.space.n
-    for k in sys.generation_range():
-        seen = np.zeros(n, dtype=int)
-        for cube in sys.generations[k]:
-            for x in cube.members:
-                seen[x] += 1
-        if not np.all(seen == 1):
-            x = int(np.flatnonzero(seen != 1)[0])
-            return outcome("partition", sys.strict_delta, PropertyViolation,
-                           {"k": k, "x": x, "multiplicity": int(seen[x])})
+    seen = np.zeros((sys.num_generations, sys.space.n), dtype=int)
+    for cube in sys.cubes:
+        for x in cube.members:
+            seen[cube.k - sys.k_min, x] += 1
+    bad = np.argwhere(seen != 1)
+    if bad.size:
+        gi, x = (int(i) for i in bad[0])
+        return outcome("partition", sys.strict_delta, PropertyViolation,
+                       {"k": sys.k_min + gi, "x": x,
+                        "multiplicity": int(seen[gi, x])})
     return outcome("partition", sys.strict_delta, PropertyViolation)
 
 
 def check_nesting(sys: DyadicSystem) -> CheckReport:
     """Each cube lies inside a single cube of the previous generation."""
-    for k in range(sys.k_min, sys.k_max):
-        gi = k - sys.k_min
-        for cube in sys.generations[k + 1]:
-            owners = np.unique(sys.ancestor[gi, list(cube.members)])
-            if owners.size != 1 or owners[0] != sys.parent(cube).center:
-                return outcome("nesting", sys.strict_delta, PropertyViolation,
-                               {"k": k + 1, "center": cube.center,
-                                "owners": [int(o) for o in owners]})
+    for cube in sys.cubes:
+        up = sys.parent[cube.id]
+        if up < 0:
+            continue
+        owners = np.unique(sys.label[cube.k - 1 - sys.k_min, list(cube.members)])
+        if owners.size != 1 or owners[0] != up:
+            return outcome("nesting", sys.strict_delta, PropertyViolation,
+                           {"k": cube.k, "center": cube.center,
+                            "owners": [sys.cubes[o].center for o in owners]})
     return outcome("nesting", sys.strict_delta, PropertyViolation)
 
 
 def check_ball_sandwich(sys: DyadicSystem) -> CheckReport:
     """B(z, c1 d^k) inside the cube inside B(z, C1 d^k), strict balls."""
     d = sys.space.dist
-    for cube in sys.all_cubes():
+    for cube in sys.cubes:
         inner = set(np.flatnonzero(d[cube.center] < sys.c1 * sys.delta**cube.k))
         outer = set(np.flatnonzero(d[cube.center] < sys.C1 * sys.delta**cube.k))
         mem = set(cube.members)
@@ -367,31 +368,33 @@ def check_outer_ball_nesting(sys: DyadicSystem) -> CheckReport:
     statement for every nested pair of cubes.
     """
     d = sys.space.dist
-    for k in range(sys.k_min + 1, sys.k_max + 1):
-        for cube in sys.generations[k]:
-            par = sys.parent(cube)
-            inner = np.flatnonzero(d[cube.center] < sys.outer_ball_radius(cube.k))
-            outer = d[par.center, inner] < sys.outer_ball_radius(par.k)
-            if not outer.all():
-                y = int(inner[~outer][0])
-                return outcome("outer_ball_nesting", sys.strict_delta,
-                               PropertyViolation,
-                               {"k": k, "center": cube.center,
-                                "parent_center": par.center, "escapes": y})
+    for cube in sys.cubes:
+        if sys.parent[cube.id] < 0:
+            continue
+        par = sys.cubes[sys.parent[cube.id]]
+        inner = np.flatnonzero(d[cube.center] < sys.outer_ball_radius(cube.k))
+        outer = d[par.center, inner] < sys.outer_ball_radius(par.k)
+        if not outer.all():
+            y = int(inner[~outer][0])
+            return outcome("outer_ball_nesting", sys.strict_delta,
+                           PropertyViolation,
+                           {"k": cube.k, "center": cube.center,
+                            "parent_center": par.center, "escapes": y})
     return outcome("outer_ball_nesting", sys.strict_delta, PropertyViolation)
 
 
 def check_center_chain(sys: DyadicSystem) -> CheckReport:
     """Every center recurs one generation finer, and owns itself there."""
     for k in range(sys.k_min, sys.k_max):
-        gi1 = k + 1 - sys.k_min
-        for cube in sys.generations[k]:
+        finer = {c.center for c in sys.cubes[sys.generation(k + 1)]}
+        for cube in sys.cubes[sys.generation(k)]:
             z = cube.center
-            if (k + 1, z) not in sys.cubes:
+            own = sys.containing_cube(k + 1, z)
+            if z not in finer:
                 reason = "not a finer center"
-            elif int(sys.ancestor[gi1, z]) != z:
+            elif own.center != z:
                 reason = "not self-owned"
-            elif sys.parent(sys.cubes[(k + 1, z)]).center != z:
+            elif sys.parent[own.id] != cube.id:
                 reason = "parent differs"
             else:
                 continue
@@ -515,13 +518,12 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...]
                 members = np.flatnonzero(d[x] <= lo)
                 hit = None
                 for t, sys in enumerate(systems):
-                    for kc in range(k, k_min - 1, -1):
-                        gi = kc - k_min
-                        z = int(sys.ancestor[gi, x])
-                        cube = sys.cubes[(kc, z)]
-                        if cube.diameter <= C * lo and np.all(sys.ancestor[gi, members] == z):
+                    for gi in range(k - k_min, -1, -1):
+                        i = sys.label[gi, x]
+                        cube = sys.cubes[i]
+                        if cube.diameter <= C * lo and np.all(sys.label[gi, members] == i):
                             hit = CoverageEntry(x=x, band_k=k, lo=lo, hi=hi, t=t,
-                                                cube_k=kc, cube_center=z,
+                                                cube_k=cube.k, cube_center=cube.center,
                                                 diameter=cube.diameter)
                             break
                     if hit is not None:
@@ -554,8 +556,10 @@ def replay_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...],
         if not 0 <= e.t < len(systems):
             return False
         sys = systems[e.t]
-        cube = sys.cubes.get((e.cube_k, e.cube_center))
-        if cube is None:
+        if not (sys.k_min <= e.cube_k <= sys.k_max and 0 <= e.cube_center < space.n):
+            return False
+        cube = sys.cubes[sys.label[e.cube_k - sys.k_min, e.cube_center]]
+        if cube.center != e.cube_center:
             return False
         members = set(np.flatnonzero(d[e.x] <= e.lo))
         if not members <= set(cube.members):
@@ -606,7 +610,9 @@ class GeneralizedSystem:
     A point x is a joint atom when both measures charge it. Joint atoms whose
     singleton {x} is not already the member set of a standard cube gain a
     point cube one generation past the window; with a full window every
-    finest cube is a singleton and no point cubes are added.
+    finest cube is a singleton and no point cubes are added. Point cubes
+    take the ids after the last standard cube, so a point cube never
+    indexes a row of a table over the standard cubes.
     """
 
     base: DyadicSystem
@@ -619,12 +625,13 @@ class GeneralizedSystem:
     def space(self) -> QuasiMetricSpace:
         return self.base.space
 
+    @property
+    def cubes(self) -> tuple[Cube, ...]:
+        """Standard cubes, then point cubes; cubes[i].id == i."""
+        return self.base.cubes + self.point_cubes
+
     def is_joint_atom(self, x: int) -> bool:
         return bool(self.sigma.masses[x] > 0 and self.omega.masses[x] > 0)
-
-    def all_cubes(self) -> Iterator[Cube]:
-        yield from self.base.all_cubes()
-        yield from self.point_cubes
 
 
 def generalize(system: DyadicSystem, sigma: PointMeasure,
@@ -636,10 +643,11 @@ def generalize(system: DyadicSystem, sigma: PointMeasure,
                             measure=name, size=mv.masses.shape, n=n)
     joint = tuple(int(x) for x in
                   np.flatnonzero((sigma.masses > 0) & (omega.masses > 0)))
-    singleton_sets = {c.members for c in system.all_cubes() if c.size == 1}
-    extra = tuple(Cube(system_id=system.system_id, k=system.k_max + 1,
-                       center=x, members=(x,), diameter=0.0)
-                  for x in joint if (x,) not in singleton_sets)
+    singleton_sets = {c.members for c in system.cubes if c.size == 1}
+    alone = [x for x in joint if (x,) not in singleton_sets]
+    extra = tuple(Cube(system_id=system.system_id, id=len(system.cubes) + i,
+                       k=system.k_max + 1, center=x, members=(x,), diameter=0.0)
+                  for i, x in enumerate(alone))
     return GeneralizedSystem(base=system, sigma=sigma, omega=omega,
                              joint_atoms=joint, point_cubes=extra)
 

@@ -514,15 +514,11 @@ def _stage_stopping(run: _Run) -> None:
                 break
         run.manual(f"stopping.t{t}.principal_mainlemma", failure is None,
                    witness=failure)
-        try:
-            rep = check_universal_maximal(sys, sigma, p,
-                                          trials=max(20, 2 * budget),
-                                          seed=run.sc.seed)
-            run.from_check(f"stopping.t{t}.universal_maximal", rep,
-                           constant_key="max_ratio_of_p_prime")
-        except DyadicaError as exc:
-            run.manual(f"stopping.t{t}.universal_maximal", False,
-                       witness=_error_witness(exc))
+        rep = check_universal_maximal(sys, sigma, p,
+                                      trials=max(20, 2 * budget),
+                                      seed=run.sc.seed)
+        run.from_check(f"stopping.t{t}.universal_maximal", rep,
+                       constant_key="max_ratio_of_p_prime")
 
 
 def _stage_theorem_a(run: _Run) -> None:

@@ -181,19 +181,21 @@ def kernel_bound_constant(kernel: Kernel, space: QuasiMetricSpace,
 
 @dataclass(eq=False)
 class PhiTable:
-    """Envelope values per cube; ``defined`` is False when the containing
+    """Envelope values per cube id; ``defined`` is False when the containing
     ball holds no separated pair (the value is then 0 and must never be
-    paired with a nonempty shell)."""
+    paired with a nonempty shell). ``low`` is the smallest separated-pair
+    value of each defined cube, taken in the same pass as the envelope."""
 
     threshold: float
-    values: dict[tuple[int, int], float]
-    defined: dict[tuple[int, int], bool]
+    values: np.ndarray
+    defined: np.ndarray
+    low: np.ndarray
 
     def of(self, cube: Cube) -> float:
-        return self.values[(cube.k, cube.center)]
+        return float(self.values[cube.id])
 
     def is_defined(self, cube: Cube) -> bool:
-        return self.defined[(cube.k, cube.center)]
+        return bool(self.defined[cube.id])
 
 
 def phi_table(kernel: Kernel, sys: DyadicSystem) -> PhiTable:
@@ -201,20 +203,19 @@ def phi_table(kernel: Kernel, sys: DyadicSystem) -> PhiTable:
     d = space.dist
     K = kernel.matrix
     c = pair_threshold(space.a0, sys.delta)
-    values: dict[tuple[int, int], float] = {}
-    defined: dict[tuple[int, int], bool] = {}
-    for cube in sys.all_cubes():
+    values = np.zeros(len(sys.cubes))
+    low = np.zeros(len(sys.cubes))
+    defined = np.zeros(len(sys.cubes), dtype=bool)
+    for cube in sys.cubes:
         r = sys.outer_ball_radius(cube.k)
         ball = np.flatnonzero(d[cube.center] < r)
         sep = d[np.ix_(ball, ball)] >= c * r
-        key = (cube.k, cube.center)
         if sep.any():
-            values[key] = float(K[np.ix_(ball, ball)][sep].max())
-            defined[key] = True
-        else:
-            values[key] = 0.0
-            defined[key] = False
-    return PhiTable(threshold=c, values=values, defined=defined)
+            vals = K[np.ix_(ball, ball)][sep]
+            values[cube.id] = vals.max()
+            low[cube.id] = vals.min()
+            defined[cube.id] = True
+    return PhiTable(threshold=c, values=values, defined=defined, low=low)
 
 
 @dataclass
@@ -233,8 +234,6 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
                            phi: PhiTable | None = None) -> EstimateReport:
     """Check the three envelope estimates exactly on the finite space."""
     space = sys.space
-    d = space.dist
-    K = kernel.matrix
     if phi is None:
         phi = phi_table(kernel, sys)
     C_K, k1, k2 = kernel_bound_constant(kernel, space, sys.delta)
@@ -247,15 +246,11 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
     # (1) the envelope never exceeds C_K times any separated pair value
     worst = 0.0
     witness = None
-    for cube in sys.all_cubes():
+    for cube in sys.cubes:
         if not phi.is_defined(cube):
             continue
-        r = sys.outer_ball_radius(cube.k)
-        ball = np.flatnonzero(d[cube.center] < r)
-        sep = d[np.ix_(ball, ball)] >= phi.threshold * r
-        vals = K[np.ix_(ball, ball)][sep]
         v = phi.of(cube)
-        low = float(vals.min())
+        low = float(phi.low[cube.id])
         ratio = np.inf if low == 0.0 and v > 0 else (v / low if low > 0 else 0.0)
         if ratio > worst:
             worst = ratio
@@ -273,12 +268,13 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
     # (2) ancestors never exceed C_K times descendants
     done = False
     worst2 = 0.0
-    for cube in sys.all_cubes():
+    for cube in sys.cubes:
         if not phi.is_defined(cube) or done:
             continue
-        walk = cube
-        while walk.k > sys.k_min and not done:
-            walk = sys.parent(walk)
+        up = sys.parent[cube.id]
+        while up >= 0 and not done:
+            walk = sys.cubes[up]
+            up = sys.parent[up]
             if not phi.is_defined(walk):
                 continue
             ratio = phi.of(walk) / phi.of(cube) if phi.of(cube) > 0 else (
@@ -297,7 +293,7 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
     # (3) a cube with no separated pair collapses onto its only child
     witness = None
     seen_vacuous = False
-    for cube in sys.all_cubes():
+    for cube in sys.cubes:
         if phi.is_defined(cube) or cube.k == sys.k_max:
             continue
         seen_vacuous = True

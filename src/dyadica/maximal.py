@@ -170,7 +170,7 @@ def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
     if a.shape != weights.shape or a.size != system.space.n:
         raise BadParams("function size does not match the space", shape=a.shape)
     out = np.zeros(a.size)
-    for cube in system.all_cubes():
+    for cube in system.cubes:
         m = mu.of(cube.members)
         if m == 0.0:
             continue
@@ -207,7 +207,7 @@ class MaximalEquivalence:
 def _containment_ratio_bound(system: DyadicSystem, mu: PointMeasure,
                              gamma: float) -> float:
     best = 0.0
-    for cube in system.all_cubes():
+    for cube in system.cubes:
         mq = mu.of(cube.members)
         if mq == 0.0:
             continue
@@ -356,7 +356,7 @@ def testing_constant_maximal(family, mu: PointMeasure, sigma: PointMeasure,
     systems = _family_systems(family)
     params = MaximalParams(space=systems[0].space, mu=mu, gamma=gamma)
     if dyadic:
-        sweeps = [(s.all_cubes(), sigma,
+        sweeps = [(s.cubes, sigma,
                    lambda chi, s=s: apply_M_dyadic(s, params, chi, inside=sigma))
                   for s in systems]
     else:

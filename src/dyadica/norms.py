@@ -346,7 +346,7 @@ def indicator(n: int, members) -> np.ndarray:
 
 
 def standard_cubes(family) -> list[Cube]:
-    return [c for sys in _family_systems(family) for c in sys.all_cubes()]
+    return [c for sys in _family_systems(family) for c in sys.cubes]
 
 
 def cube_seeds(family, n: int) -> list[np.ndarray]:

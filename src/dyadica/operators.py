@@ -20,10 +20,11 @@ A_k(x) the sigma-integral of f over the generation-k cube containing x,
 
 The shifted variant T_D^m widens each shell to m generations; cubes past
 the finest generation mean the point cube {x}. Cube integrals are computed
-hierarchically (a parent's sum adds its children's sums in center order,
-the finest generation sums members in id order), which makes
-A_{k+1} <= A_k >= f(x) sigma({x}) hold exactly in floating point for
-f >= 0 and lets the sandwich T_D <= T_D^m be asserted with no tolerance.
+hierarchically (a parent's sum adds its children's sums in cube-id order,
+which is center order, and the finest generation sums its members in point
+order), which makes A_{k+1} <= A_k >= f(x) sigma({x}) hold exactly in
+floating point for f >= 0 and lets the sandwich T_D <= T_D^m be asserted
+with no tolerance.
 
 Everywhere a +inf diagonal meets a zero density the product counts as zero;
 a +inf against a nonzero density propagates as a signed infinity.
@@ -139,17 +140,22 @@ def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
     if phi is None:
         phi = phi_table(kernel, system)
     C_K, k1, k2 = kernel_bound_constant(kernel, space, system.delta)
-    n = space.n
-    M = np.empty((n, n))
-    for x in range(n):
-        M[x, x] = kernel.matrix[x, x] if gen.is_joint_atom(x) else 0.0
-        for y in range(x + 1, n):
-            q = system.smallest_common_cube(x, y)
-            if not phi.is_defined(q):
-                raise PropertyViolation(
-                    "envelope undefined on a cube separating two points",
-                    x=x, y=y, k=q.k, center=q.center)
-            M[x, y] = M[y, x] = phi.of(q)
+    # ids[x, y] = id of the smallest cube holding x and y: finer generations
+    # overwrite coarser ones, and the coarsest generation is the whole space
+    label = system.label
+    ids = np.repeat(label[0][:, None], space.n, axis=1)
+    for row in label[1:]:
+        np.copyto(ids, row[:, None], where=row[:, None] == row[None, :])
+    undefined = np.triu(~phi.defined[ids], 1)
+    if undefined.any():
+        x, y = (int(i) for i in np.argwhere(undefined)[0])
+        q = system.cubes[ids[x, y]]
+        raise PropertyViolation(
+            "envelope undefined on a cube separating two points",
+            x=x, y=y, k=q.k, center=q.center)
+    M = phi.values[ids]
+    joint = (gen.sigma.masses > 0) & (gen.omega.masses > 0)
+    np.fill_diagonal(M, np.where(joint, kernel.matrix.diagonal(), 0.0))
     return DyadicOperator(matrix=M, sigma=gen.sigma, omega=gen.omega,
                           kernel=kernel, gen=gen, phi=phi,
                           C_K=C_K, k1=k1, k2=k2)
@@ -159,26 +165,22 @@ def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
 # telescoping form
 # ---------------------------------------------------------------------------
 
-def cube_sums(system, point_vals: np.ndarray) -> dict[tuple[int, int], float]:
-    """Per-cube totals; a parent's total adds its children's in center order.
+def cube_sums(system, point_vals: np.ndarray) -> np.ndarray:
+    """Per-cube totals by id; a parent's total adds its children's in id order.
 
-    Finest-generation cubes sum their members in id order. The ordered
-    recursion makes every child total <= its parent total, and every total
-    at least each of its member values, exactly in floating point when the
-    values are nonnegative.
+    Finest-generation cubes sum their members in point order, and ids within
+    a generation follow the centers, so children enter their parent's total
+    in center order. The ordered recursion makes every child total <= its
+    parent total, and every total at least each of its member values,
+    exactly in floating point when the values are nonnegative.
     """
-    sums: dict[tuple[int, int], float] = {}
-    for k in range(system.k_max, system.k_min - 1, -1):
-        for cube in system.generations[k]:
-            if k == system.k_max:
-                s = 0.0
-                for x in cube.members:
-                    s += float(point_vals[x])
-            else:
-                s = 0.0
-                for child in system.children(cube):
-                    s += sums[(child.k, child.center)]
-            sums[(k, cube.center)] = s
+    sums = np.zeros(len(system.cubes))
+    for x in range(system.space.n):
+        sums[system.label[-1, x]] += float(point_vals[x])
+    for k in range(system.k_max, system.k_min, -1):
+        ids = system.generation(k)
+        for i in range(ids.start, ids.stop):
+            sums[system.parent[i]] += sums[i]
     return sums
 
 
@@ -187,27 +189,17 @@ def apply_dyadic_partition(op: DyadicOperator, f, m: int = 1) -> np.ndarray:
     if not isinstance(m, int) or m < 1:
         raise BadM(m=m)
     system = op.system
-    n = op.n
-    g = _as_density(f, n) * op.gen.sigma.masses
-    sums = cube_sums(system, g)
-    gens = list(system.generation_range())
-    G = len(gens)
-    out = np.empty(n)
-    diag = op.matrix.diagonal()
-    for x in range(n):
-        chain = [sums[(k, int(system.ancestor[k - system.k_min, x]))] for k in gens]
-        total = 0.0
-        for i, k in enumerate(gens):
-            j = i + m
-            a_far = chain[j] if j < G else g[x]
-            cube = system.containing_cube(k, x)
-            total += op.phi.values[(k, cube.center)] * (chain[i] - a_far)
-        if g[x] == 0.0:
-            out[x] = total
-        else:
-            with np.errstate(invalid="ignore"):
-                out[x] = total + diag[x] * g[x]
-    return out
+    g = _as_density(f, op.n) * op.gen.sigma.masses
+    # chain[gi, x] = A_k(x), the total of the generation-k cube holding x
+    chain = cube_sums(system, g)[system.label]
+    phi = op.phi.values[system.label]
+    G = system.num_generations
+    total = np.zeros(op.n)
+    for i in range(G):
+        far = chain[i + m] if i + m < G else g
+        total += phi[i] * (chain[i] - far)
+    with np.errstate(invalid="ignore"):
+        return np.where(g == 0.0, total, total + op.matrix.diagonal() * g)
 
 
 # ---------------------------------------------------------------------------

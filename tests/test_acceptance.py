@@ -414,7 +414,7 @@ def test_criterion_10_oracle_equivalences():
                           <= TOLERANCES["dual_form_rel"] * np.maximum(scale, 1.0))
 
         system = _family("segment16").systems[0]
-        cubes = list(system.all_cubes())
+        cubes = list(system.cubes)
         rng = _rng(10)
         for _ in range(20):
             k = int(rng.integers(1, len(cubes) + 1))

@@ -56,11 +56,11 @@ class TestWindow:
         sys = build_system(space)
         assert (sys.k_min, sys.k_max) == (-2, 1)
         # coarse generations collapse to the whole space, fine ones split fully
-        assert len(sys.generations[-2]) == 1
-        assert len(sys.generations[-1]) == 1
+        assert len(sys.cubes[sys.generation(-2)]) == 1
+        assert len(sys.cubes[sys.generation(-1)]) == 1
         assert sys.top.members == tuple(range(16))
-        assert all(c.size == 1 for c in sys.generations[0])
-        assert all(c.size == 1 for c in sys.generations[1])
+        assert all(c.size == 1 for c in sys.cubes[sys.generation(0)])
+        assert all(c.size == 1 for c in sys.cubes[sys.generation(1)])
 
     def test_snowflake_window(self, snowflake8):
         space, _ = snowflake8
@@ -71,16 +71,16 @@ class TestWindow:
         space, _ = tree27
         sys = build_system(space)
         assert (sys.k_min, sys.k_max) == (-1, 3)
-        counts = [len(sys.generations[k]) for k in sys.generation_range()]
+        counts = [len(sys.cubes[sys.generation(k)]) for k in sys.generation_range()]
         assert counts == [1, 3, 9, 27, 27]
 
     def test_tree_branch_cubes(self, tree27):
         space, _ = tree27
         sys = build_system(space)
-        branches = sorted(c.members for c in sys.generations[0])
+        branches = sorted(c.members for c in sys.cubes[sys.generation(0)])
         assert branches == [tuple(range(0, 9)), tuple(range(9, 18)),
                             tuple(range(18, 27))]
-        subtrees = sorted(c.members for c in sys.generations[1])
+        subtrees = sorted(c.members for c in sys.cubes[sys.generation(1)])
         assert subtrees == [tuple(range(3 * i, 3 * i + 3)) for i in range(9)]
 
     def test_single_point_space(self):
@@ -134,9 +134,9 @@ class TestNavigation:
     def test_parent_children_inverse(self, tree27):
         space, _ = tree27
         sys = build_system(space)
-        for cube in sys.all_cubes():
+        for cube in sys.cubes:
             for child in sys.children(cube):
-                assert sys.parent(child) == cube
+                assert sys.cubes[sys.parent[child.id]] == cube
             if cube.k < sys.k_max:
                 got = sorted(m for ch in sys.children(cube) for m in ch.members)
                 assert got == list(cube.members)
@@ -144,8 +144,7 @@ class TestNavigation:
     def test_parent_of_top(self, segment16):
         space, _ = segment16
         sys = build_system(space)
-        with pytest.raises(OutOfRange):
-            sys.parent(sys.top)
+        assert sys.parent[sys.top.id] == -1
 
     def test_containing_cube_out_of_window(self, segment16):
         space, _ = segment16
@@ -187,14 +186,14 @@ class TestDeterminism:
         space, _ = generate_space("euclidean_random_points", seed=5, n=20, dim=2)
         s1 = build_system(space, seed=11)
         s2 = build_system(space, seed=11)
-        assert s1.nets == s2.nets
-        assert np.array_equal(s1.ancestor, s2.ancestor)
+        assert s1.cubes == s2.cubes
+        assert np.array_equal(s1.label, s2.label)
 
     def test_different_seed_varies(self):
         space, _ = generate_space("euclidean_random_points", seed=5, n=20, dim=2)
         s1 = build_system(space, seed=11)
         s2 = build_system(space, seed=12)
-        assert s1.nets != s2.nets or not np.array_equal(s1.ancestor, s2.ancestor)
+        assert s1.cubes != s2.cubes or not np.array_equal(s1.label, s2.label)
 
 
 class TestCoverage:
@@ -276,7 +275,7 @@ class TestPinnedPoint:
         space, _ = segment16
         a = build_system(space, x0=7)
         b = build_system(space, x0=7)
-        assert np.array_equal(a.ancestor, b.ancestor)
+        assert np.array_equal(a.label, b.label)
 
 
 class TestSeparationClause:
@@ -292,7 +291,7 @@ class TestSeparationClause:
             for x in range(space.n):
                 for y in range(x + 1, space.n):
                     if d[x, y] >= sep:
-                        assert sys.ancestor[gi, x] != sys.ancestor[gi, y]
+                        assert sys.label[gi, x] != sys.label[gi, y]
 
 
 class TestTruncatedWindow:
@@ -319,7 +318,7 @@ class TestTruncatedWindow:
         space, _ = segment16
         a = build_system(space)
         b = build_system(space, k_max=a.k_max)
-        assert np.array_equal(a.ancestor, b.ancestor)
+        assert np.array_equal(a.label, b.label)
 
 
 class TestGeneralize:
@@ -393,7 +392,7 @@ class TestMaximalCubes:
     def test_matches_brute_force(self, tree27):
         space, mu = tree27
         sys = build_system(space)
-        pool = list(sys.all_cubes()) + list(generalize(
+        pool = list(sys.cubes) + list(generalize(
             build_system(space, k_max=1), mu, mu).point_cubes)
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -407,7 +406,7 @@ class TestMaximalCubes:
     def test_outputs_disjoint_and_cover_inputs(self, tree27):
         space, _ = tree27
         sys = build_system(space)
-        coll = [c for c in sys.all_cubes() if c.k >= sys.k_min + 1]
+        coll = [c for c in sys.cubes if c.k >= sys.k_min + 1]
         got = maximal_cubes(coll)
         seen = [set(c.members) for c in got]
         for i in range(len(seen)):

@@ -1,6 +1,5 @@
 """Scenario plumbing, report determinism, and sweeps."""
 
-import json
 import math
 
 import numpy as np
@@ -269,6 +268,20 @@ class TestRunScenario:
         assert witness["first"]["trial"] == 0
         assert witness["first"]["system"] == 0
         assert witness["first"]["lhs"] > witness["first"]["rhs"]
+
+    def test_universal_maximal_fail_row_comes_from_the_report(
+            self, monkeypatch):
+        import dyadica.stopping as stopping
+
+        real = stopping.apply_M_dyadic
+        monkeypatch.setattr(stopping, "apply_M_dyadic",
+                            lambda *args, **kw: 4.0 * real(*args, **kw))
+        rep = run_scenario(segment_scenario(checks=["stopping"]))
+        by_name = {r["name"]: r for r in rep.checks}
+        row = by_name["stopping.t0.universal_maximal"]
+        assert row["status"] == "fail"
+        assert row["witness"]["trial"] == 0
+        assert row["witness"]["lhs"] > row["witness"]["rhs"]
 
     def test_x0_pin_via_dyadic_params(self):
         rep = run_scenario(segment_scenario(checks=["dyadic"],

@@ -211,7 +211,7 @@ class TestPhi:
         sys = build_system(space)
         ker = build_kernel(space, mu, "ball_volume", gamma=0.5)
         phi = phi_table(ker, sys)
-        for cube in sys.generations[sys.k_max]:
+        for cube in sys.cubes[sys.generation(sys.k_max)]:
             assert not phi.is_defined(cube)
             assert phi.of(cube) == 0.0
 

@@ -22,8 +22,8 @@ from dyadica.maximal import (
     verdict_theorem_a,
 )
 from dyadica.maximal import testing_constant_maximal as maximal_testing
-from dyadica.norms import indicator, lp_norm, standard_cubes
-from dyadica.space import PointMeasure, build_space, generate_space
+from dyadica.norms import indicator, standard_cubes
+from dyadica.space import PointMeasure, generate_space
 
 from conftest import random_masses
 

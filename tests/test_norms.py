@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadica.dyadic import build_adjacent_systems, build_system
+from dyadica.dyadic import build_adjacent_systems
 from dyadica.errors import (
     BadExponents,
     BadParams,
@@ -16,7 +16,6 @@ from dyadica.errors import (
 from dyadica.kernel import build_kernel
 from dyadica.norms import (
     Exponents,
-    NormEstimate,
     cube_seeds,
     indicator,
     lp_norm,
@@ -29,7 +28,7 @@ from dyadica.norms import (
 )
 from dyadica.norms import testing_constants as compute_testing
 from dyadica.operators import MatrixOperator
-from dyadica.space import PointMeasure, build_space, generate_space
+from dyadica.space import PointMeasure, generate_space
 
 from conftest import random_masses
 

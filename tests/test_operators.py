@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,10 @@ from dyadica.errors import (
     FormMismatch,
     MixedSystems,
     PointCubeViolated,
+    PropertyViolation,
     SandwichViolated,
 )
-from dyadica.kernel import build_kernel, phi_table
+from dyadica.kernel import build_kernel
 from dyadica.operators import (
     MatrixOperator,
     apply_direct,
@@ -27,7 +30,6 @@ from dyadica.operators import (
     check_shifted_sandwich,
     cube_sums,
     pairing,
-    weighted_apply,
 )
 from dyadica.policy import require
 from dyadica.space import PointMeasure, generate_space
@@ -166,6 +168,55 @@ class TestDyadicForms:
             apply_dyadic_partition(op, np.ones(16), m=0)
 
 
+def reference_matrix(kernel, gen, phi):
+    """The dyadic matrix entry by entry through smallest_common_cube."""
+    sys = gen.base
+    n = sys.space.n
+    M = np.empty((n, n))
+    for x in range(n):
+        M[x, x] = kernel.matrix[x, x] if gen.is_joint_atom(x) else 0.0
+        for y in range(n):
+            if y != x:
+                M[x, y] = phi.of(sys.smallest_common_cube(x, y))
+    return M
+
+
+class TestBuildMatrix:
+    @pytest.mark.parametrize("fixture,k_max", [("segment16", None),
+                                               ("tree27", None),
+                                               ("tree27", 1)])
+    def test_matches_pairwise_reference(self, fixture, k_max, request):
+        space, mu = request.getfixturevalue(fixture)
+        sys = build_system(space, k_max=k_max)
+        rng = np.random.default_rng(29)
+        sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
+        ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
+        gen = generalize(sys, sigma, mu)
+        if k_max is not None:
+            assert gen.point_cubes
+        op = build_dyadic_operator(ker, gen)
+        assert (op.matrix == reference_matrix(ker, gen, op.phi)).all()
+
+    def test_undefined_envelope_names_first_pair(self, tree27):
+        # the root is the smallest common cube of points in different
+        # branches; the first such pair in row-major order is (0, 9)
+        space, mu = tree27
+        sys = build_system(space)
+        ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
+        gen = generalize(sys, mu, mu)
+        phi = build_dyadic_operator(ker, gen).phi
+        cleared = dataclasses.replace(phi, defined=phi.defined.copy())
+        cleared.defined[sys.top.id] = False
+        first = next((x, y) for x in range(space.n)
+                     for y in range(x + 1, space.n)
+                     if sys.smallest_common_cube(x, y) == sys.top)
+        assert first == (0, 9)
+        with pytest.raises(PropertyViolation) as info:
+            build_dyadic_operator(ker, gen, phi=cleared)
+        assert info.value.witness == {"x": 0, "y": 9, "k": sys.top.k,
+                                      "center": sys.top.center}
+
+
 class TestJointAtomDiagonal:
     def test_counting_measures_keep_kernel_diagonal(self, segment4):
         space, mu = segment4
@@ -205,16 +256,58 @@ class TestJointAtomDiagonal:
         assert check_forms_agree(op).status == "pass"
 
 
+def reference_sum(sys, vals, cube):
+    """A cube total by the ordered recursion over children."""
+    parts = ([vals[x] for x in cube.members] if cube.k == sys.k_max
+             else [reference_sum(sys, vals, c) for c in sys.children(cube)])
+    s = 0.0
+    for v in parts:
+        s += float(v)
+    return s
+
+
+def reference_partition(op, f, m):
+    """The telescoping form one point and one chain at a time."""
+    sys = op.system
+    g = f * op.gen.sigma.masses
+    out = np.empty(op.n)
+    for x in range(op.n):
+        chain = sys.cube_chain(x)
+        sums = [reference_sum(sys, g, c) for c in chain]
+        total = 0.0
+        for i, cube in enumerate(chain):
+            far = sums[i + m] if i + m < len(chain) else g[x]
+            total += op.phi.of(cube) * (sums[i] - far)
+        out[x] = total if g[x] == 0.0 else total + op.matrix[x, x] * g[x]
+    return out
+
+
 class TestCubeSums:
+    @pytest.mark.parametrize("k_max", [None, 1])
+    def test_matches_ordered_recursion(self, tree27, k_max):
+        space, mu = tree27
+        sys = build_system(space, k_max=k_max)
+        vals = np.random.default_rng(4).uniform(0, 1, space.n)
+        sums = cube_sums(sys, vals)
+        assert [sums[c.id] for c in sys.cubes] == \
+            [reference_sum(sys, vals, c) for c in sys.cubes]
+        sigma = PointMeasure(random_masses(np.random.default_rng(6), space.n,
+                                           zero_fraction=0.3))
+        ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
+        op = build_dyadic_operator(ker, generalize(sys, sigma, mu))
+        for m in (1, 2, 3):
+            assert np.array_equal(apply_dyadic_partition(op, vals, m=m),
+                                  reference_partition(op, vals, m))
+
     def test_exact_monotonicity(self, tree27):
         space, _ = tree27
         sys = build_system(space)
         rng = np.random.default_rng(3)
         vals = rng.uniform(0, 1, space.n)
         sums = cube_sums(sys, vals)
-        for cube in sys.all_cubes():
+        for cube in sys.cubes:
             for child in sys.children(cube):
-                assert sums[(child.k, child.center)] <= sums[(cube.k, cube.center)]
+                assert sums[child.id] <= sums[cube.id]
 
     def test_leaf_values(self, segment16):
         space, _ = segment16
@@ -222,16 +315,16 @@ class TestCubeSums:
         vals = np.arange(16, dtype=float)
         sums = cube_sums(sys, vals)
         for x in range(16):
-            assert sums[(sys.k_max, x)] == vals[x]
-        assert sums[(sys.k_min, sys.top.center)] == pytest.approx(vals.sum())
+            assert sums[sys.leaf(x).id] == vals[x]
+        assert sums[sys.top.id] == pytest.approx(vals.sum())
 
     def test_truncated_leaves_sum_members(self, segment16):
         space, _ = segment16
         sys = build_system(space, k_max=0)
         vals = np.arange(16, dtype=float)
         sums = cube_sums(sys, vals)
-        for cube in sys.generations[sys.k_max]:
-            assert sums[(cube.k, cube.center)] == pytest.approx(
+        for cube in sys.cubes[sys.generation(sys.k_max)]:
+            assert sums[cube.id] == pytest.approx(
                 sum(vals[list(cube.members)]))
 
 
@@ -286,8 +379,8 @@ class TestSandwich:
         space, mu = segment16
         op = line_operator(space, mu)
         sys = op.system
-        op.phi.values = dict(op.phi.values)
-        op.phi.values[(sys.k_min + 1, sys.top.center)] = 0.0
+        op.phi.values = op.phi.values.copy()
+        op.phi.values[sys.containing_cube(sys.k_min + 1, sys.top.center).id] = 0.0
         f = np.zeros(16)
         f[sys.top.center] = 1.0
         rep = check_shifted_sandwich(op, f, m=2)
@@ -304,7 +397,7 @@ class TestTruncatedWindow:
         space, mu = tree27
         sys = build_system(space, k_max=1)
         assert sys.k_max == 1
-        assert any(c.size > 1 for c in sys.generations[sys.k_max])
+        assert any(c.size > 1 for c in sys.cubes[sys.generation(sys.k_max)])
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
         op = build_dyadic_operator(ker, generalize(sys, mu, mu))
         assert check_forms_agree(op).status == "pass"

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -36,8 +37,8 @@ class TestRequire:
     def test_real_check_failure_is_catchable(self):
         space, _ = generate_space("integer_segment_counting", n=8)
         sys = build_system(space)
-        finest = sys.generations[sys.k_max]
-        sys.generations[sys.k_max] = finest + (finest[0],)
+        finest = sys.cubes[sys.generation(sys.k_max)]
+        sys.cubes += (replace(finest[0], id=len(sys.cubes)),)
         rep = check_partition(sys)
         assert rep.status == "fail"
         assert rep.witness["multiplicity"] == 2
@@ -97,8 +98,10 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_no_unused_imports_in_the_package():
-    src = Path(dyadica.__file__).parent
-    found = [f"{path.name}:{entry}" for path in sorted(src.glob("*.py"))
+    # the test modules are scanned too
+    roots = (Path(dyadica.__file__).parent, Path(__file__).parent)
+    found = [f"{root.name}/{path.name}:{entry}" for root in roots
+             for path in sorted(root.glob("*.py"))
              if path.name != "__init__.py"
              for entry in _unused_imports(ast.parse(path.read_text()))]
     assert found == []

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from dyadica.dyadic import build_system, generalize
+import dyadica.stopping as stopping
 from dyadica.errors import (
     BadExponents,
     BadParams,
+    BoundViolated,
     HypothesisViolated,
     PropertyViolation,
 )
 from dyadica.kernel import build_kernel
 from dyadica.operators import build_dyadic_operator
+from dyadica.policy import require
 from dyadica.stopping import (
     ShellParams,
     build_principal_cubes,
@@ -278,7 +281,7 @@ class TestPrincipalCubes:
             for inner in fam.cubes:
                 if set(inner.members) < set(outer.members):
                     assert avg(inner) > 2.0 * avg(outer)
-        for cube in sys.all_cubes():
+        for cube in sys.cubes:
             if sigma.of(cube.members) == 0.0:
                 continue
             assert avg(cube) <= 2.0 * avg(fam.pi(cube))
@@ -370,6 +373,24 @@ class TestUniversalMaximal:
         for p in (1.0, math.inf):
             with pytest.raises(BadExponents):
                 check_universal_maximal(sys, mu, p, trials=2)
+
+    def test_overshoot_is_a_failed_report(self, segment16, monkeypatch):
+        # a maximal function inflated past p' fails on the first trial,
+        # the constant function, and the report carries that witness
+        space, mu = segment16
+        sys = build_system(space)
+        real = stopping.apply_M_dyadic
+        monkeypatch.setattr(stopping, "apply_M_dyadic",
+                            lambda *args, **kw: 4.0 * real(*args, **kw))
+        rep = check_universal_maximal(sys, mu, 2.0, trials=5)
+        assert rep.status == "fail"
+        assert rep.error is BoundViolated
+        assert rep.witness["trial"] == 0
+        assert rep.witness["p_prime"] == 2.0
+        assert rep.witness["lhs"] > rep.witness["rhs"]
+        with pytest.raises(BoundViolated) as info:
+            require(rep)
+        assert info.value.witness == rep.witness
 
 
 class TestRhoGrid:
