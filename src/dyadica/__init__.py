@@ -7,7 +7,8 @@ kernel (``build_kernel``), and the dyadic model operators
 (``build_dyadic_operator``). The verdict functions then compare exact
 testing constants against certified operator-norm lower bounds:
 ``verdict_theorem_b`` for the strong-type inequality, ``verdict_weak_type``
-for the weak-type one, and ``verdict_theorem_a`` for the fractional maximal
+for the weak-type one (on a theorem-B verdict and the dyadic operators of
+the same instance), and ``verdict_theorem_a`` for the fractional maximal
 operator. ``harness.run_scenario`` drives everything from a plain JSON
 scenario; the ``dyadica`` command line exposes the same entry points.
 """

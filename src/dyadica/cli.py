@@ -154,6 +154,13 @@ def _parse_exponent(text: str) -> float:
             from exc
 
 
+def _object_field(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected an object, got {value!r}")
+    return dict(value)
+
+
 def _assemble_scenario(args, checks: list[str]) -> dict:
     doc = _load_json(args.config, "config") if args.config else {}
     if getattr(args, "space", None):
@@ -162,7 +169,7 @@ def _assemble_scenario(args, checks: list[str]) -> dict:
         raise ConfigError("space: required (pass --space or a config file)")
     if getattr(args, "kernel", None):
         doc["kernel"] = _parse_kernel_arg(args.kernel)
-    measures = dict(doc.get("measures", {}))
+    measures = _object_field(doc, "measures")
     if getattr(args, "measures", None):
         parts = [s.strip() for s in args.measures.split(",")]
         if len(parts) != 2 or not all(parts):
@@ -172,14 +179,14 @@ def _assemble_scenario(args, checks: list[str]) -> dict:
         measures["mu"] = args.mu
     if measures:
         doc["measures"] = measures
-    exponents = dict(doc.get("exponents", {}))
+    exponents = _object_field(doc, "exponents")
     if getattr(args, "p", None) is not None:
         exponents["p"] = args.p
     if getattr(args, "q", None) is not None:
         exponents["q"] = _parse_exponent(str(args.q))
     if exponents:
         doc["exponents"] = exponents
-    dyadic = dict(doc.get("dyadic", {}))
+    dyadic = _object_field(doc, "dyadic")
     for key in ("delta", "x0"):
         value = getattr(args, key, None)
         if value is not None:
@@ -200,20 +207,21 @@ def _assemble_scenario(args, checks: list[str]) -> dict:
     return doc
 
 
-def _emit_report(report: Report, args) -> int:
-    if args.out:
-        if args.format == "csv":
-            payload = report_to_csv(report)
-        else:
-            payload = json.dumps(report.to_dict(), indent=1, sort_keys=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(payload: str, path: str | None) -> None:
+    """Write to the file at path, or else to stdout ending in a newline."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
-        if args.format == "csv":
-            sys.stdout.write(report_to_csv(report))
-        else:
-            json.dump(report.to_dict(), sys.stdout, indent=1, sort_keys=True)
-            sys.stdout.write("\n")
+        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+
+
+def _emit_report(report: Report, args) -> int:
+    if args.format == "csv":
+        _write(report_to_csv(report), args.out)
+    else:
+        _write(json.dumps(report.to_dict(), indent=1, sort_keys=True),
+               args.out)
     counts = report.counts
     print(f"checks: {counts['pass']} pass, {counts['fail']} fail, "
           f"{counts['vacuous']} vacuous, {counts['non-strict']} non-strict",
@@ -337,8 +345,8 @@ def _cmd_build_dyadic(args) -> int:
         delta=args.delta,
         max_systems=args.systems if args.systems is not None else 12,
         x0=args.x0)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(_dump_family(family), fh, indent=1, sort_keys=True)
+    _write(json.dumps(_dump_family(family), indent=1, sort_keys=True),
+           args.out)
     cert = family.certificate
     print(f"wrote {args.out}: systems={len(family)} "
           f"observed_C={cert.observed_C:.6g} bound={cert.C_bound:.6g}",
@@ -367,21 +375,14 @@ def _cmd_sweep(args) -> int:
         template = dict(template, seed=args.seed)
     reports, summary = sweep(template, doc.get("grid", {}), doc.get("seeds"))
     if args.reports:
-        with open(args.reports, "w", encoding="utf-8") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=1,
-                      sort_keys=True)
+        _write(json.dumps([r.to_dict() for r in reports], indent=1,
+                          sort_keys=True), args.reports)
     if args.format == "csv":
         payload = reports_to_csv(reports)
     else:
         payload = json.dumps({"summary": jsonable(summary)}, indent=1,
                              sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+    _write(payload, args.out)
     print(f"sweep: {summary['runs']} runs, "
           f"{len(summary['errors'])} errors, any_fail="
           f"{summary['any_fail']}", file=sys.stderr)

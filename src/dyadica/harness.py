@@ -5,7 +5,10 @@ adjacent systems, kernel, model operators) and executes the requested
 checks in dependency order: space, dyadic, kernel, operators, then the
 leaf suites (theorem-b, weak-type, stopping, theorem-a). A check failure
 is recorded as a "fail" row and the suite continues; only malformed input
-aborts, with a ConfigError naming the offending field. When a shared
+aborts, with a ConfigError naming the offending field. What two stages
+need is a shared product built once: the envelopes (one PhiTable per
+system, carrying C_K) serve the kernel checks and the dyadic operators,
+and the theorem-B verdict serves the weak-type stage. When a shared
 product cannot be built (say the kernel rejects the measure), the first
 check that needed it fails with the builder's witness and every later
 check depending on it reports "vacuous" with a blocked_by marker.
@@ -35,7 +38,7 @@ from .dyadic import (
     replay_coverage,
 )
 from .errors import BadParams, ConfigError, DyadicaError
-from .kernel import build_kernel, check_kernel_estimates
+from .kernel import build_kernel, check_kernel_estimates, phi_table
 from .maximal import (
     MaximalParams,
     check_maximal_equivalence,
@@ -155,8 +158,16 @@ class _Run:
         return self._product("kernel", self._build_kernel)
 
     @property
+    def envelopes(self):
+        return self._product("envelopes", self._build_envelopes)
+
+    @property
     def ops(self):
         return self._product("operators", self._build_ops)
+
+    @property
+    def strong(self):
+        return self._product("theorem-b", self._build_strong)
 
     @property
     def strict(self) -> bool:
@@ -172,7 +183,7 @@ class _Run:
             try:
                 space, counting = generate_space(spec["kind"], seed=seed,
                                                  **params)
-            except DyadicaError as exc:
+            except (DyadicaError, TypeError, ValueError) as exc:
                 raise ConfigError(f"space: {exc}") from exc
             loaded = {"counting": counting, "mu": counting}
         elif "file" in spec:
@@ -237,12 +248,10 @@ class _Run:
                     "dyadic.delta: exceeds the strict bound "
                     f"1/(96 a0^6) = {1.0 / (96.0 * space.a0**6):.3e}; "
                     "pass relaxed_delta to proceed with non-strict constants")
-        x0 = dy.get("x0")
         return build_adjacent_systems(
             space, seed=self.sc.seed, delta=delta,
             num_systems=dy.get("num_systems"),
-            max_systems=int(dy.get("max_systems", 12)),
-            x0=None if x0 is None else int(x0))
+            max_systems=dy.get("max_systems", 12), x0=dy.get("x0"))
 
     def _build_kernel(self):
         spec = self.sc.kernel
@@ -292,13 +301,23 @@ class _Run:
                 raise ConfigError(f"kernel: {exc}") from exc
             raise
 
+    def _build_envelopes(self):
+        kernel = self.kernel
+        return tuple(phi_table(kernel, sys) for sys in self.family)
+
     def _build_ops(self):
         kernel = self.kernel
         roles = self.roles
         return tuple(
             build_dyadic_operator(kernel, generalize(sys, roles["sigma"],
-                                                     roles["omega"]))
-            for sys in self.family)
+                                                     roles["omega"]), phi)
+            for sys, phi in zip(self.family, self.envelopes))
+
+    def _build_strong(self):
+        roles, ex = self.roles, self.sc.exponents
+        return verdict_theorem_b(self.kernel, self.family, roles["sigma"],
+                                 roles["omega"], ex["p"], ex["q"],
+                                 budget=self.sc.budget, seed=self.sc.seed)
 
     # ---- row helpers ------------------------------------------------------
 
@@ -324,6 +343,19 @@ class _Run:
         else:
             status = "fail"
         self.add(row(name, status, constant, witness))
+
+    def trials(self, name: str, check, key: str | None = None) -> None:
+        """Run check() up to budget times: the first report that does not
+        pass is the row, else a pass row with the largest details[key]."""
+        worst = 0.0
+        for _ in range(self.sc.budget):
+            rep = check()
+            if rep.status != "pass":
+                self.from_check(name, rep)
+                return
+            if key is not None:
+                worst = max(worst, rep.details[key])
+        self.manual(name, True, constant=None if key is None else worst)
 
     def trial_rng(self, *channel: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(
@@ -376,14 +408,12 @@ def _stage_dyadic(run: _Run) -> None:
 
 def _stage_kernel(run: _Run) -> None:
     kernel = run.kernel
-    est = None
-    for t, sys in enumerate(run.family):
-        est = check_kernel_estimates(kernel, sys)
-        for rep in est.reports:
+    for t, (sys, phi) in enumerate(zip(run.family, run.envelopes)):
+        for rep in check_kernel_estimates(kernel, sys, phi):
             run.from_check(f"kernel.t{t}.{rep.name}", rep,
                            constant_key="worst_ratio")
-    if est is not None:
-        run.constants.update(k1=est.k1, k2=est.k2, C_K=est.C_K)
+    # the constants depend on the kernel and delta only, not the system
+    run.constants.update(k1=phi.k1, k2=phi.k2, C_K=phi.C_K)
 
 
 def _stage_operators(run: _Run) -> None:
@@ -399,19 +429,9 @@ def _stage_operators(run: _Run) -> None:
             constant_key="worst_rel_err")
         rng = run.trial_rng(1, t)
         for m in (1, 2, 3):
-            worst = 0.0
-            bad = None
-            for _ in range(budget):
-                rep = check_shifted_sandwich(op, rng.random(op.n), m)
-                if rep.status != "pass":
-                    bad = rep
-                    break
-                worst = max(worst, rep.details["worst_ratio"])
-            if bad is not None:
-                run.from_check(f"operators.t{t}.sandwich_m{m}", bad)
-            else:
-                run.manual(f"operators.t{t}.sandwich_m{m}", True,
-                           constant=worst)
+            run.trials(f"operators.t{t}.sandwich_m{m}",
+                       lambda: check_shifted_sandwich(op, rng.random(op.n), m),
+                       "worst_ratio")
         run.from_check(f"operators.t{t}.dyadic_below_direct",
                        check_dyadic_below_direct(op),
                        constant_key="worst_ratio")
@@ -419,25 +439,14 @@ def _stage_operators(run: _Run) -> None:
                    check_direct_below_family(ops),
                    constant_key="worst_margin")
     rng = run.trial_rng(2)
-    bad = None
-    for _ in range(budget):
-        rep = check_family_domination(ops, rng.random(ops[0].n))
-        if rep.status != "pass":
-            bad = rep
-            break
-    if bad is not None:
-        run.from_check("operators.family_domination", bad)
-    else:
-        run.manual("operators.family_domination", True)
+    run.trials("operators.family_domination",
+               lambda: check_family_domination(ops, rng.random(ops[0].n)))
     run.constants.setdefault("C_K", ops[0].C_K)
 
 
 def _stage_theorem_b(run: _Run) -> None:
-    roles = run.roles
+    verdict = run.strong
     p, q = run.sc.exponents["p"], run.sc.exponents["q"]
-    verdict = verdict_theorem_b(run.kernel, run.family, roles["sigma"],
-                                roles["omega"], p, q, budget=run.sc.budget,
-                                seed=run.sc.seed)
     run.manual("theorem-b.testing_below_norm", True, constant=verdict.n_lb)
     run.manual("theorem-b.equivalence_ratio",
                math.isfinite(verdict.ratio) or verdict.testing_sum == 0.0,
@@ -457,10 +466,7 @@ def _stage_theorem_b(run: _Run) -> None:
 
 
 def _stage_weak_type(run: _Run) -> None:
-    roles = run.roles
-    p, q = run.sc.exponents["p"], run.sc.exponents["q"]
-    verdict = verdict_weak_type(run.kernel, run.family, roles["sigma"],
-                                roles["omega"], p, q, budget=run.sc.budget,
+    verdict = verdict_weak_type(run.strong, run.ops, budget=run.sc.budget,
                                 seed=run.sc.seed)
     run.manual("weak-type.testing_below_norm", True,
                constant=verdict.weak_norm.lower)
@@ -670,8 +676,10 @@ def sweep(template: dict, grid: dict, seeds=None) -> tuple[list[Report], dict]:
         if len(values) == 0:
             raise ConfigError(f"grid.{key}: empty value list")
     if seeds is None:
-        seeds = [int(template.get("seed", 0))]
-    seeds = [int(s) for s in seeds]
+        seeds = [template.get("seed", 0)]
+    if not (isinstance(seeds, (list, tuple)) and all(
+            isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+        raise ConfigError(f"seeds: expected a list of integers, got {seeds!r}")
     if not grid and not seeds:
         raise ConfigError("grid: empty sweep, nothing to run")
     if not seeds:

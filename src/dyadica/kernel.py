@@ -22,6 +22,9 @@ k2 = 20 a0^4 / delta^2:
 2. phi(ancestor) <= C_K * phi(descendant) along cube ancestry;
 3. a cube whose ball holds no separated pair has exactly one set-equal
    child, so an undefined envelope never multiplies a nonempty shell.
+
+A ``PhiTable`` is the envelope of one kernel on one system with its C_K,
+k1 and k2: the estimates and the dyadic model operator share one table.
 """
 
 from __future__ import annotations
@@ -128,42 +131,36 @@ def kernel_growth_constant(kernel: Kernel, space: QuasiMetricSpace,
     Zero kernel values are allowed only against zero: a positive value
     comparable to a zero one means no finite k1 exists.
     """
-    d = space.dist
-    K = kernel.matrix
-    n = space.n
+    K, d = kernel.matrix, space.dist
+    k1 = _first_slot_growth(K, d, k2, "x")
+    if not kernel.symmetric:
+        k1 = max(k1, _first_slot_growth(K.T, d.T, k2, "y"))
+    return k1
+
+
+def _first_slot_growth(K: np.ndarray, d: np.ndarray, k2: float,
+                       slot: str) -> float:
+    """The growth constant of K's first argument; ``slot`` names that
+    argument in the original kernel (K is its transpose for "y")."""
+    n = K.shape[0]
     k1 = 1.0
     off = ~np.eye(n, dtype=bool)
-    for y in range(n):
-        col_ok = off[:, y]
-        num = K[:, y]
-        limit = k2 * d[:, y]
-        for x in range(n):
-            if x == y or num[x] == 0.0:
+    for b in range(n):
+        ok = off[:, b]
+        num = K[:, b]
+        limit = k2 * d[:, b]
+        for a in range(n):
+            if a == b or num[a] == 0.0:
                 continue
-            reachable = col_ok & (d[:, y] <= limit[x])
+            reachable = ok & (d[:, b] <= limit[a])
             den = num[reachable]
             if np.any(den == 0.0):
-                xp = int(np.flatnonzero(reachable)[np.argwhere(den == 0.0)[0][0]])
+                moved = int(np.flatnonzero(reachable)[np.argmax(den == 0.0)])
+                x, y = (a, b) if slot == "x" else (b, a)
                 raise Unbounded("positive value comparable to a zero one",
-                                x=x, y=y, x_moved=xp)
+                                x=x, y=y, **{f"{slot}_moved": moved})
             if den.size:
-                k1 = max(k1, float(num[x] / den.min()))
-    if not kernel.symmetric:
-        for x in range(n):
-            row_ok = off[x, :]
-            num = K[x, :]
-            limit = k2 * d[x, :]
-            for y in range(n):
-                if x == y or num[y] == 0.0:
-                    continue
-                reachable = row_ok & (d[x, :] <= limit[y])
-                den = num[reachable]
-                if np.any(den == 0.0):
-                    yp = int(np.flatnonzero(reachable)[np.argwhere(den == 0.0)[0][0]])
-                    raise Unbounded("positive value comparable to a zero one",
-                                    x=x, y=y, y_moved=yp)
-                if den.size:
-                    k1 = max(k1, float(num[y] / den.min()))
+                k1 = max(k1, float(num[a] / den.min()))
     return k1
 
 
@@ -184,12 +181,16 @@ class PhiTable:
     """Envelope values per cube id; ``defined`` is False when the containing
     ball holds no separated pair (the value is then 0 and must never be
     paired with a nonempty shell). ``low`` is the smallest separated-pair
-    value of each defined cube, taken in the same pass as the envelope."""
+    value of each defined cube, taken in the same pass as the envelope.
+    (C_K, k1, k2) is ``kernel_bound_constant`` at the system's delta."""
 
     threshold: float
     values: np.ndarray
     defined: np.ndarray
     low: np.ndarray
+    C_K: float
+    k1: float
+    k2: float
 
     def of(self, cube: Cube) -> float:
         return float(self.values[cube.id])
@@ -200,6 +201,7 @@ class PhiTable:
 
 def phi_table(kernel: Kernel, sys: DyadicSystem) -> PhiTable:
     space = sys.space
+    C_K, k1, k2 = kernel_bound_constant(kernel, space, sys.delta)
     d = space.dist
     K = kernel.matrix
     c = pair_threshold(space.a0, sys.delta)
@@ -215,28 +217,16 @@ def phi_table(kernel: Kernel, sys: DyadicSystem) -> PhiTable:
             values[cube.id] = vals.max()
             low[cube.id] = vals.min()
             defined[cube.id] = True
-    return PhiTable(threshold=c, values=values, defined=defined, low=low)
-
-
-@dataclass
-class EstimateReport:
-    k1: float
-    k2: float
-    C_K: float
-    reports: list[CheckReport]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.reports)
+    return PhiTable(threshold=c, values=values, defined=defined, low=low,
+                    C_K=C_K, k1=k1, k2=k2)
 
 
 def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
-                           phi: PhiTable | None = None) -> EstimateReport:
+                           phi: PhiTable | None = None) -> list[CheckReport]:
     """Check the three envelope estimates exactly on the finite space."""
-    space = sys.space
     if phi is None:
         phi = phi_table(kernel, sys)
-    C_K, k1, k2 = kernel_bound_constant(kernel, space, sys.delta)
+    C_K = phi.C_K
     reports: list[CheckReport] = []
 
     def emit(name: str, witness: dict | None = None, **details):
@@ -308,4 +298,4 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
         reports.append(CheckReport("vacuous_cubes_collapse", "vacuous",
                                    sys.strict_delta))
 
-    return EstimateReport(k1=k1, k2=k2, C_K=C_K, reports=reports)
+    return reports

@@ -419,7 +419,7 @@ def verdict_theorem_a(space: QuasiMetricSpace, family, mu: PointMeasure,
     """
     ex = Exponents(p, q)
     params = maximal_params(space, mu, gamma)
-    dc = params.doubling_constant if params.doubling_constant is not None else math.inf
+    dc = params.doubling_constant
     bad = np.flatnonzero((sigma.masses == 0.0) & (mu.masses > 0.0))
     if bad.size:
         members = tuple(int(b) for b in bad)

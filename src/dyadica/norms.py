@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Cube, _family_systems, generalize
+from .dyadic import Cube, _family_systems
 from .errors import (
     BadExponents,
     BadParams,
@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveOperator,
 )
 from .kernel import Kernel
-from .operators import MatrixOperator, build_dyadic_operator
+from .operators import MatrixOperator, require_same_instance
 from .policy import TOLERANCES, close
 from .space import PointMeasure
 
@@ -415,6 +415,8 @@ class StrongVerdict:
     in exact arithmetic by duality; we keep the max of the two searches).
     ratio = n_lb / (strong + dual testing) is the empirical equivalence
     constant; the structural direction testing <= bound is hard-asserted.
+    kernel, the direct operator and the cube seeds let verdict_weak_type
+    reuse the instance.
     """
 
     exponents: Exponents
@@ -424,7 +426,9 @@ class StrongVerdict:
     n_lb: float
     testing_sum: float
     ratio: float
-    details: dict = field(default_factory=dict)
+    kernel: Kernel = field(repr=False)
+    operator: MatrixOperator = field(repr=False)
+    seeds: list[np.ndarray] = field(repr=False)
 
 
 def _check_structural(label: str, testing_value: float, bound: float) -> None:
@@ -434,9 +438,10 @@ def _check_structural(label: str, testing_value: float, bound: float) -> None:
             witness={"testing": testing_value, "bound": bound})
 
 
-def _potential_prologue(kernel: Kernel, family, sigma: PointMeasure,
-                        omega: PointMeasure, p: float, q: float):
-    """Exponents, direct operator, finite testing constants, cube seeds."""
+def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
+                      omega: PointMeasure, p: float, q: float, *,
+                      budget: int = 8, seed: int = 0) -> StrongVerdict:
+    """Strong-type verdict: norm lower bound vs the two testing constants."""
     ex = Exponents(p, q)
     require_finite_q(ex)
     op = MatrixOperator(kernel.matrix, sigma, omega)
@@ -445,14 +450,7 @@ def _potential_prologue(kernel: Kernel, family, sigma: PointMeasure,
         raise InfiniteTesting("testing constant is infinite",
                               witness={"cubes": [(c.k, c.center)
                                                  for c in tc.infinite_cubes]})
-    return ex, op, tc, cube_seeds(family, sigma.masses.size)
-
-
-def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
-                      omega: PointMeasure, p: float, q: float, *,
-                      budget: int = 8, seed: int = 0) -> StrongVerdict:
-    """Strong-type verdict: norm lower bound vs the two testing constants."""
-    ex, op, tc, seeds = _potential_prologue(kernel, family, sigma, omega, p, q)
+    seeds = cube_seeds(family, sigma.masses.size)
     nrm = operator_norm_strong(op.apply, sigma, omega, p, q, budget, seeds,
                                apply_adjoint=op.apply_adjoint,
                                matrix=op.matrix, seed=seed)
@@ -466,15 +464,16 @@ def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
     n_lb = max(nrm.lower, adj.lower)
     total = tc.strong + tc.dual
     return StrongVerdict(ex, tc, nrm, adj, n_lb, total,
-                         _equivalence_ratio(n_lb, total))
+                         _equivalence_ratio(n_lb, total), kernel, op, seeds)
 
 
 @dataclass
 class WeakVerdict:
     """Weak-type verdict: weak norm lower bound vs the dual testing constant.
 
-    per_system carries the same comparison for each dyadic model operator,
-    whose weak boundedness is equivalent to its own dual testing condition.
+    testing and adjoint_norm are the strong verdict's. per_system carries
+    the same comparison for each dyadic model operator, whose weak
+    boundedness is equivalent to its own dual testing condition.
     """
 
     exponents: Exponents
@@ -483,27 +482,25 @@ class WeakVerdict:
     adjoint_norm: NormEstimate
     ratio: float
     per_system: tuple[dict, ...]
-    details: dict = field(default_factory=dict)
 
 
-def verdict_weak_type(kernel: Kernel, family, sigma: PointMeasure,
-                      omega: PointMeasure, p: float, q: float, *,
-                      budget: int = 8, seed: int = 0) -> WeakVerdict:
-    ex, op, tc, seeds = _potential_prologue(kernel, family, sigma, omega, p, q)
+def verdict_weak_type(strong: StrongVerdict, ops, *, budget: int = 8,
+                      seed: int = 0) -> WeakVerdict:
+    """Weak-type verdict on a theorem-B verdict's instance; ops are its
+    dyadic model operators, one per system, on the same kernel and pair."""
+    ex, direct = strong.exponents, strong.operator
+    sigma, omega = direct.sigma, direct.omega
+    require_same_instance(ops, strong.kernel, sigma, omega)
+    weak = operator_norm_weak(direct.apply, sigma, omega, ex.p, ex.q, budget,
+                              strong.seeds, seed=seed)
+    ratio = _equivalence_ratio(weak.lower, strong.testing.dual)
+
     dual_ex = ex.dual()
-    adj = operator_norm_strong(op.apply_adjoint, omega, sigma,
-                               dual_ex.p, dual_ex.q, budget, seeds,
-                               apply_adjoint=op.apply, seed=seed + 1)
-    _check_structural("dual", tc.dual, adj.lower)
-    weak = operator_norm_weak(op.apply, sigma, omega, p, q, budget, seeds,
-                              seed=seed)
-    ratio = _equivalence_ratio(weak.lower, tc.dual)
-
     per_system = []
     sub_budget = max(2, budget // 3)
-    for t, sys in enumerate(_family_systems(family)):
-        dop = build_dyadic_operator(kernel, generalize(sys, sigma, omega))
-        dtc = testing_constants(dop, sys, sigma, omega, p, q)
+    for t, dop in enumerate(ops):
+        sys = dop.system
+        dtc = testing_constants(dop, sys, sigma, omega, ex.p, ex.q)
         sys_seeds = cube_seeds(sys, sigma.masses.size)
         dadj = operator_norm_strong(dop.apply_adjoint, omega, sigma,
                                     dual_ex.p, dual_ex.q, sub_budget,
@@ -511,9 +508,10 @@ def verdict_weak_type(kernel: Kernel, family, sigma: PointMeasure,
                                     seed=seed + 100 + t)
         _check_structural(f"dyadic dual (system {sys.system_id})",
                           dtc.dual, dadj.lower)
-        dweak = operator_norm_weak(dop.apply, sigma, omega, p, q, sub_budget,
-                                   sys_seeds, seed=seed + 200 + t)
+        dweak = operator_norm_weak(dop.apply, sigma, omega, ex.p, ex.q,
+                                   sub_budget, sys_seeds, seed=seed + 200 + t)
         per_system.append({"system": sys.system_id, "dual_testing": dtc.dual,
                            "weak_lb": dweak.lower,
                            "ratio": _equivalence_ratio(dweak.lower, dtc.dual)})
-    return WeakVerdict(ex, tc, weak, adj, ratio, tuple(per_system))
+    return WeakVerdict(ex, strong.testing, weak, strong.adjoint_norm, ratio,
+                       tuple(per_system))

@@ -47,7 +47,7 @@ from .errors import (
     PropertyViolation,
     SandwichViolated,
 )
-from .kernel import Kernel, PhiTable, kernel_bound_constant, phi_table
+from .kernel import Kernel, PhiTable, phi_table
 from .policy import TOLERANCES, CheckReport, close, guard, guard_vec, outcome
 from .space import PointMeasure
 
@@ -115,15 +115,14 @@ class DyadicOperator(MatrixOperator):
     """Dyadic model operator bound to a generalized system and its measures.
 
     sigma and omega are the generalized system's pair; the matrix is
-    symmetric and its diagonal is positive only at joint atoms.
+    symmetric and its diagonal is positive only at joint atoms. C_K is the
+    envelope's bound constant, copied from ``phi``.
     """
 
     kernel: Kernel
     gen: GeneralizedSystem
     phi: PhiTable
     C_K: float
-    k1: float
-    k2: float
 
     @property
     def system(self):
@@ -139,7 +138,6 @@ def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
                         kernel_n=kernel.n, space_n=space.n)
     if phi is None:
         phi = phi_table(kernel, system)
-    C_K, k1, k2 = kernel_bound_constant(kernel, space, system.delta)
     # ids[x, y] = id of the smallest cube holding x and y: finer generations
     # overwrite coarser ones, and the coarsest generation is the whole space
     label = system.label
@@ -157,8 +155,7 @@ def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
     joint = (gen.sigma.masses > 0) & (gen.omega.masses > 0)
     np.fill_diagonal(M, np.where(joint, kernel.matrix.diagonal(), 0.0))
     return DyadicOperator(matrix=M, sigma=gen.sigma, omega=gen.omega,
-                          kernel=kernel, gen=gen, phi=phi,
-                          C_K=C_K, k1=k1, k2=k2)
+                          kernel=kernel, gen=gen, phi=phi, C_K=phi.C_K)
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +204,15 @@ def apply_dyadic_partition(op: DyadicOperator, f, m: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _vec_close(a: np.ndarray, b: np.ndarray, rel: float) -> tuple[bool, int, float]:
-    """Componentwise closeness treating matching infinities as equal."""
-    worst = 0.0
-    worst_i = -1
-    for i in range(a.shape[0]):
-        ai, bi = float(a[i]), float(b[i])
-        if np.isinf(ai) or np.isinf(bi):
-            if ai == bi:
-                continue
-            return False, i, np.inf
-        scale = max(abs(ai), abs(bi), 1.0)
-        err = abs(ai - bi) / scale
-        if err > worst:
-            worst, worst_i = err, i
-        if err > rel:
-            return False, i, err
-    return True, worst_i, worst
+    """Componentwise closeness treating matching infinities as equal: (ok,
+    the first offending index or else the worst one, its relative error)."""
+    with np.errstate(invalid="ignore"):
+        err = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    inf = np.isinf(a) | np.isinf(b)
+    err = np.where(inf, np.where(a == b, 0.0, np.inf), err)
+    bad = np.flatnonzero(err > rel)
+    i = int(bad[0]) if bad.size else int(np.argmax(err))
+    return not bad.size, i, float(err[i])
 
 
 def check_forms_agree(op: DyadicOperator,
@@ -299,31 +289,44 @@ def check_dyadic_below_direct(op: DyadicOperator) -> CheckReport:
     """Entrywise phi(Q(x,y)) <= C_K K(x,y) and <= C_K K(y,x).
 
     This makes T_D(f dsigma) <= C_K T(f dsigma) and <= C_K T*(f dsigma)
-    pointwise for every nonnegative density at once.
+    pointwise for every nonnegative density at once. Witnesses are the
+    first entry in (x, y, direct before adjoint) order.
     """
     K = op.kernel.matrix
-    n = op.n
-    worst = 0.0
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            v = op.matrix[x, y]
-            for target, label in ((K[x, y], "direct"), (K[y, x], "adjoint")):
-                ratio = v / target if target > 0 else (np.inf if v > 0 else 0.0)
-                if ratio > worst:
-                    worst = ratio
-                    witness = {"x": x, "y": y, "against": label}
-                if not v <= guard(op.C_K * target):
-                    return outcome(
-                        "dyadic_below_direct", op.system.strict_delta,
-                        EquivalenceViolated,
-                        {"x": x, "y": y, "against": label, "phi": float(v),
-                         "kernel": float(target), "C_K": op.C_K})
+    target = np.stack([K, K.T], axis=-1)
+    v = np.broadcast_to(op.matrix[:, :, None], target.shape)
+    off = ~np.eye(op.n, dtype=bool)[:, :, None]
+    labels = ("direct", "adjoint")
+    bad = off & ~(v <= guard_vec(op.C_K * target))
+    if bad.any():
+        x, y, t = (int(i) for i in np.argwhere(bad)[0])
+        return outcome("dyadic_below_direct", op.system.strict_delta,
+                       EquivalenceViolated,
+                       {"x": x, "y": y, "against": labels[t],
+                        "phi": float(v[x, y, t]),
+                        "kernel": float(target[x, y, t]), "C_K": op.C_K})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(off & (target > 0), v / target, 0.0)
+    worst, witness = float(ratio.max(initial=0.0)), None
+    if worst > 0:
+        x, y, t = (int(i) for i in np.argwhere(ratio == worst)[0])
+        witness = {"x": x, "y": y, "against": labels[t]}
     return outcome("dyadic_below_direct", op.system.strict_delta,
                    EquivalenceViolated, worst_ratio=worst, C_K=op.C_K,
                    worst_at=witness)
+
+
+def require_same_instance(ops, kernel: Kernel, sigma: PointMeasure,
+                          omega: PointMeasure) -> None:
+    """Raise BadParams unless every operator has this kernel and pair."""
+    for o in ops:
+        if o.kernel is not kernel:
+            raise BadParams("operators must share one kernel",
+                            system=o.system.system_id)
+        if not (np.array_equal(o.sigma.masses, sigma.masses)
+                and np.array_equal(o.omega.masses, omega.masses)):
+            raise BadParams("operators must share the measure pair",
+                            system=o.system.system_id)
 
 
 def check_direct_below_family(
@@ -336,34 +339,26 @@ def check_direct_below_family(
     if not ops:
         raise BadParams("need at least one dyadic operator")
     kernel = ops[0].kernel
-    for o in ops[1:]:
-        if o.kernel is not kernel:
-            raise BadParams("family members must share one kernel")
+    require_same_instance(ops, kernel, ops[0].sigma, ops[0].omega)
     K = kernel.matrix
     C_K = ops[0].C_K
     n = ops[0].n
     total = np.zeros((n, n))
     for o in ops:
         total += o.matrix
-    worst = 0.0
-    witness = None
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            rhs = 3.0 * C_K * total[x, y]
-            ratio = K[x, y] / total[x, y] / (3.0 * C_K) if total[x, y] > 0 else (
-                np.inf if K[x, y] > 0 else 0.0)
-            if ratio > worst:
-                worst = ratio
-                witness = {"x": x, "y": y}
-            if not K[x, y] <= guard(rhs):
-                return outcome("direct_below_family", ops[0].system.strict_delta,
-                               EquivalenceViolated,
-                               {"x": x, "y": y, "kernel": float(K[x, y]),
-                                "family_sum": float(total[x, y]), "C_K": C_K})
+    off = ~np.eye(n, dtype=bool)
+    bad = np.argwhere(off & ~(K <= guard_vec(3.0 * C_K * total)))
+    if bad.size:
+        x, y = (int(i) for i in bad[0])
+        return outcome("direct_below_family", ops[0].system.strict_delta,
+                       EquivalenceViolated,
+                       {"x": x, "y": y, "kernel": float(K[x, y]),
+                        "family_sum": float(total[x, y]), "C_K": C_K})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(off & (total > 0), K / total / (3.0 * C_K), 0.0)
     return outcome("direct_below_family", ops[0].system.strict_delta,
-                   EquivalenceViolated, worst_margin=worst, systems=len(ops))
+                   EquivalenceViolated, systems=len(ops),
+                   worst_margin=float(ratio.max(initial=0.0)))
 
 
 def check_family_domination(ops: list[DyadicOperator] | tuple[DyadicOperator, ...],
@@ -374,12 +369,8 @@ def check_family_domination(ops: list[DyadicOperator] | tuple[DyadicOperator, ..
     fv = _as_density(f, ops[0].n)
     if np.any(fv < 0):
         raise BadParams("domination check needs a nonnegative density")
-    kernel = ops[0].kernel
-    sigma, omega = ops[0].gen.sigma, ops[0].gen.omega
-    for o in ops[1:]:
-        if not (np.array_equal(o.gen.sigma.masses, sigma.masses)
-                and np.array_equal(o.gen.omega.masses, omega.masses)):
-            raise BadParams("family members must share the measure pair")
+    kernel, sigma, omega = ops[0].kernel, ops[0].sigma, ops[0].omega
+    require_same_instance(ops, kernel, sigma, omega)
     C_K = ops[0].C_K
     lhs = apply_direct(kernel, fv, sigma)
     rhs = np.zeros_like(lhs)

@@ -80,11 +80,18 @@ def _expect(cond: bool, path: str, why: str) -> None:
         raise ConfigError(f"{path}: {why}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_exponent(value, path: str) -> float:
     if value in ("inf", "Infinity"):
         return math.inf
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            path, f"expected a number, got {value!r}")
+    _expect(_is_number(value), path, f"expected a number, got {value!r}")
     return float(value)
 
 
@@ -115,6 +122,9 @@ class Scenario:
         forms = [k for k in ("kind", "file", "metric") if k in space]
         _expect(len(forms) == 1, "space",
                 f"need exactly one of kind/file/metric, got {forms or 'none'}")
+        if "file" in space:
+            _expect(isinstance(space["file"], str), "space.file",
+                    f"expected a path, got {space['file']!r}")
 
         measures = doc.get("measures", {})
         _expect(isinstance(measures, dict), "measures", "expected an object")
@@ -135,17 +145,26 @@ class Scenario:
 
         dyadic = doc.get("dyadic", {})
         _expect(isinstance(dyadic, dict), "dyadic", "expected an object")
-        for key in dyadic:
+        for key, value in dyadic.items():
             _expect(key in _DYADIC_KEYS, f"dyadic.{key}", "unknown field")
+            # every field but max_systems defaults to null
+            if key == "delta":
+                ok, want = value is None or _is_number(value), "a number"
+            else:
+                ok, want = _is_int(value) or (
+                    value is None and key != "max_systems"), "an integer"
+            _expect(ok, f"dyadic.{key}", f"expected {want}, got {value!r}")
 
-        exponents = dict(doc.get("exponents", {"p": 2.0, "q": 2.0}))
+        exponents = doc.get("exponents", {"p": 2.0, "q": 2.0})
         _expect(isinstance(exponents, dict), "exponents", "expected an object")
         p = _as_exponent(exponents.get("p", 2.0), "exponents.p")
         q = _as_exponent(exponents.get("q", 2.0), "exponents.q")
         _expect(1.0 < p < math.inf, "exponents.p", "need 1 < p < inf")
         _expect(p <= q, "exponents.q", "need p <= q")
 
-        checks = tuple(doc.get("checks", KNOWN_CHECKS))
+        checks = doc.get("checks", KNOWN_CHECKS)
+        _expect(isinstance(checks, (list, tuple)), "checks",
+                f"expected a list of check names, got {checks!r}")
         _expect(len(checks) > 0, "checks", "need at least one check")
         for name in checks:
             _expect(name in KNOWN_CHECKS, f"checks.{name}",
@@ -161,16 +180,15 @@ class Scenario:
                     f"must be finite for check {needy[0]!r}" if needy else "")
 
         seed = doc.get("seed", 0)
-        _expect(isinstance(seed, int) and not isinstance(seed, bool)
-                and 0 <= seed < 2**64, "seed", "expected an integer in [0, 2^64)")
+        _expect(_is_int(seed) and 0 <= seed < 2**64, "seed",
+                "expected an integer in [0, 2^64)")
         budget = doc.get("budget", 8)
-        _expect(isinstance(budget, int) and not isinstance(budget, bool)
-                and budget >= 1, "budget", "expected an integer >= 1")
+        _expect(_is_int(budget) and budget >= 1, "budget",
+                "expected an integer >= 1")
 
         gamma = doc.get("gamma")
         if gamma is not None:
-            _expect(isinstance(gamma, (int, float))
-                    and not isinstance(gamma, bool) and 0.0 <= gamma < 1.0,
+            _expect(_is_number(gamma) and 0.0 <= gamma < 1.0,
                     "gamma", "expected a number in [0, 1)")
             gamma = float(gamma)
         relaxed = doc.get("relaxed_delta", False)
@@ -310,14 +328,3 @@ def reports_to_csv(reports: list[Report]) -> str:
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
-
-def write_report(report: Report, path: str, fmt: str = "json") -> None:
-    # single exclusive writer per output file; no append mode
-    if fmt == "json":
-        payload = json.dumps(report.to_dict(), indent=1, sort_keys=True)
-    elif fmt == "csv":
-        payload = report_to_csv(report)
-    else:
-        raise ConfigError(f"format: expected json or csv, got {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)

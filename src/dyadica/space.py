@@ -207,9 +207,7 @@ def generate_space(kind: str, seed: int = 0, **params) -> tuple[QuasiMetricSpace
         d = np.abs(idx[:, None] - idx[None, :])
     elif kind == "euclidean_random_points":
         n = _req_int(params, "n", minimum=1)
-        dim = int(params.get("dim", 2))
-        if dim < 1:
-            raise BadParams("dim must be >= 1", dim=dim)
+        dim = _req_int(params, "dim", minimum=1, default=2)
         rng = np.random.default_rng(np.random.SeedSequence([0x5A11, seed]))
         coords = rng.uniform(0.0, 1.0, size=(n, dim))
         d = _euclidean_table(coords, float(params.get("power", 1.0)))
@@ -264,13 +262,16 @@ def _common_prefix_len(i: int, j: int, branching: int, depth: int) -> int:
     return k
 
 
-def _req_int(params: dict, key: str, minimum: int) -> int:
-    if key not in params:
+def _req_int(params: dict, key: str, minimum: int,
+             default: int | None = None) -> int:
+    v = params.get(key, default)
+    if v is None:
         raise BadParams(f"missing required parameter '{key}'")
-    v = int(params[key])
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+        raise BadParams(f"'{key}' must be an integer", value=v)
     if v < minimum:
         raise BadParams(f"'{key}' must be >= {minimum}", value=v)
-    return v
+    return int(v)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +343,13 @@ def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure
 
 
 def load_space(path: str) -> tuple[QuasiMetricSpace, dict[str, PointMeasure]]:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return space_from_dict(doc)
 
 

@@ -53,7 +53,7 @@ from dyadica import (
 )
 from dyadica.errors import NotAbsolutelyContinuous
 from dyadica.harness import sweep
-from dyadica.kernel import growth_scale_factor
+from dyadica.kernel import growth_scale_factor, phi_table
 from dyadica.operators import apply_dyadic_partition
 from dyadica.policy import TOLERANCES
 
@@ -177,10 +177,11 @@ def test_criterion_02_kernel_estimates():
                 kernel = build_kernel(space, mu, "ball_volume_closed",
                                       gamma=gamma)
                 for sys_ in fam.systems:
-                    est = check_kernel_estimates(kernel, sys_)
-                    assert all(r.ok for r in est.reports), est.reports
-                    assert est.C_K == est.k1 ** 2
-                    assert est.k2 == growth_scale_factor(space.a0, sys_.delta)
+                    phi = phi_table(kernel, sys_)
+                    reports = check_kernel_estimates(kernel, sys_, phi)
+                    assert all(r.ok for r in reports), reports
+                    assert phi.C_K == phi.k1 ** 2
+                    assert phi.k2 == growth_scale_factor(space.a0, sys_.delta)
                     checked += 1
         box.detail = f"{checked} kernel/system pairs, gamma in {{1/4, 1/2, 3/4}}"
 
@@ -275,8 +276,12 @@ def test_criterion_07_weak_type_characterization():
     with _criterion(7, "weak-type-testing") as box:
         for label, space, mu, sigma, omega in _measure_pairs():
             kernel = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
-            v = verdict_weak_type(kernel, _fam_of(label), sigma, omega,
-                                  2.0, 2.0, budget=4, seed=0)
+            fam = _fam_of(label)
+            strong = verdict_theorem_b(kernel, fam, sigma, omega, 2.0, 2.0,
+                                       budget=4, seed=0)
+            ops = [build_dyadic_operator(kernel, generalize(s, sigma, omega))
+                   for s in fam.systems]
+            v = verdict_weak_type(strong, ops, budget=4, seed=0)
             slack = TOLERANCES["testing_le_norm_abs"]
             assert v.testing.dual <= v.adjoint_norm.lower + slack
             assert math.isfinite(v.ratio)

@@ -208,6 +208,25 @@ class TestCheckCommands:
     def test_missing_space(self):
         assert main(["theorem-b", "--kernel", BV_KERNEL]) == 2
 
+    @pytest.mark.parametrize("field", ["measures", "exponents", "dyadic"])
+    def test_config_field_not_an_object_exits_two(self, space_file, tmp_path,
+                                                  capsys, field):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"space": {"file": space_file},
+                                      field: 5}))
+        assert main(["verify-dyadic", "--config", str(config)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify-dyadic", "build-dyadic"])
+    def test_missing_space_file_exits_two(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "absent.json")
+        argv = [command, "--space", missing]
+        if command == "build-dyadic":
+            argv += ["--out", str(tmp_path / "dump.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {missing}")
+
     def test_failing_check_exits_one(self, space_file):
         rc = main(["theorem-b", "--space", space_file,
                    "--kernel", '{"type":"frac_rho","alpha":0.5,"n":1.0}',

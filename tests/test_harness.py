@@ -1,6 +1,7 @@
 """Scenario plumbing, report determinism, and sweeps."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -287,6 +288,95 @@ class TestRunScenario:
         rep = run_scenario(segment_scenario(checks=["dyadic"],
                                             dyadic={"x0": 3}))
         assert not rep.failed
+
+    @pytest.mark.parametrize("path,value,match", [
+        ("exponents", 5, "exponents"),
+        ("checks", 5, "checks"),
+        ("dyadic.max_systems", "twelve", "dyadic.max_systems"),
+        ("dyadic.num_systems", "two", "dyadic.num_systems"),
+        ("dyadic.x0", "three", "dyadic.x0"),
+        ("dyadic.delta", "small", "dyadic.delta"),
+        ("space.n", "eight", "'n'"),
+        ("space.n", 8.5, "'n'"),
+        ("space", {"file": 5}, "space.file"),
+        ("seeds", 5, "seeds"),
+        ("seeds", ["a"], "seeds"),
+    ])
+    def test_malformed_field_is_a_config_error(self, path, value, match):
+        doc = segment_scenario()
+        if path == "seeds":
+            with pytest.raises(ConfigError, match=match):
+                sweep(doc, {}, value)
+            return
+        set_by_path(doc, path, value)
+        with pytest.raises(ConfigError, match=match):
+            run_scenario(doc)
+
+    def test_unbounded_kernel_blocks_operators_on_the_envelopes(self):
+        doc = {"space": {"kind": "integer_segment_counting", "n": 3},
+               "kernel": {"type": "matrix",
+                          "values": [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0],
+                                     [1.0, 0.0, 0.0]]},
+               "checks": ["kernel", "operators"], "budget": 1}
+        rep = run_scenario(doc)
+        by_name = {r["name"]: r for r in rep.checks}
+        assert by_name["kernel"]["status"] == "fail"
+        assert by_name["kernel"]["witness"]["error"] == "Unbounded"
+        assert by_name["operators"]["status"] == "vacuous"
+        assert by_name["operators"]["witness"]["blocked_by"] == "envelopes"
+
+    @pytest.mark.parametrize("checks,weak_status", [
+        (["theorem-b", "weak-type"], "vacuous"),
+        (["weak-type"], "fail"),
+    ])
+    def test_infinite_testing_blocks_weak_type_on_theorem_b(self, checks,
+                                                            weak_status):
+        doc = segment_scenario(checks=checks)
+        doc["kernel"] = {"type": "frac_rho", "alpha": 0.5, "n": 1.0}
+        by_name = {r["name"]: r for r in run_scenario(doc).checks}
+        if "theorem-b" in checks:
+            assert by_name["theorem-b"]["status"] == "fail"
+            assert by_name["theorem-b"]["witness"]["error"] == \
+                "InfiniteTesting"
+        weak = by_name["weak-type"]
+        assert weak["status"] == weak_status
+        if weak_status == "vacuous":
+            assert weak["witness"]["blocked_by"] == "theorem-b"
+        else:
+            assert weak["witness"]["error"] == "InfiniteTesting"
+
+
+class TestSharedProducts:
+    def test_each_quantity_is_computed_once(self, monkeypatch):
+        # one growth constant per system (the envelope table), one direct
+        # testing sweep and two norm searches for theorem B, and one dyadic
+        # testing sweep and dual norm search per system for weak-type
+        import dyadica.kernel as kernel
+        import dyadica.norms as norms
+
+        calls = Counter()
+        for mod, name in ((kernel, "kernel_growth_constant"),
+                          (norms, "testing_constants"),
+                          (norms, "operator_norm_strong")):
+            def counted(*args, _real=getattr(mod, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(mod, name, counted)
+        doc = {"space": {"kind": "ultrametric_tree", "depth": 3,
+                         "branching": 3, "ratio": 1.0 / 96.0},
+               "kernel": {"type": "ball_volume", "gamma": 0.5,
+                          "measure": "mu", "ball": "closed"},
+               "dyadic": {"num_systems": 2},
+               "checks": [c for c in KNOWN_CHECKS if c != "theorem-a"],
+               "budget": 1}
+        rep = run_scenario(doc)
+        assert not rep.failed
+        L = rep.constants["num_systems"]
+        assert L == 2
+        assert calls == {"kernel_growth_constant": L,
+                         "testing_constants": 1 + L,
+                         "operator_norm_strong": 2 + L}
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadica.dyadic import build_adjacent_systems
+from dyadica.dyadic import build_adjacent_systems, generalize
 from dyadica.errors import (
     BadExponents,
     BadParams,
@@ -27,10 +27,18 @@ from dyadica.norms import (
     weak_quasinorm,
 )
 from dyadica.norms import testing_constants as compute_testing
-from dyadica.operators import MatrixOperator
+from dyadica.operators import MatrixOperator, build_dyadic_operator
 from dyadica.space import PointMeasure, generate_space
 
 from conftest import random_masses
+
+
+def weak_verdict(kernel, fam, sigma, omega, p, q, budget):
+    """Theorem B's verdict, then the weak-type verdict on the same instance."""
+    strong = verdict_theorem_b(kernel, fam, sigma, omega, p, q, budget=budget)
+    ops = [build_dyadic_operator(kernel, generalize(s, sigma, omega))
+           for s in fam]
+    return verdict_weak_type(strong, ops, budget=budget)
 
 
 def one_point_setup(k=1.0, s=4.0, w=9.0):
@@ -378,7 +386,7 @@ class TestWeakType:
     def test_one_point(self):
         space, kernel, sigma, omega = one_point_setup()
         fam = build_adjacent_systems(space)
-        v = verdict_weak_type(kernel, fam, sigma, omega, 2.0, 2.0, budget=3)
+        v = weak_verdict(kernel, fam, sigma, omega, 2.0, 2.0, budget=3)
         assert abs(v.weak_norm.lower - 6.0) <= 1e-9
         assert abs(v.testing.dual - 6.0) <= 1e-9
         assert abs(v.ratio - 1.0) <= 1e-9
@@ -388,7 +396,7 @@ class TestWeakType:
         space, mu = two_point
         kernel = build_kernel(space, None, "matrix", values=np.zeros((2, 2)))
         fam = build_adjacent_systems(space)
-        v = verdict_weak_type(kernel, fam, mu, mu, 2.0, 2.0, budget=2)
+        v = weak_verdict(kernel, fam, mu, mu, 2.0, 2.0, budget=2)
         assert v.ratio == 1.0
         assert all(entry["ratio"] == 1.0 for entry in v.per_system)
 
@@ -399,13 +407,38 @@ class TestWeakType:
         rng = np.random.default_rng(29)
         sigma = PointMeasure(random_masses(rng, 16))
         omega = PointMeasure(random_masses(rng, 16))
-        v = verdict_weak_type(kernel, fam, sigma, omega, 1.5, 2.0, budget=3)
+        v = weak_verdict(kernel, fam, sigma, omega, 1.5, 2.0, budget=3)
         assert math.isfinite(v.ratio)
         assert v.testing.dual <= v.adjoint_norm.lower + 1e-9
         assert len(v.per_system) == len(fam)
         for entry in v.per_system:
             assert math.isfinite(entry["ratio"])
             assert entry["weak_lb"] >= 0.0
+
+    def test_rejects_operators_of_another_instance(self, segment16):
+        space, mu = segment16
+        kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
+        fam = build_adjacent_systems(space)
+        rng = np.random.default_rng(31)
+        sigma = PointMeasure(random_masses(rng, 16))
+        omega = PointMeasure(random_masses(rng, 16))
+        strong = verdict_theorem_b(kernel, fam, sigma, omega, 2.0, 2.0,
+                                   budget=2)
+        other_pair = [
+            build_dyadic_operator(kernel, generalize(s, omega, sigma))
+            for s in fam]
+        with pytest.raises(BadParams, match="measure pair"):
+            verdict_weak_type(strong, other_pair, budget=2)
+        twin = build_kernel(space, mu, "ball_volume", gamma=0.5)
+        other_kernel = [
+            build_dyadic_operator(twin, generalize(s, sigma, omega))
+            for s in fam]
+        with pytest.raises(BadParams, match="kernel"):
+            verdict_weak_type(strong, other_kernel, budget=2)
+        same = [build_dyadic_operator(kernel, generalize(s, sigma, omega))
+                for s in fam]
+        assert len(verdict_weak_type(strong, same, budget=2).per_system) \
+            == len(fam)
 
 
 class TestHelpers:

@@ -30,8 +30,9 @@ from dyadica.operators import (
     check_shifted_sandwich,
     cube_sums,
     pairing,
+    _vec_close,
 )
-from dyadica.policy import require
+from dyadica.policy import guard, require
 from dyadica.space import PointMeasure, generate_space
 
 from conftest import random_masses
@@ -448,6 +449,117 @@ class TestEquivalences:
         ker = build_kernel(space, mu, "ball_volume", gamma=0.5)
         op = build_dyadic_operator(ker, generalize(sys, mu, mu))
         assert check_dyadic_below_direct(op).status == "pass"
+
+
+def loop_dyadic_below_direct(op):
+    """Entry-by-entry reference for check_dyadic_below_direct: (status,
+    witness, worst ratio, worst entry)."""
+    K, n = op.kernel.matrix, op.n
+    worst, at = 0.0, None
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            v = op.matrix[x, y]
+            for target, label in ((K[x, y], "direct"), (K[y, x], "adjoint")):
+                ratio = v / target if target > 0 else (
+                    np.inf if v > 0 else 0.0)
+                if ratio > worst:
+                    worst, at = ratio, {"x": x, "y": y, "against": label}
+                if not v <= guard(op.C_K * target):
+                    return "fail", {"x": x, "y": y, "against": label,
+                                    "phi": float(v), "kernel": float(target),
+                                    "C_K": op.C_K}, None, None
+    return "pass", None, worst, at
+
+
+def loop_direct_below_family(ops):
+    """Entry-by-entry reference for check_direct_below_family."""
+    K, C_K, n = ops[0].kernel.matrix, ops[0].C_K, ops[0].n
+    total = sum(o.matrix for o in ops)
+    worst = 0.0
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            if total[x, y] > 0:
+                worst = max(worst, K[x, y] / total[x, y] / (3.0 * C_K))
+            if not K[x, y] <= guard(3.0 * C_K * total[x, y]):
+                return "fail", {"x": x, "y": y, "kernel": float(K[x, y]),
+                                "family_sum": float(total[x, y]),
+                                "C_K": C_K}, None
+    return "pass", None, worst
+
+
+def loop_vec_close(a, b, rel):
+    """Entry-by-entry reference for _vec_close."""
+    worst, worst_i = 0.0, -1
+    for i in range(a.shape[0]):
+        ai, bi = float(a[i]), float(b[i])
+        if np.isinf(ai) or np.isinf(bi):
+            if ai == bi:
+                continue
+            return False, i, np.inf
+        err = abs(ai - bi) / max(abs(ai), abs(bi), 1.0)
+        if err > worst:
+            worst, worst_i = err, i
+        if err > rel:
+            return False, i, err
+    return True, worst_i, worst
+
+
+def test_vec_close_matches_entry_loop():
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(300):
+        a = rng.uniform(-3.0, 3.0, 9)
+        b = a * (1.0 + rng.choice([0.0, 1e-15, 1e-13, 1e-6], 9))
+        a[rng.random(9) < 0.1] = np.inf
+        b[rng.random(9) < 0.1] = -np.inf if rng.random() < 0.5 else np.inf
+        ok, i, err = _vec_close(a, b, 1e-12)
+        want = loop_vec_close(a, b, 1e-12)
+        assert (ok, err) == (want[0], want[2])
+        if not ok or err > 0:
+            assert i == want[1]
+        outcomes.add((ok, np.isinf(err)))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+class TestEquivalenceReference:
+    @pytest.mark.parametrize("fixture", ["segment16", "snowflake8", "tree27"])
+    @pytest.mark.parametrize("shrink", [None, 0.999, 1e-3])
+    def test_matches_entry_loops(self, fixture, shrink, request):
+        # shrink < 1 sets C_K below what the observed worst ratio needs, so
+        # the first offending entry in loop order must be the witness
+        space, mu = request.getfixturevalue(fixture)
+        fam = build_adjacent_systems(space)
+        ker = build_kernel(space, mu, "ball_volume", gamma=0.5)
+        ops = [build_dyadic_operator(ker, generalize(s, mu, mu)) for s in fam]
+        below, family = ops, ops
+        if shrink is not None:
+            worst = loop_dyadic_below_direct(ops[0])[2]
+            below = [dataclasses.replace(o, C_K=shrink * worst) for o in ops]
+            # random envelope scaling moves the family's tightest entry off
+            # the first pair
+            rng = np.random.default_rng(41)
+            family = [dataclasses.replace(
+                o, matrix=o.matrix * rng.uniform(1.0, 2.0, o.matrix.shape))
+                for o in ops]
+            margin = loop_direct_below_family(family)[2]
+            family = [dataclasses.replace(o, C_K=shrink * margin * o.C_K)
+                      for o in family]
+        for op in below:
+            status, witness, worst, at = loop_dyadic_below_direct(op)
+            rep = check_dyadic_below_direct(op)
+            assert (rep.status, rep.witness) == (status, witness)
+            if status == "pass":
+                assert rep.details["worst_ratio"] == worst
+                assert rep.details["worst_at"] == at
+        status, witness, worst = loop_direct_below_family(family)
+        rep = check_direct_below_family(family)
+        assert (rep.status, rep.witness) == (status, witness)
+        if status == "pass":
+            assert rep.details["worst_margin"] == worst
 
 
 class TestPointCubeTesting:
