@@ -18,9 +18,8 @@ import sys
 
 import numpy as np
 
-from .dyadic import build_adjacent_systems, dyadic_parameters
-from .errors import BadParams, ConfigError, DyadicaError
-from .harness import random_measure, run_scenario, sweep
+from .errors import ConfigError, DyadicaError
+from .harness import build_family, random_measure, run_scenario, sweep
 from .reporting import (
     Report,
     jsonable,
@@ -332,19 +331,11 @@ def _cmd_build_dyadic(args) -> int:
     if not args.out:
         raise ConfigError("out: required for build-dyadic")
     space, _ = load_space(args.space)
-    if args.delta is not None:
-        try:
-            _, _, _, strict = dyadic_parameters(space.a0, args.delta)
-        except BadParams as exc:
-            raise ConfigError(f"delta: {exc}") from exc
-        if not strict and not args.relaxed_delta:
-            raise ConfigError("delta: exceeds the strict bound; pass "
-                              "--relaxed-delta to proceed")
-    family = build_adjacent_systems(
-        space, seed=args.seed if args.seed is not None else 0,
-        delta=args.delta,
-        max_systems=args.systems if args.systems is not None else 12,
-        x0=args.x0)
+    fields = {"delta": args.delta, "max_systems": args.systems, "x0": args.x0}
+    family = build_family(
+        space, {k: v for k, v in fields.items() if v is not None},
+        seed=args.seed if args.seed is not None else 0,
+        relaxed_delta=args.relaxed_delta)
     _write(json.dumps(_dump_family(family), indent=1, sort_keys=True),
            args.out)
     cert = family.certificate

@@ -42,8 +42,10 @@ Two optional build knobs: pinning a point makes it a cube center at every
 generation (it is swept first, so every net keeps it), and a truncated
 window stops refinement early, leaving non-singleton finest cubes. A pair
 of measures extends a system with point cubes at the joint atoms that are
-not already singleton cubes; their ids follow the last standard cube.
-maximal_cubes supplies the cube combinatorics built on top.
+not already singleton cubes; their ids follow the last standard cube, and
+``GeneralizedSystem.parent`` extends the parent array to them.
+``maximal_cubes(system, chosen)`` reads containment off ``parent``: it
+returns the chosen cubes with no chosen proper ancestor.
 """
 
 from __future__ import annotations
@@ -145,8 +147,10 @@ class DyadicSystem:
         return self.containing_cube(self.k_max, x)
 
     def _own(self, cube: Cube) -> None:
-        if cube.system_id != self.system_id:
-            raise MixedSystems(cube_system=cube.system_id, system=self.system_id)
+        # another system's cube, or a point cube, is not cubes[cube.id]
+        if not (cube.id < len(self.cubes) and self.cubes[cube.id] == cube):
+            raise MixedSystems(cube_system=cube.system_id, system=self.system_id,
+                               k=cube.k, center=cube.center)
 
     def children(self, cube: Cube) -> tuple[Cube, ...]:
         """The cubes whose parent is ``cube``, in id (= center) order."""
@@ -612,7 +616,9 @@ class GeneralizedSystem:
     point cube one generation past the window; with a full window every
     finest cube is a singleton and no point cubes are added. Point cubes
     take the ids after the last standard cube, so a point cube never
-    indexes a row of a table over the standard cubes.
+    indexes a row of a table over the standard cubes. ``parent`` is the
+    base system's parent array followed, for each point cube, by the id of
+    the finest standard cube holding its center.
     """
 
     base: DyadicSystem
@@ -620,6 +626,7 @@ class GeneralizedSystem:
     omega: PointMeasure
     joint_atoms: tuple[int, ...]
     point_cubes: tuple[Cube, ...]
+    parent: np.ndarray = field(repr=False)
 
     @property
     def space(self) -> QuasiMetricSpace:
@@ -648,45 +655,35 @@ def generalize(system: DyadicSystem, sigma: PointMeasure,
     extra = tuple(Cube(system_id=system.system_id, id=len(system.cubes) + i,
                        k=system.k_max + 1, center=x, members=(x,), diameter=0.0)
                   for i, x in enumerate(alone))
+    parent = np.concatenate([system.parent, system.label[-1, alone]])
     return GeneralizedSystem(base=system, sigma=sigma, omega=omega,
-                             joint_atoms=joint, point_cubes=extra)
+                             joint_atoms=joint, point_cubes=extra, parent=parent)
 
 
-def maximal_cubes(cubes) -> tuple[Cube, ...]:
-    """Cubes of one system not contained in another cube of the collection.
+def maximal_cubes(system, chosen) -> tuple[Cube, ...]:
+    """The chosen cubes with no chosen proper ancestor, by (-size, id).
 
-    Equal member sets count as one cube and the coarsest generation
-    representative survives. Every input cube lies inside exactly one
-    returned cube and the returned cubes are pairwise disjoint; overlap
-    would mean the input mixed incompatible hierarchies, which raises.
+    ``system`` is a DyadicSystem or a GeneralizedSystem and ``chosen`` a
+    boolean mask over its cube ids. Member sets nest only along ``parent``,
+    so the coarsest of equal member sets wins, every chosen cube lies in
+    exactly one returned cube, and the returned cubes are disjoint.
     """
-    items = list(cubes)
-    if not items:
-        return ()
-    sid = items[0].system_id
-    for c in items[1:]:
-        if c.system_id != sid:
-            raise MixedSystems(cube_system=c.system_id, system=sid)
-    by_set: dict[tuple[int, ...], Cube] = {}
-    for c in items:
-        prev = by_set.get(c.members)
-        if prev is None or c.k < prev.k:
-            by_set[c.members] = c
-    kept: list[Cube] = []
-    kept_sets: list[set[int]] = []
-    for c in sorted(by_set.values(), key=lambda c: (-c.size, c.k, c.center)):
-        s = set(c.members)
-        if not any(s <= ks for ks in kept_sets):
-            kept.append(c)
-            kept_sets.append(s)
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            if kept_sets[i] & kept_sets[j]:
-                raise PropertyViolation(
-                    "maximal cubes overlap without nesting",
-                    first=(kept[i].k, kept[i].center),
-                    second=(kept[j].k, kept[j].center))
-    return tuple(kept)
+    cubes = system.cubes
+    chosen = np.asarray(chosen, dtype=bool)
+    if chosen.shape != (len(cubes),):
+        raise BadParams("mask does not match the cube ids",
+                        size=chosen.shape, cubes=len(cubes))
+    parent = system.parent
+    above = np.zeros(len(cubes), dtype=bool)
+    anc = parent.copy()
+    live = np.flatnonzero(anc >= 0)
+    while live.size:
+        above[live] |= chosen[anc[live]]
+        anc[live] = parent[anc[live]]
+        live = live[anc[live] >= 0]
+    kept = np.flatnonzero(chosen & ~above)
+    return tuple(cubes[i] for i in sorted(kept.tolist(),
+                                          key=lambda i: (-cubes[i].size, i)))
 
 
 def _family_systems(family) -> tuple[DyadicSystem, ...]:

@@ -93,6 +93,36 @@ def random_measure(n: int, seed: int = 0, zero_fraction: float = 0.0,
     return PointMeasure(masses)
 
 
+def build_family(space, dyadic: dict, seed: int, relaxed_delta: bool):
+    """Validate the ``dyadic`` fields of a scenario and build its family.
+
+    An out-of-range field is malformed input, not a failed check: it raises
+    a ConfigError naming ``dyadic.<field>``.
+    """
+    delta = dyadic.get("delta")
+    if delta is not None:
+        try:
+            delta, _, _, strict = dyadic_parameters(space.a0, float(delta))
+        except BadParams as exc:
+            raise ConfigError(f"dyadic.delta: {exc}") from exc
+        if not strict and not relaxed_delta:
+            raise ConfigError(
+                "dyadic.delta: exceeds the strict bound "
+                f"1/(96 a0^6) = {1.0 / (96.0 * space.a0**6):.3e}; "
+                "pass relaxed_delta to proceed with non-strict constants")
+    for key in ("num_systems", "max_systems"):
+        if dyadic.get(key) is not None and dyadic[key] < 1:
+            raise ConfigError(f"dyadic.{key}: need at least 1, "
+                              f"got {dyadic[key]}")
+    x0 = dyadic.get("x0")
+    if x0 is not None and not 0 <= x0 < space.n:
+        raise ConfigError(f"dyadic.x0: need 0 <= x0 < {space.n}, got {x0}")
+    return build_adjacent_systems(
+        space, seed=seed, delta=delta,
+        num_systems=dyadic.get("num_systems"),
+        max_systems=dyadic.get("max_systems", 12), x0=x0)
+
+
 class _Blocked(Exception):
     """A shared product already failed to build in an earlier stage."""
 
@@ -151,7 +181,8 @@ class _Run:
 
     @property
     def family(self):
-        return self._product("family", self._build_family)
+        return self._product("family", lambda: build_family(
+            self.space, self.sc.dyadic, self.sc.seed, self.sc.relaxed_delta))
 
     @property
     def kernel(self):
@@ -233,25 +264,6 @@ class _Run:
                                   extra=extra)
         except ConfigError as exc:
             raise ConfigError(f"{path}.random.{exc}") from exc
-
-    def _build_family(self):
-        space = self.space
-        dy = self.sc.dyadic
-        delta = dy.get("delta")
-        if delta is not None:
-            try:
-                delta, _, _, strict = dyadic_parameters(space.a0, float(delta))
-            except BadParams as exc:
-                raise ConfigError(f"dyadic.delta: {exc}") from exc
-            if not strict and not self.sc.relaxed_delta:
-                raise ConfigError(
-                    "dyadic.delta: exceeds the strict bound "
-                    f"1/(96 a0^6) = {1.0 / (96.0 * space.a0**6):.3e}; "
-                    "pass relaxed_delta to proceed with non-strict constants")
-        return build_adjacent_systems(
-            space, seed=self.sc.seed, delta=delta,
-            num_systems=dy.get("num_systems"),
-            max_systems=dy.get("max_systems", 12), x0=dy.get("x0"))
 
     def _build_kernel(self):
         spec = self.sc.kernel

@@ -9,9 +9,11 @@ above half the threshold on the part of the cube inside the original level
 set.  Principal cubes implement the stopping-time family whose averages
 strictly more than double along nesting, and the summation lemma bounds
 the resulting average sums by twice the p-th power of the dyadic maximal
-function.  All set and measure identities here are checked exactly; the
-analytic inequalities carry only a last-ulp roundoff guard, since the
-source results hold in exact arithmetic with explicit constants.
+function.  Containment between cubes is read off ``parent`` alone, and a
+decomposition keeps its image T f, which the second principle reads.  All
+set and measure identities here are checked exactly; the analytic
+inequalities carry only a last-ulp roundoff guard, since the source
+results hold in exact arithmetic with explicit constants.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Cube, DyadicSystem, maximal_cubes
+from .dyadic import Cube, DyadicSystem, GeneralizedSystem, maximal_cubes
 from .errors import (
     BadExponents,
     BadParams,
     BoundViolated,
     HypothesisViolated,
-    MixedSystems,
     PrincipleViolated,
     PropertyViolation,
 )
@@ -39,47 +40,62 @@ from .space import PointMeasure
 STOPPING_SALT = 0x5707
 
 
+def _nonnegative(f, rho: float | None = None) -> np.ndarray:
+    a = np.asarray(f, dtype=float)
+    if np.any(a < 0):
+        raise BadParams("need f >= 0")
+    if rho is not None and not rho > 0:
+        raise BadParams("need rho > 0", rho=rho)
+    return a
+
+
 @dataclass
 class LevelSetDecomposition:
     """Level set of a dyadic operator image and its maximal cube cover.
 
-    omega_set lists the points where the image exceeds rho; q_rho holds
-    the maximal generalized cubes whose omega mass outside the level set
-    vanishes.  Construction re-verifies disjointness, containment of every
-    candidate in a member, and the pointwise omega-mass identity between
-    the level set and the union of the cover.
+    image is T f; omega_set lists the points where it exceeds rho; q_rho
+    holds the maximal generalized cubes whose omega mass outside the level
+    set vanishes, by (-size, k, center).  Construction re-checks, as array
+    comparisons, that no point lies in two cover cubes, that no candidate
+    cube holds an uncovered point, and the pointwise omega-mass identity
+    between the level set and the union of the cover.
     """
 
     rho: float
     omega_set: tuple[int, ...]
     q_rho: tuple[Cube, ...]
+    image: np.ndarray = field(repr=False)
+
+
+def _cubes_holding(gen: GeneralizedSystem, points: np.ndarray) -> np.ndarray:
+    """Mask over the cube ids of gen: the cubes holding a masked point."""
+    hit = np.zeros(len(gen.cubes), dtype=bool)
+    hit[gen.base.label[:, points].ravel()] = True
+    centers = [c.center for c in gen.point_cubes]
+    hit[len(gen.base.cubes):] = points[centers]
+    return hit
 
 
 def decompose_level_set(op, f, rho: float) -> LevelSetDecomposition:
-    a = np.asarray(f, dtype=float)
-    if np.any(a < 0):
-        raise BadParams("need f >= 0")
-    if not rho > 0:
-        raise BadParams("need rho > 0", rho=rho)
+    a = _nonnegative(f, rho)
     img = np.asarray(op.apply(a), dtype=float)
     in_omega = img > rho
     om = op.omega.masses
-    candidates = []
-    for cube in op.gen.cubes:
-        outside = [y for y in cube.members if not in_omega[y]]
-        if not outside or not np.any(om[outside] > 0.0):
-            candidates.append(cube)
-    q = maximal_cubes(candidates)
-    kept = [set(c.members) for c in q]
-    for c in candidates:
-        if not any(set(c.members) <= s for s in kept):
-            raise PropertyViolation("candidate cube escapes the maximal cover",
-                                    k=c.k, center=c.center)
-    in_union = np.zeros(a.size, dtype=bool)
+    ruled_out = _cubes_holding(op.gen, ~in_omega & (om > 0.0))
+    q = maximal_cubes(op.gen, ~ruled_out)
+    count = np.zeros(a.size, dtype=int)
     for cube in q:
-        in_union[list(cube.members)] = True
+        count[list(cube.members)] += 1
+    if np.any(count > 1):
+        raise PropertyViolation("maximal cubes overlap",
+                                x=int(np.flatnonzero(count > 1)[0]))
+    escaped = ~ruled_out & _cubes_holding(op.gen, count == 0)
+    if escaped.any():
+        c = op.gen.cubes[int(np.flatnonzero(escaped)[0])]
+        raise PropertyViolation("candidate cube escapes the maximal cover",
+                                k=c.k, center=c.center)
     lhs = np.where(in_omega, om, 0.0)
-    rhs = np.where(in_union, om, 0.0)
+    rhs = np.where(count > 0, om, 0.0)
     if not np.array_equal(lhs, rhs):
         x = int(np.flatnonzero(lhs != rhs)[0])
         raise PropertyViolation(
@@ -88,7 +104,7 @@ def decompose_level_set(op, f, rho: float) -> LevelSetDecomposition:
     return LevelSetDecomposition(
         rho=rho,
         omega_set=tuple(int(i) for i in np.flatnonzero(in_omega)),
-        q_rho=q)
+        q_rho=q, image=img)
 
 
 @dataclass(frozen=True)
@@ -131,13 +147,27 @@ def rho_grid(op, f) -> np.ndarray:
     return np.unique(np.concatenate([0.5 * vals, vals, 2.0 * vals]))
 
 
-def _principle_input(op, f, rho):
-    a = np.asarray(f, dtype=float)
-    if np.any(a < 0):
-        raise BadParams("need f >= 0")
-    if not rho > 0:
-        raise BadParams("need rho > 0", rho=rho)
-    return a
+def _principle_sweep(op, f, rho: float, C: float, localized: bool, violates):
+    """Decompose at rho/C, then apply op to f off each cover cube (on it,
+    if localized, reading only points whose image exceeds rho); values in
+    q_rho-then-member order, witness at the first that ``violates``."""
+    a = _nonnegative(f, rho)
+    dec = decompose_level_set(op, a, rho / C)
+    values, witness = [], None
+    for cube in dec.q_rho:
+        chi = np.zeros(a.size)
+        chi[list(cube.members)] = 1.0
+        img = np.asarray(op.apply(a * chi if localized else a * (1.0 - chi)),
+                         dtype=float)
+        for x in cube.members:
+            if localized and not dec.image[x] > rho:
+                continue
+            val = float(img[x])
+            values.append(val)
+            if witness is None and violates(val):
+                witness = {"k": cube.k, "center": cube.center, "x": x,
+                           "value": val, "bound": rho / 2.0}
+    return dec, values, witness
 
 
 def check_max_principle_1(op, f, rho: float,
@@ -153,25 +183,14 @@ def check_max_principle_1(op, f, rho: float,
         C = 2.0 * op.C_K
     if C < 2.0 * op.C_K:
         raise BadParams("need C >= 2 C_K", C=C, C_K=op.C_K)
-    a = _principle_input(op, f, rho)
-    dec = decompose_level_set(op, a, rho / C)
     bound = rho / 2.0
-    worst, witness = -math.inf, None
-    for cube in dec.q_rho:
-        off = np.ones(a.size)
-        off[list(cube.members)] = 0.0
-        img = np.asarray(op.apply(a * off), dtype=float)
-        for x in cube.members:
-            val = float(img[x])
-            if val > worst:
-                worst = val
-            if witness is None and val > guard(bound):
-                witness = {"k": cube.k, "center": cube.center, "x": x,
-                           "value": val, "bound": bound}
+    dec, values, witness = _principle_sweep(
+        op, f, rho, C, False, lambda val: val > guard(bound))
     status = "vacuous" if not dec.q_rho else ("fail" if witness else "pass")
     return CheckReport(name="max_principle_1", status=status, witness=witness,
                        details={"rho": rho, "C": C, "bound": bound,
-                                "worst": worst, "cubes": len(dec.q_rho)},
+                                "worst": max([-math.inf, *values]),
+                                "cubes": len(dec.q_rho)},
                        error=PrincipleViolated)
 
 
@@ -188,32 +207,16 @@ def check_max_principle_2(op, f, rho: float,
         C_m = shell_params(op.C_K).C_m
     if C_m < 2.0 * op.C_K:
         raise BadParams("need C_m >= 2 C_K", C_m=C_m, C_K=op.C_K)
-    a = _principle_input(op, f, rho)
-    dec = decompose_level_set(op, a, rho / C_m)
-    in_omega = np.asarray(op.apply(a), dtype=float) > rho
     bound = rho / 2.0
-    checked, witness = 0, None
-    worst = math.inf
-    for cube in dec.q_rho:
-        chi = np.zeros(a.size)
-        chi[list(cube.members)] = 1.0
-        img = np.asarray(op.apply(a * chi), dtype=float)
-        for x in cube.members:
-            if not in_omega[x]:
-                continue
-            checked += 1
-            val = float(img[x])
-            if val < worst:
-                worst = val
-            if witness is None and not val > bound * (
-                    1.0 - TOLERANCES["exact_guard_rel"]):
-                witness = {"k": cube.k, "center": cube.center, "x": x,
-                           "value": val, "bound": bound}
-    status = "vacuous" if checked == 0 else ("fail" if witness else "pass")
+    floor = bound * (1.0 - TOLERANCES["exact_guard_rel"])
+    _, values, witness = _principle_sweep(
+        op, f, rho, C_m, True, lambda val: not val > floor)
+    status = "vacuous" if not values else ("fail" if witness else "pass")
     return CheckReport(name="max_principle_2", status=status, witness=witness,
                        details={"rho": rho, "C_m": C_m, "bound": bound,
-                                "worst": worst if checked else None,
-                                "points": checked},
+                                "worst": min([math.inf, *values])
+                                if values else None,
+                                "points": len(values)},
                        error=PrincipleViolated)
 
 
@@ -223,30 +226,27 @@ class PrincipalFamily:
 
     cubes is the family sorted by id, i.e. by (generation, center);
     averages holds, by cube id, the sigma-average of every positive-mass
-    standard cube encountered and NaN elsewhere.  pi(Q) walks Q's parent
-    chain to the finest principal cube containing Q.
+    standard cube and NaN elsewhere; principal_of holds, by cube id, the
+    id of the finest principal cube containing it, or -1 when none does.
+    pi(Q) looks Q up in principal_of.
     """
 
     system: DyadicSystem
     sigma: PointMeasure
     cubes: tuple[Cube, ...]
     averages: np.ndarray = field(repr=False)
+    principal_of: np.ndarray = field(repr=False)
 
     def average(self, cube: Cube) -> float:
         return float(self.averages[cube.id])
 
     def pi(self, cube: Cube) -> Cube:
-        if cube.system_id != self.system.system_id:
-            raise MixedSystems(cube_system=cube.system_id,
-                               system=self.system.system_id)
-        principal = {c.id for c in self.cubes}
-        i = cube.id
-        while i >= 0:
-            if i in principal:
-                return self.system.cubes[i]
-            i = self.system.parent[i]
-        raise PropertyViolation("cube has no principal ancestor",
-                                k=cube.k, center=cube.center)
+        self.system._own(cube)
+        i = self.principal_of[cube.id]
+        if i < 0:
+            raise PropertyViolation("cube has no principal ancestor",
+                                    k=cube.k, center=cube.center)
+        return self.system.cubes[i]
 
 
 def _sigma_average(a: np.ndarray, sigma: PointMeasure, cube: Cube) -> float:
@@ -254,111 +254,108 @@ def _sigma_average(a: np.ndarray, sigma: PointMeasure, cube: Cube) -> float:
     return float(np.sum(a[idx] * sigma.masses[idx])) / sigma.of(cube.members)
 
 
+def _require_doubling(system: DyadicSystem, cubes, avgs, error, message):
+    """Raise ``error`` at the first nested pair whose average fails to double.
+
+    A pair is (outer, inner) with outer a proper ancestor of inner holding
+    more members, found by walking ``parent``.  Every pair replays
+    avgs[inner] > 2 avgs[outer] literally, in (outer, inner) collection
+    order; ``avgs`` is aligned with ``cubes``.
+    """
+    at = {c.id: j for j, c in enumerate(cubes)}
+    pairs = []
+    for j, inner in enumerate(cubes):
+        i = system.parent[inner.id]
+        while i >= 0:
+            o = at.get(int(i))
+            if o is not None and cubes[o].size > inner.size:
+                pairs.append((o, j))
+            i = system.parent[i]
+    for o, j in sorted(pairs):
+        if not avgs[j] > 2.0 * avgs[o]:
+            raise error(message, inner=(cubes[j].k, cubes[j].center),
+                        outer=(cubes[o].k, cubes[o].center))
+
+
 def build_principal_cubes(system: DyadicSystem, sigma: PointMeasure,
                           f) -> PrincipalFamily:
     """Greedy stopping family: descendants that more than double the average.
 
-    Starting from the top cube, a cube becomes principal when its average
-    strictly exceeds twice the average of the innermost principal cube
-    above it; the search then continues below with the new reference.
-    Sigma-null cubes cannot stop and are pruned together with their whole
-    subtree (additivity leaves no positive-mass descendants).  Both family
-    invariants are re-verified on the result, with no tolerance: the
-    defining comparisons are replayed literally, so they must hold bit for
-    bit.
+    The top cube is principal when it has sigma mass; below it, a cube
+    becomes principal when its average strictly exceeds twice the average
+    of the finest principal cube above it.  One pass in id order visits
+    parents before their children.  Sigma-null cubes cannot stop and have
+    no average (additivity leaves their descendants null too).  Both
+    family invariants are re-verified on the result, with no tolerance:
+    the defining comparisons are replayed literally, so they must hold bit
+    for bit.
     """
-    a = np.asarray(f, dtype=float)
-    if np.any(a < 0):
-        raise BadParams("need f >= 0")
+    a = _nonnegative(f)
     if a.size != system.space.n:
         raise BadParams("function size does not match the space", size=a.size)
     averages = np.full(len(system.cubes), np.nan)
+    principal_of = np.full(len(system.cubes), -1)
     principal: list[Cube] = []
-    top = system.top
-    if sigma.of(top.members) > 0:
-        a_top = _sigma_average(a, sigma, top)
-        averages[top.id] = a_top
-        principal.append(top)
-        work = [(c, a_top) for c in system.children(top)]
-        while work:
-            cube, ref = work.pop()
-            if sigma.of(cube.members) == 0.0:
-                continue
-            avg = _sigma_average(a, sigma, cube)
-            averages[cube.id] = avg
-            if avg > 2.0 * ref:
-                principal.append(cube)
-                ref = avg
-            work.extend((c, ref) for c in system.children(cube))
-    fam = PrincipalFamily(system=system, sigma=sigma,
-                          cubes=tuple(sorted(principal, key=lambda c: c.id)),
-                          averages=averages)
+    for cube in system.cubes:
+        up = system.parent[cube.id]
+        ref = principal_of[up] if up >= 0 else -1
+        principal_of[cube.id] = ref
+        if sigma.of(cube.members) == 0.0:
+            continue
+        avg = averages[cube.id] = _sigma_average(a, sigma, cube)
+        if up < 0 or avg > 2.0 * averages[ref]:
+            principal.append(cube)
+            principal_of[cube.id] = cube.id
+    fam = PrincipalFamily(system=system, sigma=sigma, cubes=tuple(principal),
+                          averages=averages, principal_of=principal_of)
     _check_principal_invariants(fam)
     return fam
 
 
 def _check_principal_invariants(fam: PrincipalFamily) -> None:
-    cubes = fam.cubes
-    for outer in cubes:
-        s_out = set(outer.members)
-        a_out = fam.average(outer)
-        for inner in cubes:
-            if inner is outer or not set(inner.members) < s_out:
-                continue
-            if not fam.average(inner) > 2.0 * a_out:
-                raise PropertyViolation(
-                    "nested principal cubes fail to double the average",
-                    inner=(inner.k, inner.center), outer=(outer.k, outer.center))
-    for cube in fam.system.cubes:
-        if np.isnan(fam.averages[cube.id]):
-            continue
-        if not fam.average(cube) <= 2.0 * fam.average(fam.pi(cube)):
-            raise PropertyViolation(
-                "cube average exceeds twice its principal ancestor",
-                k=cube.k, center=cube.center)
+    _require_doubling(fam.system, fam.cubes,
+                      fam.averages[[c.id for c in fam.cubes]],
+                      PropertyViolation,
+                      "nested principal cubes fail to double the average")
+    ids = np.flatnonzero(~np.isnan(fam.averages))
+    ok = fam.averages[ids] <= 2.0 * fam.averages[fam.principal_of[ids]]
+    if not ok.all():
+        cube = fam.system.cubes[ids[~ok][0]]
+        raise PropertyViolation(
+            "cube average exceeds twice its principal ancestor",
+            k=cube.k, center=cube.center)
 
 
 def check_mainlemma(system: DyadicSystem, collection, sigma: PointMeasure,
                     f, p: float) -> CheckReport:
     """Average sums over a strictly-doubling family against the maximal bound.
 
-    Verifies the hypotheses first: distinct member sets, positive sigma
-    mass on every cube, and nested pairs strictly more than doubling the
-    average.  Then at every point the sum of the p-th powers of the
-    averages over member cubes containing it is at most exactly twice the
-    p-th power of the dyadic sigma-maximal function, up to last-ulp
-    roundoff.
+    Verifies the hypotheses first: every cube is one of the system's own
+    standard cubes (a point cube or another system's cube raises
+    MixedSystems), distinct member sets, positive sigma mass on every
+    cube, and nested pairs strictly more than doubling the average.  Then
+    at every point the sum of the p-th powers of the averages over member
+    cubes containing it is at most exactly twice the p-th power of the
+    dyadic sigma-maximal function, up to last-ulp roundoff.
     """
     if not 1.0 <= p < math.inf:
         raise BadExponents("need 1 <= p < inf", p=p)
-    a = np.asarray(f, dtype=float)
-    if np.any(a < 0):
-        raise BadParams("need f >= 0")
+    a = _nonnegative(f)
     cubes = list(collection)
     for cube in cubes:
-        if cube.system_id != system.system_id:
-            raise MixedSystems(cube_system=cube.system_id,
-                               system=system.system_id)
+        system._own(cube)
     if len({c.members for c in cubes}) != len(cubes):
         raise HypothesisViolated("collection repeats a member set")
     for cube in cubes:
         if sigma.of(cube.members) == 0.0:
             raise HypothesisViolated("collection contains a sigma-null cube",
                                      k=cube.k, center=cube.center)
-    avgs = {c.members: _sigma_average(a, sigma, c) for c in cubes}
-    for outer in cubes:
-        s_out = set(outer.members)
-        for inner in cubes:
-            if inner is outer or not set(inner.members) < s_out:
-                continue
-            if not avgs[inner.members] > 2.0 * avgs[outer.members]:
-                raise HypothesisViolated(
-                    "nested pair does not strictly double the average",
-                    inner=(inner.k, inner.center), outer=(outer.k, outer.center))
+    avgs = [_sigma_average(a, sigma, c) for c in cubes]
+    _require_doubling(system, cubes, avgs, HypothesisViolated,
+                      "nested pair does not strictly double the average")
     lhs = np.zeros(a.size)
-    for cube in cubes:
-        idx = list(cube.members)
-        lhs[idx] += avgs[cube.members] ** p
+    for cube, avg in zip(cubes, avgs):
+        lhs[list(cube.members)] += avg ** p
     params = MaximalParams(space=system.space, mu=sigma, gamma=0.0)
     rhs = 2.0 * apply_M_dyadic(system, params, a) ** p
     ok = lhs <= guard_vec(rhs)

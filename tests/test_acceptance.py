@@ -423,9 +423,12 @@ def test_criterion_10_oracle_equivalences():
         rng = _rng(10)
         for _ in range(20):
             k = int(rng.integers(1, len(cubes) + 1))
-            sample = [cubes[i] for i in
-                      rng.choice(len(cubes), size=k, replace=False)]
-            got = {frozenset(c.members) for c in maximal_cubes(sample)}
+            take = rng.choice(len(cubes), size=k, replace=False)
+            sample = [cubes[i] for i in take]
+            chosen = np.zeros(len(cubes), dtype=bool)
+            chosen[take] = True
+            got = {frozenset(c.members)
+                   for c in maximal_cubes(system, chosen)}
             sets = {frozenset(c.members) for c in sample}
             want = {s for s in sets if not any(s < t for t in sets)}
             assert got == want

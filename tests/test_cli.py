@@ -227,6 +227,21 @@ class TestCheckCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {missing}")
 
+    @pytest.mark.parametrize("command", ["verify-dyadic", "build-dyadic"])
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--x0", "99", "dyadic.x0"),
+        ("--x0", "-1", "dyadic.x0"),
+        ("--systems", "0", "dyadic.max_systems"),
+    ])
+    def test_out_of_range_dyadic_field_exits_two(self, space_file, tmp_path,
+                                                 capsys, command, flag,
+                                                 value, field):
+        out = tmp_path / "dump.json"
+        assert main([command, "--space", space_file, flag, value,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}")
+        assert not out.exists()
+
     def test_failing_check_exits_one(self, space_file):
         rc = main(["theorem-b", "--space", space_file,
                    "--kernel", '{"type":"frac_rho","alpha":0.5,"n":1.0}',

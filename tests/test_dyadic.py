@@ -17,11 +17,10 @@ from dyadica.dyadic import (
 )
 from dyadica.errors import (
     BadParams,
-    MixedSystems,
     OutOfRange,
     SamePoint,
 )
-from dyadica.space import PointMeasure, generate_space
+from dyadica.space import PointMeasure, build_space, generate_space
 
 
 class TestParameters:
@@ -376,9 +375,16 @@ def brute_maximal(cubes):
     return sorted(out, key=lambda c: (-c.size, c.k, c.center))
 
 
+def mask(system, cubes):
+    chosen = np.zeros(len(system.cubes), dtype=bool)
+    chosen[[c.id for c in cubes]] = True
+    return chosen
+
+
 class TestMaximalCubes:
-    def test_empty(self):
-        assert maximal_cubes([]) == ()
+    def test_empty(self, tree27):
+        sys = build_system(tree27[0])
+        assert maximal_cubes(sys, mask(sys, [])) == ()
 
     def test_duplicate_sets_keep_coarsest(self, tree27):
         space, _ = tree27
@@ -386,19 +392,21 @@ class TestMaximalCubes:
         fine = sys.containing_cube(sys.k_max, 4)
         coarse = sys.containing_cube(sys.k_max - 1, 4)
         assert fine.members == coarse.members  # both singleton generations
-        got = maximal_cubes([fine, coarse])
+        got = maximal_cubes(sys, mask(sys, [fine, coarse]))
         assert got == (coarse,)
 
     def test_matches_brute_force(self, tree27):
+        # one truncated generalized system: its standard cubes keep
+        # non-singleton leaves, and its point cubes hang below them
         space, mu = tree27
-        sys = build_system(space)
-        pool = list(sys.cubes) + list(generalize(
-            build_system(space, k_max=1), mu, mu).point_cubes)
+        gen = generalize(build_system(space, k_max=1), mu, mu)
+        pool = gen.cubes
+        assert gen.point_cubes
         rng = np.random.default_rng(17)
         for _ in range(25):
             take = rng.integers(0, len(pool), size=rng.integers(1, 18))
             coll = [pool[i] for i in take]
-            got = maximal_cubes(coll)
+            got = maximal_cubes(gen, mask(gen, coll))
             want = brute_maximal(coll)
             assert [(c.k, c.center, c.members) for c in got] == \
                    [(c.k, c.center, c.members) for c in want]
@@ -407,7 +415,7 @@ class TestMaximalCubes:
         space, _ = tree27
         sys = build_system(space)
         coll = [c for c in sys.cubes if c.k >= sys.k_min + 1]
-        got = maximal_cubes(coll)
+        got = maximal_cubes(sys, mask(sys, coll))
         seen = [set(c.members) for c in got]
         for i in range(len(seen)):
             for j in range(i + 1, len(seen)):
@@ -416,9 +424,33 @@ class TestMaximalCubes:
             owners = [o for o in seen if set(c.members) <= o]
             assert len(owners) == 1
 
-    def test_mixed_systems_rejected(self, segment16):
-        space, _ = segment16
-        s0 = build_system(space, system_id=0)
-        s1 = build_system(space, system_id=1)
-        with pytest.raises(MixedSystems):
-            maximal_cubes([s0.top, s1.top])
+    def test_size_orders_before_generation(self):
+        # a coarse singleton beside finer pairs: the pairs, though finer and
+        # later by id, come first in (-size, k, center) order
+        x = np.array([0.0, 96.0**3, 96.0**3 + 1, 97 * 96.0**2,
+                      97 * 96.0**2 + 1])
+        sys = build_system(build_space(np.abs(x[:, None] - x[None, :])))
+        single = sys.containing_cube(sys.k_min + 1, 0)
+        pair = sys.containing_cube(sys.k_min + 2, 1)
+        assert (single.size, pair.size) == (1, 2) and single.id < pair.id
+        assert maximal_cubes(sys, mask(sys, [single, pair])) == (pair, single)
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            coll = [c for c in sys.cubes if rng.random() < 0.3]
+            got = maximal_cubes(sys, mask(sys, coll))
+            assert [c.id for c in got] == [c.id for c in brute_maximal(coll)]
+
+    def test_mask_size_mismatch(self, tree27):
+        sys = build_system(tree27[0])
+        with pytest.raises(BadParams):
+            maximal_cubes(sys, np.ones(len(sys.cubes) + 1, dtype=bool))
+
+    def test_point_cube_parent_holds_its_center(self, segment16):
+        space, mu = segment16
+        sys = build_system(space, k_max=-1)
+        gen = generalize(sys, mu, mu)
+        assert gen.point_cubes
+        assert np.array_equal(gen.parent[:len(sys.cubes)], sys.parent)
+        for cube in gen.point_cubes:
+            up = gen.cubes[gen.parent[cube.id]]
+            assert up.k == sys.k_max and cube.center in up.members

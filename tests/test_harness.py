@@ -301,6 +301,11 @@ class TestRunScenario:
         ("space", {"file": 5}, "space.file"),
         ("seeds", 5, "seeds"),
         ("seeds", ["a"], "seeds"),
+        ("dyadic.num_systems", 0, "dyadic.num_systems"),
+        ("dyadic.max_systems", 0, "dyadic.max_systems"),
+        ("dyadic.x0", 99, "dyadic.x0"),
+        ("dyadic.x0", 8, "dyadic.x0"),
+        ("dyadic.x0", -1, "dyadic.x0"),
     ])
     def test_malformed_field_is_a_config_error(self, path, value, match):
         doc = segment_scenario()
@@ -401,6 +406,26 @@ class TestDeterminism:
         a = run_scenario(dict(doc, seed=0))
         b = run_scenario(dict(doc, seed=1))
         assert a.constants["testing_strong"] != b.constants["testing_strong"]
+
+    # stopping-only reports; the same digests come out under the OpenBLAS
+    # Haswell, Prescott and SkylakeX core types, so they hold on any host
+    @pytest.mark.parametrize("space,digest", [
+        ({"kind": "integer_segment_counting", "n": 16},
+         "3b46178e75f737212f5b495727bc41d386ce3077d68af9affc550355924ea571"),
+        ({"kind": "euclidean_random_points", "n": 24},
+         "ff6cbf5f3c94d65223b46b5ec152fd0bed9ef4cde97a098138398ee463f16c3b"),
+        ({"kind": "ultrametric_tree", "depth": 3, "branching": 3},
+         "3ec1bcd6ec63dcfae08e5b452450e973f5dbb1466a79e333eb3f931e6bdbe553"),
+    ])
+    def test_stopping_report_hash_is_pinned(self, space, digest):
+        doc = {"space": space,
+               "kernel": {"type": "ball_volume", "gamma": 0.5},
+               "measures": {"sigma": {"random": {"seed": 1,
+                                                 "zero_fraction": 0.2}},
+                            "omega": {"random": {"seed": 2,
+                                                 "zero_fraction": 0.2}}},
+               "checks": ["stopping"], "seed": 0, "budget": 3}
+        assert run_scenario(doc).hash == digest
 
 
 class TestReportOutput:

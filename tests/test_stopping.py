@@ -12,6 +12,7 @@ from dyadica.errors import (
     BadParams,
     BoundViolated,
     HypothesisViolated,
+    MixedSystems,
     PropertyViolation,
 )
 from dyadica.kernel import build_kernel
@@ -115,6 +116,54 @@ class TestDecompose:
         fake = SimpleNamespace(apply=lambda f: img, gen=gen, omega=gen.omega)
         dec = decompose_level_set(fake, np.ones(16), 1.0)
         assert [q.members for q in dec.q_rho] == [(0,)]
+
+
+def oracle_decomposition(op, f, rho):
+    """The level set and its cover by the set-based definition."""
+    img = op.apply(f)
+    level = {x for x in range(op.n) if img[x] > rho}
+    om = op.omega.masses
+    candidates = [c for c in op.gen.cubes
+                  if all(x in level or om[x] == 0.0 for x in c.members)]
+    coarsest = {}
+    for c in candidates:
+        if c.members not in coarsest or c.k < coarsest[c.members].k:
+            coarsest[c.members] = c
+    kept = [c for c in coarsest.values()
+            if not any(set(c.members) < set(o.members)
+                       for o in coarsest.values())]
+    return (tuple(sorted(level)),
+            sorted(kept, key=lambda c: (-c.size, c.k, c.center)))
+
+
+class TestDecomposeOracle:
+    @pytest.mark.parametrize("name", ["segment16", "tree27"])
+    @pytest.mark.parametrize("depth", [None, 1, 2])
+    def test_matches_set_definition(self, request, name, depth):
+        # sigma- and omega-null points, on the full window and on windows
+        # truncated depth generations below the top, where joint atoms in
+        # coarse leaves get point cubes
+        space, mu = request.getfixturevalue(name)
+        full = build_system(space)
+        sys = build_system(space, k_max=None if depth is None
+                           else full.k_min + depth)
+        rng = np.random.default_rng(31)
+        sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
+        omega = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
+        op = build_dyadic_operator(
+            build_kernel(space, mu, "ball_volume_closed", gamma=0.5),
+            generalize(sys, sigma, omega))
+        point_cubes_used = False
+        for _ in range(3):
+            f = rng.random(space.n)
+            for rho in rho_grid(op, f):
+                dec = decompose_level_set(op, f, float(rho))
+                level, cover = oracle_decomposition(op, f, rho)
+                assert dec.omega_set == level
+                assert [c.id for c in dec.q_rho] == [c.id for c in cover]
+                assert np.array_equal(dec.image, op.apply(f))
+                point_cubes_used |= any(c.k > sys.k_max for c in dec.q_rho)
+        assert point_cubes_used == bool(op.gen.point_cubes)
 
 
 class TestShellParams:
@@ -301,6 +350,22 @@ class TestPrincipalCubes:
         with pytest.raises(BadParams):
             build_principal_cubes(sys, mu, np.array([1.0, -2.0, 0.0, 0.0]))
 
+    def test_principal_of_is_the_finest_principal_ancestor(self, tree27):
+        space, _ = tree27
+        sys = build_system(space)
+        rng = np.random.default_rng(12)
+        sigma = PointMeasure(random_masses(rng, 27, zero_fraction=0.3))
+        f = np.zeros(27)
+        f[rng.choice(27, size=4, replace=False)] = rng.random(4) + 1.0
+        fam = build_principal_cubes(sys, sigma, f)
+        principal = {c.id for c in fam.cubes}
+        assert len(principal) > 1
+        for cube in sys.cubes:
+            i = cube.id
+            while i >= 0 and i not in principal:
+                i = sys.parent[i]
+            assert fam.principal_of[cube.id] == i
+
 
 class TestMainLemma:
     def test_top_only(self, segment16):
@@ -334,6 +399,14 @@ class TestMainLemma:
         far_leaf = sys.leaf(15)
         with pytest.raises(HypothesisViolated):
             check_mainlemma(sys, [far_leaf], sigma, np.ones(16), 2.0)
+
+    def test_point_cube_rejected(self, segment16):
+        space, mu = segment16
+        sys = build_system(space, k_max=-1)
+        point = generalize(sys, mu, mu).point_cubes[0]
+        assert point.system_id == sys.system_id
+        with pytest.raises(MixedSystems):
+            check_mainlemma(sys, [point], mu, np.ones(16), 2.0)
 
     def test_non_doubling_pair_rejected(self, segment16):
         space, mu = segment16
