@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterator
 
@@ -66,7 +67,7 @@ from .errors import (
     SamePoint,
 )
 from .policy import TOLERANCES, CheckReport, outcome
-from .space import PointMeasure, QuasiMetricSpace, ball
+from .space import PointMeasure, QuasiMetricSpace, _frozen, ball
 
 _SALT_SYSTEM = 0xD7AD
 
@@ -170,6 +171,17 @@ class DyadicSystem:
                 return self.cubes[row[x]]
         raise PropertyViolation("no common cube; coarsest generation is not the whole space",
                                 x=x, y=y)
+
+    @cached_property
+    def size_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The cubes grouped by size m, as read-only (ids, members[k x m])."""
+        sizes = np.array([c.size for c in self.cubes])
+        groups = []
+        for m in np.unique(sizes):
+            ids = np.flatnonzero(sizes == m)
+            members = np.array([self.cubes[i].members for i in ids])
+            groups.append((_frozen(ids), _frozen(members)))
+        return tuple(groups)
 
     def outer_ball_radius(self, k: int) -> float:
         return self.C1 * self.delta**k

@@ -502,14 +502,15 @@ def _stage_stopping(run: _Run) -> None:
         bad: dict[str, CheckReport] = {}
         for _ in range(budget):
             f = rng.random(op.n)
-            for rho in rho_grid(op, f):
+            image = op.apply(f)
+            for rho in rho_grid(op, f, image):
                 for key, checker in (("max_principle_1",
                                       check_max_principle_1),
                                      ("max_principle_2",
                                       check_max_principle_2)):
                     if key in bad:
                         continue
-                    rep = checker(op, f, float(rho))
+                    rep = checker(op, f, float(rho), image=image)
                     if rep.status == "fail":
                         bad[key] = rep
                     elif rep.status == "pass" and agg[key] == "vacuous":

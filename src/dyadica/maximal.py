@@ -4,9 +4,11 @@ The ball-based operator takes, at each point, the largest gamma-fractional
 average over balls containing it.  On a finite space the supremum over all
 balls reduces to finitely many distinct member sets: for every center the
 strict balls are exactly the tie-closed prefixes of that center's distance
-ordering, so the operator is computed exactly, not sampled.  The dyadic
-variant replaces balls by the cubes of one system, and the two are
-pointwise comparable with explicit constants on doubling instances.
+ordering, so the operator is computed exactly, not sampled, in a few
+(n x n) passes over the rows of ``QuasiMetricSpace.index``.  The dyadic
+variant replaces balls by the cubes of one system, summed per
+``DyadicSystem.size_groups``, and the two are pointwise comparable with
+explicit constants on doubling instances.
 
 The two-weight boundedness verdict follows the dual weight reduction: with
 u the Radon-Nikodym derivative of the base measure against the source
@@ -83,10 +85,13 @@ def measure_doubling_constant(space: QuasiMetricSpace,
     Both balls are piecewise constant in r between consecutive points of
     the grid {distances} union {distances/2}, left-open right-closed, so
     evaluating at every grid value plus one radius beyond the largest
-    distance visits every distinct pair.  Ratios 0/0 are skipped; positive
-    mass at the doubled radius over an empty inner ball yields +inf.  With
-    no admissible ratio at all (the zero measure) the supremum is vacuous
-    and reported as 1.0.
+    distance visits every distinct pair.  A ball B(x, r) is fixed by how
+    many distinct distances from x lie below r, so each center's masses
+    are summed once per distinct distance, in point-id order, and looked
+    up by searchsorted.  Ratios 0/0 are skipped; positive mass at the
+    doubled radius over an empty inner ball yields +inf.  With no
+    admissible ratio at all (the zero measure) the supremum is vacuous and
+    reported as 1.0.
     """
     d = space.dist
     vals = np.unique(d[d > 0.0])
@@ -96,16 +101,17 @@ def measure_doubling_constant(space: QuasiMetricSpace,
     else:
         radii = np.array([1.0])
     best = 1.0
-    for x in space.points():
-        row = d[x]
-        for r in radii:
-            den = float(np.sum(mu.masses[row < r]))
-            num = float(np.sum(mu.masses[row < 2.0 * r]))
-            if den == 0.0:
-                if num > 0.0:
-                    return math.inf
-                continue
-            best = max(best, num / den)
+    for row in d:
+        steps = np.unique(row)
+        mass = np.array([np.sum(mu.masses[row < t]) for t in steps]
+                        + [np.sum(mu.masses)])
+        den = mass[np.searchsorted(steps, radii)]
+        num = mass[np.searchsorted(steps, 2.0 * radii)]
+        if np.any((den == 0.0) & (num > 0.0)):
+            return math.inf
+        pos = den > 0.0
+        if pos.any():
+            best = max(best, float(np.max(num[pos] / den[pos])))
     return best
 
 
@@ -123,37 +129,25 @@ def apply_M(params: MaximalParams, f,
     M f(x) = sup over balls B containing x with mu(B) > 0 of
     mu(B)^(gamma-1) * sum_B |f| d(inside), where ``inside`` defaults to mu
     and may be replaced to get the two-measure form M_gamma(f dv).  Balls
-    centered at c are the tie-closed prefixes of c's distance ordering, so
-    per center one pass of prefix sums and a suffix maximum covers them
-    all.  Points where every ball is mu-null get 0.
+    centered at c are the prefixes of c's row of the space index that end
+    at a tie-group end, so prefix sums along every row, a reversed running
+    maximum over the group ends, and a gather through ``rank`` cover all
+    balls at once.  Points where every ball is mu-null get 0.
     """
     mu, gamma = params.mu, params.gamma
     weights = (inside if inside is not None else mu).masses
     a = np.abs(np.asarray(f, dtype=float))
     if a.shape != weights.shape or a.size != params.space.n:
         raise BadParams("function size does not match the space", shape=a.shape)
-    n = params.space.n
-    terms = a * weights
-    out = np.zeros(n)
-    for c in range(n):
-        order = np.argsort(params.space.dist[c], kind="stable")
-        dist_sorted = params.space.dist[c][order]
-        csum_terms = np.cumsum(terms[order])
-        csum_mu = np.cumsum(mu.masses[order])
-        boundary = np.empty(n, dtype=bool)
-        boundary[:-1] = dist_sorted[1:] != dist_sorted[:-1]
-        boundary[-1] = True
-        bidx = np.flatnonzero(boundary)
-        mu_pref = csum_mu[bidx]
-        s_pref = csum_terms[bidx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cut = np.where(mu_pref > 0.0,
-                           np.power(mu_pref, gamma - 1.0) * s_pref, -np.inf)
-        suffmax = np.maximum.accumulate(cut[::-1])[::-1]
-        group = np.searchsorted(bidx, np.arange(n), side="left")
-        vals = suffmax[group]
-        out[order] = np.maximum(out[order], np.where(vals > 0.0, vals, 0.0))
-    return out
+    idx = params.space.index
+    s_pref = np.cumsum((a * weights)[idx.order], axis=1)
+    mu_pref = np.cumsum(mu.masses[idx.order], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = np.where(idx.end & (mu_pref > 0.0),
+                       np.power(mu_pref, gamma - 1.0) * s_pref, -np.inf)
+    suffmax = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1]
+    vals = np.where(suffmax > 0.0, suffmax, 0.0)
+    return np.take_along_axis(vals, idx.rank, axis=1).max(axis=0)
 
 
 def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
@@ -162,23 +156,22 @@ def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
 
     Same shape as apply_M with balls replaced by the cubes containing the
     point; cubes with mu(Q) = 0 are skipped, so empty cubes never produce
-    NaN or infinity.
+    NaN or infinity.  Cubes are summed per size group, each in member
+    order, and each point reads its cubes through ``label``.
     """
     mu, gamma = params.mu, params.gamma
     weights = (inside if inside is not None else mu).masses
     a = np.abs(np.asarray(f, dtype=float))
     if a.shape != weights.shape or a.size != system.space.n:
         raise BadParams("function size does not match the space", shape=a.shape)
-    out = np.zeros(a.size)
-    for cube in system.cubes:
-        m = mu.of(cube.members)
-        if m == 0.0:
-            continue
-        idx = list(cube.members)
-        val = m ** (gamma - 1.0) * float(np.sum(a[idx] * weights[idx]))
-        if val > 0.0:
-            out[idx] = np.maximum(out[idx], val)
-    return out
+    terms = a * weights
+    vals = np.zeros(len(system.cubes))
+    for ids, members in system.size_groups:
+        mass = np.sum(mu.masses[members], axis=1)
+        scale = [m ** (gamma - 1.0) if m > 0.0 else 0.0 for m in mass.tolist()]
+        vals[ids] = scale * np.sum(terms[members], axis=1)
+    vals = np.where(vals > 0.0, vals, 0.0)
+    return vals[system.label].max(axis=0)
 
 
 @dataclass

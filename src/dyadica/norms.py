@@ -121,7 +121,7 @@ def weak_quasinorm(g, omega: PointMeasure, q: float) -> float:
     levels = np.unique(a[(masses > 0) & (a > 0)])
     best = 0.0
     for v in levels:
-        w = omega.of(np.flatnonzero(a >= v))
+        w = float(np.sum(masses[a >= v]))
         best = max(best, float(v * w ** (1.0 / q)))
     return best
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,6 +54,38 @@ class QuasiMetricSpace:
 
     def points(self) -> range:
         return range(self.n)
+
+    @cached_property
+    def index(self) -> SpaceIndex:
+        """The per-row distance orders, built on first use and then kept."""
+        order = np.argsort(self.dist, axis=1, kind="stable")
+        dist_sorted = np.take_along_axis(self.dist, order, axis=1)
+        end = np.ones_like(dist_sorted, dtype=bool)
+        end[:, :-1] = dist_sorted[:, 1:] != dist_sorted[:, :-1]
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(self.n)[None, :], axis=1)
+        return SpaceIndex(*(_frozen(v) for v in (order, dist_sorted, end, rank)))
+
+
+@dataclass(frozen=True, eq=False)
+class SpaceIndex:
+    """Row c lists the points by distance from c, ties in id order.
+
+    ``order[c]`` is that list, ``dist_sorted[c]`` the distances along it,
+    ``end[c, j]`` marks position j as the last of its tie group (so the
+    strict balls centered at c are exactly the prefixes ending at an
+    ``end``), and ``rank[c, x]`` is the position of x in ``order[c]``.
+    """
+
+    order: np.ndarray
+    dist_sorted: np.ndarray
+    end: np.ndarray
+    rank: np.ndarray
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +138,9 @@ class DoublingEstimate:
 
 
 def build_space(dist: Sequence[Sequence[float]] | np.ndarray) -> QuasiMetricSpace:
-    """Validate a distance table and compute its quasi-triangle constant."""
-    d = np.asarray(dist, dtype=float)
+    """Validate a distance table, keep a read-only copy of it, and compute
+    its quasi-triangle constant."""
+    d = np.array(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise BadParams("distance table must be square", shape=d.shape)
     n = d.shape[0]
@@ -124,7 +158,7 @@ def build_space(dist: Sequence[Sequence[float]] | np.ndarray) -> QuasiMetricSpac
     if n > 1 and np.any(off == 0):
         x, y = np.argwhere(off == 0)[0]
         raise ZeroOffDiagonal(x=int(x), y=int(y))
-    return QuasiMetricSpace(dist=d, a0=_quasi_triangle_constant(d))
+    return QuasiMetricSpace(dist=_frozen(d), a0=_quasi_triangle_constant(d))
 
 
 def _quasi_triangle_constant(d: np.ndarray) -> float:

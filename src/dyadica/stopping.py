@@ -10,7 +10,9 @@ set.  Principal cubes implement the stopping-time family whose averages
 strictly more than double along nesting, and the summation lemma bounds
 the resulting average sums by twice the p-th power of the dyadic maximal
 function.  Containment between cubes is read off ``parent`` alone, and a
-decomposition keeps its image T f, which the second principle reads.  All
+decomposition keeps its image T f, which the second principle reads.  The
+level-set entry points take that image as ``image`` when the caller has
+it, so one T f serves every threshold of the same f.  All
 set and measure identities here are checked exactly; the analytic
 inequalities carry only a last-ulp roundoff guard, since the source
 results hold in exact arithmetic with explicit constants.
@@ -76,9 +78,10 @@ def _cubes_holding(gen: GeneralizedSystem, points: np.ndarray) -> np.ndarray:
     return hit
 
 
-def decompose_level_set(op, f, rho: float) -> LevelSetDecomposition:
+def decompose_level_set(op, f, rho: float,
+                        image: np.ndarray | None = None) -> LevelSetDecomposition:
     a = _nonnegative(f, rho)
-    img = np.asarray(op.apply(a), dtype=float)
+    img = np.asarray(op.apply(a) if image is None else image, dtype=float)
     in_omega = img > rho
     om = op.omega.masses
     ruled_out = _cubes_holding(op.gen, ~in_omega & (om > 0.0))
@@ -138,21 +141,23 @@ def shell_params(C_K: float) -> ShellParams:
     return ShellParams(C_K=C_K, n=n, C_m=2.0 ** (n - 1))
 
 
-def rho_grid(op, f) -> np.ndarray:
+def rho_grid(op, f, image: np.ndarray | None = None) -> np.ndarray:
     """Thresholds exercising every jump of the image: values x {1/2, 1, 2}."""
-    img = np.asarray(op.apply(np.asarray(f, dtype=float)), dtype=float)
+    img = np.asarray(op.apply(np.asarray(f, dtype=float)) if image is None
+                     else image, dtype=float)
     vals = np.unique(img[img > 0.0])
     if not vals.size:
         return np.array([1.0])
     return np.unique(np.concatenate([0.5 * vals, vals, 2.0 * vals]))
 
 
-def _principle_sweep(op, f, rho: float, C: float, localized: bool, violates):
+def _principle_sweep(op, f, rho: float, C: float, localized: bool, violates,
+                     image):
     """Decompose at rho/C, then apply op to f off each cover cube (on it,
     if localized, reading only points whose image exceeds rho); values in
     q_rho-then-member order, witness at the first that ``violates``."""
     a = _nonnegative(f, rho)
-    dec = decompose_level_set(op, a, rho / C)
+    dec = decompose_level_set(op, a, rho / C, image)
     values, witness = [], None
     for cube in dec.q_rho:
         chi = np.zeros(a.size)
@@ -170,8 +175,8 @@ def _principle_sweep(op, f, rho: float, C: float, localized: bool, violates):
     return dec, values, witness
 
 
-def check_max_principle_1(op, f, rho: float,
-                          C: float | None = None) -> CheckReport:
+def check_max_principle_1(op, f, rho: float, C: float | None = None,
+                          image: np.ndarray | None = None) -> CheckReport:
     """Off-cube mass is small on level cubes of the lowered threshold.
 
     For every Q in q_{rho/C} with C >= 2 C_K, the operator applied to f
@@ -185,7 +190,7 @@ def check_max_principle_1(op, f, rho: float,
         raise BadParams("need C >= 2 C_K", C=C, C_K=op.C_K)
     bound = rho / 2.0
     dec, values, witness = _principle_sweep(
-        op, f, rho, C, False, lambda val: val > guard(bound))
+        op, f, rho, C, False, lambda val: val > guard(bound), image)
     status = "vacuous" if not dec.q_rho else ("fail" if witness else "pass")
     return CheckReport(name="max_principle_1", status=status, witness=witness,
                        details={"rho": rho, "C": C, "bound": bound,
@@ -194,8 +199,8 @@ def check_max_principle_1(op, f, rho: float,
                        error=PrincipleViolated)
 
 
-def check_max_principle_2(op, f, rho: float,
-                          C_m: float | None = None) -> CheckReport:
+def check_max_principle_2(op, f, rho: float, C_m: float | None = None,
+                          image: np.ndarray | None = None) -> CheckReport:
     """Localized operator stays above rho/2 inside the original level set.
 
     For every Q in q_{rho/C_m} and every x in Q that also lies in the
@@ -210,7 +215,7 @@ def check_max_principle_2(op, f, rho: float,
     bound = rho / 2.0
     floor = bound * (1.0 - TOLERANCES["exact_guard_rel"])
     _, values, witness = _principle_sweep(
-        op, f, rho, C_m, True, lambda val: not val > floor)
+        op, f, rho, C_m, True, lambda val: not val > floor, image)
     status = "vacuous" if not values else ("fail" if witness else "pass")
     return CheckReport(name="max_principle_2", status=status, witness=witness,
                        details={"rho": rho, "C_m": C_m, "bound": bound,

@@ -384,6 +384,66 @@ class TestSharedProducts:
                          "operator_norm_strong": 2 + L}
 
 
+class TestSpaceIndexReuse:
+    def test_one_index_serves_every_apply_M_call(self, monkeypatch):
+        # the norm search makes as many apply_M calls as before the index
+        # (261 on this scenario), and all of them read one index object
+        import dyadica.maximal as maximal
+
+        indexes = []
+        real = maximal.apply_M
+
+        def recorded(params, *args, **kw):
+            indexes.append(params.space.index)
+            return real(params, *args, **kw)
+
+        monkeypatch.setattr(maximal, "apply_M", recorded)
+        rep = run_scenario(segment_scenario(
+            checks=list(KNOWN_CHECKS),
+            measures={"sigma": {"random": {"seed": 1}},
+                      "omega": {"random": {"seed": 2}}},
+            exponents={"p": 1.5, "q": 3.0}))
+        assert not rep.failed
+        assert len(indexes) == 261
+        assert all(idx is indexes[0] for idx in indexes)
+
+
+class TestStoppingImages:
+    def test_one_apply_on_each_trial_function(self, monkeypatch):
+        # rho_grid and both principles at every threshold share one image
+        # T f per trial function; the other applies are on f cut to a cube
+        import dyadica.harness as harness
+        from dyadica.operators import MatrixOperator
+
+        trials, applied = [], []
+        real_rng, real_apply = harness._Run.trial_rng, MatrixOperator.apply
+
+        def trial_rng(self, *channel):
+            rng = real_rng(self, *channel)
+            if channel[0] != 3:
+                return rng
+
+            class Recorded:
+                def random(self, n):
+                    trials.append(rng.random(n))
+                    return trials[-1]
+
+            return Recorded()
+
+        def apply(self, f):
+            applied.append(f)
+            return real_apply(self, f)
+
+        monkeypatch.setattr(harness._Run, "trial_rng", trial_rng)
+        monkeypatch.setattr(MatrixOperator, "apply", apply)
+        rep = run_scenario(segment_scenario(n=16, checks=["stopping"]))
+        assert not rep.failed
+        assert len(trials) == 2
+        for f in trials:
+            assert sum(x is f for x in applied) == 1
+        assert len(applied) > 2 * len(trials)
+
+
 class TestDeterminism:
     def test_identical_scenarios_identical_views(self):
         a = run_scenario(segment_scenario(n=6))

@@ -428,3 +428,185 @@ class TestVerdict:
                               budget=3, seed=7)
         assert a.norm.lower == b.norm.lower
         assert a.ratio == b.ratio
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: the per-center, per-cube and per-radius loops the
+# array forms replaced; the array forms must agree with them bit for bit
+# ---------------------------------------------------------------------------
+
+def apply_M_loop(params, f, inside=None):
+    """One stable argsort and one prefix-sum pass per center."""
+    mu, gamma = params.mu, params.gamma
+    weights = (inside if inside is not None else mu).masses
+    a = np.abs(np.asarray(f, dtype=float))
+    n = params.space.n
+    terms = a * weights
+    out = np.zeros(n)
+    for c in range(n):
+        order = np.argsort(params.space.dist[c], kind="stable")
+        dist_sorted = params.space.dist[c][order]
+        csum_terms = np.cumsum(terms[order])
+        csum_mu = np.cumsum(mu.masses[order])
+        boundary = np.empty(n, dtype=bool)
+        boundary[:-1] = dist_sorted[1:] != dist_sorted[:-1]
+        boundary[-1] = True
+        bidx = np.flatnonzero(boundary)
+        mu_pref = csum_mu[bidx]
+        s_pref = csum_terms[bidx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cut = np.where(mu_pref > 0.0,
+                           np.power(mu_pref, gamma - 1.0) * s_pref, -np.inf)
+        suffmax = np.maximum.accumulate(cut[::-1])[::-1]
+        group = np.searchsorted(bidx, np.arange(n), side="left")
+        vals = suffmax[group]
+        out[order] = np.maximum(out[order], np.where(vals > 0.0, vals, 0.0))
+    return out
+
+
+def apply_M_dyadic_loop(system, params, f, inside=None):
+    """One mass and one sum per cube."""
+    mu, gamma = params.mu, params.gamma
+    weights = (inside if inside is not None else mu).masses
+    a = np.abs(np.asarray(f, dtype=float))
+    out = np.zeros(a.size)
+    for cube in system.cubes:
+        m = mu.of(cube.members)
+        if m == 0.0:
+            continue
+        idx = list(cube.members)
+        val = m ** (gamma - 1.0) * float(np.sum(a[idx] * weights[idx]))
+        if val > 0.0:
+            out[idx] = np.maximum(out[idx], val)
+    return out
+
+
+def doubling_loop(space, mu):
+    """Two masked sums per center and radius."""
+    d = space.dist
+    vals = np.unique(d[d > 0.0])
+    if vals.size:
+        radii = np.unique(np.concatenate([vals, vals / 2.0,
+                                          [float(vals.max()) + 1.0]]))
+    else:
+        radii = np.array([1.0])
+    best = 1.0
+    for x in space.points():
+        row = d[x]
+        for r in radii:
+            den = float(np.sum(mu.masses[row < r]))
+            num = float(np.sum(mu.masses[row < 2.0 * r]))
+            if den == 0.0:
+                if num > 0.0:
+                    return math.inf
+                continue
+            best = max(best, num / den)
+    return best
+
+
+EXACT_SPACES = {
+    "segment": lambda: generate_space("integer_segment_counting", n=16),
+    "tree": lambda: generate_space("ultrametric_tree", depth=3, branching=3,
+                                   ratio=1.0 / 96.0),
+    "cloud": lambda: generate_space("euclidean_random_points", seed=4, n=20),
+    "one_point": lambda: generate_space("integer_segment_counting", n=1),
+}
+
+
+def exact_measures(n, seed):
+    """Counting, then non-integer masses (so summation order shows), then
+    the same with a third of the points null."""
+    rng = np.random.default_rng(seed)
+    yield PointMeasure(np.ones(n))
+    m = rng.random(n) + 0.01
+    yield PointMeasure(m)
+    null = m.copy()
+    null[rng.random(n) < 1 / 3] = 0.0
+    yield PointMeasure(null)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SPACES))
+class TestArrayFormsAreExact:
+    def test_apply_M(self, name):
+        space, _ = EXACT_SPACES[name]()
+        rng = np.random.default_rng(1)
+        for mu in exact_measures(space.n, 2):
+            inside = PointMeasure(rng.random(space.n)
+                                  * (rng.random(space.n) < 0.7))
+            for gamma in (0.0, 0.25, 0.5):
+                params = MaximalParams(space=space, mu=mu, gamma=gamma)
+                for f in (np.ones(space.n), rng.random(space.n),
+                          rng.normal(size=space.n) * (rng.random(space.n) < 0.5)):
+                    for ins in (None, inside):
+                        assert np.array_equal(apply_M(params, f, inside=ins),
+                                              apply_M_loop(params, f, ins))
+
+    def test_apply_M_dyadic(self, name):
+        space, _ = EXACT_SPACES[name]()
+        rng = np.random.default_rng(3)
+        # the strict window, then relaxed ones with cubes of many sizes
+        systems = [build_system(space),
+                   build_system(space, seed=1, delta=0.25),
+                   build_system(space, seed=2, delta=0.25, k_max=0)]
+        for mu in exact_measures(space.n, 4):
+            inside = PointMeasure(rng.random(space.n))
+            for gamma in (0.0, 0.25, 0.5):
+                params = MaximalParams(space=space, mu=mu, gamma=gamma)
+                for system in systems:
+                    for f in (np.ones(space.n), rng.random(space.n)):
+                        for ins in (None, inside):
+                            got = apply_M_dyadic(system, params, f, inside=ins)
+                            want = apply_M_dyadic_loop(system, params, f, ins)
+                            assert np.array_equal(got, want)
+
+    def test_doubling_constant(self, name):
+        # masses over several orders of magnitude put the supremum on balls
+        # of many points, where the summation order shows in the last ulp
+        space, _ = EXACT_SPACES[name]()
+        rng = np.random.default_rng(5)
+        spread = [PointMeasure(np.exp(3.0 * rng.normal(size=space.n)))
+                  for _ in range(20)]
+        for mu in [*exact_measures(space.n, 5), *spread]:
+            assert (measure_doubling_constant(space, mu)
+                    == doubling_loop(space, mu))
+
+
+class TestDoublingEdgeCases:
+    def test_zero_mass_inner_ball_is_infinite(self, segment16):
+        # point 5 is null but its neighbours are not: the ball B(5, 1) is
+        # empty of mass while B(5, 2) is not
+        space, _ = segment16
+        masses = np.ones(16)
+        masses[5] = 0.0
+        mu = PointMeasure(masses)
+        assert doubling_loop(space, mu) == math.inf
+        assert measure_doubling_constant(space, mu) == math.inf
+
+    def test_zero_measure_on_every_space(self):
+        for make in EXACT_SPACES.values():
+            space, _ = make()
+            mu = PointMeasure(np.zeros(space.n))
+            assert measure_doubling_constant(space, mu) == 1.0
+            assert doubling_loop(space, mu) == 1.0
+
+
+class TestSizeGroups:
+    def test_groups_partition_the_cubes(self, tree27):
+        space, _ = tree27
+        system = build_system(space)
+        seen = []
+        for ids, members in system.size_groups:
+            for i, row in zip(ids, members):
+                assert tuple(row) == system.cubes[i].members
+            seen.extend(ids.tolist())
+        assert sorted(seen) == list(range(len(system.cubes)))
+
+    def test_groups_are_cached_and_read_only(self, tree27):
+        space, _ = tree27
+        system = build_system(space)
+        assert system.size_groups is system.size_groups
+        ids, members = system.size_groups[0]
+        with pytest.raises(ValueError):
+            ids[0] = 1
+        with pytest.raises(ValueError):
+            members[0, 0] = 1

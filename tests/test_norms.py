@@ -103,6 +103,17 @@ class TestLpNorm:
             assert abs(a - b) <= 1e-12 * b
 
 
+def weak_quasinorm_loop(g, omega, q):
+    """One PointMeasure.of call per level: the reference weak_quasinorm."""
+    a = np.abs(np.asarray(g, dtype=float))
+    levels = np.unique(a[(omega.masses > 0) & (a > 0)])
+    best = 0.0
+    for v in levels:
+        w = omega.of(np.flatnonzero(a >= v))
+        best = max(best, float(v * w ** (1.0 / q)))
+    return best
+
+
 class TestWeakQuasinorm:
     def test_two_levels(self):
         omega = PointMeasure(np.ones(2))
@@ -134,6 +145,19 @@ class TestWeakQuasinorm:
         weak = weak_quasinorm(g, omega, q)
         strong = lp_norm(g, omega, q)
         assert weak <= strong * (1.0 + 1e-12)
+
+    def test_matches_level_loop(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 16, 27, 64):
+            for _ in range(10):
+                # non-integer masses so the summation order shows; rounded
+                # values so levels tie; a share of null points and zeros
+                masses = rng.random(n) * (rng.random(n) < 0.75)
+                omega = PointMeasure(masses)
+                g = np.round(rng.normal(size=n) * 4.0, 1)
+                for q in (1.0, 1.5, 3.0):
+                    assert weak_quasinorm(g, omega, q) == weak_quasinorm_loop(
+                        g, omega, q)
 
 
 class TestStrongNorm:

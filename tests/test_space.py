@@ -92,6 +92,47 @@ class TestBuildSpace:
         assert not ok
 
 
+class TestSpaceIndex:
+    def test_rows_are_stable_distance_orders(self, tree27):
+        space, _ = tree27
+        idx = space.index
+        for c in space.points():
+            order = np.argsort(space.dist[c], kind="stable")
+            assert np.array_equal(idx.order[c], order)
+            assert np.array_equal(idx.dist_sorted[c], space.dist[c][order])
+            assert np.array_equal(idx.rank[c][order], np.arange(space.n))
+            # one end per distinct distance t, closing the prefix {d <= t}
+            ends = np.flatnonzero(idx.end[c])
+            assert ends.size == np.unique(space.dist[c]).size
+            for j in ends:
+                closed = np.flatnonzero(space.dist[c] <= idx.dist_sorted[c, j])
+                assert np.array_equal(np.sort(order[:j + 1]), closed)
+
+    def test_built_once_and_read_only(self, segment4):
+        space, _ = segment4
+        idx = space.index
+        assert space.index is idx
+        for a in (idx.order, idx.dist_sorted, idx.end, idx.rank):
+            with pytest.raises(ValueError):
+                a[0, 0] = a[0, 1]
+
+    def test_caller_array_does_not_reach_the_space(self):
+        d = np.abs(np.arange(5.0)[:, None] - np.arange(5.0)[None, :])
+        space = build_space(d)
+        dist, order = space.dist.copy(), space.index.order.copy()
+        d[0, 1] = d[1, 0] = 9.0
+        d[2, 4] = d[4, 2] = 0.5
+        assert np.array_equal(space.dist, dist)
+        assert np.array_equal(space.index.order, order)
+        assert np.array_equal(
+            space.index.order, np.argsort(space.dist, axis=1, kind="stable"))
+
+    def test_distance_table_is_read_only(self, segment4):
+        space, _ = segment4
+        with pytest.raises(ValueError):
+            space.dist[0, 1] = 5.0
+
+
 class TestBalls:
     def test_strict_membership(self, segment4):
         space, _ = segment4
