@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .norms import (
     standard_cubes,
 )
 from .policy import TOLERANCES, close
-from .space import PointMeasure, QuasiMetricSpace
+from .space import PointMeasure, QuasiMetricSpace, _frozen
 
 MAXIMAL_SALT = 0xD0B1
 
@@ -76,6 +77,17 @@ class MaximalParams:
         dc = self.doubling_constant
         if dc is not None and math.isfinite(dc) and dc < 1.0:
             raise BadParams("doubling constant below one", value=dc)
+
+    @cached_property
+    def ball_powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Along each row of the space index: the mask of strict balls with
+        positive mu mass, and mu(B)^(gamma-1) of every prefix.  Built on
+        first use and then kept, read-only; apply_M reads both."""
+        idx = self.space.index
+        mu_pref = np.cumsum(self.mu.masses[idx.order], axis=1)
+        with np.errstate(divide="ignore"):
+            power = np.power(mu_pref, self.gamma - 1.0)
+        return _frozen(idx.end & (mu_pref > 0.0)), _frozen(power)
 
 
 def measure_doubling_constant(space: QuasiMetricSpace,
@@ -134,17 +146,15 @@ def apply_M(params: MaximalParams, f,
     maximum over the group ends, and a gather through ``rank`` cover all
     balls at once.  Points where every ball is mu-null get 0.
     """
-    mu, gamma = params.mu, params.gamma
-    weights = (inside if inside is not None else mu).masses
+    weights = (inside if inside is not None else params.mu).masses
     a = np.abs(np.asarray(f, dtype=float))
     if a.shape != weights.shape or a.size != params.space.n:
         raise BadParams("function size does not match the space", shape=a.shape)
     idx = params.space.index
     s_pref = np.cumsum((a * weights)[idx.order], axis=1)
-    mu_pref = np.cumsum(mu.masses[idx.order], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cut = np.where(idx.end & (mu_pref > 0.0),
-                       np.power(mu_pref, gamma - 1.0) * s_pref, -np.inf)
+    ball, power = params.ball_powers
+    with np.errstate(invalid="ignore"):
+        cut = np.where(ball, power * s_pref, -np.inf)
     suffmax = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1]
     vals = np.where(suffmax > 0.0, suffmax, 0.0)
     return np.take_along_axis(vals, idx.rank, axis=1).max(axis=0)

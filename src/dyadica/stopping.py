@@ -155,15 +155,21 @@ def _principle_sweep(op, f, rho: float, C: float, localized: bool, violates,
                      image):
     """Decompose at rho/C, then apply op to f off each cover cube (on it,
     if localized, reading only points whose image exceeds rho); values in
-    q_rho-then-member order, witness at the first that ``violates``."""
+    q_rho-then-member order, witness at the first that ``violates``.
+
+    On a cube holding every point, f restricted to the cube is f itself,
+    so its image is the one the decomposition already holds."""
     a = _nonnegative(f, rho)
     dec = decompose_level_set(op, a, rho / C, image)
     values, witness = [], None
     for cube in dec.q_rho:
-        chi = np.zeros(a.size)
-        chi[list(cube.members)] = 1.0
-        img = np.asarray(op.apply(a * chi if localized else a * (1.0 - chi)),
-                         dtype=float)
+        if localized and cube.size == a.size:
+            img = dec.image
+        else:
+            chi = np.zeros(a.size)
+            chi[list(cube.members)] = 1.0
+            img = np.asarray(op.apply(a * chi if localized
+                                      else a * (1.0 - chi)), dtype=float)
         for x in cube.members:
             if localized and not dec.image[x] > rho:
                 continue

@@ -443,6 +443,23 @@ class TestStoppingImages:
             assert sum(x is f for x in applied) == 1
         assert len(applied) > 2 * len(trials)
 
+    def test_whole_space_cube_needs_no_localized_apply(self, monkeypatch):
+        # every cover cube here is the whole segment, where principle 2
+        # reads the decomposition's image instead of applying op to f again
+        # at each of the 96 thresholds: 98 applies in all, not 194
+        from dyadica.operators import MatrixOperator
+
+        calls, real_apply = [], MatrixOperator.apply
+
+        def apply(self, f):
+            calls.append(f)
+            return real_apply(self, f)
+
+        monkeypatch.setattr(MatrixOperator, "apply", apply)
+        rep = run_scenario(segment_scenario(n=16, checks=["stopping"]))
+        assert not rep.failed
+        assert len(calls) == 98
+
 
 class TestDeterminism:
     def test_identical_scenarios_identical_views(self):
@@ -485,6 +502,29 @@ class TestDeterminism:
                             "omega": {"random": {"seed": 2,
                                                  "zero_fraction": 0.2}}},
                "checks": ["stopping"], "seed": 0, "budget": 3}
+        assert run_scenario(doc).hash == digest
+
+    # weak-type reports at p=1.5, q=3 (no spectral norm); the same digests
+    # come out under the OpenBLAS Haswell, Prescott and SkylakeX core types.
+    # The 16-point segment is not pinned: under Prescott its matrix-vector
+    # products round differently and weak_norm_lb moves by one ulp.
+    @pytest.mark.parametrize("space,digest", [
+        ({"kind": "euclidean_random_points", "n": 24},
+         "bf2f16e19aa8fcb0771014c5a0715de2b5bc90f0b1e100ee079ce1e01e797488"),
+        ({"kind": "ultrametric_tree", "depth": 3, "branching": 3},
+         "b3c92cf72f29b7efccbd4a006ff77ca513c183473b454dbaec26b7e1ab47a9f2"),
+        ({"kind": "ultrametric_tree", "depth": 2, "branching": 4},
+         "8a998e4cf279b1d7ce7c3e6ee9f85a8ff5cfb11d3d509e03d466754e14344c7a"),
+    ])
+    def test_weak_type_report_hash_is_pinned(self, space, digest):
+        doc = {"space": space,
+               "kernel": {"type": "ball_volume", "gamma": 0.5},
+               "measures": {"sigma": {"random": {"seed": 1,
+                                                 "zero_fraction": 0.2}},
+                            "omega": {"random": {"seed": 2,
+                                                 "zero_fraction": 0.2}}},
+               "exponents": {"p": 1.5, "q": 3.0},
+               "checks": ["weak-type"], "seed": 0, "budget": 3}
         assert run_scenario(doc).hash == digest
 
 

@@ -81,6 +81,30 @@ class TestMaximalParams:
         with pytest.raises(BadParams):
             MaximalParams(space=space, mu=mu, gamma=0.0, doubling_constant=0.5)
 
+    def test_ball_powers_built_once_and_read_only(self, segment16,
+                                                  monkeypatch):
+        space, mu = segment16
+        prop = vars(MaximalParams)["ball_powers"]
+        real, built = prop.func, []
+
+        def build(params):
+            built.append(params)
+            return real(params)
+
+        monkeypatch.setattr(prop, "func", build)
+        params = MaximalParams(space=space, mu=mu, gamma=0.5)
+        f = np.random.default_rng(0).random(16)
+        first = apply_M(params, f)
+        assert np.array_equal(apply_M(params, 2.0 * f), 2.0 * first)
+        assert built == [params]
+        for arr in params.ball_powers:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = arr[0, 0]
+        other = MaximalParams(space=space, mu=mu, gamma=0.5)
+        apply_M(other, f)
+        assert built == [params, other]
+
 
 class TestApplyM:
     def test_two_point_counting(self, two_point):

@@ -159,6 +159,28 @@ class TestWeakQuasinorm:
                     assert weak_quasinorm(g, omega, q) == weak_quasinorm_loop(
                         g, omega, q)
 
+    def test_screen_matches_level_loop_adversarial(self):
+        rng = np.random.default_rng(80)
+        for n in (1, 2, 7, 8, 9, 27, 256, 1024):
+            # masses over sixteen decades with a null share
+            masses = 10.0 ** rng.uniform(-8.0, 8.0, n) * (rng.random(n) < 0.8)
+            omega = PointMeasure(masses)
+            order = rng.permutation(n)
+            w = np.cumsum(masses[order])
+            for q in (0.5, 1.0, 1.5, 2.0, 3.0, 7.0):
+                spread = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+                ties = np.round(rng.normal(size=n) * 3.0)
+                # v * w(v)^(1/q) equal in exact arithmetic at every level, so
+                # the screen keeps many levels and only the re-sum decides
+                flat = np.empty(n)
+                flat[order] = (w + (w == 0.0)) ** (-1.0 / q)
+                flat *= 1.0 + rng.uniform(-1e-15, 1e-15, n)
+                with_inf = rng.random(n)
+                with_inf[rng.integers(n)] = math.inf
+                for g in (spread, ties, flat, with_inf):
+                    assert weak_quasinorm(g, omega, q) == weak_quasinorm_loop(
+                        g, omega, q)
+
 
 class TestStrongNorm:
     def test_one_point_closed_form(self):

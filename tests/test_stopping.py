@@ -270,6 +270,55 @@ class TestMaxPrinciples:
             assert rep.witness == {"k": k, "center": center, "x": x,
                                    "value": float(value), "bound": rho / 2}
 
+    def test_whole_space_cube_matches_applying_sweep(self, segment16,
+                                                     monkeypatch):
+        # reference: apply op to f on and off every cover cube, the whole
+        # space included; the reports must agree field for field, on passing
+        # thresholds and on failing ones (an understated C_K)
+        def applying_sweep(op, f, rho, C, localized, violates, image):
+            a = np.asarray(f, dtype=float)
+            dec = decompose_level_set(op, a, rho / C, image)
+            values, witness = [], None
+            for cube in dec.q_rho:
+                chi = np.zeros(a.size)
+                chi[list(cube.members)] = 1.0
+                img = op.apply(a * chi if localized else a * (1.0 - chi))
+                for x in cube.members:
+                    if localized and not dec.image[x] > rho:
+                        continue
+                    val = float(img[x])
+                    values.append(val)
+                    if witness is None and violates(val):
+                        witness = {"k": cube.k, "center": cube.center,
+                                   "x": x, "value": val, "bound": rho / 2.0}
+            return dec, values, witness
+
+        space, mu = segment16
+        rng = np.random.default_rng(12)
+        sigma = PointMeasure(random_masses(rng, 16, zero_fraction=0.2))
+        good = line_operator(space, mu, sigma=sigma)
+        bad = dataclasses.replace(good, C_K=0.5)
+
+        def reports():
+            out, trial = [], np.random.default_rng(13)
+            for op, kw in ((good, {}), (bad, {"C_m": 1.0})):
+                f = trial.random(16)
+                image = op.apply(f)
+                for rho in rho_grid(op, f, image):
+                    out.append(check_max_principle_1(op, f, float(rho),
+                                                     image=image))
+                    out.append(check_max_principle_2(op, f, float(rho),
+                                                     image=image, **kw))
+            return out
+
+        got = reports()
+        monkeypatch.setattr(stopping, "_principle_sweep", applying_sweep)
+        want = reports()
+        assert {r.status for r in got} >= {"pass", "fail"}
+        for r, w in zip(got, want, strict=True):
+            assert (r.status, r.witness, r.details) == \
+                (w.status, w.witness, w.details)
+
     def test_tree(self, tree27):
         space, mu = tree27
         op = line_operator(space, mu, gamma=0.5)
