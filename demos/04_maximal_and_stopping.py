@@ -41,13 +41,16 @@ print(f"M_gamma(point mass at 7): max {apply_M(params, f).max():.4f}, "
 dw = dual_weight(mu, sigma, p=2.0)
 print(f"dual weight range: {dw.v.min():.4f} .. {dw.v.max():.4f}")
 
-v = verdict_theorem_a(space, family, mu, sigma, omega,
+# The verdict reads the space off the family and measures the doubling
+# constant of (space, mu) itself, once, in the params it returns.
+v = verdict_theorem_a(family, mu, sigma, omega,
                       gamma=0.5, p=2.0, q=2.0, budget=6)
 print(f"\ntesting branch: testing={v.testing.value:.4f} "
-      f"norm>={v.norm.lower:.4f} ratio={v.ratio:.3f}")
+      f"norm>={v.norm.lower:.4f} ratio={v.ratio:.3f} "
+      f"doubling={v.params.doubling_constant}")
 
 # q = inf works too: the norm becomes a max over omega-charged points.
-vi = verdict_theorem_a(space, family, mu, sigma, omega,
+vi = verdict_theorem_a(family, mu, sigma, omega,
                        gamma=0.5, p=2.0, q=math.inf, budget=6)
 print(f"q = inf:        testing={vi.testing.value:.4f} "
       f"norm>={vi.norm.lower:.4f}")
@@ -57,7 +60,7 @@ print(f"q = inf:        testing={vi.testing.value:.4f} "
 # positive image norm.
 bad = sigma.masses.copy()
 bad[3] = 0.0
-nv = verdict_theorem_a(space, family, mu, PointMeasure(bad), omega,
+nv = verdict_theorem_a(family, mu, PointMeasure(bad), omega,
                        gamma=0.5, p=2.0, q=2.0)
 print(f"\nnecessity branch: violating set {nv.violating_set}, "
       f"lhs={nv.lhs:.4f} > 0 = rhs, confirmed={nv.confirmed}")

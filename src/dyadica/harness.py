@@ -39,11 +39,7 @@ from .dyadic import (
 )
 from .errors import BadParams, ConfigError, DyadicaError
 from .kernel import build_kernel, check_kernel_estimates, phi_table
-from .maximal import (
-    MaximalParams,
-    check_maximal_equivalence,
-    verdict_theorem_a,
-)
+from .maximal import check_maximal_equivalence, verdict_theorem_a
 from .norms import verdict_theorem_b, verdict_weak_type
 from .operators import (
     build_dyadic_operator,
@@ -356,18 +352,21 @@ class _Run:
             status = "fail"
         self.add(row(name, status, constant, witness))
 
-    def trials(self, name: str, check, key: str | None = None) -> None:
-        """Run check() up to budget times: the first report that does not
-        pass is the row, else a pass row with the largest details[key]."""
-        worst = 0.0
-        for _ in range(self.sc.budget):
-            rep = check()
-            if rep.status != "pass":
+    def trials(self, name: str, reports, key: str | None = None) -> None:
+        """One row for a check's reports over many trials: the first that
+        fails, else pass (with the largest details[key]) if any passed,
+        else vacuous.  Reports are drawn only up to the first fail."""
+        passed, worst = False, 0.0
+        for rep in reports:
+            if rep.status == "fail":
                 self.from_check(name, rep)
                 return
-            if key is not None:
-                worst = max(worst, rep.details[key])
-        self.manual(name, True, constant=None if key is None else worst)
+            if rep.status == "pass":
+                passed = True
+                if key is not None:
+                    worst = max(worst, rep.details[key])
+        self.manual(name, True, constant=worst if key and passed else None,
+                    vacuous=not passed)
 
     def trial_rng(self, *channel: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(
@@ -442,8 +441,8 @@ def _stage_operators(run: _Run) -> None:
         rng = run.trial_rng(1, t)
         for m in (1, 2, 3):
             run.trials(f"operators.t{t}.sandwich_m{m}",
-                       lambda: check_shifted_sandwich(op, rng.random(op.n), m),
-                       "worst_ratio")
+                       (check_shifted_sandwich(op, rng.random(op.n), m)
+                        for _ in range(budget)), "worst_ratio")
         run.from_check(f"operators.t{t}.dyadic_below_direct",
                        check_dyadic_below_direct(op),
                        constant_key="worst_ratio")
@@ -452,7 +451,8 @@ def _stage_operators(run: _Run) -> None:
                    constant_key="worst_margin")
     rng = run.trial_rng(2)
     run.trials("operators.family_domination",
-               lambda: check_family_domination(ops, rng.random(ops[0].n)))
+               (check_family_domination(ops, rng.random(ops[0].n))
+                for _ in range(budget)))
     run.constants.setdefault("C_K", ops[0].C_K)
 
 
@@ -498,29 +498,16 @@ def _stage_stopping(run: _Run) -> None:
     for t, op in enumerate(ops):
         sys = op.system
         rng = run.trial_rng(3, t)
-        agg = {"max_principle_1": "vacuous", "max_principle_2": "vacuous"}
-        bad: dict[str, CheckReport] = {}
+        cases = []
         for _ in range(budget):
             f = rng.random(op.n)
             image = op.apply(f)
-            for rho in rho_grid(op, f, image):
-                for key, checker in (("max_principle_1",
-                                      check_max_principle_1),
-                                     ("max_principle_2",
-                                      check_max_principle_2)):
-                    if key in bad:
-                        continue
-                    rep = checker(op, f, float(rho), image=image)
-                    if rep.status == "fail":
-                        bad[key] = rep
-                    elif rep.status == "pass" and agg[key] == "vacuous":
-                        agg[key] = "pass"
-        for key in ("max_principle_1", "max_principle_2"):
-            if key in bad:
-                run.from_check(f"stopping.t{t}.{key}", bad[key])
-            else:
-                run.manual(f"stopping.t{t}.{key}", True,
-                           vacuous=agg[key] == "vacuous")
+            cases.append((f, image, rho_grid(op, f, image)))
+        for key, checker in (("max_principle_1", check_max_principle_1),
+                             ("max_principle_2", check_max_principle_2)):
+            run.trials(f"stopping.t{t}.{key}",
+                       (checker(op, f, float(rho), image=image)
+                        for f, image, grid in cases for rho in grid))
         rng = run.trial_rng(4, t)
         failure = None
         for _ in range(budget):
@@ -541,15 +528,14 @@ def _stage_stopping(run: _Run) -> None:
 
 
 def _stage_theorem_a(run: _Run) -> None:
-    space = run.space
     roles = run.roles
-    family = run.family
     gamma = run.gamma()
     p, q = run.sc.exponents["p"], run.sc.exponents["q"]
-    mu, sigma, omega = roles["mu"], roles["sigma"], roles["omega"]
-    verdict = verdict_theorem_a(space, family, mu, sigma, omega, gamma,
-                                p, q, budget=run.sc.budget, seed=run.sc.seed)
-    run.constants.update(gamma=gamma, doubling_constant=verdict.doubling)
+    verdict = verdict_theorem_a(run.family, roles["mu"], roles["sigma"],
+                                roles["omega"], gamma, p, q,
+                                budget=run.sc.budget, seed=run.sc.seed)
+    doubling = verdict.params.doubling_constant
+    run.constants.update(gamma=gamma, doubling_constant=doubling)
     if verdict.branch == "necessity":
         ok = bool(verdict.confirmed)
         run.manual("theorem-a.necessity", ok,
@@ -567,11 +553,9 @@ def _stage_theorem_a(run: _Run) -> None:
                              maximal_norm_lb=verdict.norm.lower,
                              maximal_ratio=verdict.ratio,
                              maximal_testing_dyadic=verdict.dyadic_testing.value)
-    if math.isfinite(verdict.doubling):
-        params = MaximalParams(space=space, mu=mu, gamma=gamma,
-                               doubling_constant=verdict.doubling)
+    if math.isfinite(doubling):
         eq = check_maximal_equivalence(
-            family, params, trials=max(10, 2 * run.sc.budget),
+            run.family, verdict.params, trials=max(10, 2 * run.sc.budget),
             seed=run.sc.seed)
         run.manual("theorem-a.ball_dyadic_equivalence", eq.violations == 0,
                    constant=eq.dyadic_over_ball,

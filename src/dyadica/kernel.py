@@ -41,8 +41,8 @@ from .errors import (
     EstimateViolated,
     Unbounded,
 )
-from .policy import CheckReport, leq, outcome
-from .space import PointMeasure, QuasiMetricSpace
+from .policy import CheckReport, guard, outcome
+from .space import PointMeasure, QuasiMetricSpace, ball_masses
 
 
 @dataclass(eq=False)
@@ -83,19 +83,17 @@ def build_kernel(space: QuasiMetricSpace, mu: PointMeasure | None, kind: str,
         gamma = float(params.get("gamma", np.nan))
         if not (np.isfinite(gamma) and 0 < gamma <= 1):
             raise BadExponents("need gamma in (0, 1]", gamma=gamma)
-        closed = kind.endswith("closed")
+        side = "right" if kind.endswith("closed") else "left"
         K = np.empty((n, n))
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                r = d[x, y]
-                inside = d[x] <= r if closed else d[x] < r
-                mass = float(np.sum(mu.masses[inside]))
-                if mass == 0.0:
-                    raise EmptyBallMass(x=x, y=y, radius=float(r))
-                K[x, y] = mass ** (gamma - 1.0)
-        for x in range(n):
+        for x, (steps, mass) in enumerate(ball_masses(space, mu)):
+            row = mass[np.searchsorted(steps, d[x], side=side)]
+            empty = np.flatnonzero((row == 0.0) & (np.arange(n) != x))
+            if empty.size:
+                y = int(empty[0])
+                raise EmptyBallMass(x=x, y=y, radius=float(d[x, y]))
+            # Python float powers: numpy's power may move the last ulp
+            K[x] = [m ** (gamma - 1.0) if m > 0.0 else np.inf
+                    for m in row.tolist()]
             mx = float(mu.masses[x])
             K[x, x] = mx ** (gamma - 1.0) if mx > 0 else np.inf
     elif kind == "matrix":
@@ -141,26 +139,29 @@ def kernel_growth_constant(kernel: Kernel, space: QuasiMetricSpace,
 def _first_slot_growth(K: np.ndarray, d: np.ndarray, k2: float,
                        slot: str) -> float:
     """The growth constant of K's first argument; ``slot`` names that
-    argument in the original kernel (K is its transpose for "y")."""
-    n = K.shape[0]
+    argument in the original kernel (K is its transpose for "y").  In a
+    column b the points a may move to are a prefix of the a' != b sorted by
+    d(a', b), so one running minimum serves every a."""
+    ids = np.arange(K.shape[0])
     k1 = 1.0
-    off = ~np.eye(n, dtype=bool)
-    for b in range(n):
-        ok = off[:, b]
-        num = K[:, b]
-        limit = k2 * d[:, b]
-        for a in range(n):
-            if a == b or num[a] == 0.0:
-                continue
-            reachable = ok & (d[:, b] <= limit[a])
-            den = num[reachable]
-            if np.any(den == 0.0):
-                moved = int(np.flatnonzero(reachable)[np.argmax(den == 0.0)])
-                x, y = (a, b) if slot == "x" else (b, a)
-                raise Unbounded("positive value comparable to a zero one",
-                                x=x, y=y, **{f"{slot}_moved": moved})
-            if den.size:
-                k1 = max(k1, float(num[a] / den.min()))
+    for b in range(ids.size):
+        moves = ids[ids != b]
+        moves = moves[np.argsort(d[moves, b], kind="stable")]
+        den = K[moves, b]
+        reach = np.searchsorted(d[moves, b], k2 * d[:, b], side="right")
+        live = np.flatnonzero((ids != b) & (K[:, b] != 0.0) & (reach > 0))
+        if not live.size:
+            continue
+        low = np.minimum.accumulate(den)[reach[live] - 1]
+        if np.any(low == 0.0):
+            a = int(live[np.argmax(low == 0.0)])
+            # the moved point is the smallest id among reachable zeros
+            zeros = np.minimum.accumulate(np.where(den == 0.0, moves, ids.size))
+            moved = int(zeros[reach[a] - 1])
+            x, y = (a, b) if slot == "x" else (b, a)
+            raise Unbounded("positive value comparable to a zero one",
+                            x=x, y=y, **{f"{slot}_moved": moved})
+        k1 = max(k1, float(np.max(K[live, b] / low)))
     return k1
 
 
@@ -246,7 +247,7 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
             worst = ratio
             witness = {"k": cube.k, "center": cube.center,
                        "phi": v, "min_pair_value": low}
-        if not leq(v, C_K * low):
+        if not v <= guard(C_K * low):
             emit("bounded_on_separated_pairs",
                  {"k": cube.k, "center": cube.center, "phi": v,
                   "min_pair_value": low, "C_K": C_K})
@@ -270,7 +271,7 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
             ratio = phi.of(walk) / phi.of(cube) if phi.of(cube) > 0 else (
                 np.inf if phi.of(walk) > 0 else 0.0)
             worst2 = max(worst2, ratio)
-            if not leq(phi.of(walk), C_K * phi.of(cube)):
+            if not phi.of(walk) <= guard(C_K * phi.of(cube)):
                 emit("bounded_along_ancestry",
                      {"ancestor": (walk.k, walk.center),
                       "descendant": (cube.k, cube.center),

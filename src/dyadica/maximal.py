@@ -8,7 +8,8 @@ ordering, so the operator is computed exactly, not sampled, in a few
 (n x n) passes over the rows of ``QuasiMetricSpace.index``.  The dyadic
 variant replaces balls by the cubes of one system, summed per
 ``DyadicSystem.size_groups``, and the two are pointwise comparable with
-explicit constants on doubling instances.
+explicit constants on doubling instances.  The doubling constant is a
+property of (space, mu): ``MaximalParams`` measures it on first read.
 
 The two-weight boundedness verdict follows the dual weight reduction: with
 u the Radon-Nikodym derivative of the base measure against the source
@@ -16,7 +17,8 @@ weight and v = u^{1/(p-1)} on its support, the testing functions chi_Q v
 are fed to the norm optimizer as mandatory seeds, which keeps the exact
 testing supremum structurally below the certified norm lower bound.  When
 absolute continuity fails the verdict flips to the necessity branch and
-exhibits a violating indicator function instead.
+exhibits a violating indicator function instead.  One ``MaximalParams``
+serves the whole verdict and is returned with it.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from .errors import (
     BadParams,
     BadExponents,
     Infinite,
-    LowerBoundViolated,
     NotAbsolutelyContinuous,
     PropertyViolation,
 )
 from .norms import (
     Exponents,
     NormEstimate,
+    _check_structural,
     _equivalence_ratio,
     cube_testing,
     indicator,
@@ -47,7 +49,7 @@ from .norms import (
     standard_cubes,
 )
 from .policy import TOLERANCES, close
-from .space import PointMeasure, QuasiMetricSpace, _frozen
+from .space import PointMeasure, QuasiMetricSpace, _frozen, ball_masses
 
 MAXIMAL_SALT = 0xD0B1
 
@@ -58,15 +60,13 @@ class MaximalParams:
 
     ``mu`` is the measure defining both the normalizing mass mu(B)^(1-gamma)
     and, by default, the integration inside the average.  The doubling
-    constant is the measured supremum of mu(B(x, 2r))/mu(B(x, r)); None
-    means it has not been measured (the operators themselves never need it,
-    only the ball/dyadic comparison does).
+    constant of (space, mu) is not an input: it is measured on first read
+    and then kept (only the ball/dyadic comparison needs it).
     """
 
     space: QuasiMetricSpace
     mu: PointMeasure
     gamma: float
-    doubling_constant: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -74,9 +74,10 @@ class MaximalParams:
         if self.mu.masses.size != self.space.n:
             raise BadParams("measure size does not match the space",
                             size=self.mu.masses.size, n=self.space.n)
-        dc = self.doubling_constant
-        if dc is not None and math.isfinite(dc) and dc < 1.0:
-            raise BadParams("doubling constant below one", value=dc)
+
+    @cached_property
+    def doubling_constant(self) -> float:
+        return measure_doubling_constant(self.space, self.mu)
 
     @cached_property
     def ball_powers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -113,10 +114,7 @@ def measure_doubling_constant(space: QuasiMetricSpace,
     else:
         radii = np.array([1.0])
     best = 1.0
-    for row in d:
-        steps = np.unique(row)
-        mass = np.array([np.sum(mu.masses[row < t]) for t in steps]
-                        + [np.sum(mu.masses)])
+    for steps, mass in ball_masses(space, mu):
         den = mass[np.searchsorted(steps, radii)]
         num = mass[np.searchsorted(steps, 2.0 * radii)]
         if np.any((den == 0.0) & (num > 0.0)):
@@ -129,9 +127,10 @@ def measure_doubling_constant(space: QuasiMetricSpace,
 
 def maximal_params(space: QuasiMetricSpace, mu: PointMeasure,
                    gamma: float) -> MaximalParams:
-    """MaximalParams with the doubling constant measured on the instance."""
-    return MaximalParams(space=space, mu=mu, gamma=gamma,
-                         doubling_constant=measure_doubling_constant(space, mu))
+    """MaximalParams with the doubling constant already measured."""
+    params = MaximalParams(space=space, mu=mu, gamma=gamma)
+    params.doubling_constant  # measured here, not in the first comparison
+    return params
 
 
 def apply_M(params: MaximalParams, f,
@@ -258,8 +257,6 @@ def check_maximal_equivalence(family, params: MaximalParams,
     """
     systems = _family_systems(family)
     dc = params.doubling_constant
-    if dc is None:
-        dc = measure_doubling_constant(params.space, params.mu)
     if not math.isfinite(dc):
         raise BadParams("comparison needs a doubling base measure",
                         doubling_constant=dc)
@@ -342,28 +339,27 @@ class MaximalTesting:
     per_system: tuple[float, ...] = ()
 
 
-def testing_constant_maximal(family, mu: PointMeasure, sigma: PointMeasure,
-                             omega: PointMeasure, gamma: float,
+def testing_constant_maximal(family, params: MaximalParams,
+                             sigma: PointMeasure, omega: PointMeasure,
                              p: float, q: float, *,
                              dyadic: bool = False) -> MaximalTesting:
     """Testing supremum of the maximal operator over standard cubes.
 
     Ball form (default): the dual-weight reformulation
     sup_Q v(Q)^(-1/p) ||chi_Q M_gamma(chi_Q dv)||_{L^q_omega}, with v from
-    dual_weight(mu, sigma, p), over the cubes of every system.  Dyadic
-    form: per system, sup_Q sigma(Q)^(-1/p) ||chi_Q M^D(chi_Q dsigma)||,
-    where sigma is arbitrary (no absolute continuity needed) and only the
-    cube's own system defines M^D; value is the max across systems.
+    dual_weight(params.mu, sigma, p), over the cubes of every system.
+    Dyadic form: per system, sup_Q sigma(Q)^(-1/p) ||chi_Q M^D(chi_Q
+    dsigma)||, where sigma is arbitrary (no absolute continuity needed) and
+    only the cube's own system defines M^D; value is the max across systems.
     """
     Exponents(p, q)
     systems = _family_systems(family)
-    params = MaximalParams(space=systems[0].space, mu=mu, gamma=gamma)
     if dyadic:
         sweeps = [(s.cubes, sigma,
                    lambda chi, s=s: apply_M_dyadic(s, params, chi, inside=sigma))
                   for s in systems]
     else:
-        dw = dual_weight(mu, sigma, p)
+        dw = dual_weight(params.mu, sigma, p)
         sweeps = [(standard_cubes(systems), dw.v_measure,
                    lambda chi: apply_M(params, chi, inside=dw.v_measure))]
     best, argmax, hits, per = 0.0, None, 0, []
@@ -391,9 +387,8 @@ class TheoremAVerdict:
     """
 
     branch: str
-    gamma: float
+    params: MaximalParams
     exponents: Exponents
-    doubling: float
     testing: MaximalTesting | None = None
     norm: NormEstimate | None = None
     ratio: float | None = None
@@ -404,10 +399,9 @@ class TheoremAVerdict:
     confirmed: bool | None = None
 
 
-def verdict_theorem_a(space: QuasiMetricSpace, family, mu: PointMeasure,
-                      sigma: PointMeasure, omega: PointMeasure, gamma: float,
-                      p: float, q: float, *, budget: int = 8,
-                      seed: int = 0) -> TheoremAVerdict:
+def verdict_theorem_a(family, mu: PointMeasure, sigma: PointMeasure,
+                      omega: PointMeasure, gamma: float, p: float, q: float,
+                      *, budget: int = 8, seed: int = 0) -> TheoremAVerdict:
     """Check the maximal-operator characterization on one instance.
 
     With mu absolutely continuous against sigma, computes the exact ball
@@ -421,32 +415,29 @@ def verdict_theorem_a(space: QuasiMetricSpace, family, mu: PointMeasure,
     is positive while the source norm is exactly zero.
     """
     ex = Exponents(p, q)
-    params = maximal_params(space, mu, gamma)
-    dc = params.doubling_constant
+    params = maximal_params(_family_systems(family)[0].space, mu, gamma)
     bad = np.flatnonzero((sigma.masses == 0.0) & (mu.masses > 0.0))
     if bad.size:
         members = tuple(int(b) for b in bad)
-        f = indicator(space.n, members)
+        f = indicator(params.space.n, members)
         lhs = lp_norm(apply_M(params, f), omega, q)
         rhs = lp_norm(f, sigma, p)
-        return TheoremAVerdict(branch="necessity", gamma=gamma, exponents=ex,
-                               doubling=dc, violating_set=members, lhs=lhs,
-                               rhs=rhs, confirmed=bool(lhs > 0.0 and rhs == 0.0))
+        return TheoremAVerdict(branch="necessity", params=params, exponents=ex,
+                               violating_set=members, lhs=lhs, rhs=rhs,
+                               confirmed=bool(lhs > 0.0 and rhs == 0.0))
     dw = dual_weight(mu, sigma, p)
-    testing = testing_constant_maximal(family, mu, sigma, omega, gamma, p, q)
+    testing = testing_constant_maximal(family, params, sigma, omega, p, q)
     seeds: list[np.ndarray] = []
     for cube in standard_cubes(family):
-        chi = indicator(space.n, cube.members)
+        chi = indicator(params.space.n, cube.members)
         seeds.append(chi * dw.v)
         seeds.append(chi)
     norm = operator_norm_strong(lambda f: apply_M(params, f), sigma, omega,
                                 p, q, budget=budget, seeds=seeds, seed=seed)
-    if testing.value > norm.lower + TOLERANCES["testing_le_norm_abs"]:
-        raise LowerBoundViolated("maximal testing constant exceeds the norm bound",
-                                 testing=testing.value, norm=norm.lower)
-    dyadic = testing_constant_maximal(family, mu, sigma, omega, gamma, p, q,
+    _check_structural("maximal", testing.value, norm.lower)
+    dyadic = testing_constant_maximal(family, params, sigma, omega, p, q,
                                       dyadic=True)
-    return TheoremAVerdict(branch="testing", gamma=gamma, exponents=ex,
-                           doubling=dc, testing=testing, norm=norm,
+    return TheoremAVerdict(branch="testing", params=params, exponents=ex,
+                           testing=testing, norm=norm,
                            ratio=_equivalence_ratio(norm.lower, testing.value),
                            dyadic_testing=dyadic)

@@ -419,20 +419,20 @@ def cube_testing(cubes, action, normalizer: PointMeasure,
     return best, argmax, hits, infinite
 
 
-def testing_constants(op, family, sigma: PointMeasure, omega: PointMeasure,
-                      p: float, q: float) -> TestingConstants:
+def testing_constants(op, family, p: float, q: float) -> TestingConstants:
     """Both testing constants for op over the family's standard cubes.
 
     strong: sup_Q sigma(Q)^(-1/p) ||chi_Q op(chi_Q d sigma)||_{L^q(omega)};
-    dual:   the same with (omega, q') normalizing and the adjoint inside.
+    dual:   the same with (omega, q') normalizing and the adjoint inside,
+    where (sigma, omega) is the operator's own pair.
     """
     ex = Exponents(p, q)
     require_finite_q(ex)
     cubes = standard_cubes(family)
-    s_val, s_arg, s_hits, s_inf = cube_testing(cubes, op.apply, sigma, omega,
-                                               ex.q, ex.p)
-    d_val, d_arg, d_hits, d_inf = cube_testing(cubes, op.apply_adjoint, omega,
-                                               sigma, ex.p_prime, ex.q_prime)
+    s_val, s_arg, s_hits, s_inf = cube_testing(
+        cubes, op.apply, op.sigma, op.omega, ex.q, ex.p)
+    d_val, d_arg, d_hits, d_inf = cube_testing(
+        cubes, op.apply_adjoint, op.omega, op.sigma, ex.p_prime, ex.q_prime)
     return TestingConstants(s_val, d_val, s_arg, d_arg, s_hits + d_hits,
                             tuple(s_inf + d_inf))
 
@@ -481,7 +481,7 @@ def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
     ex = Exponents(p, q)
     require_finite_q(ex)
     op = MatrixOperator(kernel.matrix, sigma, omega)
-    tc = testing_constants(op, family, sigma, omega, p, q)
+    tc = testing_constants(op, family, p, q)
     if tc.infinite_cubes:
         raise InfiniteTesting("testing constant is infinite",
                               witness={"cubes": [(c.k, c.center)
@@ -536,7 +536,7 @@ def verdict_weak_type(strong: StrongVerdict, ops, *, budget: int = 8,
     sub_budget = max(2, budget // 3)
     for t, dop in enumerate(ops):
         sys = dop.system
-        dtc = testing_constants(dop, sys, sigma, omega, ex.p, ex.q)
+        dtc = testing_constants(dop, sys, ex.p, ex.q)
         sys_seeds = cube_seeds(sys, sigma.masses.size)
         dadj = operator_norm_strong(dop.apply_adjoint, omega, sigma,
                                     dual_ex.p, dual_ex.q, sub_budget,

@@ -33,6 +33,7 @@ a +inf against a nonzero density propagates as a signed infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .errors import (
 )
 from .kernel import Kernel, PhiTable, phi_table
 from .policy import TOLERANCES, CheckReport, close, guard, guard_vec, outcome
-from .space import PointMeasure
+from .space import PointMeasure, _frozen
 
 
 def _as_density(f, n: int) -> np.ndarray:
@@ -61,17 +62,24 @@ def _as_density(f, n: int) -> np.ndarray:
     return v
 
 
-def weighted_apply(matrix: np.ndarray, f, measure: PointMeasure) -> np.ndarray:
-    """Integrate a kernel matrix against f d(measure), inf * 0 = 0."""
-    n = matrix.shape[0]
-    g = _as_density(f, n) * measure.masses
-    off = matrix.copy()
+def split_diagonal(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only: a C-ordered copy of matrix with a zero diagonal, and that
+    diagonal."""
+    off = np.array(matrix, dtype=float, order="C")
+    diag = off.diagonal().copy()
     np.fill_diagonal(off, 0.0)
-    out = off @ g
-    diag = matrix.diagonal()
-    with np.errstate(invalid="ignore"):
-        dterm = diag * g
-    return out + np.where(g == 0.0, 0.0, dterm)
+    return _frozen(off), _frozen(diag)
+
+
+def weighted_apply(off: np.ndarray, diag: np.ndarray, f,
+                   measure: PointMeasure) -> np.ndarray:
+    """Integrate a split kernel matrix against f d(measure), inf * 0 = 0:
+    the diagonal multiplies only where the density is nonzero. Off-diagonal
+    values are finite, so a zero density has the zero image."""
+    g = _as_density(f, off.shape[0]) * measure.masses
+    if not g.any():
+        return np.zeros(g.size)
+    return off @ g + np.multiply(diag, g, out=np.zeros(g.size), where=g != 0.0)
 
 
 def pairing(u: np.ndarray, v: np.ndarray, w: PointMeasure) -> float:
@@ -83,7 +91,7 @@ def pairing(u: np.ndarray, v: np.ndarray, w: PointMeasure) -> float:
 
 
 def apply_direct(kernel: Kernel, f, sigma: PointMeasure) -> np.ndarray:
-    return weighted_apply(kernel.matrix, f, sigma)
+    return weighted_apply(*split_diagonal(kernel.matrix), f, sigma)
 
 
 @dataclass(eq=False)
@@ -92,7 +100,9 @@ class MatrixOperator:
 
     The adjoint integrates the transposed matrix against omega. The direct
     operator is MatrixOperator(kernel.matrix, sigma, omega); the dyadic
-    model operator is the same action on its envelope matrix.
+    model operator is the same action on its envelope matrix. The first
+    apply splits the matrix and its transpose and keeps the splits, so the
+    matrix must not change after it.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -103,11 +113,15 @@ class MatrixOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def _splits(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return split_diagonal(self.matrix), split_diagonal(self.matrix.T)
+
     def apply(self, f) -> np.ndarray:
-        return weighted_apply(self.matrix, f, self.sigma)
+        return weighted_apply(*self._splits[0], f, self.sigma)
 
     def apply_adjoint(self, h) -> np.ndarray:
-        return weighted_apply(self.matrix.T, h, self.omega)
+        return weighted_apply(*self._splits[1], h, self.omega)
 
 
 @dataclass(eq=False)
@@ -215,9 +229,9 @@ def _vec_close(a: np.ndarray, b: np.ndarray, rel: float) -> tuple[bool, int, flo
     return not bad.size, i, float(err[i])
 
 
-def check_forms_agree(op: DyadicOperator,
-                      rel: float = TOLERANCES["dual_form_rel"]) -> CheckReport:
+def check_forms_agree(op: DyadicOperator) -> CheckReport:
     """Kernel form and telescoping form agree on every basis density."""
+    rel = TOLERANCES["dual_form_rel"]
     n = op.n
     worst = 0.0
     for j in range(n):
@@ -235,9 +249,10 @@ def check_forms_agree(op: DyadicOperator,
                    worst_rel_err=worst, rel=rel)
 
 
-def check_self_adjoint(op: DyadicOperator, seed: int = 0, trials: int = 20,
-                       rel: float = TOLERANCES["duality_rel"]) -> CheckReport:
+def check_self_adjoint(op: DyadicOperator, seed: int = 0,
+                       trials: int = 20) -> CheckReport:
     """<T_D(g dsigma), h>_omega == <g, T_D(h domega)>_sigma on random pairs."""
+    rel = TOLERANCES["duality_rel"]
     rng = np.random.default_rng(np.random.SeedSequence([0xAD01, seed]))
     sigma, omega = op.gen.sigma, op.gen.omega
     n = op.n

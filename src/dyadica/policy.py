@@ -32,14 +32,10 @@ TOLERANCES: dict[str, float] = {
 }
 
 
-def guard(value: float, rel: float = TOLERANCES["exact_guard_rel"]) -> float:
+def guard(value: float) -> float:
     """Upper comparison bound for ``x <= value`` allowing last-ulp noise."""
+    rel = TOLERANCES["exact_guard_rel"]
     return value * (1.0 + rel) if value >= 0 else value * (1.0 - rel)
-
-
-def leq(lhs: float, rhs: float, rel: float = TOLERANCES["exact_guard_rel"]) -> bool:
-    """``lhs <= rhs`` up to relative roundoff guard on the right side."""
-    return lhs <= guard(rhs, rel) + 0.0
 
 
 def close(a: float, b: float, rel: float) -> bool:
@@ -88,8 +84,9 @@ def require(report: CheckReport) -> CheckReport:
     return report
 
 
-def guard_vec(values, rel: float = TOLERANCES["exact_guard_rel"]):
+def guard_vec(values):
     """Elementwise ``guard`` for arrays."""
     import numpy as np
     v = np.asarray(values, dtype=float)
+    rel = TOLERANCES["exact_guard_rel"]
     return np.where(v >= 0, v * (1.0 + rel), v * (1.0 - rel))

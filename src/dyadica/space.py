@@ -182,6 +182,16 @@ def ball(space: QuasiMetricSpace, x: int, r: float) -> Ball:
     return Ball(center=x, radius=float(r), members=tuple(int(i) for i in members))
 
 
+def ball_masses(space: QuasiMetricSpace, mu: PointMeasure):
+    """Per center x, in id order: its distinct distances ``steps``,
+    ascending, and mass[j] = mu(ball(x, steps[j])) summed in point-id
+    order, with mass[-1] = mu(X)."""
+    for row in space.dist:
+        steps = np.unique(row)
+        yield steps, np.array([np.sum(mu.masses[row < t]) for t in steps]
+                              + [np.sum(mu.masses)])
+
+
 def estimate_geometric_doubling(space: QuasiMetricSpace) -> DoublingEstimate:
     """Greedy-cover upper bound for the geometric doubling constant.
 

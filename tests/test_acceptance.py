@@ -351,7 +351,7 @@ def test_criterion_09_maximal_characterization():
         slack = TOLERANCES["testing_le_norm_abs"]
         for label, space, mu, sigma, omega in _measure_pairs():
             fam = _fam_of(label)
-            v = verdict_theorem_a(space, fam, mu, sigma, omega,
+            v = verdict_theorem_a(fam, mu, sigma, omega,
                                   gamma=0.5, p=2.0, q=2.0, budget=4, seed=0)
             assert v.branch == "testing"
             assert v.testing.value <= v.norm.lower + slack
@@ -363,7 +363,7 @@ def test_criterion_09_maximal_characterization():
                 assert np.allclose(lhs, rhs, rtol=TOLERANCES["dual_weight_rel"],
                                    atol=0.0)
         space, mu = _space("segment16")
-        v = verdict_theorem_a(space, _family("segment16"), mu, mu, mu,
+        v = verdict_theorem_a(_family("segment16"), mu, mu, mu,
                               gamma=0.5, p=2.0, q=math.inf, budget=4, seed=0)
         assert v.branch == "testing" and math.isfinite(v.ratio)
         confirmed = 0
@@ -374,7 +374,7 @@ def test_criterion_09_maximal_characterization():
             masses = mu.masses.copy()
             masses[i % n] = 0.0
             sigma = PointMeasure(masses)
-            v = verdict_theorem_a(space, fam, mu, sigma, mu,
+            v = verdict_theorem_a(fam, mu, sigma, mu,
                                   gamma=(0.0, 0.25, 0.5)[i % 3],
                                   p=2.0, q=2.0, budget=4, seed=0)
             assert v.branch == "necessity"

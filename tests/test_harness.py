@@ -1,19 +1,27 @@
 """Scenario plumbing, report determinism, and sweeps."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyadica
 from dyadica.errors import ConfigError
 from dyadica.harness import (
+    _Run,
     random_measure,
     run_scenario,
     set_by_path,
     summarize,
     sweep,
 )
+from dyadica.policy import CheckReport
 from dyadica.reporting import (
     KNOWN_CHECKS,
     Report,
@@ -37,6 +45,57 @@ def segment_scenario(n=8, budget=2, **extra):
     }
     doc.update(extra)
     return doc
+
+
+def theorem_a_doc(doc):
+    return dict(doc, checks=["theorem-a"], seed=0, budget=3)
+
+
+def kernel_doc(doc):
+    return dict(doc, checks=["kernel"], seed=0)
+
+
+_OMEGA = {"random": {"seed": 2, "zero_fraction": 0.2}}
+
+# theorem-a-only reports: the testing branch with a doubling mu, at p=q=2
+# and at p=1.5, q=3; the necessity branch; a mu with null points, whose
+# ball/dyadic comparison is vacuous
+THEOREM_A_PINS = [
+    ({"space": {"kind": "integer_segment_counting", "n": 16},
+      "measures": {"omega": _OMEGA}},
+     "82d08274e278aa7a083b8b07e1fd5b58d7905c251c6a8ccf3bede266cd13739c"),
+    ({"space": {"kind": "euclidean_random_points", "n": 16},
+      "measures": {"omega": _OMEGA}, "exponents": {"p": 1.5, "q": 3.0}},
+     "4a07b66160d8b545ac68c61742b72e644ad758bc2eae0101ab0a14928c8950c3"),
+    ({"space": {"kind": "ultrametric_tree", "depth": 3, "branching": 3},
+      "measures": {"sigma": {"random": {"seed": 1, "zero_fraction": 0.2}},
+                   "omega": _OMEGA}},
+     "59910bcf867dc9ac2c622f4a4664830df9a8a27e6420e7c4cc7c33f7c9cd99ab"),
+    ({"space": {"kind": "integer_segment_counting", "n": 12},
+      "measures": {"mu": {"random": {"seed": 3, "zero_fraction": 0.3}},
+                   "omega": _OMEGA}},
+     "6cd10e1d40d37e2559a208ba0d0108172bf2ba9a9a847041a9de102f0778a610"),
+]
+
+# kernel-only reports: strict and closed ball-volume kernels (their growth
+# constants and envelopes), one whose strict ball (7, dist(7, 11)) has no
+# mu mass, and a frac_rho kernel
+KERNEL_PINS = [
+    ({"space": {"kind": "euclidean_random_points", "n": 20},
+      "kernel": {"type": "ball_volume", "gamma": 0.5, "ball": "strict"}},
+     "69b207568e0b678481215c0ba4ef79f2b243e127bda93dc45d8404ea9c9b6361"),
+    ({"space": {"kind": "ultrametric_tree", "depth": 3, "branching": 3},
+      "kernel": {"type": "ball_volume", "gamma": 0.25},
+      "measures": {"mu": {"random": {"seed": 4}}}},
+     "382cc498ff4de37c6297b092e9d68ab9d15356666d83db4644698de74509a70f"),
+    ({"space": {"kind": "euclidean_random_points", "n": 12},
+      "kernel": {"type": "ball_volume", "gamma": 0.5, "ball": "strict"},
+      "measures": {"mu": {"random": {"seed": 14, "zero_fraction": 0.3}}}},
+     "35b15a1f5747b0865028a3607447263fb2c19197a855ec0c8fa7fe7b26b9973b"),
+    ({"space": {"kind": "euclidean_random_points", "n": 16},
+      "kernel": {"type": "frac_rho", "alpha": 0.5, "n": 1, "diag": 1.0}},
+     "6ebf7fe21da3c9328fcb26604c42aa23ac08c2dc6a0411858290a9456a3ea6e1"),
+]
 
 
 class TestJsonable:
@@ -384,6 +443,75 @@ class TestSharedProducts:
                          "operator_norm_strong": 2 + L}
 
 
+    def test_theorem_a_builds_one_params_and_one_ball_table(self,
+                                                             monkeypatch):
+        # the verdict's params carry gamma and the measured doubling
+        # constant to the testing sweeps and the ball/dyadic comparison
+        from dyadica.maximal import MaximalParams
+
+        made, tables = [], []
+        real_post = MaximalParams.__post_init__
+        prop = vars(MaximalParams)["ball_powers"]
+        real_table = prop.func
+
+        def post_init(params):
+            made.append(params)
+            real_post(params)
+
+        def table(params):
+            tables.append(params)
+            return real_table(params)
+
+        monkeypatch.setattr(MaximalParams, "__post_init__", post_init)
+        monkeypatch.setattr(prop, "func", table)
+        rep = run_scenario(segment_scenario(
+            n=12, checks=["theorem-a"],
+            measures={"omega": {"random": {"seed": 2}}}))
+        assert not rep.failed
+        names = [r["name"] for r in rep.checks]
+        assert "theorem-a.testing_below_norm" in names
+        assert [r["status"] for r in rep.checks
+                if r["name"] == "theorem-a.ball_dyadic_equivalence"] == ["pass"]
+        assert len(made) == 1
+        assert tables == made
+
+
+class TestTrials:
+    def report(self, status, worst=None, witness=None):
+        details = {} if worst is None else {"worst": worst}
+        return CheckReport("probe", status, witness=witness, details=details)
+
+    def rows(self, reports, key=None):
+        run = _Run(Scenario.from_dict(segment_scenario(n=4)))
+        run.trials("probe", reports, key)
+        assert len(run.rows) == 1
+        return run.rows[0]
+
+    def test_all_vacuous_is_vacuous(self):
+        r = self.rows([self.report("vacuous"), self.report("vacuous")])
+        assert (r["status"], r["constant"], r["witness"]) == \
+            ("vacuous", None, None)
+
+    def test_any_pass_is_a_pass_with_the_largest_constant(self):
+        r = self.rows([self.report("vacuous"), self.report("pass", 2.0),
+                       self.report("pass", 1.0)], key="worst")
+        assert (r["status"], r["constant"]) == ("pass", 2.0)
+
+    def test_first_fail_is_the_row_and_stops_the_trials(self):
+        drawn = []
+
+        def reports():
+            for rep in (self.report("pass", 5.0),
+                        self.report("fail", witness={"x": 1}),
+                        self.report("fail", witness={"x": 2})):
+                drawn.append(rep)
+                yield rep
+
+        r = self.rows(reports(), key="worst")
+        assert (r["status"], r["witness"]) == ("fail", {"x": 1})
+        assert len(drawn) == 2
+
+
 class TestSpaceIndexReuse:
     def test_one_index_serves_every_apply_M_call(self, monkeypatch):
         # the norm search makes as many apply_M calls as before the index
@@ -526,6 +654,43 @@ class TestDeterminism:
                "exponents": {"p": 1.5, "q": 3.0},
                "checks": ["weak-type"], "seed": 0, "budget": 3}
         assert run_scenario(doc).hash == digest
+
+
+    @pytest.mark.parametrize("doc,digest", THEOREM_A_PINS)
+    def test_theorem_a_report_hash_is_pinned(self, doc, digest):
+        assert run_scenario(theorem_a_doc(doc)).hash == digest
+
+    @pytest.mark.parametrize("doc,digest", KERNEL_PINS)
+    def test_kernel_report_hash_is_pinned(self, doc, digest):
+        assert run_scenario(kernel_doc(doc)).hash == digest
+
+    def test_pins_hold_under_each_blas_core_type(self):
+        # the theorem-a and kernel pins above, in child processes that each
+        # pin one OpenBLAS core type before numpy loads
+        script = (
+            "import json, sys\n"
+            "sys.path[:0] = json.loads(sys.argv[1])\n"
+            "from dyadica.harness import run_scenario\n"
+            "from test_harness import (KERNEL_PINS, THEOREM_A_PINS,\n"
+            "                          kernel_doc, theorem_a_doc)\n"
+            "print(json.dumps([run_scenario(theorem_a_doc(d)).hash\n"
+            "                  for d, _ in THEOREM_A_PINS]\n"
+            "                 + [run_scenario(kernel_doc(d)).hash\n"
+            "                    for d, _ in KERNEL_PINS]))\n")
+        paths = json.dumps([str(Path(__file__).parent),
+                            str(Path(dyadica.__file__).parents[1])])
+        want = [d for _, d in THEOREM_A_PINS + KERNEL_PINS]
+        children = {
+            core: subprocess.Popen(
+                [sys.executable, "-c", script, paths], text=True,
+                stdout=subprocess.PIPE,
+                env=dict(os.environ, OPENBLAS_CORETYPE=core,
+                         OPENBLAS_NUM_THREADS="1"))
+            for core in ("Haswell", "Prescott", "SkylakeX")}
+        for core, child in children.items():
+            out, _ = child.communicate(timeout=300)
+            assert child.returncode == 0, core
+            assert json.loads(out) == want, core
 
 
 class TestReportOutput:

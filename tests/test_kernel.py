@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dyadica.dyadic import build_system
 from dyadica.errors import BadExponents, BadParams, EmptyBallMass, Unbounded
 from dyadica.kernel import (
+    _first_slot_growth,
     build_kernel,
     check_kernel_estimates,
     growth_scale_factor,
@@ -42,6 +43,99 @@ def brute_growth_constant(K, d, k2):
                     assert K[x, yp] > 0.0
                     best = max(best, K[x, y] / K[x, yp])
     return best
+
+
+def ball_volume_loop(space, mu, gamma, closed):
+    """One masked sum per ordered pair; the ball-volume kernel's oracle,
+    raising EmptyBallMass at the first empty ball in row-major order."""
+    n, d = space.n, space.dist
+    K = np.empty((n, n))
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            r = d[x, y]
+            inside = d[x] <= r if closed else d[x] < r
+            mass = float(np.sum(mu.masses[inside]))
+            if mass == 0.0:
+                raise EmptyBallMass(x=x, y=y, radius=float(r))
+            K[x, y] = mass ** (gamma - 1.0)
+        mx = float(mu.masses[x])
+        K[x, x] = mx ** (gamma - 1.0) if mx > 0 else np.inf
+    return K
+
+
+def growth_loop(K, d, k2, slot):
+    """One masked minimum per (a, b): the first-slot growth constant's
+    oracle, raising Unbounded with the same witness."""
+    n = K.shape[0]
+    k1 = 1.0
+    off = ~np.eye(n, dtype=bool)
+    for b in range(n):
+        for a in range(n):
+            if a == b or K[a, b] == 0.0:
+                continue
+            reachable = off[:, b] & (d[:, b] <= k2 * d[a, b])
+            den = K[reachable, b]
+            if np.any(den == 0.0):
+                moved = int(np.flatnonzero(reachable)[np.argmax(den == 0.0)])
+                x, y = (a, b) if slot == "x" else (b, a)
+                raise Unbounded(x=x, y=y, **{f"{slot}_moved": moved})
+            if den.size:
+                k1 = max(k1, float(K[a, b] / den.min()))
+    return k1
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except (EmptyBallMass, Unbounded) as exc:
+        return type(exc).__name__, exc.witness
+
+
+ORACLE_SPACES = [
+    lambda: generate_space("integer_segment_counting", n=9),
+    lambda: generate_space("euclidean_random_points", seed=2, n=12),
+    lambda: generate_space("ultrametric_tree", depth=2, branching=3,
+                           ratio=0.3),
+    lambda: generate_space("snowflake_power", n=7, power=0.5),
+]
+
+
+@pytest.mark.parametrize("make", ORACLE_SPACES)
+class TestArrayFormsAreExact:
+    def test_ball_volume_kernels(self, make):
+        space, _ = make()
+        rng = np.random.default_rng(space.n)
+        measures = [PointMeasure(np.ones(space.n)),
+                    PointMeasure(np.exp(3.0 * rng.normal(size=space.n))),
+                    PointMeasure(rng.random(space.n)
+                                 * (rng.random(space.n) < 0.6))]
+        for mu in measures:
+            for closed in (False, True):
+                kind = "ball_volume_closed" if closed else "ball_volume"
+                for gamma in (0.25, 0.5, 1.0):
+                    want = outcome_of(ball_volume_loop, space, mu, gamma,
+                                      closed)
+                    got = outcome_of(lambda: build_kernel(
+                        space, mu, kind, gamma=gamma).matrix)
+                    if isinstance(want, tuple):
+                        assert got == want
+                    else:
+                        assert np.array_equal(got, want)
+
+    def test_growth_constants(self, make):
+        # zeroed entries make some kernels unbounded, with a witness
+        space, mu = make()
+        rng = np.random.default_rng(space.n + 1)
+        base = build_kernel(space, mu, "ball_volume", gamma=0.5).matrix
+        zeroed = np.where(rng.random(base.shape) < 0.1, 0.0, base)
+        for K in (base, base.T.copy(), zeroed):
+            for k2 in (0.5, 1.0, 2.0, 1e6):
+                for slot, M in (("x", K), ("y", K.T)):
+                    assert outcome_of(_first_slot_growth, M, space.dist,
+                                      k2, slot) == \
+                        outcome_of(growth_loop, M, space.dist, k2, slot)
 
 
 class TestBuildKernel:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -76,10 +77,35 @@ class TestMaximalParams:
         with pytest.raises(BadParams):
             MaximalParams(space=space, mu=counting(5), gamma=0.0)
 
-    def test_rejects_small_doubling(self, segment4):
+    def test_doubling_constant_is_measured_not_passed(self, segment4):
         space, mu = segment4
-        with pytest.raises(BadParams):
+        with pytest.raises(TypeError):
             MaximalParams(space=space, mu=mu, gamma=0.0, doubling_constant=0.5)
+        params = MaximalParams(space=space, mu=mu, gamma=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.doubling_constant = 0.5
+
+    def test_doubling_constant_measured_once_per_params(self, segment16,
+                                                        monkeypatch):
+        import dyadica.maximal as maximal
+
+        space, mu = segment16
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return measure_doubling_constant(*args)
+
+        monkeypatch.setattr(maximal, "measure_doubling_constant", counted)
+        params = MaximalParams(space=space, mu=mu, gamma=0.5)
+        assert calls == []
+        assert params.doubling_constant == 3.0
+        assert params.doubling_constant == 3.0
+        assert calls == [(space, mu)]
+        built = maximal_params(space, mu, 0.5)
+        assert len(calls) == 2
+        assert built.doubling_constant == 3.0
+        assert len(calls) == 2
 
     def test_ball_powers_built_once_and_read_only(self, segment16,
                                                   monkeypatch):
@@ -330,7 +356,7 @@ class TestTestingConstant:
     def test_one_point_closed_form(self):
         space, mu = generate_space("integer_segment_counting", n=1)
         fam = build_adjacent_systems(space)
-        t = maximal_testing(fam, mu, mu, mu, 0.0, 2.0, 2.0)
+        t = maximal_testing(fam, MaximalParams(space, mu, 0.0), mu, mu, 2.0, 2.0)
         assert t.value == 1.0
         assert t.argmax is not None
 
@@ -338,8 +364,8 @@ class TestTestingConstant:
         space, _ = segment4
         fam = build_adjacent_systems(space)
         mu = PointMeasure(np.zeros(4))
-        t = maximal_testing(fam, mu, counting(4), counting(4),
-                                     0.25, 2.0, 2.0)
+        t = maximal_testing(fam, MaximalParams(space, mu, 0.25), counting(4),
+                            counting(4), 2.0, 2.0)
         assert t.value == 0.0
         assert t.convention_hits == len(standard_cubes(fam))
 
@@ -349,7 +375,8 @@ class TestTestingConstant:
         rng = np.random.default_rng(13)
         sigma = PointMeasure(random_masses(rng, 16))
         omega = PointMeasure(random_masses(rng, 16))
-        t = maximal_testing(fam, mu, sigma, omega, 0.25, 2.0, 3.0)
+        t = maximal_testing(fam, MaximalParams(space, mu, 0.25), sigma, omega,
+                            2.0, 3.0)
         assert 0.0 < t.value < math.inf
         assert t.argmax is not None
 
@@ -361,23 +388,26 @@ class TestTestingConstant:
         omega = counting(1)
         for gamma, p in ((0.0, 2.0), (0.5, 2.0), (0.25, 4.0)):
             base = maximal_testing(
-                fam, counting(1), counting(1), omega, gamma, p, p).value
+                fam, MaximalParams(space, counting(1), gamma), counting(1),
+                omega, p, p).value
             for s in (2.0, 4.0):
                 mu = PointMeasure(np.array([s]))
                 sigma = PointMeasure(np.array([s]))
                 scaled = maximal_testing(
-                    fam, mu, sigma, omega, gamma, p, p).value
+                    fam, MaximalParams(space, mu, gamma), sigma, omega,
+                    p, p).value
                 expected = s ** (gamma - 1.0 / p) * base
                 assert abs(scaled - expected) <= 1e-12 * max(1.0, expected)
         inv = maximal_testing(
-            fam, PointMeasure(np.array([8.0])), PointMeasure(np.array([8.0])),
-            omega, 0.5, 2.0, 2.0).value
+            fam, MaximalParams(space, PointMeasure(np.array([8.0])), 0.5),
+            PointMeasure(np.array([8.0])), omega, 2.0, 2.0).value
         assert abs(inv - 1.0) <= 1e-12
 
     def test_dyadic_form_one_point(self):
         space, mu = generate_space("integer_segment_counting", n=1)
         fam = build_adjacent_systems(space)
-        t = maximal_testing(fam, mu, mu, mu, 0.0, 2.0, 2.0, dyadic=True)
+        t = maximal_testing(fam, MaximalParams(space, mu, 0.0), mu, mu, 2.0, 2.0,
+                            dyadic=True)
         assert t.value == 1.0
         assert len(t.per_system) == len(fam.systems)
 
@@ -386,9 +416,10 @@ class TestTestingConstant:
         fam = build_adjacent_systems(space)
         mu = counting(4)
         sigma = PointMeasure(np.array([1.0, 0.0, 0.0, 0.0]))
+        params = MaximalParams(space, mu, 0.0)
         with pytest.raises(NotAbsolutelyContinuous):
-            maximal_testing(fam, mu, sigma, counting(4), 0.0, 2.0, 2.0)
-        t = maximal_testing(fam, mu, sigma, counting(4), 0.0, 2.0, 2.0,
+            maximal_testing(fam, params, sigma, counting(4), 2.0, 2.0)
+        t = maximal_testing(fam, params, sigma, counting(4), 2.0, 2.0,
                             dyadic=True)
         assert np.isfinite(t.value)
 
@@ -397,7 +428,7 @@ class TestVerdict:
     def test_one_point_closed_form(self):
         space, mu = generate_space("integer_segment_counting", n=1)
         fam = build_adjacent_systems(space)
-        v = verdict_theorem_a(space, fam, mu, mu, mu, 0.0, 2.0, 2.0, budget=2)
+        v = verdict_theorem_a(fam, mu, mu, mu, 0.0, 2.0, 2.0, budget=2)
         assert v.branch == "testing"
         assert v.testing.value == 1.0
         assert abs(v.norm.lower - 1.0) <= 1e-12
@@ -409,7 +440,7 @@ class TestVerdict:
         fam = build_adjacent_systems(space)
         sigma_masses = np.ones(16)
         sigma_masses[5] = 0.0
-        v = verdict_theorem_a(space, fam, mu, PointMeasure(sigma_masses),
+        v = verdict_theorem_a(fam, mu, PointMeasure(sigma_masses),
                               counting(16), 0.25, 2.0, 2.0)
         assert v.branch == "necessity"
         assert v.violating_set == (5,)
@@ -424,18 +455,18 @@ class TestVerdict:
         mu = PointMeasure(random_masses(rng, 16, zero_fraction=0.2))
         sigma = PointMeasure(random_masses(rng, 16))
         omega = PointMeasure(random_masses(rng, 16, zero_fraction=0.2))
-        v = verdict_theorem_a(space, fam, mu, sigma, omega, 0.25, 2.0, 3.0,
+        v = verdict_theorem_a(fam, mu, sigma, omega, 0.25, 2.0, 3.0,
                               budget=4)
         assert v.branch == "testing"
         assert v.testing.value <= v.norm.lower + 1e-9
         assert 1.0 - 1e-9 <= v.ratio < math.inf
         assert len(v.dyadic_testing.per_system) == len(fam.systems)
-        assert v.doubling >= 1.0
+        assert v.params.doubling_constant >= 1.0
 
     def test_infinite_q(self, segment4):
         space, mu = segment4
         fam = build_adjacent_systems(space)
-        v = verdict_theorem_a(space, fam, mu, mu, mu, 0.5, 2.0, math.inf,
+        v = verdict_theorem_a(fam, mu, mu, mu, 0.5, 2.0, math.inf,
                               budget=2)
         assert v.branch == "testing"
         assert v.testing.value <= v.norm.lower + 1e-9
@@ -446,9 +477,9 @@ class TestVerdict:
         fam = build_adjacent_systems(space)
         rng = np.random.default_rng(30)
         omega = PointMeasure(random_masses(rng, 4))
-        a = verdict_theorem_a(space, fam, mu, mu, omega, 0.25, 1.5, 2.0,
+        a = verdict_theorem_a(fam, mu, mu, omega, 0.25, 1.5, 2.0,
                               budget=3, seed=7)
-        b = verdict_theorem_a(space, fam, mu, mu, omega, 0.25, 1.5, 2.0,
+        b = verdict_theorem_a(fam, mu, mu, omega, 0.25, 1.5, 2.0,
                               budget=3, seed=7)
         assert a.norm.lower == b.norm.lower
         assert a.ratio == b.ratio

@@ -349,7 +349,7 @@ class TestTestingConstants:
         space, kernel, sigma, omega = one_point_setup()
         fam = build_adjacent_systems(space)
         op = MatrixOperator(kernel.matrix, sigma, omega)
-        tc = compute_testing(op, fam, sigma, omega, 2.0, 2.0)
+        tc = compute_testing(op, fam, 2.0, 2.0)
         assert abs(tc.strong - 6.0) <= 1e-12
         # dual side: omega(Q)^{-1/q'} ||chi T*(chi dw)||_{p'} = 9^{-1/2}*9*2 = 6
         assert abs(tc.dual - 6.0) <= 1e-12
@@ -361,7 +361,7 @@ class TestTestingConstants:
         fam = build_adjacent_systems(space)
         zero = PointMeasure(np.zeros(4))
         op = MatrixOperator(kernel.matrix, zero, mu)
-        tc = compute_testing(op, fam, zero, mu, 2.0, 2.0)
+        tc = compute_testing(op, fam, 2.0, 2.0)
         assert tc.strong == 0.0 and tc.dual == 0.0
         assert tc.convention_hits == len(standard_cubes(fam))
 
@@ -370,7 +370,7 @@ class TestTestingConstants:
         kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
         fam = build_adjacent_systems(space)
         op = MatrixOperator(kernel.matrix, mu, mu)
-        tc = compute_testing(op, fam, mu, mu, 2.0, 2.0)
+        tc = compute_testing(op, fam, 2.0, 2.0)
         assert 0.0 < tc.strong < math.inf
         assert 0.0 < tc.dual < math.inf
         assert tc.argmax_strong is not None and tc.argmax_dual is not None
@@ -384,7 +384,7 @@ class TestTestingConstants:
         sigma = PointMeasure(random_masses(rng, 16, zero_fraction=0.2))
         omega = PointMeasure(random_masses(rng, 16, zero_fraction=0.2))
         op = MatrixOperator(kernel.matrix, sigma, omega)
-        tc = compute_testing(op, fam, sigma, omega, 2.0, 3.0)
+        tc = compute_testing(op, fam, 2.0, 3.0)
         est = operator_norm_strong(op.apply, sigma, omega, 2.0, 3.0, budget=2,
                                    seeds=cube_seeds(fam, 16))
         assert tc.strong <= est.lower + 1e-9

@@ -93,6 +93,82 @@ class TestDirect:
             apply_direct(ker, np.array([1.0, np.inf, 0.0, 0.0]), mu)
 
 
+def copy_and_fill_apply(matrix, f, measure):
+    """The per-call copy-and-fill form of weighted_apply; test-side oracle."""
+    g = np.asarray(f, dtype=float) * measure.masses
+    off = matrix.copy()
+    np.fill_diagonal(off, 0.0)
+    out = off @ g
+    with np.errstate(invalid="ignore"):
+        dterm = matrix.diagonal() * g
+    return out + np.where(g == 0.0, 0.0, dterm)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSplitApply:
+    def test_matches_copy_and_fill_bit_for_bit(self):
+        # finite and +inf diagonals, sigma-null points, -0.0 and all-zero
+        # densities, in both directions
+        rng = np.random.default_rng(17)
+        space, mu = generate_space("euclidean_random_points", seed=3, n=16)
+        sigma = PointMeasure(random_masses(rng, 16, zero_fraction=0.3)
+                             * rng.random(16))
+        omega = PointMeasure(rng.random(16))
+        kernels = [build_kernel(space, mu, "ball_volume_closed", gamma=0.5),
+                   build_kernel(space, omega, "ball_volume", gamma=0.25),
+                   build_kernel(space, None, "frac_rho", alpha=0.5,
+                                n_dim=1.0)]
+        densities = [rng.random(16), np.zeros(16), -np.zeros(16),
+                     np.where(rng.random(16) < 0.5, 0.0, rng.random(16)),
+                     np.where(sigma.masses > 0.0, 0.0, 1.0),
+                     np.where(sigma.masses > 0.0, -0.0, 2.0)]
+        for kernel in kernels:
+            op = MatrixOperator(kernel.matrix, sigma, omega)
+            for f in densities:
+                assert same_bits(op.apply(f), copy_and_fill_apply(
+                    kernel.matrix, f, sigma))
+                assert same_bits(apply_direct(kernel, f, sigma),
+                                 copy_and_fill_apply(kernel.matrix, f, sigma))
+                assert same_bits(op.apply_adjoint(f), copy_and_fill_apply(
+                    kernel.matrix.T, f, omega))
+
+    def test_zero_density_has_the_zero_image(self, segment16):
+        space, mu = segment16
+        op = line_operator(space, mu)
+        for f in (np.zeros(16), -np.zeros(16)):
+            for img in (op.apply(f), op.apply_adjoint(f)):
+                assert same_bits(img, np.zeros(16))
+
+    def test_split_built_once_per_operator(self, segment16, monkeypatch):
+        import dyadica.operators as operators
+
+        space, mu = segment16
+        splits = []
+        real = operators.split_diagonal
+
+        def counted(matrix):
+            splits.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(operators, "split_diagonal", counted)
+        op = line_operator(space, mu)
+        f = np.random.default_rng(2).random(16)
+        for _ in range(3):
+            op.apply(f)
+            op.apply_adjoint(f)
+        # one split of the matrix and one of its transpose
+        assert len(splits) == 2
+        for off, diag in op._splits:
+            assert off.flags.c_contiguous
+            assert not off.flags.writeable and not diag.flags.writeable
+            assert np.all(off.diagonal() == 0.0)
+        for (off, diag), matrix in zip(op._splits, (op.matrix, op.matrix.T)):
+            assert np.array_equal(off + np.diag(diag), matrix)
+
+
 class TestDyadicForms:
     def test_line_closed_form(self, segment16):
         # every off-diagonal pair shares the whole-space cube, so

@@ -1,6 +1,7 @@
 """Report-first checks: one raise path, and no strict knob left behind."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -11,7 +12,9 @@ import pytest
 
 import dyadica
 from dyadica.dyadic import build_system, check_partition
+from dyadica import policy
 from dyadica.errors import DyadicaError, PropertyViolation, SandwichViolated
+from dyadica.maximal import MaximalParams
 from dyadica.policy import CheckReport, outcome, require
 from dyadica.space import generate_space
 
@@ -72,6 +75,21 @@ def test_no_strict_parameter_anywhere():
                  for name, fn in _callables(module)
                  if "strict" in inspect.signature(fn).parameters]
     assert offenders == []
+
+
+def test_no_tolerance_or_derivable_inputs():
+    # tolerances are read from TOLERANCES where they are used; ``close``
+    # takes its tolerance as a required argument because its callers
+    # compare against different table entries
+    offenders = [name for module in _public_modules()
+                 for name, fn in _callables(module)
+                 for pname, param in inspect.signature(fn).parameters.items()
+                 if pname == "rel" and param.default is not param.empty]
+    assert offenders == []
+    assert not hasattr(policy, "leq")
+    # the doubling constant is measured from (space, mu), never passed in
+    assert [f.name for f in dataclasses.fields(MaximalParams)] == \
+        ["space", "mu", "gamma"]
 
 
 def test_no_bare_asserts_in_the_package():
