@@ -5,7 +5,9 @@ adjacent systems, kernel, model operators) and executes the requested
 checks in dependency order: space, dyadic, kernel, operators, then the
 leaf suites (theorem-b, weak-type, stopping, theorem-a). A check failure
 is recorded as a "fail" row and the suite continues; only malformed input
-aborts, with a ConfigError naming the offending field. What two stages
+aborts, with a ConfigError naming the offending field. Every check row is
+built by one rule from the check's report, or from its reports over many
+trials; only the verdict rows are written by hand. What two stages
 need is a shared product built once: the envelopes (one PhiTable per
 system, carrying C_K) serve the kernel checks and the dyadic operators,
 and the theorem-B verdict serves the weak-type stage. When a shared
@@ -37,7 +39,7 @@ from .dyadic import (
     generalize,
     replay_coverage,
 )
-from .errors import BadParams, ConfigError, DyadicaError
+from .errors import BadExponents, BadParams, ConfigError, DyadicaError
 from .kernel import build_kernel, check_kernel_estimates, phi_table
 from .maximal import check_maximal_equivalence, verdict_theorem_a
 from .norms import verdict_theorem_b, verdict_weak_type
@@ -250,9 +252,7 @@ class _Run:
                 return PointMeasure(masses)
             except DyadicaError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
-        params = spec.get("random", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{path}.random: expected an object")
+        params = spec["random"]
         extra = (int(params.get("seed", 0)), index)
         zf = float(params.get("zero_fraction", 0.0))
         try:
@@ -303,11 +303,8 @@ class _Run:
             return build_kernel(space, None, "matrix", values=values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"kernel: {exc}") from exc
-        except DyadicaError as exc:
-            if type(exc).__name__ in ("BadExponents", "BadParams",
-                                      "UnknownKind"):
-                raise ConfigError(f"kernel: {exc}") from exc
-            raise
+        except (BadExponents, BadParams) as exc:
+            raise ConfigError(f"kernel: {exc}") from exc
 
     def _build_envelopes(self):
         kernel = self.kernel
@@ -332,41 +329,33 @@ class _Run:
     def add(self, r: dict) -> None:
         self.rows.append(r)
 
-    def from_check(self, name: str, rep: CheckReport,
-                   constant_key: str | None = None) -> None:
-        status = rep.status
-        if status == "pass" and not rep.strict_mode:
-            status = "non-strict"
-        constant = None
-        if constant_key is not None:
-            constant = rep.details.get(constant_key)
-        self.add(row(name, status, constant, rep.witness))
-
-    def manual(self, name: str, ok: bool, constant=None, witness=None,
-               vacuous: bool = False) -> None:
-        if vacuous:
-            status = "vacuous"
-        elif ok:
-            status = "pass" if self.strict else "non-strict"
-        else:
-            status = "fail"
-        self.add(row(name, status, constant, witness))
-
-    def trials(self, name: str, reports, key: str | None = None) -> None:
-        """One row for a check's reports over many trials: the first that
-        fails, else pass (with the largest details[key]) if any passed,
-        else vacuous.  Reports are drawn only up to the first fail."""
-        passed, worst = False, 0.0
+    def check(self, name: str, reports, key: str | None = None) -> None:
+        """One row for one check report or an iterable of them, drawn only
+        up to the first fail: that fail, with details.get(key); else pass
+        (non-strict if a passing report is) with the largest details[key]
+        if any passed; else vacuous, with the first report's witness."""
+        if isinstance(reports, CheckReport):
+            reports = (reports,)
+        first, status, constant = None, "vacuous", None
         for rep in reports:
+            first = first or rep
             if rep.status == "fail":
-                self.from_check(name, rep)
+                self.add(row(name, "fail", rep.details.get(key), rep.witness))
                 return
             if rep.status == "pass":
-                passed = True
-                if key is not None:
-                    worst = max(worst, rep.details[key])
-        self.manual(name, True, constant=worst if key and passed else None,
-                    vacuous=not passed)
+                if status != "non-strict":
+                    status = "pass" if rep.strict_mode else "non-strict"
+                value = rep.details.get(key)
+                if value is not None and (constant is None or value > constant):
+                    constant = value
+        witness = first.witness if status == "vacuous" and first else None
+        self.add(row(name, status, constant, witness))
+
+    def manual(self, name: str, ok: bool, constant=None,
+               witness=None) -> None:
+        """A verdict row: pass (non-strict under a relaxed delta) or fail."""
+        status = ("pass" if self.strict else "non-strict") if ok else "fail"
+        self.add(row(name, status, constant, witness))
 
     def trial_rng(self, *channel: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(
@@ -403,7 +392,7 @@ def _stage_dyadic(run: _Run) -> None:
     family = run.family
     for t, sys in enumerate(family):
         for rep in check_system(sys):
-            run.from_check(f"dyadic.t{t}.{rep.name}", rep)
+            run.check(f"dyadic.t{t}.{rep.name}", rep)
     cert = family.certificate
     ok = cert.observed_C <= cert.C_bound and cert.r_large_ok \
         and cert.r_small_ok and replay_coverage(family.systems, cert)
@@ -421,8 +410,7 @@ def _stage_kernel(run: _Run) -> None:
     kernel = run.kernel
     for t, (sys, phi) in enumerate(zip(run.family, run.envelopes)):
         for rep in check_kernel_estimates(kernel, sys, phi):
-            run.from_check(f"kernel.t{t}.{rep.name}", rep,
-                           constant_key="worst_ratio")
+            run.check(f"kernel.t{t}.{rep.name}", rep, "worst_ratio")
     # the constants depend on the kernel and delta only, not the system
     run.constants.update(k1=phi.k1, k2=phi.k2, C_K=phi.C_K)
 
@@ -431,28 +419,25 @@ def _stage_operators(run: _Run) -> None:
     ops = run.ops
     budget = run.sc.budget
     for t, op in enumerate(ops):
-        run.from_check(f"operators.t{t}.forms_agree",
-                       check_forms_agree(op),
-                       constant_key="worst_rel_err")
-        run.from_check(
+        run.check(f"operators.t{t}.forms_agree", check_forms_agree(op),
+                  "worst_rel_err")
+        run.check(
             f"operators.t{t}.self_adjoint",
             check_self_adjoint(op, seed=run.sc.seed, trials=max(budget, 8)),
-            constant_key="worst_rel_err")
+            "worst_rel_err")
         rng = run.trial_rng(1, t)
         for m in (1, 2, 3):
-            run.trials(f"operators.t{t}.sandwich_m{m}",
-                       (check_shifted_sandwich(op, rng.random(op.n), m)
-                        for _ in range(budget)), "worst_ratio")
-        run.from_check(f"operators.t{t}.dyadic_below_direct",
-                       check_dyadic_below_direct(op),
-                       constant_key="worst_ratio")
-    run.from_check("operators.direct_below_family",
-                   check_direct_below_family(ops),
-                   constant_key="worst_margin")
+            run.check(f"operators.t{t}.sandwich_m{m}",
+                      (check_shifted_sandwich(op, rng.random(op.n), m)
+                       for _ in range(budget)), "worst_ratio")
+        run.check(f"operators.t{t}.dyadic_below_direct",
+                  check_dyadic_below_direct(op), "worst_ratio")
+    run.check("operators.direct_below_family",
+              check_direct_below_family(ops), "worst_margin")
     rng = run.trial_rng(2)
-    run.trials("operators.family_domination",
-               (check_family_domination(ops, rng.random(ops[0].n))
-                for _ in range(budget)))
+    run.check("operators.family_domination",
+              (check_family_domination(ops, rng.random(ops[0].n))
+               for _ in range(budget)))
     run.constants.setdefault("C_K", ops[0].C_K)
 
 
@@ -466,11 +451,10 @@ def _stage_theorem_b(run: _Run) -> None:
                witness=None if math.isfinite(verdict.ratio) else
                {"n_lb": verdict.n_lb, "testing_sum": verdict.testing_sum})
     for t, op in enumerate(run.ops):
-        run.from_check(f"theorem-b.t{t}.point_cubes",
-                       check_point_cube_testing(op, p, q,
-                                                verdict.testing.strong,
-                                                verdict.testing.dual),
-                       constant_key="worst_ratio")
+        run.check(f"theorem-b.t{t}.point_cubes",
+                  check_point_cube_testing(op, p, q, verdict.testing.strong,
+                                           verdict.testing.dual),
+                  "worst_ratio")
     run.constants.update(testing_strong=verdict.testing.strong,
                          testing_dual=verdict.testing.dual,
                          norm_lb=verdict.n_lb,
@@ -505,26 +489,19 @@ def _stage_stopping(run: _Run) -> None:
             cases.append((f, image, rho_grid(op, f, image)))
         for key, checker in (("max_principle_1", check_max_principle_1),
                              ("max_principle_2", check_max_principle_2)):
-            run.trials(f"stopping.t{t}.{key}",
-                       (checker(op, f, float(rho), image=image)
-                        for f, image, grid in cases for rho in grid))
+            run.check(f"stopping.t{t}.{key}",
+                      (checker(op, f, float(rho), image=image)
+                       for f, image, grid in cases for rho in grid))
         rng = run.trial_rng(4, t)
-        failure = None
-        for _ in range(budget):
-            f = rng.random(op.n)
-            try:
-                fam = build_principal_cubes(sys, sigma, f)
-                check_mainlemma(sys, fam.cubes, sigma, f, p)
-            except DyadicaError as exc:
-                failure = _error_witness(exc)
-                break
-        run.manual(f"stopping.t{t}.principal_mainlemma", failure is None,
-                   witness=failure)
-        rep = check_universal_maximal(sys, sigma, p,
-                                      trials=max(20, 2 * budget),
-                                      seed=run.sc.seed)
-        run.from_check(f"stopping.t{t}.universal_maximal", rep,
-                       constant_key="max_ratio_of_p_prime")
+        draws = (rng.random(op.n) for _ in range(budget))
+        run.check(f"stopping.t{t}.principal_mainlemma",
+                  (check_mainlemma(sys, build_principal_cubes(
+                      sys, sigma, f).cubes, sigma, f, p) for f in draws))
+        run.check(f"stopping.t{t}.universal_maximal",
+                  check_universal_maximal(sys, sigma, p,
+                                          trials=max(20, 2 * budget),
+                                          seed=run.sc.seed),
+                  "max_ratio_of_p_prime")
 
 
 def _stage_theorem_a(run: _Run) -> None:
@@ -534,15 +511,15 @@ def _stage_theorem_a(run: _Run) -> None:
     verdict = verdict_theorem_a(run.family, roles["mu"], roles["sigma"],
                                 roles["omega"], gamma, p, q,
                                 budget=run.sc.budget, seed=run.sc.seed)
-    doubling = verdict.params.doubling_constant
-    run.constants.update(gamma=gamma, doubling_constant=doubling)
+    run.constants.update(gamma=gamma,
+                         doubling_constant=verdict.params.doubling_constant)
     if verdict.branch == "necessity":
         ok = bool(verdict.confirmed)
         run.manual("theorem-a.necessity", ok,
                    witness={"violating_set": verdict.violating_set,
                             "lhs": verdict.lhs, "rhs": verdict.rhs})
-        run.manual("theorem-a.dual_weight", True, vacuous=True,
-                   witness={"reason": "mu is not absolutely continuous"})
+        run.add(row("theorem-a.dual_weight", "vacuous",
+                    witness={"reason": "mu is not absolutely continuous"}))
     else:
         run.manual("theorem-a.testing_below_norm", True,
                    constant=verdict.norm.lower)
@@ -553,20 +530,14 @@ def _stage_theorem_a(run: _Run) -> None:
                              maximal_norm_lb=verdict.norm.lower,
                              maximal_ratio=verdict.ratio,
                              maximal_testing_dyadic=verdict.dyadic_testing.value)
-    if math.isfinite(doubling):
-        eq = check_maximal_equivalence(
-            run.family, verdict.params, trials=max(10, 2 * run.sc.budget),
-            seed=run.sc.seed)
-        run.manual("theorem-a.ball_dyadic_equivalence", eq.violations == 0,
-                   constant=eq.dyadic_over_ball,
-                   witness=None if eq.violations == 0 else
-                   {"violations": eq.violations,
-                    "first": eq.first_violation})
-        run.constants.update(equiv_dyadic_over_ball=eq.dyadic_over_ball,
-                             equiv_ball_over_sum=eq.ball_over_sum)
-    else:
-        run.manual("theorem-a.ball_dyadic_equivalence", True, vacuous=True,
-                   witness={"reason": "reference measure is not doubling"})
+    eq = check_maximal_equivalence(run.family, verdict.params,
+                                   trials=max(10, 2 * run.sc.budget),
+                                   seed=run.sc.seed)
+    run.check("theorem-a.ball_dyadic_equivalence", eq, "dyadic_over_ball")
+    if eq.status != "vacuous":
+        d = eq.details
+        run.constants.update(equiv_dyadic_over_ball=d["dyadic_over_ball"],
+                             equiv_ball_over_sum=d["ball_over_sum"])
 
 
 _STAGES = {

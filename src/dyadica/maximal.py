@@ -8,8 +8,10 @@ ordering, so the operator is computed exactly, not sampled, in a few
 (n x n) passes over the rows of ``QuasiMetricSpace.index``.  The dyadic
 variant replaces balls by the cubes of one system, summed per
 ``DyadicSystem.size_groups``, and the two are pointwise comparable with
-explicit constants on doubling instances.  The doubling constant is a
-property of (space, mu): ``MaximalParams`` measures it on first read.
+explicit constants on doubling instances; ``check_maximal_equivalence``
+reports that comparison as a ``CheckReport`` like every other check.  The
+doubling constant is a property of (space, mu): ``MaximalParams`` measures
+it on first read, and a system must be built on the params' own space.
 
 The two-weight boundedness verdict follows the dual weight reduction: with
 u the Radon-Nikodym derivative of the base measure against the source
@@ -33,6 +35,7 @@ from .dyadic import Cube, DyadicSystem, _family_systems
 from .errors import (
     BadParams,
     BadExponents,
+    EquivalenceViolated,
     Infinite,
     NotAbsolutelyContinuous,
     PropertyViolation,
@@ -48,7 +51,7 @@ from .norms import (
     operator_norm_strong,
     standard_cubes,
 )
-from .policy import TOLERANCES, close
+from .policy import TOLERANCES, CheckReport, close, outcome
 from .space import PointMeasure, QuasiMetricSpace, _frozen, ball_masses
 
 MAXIMAL_SALT = 0xD0B1
@@ -159,6 +162,13 @@ def apply_M(params: MaximalParams, f,
     return np.take_along_axis(vals, idx.rank, axis=1).max(axis=0)
 
 
+def _same_space(system: DyadicSystem, params: MaximalParams) -> None:
+    """Raise BadParams unless the system is built on the params' space."""
+    if system.space is not params.space:
+        raise BadParams("system and maximal params are on different spaces",
+                        system=system.system_id)
+
+
 def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
                    inside: PointMeasure | None = None) -> np.ndarray:
     """Dyadic fractional maximal function over one system's cubes.
@@ -166,8 +176,10 @@ def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
     Same shape as apply_M with balls replaced by the cubes containing the
     point; cubes with mu(Q) = 0 are skipped, so empty cubes never produce
     NaN or infinity.  Cubes are summed per size group, each in member
-    order, and each point reads its cubes through ``label``.
+    order, and each point reads its cubes through ``label``.  The system
+    must be built on ``params.space`` itself.
     """
+    _same_space(system, params)
     mu, gamma = params.mu, params.gamma
     weights = (inside if inside is not None else mu).masses
     a = np.abs(np.asarray(f, dtype=float))
@@ -181,29 +193,6 @@ def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
         vals[ids] = scale * np.sum(terms[members], axis=1)
     vals = np.where(vals > 0.0, vals, 0.0)
     return vals[system.label].max(axis=0)
-
-
-@dataclass
-class MaximalEquivalence:
-    """Observed constants of the ball/dyadic pointwise comparison.
-
-    ratio_bound is the explicit a-priori bound on M^D f / M f: the largest
-    (mu(outer ball of Q) / mu(Q))^(1-gamma) over standard cubes with
-    positive mass.  The two observed fields are the empirical suprema over
-    all trials, systems, and points.  first_violation names the first
-    trial that broke a direction: the trial index, the system index (None
-    for the sum direction), the point, and the two compared values lhs and
-    rhs (M^D f(x) against ratio_bound * M f(x), or M f(x) against the
-    per-system sum at x).
-    """
-
-    ratio_bound: float
-    dyadic_over_ball: float
-    ball_over_sum: float
-    trials: int
-    systems: int
-    violations: int = 0
-    first_violation: dict | None = None
 
 
 def _containment_ratio_bound(system: DyadicSystem, mu: PointMeasure,
@@ -241,25 +230,27 @@ def _violation(trial: int, system: int | None, bad: np.ndarray,
 
 
 def check_maximal_equivalence(family, params: MaximalParams,
-                              trials: int = 50, seed: int = 0
-                              ) -> MaximalEquivalence:
+                              trials: int = 50, seed: int = 0) -> CheckReport:
     """Pointwise comparison of ball and dyadic maximal functions.
 
     Direction one is checked per system against the explicit containment
-    bound: every cube value is dominated by the value of its covering ball
-    times the mass ratio, so M^D f <= ratio_bound * M f pointwise up to
-    roundoff.  Direction two records the supremum of M f over the sum of
-    the per-system dyadic functions and requires it finite: wherever
-    M f > 0, the whole-space cube already gives every M^D a positive value.
-    Trials run the constant function, the point masses, then seeded random
-    functions.  Each trial that breaks either direction counts one entry
-    in ``violations``.
+    bound ``ratio_bound``, the largest (mu(outer ball of Q) /
+    mu(Q))^(1-gamma) over cubes with positive mass: M^D f <= ratio_bound *
+    M f pointwise up to roundoff.  Direction two records the supremum of
+    M f over the sum of the per-system dyadic functions and requires it
+    finite.  Trials run the constant function, the point masses, then
+    seeded random functions.  ``details`` holds ratio_bound and the
+    observed suprema ``dyadic_over_ball`` and ``ball_over_sum``.  A
+    failure counts the violating trials and names the first: trial,
+    system (None for the sum direction), point, and the compared lhs and
+    rhs.  Vacuous when mu is not doubling.
     """
     systems = _family_systems(family)
-    dc = params.doubling_constant
-    if not math.isfinite(dc):
-        raise BadParams("comparison needs a doubling base measure",
-                        doubling_constant=dc)
+    strict_mode = all(s.strict_delta for s in systems)
+    if not math.isfinite(params.doubling_constant):
+        return CheckReport("ball_dyadic_equivalence", "vacuous", strict_mode,
+                           {"reason": "reference measure is not doubling"},
+                           error=EquivalenceViolated)
     bounds = [_containment_ratio_bound(s, params.mu, params.gamma)
               for s in systems]
     g = TOLERANCES["exact_guard_rel"]
@@ -283,10 +274,11 @@ def check_maximal_equivalence(family, params: MaximalParams,
             found.append(_violation(t, None, pos & (total == 0.0), mb, total))
         elif np.any(pos):
             b_over_s = max(b_over_s, float(np.max(mb[pos] / total[pos])))
-    return MaximalEquivalence(ratio_bound=max(bounds), dyadic_over_ball=d_over_b,
-                              ball_over_sum=b_over_s, trials=trials,
-                              systems=len(systems), violations=len(found),
-                              first_violation=found[0] if found else None)
+    witness = {"violations": len(found), "first": found[0]} if found else None
+    return outcome("ball_dyadic_equivalence", strict_mode, EquivalenceViolated,
+                   witness, ratio_bound=max(bounds),
+                   dyadic_over_ball=d_over_b, ball_over_sum=b_over_s,
+                   trials=trials, systems=len(systems))
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,6 +346,8 @@ def testing_constant_maximal(family, params: MaximalParams,
     """
     Exponents(p, q)
     systems = _family_systems(family)
+    for s in systems:
+        _same_space(s, params)
     if dyadic:
         sweeps = [(s.cubes, sigma,
                    lambda chi, s=s: apply_M_dyadic(s, params, chi, inside=sigma))

@@ -41,6 +41,11 @@ _SCENARIO_KEYS = frozenset({"space", "measures", "kernel", "dyadic",
                             "exponents", "checks", "seed", "budget", "gamma",
                             "relaxed_delta"})
 _DYADIC_KEYS = frozenset({"delta", "num_systems", "max_systems", "x0"})
+_EXPONENT_KEYS = frozenset({"p", "q"})
+_RANDOM_KEYS = frozenset({"seed", "zero_fraction"})
+_KERNEL_KEYS = {"frac_rho": {"type", "alpha", "n", "n_dim", "diag"},
+                "ball_volume": {"type", "measure", "ball", "gamma"},
+                "matrix": {"type", "offdiag", "values", "diag"}}
 _MEASURE_ROLES = ("mu", "sigma", "omega")
 
 
@@ -80,6 +85,12 @@ def _expect(cond: bool, path: str, why: str) -> None:
         raise ConfigError(f"{path}: {why}")
 
 
+def _known_fields(doc: dict, allowed, prefix: str) -> None:
+    for key in doc:
+        _expect(key in allowed, f"{prefix}{key}",
+                f"unknown field, expected one of {sorted(allowed)}")
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -113,8 +124,7 @@ class Scenario:
     @staticmethod
     def from_dict(doc: dict) -> "Scenario":
         _expect(isinstance(doc, dict), "scenario", "expected an object")
-        for key in doc:
-            _expect(key in _SCENARIO_KEYS, str(key), "unknown scenario field")
+        _known_fields(doc, _SCENARIO_KEYS, "")
 
         space = doc.get("space")
         _expect(isinstance(space, dict), "space",
@@ -135,18 +145,25 @@ class Scenario:
                 isinstance(spec, dict) and set(spec) == {"random"})
             _expect(ok, f"measures.{role}",
                     "expected a measure name, a mass list, or {'random': {...}}")
+            if isinstance(spec, dict):
+                random = spec["random"]
+                _expect(isinstance(random, dict), f"measures.{role}.random",
+                        "expected an object")
+                _known_fields(random, _RANDOM_KEYS, f"measures.{role}.random.")
 
         kernel = doc.get("kernel")
         if kernel is not None:
             _expect(isinstance(kernel, dict) and "type" in kernel, "kernel",
                     "expected an object with a type field")
-            _expect(kernel["type"] in ("frac_rho", "ball_volume", "matrix"),
+            _expect(isinstance(kernel["type"], str)
+                    and kernel["type"] in _KERNEL_KEYS,
                     "kernel.type", f"unknown kernel type {kernel['type']!r}")
+            _known_fields(kernel, _KERNEL_KEYS[kernel["type"]], "kernel.")
 
         dyadic = doc.get("dyadic", {})
         _expect(isinstance(dyadic, dict), "dyadic", "expected an object")
+        _known_fields(dyadic, _DYADIC_KEYS, "dyadic.")
         for key, value in dyadic.items():
-            _expect(key in _DYADIC_KEYS, f"dyadic.{key}", "unknown field")
             # every field but max_systems defaults to null
             if key == "delta":
                 ok, want = value is None or _is_number(value), "a number"
@@ -157,6 +174,7 @@ class Scenario:
 
         exponents = doc.get("exponents", {"p": 2.0, "q": 2.0})
         _expect(isinstance(exponents, dict), "exponents", "expected an object")
+        _known_fields(exponents, _EXPONENT_KEYS, "exponents.")
         p = _as_exponent(exponents.get("p", 2.0), "exponents.p")
         q = _as_exponent(exponents.get("q", 2.0), "exponents.q")
         _expect(1.0 < p < math.inf, "exponents.p", "need 1 < p < inf")

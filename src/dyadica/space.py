@@ -238,13 +238,28 @@ def replay_doubling_cover(space: QuasiMetricSpace, est: DoublingEstimate) -> boo
 # generators
 # ---------------------------------------------------------------------------
 
+_SPACE_PARAMS = {
+    "integer_segment_counting": ("n",),
+    "euclidean_random_points": ("n", "dim", "power"),
+    "snowflake_power": ("n", "power"),
+    "ultrametric_tree": ("depth", "branching", "ratio"),
+}
+
+
 def generate_space(kind: str, seed: int = 0, **params) -> tuple[QuasiMetricSpace, PointMeasure]:
     """Build one of the stock test spaces, with the counting measure.
 
     Kinds: ``integer_segment_counting(n)``, ``euclidean_random_points(n,
-    dim)``, ``snowflake_power(n, power)``, ``ultrametric_tree(depth,
-    branching, ratio)``.
+    dim, power)``, ``snowflake_power(n, power)``, ``ultrametric_tree(depth,
+    branching, ratio)``.  A parameter the kind does not take is a
+    ConfigError naming it.
     """
+    if kind not in _SPACE_PARAMS:
+        raise UnknownKind(kind=kind)
+    for key in params:
+        if key not in _SPACE_PARAMS[kind]:
+            raise ConfigError(f"{key}: unknown parameter for {kind}, "
+                              f"expected one of {_SPACE_PARAMS[kind]}")
     if kind == "integer_segment_counting":
         n = _req_int(params, "n", minimum=1)
         idx = np.arange(n, dtype=float)
@@ -278,8 +293,6 @@ def generate_space(kind: str, seed: int = 0, **params) -> tuple[QuasiMetricSpace
             for j in range(i + 1, n):
                 lca = _common_prefix_len(i, j, branching, depth)
                 d[i, j] = d[j, i] = ratio**lca
-    else:
-        raise UnknownKind(kind=kind)
     space = build_space(d)
     return space, PointMeasure(np.ones(space.n))
 

@@ -15,7 +15,10 @@ level-set entry points take that image as ``image`` when the caller has
 it, so one T f serves every threshold of the same f.  All
 set and measure identities here are checked exactly; the analytic
 inequalities carry only a last-ulp roundoff guard, since the source
-results hold in exact arithmetic with explicit constants.
+results hold in exact arithmetic with explicit constants.  The checks
+return a ``CheckReport`` whether the inequality holds or fails, marked
+non-strict under a relaxed delta where their constants depend on it;
+only broken hypotheses and malformed input raise.
 """
 
 from __future__ import annotations
@@ -198,11 +201,10 @@ def check_max_principle_1(op, f, rho: float, C: float | None = None,
     dec, values, witness = _principle_sweep(
         op, f, rho, C, False, lambda val: val > guard(bound), image)
     status = "vacuous" if not dec.q_rho else ("fail" if witness else "pass")
-    return CheckReport(name="max_principle_1", status=status, witness=witness,
-                       details={"rho": rho, "C": C, "bound": bound,
-                                "worst": max([-math.inf, *values]),
-                                "cubes": len(dec.q_rho)},
-                       error=PrincipleViolated)
+    return CheckReport("max_principle_1", status, op.system.strict_delta,
+                       witness, {"rho": rho, "C": C, "bound": bound,
+                                 "worst": max([-math.inf, *values]),
+                                 "cubes": len(dec.q_rho)}, PrincipleViolated)
 
 
 def check_max_principle_2(op, f, rho: float, C_m: float | None = None,
@@ -223,12 +225,10 @@ def check_max_principle_2(op, f, rho: float, C_m: float | None = None,
     _, values, witness = _principle_sweep(
         op, f, rho, C_m, True, lambda val: not val > floor, image)
     status = "vacuous" if not values else ("fail" if witness else "pass")
-    return CheckReport(name="max_principle_2", status=status, witness=witness,
-                       details={"rho": rho, "C_m": C_m, "bound": bound,
-                                "worst": min([math.inf, *values])
-                                if values else None,
-                                "points": len(values)},
-                       error=PrincipleViolated)
+    return CheckReport("max_principle_2", status, op.system.strict_delta,
+                       witness, {"rho": rho, "C_m": C_m, "bound": bound,
+                                 "worst": min(values) if values else None,
+                                 "points": len(values)}, PrincipleViolated)
 
 
 @dataclass
@@ -347,7 +347,8 @@ def check_mainlemma(system: DyadicSystem, collection, sigma: PointMeasure,
     cube, and nested pairs strictly more than doubling the average.  Then
     at every point the sum of the p-th powers of the averages over member
     cubes containing it is at most exactly twice the p-th power of the
-    dyadic sigma-maximal function, up to last-ulp roundoff.
+    dyadic sigma-maximal function, up to last-ulp roundoff; a failed
+    report names the first point that exceeds it.
     """
     if not 1.0 <= p < math.inf:
         raise BadExponents("need 1 <= p < inf", p=p)
@@ -369,17 +370,17 @@ def check_mainlemma(system: DyadicSystem, collection, sigma: PointMeasure,
         lhs[list(cube.members)] += avg ** p
     params = MaximalParams(space=system.space, mu=sigma, gamma=0.0)
     rhs = 2.0 * apply_M_dyadic(system, params, a) ** p
-    ok = lhs <= guard_vec(rhs)
-    if not np.all(ok):
-        x = int(np.flatnonzero(~ok)[0])
-        raise BoundViolated("average sum exceeds twice the maximal power",
-                            x=x, lhs=float(lhs[x]), rhs=float(rhs[x]))
+    bad = np.flatnonzero(~(lhs <= guard_vec(rhs)))
+    witness = None
+    if bad.size:
+        x = int(bad[0])
+        witness = {"x": x, "lhs": float(lhs[x]), "rhs": float(rhs[x])}
     with np.errstate(invalid="ignore"):
         ratios = np.where(rhs > 0.0, lhs / rhs, 0.0)
-    return CheckReport(name="mainlemma", status="pass",
-                       details={"p": p, "cubes": len(cubes),
-                                "max_ratio_of_two": float(np.max(ratios))
-                                if ratios.size else 0.0})
+    return outcome("mainlemma", system.strict_delta, BoundViolated, witness,
+                   p=p, cubes=len(cubes),
+                   max_ratio_of_two=float(np.max(ratios))
+                   if ratios.size else 0.0)
 
 
 def check_universal_maximal(system: DyadicSystem, w: PointMeasure, p: float,

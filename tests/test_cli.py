@@ -66,6 +66,14 @@ class TestGenSpace:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    def test_parameter_the_kind_does_not_take(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        rc = main(["gen-space", "--kind", "integer_segment_counting",
+                   "--n", "4", "--ratio", "0.5", "--out", str(out)])
+        assert rc == 2
+        assert "space: ratio: unknown parameter" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBuildDyadic:
     def test_dump_structure(self, space_file, tmp_path):

@@ -98,6 +98,55 @@ KERNEL_PINS = [
 ]
 
 
+_PIN_MEASURES = {"sigma": {"random": {"seed": 5}},
+                 "omega": {"random": {"seed": 6, "zero_fraction": 0.25}}}
+
+
+def pin_doc(space, **extra):
+    doc = {"space": space,
+           "kernel": {"type": "ball_volume", "ball": "closed", "gamma": 0.5},
+           "measures": _PIN_MEASURES, "seed": 0, "budget": 2}
+    doc.update(extra)
+    return doc
+
+
+def segment(n):
+    return {"kind": "integer_segment_counting", "n": n}
+
+
+# whole reports on the paths that only some rows take: non-strict rows
+# under a relaxed delta (on a segment, and on a tree at p=1.5, q=3), two
+# systems, a frac_rho kernel, a mu with null points (theorem-b fails and
+# the ball/dyadic comparison is vacuous), and theorem-a alone on a sigma
+# with a null point (the necessity branch) and on a non-doubling mu. The
+# digests hold under the OpenBLAS Haswell and SkylakeX core types; under
+# Prescott the first four differ, since full reports include the
+# matrix-vector products whose rounding depends on the core type.
+SCENARIO_PINS = [
+    (pin_doc(segment(12), dyadic={"delta": 0.25}, relaxed_delta=True),
+     "276ec08fdce31ef3f5d33486a97ef32898799fffaa2955a946020f9bf13ae0b8"),
+    (pin_doc({"kind": "ultrametric_tree", "depth": 2, "branching": 3,
+              "ratio": 0.3}, dyadic={"delta": 0.3}, relaxed_delta=True,
+             exponents={"p": 1.5, "q": 3}),
+     "59a87b09e01bae68b897e01aa697c8d3eaaccd66065323ff3ed259bf97dd940d"),
+    (pin_doc(segment(12), dyadic={"num_systems": 2}),
+     "6035d358d62f7054a32c47d2e50a1d0f8b3bde35fb66fd4dfd426b9c49fd39e3"),
+    (pin_doc(segment(10), kernel={"type": "frac_rho", "alpha": 0.5, "n": 1,
+                                  "diag": 1}),
+     "8050240b113e0965ed96b39591d466930ea61f607fac8e561d13d8df0486c414"),
+    (pin_doc(segment(10), measures={
+        "mu": [1, 0, 1, 1, 0, 1, 1, 1, 1, 1], "sigma": "counting",
+        "omega": {"random": {"seed": 3, "zero_fraction": 0.3}}}),
+     "fd39bbf90d7384e9acc25befebf32fcc4c07220139435da03d73506923f48b4f"),
+    (pin_doc(segment(8), checks=["theorem-a"],
+             measures=dict(_PIN_MEASURES, sigma=[1, 0, 1, 1, 1, 1, 1, 1])),
+     "67de6848175754ad15dc676be48807f89600cf34bd223dc3bc65e8abf27991d5"),
+    (pin_doc(segment(4), checks=["theorem-a"],
+             measures=dict(_PIN_MEASURES, mu=[1, 0, 0, 0])),
+     "33031335e496374e0a512f3ba0a115052ab5fa25c6d8c22ef096cb7f40ccdc38"),
+]
+
+
 class TestJsonable:
     def test_numpy_and_tuples(self):
         doc = jsonable({"a": np.float64(2.5), "b": (1, np.int32(2)),
@@ -185,6 +234,26 @@ class TestScenarioValidation:
         shuffled = dict(reversed(list(segment_scenario().items())))
         b = Scenario.from_dict(shuffled)
         assert a.hash == b.hash
+
+    @pytest.mark.parametrize("path,value,field", [
+        ("exponents", {"p": 1.5, "Q": 3}, "exponents.Q"),
+        ("measures", {"sigma": {"random": {"zero_frac": 0.5}}},
+         "measures.sigma.random.zero_frac"),
+        ("kernel", {"type": "ball_volume", "gamma": 0.5, "bal": "strict"},
+         "kernel.bal"),
+        ("kernel", {"type": "frac_rho", "alpha": 0.5, "n": 1, "gamma": 0.5},
+         "kernel.gamma"),
+        ("kernel", {"type": "matrix", "values": [[0.0]], "alpha": 0.5},
+         "kernel.alpha"),
+        ("space", {"kind": "euclidean_random_points", "n": 6, "dims": 3},
+         "space: dims"),
+    ])
+    def test_misspelled_field_is_rejected(self, path, value, field):
+        # unchecked, each would run on the default of the field it misspells
+        doc = segment_scenario(checks=["space"])
+        doc[path] = value
+        with pytest.raises(ConfigError, match=f"^{field}: unknown"):
+            run_scenario(doc)
 
     def test_row_rejects_unknown_status(self):
         with pytest.raises(ValueError):
@@ -413,8 +482,9 @@ class TestRunScenario:
 class TestSharedProducts:
     def test_each_quantity_is_computed_once(self, monkeypatch):
         # one growth constant per system (the envelope table), one direct
-        # testing sweep and two norm searches for theorem B, and one dyadic
-        # testing sweep and dual norm search per system for weak-type
+        # testing sweep and two norm searches for theorem B, and one dual
+        # norm search per system for weak-type (whose dual-only cube sweep
+        # is not a testing_constants call)
         import dyadica.kernel as kernel
         import dyadica.norms as norms
 
@@ -439,7 +509,7 @@ class TestSharedProducts:
         L = rep.constants["num_systems"]
         assert L == 2
         assert calls == {"kernel_growth_constant": L,
-                         "testing_constants": 1 + L,
+                         "testing_constants": 1,
                          "operator_norm_strong": 2 + L}
 
 
@@ -477,13 +547,14 @@ class TestSharedProducts:
 
 
 class TestTrials:
-    def report(self, status, worst=None, witness=None):
+    # the one row rule of _Run.check, for one report or many
+    def report(self, status, worst=None, witness=None, strict_mode=True):
         details = {} if worst is None else {"worst": worst}
-        return CheckReport("probe", status, witness=witness, details=details)
+        return CheckReport("probe", status, strict_mode, witness, details)
 
     def rows(self, reports, key=None):
         run = _Run(Scenario.from_dict(segment_scenario(n=4)))
-        run.trials("probe", reports, key)
+        run.check("probe", reports, key)
         assert len(run.rows) == 1
         return run.rows[0]
 
@@ -510,6 +581,31 @@ class TestTrials:
         r = self.rows(reports(), key="worst")
         assert (r["status"], r["witness"]) == ("fail", {"x": 1})
         assert len(drawn) == 2
+
+    def test_single_report(self):
+        assert self.rows(self.report("pass", -0.5), key="worst") == \
+            row("probe", "pass", -0.5)
+        assert self.rows(self.report("pass", 3.0)) == row("probe", "pass")
+        # a failed report keeps its constant next to the witness
+        assert self.rows(self.report("fail", 4.0, {"x": 0}), key="worst") \
+            == row("probe", "fail", 4.0, {"x": 0})
+
+    def test_non_strict_pass(self):
+        r = self.rows([self.report("pass", 1.0),
+                       self.report("pass", 2.0, strict_mode=False),
+                       self.report("pass", 0.5)], key="worst")
+        assert (r["status"], r["constant"]) == ("non-strict", 2.0)
+        # non-strict marks passes only: vacuous and failed rows keep theirs
+        assert self.rows(self.report("vacuous", strict_mode=False))[
+            "status"] == "vacuous"
+        assert self.rows(self.report("fail", witness={"x": 3},
+                                     strict_mode=False))["status"] == "fail"
+
+    def test_vacuous_row_keeps_the_first_witness(self):
+        r = self.rows([self.report("vacuous", witness={"reason": "a"}),
+                       self.report("vacuous", witness={"reason": "b"})])
+        assert (r["status"], r["witness"]) == ("vacuous", {"reason": "a"})
+        assert self.rows([]) == row("probe", "vacuous")
 
 
 class TestSpaceIndexReuse:
@@ -663,6 +759,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("doc,digest", KERNEL_PINS)
     def test_kernel_report_hash_is_pinned(self, doc, digest):
         assert run_scenario(kernel_doc(doc)).hash == digest
+
+    @pytest.mark.parametrize("doc,digest", SCENARIO_PINS)
+    def test_scenario_report_hash_is_pinned(self, doc, digest):
+        assert run_scenario(doc).hash == digest
 
     def test_pins_hold_under_each_blas_core_type(self):
         # the theorem-a and kernel pins above, in child processes that each

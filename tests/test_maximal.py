@@ -10,6 +10,7 @@ from dyadica.dyadic import build_adjacent_systems, build_system
 from dyadica.errors import (
     BadExponents,
     BadParams,
+    EquivalenceViolated,
     NotAbsolutelyContinuous,
 )
 from dyadica.maximal import (
@@ -24,6 +25,7 @@ from dyadica.maximal import (
 )
 from dyadica.maximal import testing_constant_maximal as maximal_testing
 from dyadica.norms import indicator, standard_cubes
+from dyadica.policy import require
 from dyadica.space import PointMeasure, generate_space
 
 from conftest import random_masses
@@ -266,26 +268,27 @@ class TestEquivalence:
         fam = build_adjacent_systems(space)
         params = maximal_params(space, mu, 0.25)
         rep = check_maximal_equivalence(fam, params, trials=20)
-        assert rep.violations == 0
-        assert rep.dyadic_over_ball <= rep.ratio_bound * (1 + 1e-12)
-        assert 0.0 < rep.ball_over_sum < math.inf
-        assert rep.systems == len(fam.systems)
+        assert rep.status == "pass"
+        d = rep.details
+        assert d["dyadic_over_ball"] <= d["ratio_bound"] * (1 + 1e-12)
+        assert 0.0 < d["ball_over_sum"] < math.inf
+        assert d["systems"] == len(fam.systems)
 
     def test_one_point(self):
         space, mu = generate_space("integer_segment_counting", n=1)
         fam = build_adjacent_systems(space)
         params = maximal_params(space, mu, 0.0)
         rep = check_maximal_equivalence(fam, params, trials=5)
-        assert rep.violations == 0
-        assert rep.dyadic_over_ball == 1.0
-        assert rep.ball_over_sum <= 1.0
+        assert rep.status == "pass"
+        assert rep.details["dyadic_over_ball"] == 1.0
+        assert rep.details["ball_over_sum"] <= 1.0
 
     def test_tree(self, tree27):
         space, mu = tree27
         fam = build_adjacent_systems(space)
         params = maximal_params(space, mu, 0.5)
         rep = check_maximal_equivalence(fam, params, trials=10)
-        assert rep.violations == 0
+        assert rep.status == "pass"
 
     def test_first_violation_is_recorded(self, segment16, monkeypatch):
         # a containment bound far below the truth makes direction one fail
@@ -298,22 +301,76 @@ class TestEquivalence:
         monkeypatch.setattr(maximal, "_containment_ratio_bound",
                             lambda *args: 1e-6)
         rep = check_maximal_equivalence(fam, params, trials=4)
-        assert rep.violations >= 2
+        assert rep.witness["violations"] >= 2
         f = np.ones(space.n)
         md = apply_M_dyadic(fam[0], params, f)
         cap = 1e-6 * apply_M(params, f)
         x = int(np.flatnonzero(md > cap * (1.0 + 1e-12))[0])
-        assert rep.first_violation == {"trial": 0, "system": 0, "x": x,
-                                       "lhs": float(md[x]),
-                                       "rhs": float(cap[x])}
+        assert rep.witness["first"] == {"trial": 0, "system": 0, "x": x,
+                                        "lhs": float(md[x]),
+                                        "rhs": float(cap[x])}
 
     def test_needs_doubling(self, segment4):
         space, _ = segment4
         mu = PointMeasure(np.array([1.0, 0.0, 0.0, 0.0]))
         fam = build_adjacent_systems(space)
         params = maximal_params(space, mu, 0.0)
-        with pytest.raises(BadParams):
+        rep = check_maximal_equivalence(fam, params, trials=3)
+        assert (rep.status, rep.witness) == \
+            ("vacuous", {"reason": "reference measure is not doubling"})
+
+    def test_failure_is_a_report_with_its_error(self, segment16,
+                                                monkeypatch):
+        import dyadica.maximal as maximal
+
+        space, mu = segment16
+        fam = build_adjacent_systems(space)
+        params = maximal_params(space, mu, 0.25)
+        monkeypatch.setattr(maximal, "_containment_ratio_bound",
+                            lambda *args: 1e-6)
+        rep = check_maximal_equivalence(fam, params, trials=2)
+        assert (rep.name, rep.status) == ("ball_dyadic_equivalence", "fail")
+        # the measured constants are kept on a failure too
+        assert set(rep.details) == {"ratio_bound", "dyadic_over_ball",
+                                    "ball_over_sum", "trials", "systems"}
+        with pytest.raises(EquivalenceViolated) as info:
+            require(rep)
+        assert info.value.witness == rep.witness
+
+    def test_relaxed_family_is_non_strict(self, segment16):
+        space, mu = segment16
+        fam = build_adjacent_systems(space, delta=0.25)
+        assert not fam[0].strict_delta
+        rep = check_maximal_equivalence(fam, maximal_params(space, mu, 0.25),
+                                        trials=3)
+        assert (rep.status, rep.strict_mode) == ("pass", False)
+
+
+class TestSameSpace:
+    # params on the 16-point segment, systems on a 16-point cloud: the
+    # point counts agree, so only the identity of the space tells them apart
+    @pytest.fixture
+    def mixed(self, segment16):
+        space, mu = segment16
+        cloud, _ = generate_space("euclidean_random_points", seed=1, n=16)
+        return build_adjacent_systems(cloud), maximal_params(space, mu, 0.25)
+
+    def test_apply_M_dyadic(self, mixed):
+        fam, params = mixed
+        with pytest.raises(BadParams, match="different spaces"):
+            apply_M_dyadic(fam[0], params, np.ones(16))
+
+    def test_equivalence(self, mixed):
+        fam, params = mixed
+        with pytest.raises(BadParams, match="different spaces"):
             check_maximal_equivalence(fam, params, trials=3)
+
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_testing_constant(self, mixed, dyadic):
+        fam, params = mixed
+        with pytest.raises(BadParams, match="different spaces"):
+            maximal_testing(fam, params, params.mu, params.mu, 2.0, 2.0,
+                            dyadic=dyadic)
 
 
 class TestDualWeight:

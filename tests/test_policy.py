@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,6 +91,20 @@ def test_no_tolerance_or_derivable_inputs():
     # the doubling constant is measured from (space, mu), never passed in
     assert [f.name for f in dataclasses.fields(MaximalParams)] == \
         ["space", "mu", "gamma"]
+
+
+def test_every_check_returns_a_report():
+    # a check returns its outcome: one report, a list of them, or a tuple
+    # led by one (check_ball_coverage adds its certificate)
+    checks = {name: inspect.signature(fn).return_annotation
+              for module in _public_modules()
+              for name, fn in _callables(module)
+              if name.rsplit(".", 1)[-1].startswith("check_")}
+    assert "dyadica.maximal.check_maximal_equivalence" in checks
+    offenders = {name: ann for name, ann in checks.items()
+                 if not re.fullmatch(r"CheckReport|list\[CheckReport\]|"
+                                     r"tuple\[CheckReport, .+\]", ann)}
+    assert offenders == {}
 
 
 def test_no_bare_asserts_in_the_package():

@@ -227,6 +227,16 @@ class TestGenerators:
         with pytest.raises(BadParams):
             generate_space("integer_segment_counting")
 
+    @pytest.mark.parametrize("kind,params,field", [
+        ("euclidean_random_points", {"n": 6, "dims": 3}, "dims"),
+        ("integer_segment_counting", {"n": 6, "dim": 2}, "dim"),
+        ("snowflake_power", {"n": 6, "ratio": 0.5}, "ratio"),
+        ("ultrametric_tree", {"depth": 2, "branching": 2, "n": 4}, "n"),
+    ])
+    def test_parameter_the_kind_does_not_take(self, kind, params, field):
+        with pytest.raises(ConfigError, match=f"^{field}: unknown parameter"):
+            generate_space(kind, **params)
+
     def test_determinism(self):
         s1, _ = generate_space("euclidean_random_points", seed=42, n=10, dim=3)
         s2, _ = generate_space("euclidean_random_points", seed=42, n=10, dim=3)

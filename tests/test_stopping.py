@@ -457,6 +457,29 @@ class TestMainLemma:
         with pytest.raises(MixedSystems):
             check_mainlemma(sys, [point], mu, np.ones(16), 2.0)
 
+    def test_overshoot_is_a_failed_report(self, segment16, monkeypatch):
+        # a maximal function shrunk below the averages breaks the bound at
+        # the first point; the report, not an exception, carries it
+        space, mu = segment16
+        sys = build_system(space)
+        real = stopping.apply_M_dyadic
+        monkeypatch.setattr(stopping, "apply_M_dyadic",
+                            lambda *args, **kw: 0.25 * real(*args, **kw))
+        rep = check_mainlemma(sys, [sys.top], mu, np.ones(16), 2.0)
+        assert (rep.name, rep.status, rep.error) == \
+            ("mainlemma", "fail", BoundViolated)
+        assert rep.witness == {"x": 0, "lhs": 1.0, "rhs": 0.125}
+        with pytest.raises(BoundViolated) as info:
+            require(rep)
+        assert info.value.witness == rep.witness
+
+    def test_relaxed_system_is_non_strict(self, segment16):
+        space, mu = segment16
+        sys = build_system(space, delta=0.25)
+        assert not sys.strict_delta
+        rep = check_mainlemma(sys, [sys.top], mu, np.ones(16), 2.0)
+        assert (rep.status, rep.strict_mode) == ("pass", False)
+
     def test_non_doubling_pair_rejected(self, segment16):
         space, mu = segment16
         sys = build_system(space)
