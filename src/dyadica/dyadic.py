@@ -660,8 +660,7 @@ def generalize(system: DyadicSystem, sigma: PointMeasure,
         if mv.masses.shape != (n,):
             raise BadParams("measure does not match the space",
                             measure=name, size=mv.masses.shape, n=n)
-    joint = tuple(int(x) for x in
-                  np.flatnonzero((sigma.masses > 0) & (omega.masses > 0)))
+    joint = tuple(int(x) for x in np.flatnonzero(sigma.charged & omega.charged))
     singleton_sets = {c.members for c in system.cubes if c.size == 1}
     alone = [x for x in joint if (x,) not in singleton_sets]
     extra = tuple(Cube(system_id=system.system_id, id=len(system.cubes) + i,

@@ -145,21 +145,22 @@ def apply_M(params: MaximalParams, f,
     and may be replaced to get the two-measure form M_gamma(f dv).  Balls
     centered at c are the prefixes of c's row of the space index that end
     at a tie-group end, so prefix sums along every row, a reversed running
-    maximum over the group ends, and a gather through ``rank`` cover all
-    balls at once.  Points where every ball is mu-null get 0.
+    maximum over the group ends, a gather through ``flat_rank`` and a max
+    clipped at 0 cover all balls at once (0 where every ball is mu-null).
     """
     weights = (inside if inside is not None else params.mu).masses
     a = np.abs(np.asarray(f, dtype=float))
     if a.shape != weights.shape or a.size != params.space.n:
         raise BadParams("function size does not match the space", shape=a.shape)
     idx = params.space.index
-    s_pref = np.cumsum((a * weights)[idx.order], axis=1)
+    s_pref = (a * weights)[idx.order].cumsum(axis=1)
     ball, power = params.ball_powers
-    with np.errstate(invalid="ignore"):
-        cut = np.where(ball, power * s_pref, -np.inf)
-    suffmax = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1]
-    vals = np.where(suffmax > 0.0, suffmax, 0.0)
-    return np.take_along_axis(vals, idx.rank, axis=1).max(axis=0)
+    cut = np.full(s_pref.shape, -np.inf)
+    np.multiply(power, s_pref, out=cut, where=ball)
+    rev = cut[:, ::-1]  # running max from the right, in place
+    np.maximum.accumulate(rev, axis=1, out=rev)
+    best = cut.reshape(-1)[idx.flat_rank].max(axis=0)
+    return np.where(best > 0.0, best, 0.0)
 
 
 def _same_space(system: DyadicSystem, params: MaximalParams) -> None:
@@ -410,7 +411,7 @@ def verdict_theorem_a(family, mu: PointMeasure, sigma: PointMeasure,
     """
     ex = Exponents(p, q)
     params = maximal_params(_family_systems(family)[0].space, mu, gamma)
-    bad = np.flatnonzero((sigma.masses == 0.0) & (mu.masses > 0.0))
+    bad = np.flatnonzero(~sigma.charged & mu.charged)
     if bad.size:
         members = tuple(int(b) for b in bad)
         f = indicator(params.space.n, members)

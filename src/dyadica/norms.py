@@ -44,6 +44,7 @@ NORM_SALT = 0xB0AD
 
 _ASCENT_ITERS = 60
 _FIXED_POINT_ITERS = 30
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -97,14 +98,13 @@ def lp_norm(f, measure: PointMeasure, p: float) -> float:
     if a.shape != masses.shape:
         raise BadParams("function and measure sizes differ", shape=a.shape)
     if math.isinf(p):
-        sel = a[masses > 0]
-        return float(np.max(sel)) if sel.size else 0.0
+        sel = a[measure.charged]
+        return float(sel.max()) if sel.size else 0.0
     if p <= 0:
         raise BadExponents("need p > 0", p=p)
-    with np.errstate(invalid="ignore"):
-        terms = np.power(a, p) * masses
-    terms = np.where(masses == 0.0, 0.0, terms)
-    return float(np.sum(terms) ** (1.0 / p))
+    terms = np.zeros(a.size)
+    np.multiply(np.power(a, p), masses, out=terms, where=measure.charged)
+    return float(terms.sum() ** (1.0 / p))
 
 
 def weak_quasinorm(g, omega: PointMeasure, q: float) -> float:
@@ -138,27 +138,27 @@ def weak_quasinorm(g, omega: PointMeasure, q: float) -> float:
     masses = omega.masses
     if a.shape != masses.shape:
         raise BadParams("function and measure sizes differ", shape=a.shape)
-    sel = (masses > 0) & (a > 0)
+    sel = omega.charged & (a > 0)
     if not sel.any():
         return 0.0
     inv_q = 1.0 / q
-    order = np.argsort(a[sel])[::-1]
-    vals = a[sel][order]
-    ends = np.append(vals[1:] != vals[:-1], True)
+    a_sel = a[sel]
+    order = a_sel.argsort()[::-1]
+    vals = a_sel[order]
+    ends = np.ones(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=ends[:-1])
     levels = vals[ends]
-    with np.errstate(over="ignore"):
-        powers = np.cumsum(masses[sel][order])[ends] ** inv_q
-        approx = levels * powers
-    top = float(np.max(approx))
+    powers = masses[sel][order].cumsum()[ends] ** inv_q
+    approx = levels * powers
+    top = float(approx.max())
     if math.isfinite(top):
-        margin = 64.0 * a.size * np.finfo(float).eps * max(1.0, abs(inv_q))
-        tiny = np.finfo(float).tiny
-        keep = (approx >= top - (top * margin + tiny)) | (powers < 2.0 * tiny)
+        margin = 64.0 * a.size * _EPS * max(1.0, abs(inv_q))
+        keep = (approx >= top - (top * margin + _TINY)) | (powers < 2.0 * _TINY)
         levels = levels[keep]
     best = 0.0
-    for v in levels:
-        w = float(np.sum(masses[a >= v]))
-        best = max(best, float(v * w ** inv_q))
+    for v in levels.tolist():
+        w = float(masses[a >= v].sum())
+        best = max(best, v * w ** inv_q)
     return best
 
 
@@ -232,11 +232,11 @@ def _ascend(value, f0: np.ndarray, v0: float, rng) -> tuple[np.ndarray, float]:
     for it in range(_ASCENT_ITERS):
         if it % 3 == 2:
             pos = f[f > 0]
-            base = float(np.mean(pos)) if pos.size else 1.0
+            base = float(pos.mean()) if pos.size else 1.0
             prop = f + step * base * rng.random(f.size)
         else:
             prop = f * np.exp(step * rng.standard_normal(f.size))
-        m = float(np.max(prop))
+        m = float(prop.max())
         if m > 0 and math.isfinite(m):
             prop = prop / m
         v = value(prop)
@@ -262,15 +262,15 @@ def _fixed_point(value, apply, apply_adjoint, f0: np.ndarray,
         if v is not None and v > best:
             best, bw = v, f.copy()
         g = np.asarray(apply(f), dtype=float)
-        if not np.all(np.isfinite(g)) or float(np.max(g)) <= 0.0:
+        if not np.isfinite(g).all() or float(g.max()) <= 0.0:
             break
         u = np.power(g, q - 1.0)
-        u = u / float(np.max(u))
+        u = u / float(u.max())
         h = np.asarray(apply_adjoint(u), dtype=float)
-        if not np.all(np.isfinite(h)) or float(np.max(h)) <= 0.0:
+        if not np.isfinite(h).all() or float(h.max()) <= 0.0:
             break
         f = np.power(h, 1.0 / (p - 1.0))
-        f = f / float(np.max(f))
+        f = f / float(f.max())
     return bw, best
 
 

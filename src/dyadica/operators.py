@@ -57,7 +57,7 @@ def _as_density(f, n: int) -> np.ndarray:
     v = np.asarray(f, dtype=float)
     if v.shape != (n,):
         raise BadParams("density must have one value per point", shape=v.shape)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise BadParams("density values must be finite")
     return v
 
@@ -84,10 +84,9 @@ def weighted_apply(off: np.ndarray, diag: np.ndarray, f,
 
 def pairing(u: np.ndarray, v: np.ndarray, w: PointMeasure) -> float:
     """sum u * v * w with any zero factor silencing an infinite partner."""
-    with np.errstate(invalid="ignore"):
-        t = u * v * w.masses
-    t = np.where((u == 0.0) | (v == 0.0) | (w.masses == 0.0), 0.0, t)
-    return float(np.sum(t))
+    nz = w.charged & (u != 0.0) & (v != 0.0)
+    t = np.multiply(u, v, out=np.zeros(nz.size), where=nz)
+    return float(np.multiply(t, w.masses, out=t, where=nz).sum())
 
 
 def apply_direct(kernel: Kernel, f, sigma: PointMeasure) -> np.ndarray:
@@ -166,7 +165,7 @@ def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
             "envelope undefined on a cube separating two points",
             x=x, y=y, k=q.k, center=q.center)
     M = phi.values[ids]
-    joint = (gen.sigma.masses > 0) & (gen.omega.masses > 0)
+    joint = gen.sigma.charged & gen.omega.charged
     np.fill_diagonal(M, np.where(joint, kernel.matrix.diagonal(), 0.0))
     return DyadicOperator(matrix=M, sigma=gen.sigma, omega=gen.omega,
                           kernel=kernel, gen=gen, phi=phi, C_K=phi.C_K)
@@ -320,8 +319,7 @@ def check_dyadic_below_direct(op: DyadicOperator) -> CheckReport:
                        {"x": x, "y": y, "against": labels[t],
                         "phi": float(v[x, y, t]),
                         "kernel": float(target[x, y, t]), "C_K": op.C_K})
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(off & (target > 0), v / target, 0.0)
+    ratio = np.divide(v, target, out=np.zeros(target.shape), where=off & (target > 0))
     worst, witness = float(ratio.max(initial=0.0)), None
     if worst > 0:
         x, y, t = (int(i) for i in np.argwhere(ratio == worst)[0])
@@ -391,7 +389,7 @@ def check_family_domination(ops: list[DyadicOperator] | tuple[DyadicOperator, ..
     rhs = np.zeros_like(lhs)
     for o in ops:
         rhs = rhs + o.apply(fv)
-    idx = np.flatnonzero(omega.masses > 0)
+    idx = np.flatnonzero(omega.charged)
     for x in idx:
         L, R = float(lhs[x]), 3.0 * C_K * float(rhs[x])
         if np.isinf(L) and np.isinf(R):

@@ -135,6 +135,7 @@ class Scenario:
         if "file" in space:
             _expect(isinstance(space["file"], str), "space.file",
                     f"expected a path, got {space['file']!r}")
+            _known_fields(space, ("file",), "space.")
 
         measures = doc.get("measures", {})
         _expect(isinstance(measures, dict), "measures", "expected an object")

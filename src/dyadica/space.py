@@ -29,6 +29,7 @@ from .errors import (
     UnknownKind,
     ZeroOffDiagonal,
 )
+from .reporting import _known_fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +65,8 @@ class QuasiMetricSpace:
         end[:, :-1] = dist_sorted[:, 1:] != dist_sorted[:, :-1]
         rank = np.empty_like(order)
         np.put_along_axis(rank, order, np.arange(self.n)[None, :], axis=1)
-        return SpaceIndex(*(_frozen(v) for v in (order, dist_sorted, end, rank)))
+        flat_rank = rank + self.n * np.arange(self.n)[:, None]
+        return SpaceIndex(*map(_frozen, (order, dist_sorted, end, rank, flat_rank)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,13 +76,15 @@ class SpaceIndex:
     ``order[c]`` is that list, ``dist_sorted[c]`` the distances along it,
     ``end[c, j]`` marks position j as the last of its tie group (so the
     strict balls centered at c are exactly the prefixes ending at an
-    ``end``), and ``rank[c, x]`` is the position of x in ``order[c]``.
+    ``end``), ``rank[c, x]`` is the position of x in ``order[c]`` and
+    ``flat_rank[c, x] = c * n + rank[c, x]`` its index in a raveled row table.
     """
 
     order: np.ndarray
     dist_sorted: np.ndarray
     end: np.ndarray
     rank: np.ndarray
+    flat_rank: np.ndarray
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -93,12 +97,17 @@ class PointMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
+        m = np.array(self.masses, dtype=float)  # own read-only copy
         if m.ndim != 1:
             raise BadParams("measure masses must be a flat array")
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise BadParams("measure masses must be finite and nonnegative")
-        object.__setattr__(self, "masses", m)
+        object.__setattr__(self, "masses", _frozen(m))
+
+    @cached_property
+    def charged(self) -> np.ndarray:
+        """Read-only mask of the points with positive (read-only) mass."""
+        return _frozen(self.masses > 0.0)
 
     @property
     def total(self) -> float:
@@ -106,7 +115,7 @@ class PointMeasure:
 
     @property
     def atoms(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.masses > 0))
+        return tuple(int(i) for i in np.flatnonzero(self.charged))
 
     def of(self, points: Iterable[int]) -> float:
         """Mass of a point set, summed in ascending point-id order."""
@@ -166,8 +175,7 @@ def _quasi_triangle_constant(d: np.ndarray) -> float:
     a0 = 1.0
     for z in range(n):
         denom = d[:, z][:, None] + d[z, :][None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(denom > 0, d / denom, 0.0)
+        ratio = np.divide(d, denom, out=np.zeros((n, n)), where=denom > 0)
         a0 = max(a0, float(ratio.max()))
     return a0
 
@@ -336,9 +344,10 @@ def _req_int(params: dict, key: str, minimum: int,
 # ---------------------------------------------------------------------------
 
 def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure]]:
-    """Parse a space file document; rejects with a path-qualified message."""
+    """Parse a space file document; a bad or unknown key is a ConfigError naming its path."""
     if not isinstance(doc, dict):
         raise ConfigError("$: expected an object")
+    _known_fields(doc, ("n", "metric", "measures"), "")
     n = doc.get("n")
     if not isinstance(n, int) or n < 1:
         raise ConfigError("n: expected a positive integer")
@@ -347,6 +356,7 @@ def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure
         raise ConfigError("metric: expected an object")
     mtype = metric.get("type")
     if mtype == "matrix":
+        _known_fields(metric, ("type", "values"), "metric.")
         values = metric.get("values")
         if not isinstance(values, list) or len(values) != n:
             raise ConfigError("metric.values: expected an n-by-n array")
@@ -360,6 +370,7 @@ def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure
                     raise ConfigError(f"metric.values[{i}][{j}]: negative distance")
         d = np.asarray(values, dtype=float)
     elif mtype == "euclidean":
+        _known_fields(metric, ("type", "coords", "power"), "metric.")
         coords = metric.get("coords")
         if not isinstance(coords, list) or len(coords) != n:
             raise ConfigError("metric.coords: expected n coordinate rows")

@@ -375,8 +375,7 @@ def check_mainlemma(system: DyadicSystem, collection, sigma: PointMeasure,
     if bad.size:
         x = int(bad[0])
         witness = {"x": x, "lhs": float(lhs[x]), "rhs": float(rhs[x])}
-    with np.errstate(invalid="ignore"):
-        ratios = np.where(rhs > 0.0, lhs / rhs, 0.0)
+    ratios = np.divide(lhs, rhs, out=np.zeros(lhs.size), where=rhs > 0.0)
     return outcome("mainlemma", system.strict_delta, BoundViolated, witness,
                    p=p, cubes=len(cubes),
                    max_ratio_of_two=float(np.max(ratios))

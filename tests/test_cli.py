@@ -1,6 +1,7 @@
 """Command line subcommands, file formats, and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ class TestBuildDyadic:
             assert entry["ball"]["center"] in cube["members"]
             if entry["ratio"] is not None:
                 assert entry["ratio"] <= cert["C_bound"]
+
+    def test_unknown_space_file_key_exits_2(self, space_file, tmp_path,
+                                            capsys):
+        doc = json.loads(Path(space_file).read_text())
+        doc["measure"] = doc.pop("measures")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["build-dyadic", "--space", str(bad),
+                   "--out", str(tmp_path / "dy.json")])
+        assert rc == 2
+        assert "measure: unknown field" in capsys.readouterr().err
 
     def test_x0_center_at_every_scale(self, space_file, tmp_path):
         out = tmp_path / "dy.json"

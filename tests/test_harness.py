@@ -427,6 +427,7 @@ class TestRunScenario:
         ("space.n", "eight", "'n'"),
         ("space.n", 8.5, "'n'"),
         ("space", {"file": 5}, "space.file"),
+        ("space", {"file": "s.json", "measures": {}}, "space.measures"),
         ("seeds", 5, "seeds"),
         ("seeds", ["a"], "seeds"),
         ("dyadic.num_systems", 0, "dyadic.num_systems"),

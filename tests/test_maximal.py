@@ -576,6 +576,21 @@ def apply_M_loop(params, f, inside=None):
     return out
 
 
+def apply_M_rows(params, f, inside=None):
+    """The previous array form: np.where masks, a reversed running maximum
+    read as a view, the clip at 0 before a take_along_axis gather."""
+    weights = (inside if inside is not None else params.mu).masses
+    a = np.abs(np.asarray(f, dtype=float))
+    idx = params.space.index
+    s_pref = np.cumsum((a * weights)[idx.order], axis=1)
+    ball, power = params.ball_powers
+    with np.errstate(invalid="ignore"):
+        cut = np.where(ball, power * s_pref, -np.inf)
+    suffmax = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1]
+    vals = np.where(suffmax > 0.0, suffmax, 0.0)
+    return np.take_along_axis(vals, idx.rank, axis=1).max(axis=0)
+
+
 def apply_M_dyadic_loop(system, params, f, inside=None):
     """One mass and one sum per cube."""
     mu, gamma = params.mu, params.gamma
@@ -681,6 +696,33 @@ class TestArrayFormsAreExact:
         for mu in [*exact_measures(space.n, 5), *spread]:
             assert (measure_doubling_constant(space, mu)
                     == doubling_loop(space, mu))
+
+
+STOCK_SPACES = [
+    ("integer_segment_counting", {"n": 16}),
+    ("euclidean_random_points", {"n": 20, "dim": 3, "power": 0.5}),
+    ("snowflake_power", {"n": 12, "power": 0.5}),
+    ("ultrametric_tree", {"depth": 3, "branching": 3, "ratio": 0.3}),
+]
+
+
+@pytest.mark.parametrize("kind,params", STOCK_SPACES)
+def test_apply_M_bytes_match_previous_form(kind, params):
+    space, counting_mu = generate_space(kind, seed=7, **params)
+    n = space.n
+    rng = np.random.default_rng(11)
+    # non-integer masses, so any change of summation order shows
+    for mu in (counting_mu,
+               PointMeasure(rng.random(n) * (rng.random(n) < 0.7))):
+        inside = PointMeasure(rng.random(n) * (rng.random(n) < 0.7))
+        for gamma in (0.0, 0.25, 0.5):
+            mp = MaximalParams(space=space, mu=mu, gamma=gamma)
+            for f in (np.ones(n), rng.random(n),
+                      rng.normal(size=n) * (rng.random(n) < 0.5),
+                      np.zeros(n)):
+                for ins in (None, inside):
+                    assert (apply_M(mp, f, inside=ins).tobytes()
+                            == apply_M_rows(mp, f, ins).tobytes())
 
 
 class TestDoublingEdgeCases:

@@ -103,6 +103,36 @@ class TestLpNorm:
             assert abs(a - b) <= 1e-12 * b
 
 
+def lp_norm_where(f, measure, p):
+    """The previous form: the product under errstate, then np.where."""
+    a = np.abs(np.asarray(f, dtype=float))
+    masses = measure.masses
+    with np.errstate(invalid="ignore"):
+        terms = np.power(a, p) * masses
+    terms = np.where(masses == 0.0, 0.0, terms)
+    return float(np.sum(terms) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lp_norm_matches_previous_form(p):
+    rng = np.random.default_rng(int(p * 10))
+    # four draws per size: compacting the terms to the charged points (a
+    # change of summation order) then shows at every p
+    for n in (1, 2, 7, 16, 27, 256) * 4:
+        for zero_fraction in (0.0, 0.3, 1.0):
+            spread = 10.0 ** rng.uniform(-4.0, 4.0, n)
+            for m in (PointMeasure(random_masses(rng, n, zero_fraction)
+                                   * spread), PointMeasure(np.zeros(n))):
+                f = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+                f[rng.random(n) < 0.2] = 0.0
+                null_inf = f.copy()
+                null_inf[~m.charged] = math.inf  # silenced by null masses
+                charged_inf = null_inf.copy()
+                charged_inf[rng.integers(n)] = -math.inf
+                for g in (f, null_inf, charged_inf):
+                    assert lp_norm(g, m, p) == lp_norm_where(g, m, p)
+
+
 def weak_quasinorm_loop(g, omega, q):
     """One PointMeasure.of call per level: the reference weak_quasinorm."""
     a = np.abs(np.asarray(g, dtype=float))

@@ -322,6 +322,24 @@ class TestSpaceFiles:
                 },
                 "measures.mu[1]",
             ),
+            # unknown keys: a misspelled "measures" would drop the measure,
+            # and "power" belongs to the euclidean metric only
+            (
+                {
+                    "n": 2,
+                    "metric": {"type": "matrix", "values": [[0, 1], [1, 0]]},
+                    "measure": {"mu": [1, 1]},
+                },
+                "measure: unknown field",
+            ),
+            (
+                {
+                    "n": 2,
+                    "metric": {"type": "matrix", "values": [[0, 1], [1, 0]],
+                               "power": 2},
+                },
+                "metric.power: unknown field",
+            ),
         ],
     )
     def test_config_errors_carry_paths(self, doc, path_fragment):
