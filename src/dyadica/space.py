@@ -63,10 +63,9 @@ class QuasiMetricSpace:
         dist_sorted = np.take_along_axis(self.dist, order, axis=1)
         end = np.ones_like(dist_sorted, dtype=bool)
         end[:, :-1] = dist_sorted[:, 1:] != dist_sorted[:, :-1]
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(self.n)[None, :], axis=1)
-        flat_rank = rank + self.n * np.arange(self.n)[:, None]
-        return SpaceIndex(*map(_frozen, (order, dist_sorted, end, rank, flat_rank)))
+        flat_rank = np.empty_like(order)
+        np.put_along_axis(flat_rank, order, np.arange(order.size).reshape(order.shape), axis=1)
+        return SpaceIndex(*map(_frozen, (order, dist_sorted, end, flat_rank)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,14 +75,13 @@ class SpaceIndex:
     ``order[c]`` is that list, ``dist_sorted[c]`` the distances along it,
     ``end[c, j]`` marks position j as the last of its tie group (so the
     strict balls centered at c are exactly the prefixes ending at an
-    ``end``), ``rank[c, x]`` is the position of x in ``order[c]`` and
-    ``flat_rank[c, x] = c * n + rank[c, x]`` its index in a raveled row table.
+    ``end``), and ``flat_rank[c, x] = c * n + j`` where x is at position j
+    of ``order[c]``: x's index in a raveled table of per-row values.
     """
 
     order: np.ndarray
     dist_sorted: np.ndarray
     end: np.ndarray
-    rank: np.ndarray
     flat_rank: np.ndarray
 
 

@@ -427,7 +427,6 @@ class TestRunScenario:
         ("space.n", "eight", "'n'"),
         ("space.n", 8.5, "'n'"),
         ("space", {"file": 5}, "space.file"),
-        ("space", {"file": "s.json", "measures": {}}, "space.measures"),
         ("seeds", 5, "seeds"),
         ("seeds", ["a"], "seeds"),
         ("dyadic.num_systems", 0, "dyadic.num_systems"),
@@ -435,6 +434,7 @@ class TestRunScenario:
         ("dyadic.x0", 99, "dyadic.x0"),
         ("dyadic.x0", 8, "dyadic.x0"),
         ("dyadic.x0", -1, "dyadic.x0"),
+        ("space", {"file": "s.json", "measures": {}}, "space.measures"),
     ])
     def test_malformed_field_is_a_config_error(self, path, value, match):
         doc = segment_scenario()

@@ -582,13 +582,15 @@ def apply_M_rows(params, f, inside=None):
     weights = (inside if inside is not None else params.mu).masses
     a = np.abs(np.asarray(f, dtype=float))
     idx = params.space.index
+    n = params.space.n
+    rank = idx.flat_rank - n * np.arange(n)[:, None]
     s_pref = np.cumsum((a * weights)[idx.order], axis=1)
     ball, power = params.ball_powers
     with np.errstate(invalid="ignore"):
         cut = np.where(ball, power * s_pref, -np.inf)
     suffmax = np.maximum.accumulate(cut[:, ::-1], axis=1)[:, ::-1]
     vals = np.where(suffmax > 0.0, suffmax, 0.0)
-    return np.take_along_axis(vals, idx.rank, axis=1).max(axis=0)
+    return np.take_along_axis(vals, rank, axis=1).max(axis=0)
 
 
 def apply_M_dyadic_loop(system, params, f, inside=None):

@@ -100,7 +100,8 @@ class TestSpaceIndex:
             order = np.argsort(space.dist[c], kind="stable")
             assert np.array_equal(idx.order[c], order)
             assert np.array_equal(idx.dist_sorted[c], space.dist[c][order])
-            assert np.array_equal(idx.rank[c][order], np.arange(space.n))
+            assert np.array_equal(idx.flat_rank[c][order],
+                                  c * space.n + np.arange(space.n))
             # one end per distinct distance t, closing the prefix {d <= t}
             ends = np.flatnonzero(idx.end[c])
             assert ends.size == np.unique(space.dist[c]).size
@@ -112,7 +113,7 @@ class TestSpaceIndex:
         space, _ = segment4
         idx = space.index
         assert space.index is idx
-        for a in (idx.order, idx.dist_sorted, idx.end, idx.rank):
+        for a in (idx.order, idx.dist_sorted, idx.end, idx.flat_rank):
             with pytest.raises(ValueError):
                 a[0, 0] = a[0, 1]
 
