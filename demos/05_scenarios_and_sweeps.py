@@ -2,11 +2,14 @@
 
 A scenario names a space, measures, a kernel, and a list of checks; the
 runner builds everything, executes the checks in dependency order, and
-returns a report whose deterministic part hashes identically across
-machines. The same documents drive the command line:
+returns a report whose deterministic part hashes identically on every
+rerun on one machine. Across machines the hash can still move with the
+OpenBLAS core type and with numpy's SIMD level (see the README and item 4
+of ROADMAP.md). The same documents drive the command line; the files
+under demos/cli/ are a scenario and a plan like the ones below:
 
-    dyadica theorem-b --config scenario.json
-    dyadica sweep --config plan.json --format csv
+    dyadica theorem-b --config demos/cli/segment.json
+    dyadica sweep --config demos/cli/plan.json --format csv
 """
 
 import json
@@ -49,6 +52,6 @@ for label, group in summary["groups"].items():
     print(f"  {label}: max equivalence ratio {top:.4f}")
 
 # Reports serialize to JSON; the deterministic view excludes timings and
-# the environment stamp, so the hash is reproducible.
+# the environment stamp, so the hash repeats on every rerun on one machine.
 doc = json.loads(json.dumps({"hash": report.hash}))
 print(f"\nreport hash: {doc['hash'][:16]}... (stable across reruns)")

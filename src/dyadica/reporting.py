@@ -146,11 +146,19 @@ class Scenario:
                 isinstance(spec, dict) and set(spec) == {"random"})
             _expect(ok, f"measures.{role}",
                     "expected a measure name, a mass list, or {'random': {...}}")
+            if isinstance(spec, list):
+                _expect(all(map(_is_number, spec)), f"measures.{role}",
+                        f"expected a list of numbers, got {spec!r}")
             if isinstance(spec, dict):
-                random = spec["random"]
-                _expect(isinstance(random, dict), f"measures.{role}.random",
-                        "expected an object")
-                _known_fields(random, _RANDOM_KEYS, f"measures.{role}.random.")
+                path, random = f"measures.{role}.random", spec["random"]
+                _expect(isinstance(random, dict), path, "expected an object")
+                _known_fields(random, _RANDOM_KEYS, f"{path}.")
+                seed = random.get("seed", 0)
+                _expect(_is_int(seed) and seed >= 0, f"{path}.seed",
+                        f"expected an integer >= 0, got {seed!r}")
+                zf = random.get("zero_fraction", 0.0)
+                _expect(_is_number(zf), f"{path}.zero_fraction",
+                        f"expected a number, got {zf!r}")
 
         kernel = doc.get("kernel")
         if kernel is not None:

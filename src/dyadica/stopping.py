@@ -161,13 +161,14 @@ def _principle_sweep(op, f, rho: float, C: float, localized: bool, violates,
     q_rho-then-member order, witness at the first that ``violates``.
 
     On a cube holding every point, f restricted to the cube is f itself,
-    so its image is the one the decomposition already holds."""
+    so its image is the one the decomposition already holds, and f killed
+    on the cube is zero, whose image is zero."""
     a = _nonnegative(f, rho)
     dec = decompose_level_set(op, a, rho / C, image)
     values, witness = [], None
     for cube in dec.q_rho:
-        if localized and cube.size == a.size:
-            img = dec.image
+        if cube.size == a.size:
+            img = dec.image if localized else np.zeros(a.size)
         else:
             chi = np.zeros(a.size)
             chi[list(cube.members)] = 1.0

@@ -1,19 +1,21 @@
 """Command line subcommands, file formats, and exit codes."""
 
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dyadica.cli import main
+from dyadica.cli import build_parser, main
 from dyadica.dyadic import dyadic_parameters
 from dyadica.errors import ConfigError
 from dyadica.harness import run_scenario
 from dyadica.space import load_space
 
-BV_KERNEL = ('{"type":"ball_volume","gamma":0.5,'
-             '"measure":"mu","ball":"closed"}')
+BV_KERNEL = {"type": "ball_volume", "gamma": 0.5, "measure": "mu",
+             "ball": "closed"}
+PAIR = {"sigma": "sigma", "omega": "omega"}
 
 
 @pytest.fixture
@@ -24,6 +26,22 @@ def space_file(tmp_path):
                "--measure", "omega=random:5:0.25", "--out", str(path)])
     assert rc == 0
     return str(path)
+
+
+@pytest.fixture
+def scenario(tmp_path, space_file):
+    """Write a scenario file over the fixture space and return its path;
+    keyword fields are added to it, and a field given as None is left out."""
+    names = (f"scenario{i}.json" for i in itertools.count())
+
+    def write(**fields):
+        doc = {"space": {"file": space_file}, **fields}
+        path = tmp_path / next(names)
+        path.write_text(json.dumps(
+            {k: v for k, v in doc.items() if v is not None}))
+        return str(path)
+
+    return write
 
 
 class TestGenSpace:
@@ -58,6 +76,18 @@ class TestGenSpace:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("spec,message", [
+        ("random:1:1.5", "measure.w.zero_fraction: need [0, 1), got 1.5"),
+        ("random:-1", "measure.w: bad random spec"),
+    ])
+    def test_measure_error_names_its_field(self, tmp_path, capsys, spec,
+                                           message):
+        rc = main(["gen-space", "--kind", "integer_segment_counting",
+                   "--n", "3", "--measure", f"w={spec}",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
     def test_missing_out(self):
         assert main(["gen-space", "--kind", "integer_segment_counting",
                      "--n", "3"]) == 2
@@ -66,6 +96,13 @@ class TestGenSpace:
         rc = main(["gen-space", "--kind", "ultrametric_tree", "--depth", "0",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        rc = main(["gen-space", "--kind", "euclidean_random_points",
+                   "--n", "4", "--seed", "-1",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: seed")
 
     def test_parameter_the_kind_does_not_take(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -77,9 +114,9 @@ class TestGenSpace:
 
 
 class TestBuildDyadic:
-    def test_dump_structure(self, space_file, tmp_path):
+    def test_dump_structure(self, scenario, tmp_path):
         out = tmp_path / "dy.json"
-        rc = main(["build-dyadic", "--space", space_file, "--seed", "1",
+        rc = main(["build-dyadic", "--config", scenario(seed=1),
                    "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -102,20 +139,21 @@ class TestBuildDyadic:
             if entry["ratio"] is not None:
                 assert entry["ratio"] <= cert["C_bound"]
 
-    def test_unknown_space_file_key_exits_2(self, space_file, tmp_path,
-                                            capsys):
+    def test_unknown_space_file_key_exits_2(self, space_file, scenario,
+                                            tmp_path, capsys):
         doc = json.loads(Path(space_file).read_text())
         doc["measure"] = doc.pop("measures")
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        rc = main(["build-dyadic", "--space", str(bad),
+        rc = main(["build-dyadic", "--config",
+                   scenario(space={"file": str(bad)}),
                    "--out", str(tmp_path / "dy.json")])
         assert rc == 2
         assert "measure: unknown field" in capsys.readouterr().err
 
-    def test_x0_center_at_every_scale(self, space_file, tmp_path):
+    def test_x0_center_at_every_scale(self, scenario, tmp_path):
         out = tmp_path / "dy.json"
-        rc = main(["build-dyadic", "--space", space_file, "--x0", "7",
+        rc = main(["build-dyadic", "--config", scenario(dyadic={"x0": 7}),
                    "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -123,18 +161,39 @@ class TestBuildDyadic:
         for k in range(doc["k_min"], doc["k_max"] + 1):
             assert any(c["k"] == k and c["center"] == 7 for c in cubes)
 
-    def test_relaxed_delta_gate(self, space_file, tmp_path):
-        args = ["build-dyadic", "--space", space_file, "--delta", "0.02",
-                "--out", str(tmp_path / "dy.json")]
-        assert main(args) == 2
-        assert main(args + ["--relaxed-delta"]) == 0
+    @pytest.mark.parametrize("space", [
+        {"kind": "integer_segment_counting", "n": 12},
+        {"n": 12, "metric": {"type": "euclidean",
+                             "coords": [[i] for i in range(12)]}},
+    ], ids=["kind", "metric"])
+    def test_every_space_form_and_family_field(self, scenario, tmp_path,
+                                               space):
+        out = tmp_path / "dy.json"
+        rc = main(["build-dyadic", "--config", scenario(
+            space=space, dyadic={"x0": 7, "num_systems": 2}),
+            "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["num_systems"] == 2
+        cubes = doc["systems"][0]
+        for k in range(doc["k_min"], doc["k_max"] + 1):
+            assert any(c["k"] == k and c["center"] == 7 for c in cubes)
+
+    def test_relaxed_delta_gate(self, scenario, tmp_path):
+        out = str(tmp_path / "dy.json")
+        dyadic = {"delta": 0.02}
+        assert main(["build-dyadic", "--config", scenario(dyadic=dyadic),
+                     "--out", out]) == 2
+        assert main(["build-dyadic", "--config",
+                     scenario(dyadic=dyadic, relaxed_delta=True),
+                     "--out", out]) == 0
         doc = json.loads((tmp_path / "dy.json").read_text())
         assert doc["strict"] is False
 
     @pytest.mark.parametrize("ulps,strict", [(0, True), (3, True),
                                              (10_000, False)])
-    def test_strict_bound_classed_alike(self, space_file, tmp_path, ulps,
-                                        strict):
+    def test_strict_bound_classed_alike(self, space_file, scenario, tmp_path,
+                                        ulps, strict):
         # on the segment a0 = 1, so the bound is delta = 1/96; a few ulps
         # above it stay inside the roundoff guard, ten thousand do not
         space, _ = load_space(space_file)
@@ -144,8 +203,8 @@ class TestBuildDyadic:
         assert dyadic_parameters(space.a0, delta)[3] is strict
 
         out = tmp_path / "dy.json"
-        rc = main(["build-dyadic", "--space", space_file, "--delta",
-                   repr(delta), "--out", str(out)])
+        rc = main(["build-dyadic", "--config",
+                   scenario(dyadic={"delta": delta}), "--out", str(out)])
         assert rc == (0 if strict else 2)
         if strict:
             assert json.loads(out.read_text())["strict"] is True
@@ -159,9 +218,11 @@ class TestBuildDyadic:
             with pytest.raises(ConfigError, match="strict bound"):
                 run_scenario(doc)
 
-    def test_delta_out_of_range_is_a_config_error(self, space_file, tmp_path):
-        rc = main(["build-dyadic", "--space", space_file, "--delta", "1.5",
-                   "--relaxed-delta", "--out", str(tmp_path / "dy.json")])
+    def test_delta_out_of_range_is_a_config_error(self, space_file, scenario,
+                                                  tmp_path):
+        rc = main(["build-dyadic", "--config",
+                   scenario(dyadic={"delta": 1.5}, relaxed_delta=True),
+                   "--out", str(tmp_path / "dy.json")])
         assert rc == 2
         with pytest.raises(ConfigError, match="dyadic.delta"):
             run_scenario({"space": {"file": space_file},
@@ -170,9 +231,9 @@ class TestBuildDyadic:
 
 
 class TestCheckCommands:
-    def test_verify_dyadic(self, space_file, tmp_path):
+    def test_verify_dyadic(self, scenario, tmp_path):
         out = tmp_path / "rep.json"
-        rc = main(["verify-dyadic", "--space", space_file,
+        rc = main(["verify-dyadic", "--config", scenario(),
                    "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -180,122 +241,135 @@ class TestCheckCommands:
         assert "dyadic.coverage" in names
         assert doc["counts"]["fail"] == 0
 
-    def test_verify_dyadic_csv(self, space_file, tmp_path):
+    def test_verify_dyadic_csv(self, scenario, tmp_path):
         out = tmp_path / "rep.csv"
-        rc = main(["verify-dyadic", "--space", space_file, "--format", "csv",
-                   "--out", str(out)])
+        rc = main(["verify-dyadic", "--config", scenario(),
+                   "--format", "csv", "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("name,status,constant,witness")
 
-    def test_kernel_check(self, space_file):
-        assert main(["kernel-check", "--space", space_file,
-                     "--kernel", BV_KERNEL]) == 0
+    def test_kernel_check(self, scenario):
+        assert main(["kernel-check", "--config",
+                     scenario(kernel=BV_KERNEL)]) == 0
 
-    def test_operators_check(self, space_file):
-        assert main(["operators-check", "--space", space_file,
-                     "--kernel", BV_KERNEL, "--budget", "2"]) == 0
+    def test_operators_check(self, scenario):
+        assert main(["operators-check", "--config",
+                     scenario(kernel=BV_KERNEL, budget=2)]) == 0
 
-    def test_theorem_b_report_schema(self, space_file, tmp_path):
+    def test_theorem_b_report_schema(self, scenario, tmp_path):
+        # the subcommand replaces the file's checks with its own
         out = tmp_path / "tb.json"
-        rc = main(["theorem-b", "--space", space_file, "--kernel", BV_KERNEL,
-                   "--measures", "sigma,omega", "--p", "2", "--q", "2",
-                   "--budget", "3", "--seed", "0", "--out", str(out)])
+        config = scenario(kernel=BV_KERNEL, measures=PAIR,
+                          exponents={"p": 2, "q": 2}, budget=3, seed=0,
+                          checks=["space"])
+        rc = main(["theorem-b", "--config", config, "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["scenario_hash"]
+        assert doc["scenario"]["checks"] == ["theorem-b"]
         for key in ("testing_strong", "testing_dual", "norm_lb",
                     "ratio_strong"):
             assert key in doc["constants"]
         assert "theorem-b" in doc["timings"]
 
-    def test_weak_type(self, space_file):
-        rc = main(["weak-type", "--space", space_file, "--kernel", BV_KERNEL,
-                   "--measures", "sigma,omega", "--p", "2", "--q", "2",
-                   "--budget", "2"])
+    def test_weak_type(self, scenario):
+        rc = main(["weak-type", "--config", scenario(
+            kernel=BV_KERNEL, measures=PAIR, exponents={"p": 2, "q": 2},
+            budget=2)])
         assert rc == 0
 
-    def test_theorem_a_with_gamma_and_infinite_q(self, space_file):
-        rc = main(["theorem-a", "--space", space_file,
-                   "--measures", "sigma,omega", "--gamma", "0.25",
-                   "--p", "2", "--q", "inf", "--budget", "2"])
+    def test_theorem_a_with_gamma_and_infinite_q(self, scenario):
+        rc = main(["theorem-a", "--config", scenario(
+            measures=PAIR, gamma=0.25, exponents={"p": 2, "q": "inf"},
+            budget=2)])
         assert rc == 0
 
-    def test_infinite_q_rejected_for_theorem_b(self, space_file):
-        rc = main(["theorem-b", "--space", space_file, "--kernel", BV_KERNEL,
-                   "--measures", "sigma,omega", "--p", "2", "--q", "inf"])
+    def test_infinite_q_rejected_for_theorem_b(self, scenario):
+        rc = main(["theorem-b", "--config", scenario(
+            kernel=BV_KERNEL, measures=PAIR, exponents={"p": 2, "q": "inf"})])
         assert rc == 2
 
-    def test_missing_space(self):
-        assert main(["theorem-b", "--kernel", BV_KERNEL]) == 2
+    def test_missing_space(self, scenario):
+        assert main(["theorem-b", "--config",
+                     scenario(space=None, kernel=BV_KERNEL)]) == 2
 
     @pytest.mark.parametrize("field", ["measures", "exponents", "dyadic"])
-    def test_config_field_not_an_object_exits_two(self, space_file, tmp_path,
-                                                  capsys, field):
-        config = tmp_path / "scenario.json"
-        config.write_text(json.dumps({"space": {"file": space_file},
-                                      field: 5}))
-        assert main(["verify-dyadic", "--config", str(config)]) == 2
+    def test_config_field_not_an_object_exits_two(self, scenario, capsys,
+                                                  field):
+        assert main(["verify-dyadic", "--config",
+                     scenario(**{field: 5})]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify-dyadic", "build-dyadic"])
-    def test_missing_space_file_exits_two(self, tmp_path, capsys, command):
+    def test_missing_space_file_exits_two(self, scenario, tmp_path, capsys,
+                                          command):
         missing = str(tmp_path / "absent.json")
-        argv = [command, "--space", missing]
+        argv = [command, "--config", scenario(space={"file": missing})]
         if command == "build-dyadic":
             argv += ["--out", str(tmp_path / "dump.json")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {missing}")
 
+    # the ids name the flags these fields were once set by, so that the
+    # test names stay the same
     @pytest.mark.parametrize("command", ["verify-dyadic", "build-dyadic"])
-    @pytest.mark.parametrize("flag,value,field", [
-        ("--x0", "99", "dyadic.x0"),
-        ("--x0", "-1", "dyadic.x0"),
-        ("--systems", "0", "dyadic.max_systems"),
-    ])
-    def test_out_of_range_dyadic_field_exits_two(self, space_file, tmp_path,
-                                                 capsys, command, flag,
-                                                 value, field):
+    @pytest.mark.parametrize("dyadic,field", [
+        ({"x0": 99}, "dyadic.x0"),
+        ({"x0": -1}, "dyadic.x0"),
+        ({"max_systems": 0}, "dyadic.max_systems"),
+    ], ids=["--x0-99-dyadic.x0", "--x0--1-dyadic.x0",
+            "--systems-0-dyadic.max_systems"])
+    def test_out_of_range_dyadic_field_exits_two(self, scenario, tmp_path,
+                                                 capsys, command, dyadic,
+                                                 field):
         out = tmp_path / "dump.json"
-        assert main([command, "--space", space_file, flag, value,
+        assert main([command, "--config", scenario(dyadic=dyadic),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}")
         assert not out.exists()
 
-    def test_failing_check_exits_one(self, space_file):
-        rc = main(["theorem-b", "--space", space_file,
-                   "--kernel", '{"type":"frac_rho","alpha":0.5,"n":1.0}',
-                   "--measures", "sigma,omega"])
+    def test_failing_check_exits_one(self, scenario):
+        rc = main(["theorem-b", "--config", scenario(
+            kernel={"type": "frac_rho", "alpha": 0.5, "n": 1.0},
+            measures=PAIR)])
         assert rc == 1
 
-    def test_config_file_with_flag_override(self, space_file, tmp_path):
-        config = tmp_path / "scenario.json"
-        config.write_text(json.dumps({
-            "space": {"file": space_file},
-            "kernel": json.loads(BV_KERNEL),
-            "exponents": {"p": 2, "q": 4},
-            "budget": 2,
-        }))
-        out = tmp_path / "rep.json"
-        rc = main(["theorem-b", "--config", str(config), "--p", "3",
-                   "--out", str(out)])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["scenario"]["exponents"]["p"] == 3.0
-        assert doc["scenario"]["exponents"]["q"] == 4.0
-
-    def test_determinism_across_invocations(self, space_file, tmp_path):
+    def test_determinism_across_invocations(self, scenario, tmp_path):
+        config = scenario(kernel=BV_KERNEL, measures=PAIR, budget=2)
         views = []
         for name in ("r1.json", "r2.json"):
             out = tmp_path / name
-            main(["theorem-b", "--space", space_file, "--kernel", BV_KERNEL,
-                  "--measures", "sigma,omega", "--budget", "2",
-                  "--out", str(out)])
+            main(["theorem-b", "--config", config, "--out", str(out)])
             doc = json.loads(out.read_text())
             doc.pop("environment")
             doc.pop("timings")
             views.append(json.dumps(doc, sort_keys=True))
         assert views[0] == views[1]
+
+    def test_missing_config_exits_two(self, capsys):
+        assert main(["verify-dyadic"]) == 2
+        assert capsys.readouterr().err.startswith("config error: config")
+
+    @pytest.mark.parametrize("command,flag", [
+        ("verify-dyadic", "--out"), ("sweep", "--out"),
+        ("sweep", "--reports"), ("gen-space", "--out"),
+        ("build-dyadic", "--out"),
+    ])
+    def test_unwritable_output_exits_two(self, scenario, tmp_path, capsys,
+                                         command, flag):
+        bad = str(tmp_path / "absent" / "out.json")
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"template": json.loads(
+            Path(scenario(checks=["space"])).read_text())}))
+        argv = {"verify-dyadic": ["--config", scenario()],
+                "build-dyadic": ["--config", scenario()],
+                "sweep": ["--config", str(plan)],
+                "gen-space": ["--kind", "integer_segment_counting",
+                              "--n", "3"]}[command]
+        assert main([command, *argv, flag, bad]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {flag[2:]}: ")
 
 
 class TestSweepCommand:
@@ -304,7 +378,7 @@ class TestSweepCommand:
         config.write_text(json.dumps({
             "template": {
                 "space": {"file": space_file},
-                "kernel": json.loads(BV_KERNEL),
+                "kernel": BV_KERNEL,
                 "measures": {"sigma": {"random": {}},
                              "omega": {"random": {"seed": 1}}},
                 "checks": ["theorem-b"],
@@ -343,7 +417,7 @@ class TestSweepCommand:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({
             "template": {"space": {"file": space_file},
-                         "kernel": json.loads(BV_KERNEL),
+                         "kernel": BV_KERNEL,
                          "checks": ["kernel"]},
             "grid": {"kernel.gamma": [7.0]},
         }))
@@ -358,6 +432,24 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(config)]) == 2
 
 
+# every option of every subcommand; a flag its command never reads would
+# have to be added here to pass
+SURFACE = {
+    "gen-space": ["--kind", "--n", "--dim", "--power", "--depth",
+                  "--branching", "--ratio", "--measure", "--seed", "--out"],
+    "build-dyadic": ["--config", "--out"],
+    **{name: ["--config", "--out", "--format"]
+       for name in ("verify-dyadic", "kernel-check", "operators-check",
+                    "theorem-b", "weak-type", "theorem-a")},
+    "sweep": ["--config", "--reports", "--out", "--format"],
+}
+
+
+def _subparsers():
+    ap = build_parser()
+    return next(a for a in ap._actions if a.dest == "command").choices
+
+
 class TestArgparseBehavior:
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -370,3 +462,37 @@ class TestArgparseBehavior:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_surface_has_34_options(self):
+        assert sorted(_subparsers()) == sorted(SURFACE)
+        assert sum(map(len, SURFACE.values())) == 34
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_options_of_each_command_are_pinned(self, command):
+        parser = _subparsers()[command]
+        options = [opt for action in parser._actions
+                   for opt in action.option_strings
+                   if opt not in ("-h", "--help")]
+        assert sorted(options) == sorted(SURFACE[command])
+
+    @pytest.mark.parametrize("command,flags", [
+        ("gen-space", ["--config", "c.json"]),
+        ("gen-space", ["--format", "csv"]),
+        ("gen-space", ["--relaxed-delta"]),
+        ("build-dyadic", ["--format", "csv"]),
+        ("build-dyadic", ["--relaxed-delta"]),
+        ("build-dyadic", ["--x0", "3"]),
+        ("verify-dyadic", ["--p", "2"]),
+        ("verify-dyadic", ["--gamma", "0.5"]),
+        ("verify-dyadic", ["--budget", "2"]),
+        ("verify-dyadic", ["--measures", "sigma,omega"]),
+        ("theorem-b", ["--seed", "1"]),
+        ("sweep", ["--relaxed-delta"]),
+    ])
+    def test_flags_once_ignored_exit_two(self, capsys, command, flags):
+        if command == "gen-space":
+            flags = ["--kind", "integer_segment_counting", *flags]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

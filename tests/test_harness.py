@@ -435,6 +435,12 @@ class TestRunScenario:
         ("dyadic.x0", 8, "dyadic.x0"),
         ("dyadic.x0", -1, "dyadic.x0"),
         ("space", {"file": "s.json", "measures": {}}, "space.measures"),
+        ("measures.sigma", ["a", 1, 1, 1, 1, 1, 1, 1], "measures.sigma"),
+        ("measures.sigma.random.seed", "x", "measures.sigma.random.seed"),
+        ("measures.sigma.random.seed", -1, "measures.sigma.random.seed"),
+        ("measures.sigma.random.seed", 1.7, "measures.sigma.random.seed"),
+        ("measures.sigma.random.zero_fraction", "x",
+         "measures.sigma.random.zero_fraction"),
     ])
     def test_malformed_field_is_a_config_error(self, path, value, match):
         doc = segment_scenario()
@@ -634,9 +640,10 @@ class TestSpaceIndexReuse:
 
 
 class TestStoppingImages:
-    def test_one_apply_on_each_trial_function(self, monkeypatch):
-        # rho_grid and both principles at every threshold share one image
-        # T f per trial function; the other applies are on f cut to a cube
+    @staticmethod
+    def record(monkeypatch, doc):
+        """Run a stopping scenario; return its trial functions and every
+        vector MatrixOperator.apply was called on."""
         import dyadica.harness as harness
         from dyadica.operators import MatrixOperator
 
@@ -661,29 +668,64 @@ class TestStoppingImages:
 
         monkeypatch.setattr(harness._Run, "trial_rng", trial_rng)
         monkeypatch.setattr(MatrixOperator, "apply", apply)
-        rep = run_scenario(segment_scenario(n=16, checks=["stopping"]))
+        rep = run_scenario(dict(doc, checks=["stopping"]))
         assert not rep.failed
+        return trials, applied
+
+    def test_one_apply_on_each_trial_function(self, monkeypatch):
+        # rho_grid and both principles at every threshold share one image
+        # T f per trial function, and on the segment every cover cube is
+        # the whole space, so nothing else is applied
+        trials, applied = self.record(monkeypatch, segment_scenario(n=16))
         assert len(trials) == 2
         for f in trials:
             assert sum(x is f for x in applied) == 1
-        assert len(applied) > 2 * len(trials)
+        assert len(applied) == len(trials)
 
     def test_whole_space_cube_needs_no_localized_apply(self, monkeypatch):
-        # every cover cube here is the whole segment, where principle 2
-        # reads the decomposition's image instead of applying op to f again
-        # at each of the 96 thresholds: 98 applies in all, not 194
-        from dyadica.operators import MatrixOperator
+        # on a whole-space cover cube principle 2 reads the decomposition's
+        # image and principle 1's input f killed on the cube is zero, with
+        # image zero: 2 applies in all at the 96 thresholds, not 194
+        _, applied = self.record(monkeypatch, segment_scenario(n=16))
+        assert len(applied) == 2
 
+    def test_proper_cover_cube_is_applied(self, monkeypatch):
+        # every stock cover cube is the whole space; understating C_K lowers
+        # the thresholds until proper cubes appear, and each principle then
+        # applies op once per proper cube and never on the whole space
+        import dataclasses
+
+        from dyadica.operators import MatrixOperator
+        from dyadica.stopping import (
+            check_max_principle_1,
+            check_max_principle_2,
+            decompose_level_set,
+            rho_grid,
+        )
+
+        op = _Run(Scenario.from_dict(segment_scenario(
+            space={"kind": "euclidean_random_points", "n": 16}))).ops[0]
+        op = dataclasses.replace(op, C_K=0.5)
+        f = np.random.default_rng(0).random(op.n)
+        image = op.apply(f)
         calls, real_apply = [], MatrixOperator.apply
 
-        def apply(self, f):
-            calls.append(f)
-            return real_apply(self, f)
+        def apply(self, g):
+            calls.append(g)
+            return real_apply(self, g)
 
         monkeypatch.setattr(MatrixOperator, "apply", apply)
-        rep = run_scenario(segment_scenario(n=16, checks=["stopping"]))
-        assert not rep.failed
-        assert len(calls) == 98
+        proper_total = 0
+        for rho in map(float, rho_grid(op, f, image)):
+            q_rho = decompose_level_set(op, f, rho, image).q_rho
+            proper = sum(cube.size < op.n for cube in q_rho)
+            proper_total += proper
+            for check in (check_max_principle_1, check_max_principle_2):
+                calls.clear()
+                check(op, f, rho, 1.0, image=image)
+                assert len(calls) == proper
+                assert all(0 < np.count_nonzero(g) < op.n for g in calls)
+        assert proper_total > 0
 
 
 class TestDeterminism:
