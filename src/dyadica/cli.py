@@ -7,7 +7,8 @@ writes a space file from its generator flags, build-dyadic writes the cube
 family and coverage certificate of a scenario, the check commands
 (verify-dyadic, kernel-check, operators-check, theorem-b, weak-type,
 theorem-a) run a scenario with its checks replaced by their own, and sweep
-replays a plan's template over a parameter grid and seed list.
+replays a plan's template over a parameter grid and seed list. A relative
+``space.file`` is read from the directory of the file that names it.
 
 Exit codes: 0 when every executed check passed or was vacuous, 1 when any
 check failed, 2 on malformed input (argparse uses 2 for flag errors too).
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -245,7 +247,8 @@ def _dump_family(family) -> dict:
 def _cmd_build_dyadic(doc: dict, args) -> int:
     if not args.out:
         raise ConfigError("out: required for build-dyadic")
-    family = _Run(Scenario.from_dict(dict(doc, checks=["dyadic"]))).family
+    sc = Scenario.from_dict(dict(doc, checks=["dyadic"]))
+    family = _Run(sc, os.path.dirname(args.config)).family
     _write(json.dumps(_dump_family(family), indent=1, sort_keys=True),
            args.out)
     cert = family.certificate
@@ -265,7 +268,7 @@ def _cmd_sweep(args) -> int:
         if key not in ("template", "grid", "seeds"):
             raise ConfigError(f"{key}: unknown sweep field")
     reports, summary = sweep(doc.get("template"), doc.get("grid", {}),
-                             doc.get("seeds"))
+                             doc.get("seeds"), os.path.dirname(args.config))
     if args.reports:
         _write(json.dumps([r.to_dict() for r in reports], indent=1,
                           sort_keys=True), args.reports, "reports")
@@ -296,7 +299,7 @@ def main(argv=None) -> int:
         if args.command == "build-dyadic":
             return _cmd_build_dyadic(doc, args)
         doc["checks"] = _CHECKS_BY_COMMAND[args.command]
-        return _emit_report(run_scenario(doc), args)
+        return _emit_report(run_scenario(doc, os.path.dirname(args.config)), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import os
 import time
 
 import numpy as np
@@ -140,8 +141,8 @@ def _error_witness(exc: DyadicaError) -> dict:
 class _Run:
     """Mutable state of one scenario execution."""
 
-    def __init__(self, sc: Scenario):
-        self.sc = sc
+    def __init__(self, sc: Scenario, base_dir: str = ""):
+        self.sc, self.base_dir = sc, base_dir
         self.rows: list[dict] = []
         self.constants: dict = {}
         self.timings: dict = {}
@@ -216,7 +217,7 @@ class _Run:
                 raise ConfigError(f"space: {exc}") from exc
             loaded = {"counting": counting, "mu": counting}
         elif "file" in spec:
-            space, named = load_space(spec["file"])
+            space, named = load_space(os.path.join(self.base_dir, spec["file"]))
             loaded = dict(named)
             loaded.setdefault("counting", PointMeasure(np.ones(space.n)))
         else:
@@ -552,11 +553,12 @@ _STAGES = {
 }
 
 
-def run_scenario(scenario: Scenario | dict) -> Report:
-    """Execute every requested check; failures are rows, not exceptions."""
+def run_scenario(scenario: Scenario | dict, base_dir: str = "") -> Report:
+    """Execute every requested check; failures are rows, not exceptions.
+    A relative ``space.file`` is read from base_dir, and echoed as written."""
     if not isinstance(scenario, Scenario):
         scenario = Scenario.from_dict(scenario)
-    run = _Run(scenario)
+    run = _Run(scenario, base_dir)
     for name in scenario.checks:
         t0 = time.perf_counter()
         try:
@@ -627,7 +629,8 @@ def summarize(reports: list[Report], errors: list[dict]) -> dict:
     }
 
 
-def sweep(template: dict, grid: dict, seeds=None) -> tuple[list[Report], dict]:
+def sweep(template: dict, grid: dict, seeds=None,
+          base_dir: str = "") -> tuple[list[Report], dict]:
     """Cross-product execution of template x grid x seeds.
 
     Config errors in individual combinations are collected into the
@@ -662,7 +665,7 @@ def sweep(template: dict, grid: dict, seeds=None) -> tuple[list[Report], dict]:
                 set_by_path(doc, key, value)
             doc["seed"] = seed
             try:
-                reports.append(run_scenario(doc))
+                reports.append(run_scenario(doc, base_dir))
             except ConfigError as exc:
                 errors.append({"grid": jsonable(dict(zip(keys, combo))),
                                "seed": seed, "error": str(exc)})

@@ -45,6 +45,7 @@ from .norms import (
     NormEstimate,
     _check_structural,
     _equivalence_ratio,
+    block_rows,
     cube_testing,
     indicator,
     lp_norm,
@@ -147,20 +148,24 @@ def apply_M(params: MaximalParams, f,
     at a tie-group end, so prefix sums along every row, a reversed running
     maximum over the group ends, a gather through ``flat_rank`` and a max
     clipped at 0 cover all balls at once (0 where every ball is mu-null).
+    A (K, n) block is mapped row by row, block_rows(n) rows at a time.
     """
     weights = (inside if inside is not None else params.mu).masses
-    a = np.abs(np.asarray(f, dtype=float))
-    if a.shape != weights.shape or a.size != params.space.n:
+    a, n = np.abs(np.asarray(f, dtype=float)), params.space.n
+    if a.ndim not in (1, 2) or a.shape[-1] != weights.size or weights.size != n:
         raise BadParams("function size does not match the space", shape=a.shape)
     idx = params.space.index
-    s_pref = (a * weights)[idx.order].cumsum(axis=1)
     ball, power = params.ball_powers
-    cut = np.full(s_pref.shape, -np.inf)
-    np.multiply(power, s_pref, out=cut, where=ball)
-    rev = cut[:, ::-1]  # running max from the right, in place
-    np.maximum.accumulate(rev, axis=1, out=rev)
-    best = cut.reshape(-1)[idx.flat_rank].max(axis=0)
-    return np.where(best > 0.0, best, 0.0)
+    w = a.reshape(-1, n) * weights
+    best = np.empty(w.shape)
+    for i in range(0, len(w), block_rows(n)):
+        s_pref = w[i:i + block_rows(n), idx.order].cumsum(axis=2)
+        cut = np.full(s_pref.shape, -np.inf)
+        np.multiply(power, s_pref, out=cut, where=ball)
+        rev = cut[:, :, ::-1]  # running max from the right, in place
+        np.maximum.accumulate(rev, axis=2, out=rev)
+        best[i:i + len(cut)] = cut.reshape(len(cut), -1)[:, idx.flat_rank].max(axis=1)
+    return np.where(best > 0.0, best, 0.0).reshape(a.shape)
 
 
 def _same_space(system: DyadicSystem, params: MaximalParams) -> None:
@@ -178,22 +183,24 @@ def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
     point; cubes with mu(Q) = 0 are skipped, so empty cubes never produce
     NaN or infinity.  Cubes are summed per size group, each in member
     order, and each point reads its cubes through ``label``.  The system
-    must be built on ``params.space`` itself.
+    must be built on ``params.space`` itself; f may be a (K, n) block.
     """
     _same_space(system, params)
     mu, gamma = params.mu, params.gamma
     weights = (inside if inside is not None else mu).masses
     a = np.abs(np.asarray(f, dtype=float))
-    if a.shape != weights.shape or a.size != system.space.n:
+    if a.ndim not in (1, 2) or a.shape[-1] != weights.size \
+            or weights.size != system.space.n:
         raise BadParams("function size does not match the space", shape=a.shape)
-    terms = a * weights
-    vals = np.zeros(len(system.cubes))
+    terms = a.reshape(-1, weights.size) * weights
+    vals = np.zeros((len(terms), len(system.cubes)))
     for ids, members in system.size_groups:
-        mass = np.sum(mu.masses[members], axis=1)
+        mass = np.add.reduce(mu.masses[members], axis=1)
         scale = [m ** (gamma - 1.0) if m > 0.0 else 0.0 for m in mass.tolist()]
-        vals[ids] = scale * np.sum(terms[members], axis=1)
+        # take keeps each member row contiguous, so it sums as in 1-D
+        vals[:, ids] = scale * np.add.reduce(terms.take(members, axis=1), axis=2)
     vals = np.where(vals > 0.0, vals, 0.0)
-    return vals[system.label].max(axis=0)
+    return np.maximum.reduce(vals.take(system.label, axis=1), axis=1).reshape(a.shape)
 
 
 def _containment_ratio_bound(system: DyadicSystem, mu: PointMeasure,
@@ -422,11 +429,8 @@ def verdict_theorem_a(family, mu: PointMeasure, sigma: PointMeasure,
                                confirmed=bool(lhs > 0.0 and rhs == 0.0))
     dw = dual_weight(mu, sigma, p)
     testing = testing_constant_maximal(family, params, sigma, omega, p, q)
-    seeds: list[np.ndarray] = []
-    for cube in standard_cubes(family):
-        chi = indicator(params.space.n, cube.members)
-        seeds.append(chi * dw.v)
-        seeds.append(chi)
+    chis = [indicator(params.space.n, c.members) for c in standard_cubes(family)]
+    seeds = [s for chi in chis for s in (chi * dw.v, chi)]
     norm = operator_norm_strong(lambda f: apply_M(params, f), sigma, omega,
                                 p, q, budget=budget, seeds=seeds, seed=seed)
     _check_structural("maximal", testing.value, norm.lower)

@@ -45,6 +45,19 @@ NORM_SALT = 0xB0AD
 _ASCENT_ITERS = 60
 _FIXED_POINT_ITERS = 30
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+_BLOCK_ELEMS = 2 ** 15  # cap on a block's entries of (n x n) temporaries
+
+
+def block_rows(n: int) -> int:
+    return max(1, _BLOCK_ELEMS // (n * n))
+
+
+def _rows(f, n: int) -> tuple[np.ndarray, bool]:
+    """|f| as a (K, n) block, and whether f was one function (K = 1)."""
+    a = np.abs(np.asarray(f, dtype=float))
+    if a.ndim not in (1, 2) or a.shape[-1] != n:
+        raise BadParams("function and measure sizes differ", shape=a.shape)
+    return a.reshape(-1, n), a.ndim == 1
 
 
 @dataclass(frozen=True)
@@ -91,23 +104,24 @@ def require_finite_q(ex: Exponents) -> None:
         raise BadExponents("this path requires q < inf", q=ex.q)
 
 
-def lp_norm(f, measure: PointMeasure, p: float) -> float:
-    """(sum |f|^p dm)^(1/p); at p = inf, max |f| over positive-mass points."""
-    a = np.abs(np.asarray(f, dtype=float))
-    masses = measure.masses
-    if a.shape != masses.shape:
-        raise BadParams("function and measure sizes differ", shape=a.shape)
+def lp_norm(f, measure: PointMeasure, p: float):
+    """(sum |f|^p dm)^(1/p); at p = inf, max |f| over positive-mass points.
+    A (K, n) block gives K norms, each its row's own float: the root is
+    taken per row on a scalar, as an array power may round otherwise."""
+    a, single = _rows(f, measure.masses.size)
     if math.isinf(p):
-        sel = a[measure.charged]
-        return float(sel.max()) if sel.size else 0.0
-    if p <= 0:
+        out = a[:, measure.charged].max(axis=1, initial=0.0)
+    elif p <= 0:
         raise BadExponents("need p > 0", p=p)
-    terms = np.zeros(a.size)
-    np.multiply(np.power(a, p), masses, out=terms, where=measure.charged)
-    return float(terms.sum() ** (1.0 / p))
+    else:
+        terms = np.zeros(a.shape)
+        np.multiply(np.power(a, p), measure.masses, out=terms,
+                    where=measure.charged)
+        out = [s ** (1.0 / p) for s in np.add.reduce(terms, axis=1)]
+    return float(out[0]) if single else np.asarray(out)
 
 
-def weak_quasinorm(g, omega: PointMeasure, q: float) -> float:
+def weak_quasinorm(g, omega: PointMeasure, q: float):
     """sup_rho rho * omega({|g| > rho})^(1/q), computed exactly.
 
     The map rho -> omega({|g| > rho}) is a right-continuous step function
@@ -130,36 +144,33 @@ def weak_quasinorm(g, omega: PointMeasure, q: float) -> float:
     Rounding is relative only for normal numbers, so the margin also has
     an absolute slack of the smallest normal float, levels whose power
     underflows are kept, and a non-finite screened maximum keeps every
-    level.
+    level.  The bound holds for any order of the screen's sum, so a (K, n)
+    block screens its rows in one sort, each row's value its own float.
     """
     if math.isinf(q):
         raise BadExponents("weak quasinorm needs q < inf", q=q)
-    a = np.abs(np.asarray(g, dtype=float))
     masses = omega.masses
-    if a.shape != masses.shape:
-        raise BadParams("function and measure sizes differ", shape=a.shape)
-    sel = omega.charged & (a > 0)
-    if not sel.any():
-        return 0.0
+    a, single = _rows(g, masses.size)
     inv_q = 1.0 / q
-    a_sel = a[sel]
-    order = a_sel.argsort()[::-1]
-    vals = a_sel[order]
-    ends = np.ones(vals.size, dtype=bool)
-    np.not_equal(vals[1:], vals[:-1], out=ends[:-1])
-    levels = vals[ends]
-    powers = masses[sel][order].cumsum()[ends] ** inv_q
-    approx = levels * powers
-    top = float(approx.max())
-    if math.isfinite(top):
-        margin = 64.0 * a.size * _EPS * max(1.0, abs(inv_q))
-        keep = (approx >= top - (top * margin + _TINY)) | (powers < 2.0 * _TINY)
-        levels = levels[keep]
-    best = 0.0
-    for v in levels.tolist():
-        w = float(masses[a >= v].sum())
-        best = max(best, v * w ** inv_q)
-    return best
+    vals = np.where(omega.charged & (a > 0.0), a, 0.0)
+    order = vals.argsort(axis=1)[:, ::-1]
+    vals = vals[np.arange(len(a))[:, None], order]
+    level = vals > 0.0  # last of a tie group; zeros sort after every level
+    level[:, :-1] &= vals[:, 1:] != vals[:, :-1]
+    powers = np.power(masses[order].cumsum(axis=1), inv_q,
+                      out=np.ones(a.shape), where=level)
+    approx = np.where(level, vals * powers, 0.0)
+    top = approx.max(axis=1, keepdims=True)
+    top = np.where(top < math.inf, top, 0.0)  # an infinite top keeps all
+    margin = 64.0 * masses.size * _EPS * max(1.0, abs(inv_q))
+    keep = level & ((approx >= top - (top * margin + _TINY))
+                    | (powers < 2.0 * _TINY))
+    best = np.zeros(len(a))
+    rows, cols = np.nonzero(keep)
+    for r, v in zip(rows.tolist(), vals[rows, cols].tolist()):
+        w = float(masses[a[r] >= v].sum())
+        best[r] = max(best[r], v * w ** inv_q)
+    return float(best[0]) if single else best
 
 
 @dataclass
@@ -178,79 +189,112 @@ class NormEstimate:
     details: dict = field(default_factory=dict)
 
 
-def _objective(apply, sigma, omega, p, q, weak: bool):
-    def value(f: np.ndarray) -> float | None:
-        den = lp_norm(f, sigma, p)
-        g = np.asarray(apply(f), dtype=float)
-        num = weak_quasinorm(g, omega, q) if weak else lp_norm(g, omega, q)
-        if den == 0.0:
-            if num > 0.0:
-                raise Infinite("operator maps a null function to positive mass",
-                               witness={"f": f.tolist()})
-            return None
-        if math.isinf(num):
-            raise Infinite("infinite image norm at positive input norm",
-                           witness={"f": f.tolist()})
-        return num / den
+def _image(apply, f: np.ndarray) -> np.ndarray:
+    g = np.asarray(apply(f), dtype=float)
+    if g.shape != f.shape:
+        raise BadParams("apply must return one value per point of each row",
+                        field="apply", shape=g.shape, expected=f.shape)
+    return g
 
-    return value
+
+def _block_values(apply, sigma, omega, p, q, weak: bool):
+    """values(F): ||apply(F[i])|| / ||F[i]|| per row (None on a null row),
+    each the float F[i] gives alone; rows go to apply block_rows(n) at a
+    time, one at a time once apply raises.  The first failing row raises;
+    with partial=True it returns (the values before it, its error)."""
+    def values(F, partial: bool = False):
+        F, out, rows, err = np.asarray(F), [], block_rows(len(sigma.masses)), None
+        while err is None and len(out) < len(F):
+            block = F[len(out):len(out) + rows]
+            try:
+                g = _image(apply, block)
+            except Exception as exc:
+                err, rows = (exc if rows == 1 else None), 1
+                continue
+            num = (weak_quasinorm if weak else lp_norm)(g, omega, q)
+            for f, d, m in zip(block, lp_norm(block, sigma, p).tolist(),
+                               num.tolist()):
+                if (m > 0.0) if d == 0.0 else math.isinf(m):
+                    err = Infinite("operator maps a null function to positive mass"
+                                   if d == 0.0 else "infinite image norm at "
+                                   "positive input norm", witness={"f": f.tolist()})
+                    break
+                out.append(m / d if d != 0.0 else None)
+        if partial:
+            return out, err
+        if err is not None:
+            raise err
+        return out
+
+    return values
 
 
 def _spot_check_monotone(apply, n: int, seed: int) -> None:
-    rng = np.random.default_rng(np.random.SeedSequence([NORM_SALT, seed, 0xC0]))
-    for _ in range(3):
-        f2 = rng.random(n) + 0.1
-        f1 = f2 * rng.random(n)
-        g1 = np.asarray(apply(f1), dtype=float)
-        g2 = np.asarray(apply(f2), dtype=float)
-        ok = np.where(np.isfinite(g2), g1 <= g2 * (1.0 + 1e-12) + 1e-300, True)
-        if not np.all(ok):
-            raise NonPositiveOperator("operator is not order preserving",
-                                      witness={"f1": f1.tolist(), "f2": f2.tolist()})
+    rng, f1, f2 = _rng(seed, 0xC0), np.empty((3, n)), np.empty((3, n))
+    for i in range(3):
+        f2[i] = rng.random(n) + 0.1
+        f1[i] = f2[i] * rng.random(n)
+    g1, g2 = _image(apply, f1), _image(apply, f2)
+    ok = np.where(np.isfinite(g2), g1 <= g2 * (1.0 + 1e-12) + 1e-300, True)
+    bad = np.flatnonzero(~ok.all(axis=1))
+    if bad.size:
+        raise NonPositiveOperator("operator is not order preserving",
+                                  witness={"f1": f1[bad[0]].tolist(),
+                                           "f2": f2[bad[0]].tolist()})
+
+
+def _rng(seed: int, tag: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([NORM_SALT, seed, tag]))
 
 
 def _seed_pool(n: int, seeds, budget: int, seed: int):
-    pool: list[tuple[str, np.ndarray]] = [("ones", np.ones(n))]
-    for x in range(n):
-        e = np.zeros(n)
-        e[x] = 1.0
-        pool.append((f"point:{x}", e))
+    pool = [("ones", np.ones(n))] + [(f"point:{x}", e)
+                                      for x, e in enumerate(np.eye(n))]
     for i, s in enumerate(seeds):
         v = np.abs(np.asarray(s, dtype=float))
         if v.shape != (n,):
             raise BadParams("seed function has the wrong size", index=i)
         pool.append((f"seed:{i}", v))
-    for b in range(budget):
-        rng = np.random.default_rng(np.random.SeedSequence([NORM_SALT, seed, b]))
-        pool.append((f"random:{b}", rng.random(n)))
-    return pool
+    return pool + [(f"random:{b}", _rng(seed, b).random(n)) for b in range(budget)]
 
 
-def _ascend(value, f0: np.ndarray, v0: float, rng) -> tuple[np.ndarray, float]:
-    f, best = f0.copy(), v0
-    step, stall = 0.5, 0
+def _lockstep_ascent(values, starts, seed: int) -> list:
+    """Random ascent from all starts in lockstep, start i on _rng(seed,
+    0x200 + i), one block of proposals per iteration, so each start takes
+    the steps it takes alone.  A failing row stops its start and the later
+    ones; the earliest error in (start, iteration) order is raised.
+    Returns (f, value) per start."""
+    rngs = [_rng(seed, 0x200 + i) for i in range(len(starts))]
+    f, best = [f0.copy() for _, f0, _ in starts], [v0 for *_, v0 in starts]
+    step, stall = np.full(len(starts), 0.5), [0] * len(starts)
+    live, error = list(range(len(starts))), None
     for it in range(_ASCENT_ITERS):
-        if it % 3 == 2:
-            pos = f[f > 0]
-            base = float(pos.mean()) if pos.size else 1.0
-            prop = f + step * base * rng.random(f.size)
+        if not live:
+            break
+        cur, n = np.array([f[i] for i in live]), len(f[0])
+        if it % 3 == 2:  # additive, scaled by the mean positive value
+            base = [float(x.mean()) if (x := f[i][f[i] > 0]).size else 1.0
+                    for i in live]
+            props = cur + (step[live] * base)[:, None] * np.array(
+                [rngs[i].random(n) for i in live])
         else:
-            prop = f * np.exp(step * rng.standard_normal(f.size))
-        m = float(prop.max())
-        if m > 0 and math.isfinite(m):
-            prop = prop / m
-        v = value(prop)
-        if v is not None and v > best:
-            f, best = prop, v
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 5:
-                step *= 0.5
-                stall = 0
-            if step < 1e-4:
-                break
-    return f, best
+            props = cur * np.exp(step[live][:, None] * np.array(
+                [rngs[i].standard_normal(n) for i in live]))
+        m = props.max(axis=1, keepdims=True)
+        props /= np.where((m > 0) & (m < math.inf), m, 1.0)
+        vals, err = values(props, partial=True)
+        error = err or error
+        for i, v, prop in zip(live, vals, props):
+            if v is not None and v > best[i]:
+                f[i], best[i], stall[i] = prop, v, 0
+            elif stall[i] == 4:
+                step[i], stall[i] = step[i] * 0.5, 0  # five stalls halve it
+            else:
+                stall[i] += 1
+        live = [i for i in live[:len(vals)] if step[i] >= 1e-4]
+    if error is not None:
+        raise error
+    return list(zip(f, best))
 
 
 def _fixed_point(value, apply, apply_adjoint, f0: np.ndarray,
@@ -281,42 +325,36 @@ def _norm_search(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
         require_finite_q(ex)
     n = sigma.masses.size
     _spot_check_monotone(apply, n, seed)
-    value = _objective(apply, sigma, omega, p, q, weak)
-
+    values = _block_values(apply, sigma, omega, p, q, weak)
+    pool = _seed_pool(n, seeds, budget, seed)
     best, witness, method = -math.inf, None, "none"
-    for name, f in _seed_pool(n, seeds, budget, seed):
-        v = value(f)
+    for (name, f), v in zip(pool, values([f for _, f in pool])):
         if v is not None and v > best:
             best, witness, method = v, f, f"pool:{name}"
 
     details: dict = {}
     if apply_adjoint is not None and not weak and not math.isinf(q):
         start = witness if witness is not None and np.max(witness) > 0 else np.ones(n)
-        bw, bv = _fixed_point(value, apply, apply_adjoint, start, p, q)
+        bw, bv = _fixed_point(lambda f: values([f])[0], apply, apply_adjoint,
+                              start, p, q)
         details["fixed_point"] = bv if bv > -math.inf else None
         if bw is not None and bv > best:
             best, witness, method = bv, bw, "fixed-point"
 
     starts = [("best", witness, best)] if witness is not None else []
-    for b in range(max(1, budget)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([NORM_SALT, seed, 0x100 + b]))
-        f0 = rng.random(n)
-        v0 = value(f0)
-        if v0 is None:
-            continue
-        starts.append((f"restart:{b}", f0, v0))
-    for i, (tag, f0, v0) in enumerate(starts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([NORM_SALT, seed, 0x200 + i]))
-        f1, v1 = _ascend(value, f0, v0, rng)
+    f0s = [_rng(seed, 0x100 + b).random(n) for b in range(max(1, budget))]
+    starts += [(f"restart:{b}", f0, v0)
+               for b, (f0, v0) in enumerate(zip(f0s, values(f0s)))
+               if v0 is not None]
+    for (tag, _, _), (f1, v1) in zip(starts,
+                                     _lockstep_ascent(values, starts, seed)):
         if v1 > best:
             best, witness, method = v1, f1, f"ascent:{tag}"
 
     if best == -math.inf:
         return NormEstimate(0.0, 0.0, None, "vacuous", details)
 
-    replay = value(witness)
+    replay = values([witness])[0]
     if replay is None or not close(replay, best,
                                    TOLERANCES["witness_replay_rel"]):
         raise LowerBoundViolated("witness replay does not reproduce the bound",
@@ -396,27 +434,26 @@ def cube_testing(cubes, action, normalizer: PointMeasure,
     Returns (sup, argmax, convention hits, infinite cubes): a cube whose
     normalizing mass vanishes is skipped and counted (the inf * 0 = 0
     reading); a cube with an infinite ratio is listed and makes the sup
-    infinite.
+    infinite.  action maps a (K, n) block of indicators row by row; the
+    cubes go to it block_rows(n) at a time.
     """
-    n = normalizer.masses.size
-    best, argmax, hits = 0.0, None, 0
-    infinite: list[Cube] = []
-    for cube in cubes:
-        mass = normalizer.of(cube.members)
-        if mass == 0.0:
-            hits += 1
-            continue
-        chi = indicator(n, cube.members)
-        img = np.asarray(action(chi), dtype=float)
-        img = np.where(chi > 0.0, img, 0.0)
-        val = lp_norm(img, inside, r_out) / mass ** (1.0 / r_norm)
+    n, rows = normalizer.masses.size, block_rows(normalizer.masses.size)
+    live = [(c, m) for c in cubes if (m := normalizer.of(c.members)) != 0.0]
+    norms: list[float] = []
+    for i in range(0, len(live), rows):
+        chi = np.array([indicator(n, c.members) for c, _ in live[i:i + rows]])
+        img = np.where(chi > 0.0, _image(action, chi), 0.0)
+        norms += lp_norm(img, inside, r_out).tolist()
+    best, argmax, infinite = 0.0, None, []
+    for (cube, mass), nrm in zip(live, norms):
+        val = nrm / mass ** (1.0 / r_norm)
         if math.isinf(val):
             infinite.append(cube)
             best = math.inf
             continue
         if val > best:
             best, argmax = val, cube
-    return best, argmax, hits, infinite
+    return best, argmax, len(cubes) - len(live), infinite
 
 
 def testing_constants(op, family, p: float, q: float) -> TestingConstants:

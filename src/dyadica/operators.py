@@ -55,7 +55,7 @@ from .space import PointMeasure, _frozen
 
 def _as_density(f, n: int) -> np.ndarray:
     v = np.asarray(f, dtype=float)
-    if v.shape != (n,):
+    if v.ndim not in (1, 2) or v.shape[-1] != n:
         raise BadParams("density must have one value per point", shape=v.shape)
     if not np.isfinite(v).all():
         raise BadParams("density values must be finite")
@@ -75,11 +75,13 @@ def weighted_apply(off: np.ndarray, diag: np.ndarray, f,
                    measure: PointMeasure) -> np.ndarray:
     """Integrate a split kernel matrix against f d(measure), inf * 0 = 0:
     the diagonal multiplies only where the density is nonzero. Off-diagonal
-    values are finite, so a zero density has the zero image."""
-    g = _as_density(f, off.shape[0]) * measure.masses
-    if not g.any():
-        return np.zeros(g.size)
-    return off @ g + np.multiply(diag, g, out=np.zeros(g.size), where=g != 0.0)
+    values are finite, so a zero density has the zero image. A (K, n) block
+    runs one matrix-vector product per row, each row's image bit for bit."""
+    f = _as_density(f, off.shape[0])
+    g = f.reshape(-1, off.shape[0]) * measure.masses
+    out = np.matmul(off, g[:, :, None])[:, :, 0]
+    out += np.multiply(diag, g, out=np.zeros(g.shape), where=g != 0.0)
+    return out.reshape(f.shape)
 
 
 def pairing(u: np.ndarray, v: np.ndarray, w: PointMeasure) -> float:

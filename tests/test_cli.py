@@ -347,6 +347,34 @@ class TestCheckCommands:
             views.append(json.dumps(doc, sort_keys=True))
         assert views[0] == views[1]
 
+    @pytest.mark.parametrize("command", ["verify-dyadic", "build-dyadic",
+                                         "sweep"])
+    def test_relative_space_file_is_read_next_to_its_file(
+            self, space_file, tmp_path, monkeypatch, command):
+        # the scenario (or plan) and its space file sit in sub/, the run
+        # starts in tmp_path, and the report echoes the path as written
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "space.json").write_text(Path(space_file).read_text())
+        doc = {"space": {"file": "space.json"}, "checks": ["space"]}
+        if command == "sweep":
+            doc = {"template": doc, "seeds": [0]}
+        (sub / "doc.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--config", "sub/doc.json", "--out", "out.json"]
+        if command == "sweep":
+            argv += ["--reports", "reports.json"]
+        assert main(argv) == 0
+        if command == "build-dyadic":
+            assert json.loads((tmp_path / "out.json").read_text())
+            return
+        report = json.loads((tmp_path / ("out.json" if command != "sweep"
+                                         else "reports.json")).read_text())
+        report = report[0] if command == "sweep" else report
+        assert report["scenario"]["space"] == {"file": "space.json"}
+        assert report["scenario_hash"] == run_scenario(
+            dict(report["scenario"]), str(sub)).scenario_hash
+
     def test_missing_config_exits_two(self, capsys):
         assert main(["verify-dyadic"]) == 2
         assert capsys.readouterr().err.startswith("config error: config")

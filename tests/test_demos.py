@@ -49,3 +49,16 @@ def test_documented_commands_exit_zero(tmp_path, monkeypatch, capsys):
         assert f"demos/cli/{path.name}" in used
     for argv in commands:
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+    # theorem-a's scenario names its space file relative to itself, so the
+    # same command run from another directory gives the same report
+    theorem_a = next(argv for argv in commands if argv[0] == "theorem-a")
+    capsys.readouterr()
+    assert main(theorem_a) == 0
+    here = capsys.readouterr().out
+    config = theorem_a.index("--config") + 1
+    elsewhere = list(theorem_a)
+    elsewhere[config] = str(tmp_path / theorem_a[config])
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main(elsewhere) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == here

@@ -617,16 +617,18 @@ class TestTrials:
 
 class TestSpaceIndexReuse:
     def test_one_index_serves_every_apply_M_call(self, monkeypatch):
-        # the norm search makes as many apply_M calls as before the index
-        # (261 on this scenario), and all of them read one index object
+        # the norm search and the testing sweep evaluate their functions in
+        # blocks, so the 261 functions of this scenario go to apply_M in
+        # fewer calls; every call reads one index object
         import dyadica.maximal as maximal
 
-        indexes = []
+        indexes, rows = [], []
         real = maximal.apply_M
 
-        def recorded(params, *args, **kw):
+        def recorded(params, f, *args, **kw):
             indexes.append(params.space.index)
-            return real(params, *args, **kw)
+            rows.append(len(np.atleast_2d(f)))
+            return real(params, f, *args, **kw)
 
         monkeypatch.setattr(maximal, "apply_M", recorded)
         rep = run_scenario(segment_scenario(
@@ -635,7 +637,8 @@ class TestSpaceIndexReuse:
                       "omega": {"random": {"seed": 2}}},
             exponents={"p": 1.5, "q": 3.0}))
         assert not rep.failed
-        assert len(indexes) == 261
+        assert sum(rows) == 261
+        assert len(indexes) == 76
         assert all(idx is indexes[0] for idx in indexes)
 
 

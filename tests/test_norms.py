@@ -26,11 +26,25 @@ from dyadica.norms import (
     verdict_weak_type,
     weak_quasinorm,
 )
+from dyadica.maximal import apply_M, apply_M_dyadic, maximal_params
+from dyadica.norms import (
+    NORM_SALT,
+    NormEstimate,
+    _fixed_point,
+    block_rows,
+    cube_testing,
+)
 from dyadica.norms import testing_constants as compute_testing
-from dyadica.operators import MatrixOperator, build_dyadic_operator
+from dyadica.operators import (
+    MatrixOperator,
+    build_dyadic_operator,
+    split_diagonal,
+    weighted_apply,
+)
 from dyadica.space import PointMeasure, generate_space
 
 from conftest import random_masses
+from test_maximal import apply_M_rows
 
 
 def weak_verdict(kernel, fam, sigma, omega, p, q, budget):
@@ -529,3 +543,433 @@ class TestHelpers:
         with pytest.raises(BadParams):
             operator_norm_strong(op.apply, mu, mu, 2.0, 2.0, budget=1,
                                  seeds=[np.ones(3)])
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the sequential search: the norm search, the testing
+# sweep and the weak quasinorm as they were before block evaluation, each
+# function evaluated on its own, kept here as oracles
+# ---------------------------------------------------------------------------
+
+def weighted_apply_seq(off, diag, f, measure):
+    g = np.asarray(f, dtype=float) * measure.masses
+    if not g.any():
+        return np.zeros(g.size)
+    return off @ g + np.multiply(diag, g, out=np.zeros(g.size), where=g != 0.0)
+
+
+def lp_norm_seq(f, measure, p):
+    a = np.abs(np.asarray(f, dtype=float))
+    if math.isinf(p):
+        sel = a[measure.charged]
+        return float(sel.max()) if sel.size else 0.0
+    terms = np.zeros(a.size)
+    np.multiply(np.power(a, p), measure.masses, out=terms,
+                where=measure.charged)
+    return float(terms.sum() ** (1.0 / p))
+
+
+def weak_quasinorm_seq(g, omega, q):
+    a = np.abs(np.asarray(g, dtype=float))
+    masses = omega.masses
+    sel = omega.charged & (a > 0)
+    if not sel.any():
+        return 0.0
+    inv_q = 1.0 / q
+    a_sel = a[sel]
+    order = a_sel.argsort()[::-1]
+    vals = a_sel[order]
+    ends = np.ones(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=ends[:-1])
+    levels = vals[ends]
+    powers = masses[sel][order].cumsum()[ends] ** inv_q
+    approx = levels * powers
+    top = float(approx.max())
+    if math.isfinite(top):
+        margin = 64.0 * a.size * np.finfo(float).eps * max(1.0, abs(inv_q))
+        keep = (approx >= top - (top * margin + np.finfo(float).tiny)) | (
+            powers < 2.0 * np.finfo(float).tiny)
+        levels = levels[keep]
+    best = 0.0
+    for v in levels.tolist():
+        w = float(masses[a >= v].sum())
+        best = max(best, v * w ** inv_q)
+    return best
+
+
+def objective_seq(apply, sigma, omega, p, q, weak):
+    def value(f):
+        den = lp_norm_seq(f, sigma, p)
+        g = np.asarray(apply(f), dtype=float)
+        num = weak_quasinorm_seq(g, omega, q) if weak else lp_norm_seq(
+            g, omega, q)
+        if den == 0.0:
+            if num > 0.0:
+                raise Infinite("operator maps a null function to positive mass",
+                               witness={"f": f.tolist()})
+            return None
+        if math.isinf(num):
+            raise Infinite("infinite image norm at positive input norm",
+                           witness={"f": f.tolist()})
+        return num / den
+
+    return value
+
+
+def seq_rng(seed, tag):
+    return np.random.default_rng(np.random.SeedSequence([NORM_SALT, seed, tag]))
+
+
+def ascend_seq(value, f0, v0, rng, trace):
+    f, best = f0.copy(), v0
+    step, stall = 0.5, 0
+    for it in range(60):
+        if it % 3 == 2:
+            pos = f[f > 0]
+            base = float(pos.mean()) if pos.size else 1.0
+            prop = f + step * base * rng.random(f.size)
+        else:
+            prop = f * np.exp(step * rng.standard_normal(f.size))
+        m = float(prop.max())
+        if m > 0 and math.isfinite(m):
+            prop = prop / m
+        trace.append((it, prop))
+        v = value(prop)
+        if v is not None and v > best:
+            f, best = prop, v
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 5:
+                step *= 0.5
+                stall = 0
+            if step < 1e-4:
+                break
+    return f, best
+
+
+def norm_search_seq(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
+                    matrix, seed, weak, trace=None):
+    """The sequential search; trace[i] collects (iteration, proposal) of
+    ascent start i."""
+    n = sigma.masses.size
+    rng = seq_rng(seed, 0xC0)
+    for _ in range(3):
+        f2 = rng.random(n) + 0.1
+        f1 = f2 * rng.random(n)
+        g1, g2 = np.asarray(apply(f1)), np.asarray(apply(f2))
+        ok = np.where(np.isfinite(g2), g1 <= g2 * (1.0 + 1e-12) + 1e-300, True)
+        if not np.all(ok):
+            raise NonPositiveOperator("operator is not order preserving")
+    value = objective_seq(apply, sigma, omega, p, q, weak)
+    pool = [("ones", np.ones(n))]
+    for x in range(n):
+        e = np.zeros(n)
+        e[x] = 1.0
+        pool.append((f"point:{x}", e))
+    pool += [(f"seed:{i}", np.abs(np.asarray(s, dtype=float)))
+             for i, s in enumerate(seeds)]
+    pool += [(f"random:{b}", seq_rng(seed, b).random(n)) for b in range(budget)]
+    best, witness, method = -math.inf, None, "none"
+    for name, f in pool:
+        v = value(f)
+        if v is not None and v > best:
+            best, witness, method = v, f, f"pool:{name}"
+    details = {}
+    if apply_adjoint is not None and not weak and not math.isinf(q):
+        start = witness if witness is not None and np.max(witness) > 0 \
+            else np.ones(n)
+        bw, bv = _fixed_point(value, apply, apply_adjoint, start, p, q)
+        details["fixed_point"] = bv if bv > -math.inf else None
+        if bw is not None and bv > best:
+            best, witness, method = bv, bw, "fixed-point"
+    starts = [("best", witness, best)] if witness is not None else []
+    for b in range(max(1, budget)):
+        f0 = seq_rng(seed, 0x100 + b).random(n)
+        v0 = value(f0)
+        if v0 is not None:
+            starts.append((f"restart:{b}", f0, v0))
+    trace = [] if trace is None else trace
+    for i, (tag, f0, v0) in enumerate(starts):
+        trace.append([])
+        f1, v1 = ascend_seq(value, f0, v0, seq_rng(seed, 0x200 + i), trace[i])
+        if v1 > best:
+            best, witness, method = v1, f1, f"ascent:{tag}"
+    if best == -math.inf:
+        return NormEstimate(0.0, 0.0, None, "vacuous", details)
+    assert value(witness) == best
+    estimate = best
+    if not weak and p == 2.0 and q == 2.0 and matrix is not None:
+        b_mat = (np.sqrt(omega.masses)[:, None] * matrix
+                 * np.sqrt(sigma.masses)[None, :])
+        details["spectral"] = float(np.linalg.norm(b_mat, 2))
+        estimate = max(best, details["spectral"])
+    return NormEstimate(best, estimate, witness, method, details)
+
+
+def cube_testing_seq(cubes, action, normalizer, inside, r_out, r_norm):
+    n = normalizer.masses.size
+    best, argmax, hits, infinite = 0.0, None, 0, []
+    for cube in cubes:
+        mass = normalizer.of(cube.members)
+        if mass == 0.0:
+            hits += 1
+            continue
+        chi = indicator(n, cube.members)
+        img = np.where(chi > 0.0, np.asarray(action(chi), dtype=float), 0.0)
+        val = lp_norm_seq(img, inside, r_out) / mass ** (1.0 / r_norm)
+        if math.isinf(val):
+            infinite.append(cube)
+            best = math.inf
+            continue
+        if val > best:
+            best, argmax = val, cube
+    return best, argmax, hits, infinite
+
+
+def assert_same_estimate(got, want):
+    assert (got.lower, got.estimate, got.method, got.details) == (
+        want.lower, want.estimate, want.method, want.details)
+    assert got.witness.tobytes() == want.witness.tobytes()
+
+
+def real_masses(rng, n, zero_fraction=0.0):
+    """Masses spread over four decades, so that a change of summation
+    order would show in the last digits."""
+    m = rng.random(n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+    m[rng.random(n) < zero_fraction] = 0.0
+    return m
+
+
+ORACLE_SPACES = {
+    "segment": lambda n: ("integer_segment_counting", {"n": n}),
+    "cloud": lambda n: ("euclidean_random_points", {"n": n, "dim": 2}),
+    "tree": lambda n: ("ultrametric_tree", {8: {"depth": 3, "branching": 2},
+                                            16: {"depth": 2, "branching": 4},
+                                            27: {"depth": 3, "branching": 3},
+                                            64: {"depth": 3, "branching": 4}
+                                            }[n] | {"ratio": 1.0 / 96.0}),
+}
+
+
+def oracle_instance(kind, n, seed):
+    name, params = ORACLE_SPACES[kind](n)
+    space, mu = generate_space(name, seed=seed, **params)
+    rng = np.random.default_rng(1000 + n + seed)
+    sigma = PointMeasure(real_masses(rng, n))
+    omega = PointMeasure(real_masses(rng, n, 0.25))
+    kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
+    fam = build_adjacent_systems(space)
+    return space, mu, sigma, omega, kernel, fam
+
+
+class TestBlockSearchMatchesSequential:
+    @pytest.mark.parametrize("kind", ["segment", "cloud", "tree"])
+    @pytest.mark.parametrize("n", [8, 16, 27, 64])
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (1.5, 3.0), (1.5, 1.5),
+                                     (3.0, 3.0)])
+    def test_matrix_operator(self, kind, n, p, q):
+        space, mu, sigma, omega, kernel, fam = oracle_instance(kind, n, 0)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
+        off, diag = split_diagonal(kernel.matrix)
+        off_t, diag_t = split_diagonal(kernel.matrix.T)
+
+        def seq(f):
+            return weighted_apply_seq(off, diag, f, sigma)
+
+        def seq_adj(h):
+            return weighted_apply_seq(off_t, diag_t, h, omega)
+
+        seeds = cube_seeds(fam, n)
+        got = operator_norm_strong(op.apply, sigma, omega, p, q, 2, seeds,
+                                   apply_adjoint=op.apply_adjoint,
+                                   matrix=op.matrix, seed=3)
+        want = norm_search_seq(seq, sigma, omega, p, q, 2, seeds, seq_adj,
+                               op.matrix, 3, weak=False)
+        assert_same_estimate(got, want)
+        got = operator_norm_weak(op.apply, sigma, omega, p, q, 2, seeds, seed=4)
+        want = norm_search_seq(seq, sigma, omega, p, q, 2, seeds, None, None,
+                               4, weak=True)
+        assert_same_estimate(got, want)
+        got = operator_norm_strong(op.apply, sigma, omega, p, math.inf, 2,
+                                   seeds, seed=5)
+        want = norm_search_seq(seq, sigma, omega, p, math.inf, 2, seeds, None,
+                               None, 5, weak=False)
+        assert_same_estimate(got, want)
+        for args in ((op.apply, sigma, omega, q, p), (op.apply_adjoint, omega,
+                                                      sigma, 1.5, 2.0)):
+            cubes = standard_cubes(fam)
+            assert cube_testing(cubes, *args) == cube_testing_seq(cubes, *args)
+
+    @pytest.mark.parametrize("kind", ["segment", "cloud", "tree"])
+    @pytest.mark.parametrize("n", [8, 16, 27, 64])
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (1.5, 3.0), (1.5, 1.5),
+                                     (3.0, 3.0)])
+    def test_apply_M(self, kind, n, p, q):
+        space, mu, sigma, omega, kernel, fam = oracle_instance(kind, n, 1)
+        params = maximal_params(space, mu, 0.5)
+        seeds = cube_seeds(fam, n)
+
+        def block(f):
+            return apply_M(params, f)
+
+        def seq(f):
+            return apply_M_rows(params, f)
+
+        for weak, q_run, seed in ((False, q, 6), (True, q, 7),
+                                  (False, math.inf, 8)):
+            search = operator_norm_weak if weak else operator_norm_strong
+            got = search(block, sigma, omega, p, q_run, 2, seeds, seed=seed)
+            want = norm_search_seq(seq, sigma, omega, p, q_run, 2, seeds,
+                                   None, None, seed, weak=weak)
+            assert_same_estimate(got, want)
+        cubes = standard_cubes(fam)
+        for args in ((block, sigma, omega, q, p),
+                     (lambda f: apply_M_dyadic(fam[0], params, f), sigma,
+                      omega, q, p)):
+            assert cube_testing(cubes, *args) == cube_testing_seq(cubes, *args)
+
+    def test_error_order_in_lockstep_ascent(self):
+        # restart:1 (start 2) fails at its tenth proposal, and restart:2
+        # (start 3) fails earlier, at its third: a start-by-start run meets
+        # start 2's failure first, so that is the error raised
+        space, mu, sigma, omega, kernel, fam = oracle_instance("segment", 16, 0)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
+        off, diag = split_diagonal(kernel.matrix)
+        trace = []
+        norm_search_seq(lambda f: weighted_apply_seq(off, diag, f, sigma),
+                        sigma, omega, 1.5, 3.0, 3, (), None, None, 9, False,
+                        trace)
+        assert len(trace) == 4 and len(trace[2]) > 10 and len(trace[3]) > 3
+        bad = {trace[2][10][1].tobytes(), trace[3][3][1].tobytes()}
+
+        def poisoned(apply):
+            def run(f):
+                g = np.array(apply(f), dtype=float)
+                rows, fs = g.reshape(-1, g.shape[-1]), np.reshape(f, (-1, 16))
+                for row, x in zip(rows, fs):
+                    if x.tobytes() in bad:
+                        row[:] = math.inf
+                return g
+            return run
+
+        with pytest.raises(Infinite) as want:
+            norm_search_seq(poisoned(lambda f: weighted_apply_seq(
+                off, diag, f, sigma)), sigma, omega, 1.5, 3.0, 3, (), None,
+                None, 9, False)
+        with pytest.raises(Infinite) as got:
+            operator_norm_strong(poisoned(op.apply), sigma, omega, 1.5, 3.0,
+                                 3, (), seed=9)
+        assert str(got.value) == str(want.value)
+        assert got.value.witness == want.value.witness
+        assert got.value.witness["witness"]["f"] == trace[2][10][1].tolist()
+
+    def test_raising_apply_keeps_the_first_failing_row(self):
+        # the pool's seed:1 has a non-finite density and point:3 an infinite
+        # image; the one-by-one pool meets point:3 first
+        space, mu, sigma, omega, kernel, fam = oracle_instance("segment", 8, 0)
+        off, diag = split_diagonal(kernel.matrix)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
+        seeds = [np.ones(8), np.full(8, math.inf)]
+
+        def inf_at_point_3(apply):
+            def run(f):
+                g = np.array(apply(f), dtype=float)
+                rows, fs = g.reshape(-1, 8), np.reshape(f, (-1, 8))
+                rows[(fs == np.eye(8)[3]).all(axis=1)] = math.inf
+                return g
+            return run
+
+        with pytest.raises(Infinite) as want:
+            norm_search_seq(inf_at_point_3(
+                lambda f: MatrixOperator(kernel.matrix, sigma, omega).apply(
+                    np.asarray(f))), sigma, omega, 2.0, 2.0, 1, seeds, None,
+                None, 0, False)
+        with pytest.raises(Infinite) as got:
+            operator_norm_strong(inf_at_point_3(op.apply), sigma, omega, 2.0,
+                                 2.0, 1, seeds)
+        assert got.value.witness == want.value.witness
+        # and with only the non-finite seed left, its own error comes out
+        with pytest.raises(BadParams, match="finite"):
+            operator_norm_strong(op.apply, sigma, omega, 2.0, 2.0, 1, seeds)
+
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    def test_weak_quasinorm_block(self, q):
+        rng = np.random.default_rng(int(q * 7))
+        for n in (1, 2, 8, 16, 27):
+            omega = PointMeasure(real_masses(rng, n, 0.25))
+            rows = [rng.random(n), np.round(rng.normal(size=n) * 3.0),
+                    np.zeros(n), rng.random(n) * 10.0 ** rng.uniform(-3, 3, n)]
+            with_inf = rng.random(n)
+            with_inf[rng.integers(n)] = math.inf
+            rows.append(with_inf)
+            block = np.array(rows)
+            got = weak_quasinorm(block, omega, q)
+            assert got.tolist() == [weak_quasinorm_seq(g, omega, q)
+                                    for g in block]
+            assert got.tolist() == [weak_quasinorm(g, omega, q) for g in block]
+
+
+class TestBlockContract:
+    @staticmethod
+    def rows_equal(block_out, row_outs):
+        assert block_out.shape == (len(row_outs), row_outs[0].size)
+        assert block_out.tobytes() == np.array(row_outs).tobytes()
+
+    def test_weighted_apply_rows(self):
+        # an infinite diagonal (the closed ball-volume kernel of a measure
+        # with null points) against zero and nonzero densities, zero rows,
+        # and more rows than one block holds
+        space, _ = generate_space("integer_segment_counting", n=16)
+        rng = np.random.default_rng(12)
+        mu = PointMeasure(real_masses(rng, 16, 0.3))
+        kernel = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
+        off, diag = split_diagonal(kernel.matrix)
+        assert np.isinf(diag).any()
+        m = PointMeasure(real_masses(rng, 16))
+        rows = rng.random((block_rows(16) + 5, 16))
+        rows[::7] = 0.0
+        rows[1::5, np.isinf(diag)] = 0.0
+        got = weighted_apply(off, diag, rows, m)
+        self.rows_equal(got, [weighted_apply(off, diag, f, m) for f in rows])
+        finite = np.isfinite(got).all(axis=1)
+        self.rows_equal(got[finite], [weighted_apply_seq(off, diag, f, m)
+                                      for f in rows[finite]])
+        assert not got[::7].any()
+
+    @pytest.mark.parametrize("n", [8, 27, 64])
+    def test_apply_M_rows(self, n):
+        # 64 points: one row per block, so every block is chunked
+        space, mu = generate_space("euclidean_random_points", n=n, dim=2)
+        rng = np.random.default_rng(n)
+        params = maximal_params(space, PointMeasure(real_masses(rng, n, 0.2)),
+                                0.5)
+        inside = PointMeasure(real_masses(rng, n))
+        rows = rng.random((2 * block_rows(n) + 3, n))
+        rows[::4] = 0.0
+        got = apply_M(params, rows, inside=inside)
+        self.rows_equal(got, [apply_M(params, f, inside=inside) for f in rows])
+        self.rows_equal(got, [apply_M_rows(params, f, inside) for f in rows])
+        fam = build_adjacent_systems(space)
+        got = apply_M_dyadic(fam[0], params, rows)
+        self.rows_equal(got, [apply_M_dyadic(fam[0], params, f)
+                              for f in rows])
+
+    def test_lp_norm_rows(self):
+        rng = np.random.default_rng(3)
+        m = PointMeasure(real_masses(rng, 16, 0.25))
+        rows = rng.random((5, 16))
+        rows[0] = 0.0
+        rows[1, ~m.charged] = math.inf
+        for p in (1.5, 2.0, 3.0, math.inf):
+            assert lp_norm(rows, m, p).tolist() == [lp_norm_seq(f, m, p)
+                                                    for f in rows]
+
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_apply_of_another_shape_is_refused(self, two_point, weak):
+        _, mu = two_point
+        search = operator_norm_weak if weak else operator_norm_strong
+        with pytest.raises(BadParams, match="apply") as err:
+            search(lambda f: np.asarray(f)[..., :1], mu, mu, 2.0, 2.0,
+                   budget=1)
+        assert err.value.witness["field"] == "apply"
