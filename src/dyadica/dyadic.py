@@ -684,17 +684,22 @@ def maximal_cubes(system, chosen) -> tuple[Cube, ...]:
     if chosen.shape != (len(cubes),):
         raise BadParams("mask does not match the cube ids",
                         size=chosen.shape, cubes=len(cubes))
-    parent = system.parent
-    above = np.zeros(len(cubes), dtype=bool)
+    kept = np.flatnonzero(_maximal_mask(system.parent, chosen))
+    return tuple(cubes[i] for i in sorted(kept.tolist(),
+                                          key=lambda i: (-cubes[i].size, i)))
+
+
+def _maximal_mask(parent: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """chosen minus the cubes with a chosen proper ancestor, one pass per
+    generation up ``parent``; a (rows, cubes) stack is walked at once."""
+    above = np.zeros(chosen.shape, dtype=bool)
     anc = parent.copy()
     live = np.flatnonzero(anc >= 0)
     while live.size:
-        above[live] |= chosen[anc[live]]
+        above[..., live] |= chosen[..., anc[live]]
         anc[live] = parent[anc[live]]
         live = live[anc[live] >= 0]
-    kept = np.flatnonzero(chosen & ~above)
-    return tuple(cubes[i] for i in sorted(kept.tolist(),
-                                          key=lambda i: (-cubes[i].size, i)))
+    return chosen & ~above
 
 
 def _family_systems(family) -> tuple[DyadicSystem, ...]:

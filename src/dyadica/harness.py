@@ -482,7 +482,7 @@ def _stage_stopping(run: _Run) -> None:
     p = run.sc.exponents["p"]
     for t, op in enumerate(ops):
         sys = op.system
-        rng = run.trial_rng(3, t)
+        rng, draw_rng = run.trial_rng(3, t), run.trial_rng(4, t)
         cases = []
         for _ in range(budget):
             f = rng.random(op.n)
@@ -491,10 +491,9 @@ def _stage_stopping(run: _Run) -> None:
         for key, checker in (("max_principle_1", check_max_principle_1),
                              ("max_principle_2", check_max_principle_2)):
             run.check(f"stopping.t{t}.{key}",
-                      (checker(op, f, float(rho), image=image)
-                       for f, image, grid in cases for rho in grid))
-        rng = run.trial_rng(4, t)
-        draws = (rng.random(op.n) for _ in range(budget))
+                      (checker(op, f, grid, image=image)
+                       for f, image, grid in cases))
+        draws = (draw_rng.random(op.n) for _ in range(budget))
         run.check(f"stopping.t{t}.principal_mainlemma",
                   (check_mainlemma(sys, build_principal_cubes(
                       sys, sigma, f).cubes, sigma, f, p) for f in draws))

@@ -201,13 +201,15 @@ def _block_values(apply, sigma, omega, p, q, weak: bool):
     """values(F): ||apply(F[i])|| / ||F[i]|| per row (None on a null row),
     each the float F[i] gives alone; rows go to apply block_rows(n) at a
     time, one at a time once apply raises.  The first failing row raises;
-    with partial=True it returns (the values before it, its error)."""
-    def values(F, partial: bool = False):
+    with partial=True it returns (the values before it, its error).  Given
+    images, images[i] stands for apply(F[i]) and nothing is applied."""
+    def values(F, partial: bool = False, images=None):
         F, out, rows, err = np.asarray(F), [], block_rows(len(sigma.masses)), None
         while err is None and len(out) < len(F):
             block = F[len(out):len(out) + rows]
             try:
-                g = _image(apply, block)
+                g = _image(apply, block) if images is None else \
+                    images[len(out):len(out) + rows]
             except Exception as exc:
                 err, rows = (exc if rows == 1 else None), 1
                 continue
@@ -297,15 +299,15 @@ def _lockstep_ascent(values, starts, seed: int) -> list:
     return list(zip(f, best))
 
 
-def _fixed_point(value, apply, apply_adjoint, f0: np.ndarray,
+def _fixed_point(values, apply, apply_adjoint, f0: np.ndarray,
                  p: float, q: float) -> tuple[np.ndarray | None, float]:
     f = f0.copy()
     best, bw = -math.inf, None
     for _ in range(_FIXED_POINT_ITERS):
-        v = value(f)
+        g = _image(apply, f)
+        v = values([f], images=g[None])[0]
         if v is not None and v > best:
             best, bw = v, f.copy()
-        g = np.asarray(apply(f), dtype=float)
         if not np.isfinite(g).all() or float(g.max()) <= 0.0:
             break
         u = np.power(g, q - 1.0)
@@ -335,8 +337,7 @@ def _norm_search(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
     details: dict = {}
     if apply_adjoint is not None and not weak and not math.isinf(q):
         start = witness if witness is not None and np.max(witness) > 0 else np.ones(n)
-        bw, bv = _fixed_point(lambda f: values([f])[0], apply, apply_adjoint,
-                              start, p, q)
+        bw, bv = _fixed_point(values, apply, apply_adjoint, start, p, q)
         details["fixed_point"] = bv if bv > -math.inf else None
         if bw is not None and bv > best:
             best, witness, method = bv, bw, "fixed-point"

@@ -9,10 +9,8 @@ above half the threshold on the part of the cube inside the original level
 set.  Principal cubes implement the stopping-time family whose averages
 strictly more than double along nesting, and the summation lemma bounds
 the resulting average sums by twice the p-th power of the dyadic maximal
-function.  Containment between cubes is read off ``parent`` alone, and a
-decomposition keeps its image T f, which the second principle reads.  The
-level-set entry points take that image as ``image`` when the caller has
-it, so one T f serves every threshold of the same f.  All
+function.  Containment between cubes is read off ``parent`` alone, and
+one ``LevelSets`` per f serves every threshold of a principle check.  All
 set and measure identities here are checked exactly; the analytic
 inequalities carry only a last-ulp roundoff guard, since the source
 results hold in exact arithmetic with explicit constants.  The checks
@@ -28,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Cube, DyadicSystem, GeneralizedSystem, maximal_cubes
+from .dyadic import Cube, DyadicSystem, _maximal_mask, maximal_cubes
 from .errors import (
     BadExponents,
     BadParams,
@@ -38,8 +36,8 @@ from .errors import (
     PropertyViolation,
 )
 from .maximal import MaximalParams, _trial_functions, apply_M_dyadic
-from .norms import lp_norm
-from .policy import TOLERANCES, CheckReport, guard, guard_vec, outcome
+from .norms import _BLOCK_ELEMS, lp_norm
+from .policy import TOLERANCES, CheckReport, guard_vec, outcome
 from .space import PointMeasure
 
 STOPPING_SALT = 0x5707
@@ -60,10 +58,7 @@ class LevelSetDecomposition:
 
     image is T f; omega_set lists the points where it exceeds rho; q_rho
     holds the maximal generalized cubes whose omega mass outside the level
-    set vanishes, by (-size, k, center).  Construction re-checks, as array
-    comparisons, that no point lies in two cover cubes, that no candidate
-    cube holds an uncovered point, and the pointwise omega-mass identity
-    between the level set and the union of the cover.
+    set vanishes, by (-size, k, center), checked as ``LevelSets.covers``.
     """
 
     rho: float
@@ -72,45 +67,131 @@ class LevelSetDecomposition:
     image: np.ndarray = field(repr=False)
 
 
-def _cubes_holding(gen: GeneralizedSystem, points: np.ndarray) -> np.ndarray:
-    """Mask over the cube ids of gen: the cubes holding a masked point."""
-    hit = np.zeros(len(gen.cubes), dtype=bool)
-    hit[gen.base.label[:, points].ravel()] = True
-    centers = [c.center for c in gen.point_cubes]
-    hit[len(gen.base.cubes):] = points[centers]
-    return hit
+class LevelSets:
+    """Every level set {T f > t} of one image: the candidates at t are the
+    cubes whose ``low``, the minimum of T f over their omega-charged
+    members (+inf if none), exceeds t.  ``holder`` is the base ``label``
+    plus a row of point-cube ids; the sentinel len(cubes) marks none."""
+
+    def __init__(self, op, f, image: np.ndarray | None = None):
+        self.op, self.f, gen = op, _nonnegative(f), op.gen
+        self.image = np.asarray(op.apply(self.f) if image is None else image,
+                                dtype=float)
+        self.cubes, m = gen.cubes, len(gen.cubes)
+        points = np.full(self.f.size, m)
+        points[[c.center for c in gen.point_cubes]] = \
+            range(len(gen.base.cubes), m)
+        self.holder = np.vstack([gen.base.label, points])
+        self.low = np.full(m + 1, np.inf)
+        np.minimum.at(self.low, self.holder, np.broadcast_to(np.where(
+            op.omega.charged, self.image, np.inf), self.holder.shape))
+        self.low[m] = -np.inf  # the sentinel is never a candidate
+        self.sizes = np.bincount(self.holder.ravel(), minlength=m + 1)
+
+    def covers(self, rhos: np.ndarray, C: float = 1.0):
+        """(rows, kept, cover, error) per block of <= 2^15 gathered entries:
+        the maximal candidates at rhos/C and the one holding each point.
+        Rows re-check rho > 0, no point in two cover cubes, no candidate
+        holding an uncovered point, and the omega-mass identity; a block
+        stops before a broken row, with its error, and is the last."""
+        h, m, at = self.holder, len(self.cubes), np.arange(self.f.size)
+        om, step = self.op.omega.masses, max(1, _BLOCK_ELEMS // h.size)
+        for j0 in range(0, len(rhos), step):
+            rb, error = rhos[j0:j0 + step], None
+            t = rb[:, None] / C
+            cand, in_omega = self.low > t, self.image > t
+            kept = _maximal_mask(self.op.gen.parent, cand)
+            hits = kept[:, h]
+            count = hits.sum(axis=1)
+            escaped = np.where(cand[:, h] & (count == 0)[:, None], h,
+                               m).min(axis=(1, 2))
+            mass = np.where(in_omega, om, 0.0) != np.where(count > 0, om, 0.0)
+            bad = (~(rb > 0) | (count > 1).any(axis=1) | (escaped < m)
+                   | mass.any(axis=1))
+            j = int(np.argmax(bad)) if bad.any() else len(rb)
+            if j < len(rb):
+                c, x = self.cubes[escaped[j] % m], int(np.argmax(mass[j]))
+                error = (
+                    BadParams("need rho > 0", rho=float(rb[j]))
+                    if not rb[j] > 0 else
+                    PropertyViolation("maximal cubes overlap",
+                                      x=int(np.argmax(count[j] > 1)))
+                    if (count[j] > 1).any() else
+                    PropertyViolation("candidate cube escapes the maximal "
+                                      "cover", k=c.k, center=c.center)
+                    if escaped[j] < m else PropertyViolation(
+                        "level set and its cube cover disagree in omega mass",
+                        rho=float(t[j, 0]), x=x,
+                        in_level_set=bool(in_omega[j, x])))
+            cover = np.where(count > 0, h[hits.argmax(axis=1), at], m)
+            yield slice(j0, j0 + j), kept[:j], cover[:j], error
+            if error is not None:
+                return
+
+
+def _outcome(reports, error) -> CheckReport:
+    """The first failing report, else the first passing one, else the
+    first; a broken cover's error raises unless a report before it fails,
+    as a consumer that stops at the first fail would never reach it."""
+    if error is not None and all(r.status != "fail" for r in reports):
+        raise error
+    return min(reports,
+               key=lambda r: ("fail", "pass", "vacuous").index(r.status))
+
+
+def _principle(name, op, f, rho, C, localized, violates, details, image):
+    """(reports, error) at each threshold of rho before the first whose
+    cover breaks: op applied to f off (on, if localized, where T f > rho)
+    each cube of q_{rho/C}, one apply per row block; a whole-space cube
+    reads 0 (T f).  A fail names the first value that ``violates`` in
+    q_rho-then-member order."""
+    rhos = np.asarray(rho, dtype=float).reshape(-1)
+    if not rhos.size:
+        raise BadParams("need a threshold")
+    levels = LevelSets(op, _nonnegative(f, None if np.ndim(rho) else rho),
+                       image)
+    n, M, reports, error = levels.f.size, levels.sizes.size, [], None
+    at, none = np.arange(n), M * M * n  # above every key
+    for rows, kept, cover, error in levels.covers(rhos, C):
+        ids = np.flatnonzero(kept.any(axis=0) & (levels.sizes < n))
+        slot, table = np.zeros(M, dtype=int), np.zeros((ids.size + 1, n))
+        slot[ids] = range(1, ids.size + 1)
+        table[0] = levels.image if localized else 0.0
+        if ids.size:
+            chi = np.zeros(table.shape, dtype=bool)
+            chi[slot[levels.holder], at] = True
+            table[1:] = op.apply(np.where(chi[1:] == localized, levels.f, 0.0))
+        vals, covered = table[slot[cover], at], cover < M - 1
+        if localized:
+            covered &= levels.image > rhos[rows, None]
+        # q_rho-then-member order: (-size, id) of the cube, then x
+        first = np.where(covered & violates(vals, rhos[rows, None] / 2.0),
+                         ((n - levels.sizes[cover]) * M + cover) * n + at,
+                         none).min(axis=1)
+        for j, (r, cubes) in enumerate(zip(rhos[rows].tolist(),
+                                           kept.sum(axis=1).tolist())):
+            values, x, witness = vals[j, covered[j]], first[j] % n, None
+            if first[j] < none:
+                c = levels.cubes[cover[j, x]]
+                witness = {"k": c.k, "center": c.center, "x": int(x),
+                           "value": float(vals[j, x]), "bound": r / 2.0}
+            reports.append(CheckReport(
+                name, "fail" if witness else
+                ("pass" if values.size else "vacuous"),
+                op.system.strict_delta, witness, details(r, cubes, values),
+                PrincipleViolated))
+    return reports, error
 
 
 def decompose_level_set(op, f, rho: float,
                         image: np.ndarray | None = None) -> LevelSetDecomposition:
-    a = _nonnegative(f, rho)
-    img = np.asarray(op.apply(a) if image is None else image, dtype=float)
-    in_omega = img > rho
-    om = op.omega.masses
-    ruled_out = _cubes_holding(op.gen, ~in_omega & (om > 0.0))
-    q = maximal_cubes(op.gen, ~ruled_out)
-    count = np.zeros(a.size, dtype=int)
-    for cube in q:
-        count[list(cube.members)] += 1
-    if np.any(count > 1):
-        raise PropertyViolation("maximal cubes overlap",
-                                x=int(np.flatnonzero(count > 1)[0]))
-    escaped = ~ruled_out & _cubes_holding(op.gen, count == 0)
-    if escaped.any():
-        c = op.gen.cubes[int(np.flatnonzero(escaped)[0])]
-        raise PropertyViolation("candidate cube escapes the maximal cover",
-                                k=c.k, center=c.center)
-    lhs = np.where(in_omega, om, 0.0)
-    rhs = np.where(count > 0, om, 0.0)
-    if not np.array_equal(lhs, rhs):
-        x = int(np.flatnonzero(lhs != rhs)[0])
-        raise PropertyViolation(
-            "level set and its cube cover disagree in omega mass",
-            rho=rho, x=x, in_level_set=bool(in_omega[x]))
+    levels = LevelSets(op, _nonnegative(f, rho), image)
+    for *_, error in levels.covers(np.array([rho], dtype=float)):
+        if error is not None:
+            raise error
     return LevelSetDecomposition(
-        rho=rho,
-        omega_set=tuple(int(i) for i in np.flatnonzero(in_omega)),
-        q_rho=q, image=img)
+        rho=rho, omega_set=tuple(np.flatnonzero(levels.image > rho).tolist()),
+        q_rho=maximal_cubes(op.gen, levels.low[:-1] > rho), image=levels.image)
 
 
 @dataclass(frozen=True)
@@ -154,82 +235,50 @@ def rho_grid(op, f, image: np.ndarray | None = None) -> np.ndarray:
     return np.unique(np.concatenate([0.5 * vals, vals, 2.0 * vals]))
 
 
-def _principle_sweep(op, f, rho: float, C: float, localized: bool, violates,
-                     image):
-    """Decompose at rho/C, then apply op to f off each cover cube (on it,
-    if localized, reading only points whose image exceeds rho); values in
-    q_rho-then-member order, witness at the first that ``violates``.
-
-    On a cube holding every point, f restricted to the cube is f itself,
-    so its image is the one the decomposition already holds, and f killed
-    on the cube is zero, whose image is zero."""
-    a = _nonnegative(f, rho)
-    dec = decompose_level_set(op, a, rho / C, image)
-    values, witness = [], None
-    for cube in dec.q_rho:
-        if cube.size == a.size:
-            img = dec.image if localized else np.zeros(a.size)
-        else:
-            chi = np.zeros(a.size)
-            chi[list(cube.members)] = 1.0
-            img = np.asarray(op.apply(a * chi if localized
-                                      else a * (1.0 - chi)), dtype=float)
-        for x in cube.members:
-            if localized and not dec.image[x] > rho:
-                continue
-            val = float(img[x])
-            values.append(val)
-            if witness is None and violates(val):
-                witness = {"k": cube.k, "center": cube.center, "x": x,
-                           "value": val, "bound": rho / 2.0}
-    return dec, values, witness
-
-
-def check_max_principle_1(op, f, rho: float, C: float | None = None,
+def check_max_principle_1(op, f, rho, C: float | None = None,
                           image: np.ndarray | None = None) -> CheckReport:
     """Off-cube mass is small on level cubes of the lowered threshold.
 
     For every Q in q_{rho/C} with C >= 2 C_K, the operator applied to f
     killed on Q is at most rho/2 at every point of Q.  Vacuous when the
     lowered level set has no cubes.  A failure names the first violating
-    point in q_rho-then-member order.
+    point in q_rho-then-member order.  An array of thresholds is checked
+    at once and reports its first fail, else its first pass, else its
+    first threshold; a broken cover raises unless an earlier one fails.
     """
-    if C is None:
-        C = 2.0 * op.C_K
+    C = 2.0 * op.C_K if C is None else C
     if C < 2.0 * op.C_K:
         raise BadParams("need C >= 2 C_K", C=C, C_K=op.C_K)
-    bound = rho / 2.0
-    dec, values, witness = _principle_sweep(
-        op, f, rho, C, False, lambda val: val > guard(bound), image)
-    status = "vacuous" if not dec.q_rho else ("fail" if witness else "pass")
-    return CheckReport("max_principle_1", status, op.system.strict_delta,
-                       witness, {"rho": rho, "C": C, "bound": bound,
-                                 "worst": max([-math.inf, *values]),
-                                 "cubes": len(dec.q_rho)}, PrincipleViolated)
+    return _outcome(*_principle(
+        "max_principle_1", op, f, rho, C, False,
+        lambda vals, bound: vals > guard_vec(bound),
+        lambda rho, cubes, vals: {
+            "rho": rho, "C": C, "bound": rho / 2.0,
+            "worst": float(vals.max(initial=-math.inf)), "cubes": cubes},
+        image))
 
 
-def check_max_principle_2(op, f, rho: float, C_m: float | None = None,
+def check_max_principle_2(op, f, rho, C_m: float | None = None,
                           image: np.ndarray | None = None) -> CheckReport:
     """Localized operator stays above rho/2 inside the original level set.
 
     For every Q in q_{rho/C_m} and every x in Q that also lies in the
     level set at rho itself, the operator applied to f restricted to Q
     exceeds rho/2 strictly.  Vacuous when no such point exists.  A failure
-    names the first violating point in q_rho-then-member order.
+    names the first violating point in q_rho-then-member order.  An array
+    of thresholds is checked as in ``check_max_principle_1``.
     """
-    if C_m is None:
-        C_m = shell_params(op.C_K).C_m
+    C_m = shell_params(op.C_K).C_m if C_m is None else C_m
     if C_m < 2.0 * op.C_K:
         raise BadParams("need C_m >= 2 C_K", C_m=C_m, C_K=op.C_K)
-    bound = rho / 2.0
-    floor = bound * (1.0 - TOLERANCES["exact_guard_rel"])
-    _, values, witness = _principle_sweep(
-        op, f, rho, C_m, True, lambda val: not val > floor, image)
-    status = "vacuous" if not values else ("fail" if witness else "pass")
-    return CheckReport("max_principle_2", status, op.system.strict_delta,
-                       witness, {"rho": rho, "C_m": C_m, "bound": bound,
-                                 "worst": min(values) if values else None,
-                                 "points": len(values)}, PrincipleViolated)
+    floor = 1.0 - TOLERANCES["exact_guard_rel"]
+    return _outcome(*_principle(
+        "max_principle_2", op, f, rho, C_m, True,
+        lambda vals, bound: ~(vals > bound * floor),
+        lambda rho, _, vals: {
+            "rho": rho, "C_m": C_m, "bound": rho / 2.0,
+            "worst": float(vals.min()) if vals.size else None,
+            "points": vals.size}, image))
 
 
 @dataclass
@@ -388,26 +437,26 @@ def check_universal_maximal(system: DyadicSystem, w: PointMeasure, p: float,
     """Dyadic maximal bound with the universal constant p' = p/(p-1).
 
     Runs the constant function, every point mass, then seeded random
-    functions, and checks the strong norm of the w-maximal function is at
-    most p' times the norm of the input, up to last-ulp roundoff.  A
-    failure names the first trial that overshoots.
+    functions, all as one block, and checks the strong norm of the
+    w-maximal function is at most p' times the norm of the input, up to
+    last-ulp roundoff.  A failure names the first trial that overshoots.
     """
     if not 1.0 < p < math.inf:
         raise BadExponents("need 1 < p < inf", p=p)
     p_prime = p / (p - 1.0)
     params = MaximalParams(space=system.space, mu=w, gamma=0.0)
-    worst = 0.0
-    for t, f in enumerate(_trial_functions(system.space.n, trials,
-                                           STOPPING_SALT, seed)):
-        lhs = lp_norm(apply_M_dyadic(system, params, f), w, p)
-        rhs = p_prime * lp_norm(f, w, p)
-        # p' bounds the dyadic maximal function of any nested partition,
-        # so a relaxed delta does not qualify this check
-        if lhs > guard(rhs):
-            return outcome("universal_maximal", True, BoundViolated,
-                           {"trial": t, "lhs": lhs, "rhs": rhs,
-                            "p_prime": p_prime})
-        if rhs > 0.0:
-            worst = max(worst, lhs / rhs)
+    F = np.reshape([*_trial_functions(system.space.n, trials, STOPPING_SALT,
+                                      seed)], (trials, system.space.n))
+    lhs = lp_norm(apply_M_dyadic(system, params, F), w, p)
+    rhs = p_prime * lp_norm(F, w, p)
+    # p' bounds the dyadic maximal function of any nested partition,
+    # so a relaxed delta does not qualify this check
+    over = np.flatnonzero(lhs > guard_vec(rhs))
+    if over.size:
+        t = int(over[0])
+        return outcome("universal_maximal", True, BoundViolated,
+                       {"trial": t, "lhs": float(lhs[t]), "rhs": float(rhs[t]),
+                        "p_prime": p_prime})
+    worst = max([0.0, *(lhs[rhs > 0.0] / rhs[rhs > 0.0]).tolist()])
     return outcome("universal_maximal", True, BoundViolated, p=p,
                    p_prime=p_prime, trials=trials, max_ratio_of_p_prime=worst)

@@ -695,22 +695,26 @@ class TestStoppingImages:
     def test_proper_cover_cube_is_applied(self, monkeypatch):
         # every stock cover cube is the whole space; understating C_K lowers
         # the thresholds until proper cubes appear, and each principle then
-        # applies op once per proper cube and never on the whole space
+        # applies op once per trial function, to one block holding f off
+        # (or on) each distinct proper cover cube of the grid, never the
+        # whole space
         import dataclasses
 
         from dyadica.operators import MatrixOperator
-        from dyadica.stopping import (
-            check_max_principle_1,
-            check_max_principle_2,
-            decompose_level_set,
-            rho_grid,
-        )
+        from dyadica.stopping import (check_max_principle_1,
+                                      check_max_principle_2,
+                                      decompose_level_set, rho_grid)
 
         op = _Run(Scenario.from_dict(segment_scenario(
             space={"kind": "euclidean_random_points", "n": 16}))).ops[0]
         op = dataclasses.replace(op, C_K=0.5)
         f = np.random.default_rng(0).random(op.n)
         image = op.apply(f)
+        grid = rho_grid(op, f, image)
+        proper = {cube.id for rho in grid.tolist()
+                  for cube in decompose_level_set(op, f, rho, image).q_rho
+                  if cube.size < op.n}
+        assert proper
         calls, real_apply = [], MatrixOperator.apply
 
         def apply(self, g):
@@ -718,17 +722,11 @@ class TestStoppingImages:
             return real_apply(self, g)
 
         monkeypatch.setattr(MatrixOperator, "apply", apply)
-        proper_total = 0
-        for rho in map(float, rho_grid(op, f, image)):
-            q_rho = decompose_level_set(op, f, rho, image).q_rho
-            proper = sum(cube.size < op.n for cube in q_rho)
-            proper_total += proper
-            for check in (check_max_principle_1, check_max_principle_2):
-                calls.clear()
-                check(op, f, rho, 1.0, image=image)
-                assert len(calls) == proper
-                assert all(0 < np.count_nonzero(g) < op.n for g in calls)
-        assert proper_total > 0
+        for check in (check_max_principle_1, check_max_principle_2):
+            calls.clear()
+            assert check(op, f, grid, 1.0, image).status in ("pass", "fail")
+            assert len(calls) == 1 and calls[0].shape == (len(proper), op.n)
+            assert all(0 < np.count_nonzero(g) < op.n for g in calls[0])
 
 
 class TestDeterminism:

@@ -30,6 +30,7 @@ from dyadica.maximal import apply_M, apply_M_dyadic, maximal_params
 from dyadica.norms import (
     NORM_SALT,
     NormEstimate,
+    _block_values,
     _fixed_point,
     block_rows,
     cube_testing,
@@ -304,6 +305,29 @@ class TestStrongNorm:
         assert fp is not None
         assert abs(fp - est.lower) <= 1e-6 * est.lower
         assert abs(est.details["spectral"] - est.lower) <= 1e-6 * est.lower
+
+    def test_fixed_point_applies_once_per_iterate(self, segment4):
+        # each iterate's value reads the image the iteration needs anyway,
+        # and the result equals the sequential loop's, which applies twice
+        space, mu = segment4
+        kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
+        op = MatrixOperator(kernel.matrix, mu, mu)
+        applied, adjoint = [], []
+
+        def apply(f):
+            applied.append(f)
+            return op.apply(f)
+
+        def apply_adjoint(u):
+            adjoint.append(u)
+            return op.apply_adjoint(u)
+
+        values = _block_values(apply, mu, mu, 1.5, 3.0, False)
+        got = _fixed_point(values, apply, apply_adjoint, np.ones(4), 1.5, 3.0)
+        assert len(applied) == len(adjoint) == 30
+        want = fixed_point_seq(objective_seq(op.apply, mu, mu, 1.5, 3.0, False),
+                               op.apply, op.apply_adjoint, np.ones(4), 1.5, 3.0)
+        assert got[1] == want[1] and np.array_equal(got[0], want[0])
 
     def test_witness_replays(self, segment4):
         space, mu = segment4
@@ -616,6 +640,28 @@ def objective_seq(apply, sigma, omega, p, q, weak):
     return value
 
 
+def fixed_point_seq(value, apply, apply_adjoint, f0, p, q):
+    """The power iteration with one value(f) call per iterate, which applies
+    the operator to f once more than the iteration itself."""
+    f = f0.copy()
+    best, bw = -math.inf, None
+    for _ in range(30):
+        v = value(f)
+        if v is not None and v > best:
+            best, bw = v, f.copy()
+        g = np.asarray(apply(f), dtype=float)
+        if not np.isfinite(g).all() or float(g.max()) <= 0.0:
+            break
+        u = np.power(g, q - 1.0)
+        u = u / float(u.max())
+        h = np.asarray(apply_adjoint(u), dtype=float)
+        if not np.isfinite(h).all() or float(h.max()) <= 0.0:
+            break
+        f = np.power(h, 1.0 / (p - 1.0))
+        f = f / float(f.max())
+    return bw, best
+
+
 def seq_rng(seed, tag):
     return np.random.default_rng(np.random.SeedSequence([NORM_SALT, seed, tag]))
 
@@ -679,7 +725,7 @@ def norm_search_seq(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
     if apply_adjoint is not None and not weak and not math.isinf(q):
         start = witness if witness is not None and np.max(witness) > 0 \
             else np.ones(n)
-        bw, bv = _fixed_point(value, apply, apply_adjoint, start, p, q)
+        bw, bv = fixed_point_seq(value, apply, apply_adjoint, start, p, q)
         details["fixed_point"] = bv if bv > -math.inf else None
         if bw is not None and bv > best:
             best, witness, method = bv, bw, "fixed-point"

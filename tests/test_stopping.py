@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dyadica.dyadic import build_system, generalize
+from dyadica.dyadic import build_system, generalize, maximal_cubes
 import dyadica.stopping as stopping
 from dyadica.errors import (
     BadExponents,
@@ -13,11 +13,14 @@ from dyadica.errors import (
     BoundViolated,
     HypothesisViolated,
     MixedSystems,
+    PrincipleViolated,
     PropertyViolation,
 )
 from dyadica.kernel import build_kernel
+from dyadica.maximal import MaximalParams, _trial_functions, apply_M_dyadic
+from dyadica.norms import lp_norm
 from dyadica.operators import build_dyadic_operator
-from dyadica.policy import require
+from dyadica.policy import TOLERANCES, CheckReport, guard, require
 from dyadica.stopping import (
     ShellParams,
     build_principal_cubes,
@@ -166,6 +169,289 @@ class TestDecomposeOracle:
         assert point_cubes_used == bool(op.gen.point_cubes)
 
 
+def oracle_cubes_holding(gen, points):
+    hit = np.zeros(len(gen.cubes), dtype=bool)
+    hit[gen.base.label[:, points].ravel()] = True
+    hit[len(gen.base.cubes):] = points[[c.center for c in gen.point_cubes]]
+    return hit
+
+
+def oracle_decompose(op, f, rho, image=None):
+    """The per-threshold decomposition the level sets replaced, with its
+    three invariant checks in their order."""
+    a = np.asarray(f, dtype=float)
+    if np.any(a < 0):
+        raise BadParams("need f >= 0")
+    if not rho > 0:
+        raise BadParams("need rho > 0", rho=rho)
+    img = np.asarray(op.apply(a) if image is None else image, dtype=float)
+    in_omega = img > rho
+    om = op.omega.masses
+    ruled_out = oracle_cubes_holding(op.gen, ~in_omega & (om > 0.0))
+    q = maximal_cubes(op.gen, ~ruled_out)
+    count = np.zeros(a.size, dtype=int)
+    for cube in q:
+        count[list(cube.members)] += 1
+    if np.any(count > 1):
+        raise PropertyViolation("maximal cubes overlap",
+                                x=int(np.flatnonzero(count > 1)[0]))
+    escaped = ~ruled_out & oracle_cubes_holding(op.gen, count == 0)
+    if escaped.any():
+        c = op.gen.cubes[int(np.flatnonzero(escaped)[0])]
+        raise PropertyViolation("candidate cube escapes the maximal cover",
+                                k=c.k, center=c.center)
+    lhs = np.where(in_omega, om, 0.0)
+    rhs = np.where(count > 0, om, 0.0)
+    if not np.array_equal(lhs, rhs):
+        x = int(np.flatnonzero(lhs != rhs)[0])
+        raise PropertyViolation(
+            "level set and its cube cover disagree in omega mass",
+            rho=rho, x=x, in_level_set=bool(in_omega[x]))
+    return stopping.LevelSetDecomposition(
+        rho=rho, omega_set=tuple(int(i) for i in np.flatnonzero(in_omega)),
+        q_rho=q, image=img)
+
+
+def oracle_sweep(op, f, rho, C, localized, violates, image, whole=True):
+    """The per-member principle sweep the level sets replaced; whole=False
+    applies op on a whole-space cover cube too instead of reading the
+    image (on it) or zero (off it)."""
+    a = np.asarray(f, dtype=float)
+    if not rho > 0:
+        raise BadParams("need rho > 0", rho=rho)
+    dec = oracle_decompose(op, a, rho / C, image)
+    values, witness = [], None
+    for cube in dec.q_rho:
+        if whole and cube.size == a.size:
+            img = dec.image if localized else np.zeros(a.size)
+        else:
+            chi = np.zeros(a.size)
+            chi[list(cube.members)] = 1.0
+            img = np.asarray(op.apply(a * chi if localized
+                                      else a * (1.0 - chi)), dtype=float)
+        for x in cube.members:
+            if localized and not dec.image[x] > rho:
+                continue
+            val = float(img[x])
+            values.append(val)
+            if witness is None and violates(val):
+                witness = {"k": cube.k, "center": cube.center, "x": x,
+                           "value": val, "bound": rho / 2.0}
+    return dec, values, witness
+
+
+def oracle_principle_1(op, f, rho, C=None, image=None, whole=True):
+    C = 2.0 * op.C_K if C is None else C
+    bound = rho / 2.0
+    dec, values, witness = oracle_sweep(
+        op, f, rho, C, False, lambda val: val > guard(bound), image, whole)
+    status = "vacuous" if not dec.q_rho else ("fail" if witness else "pass")
+    return CheckReport("max_principle_1", status, op.system.strict_delta,
+                       witness, {"rho": rho, "C": C, "bound": bound,
+                                 "worst": max([-math.inf, *values]),
+                                 "cubes": len(dec.q_rho)}, PrincipleViolated)
+
+
+def oracle_principle_2(op, f, rho, C_m=None, image=None, whole=True):
+    C_m = shell_params(op.C_K).C_m if C_m is None else C_m
+    bound = rho / 2.0
+    floor = bound * (1.0 - TOLERANCES["exact_guard_rel"])
+    _, values, witness = oracle_sweep(
+        op, f, rho, C_m, True, lambda val: not val > floor, image, whole)
+    status = "vacuous" if not values else ("fail" if witness else "pass")
+    return CheckReport("max_principle_2", status, op.system.strict_delta,
+                       witness, {"rho": rho, "C_m": C_m, "bound": bound,
+                                 "worst": min(values) if values else None,
+                                 "points": len(values)}, PrincipleViolated)
+
+
+def every_report(check, *args, **kwargs):
+    """(reports, error) of an array of thresholds, before check_* reduces
+    them to one outcome."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stopping, "_outcome", lambda reports, error: (reports, error))
+        return check(*args, **kwargs)
+
+
+def oracle_outcome(reports):
+    """What a consumer that stops at the first fail reads off reports drawn
+    one at a time: the first fail, else the first pass, else the first."""
+    reports = list(reports)
+    for status in ("fail", "pass", "vacuous"):
+        for r in reports:
+            if r.status == status:
+                return r
+
+
+SPACES = {
+    "segment": lambda n: generate_space("integer_segment_counting", n=n),
+    "cloud": lambda n: generate_space("euclidean_random_points", n=n),
+    "tree": lambda n: generate_space(
+        "ultrametric_tree", ratio=1.0 / 96.0,
+        **{16: dict(depth=2, branching=4), 27: dict(depth=3, branching=3),
+           64: dict(depth=3, branching=4)}[n]),
+}
+
+
+class TestLevelSetsOracle:
+    @pytest.mark.parametrize("kind", sorted(SPACES))
+    @pytest.mark.parametrize("n", [16, 27, 64])
+    @pytest.mark.parametrize("understated", [False, True])
+    def test_every_threshold_matches_the_oracle(self, kind, n, understated):
+        # sigma- and omega-null points; an understated C_K (C = C_m = 1)
+        # brings proper cover cubes and failing reports at many thresholds
+        space, mu = SPACES[kind](n)
+        rng = np.random.default_rng(n)
+        sigma = PointMeasure(random_masses(rng, n, zero_fraction=0.3))
+        omega = PointMeasure(random_masses(rng, n, zero_fraction=0.3))
+        op = line_operator(space, mu, sigma=sigma, omega=omega)
+        C_m = None
+        if understated:
+            op, C_m = dataclasses.replace(op, C_K=0.5), 1.0
+        statuses = set()
+        for _ in range(2):
+            f = rng.random(n)
+            image = op.apply(f)
+            grid = rho_grid(op, f, image)
+            want1 = [oracle_principle_1(op, f, rho, image=image)
+                     for rho in grid.tolist()]
+            want2 = [oracle_principle_2(op, f, rho, C_m, image)
+                     for rho in grid.tolist()]
+            assert every_report(check_max_principle_1, op, f, grid,
+                                image=image) == (want1, None)
+            assert every_report(check_max_principle_2, op, f, grid, C_m,
+                                image) == (want2, None)
+            assert check_max_principle_1(op, f, grid, image=image) == \
+                oracle_outcome(want1)
+            assert check_max_principle_2(op, f, grid, C_m, image) == \
+                oracle_outcome(want2)
+            for rho, r1, r2 in zip(grid.tolist(), want1, want2):
+                assert check_max_principle_1(op, f, rho, image=image) == r1
+                assert check_max_principle_2(op, f, rho, C_m, image) == r2
+                dec = decompose_level_set(op, f, rho, image)
+                want = oracle_decompose(op, f, rho)
+                assert (dec.rho, dec.omega_set) == (want.rho, want.omega_set)
+                assert [c.id for c in dec.q_rho] == [c.id for c in want.q_rho]
+                statuses |= {r1.status, r2.status}
+        assert statuses >= ({"pass", "fail"} if understated else {"pass"})
+
+    def test_nonpositive_rho_raises_what_the_oracle_raises(self, segment16):
+        # alone it raises at once; in a grid the reports before it are read
+        # first, then the same error names it as given
+        space, mu = segment16
+        op = line_operator(space, mu)
+        f = np.random.default_rng(4).random(16)
+        image = op.apply(f)
+        grid = rho_grid(op, f, image)[:3].tolist() + [-1.0, 1.0]
+
+        def outcome(run):
+            with pytest.raises(BadParams) as info:
+                run()
+            return str(info.value), info.value.witness
+
+        assert outcome(lambda: decompose_level_set(op, f, -1)) == \
+            outcome(lambda: oracle_decompose(op, f, -1))
+        for check, oracle in ((check_max_principle_1, oracle_principle_1),
+                              (check_max_principle_2, oracle_principle_2)):
+            assert outcome(lambda: check(op, f, -1)) == \
+                outcome(lambda: oracle(op, f, -1))
+            reports, error = every_report(check, op, f, np.array(grid),
+                                          image=image)
+            assert reports == [oracle(op, f, rho, image=image)
+                               for rho in grid[:3]]
+            assert outcome(lambda: check(op, f, np.array(grid), image=image)) \
+                == outcome(lambda: oracle(op, f, -1.0, image=image)) \
+                == (str(error), error.witness) \
+                == ("need rho > 0 [rho=-1.0]", {"rho": -1.0})
+
+    @pytest.mark.parametrize("walk,message", [
+        (lambda parent, chosen: chosen, "maximal cubes overlap"),
+        (lambda parent, chosen: chosen & False,
+         "candidate cube escapes the maximal cover")])
+    def test_broken_walk_raises_what_the_oracle_raises(self, tree27, walk,
+                                                       message, monkeypatch):
+        # a walk that keeps nested candidates, or none of them, breaks the
+        # first or the second invariant; both paths name the same point or
+        # cube at the first broken threshold
+        import dyadica.dyadic as dyadic
+
+        space, mu = tree27
+        op = line_operator(space, mu)
+        f = np.random.default_rng(8).random(27)
+        grid = rho_grid(op, f)
+        for module in (dyadic, stopping):
+            monkeypatch.setattr(module, "_maximal_mask", walk)
+        raised = []
+        for run in (lambda: check_max_principle_1(op, f, grid),
+                    lambda: [oracle_principle_1(op, f, rho)
+                             for rho in grid.tolist()]):
+            with pytest.raises(PropertyViolation) as info:
+                run()
+            raised.append((str(info.value), info.value.witness))
+        assert raised[0] == raised[1] and raised[0][0].startswith(message)
+
+    @staticmethod
+    def broken_cover():
+        # a sigma-null, omega-charged point 0 in a coarse leaf gets no point
+        # cube, so the cover breaks at thresholds in [2.5, 3): the level set
+        # holds 0 alone.  Below them its leaf is a candidate cube, and the
+        # fake image of f off or on a proper cover cube, 100, fails
+        # principle 1 there and passes principle 2.
+        space, _ = generate_space("ultrametric_tree", depth=3, branching=3,
+                                  ratio=1.0 / 96.0)
+        sys = build_system(space, k_max=0)
+        leaf = np.array(sys.leaf(0).members)
+        assert 1 < leaf.size < 27
+        sigma = np.ones(27)
+        sigma[0] = 0.0
+        gen = generalize(sys, PointMeasure(sigma), PointMeasure(np.ones(27)))
+        f = np.random.default_rng(3).random(27)
+        img = np.where(np.arange(27) % 2, 1.0, 2.0)
+        img[leaf] = 2.5
+        img[0] = 3.0
+
+        def apply(g):
+            own = (np.atleast_2d(g) == f).all(axis=1)[:, None]
+            return np.where(own, img, 100.0).reshape(np.shape(g))
+
+        return SimpleNamespace(apply=apply, gen=gen, omega=gen.omega,
+                               C_K=0.5, system=sys), f, img
+
+    def test_broken_cover_gives_the_rows_the_oracle_gives(self):
+        import dyadica.harness as harness
+
+        op, f, img = self.broken_cover()
+        grid = rho_grid(op, f, img)
+        sweeps = {
+            "max_principle_1": (check_max_principle_1, oracle_principle_1),
+            "max_principle_2": (check_max_principle_2, oracle_principle_2),
+        }
+
+        def rows(reports):
+            run = harness._Run(harness.Scenario.from_dict(
+                {"space": {"kind": "integer_segment_counting", "n": 4},
+                 "checks": ["space"]}))
+            try:
+                run.check("stopping.t0", reports)
+            except PropertyViolation as exc:
+                run.add(harness.row("stopping", "fail",
+                                    witness=harness._error_witness(exc)))
+            return run.rows
+
+        seen = []
+        for key, (sweep, oracle) in sweeps.items():
+            C = {"max_principle_2": 1.0} if key.endswith("2") else {}
+            got = rows(sweep(op, f, grid, *C.values(), image=img)
+                       for _ in range(1))
+            want = rows(oracle(op, f, float(rho), *C.values(), image=img)
+                        for rho in grid)
+            assert got == want
+            seen.append(got[-1]["name"])
+        # principle 1 stops at its fail row before the broken threshold;
+        # principle 2 never fails, so the broken cover is the stage row
+        assert seen == ["stopping.t0", "stopping"]
+
+
 class TestShellParams:
     def test_smallest_n(self):
         sp = shell_params(1.0)
@@ -270,54 +556,32 @@ class TestMaxPrinciples:
             assert rep.witness == {"k": k, "center": center, "x": x,
                                    "value": float(value), "bound": rho / 2}
 
-    def test_whole_space_cube_matches_applying_sweep(self, segment16,
-                                                     monkeypatch):
+    def test_whole_space_cube_matches_applying_sweep(self, segment16):
         # reference: apply op to f on and off every cover cube, the whole
         # space included; the reports must agree field for field, on passing
         # thresholds and on failing ones (an understated C_K)
-        def applying_sweep(op, f, rho, C, localized, violates, image):
-            a = np.asarray(f, dtype=float)
-            dec = decompose_level_set(op, a, rho / C, image)
-            values, witness = [], None
-            for cube in dec.q_rho:
-                chi = np.zeros(a.size)
-                chi[list(cube.members)] = 1.0
-                img = op.apply(a * chi if localized else a * (1.0 - chi))
-                for x in cube.members:
-                    if localized and not dec.image[x] > rho:
-                        continue
-                    val = float(img[x])
-                    values.append(val)
-                    if witness is None and violates(val):
-                        witness = {"k": cube.k, "center": cube.center,
-                                   "x": x, "value": val, "bound": rho / 2.0}
-            return dec, values, witness
-
         space, mu = segment16
         rng = np.random.default_rng(12)
         sigma = PointMeasure(random_masses(rng, 16, zero_fraction=0.2))
         good = line_operator(space, mu, sigma=sigma)
         bad = dataclasses.replace(good, C_K=0.5)
-
-        def reports():
-            out, trial = [], np.random.default_rng(13)
-            for op, kw in ((good, {}), (bad, {"C_m": 1.0})):
-                f = trial.random(16)
-                image = op.apply(f)
-                for rho in rho_grid(op, f, image):
-                    out.append(check_max_principle_1(op, f, float(rho),
-                                                     image=image))
-                    out.append(check_max_principle_2(op, f, float(rho),
-                                                     image=image, **kw))
-            return out
-
-        got = reports()
-        monkeypatch.setattr(stopping, "_principle_sweep", applying_sweep)
-        want = reports()
-        assert {r.status for r in got} >= {"pass", "fail"}
-        for r, w in zip(got, want, strict=True):
-            assert (r.status, r.witness, r.details) == \
-                (w.status, w.witness, w.details)
+        trial, statuses = np.random.default_rng(13), set()
+        for op, C_m in ((good, None), (bad, 1.0)):
+            f = trial.random(16)
+            image = op.apply(f)
+            grid = rho_grid(op, f, image)
+            reports1, _ = every_report(check_max_principle_1, op, f, grid,
+                                       image=image)
+            reports2, _ = every_report(check_max_principle_2, op, f, grid,
+                                       C_m, image)
+            for rho, r1, r2 in zip(grid.tolist(), reports1, reports2,
+                                   strict=True):
+                assert r1 == oracle_principle_1(op, f, rho, image=image,
+                                                whole=False)
+                assert r2 == oracle_principle_2(op, f, rho, C_m, image,
+                                                whole=False)
+                statuses |= {r1.status, r2.status}
+        assert statuses >= {"pass", "fail"}
 
     def test_tree(self, tree27):
         space, mu = tree27
@@ -511,6 +775,28 @@ class TestUniversalMaximal:
         sys = build_system(space)
         rep = check_universal_maximal(sys, w, 2.0, trials=30)
         assert rep.status == "pass"
+
+    @pytest.mark.parametrize("name", ["segment16", "tree27"])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_block_matches_one_trial_at_a_time(self, request, name, p):
+        # the loop the block replaced: one apply_M_dyadic and two lp_norm
+        # calls per trial, stopping at the first overshoot
+        space, _ = request.getfixturevalue(name)
+        w = PointMeasure(random_masses(np.random.default_rng(7), space.n,
+                                       zero_fraction=0.2))
+        sys = build_system(space)
+        params = MaximalParams(space=space, mu=w, gamma=0.0)
+        worst, p_prime = 0.0, p / (p - 1.0)
+        for t, f in enumerate(_trial_functions(space.n, 40,
+                                               stopping.STOPPING_SALT, 3)):
+            lhs = lp_norm(apply_M_dyadic(sys, params, f), w, p)
+            rhs = p_prime * lp_norm(f, w, p)
+            assert not lhs > guard(rhs)
+            if rhs > 0.0:
+                worst = max(worst, lhs / rhs)
+        rep = check_universal_maximal(sys, w, p, trials=40, seed=3)
+        assert rep.details == {"p": p, "p_prime": p_prime, "trials": 40,
+                               "max_ratio_of_p_prime": worst}
 
     def test_bad_exponent(self, segment4):
         space, mu = segment4
