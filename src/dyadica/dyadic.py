@@ -183,6 +183,11 @@ class DyadicSystem:
             groups.append((_frozen(ids), _frozen(members)))
         return tuple(groups)
 
+    @cached_property
+    def property_reports(self) -> tuple[CheckReport, ...]:
+        """check_system's five reports, computed on first read and kept."""
+        return tuple(check_system(self))
+
     def outer_ball_radius(self, k: int) -> float:
         return self.C1 * self.delta**k
 
@@ -316,7 +321,7 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
                            c1=c1, C1=C1, k_min=k_min, k_max=k_max, strict_delta=strict,
                            cubes=tuple(cubes), label=label, parent=np.asarray(parent),
                            x0=x0)
-        bad = [r for r in check_system(sys) if not r.ok]
+        bad = [r for r in sys.property_reports if not r.ok]
         if not bad:
             return sys
         last_failure = bad[0]

@@ -273,7 +273,7 @@ class _Run:
                 return build_kernel(
                     space, None, "frac_rho",
                     alpha=spec.get("alpha"),
-                    n_dim=spec.get("n", spec.get("n_dim")),
+                    n_dim=spec.get("n"),
                     diag=spec.get("diag"))
             if kind == "ball_volume":
                 name = spec.get("measure", "mu")
@@ -288,13 +288,11 @@ class _Run:
                     else "ball_volume"
                 return build_kernel(space, roles[name], variant,
                                     gamma=spec.get("gamma"))
-            offdiag = np.asarray(spec.get("offdiag",
-                                          spec.get("values")), dtype=float)
-            if offdiag.shape != (space.n, space.n):
+            values = np.array(spec.get("values"), dtype=float)
+            if values.shape != (space.n, space.n):
                 raise ConfigError(
-                    f"kernel.offdiag: expected {space.n}x{space.n}, "
-                    f"got {offdiag.shape}")
-            values = offdiag.copy()
+                    f"kernel.values: expected {space.n}x{space.n}, "
+                    f"got {values.shape}")
             if "diag" in spec:
                 diag = np.asarray(spec["diag"], dtype=float)
                 if diag.shape != (space.n,):
@@ -388,11 +386,9 @@ def _stage_space(run: _Run) -> None:
 
 
 def _stage_dyadic(run: _Run) -> None:
-    from .dyadic import check_system
-
     family = run.family
     for t, sys in enumerate(family):
-        for rep in check_system(sys):
+        for rep in sys.property_reports:
             run.check(f"dyadic.t{t}.{rep.name}", rep)
     cert = family.certificate
     ok = cert.observed_C <= cert.C_bound and cert.r_large_ok \
@@ -429,16 +425,14 @@ def _stage_operators(run: _Run) -> None:
         rng = run.trial_rng(1, t)
         for m in (1, 2, 3):
             run.check(f"operators.t{t}.sandwich_m{m}",
-                      (check_shifted_sandwich(op, rng.random(op.n), m)
-                       for _ in range(budget)), "worst_ratio")
+                      check_shifted_sandwich(op, rng.random((budget, op.n)), m),
+                      "worst_ratio")
         run.check(f"operators.t{t}.dyadic_below_direct",
                   check_dyadic_below_direct(op), "worst_ratio")
     run.check("operators.direct_below_family",
               check_direct_below_family(ops), "worst_margin")
-    rng = run.trial_rng(2)
-    run.check("operators.family_domination",
-              (check_family_domination(ops, rng.random(ops[0].n))
-               for _ in range(budget)))
+    run.check("operators.family_domination", check_family_domination(
+        ops, run.trial_rng(2).random((budget, ops[0].n))))
     run.constants.setdefault("C_K", ops[0].C_K)
 
 
@@ -482,18 +476,15 @@ def _stage_stopping(run: _Run) -> None:
     p = run.sc.exponents["p"]
     for t, op in enumerate(ops):
         sys = op.system
-        rng, draw_rng = run.trial_rng(3, t), run.trial_rng(4, t)
-        cases = []
-        for _ in range(budget):
-            f = rng.random(op.n)
-            image = op.apply(f)
-            cases.append((f, image, rho_grid(op, f, image)))
+        F = run.trial_rng(3, t).random((budget, op.n))
+        cases = [(f, image, rho_grid(op, f, image))
+                 for f, image in zip(F, op.apply(F))]
         for key, checker in (("max_principle_1", check_max_principle_1),
                              ("max_principle_2", check_max_principle_2)):
             run.check(f"stopping.t{t}.{key}",
                       (checker(op, f, grid, image=image)
                        for f, image, grid in cases))
-        draws = (draw_rng.random(op.n) for _ in range(budget))
+        draws = run.trial_rng(4, t).random((budget, op.n))
         run.check(f"stopping.t{t}.principal_mainlemma",
                   (check_mainlemma(sys, build_principal_cubes(
                       sys, sigma, f).cubes, sigma, f, p) for f in draws))

@@ -9,7 +9,9 @@ ordering, so the operator is computed exactly, not sampled, in a few
 variant replaces balls by the cubes of one system, summed per
 ``DyadicSystem.size_groups``, and the two are pointwise comparable with
 explicit constants on doubling instances; ``check_maximal_equivalence``
-reports that comparison as a ``CheckReport`` like every other check.  The
+reports that comparison as a ``CheckReport`` like every other check, on
+its trial functions as one (trials, n) block, with one ``apply_M`` call
+and one ``apply_M_dyadic`` call per system.  The
 doubling constant is a property of (space, mu): ``MaximalParams`` measures
 it on first read, and a system must be built on the params' own space.
 
@@ -215,19 +217,13 @@ def _containment_ratio_bound(system: DyadicSystem, mu: PointMeasure,
     return best
 
 
-def _trial_functions(n: int, trials: int, salt: int, seed: int):
-    """The constant one, then every point mass, then seeded random functions."""
-    for t in range(trials):
-        if t == 0:
-            yield np.ones(n)
-        elif t <= n:
-            e = np.zeros(n)
-            e[t - 1] = 1.0
-            yield e
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([salt, seed, t]))
-            yield rng.random(n)
+def _trial_functions(n: int, trials: int, salt: int, seed: int) -> np.ndarray:
+    """The first ``trials`` rows of: the constant one, every point mass, then
+    seeded random functions, row t drawn from its own stream."""
+    rows = [np.ones((1, n)), np.eye(n)]
+    rows += [np.random.default_rng(np.random.SeedSequence([salt, seed, t]))
+             .random((1, n)) for t in range(n + 1, trials)]
+    return np.concatenate(rows)[:trials]
 
 
 def _violation(trial: int, system: int | None, bad: np.ndarray,
@@ -246,12 +242,14 @@ def check_maximal_equivalence(family, params: MaximalParams,
     mu(Q))^(1-gamma) over cubes with positive mass: M^D f <= ratio_bound *
     M f pointwise up to roundoff.  Direction two records the supremum of
     M f over the sum of the per-system dyadic functions and requires it
-    finite.  Trials run the constant function, the point masses, then
-    seeded random functions.  ``details`` holds ratio_bound and the
+    finite.  The trials (the constant function, the point masses, then
+    seeded random functions) form one block: one apply_M call, and one
+    apply_M_dyadic call per system.  ``details`` holds ratio_bound and the
     observed suprema ``dyadic_over_ball`` and ``ball_over_sum``.  A
-    failure counts the violating trials and names the first: trial,
-    system (None for the sum direction), point, and the compared lhs and
-    rhs.  Vacuous when mu is not doubling.
+    failure counts the violating (trial, direction) pairs and names the
+    first, by trial and then system (None, the sum direction, last):
+    trial, system, point, and the compared lhs and rhs.  Vacuous when mu
+    is not doubling.
     """
     systems = _family_systems(family)
     strict_mode = all(s.strict_delta for s in systems)
@@ -262,27 +260,27 @@ def check_maximal_equivalence(family, params: MaximalParams,
     bounds = [_containment_ratio_bound(s, params.mu, params.gamma)
               for s in systems]
     g = TOLERANCES["exact_guard_rel"]
-    d_over_b, b_over_s = 0.0, 0.0
-    found: list[dict] = []
-    for t, f in enumerate(_trial_functions(params.space.n, trials,
-                                           MAXIMAL_SALT, seed)):
-        mb = apply_M(params, f)
-        total = np.zeros(params.space.n)
-        pos = mb > 0.0
-        for sysi, system in enumerate(systems):
-            md = apply_M_dyadic(system, params, f)
-            total += md
-            cap = bounds[sysi] * mb
-            ok = md <= cap * (1.0 + g)
-            if not np.all(ok):
-                found.append(_violation(t, sysi, ~ok, md, cap))
-            if np.any(pos):
-                d_over_b = max(d_over_b, float(np.max(md[pos] / mb[pos])))
-        if np.any(pos) and np.any(total[pos] == 0.0):
-            found.append(_violation(t, None, pos & (total == 0.0), mb, total))
-        elif np.any(pos):
-            b_over_s = max(b_over_s, float(np.max(mb[pos] / total[pos])))
-    witness = {"violations": len(found), "first": found[0]} if found else None
+    F = _trial_functions(params.space.n, trials, MAXIMAL_SALT, seed)
+    mb = apply_M(params, F)
+    pos = mb > 0.0
+    total = np.zeros(mb.shape)
+    d_over_b = 0.0
+    found: list[tuple[tuple[int, int], dict]] = []
+    for sysi, system in enumerate(systems):
+        md = apply_M_dyadic(system, params, F)
+        total += md
+        cap = bounds[sysi] * mb
+        bad = ~(md <= cap * (1.0 + g))
+        found += [((t, sysi), _violation(t, sysi, bad[t], md[t], cap[t]))
+                  for t in np.flatnonzero(bad.any(axis=1)).tolist()]
+        d_over_b = max(d_over_b, float((md[pos] / mb[pos]).max(initial=0.0)))
+    zero = pos & (total == 0.0)
+    found += [((t, len(systems)), _violation(t, None, zero[t], mb[t], total[t]))
+              for t in np.flatnonzero(zero.any(axis=1)).tolist()]
+    fine = pos & ~zero.any(axis=1, keepdims=True)
+    b_over_s = float((mb[fine] / total[fine]).max(initial=0.0))
+    found.sort(key=lambda entry: entry[0])
+    witness = {"violations": len(found), "first": found[0][1]} if found else None
     return outcome("ball_dyadic_equivalence", strict_mode, EquivalenceViolated,
                    witness, ratio_bound=max(bounds),
                    dyadic_over_ball=d_over_b, ball_over_sum=b_over_s,

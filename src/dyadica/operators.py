@@ -28,6 +28,10 @@ with no tolerance.
 
 Everywhere a +inf diagonal meets a zero density the product counts as zero;
 a +inf against a nonzero density propagates as a signed infinity.
+
+Both forms, ``cube_sums`` and ``pairing`` map a (K, n) block row by row,
+each row as it would alone, and the checks on many densities take them as
+one block and return one report naming the first failing row.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .errors import (
     SandwichViolated,
 )
 from .kernel import Kernel, PhiTable, phi_table
-from .policy import TOLERANCES, CheckReport, close, guard, guard_vec, outcome
+from .policy import TOLERANCES, CheckReport, guard, guard_vec, outcome
 from .space import PointMeasure, _frozen
 
 
@@ -84,11 +88,12 @@ def weighted_apply(off: np.ndarray, diag: np.ndarray, f,
     return out.reshape(f.shape)
 
 
-def pairing(u: np.ndarray, v: np.ndarray, w: PointMeasure) -> float:
-    """sum u * v * w with any zero factor silencing an infinite partner."""
+def pairing(u: np.ndarray, v: np.ndarray, w: PointMeasure):
+    """sum u * v * w over the last axis, with any zero factor silencing an
+    infinite partner: one value per row of a (K, n) block."""
     nz = w.charged & (u != 0.0) & (v != 0.0)
-    t = np.multiply(u, v, out=np.zeros(nz.size), where=nz)
-    return float(np.multiply(t, w.masses, out=t, where=nz).sum())
+    t = np.multiply(u, v, out=np.zeros(nz.shape), where=nz)
+    return np.multiply(t, w.masses, out=t, where=nz).sum(axis=-1)
 
 
 def apply_direct(kernel: Kernel, f, sigma: PointMeasure) -> np.ndarray:
@@ -178,38 +183,40 @@ def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
 # ---------------------------------------------------------------------------
 
 def cube_sums(system, point_vals: np.ndarray) -> np.ndarray:
-    """Per-cube totals by id; a parent's total adds its children's in id order.
+    """Per-cube totals by id along the last axis; a parent's total adds its
+    children's in id order.
 
     Finest-generation cubes sum their members in point order, and ids within
     a generation follow the centers, so children enter their parent's total
     in center order. The ordered recursion makes every child total <= its
     parent total, and every total at least each of its member values,
-    exactly in floating point when the values are nonnegative.
+    exactly in floating point when the values are nonnegative. ``np.add.at``
+    adds in index order, so each row of a block sums as it would alone.
     """
-    sums = np.zeros(len(system.cubes))
-    for x in range(system.space.n):
-        sums[system.label[-1, x]] += float(point_vals[x])
+    sums = np.zeros((*point_vals.shape[:-1], len(system.cubes)))
+    np.add.at(sums, (..., system.label[-1]), point_vals)
     for k in range(system.k_max, system.k_min, -1):
         ids = system.generation(k)
-        for i in range(ids.start, ids.stop):
-            sums[system.parent[i]] += sums[i]
+        np.add.at(sums, (..., system.parent[ids]), sums[..., ids])
     return sums
 
 
 def apply_dyadic_partition(op: DyadicOperator, f, m: int = 1) -> np.ndarray:
-    """Telescoping form of the dyadic operator with shells m generations deep."""
+    """Telescoping form of the dyadic operator with shells m generations
+    deep; a (K, n) block is mapped row by row."""
     if not isinstance(m, int) or m < 1:
         raise BadM(m=m)
     system = op.system
     g = _as_density(f, op.n) * op.gen.sigma.masses
-    # chain[gi, x] = A_k(x), the total of the generation-k cube holding x
-    chain = cube_sums(system, g)[system.label]
+    # sums[..., label[gi, x]] = A_k(x), the total of the generation-k cube
+    # holding x
+    sums = cube_sums(system, g)
     phi = op.phi.values[system.label]
     G = system.num_generations
-    total = np.zeros(op.n)
+    total = np.zeros(g.shape)
     for i in range(G):
-        far = chain[i + m] if i + m < G else g
-        total += phi[i] * (chain[i] - far)
+        far = sums[..., system.label[i + m]] if i + m < G else g
+        total += phi[i] * (sums[..., system.label[i]] - far)
     with np.errstate(invalid="ignore"):
         return np.where(g == 0.0, total, total + op.matrix.diagonal() * g)
 
@@ -220,85 +227,77 @@ def apply_dyadic_partition(op: DyadicOperator, f, m: int = 1) -> np.ndarray:
 
 def _vec_close(a: np.ndarray, b: np.ndarray, rel: float) -> tuple[bool, int, float]:
     """Componentwise closeness treating matching infinities as equal: (ok,
-    the first offending index or else the worst one, its relative error)."""
+    the first offending flat index or else the worst one, its relative
+    error). A NaN offends."""
     with np.errstate(invalid="ignore"):
         err = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     inf = np.isinf(a) | np.isinf(b)
-    err = np.where(inf, np.where(a == b, 0.0, np.inf), err)
-    bad = np.flatnonzero(err > rel)
+    err = np.where(inf, np.where(a == b, 0.0, np.inf), err).ravel()
+    bad = np.flatnonzero(~(err <= rel))
     i = int(bad[0]) if bad.size else int(np.argmax(err))
     return not bad.size, i, float(err[i])
 
 
 def check_forms_agree(op: DyadicOperator) -> CheckReport:
-    """Kernel form and telescoping form agree on every basis density."""
+    """Kernel form and telescoping form agree on every basis density: the
+    identity matrix goes through both forms as one block."""
     rel = TOLERANCES["dual_form_rel"]
-    n = op.n
-    worst = 0.0
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        a = op.apply(e)
-        b = apply_dyadic_partition(op, e, m=1)
-        ok, i, err = _vec_close(a, b, rel)
-        worst = max(worst, 0.0 if np.isinf(err) else err)
-        if not ok:
-            return outcome("forms_agree", op.system.strict_delta, FormMismatch,
-                           {"basis": j, "x": i, "kernel_form": float(a[i]),
-                            "telescoped": float(b[i])})
+    eye = np.eye(op.n)
+    a, b = op.apply(eye), apply_dyadic_partition(op, eye, m=1)
+    ok, i, err = _vec_close(a, b, rel)
+    if not ok:
+        j, x = divmod(i, op.n)
+        return outcome("forms_agree", op.system.strict_delta, FormMismatch,
+                       {"basis": j, "x": x, "kernel_form": float(a[j, x]),
+                        "telescoped": float(b[j, x])})
     return outcome("forms_agree", op.system.strict_delta, FormMismatch,
-                   worst_rel_err=worst, rel=rel)
+                   worst_rel_err=err, rel=rel)
 
 
 def check_self_adjoint(op: DyadicOperator, seed: int = 0,
                        trials: int = 20) -> CheckReport:
-    """<T_D(g dsigma), h>_omega == <g, T_D(h domega)>_sigma on random pairs."""
+    """<T_D(g dsigma), h>_omega == <g, T_D(h domega)>_sigma on random pairs,
+    drawn as one (trials, 2, n) uniform block; a failure names the first
+    failing trial."""
     rel = TOLERANCES["duality_rel"]
     rng = np.random.default_rng(np.random.SeedSequence([0xAD01, seed]))
-    sigma, omega = op.gen.sigma, op.gen.omega
-    n = op.n
-    worst = 0.0
-    for t in range(trials):
-        g = rng.uniform(0.0, 1.0, n)
-        h = rng.uniform(0.0, 1.0, n)
-        lhs = pairing(op.apply(g), h, omega)
-        rhs = pairing(g, op.apply_adjoint(h), sigma)
-        if np.isinf(lhs) or np.isinf(rhs):
-            if lhs == rhs:
-                continue
-        elif close(lhs, rhs, rel):
-            scale = max(abs(lhs), abs(rhs), 1.0)
-            worst = max(worst, abs(lhs - rhs) / scale)
-            continue
+    g, h = np.moveaxis(rng.uniform(0.0, 1.0, (trials, 2, op.n)), 1, 0)
+    lhs = pairing(op.apply(g), h, op.gen.omega)
+    rhs = pairing(g, op.apply_adjoint(h), op.gen.sigma)
+    ok, t, err = _vec_close(lhs, rhs, rel)
+    if not ok:
         return outcome("self_adjoint", op.system.strict_delta, DualityViolated,
-                       {"trial": t, "lhs": lhs, "rhs": rhs})
+                       {"trial": t, "lhs": float(lhs[t]),
+                        "rhs": float(rhs[t])})
     return outcome("self_adjoint", op.system.strict_delta, DualityViolated,
-                   trials=trials, worst_rel_err=worst)
+                   trials=trials, worst_rel_err=err)
 
 
 def check_shifted_sandwich(op: DyadicOperator, f, m: int) -> CheckReport:
-    """T_D <= T_D^m (no tolerance) and T_D^m <= C_K m T_D (roundoff guard)."""
+    """T_D <= T_D^m (no tolerance) and T_D^m <= C_K m T_D (roundoff guard)
+    for a density or each row of a (K, n) block; a failure names the first
+    failing row as its trial, and the lower side before the upper."""
     fv = _as_density(f, op.n)
     if np.any(fv < 0):
         raise BadParams("sandwich check needs a nonnegative density")
-    base = apply_dyadic_partition(op, fv, m=1)
-    shifted = apply_dyadic_partition(op, fv, m=m)
-    low_ok = bool(np.all(shifted >= base))
+    base = np.atleast_2d(apply_dyadic_partition(op, fv, m=1))
+    shifted = np.atleast_2d(apply_dyadic_partition(op, fv, m=m))
     cap = op.C_K * m * base
-    high_ok = bool(np.all(shifted <= guard_vec(cap)))
-    if low_ok and high_ok:
+    low, high = ~(shifted >= base), ~(shifted <= guard_vec(cap))
+    bad = np.argwhere(low | high)
+    if not bad.size:
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(base > 0, shifted / base, 1.0)
-        ratio = float(np.nanmax(np.where(np.isfinite(ratio), ratio, 1.0)))
+        ratio = float(np.where(np.isfinite(ratio), ratio, 1.0).max(initial=1.0))
         return outcome("shifted_sandwich", op.system.strict_delta,
                        SandwichViolated, m=m, cap=op.C_K * m, worst_ratio=ratio)
-    side = "lower" if not low_ok else "upper"
-    bad = np.flatnonzero(~(shifted >= base) if not low_ok
-                         else ~(shifted <= guard_vec(cap)))
-    x = int(bad[0])
+    t = int(bad[0, 0])
+    side, row = ("lower", low[t]) if low[t].any() else ("upper", high[t])
+    x = int(np.flatnonzero(row)[0])
     return outcome("shifted_sandwich", op.system.strict_delta, SandwichViolated,
-                   {"m": m, "side": side, "x": x, "base": float(base[x]),
-                    "shifted": float(shifted[x]), "cap": op.C_K * m})
+                   {"trial": t, "m": m, "side": side, "x": x,
+                    "base": float(base[t, x]), "shifted": float(shifted[t, x]),
+                    "cap": op.C_K * m})
 
 
 def check_dyadic_below_direct(op: DyadicOperator) -> CheckReport:
@@ -378,7 +377,9 @@ def check_direct_below_family(
 
 def check_family_domination(ops: list[DyadicOperator] | tuple[DyadicOperator, ...],
                             f) -> CheckReport:
-    """T(f dsigma) <= 3 C_K sum_t T_Dt(f dsigma) at omega-charged points."""
+    """T(f dsigma) <= 3 C_K sum_t T_Dt(f dsigma) at omega-charged points, for
+    a density or each row of a (K, n) block; a failure names the first
+    failing row as its trial."""
     if not ops:
         raise BadParams("need at least one dyadic operator")
     fv = _as_density(f, ops[0].n)
@@ -386,22 +387,19 @@ def check_family_domination(ops: list[DyadicOperator] | tuple[DyadicOperator, ..
         raise BadParams("domination check needs a nonnegative density")
     kernel, sigma, omega = ops[0].kernel, ops[0].sigma, ops[0].omega
     require_same_instance(ops, kernel, sigma, omega)
-    C_K = ops[0].C_K
-    lhs = apply_direct(kernel, fv, sigma)
-    rhs = np.zeros_like(lhs)
-    for o in ops:
-        rhs = rhs + o.apply(fv)
-    idx = np.flatnonzero(omega.charged)
-    for x in idx:
-        L, R = float(lhs[x]), 3.0 * C_K * float(rhs[x])
-        if np.isinf(L) and np.isinf(R):
-            continue
-        if not L <= guard(R):
-            return outcome("family_domination", ops[0].system.strict_delta,
-                           EquivalenceViolated,
-                           {"x": int(x), "direct": L, "family_bound": R})
+    lhs = np.atleast_2d(apply_direct(kernel, fv, sigma))
+    rhs = np.atleast_2d(3.0 * ops[0].C_K * sum(o.apply(fv) for o in ops))
+    bad = np.argwhere(omega.charged & ~(np.isinf(lhs) & np.isinf(rhs))
+                      & ~(lhs <= guard_vec(rhs)))
+    if bad.size:
+        t, x = (int(i) for i in bad[0])
+        return outcome("family_domination", ops[0].system.strict_delta,
+                       EquivalenceViolated,
+                       {"trial": t, "x": x, "direct": float(lhs[t, x]),
+                        "family_bound": float(rhs[t, x])})
     return outcome("family_domination", ops[0].system.strict_delta,
-                   EquivalenceViolated, points=len(idx), systems=len(ops))
+                   EquivalenceViolated, points=int(omega.charged.sum()),
+                   systems=len(ops))
 
 
 def check_point_cube_testing(op: DyadicOperator, p: float, q: float,

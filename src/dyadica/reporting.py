@@ -43,9 +43,9 @@ _SCENARIO_KEYS = frozenset({"space", "measures", "kernel", "dyadic",
 _DYADIC_KEYS = frozenset({"delta", "num_systems", "max_systems", "x0"})
 _EXPONENT_KEYS = frozenset({"p", "q"})
 _RANDOM_KEYS = frozenset({"seed", "zero_fraction"})
-_KERNEL_KEYS = {"frac_rho": {"type", "alpha", "n", "n_dim", "diag"},
+_KERNEL_KEYS = {"frac_rho": {"type", "alpha", "n", "diag"},
                 "ball_volume": {"type", "measure", "ball", "gamma"},
-                "matrix": {"type", "offdiag", "values", "diag"}}
+                "matrix": {"type", "values", "diag"}}
 _MEASURE_ROLES = ("mu", "sigma", "omega")
 
 

@@ -65,22 +65,21 @@ class QuasiMetricSpace:
         end[:, :-1] = dist_sorted[:, 1:] != dist_sorted[:, :-1]
         flat_rank = np.empty_like(order)
         np.put_along_axis(flat_rank, order, np.arange(order.size).reshape(order.shape), axis=1)
-        return SpaceIndex(*map(_frozen, (order, dist_sorted, end, flat_rank)))
+        return SpaceIndex(*map(_frozen, (order, end, flat_rank)))
 
 
 @dataclass(frozen=True, eq=False)
 class SpaceIndex:
     """Row c lists the points by distance from c, ties in id order.
 
-    ``order[c]`` is that list, ``dist_sorted[c]`` the distances along it,
-    ``end[c, j]`` marks position j as the last of its tie group (so the
-    strict balls centered at c are exactly the prefixes ending at an
-    ``end``), and ``flat_rank[c, x] = c * n + j`` where x is at position j
-    of ``order[c]``: x's index in a raveled table of per-row values.
+    ``order[c]`` is that list, ``end[c, j]`` marks position j as the last
+    of its tie group (so the strict balls centered at c are exactly the
+    prefixes ending at an ``end``), and ``flat_rank[c, x] = c * n + j``
+    where x is at position j of ``order[c]``: x's index in a raveled table
+    of per-row values.
     """
 
     order: np.ndarray
-    dist_sorted: np.ndarray
     end: np.ndarray
     flat_rank: np.ndarray
 

@@ -445,8 +445,7 @@ def check_universal_maximal(system: DyadicSystem, w: PointMeasure, p: float,
         raise BadExponents("need 1 < p < inf", p=p)
     p_prime = p / (p - 1.0)
     params = MaximalParams(space=system.space, mu=w, gamma=0.0)
-    F = np.reshape([*_trial_functions(system.space.n, trials, STOPPING_SALT,
-                                      seed)], (trials, system.space.n))
+    F = _trial_functions(system.space.n, trials, STOPPING_SALT, seed)
     lhs = lp_norm(apply_M_dyadic(system, params, F), w, p)
     rhs = p_prime * lp_norm(F, w, p)
     # p' bounds the dyadic maximal function of any nested partition,

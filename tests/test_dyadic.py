@@ -114,6 +114,15 @@ class TestProperties:
         reports = check_system(sys)
         assert all(not r.strict_mode for r in reports)
 
+    def test_reports_are_kept_on_the_system(self, segment16):
+        sys = build_system(segment16[0])
+        kept = sys.property_reports
+        assert sys.property_reports is kept
+        fresh = check_system(sys)
+        assert [(r.name, r.status, r.details) for r in fresh] == \
+            [(r.name, r.status, r.details) for r in kept]
+        assert all(a is not b for a, b in zip(fresh, kept))
+
     def test_build_needs_an_attempt(self, segment16):
         with pytest.raises(BadParams, match="attempt"):
             build_system(segment16[0], max_attempts=0)

@@ -247,6 +247,9 @@ class TestScenarioValidation:
          "kernel.alpha"),
         ("space", {"kind": "euclidean_random_points", "n": 6, "dims": 3},
          "space: dims"),
+        ("kernel", {"type": "frac_rho", "alpha": 0.5, "n_dim": 1},
+         "kernel.n_dim"),
+        ("kernel", {"type": "matrix", "offdiag": [[0.0]]}, "kernel.offdiag"),
     ])
     def test_misspelled_field_is_rejected(self, path, value, field):
         # unchecked, each would run on the default of the field it misspells
@@ -553,6 +556,25 @@ class TestSharedProducts:
         assert tables == made
 
 
+    def test_structural_checks_run_once_per_system(self, monkeypatch):
+        # build_system checks each attempt and the dyadic stage reads the
+        # accepted system's reports from it, so no system is checked twice
+        import dyadica.dyadic as dyadic
+
+        checked, real = [], dyadic.check_system
+
+        def recorded(sys):
+            checked.append(sys)
+            return real(sys)
+
+        monkeypatch.setattr(dyadic, "check_system", recorded)
+        rep = run_scenario(segment_scenario(n=12, checks=["dyadic"],
+                                            dyadic={"num_systems": 2}))
+        rows = [r for r in rep.checks if r["name"].startswith("dyadic.t")]
+        assert len(rows) == 2 * 5 and all(r["status"] == "pass" for r in rows)
+        assert len({id(s) for s in checked}) == len(checked) >= 2
+
+
 class TestTrials:
     # the one row rule of _Run.check, for one report or many
     def report(self, status, worst=None, witness=None, strict_mode=True):
@@ -617,9 +639,10 @@ class TestTrials:
 
 class TestSpaceIndexReuse:
     def test_one_index_serves_every_apply_M_call(self, monkeypatch):
-        # the norm search and the testing sweep evaluate their functions in
-        # blocks, so the 261 functions of this scenario go to apply_M in
-        # fewer calls; every call reads one index object
+        # the norm search, the testing sweep and the ball/dyadic comparison
+        # evaluate their functions in blocks, so the 261 functions of this
+        # scenario go to apply_M in fewer calls; every call reads one index
+        # object
         import dyadica.maximal as maximal
 
         indexes, rows = [], []
@@ -638,15 +661,15 @@ class TestSpaceIndexReuse:
             exponents={"p": 1.5, "q": 3.0}))
         assert not rep.failed
         assert sum(rows) == 261
-        assert len(indexes) == 76
+        assert len(indexes) == 67
         assert all(idx is indexes[0] for idx in indexes)
 
 
 class TestStoppingImages:
     @staticmethod
     def record(monkeypatch, doc):
-        """Run a stopping scenario; return its trial functions and every
-        vector MatrixOperator.apply was called on."""
+        """Run a stopping scenario; return its trial-function blocks and
+        every array MatrixOperator.apply was called on."""
         import dyadica.harness as harness
         from dyadica.operators import MatrixOperator
 
@@ -659,8 +682,8 @@ class TestStoppingImages:
                 return rng
 
             class Recorded:
-                def random(self, n):
-                    trials.append(rng.random(n))
+                def random(self, shape):
+                    trials.append(rng.random(shape))
                     return trials[-1]
 
             return Recorded()
@@ -677,20 +700,20 @@ class TestStoppingImages:
 
     def test_one_apply_on_each_trial_function(self, monkeypatch):
         # rho_grid and both principles at every threshold share one image
-        # T f per trial function, and on the segment every cover cube is
+        # T f per trial function; the budget's trial functions are drawn
+        # and applied as one block, and on the segment every cover cube is
         # the whole space, so nothing else is applied
         trials, applied = self.record(monkeypatch, segment_scenario(n=16))
-        assert len(trials) == 2
-        for f in trials:
-            assert sum(x is f for x in applied) == 1
-        assert len(applied) == len(trials)
+        assert [f.shape for f in trials] == [(2, 16)]
+        assert len(applied) == 1 and applied[0] is trials[0]
 
     def test_whole_space_cube_needs_no_localized_apply(self, monkeypatch):
         # on a whole-space cover cube principle 2 reads the decomposition's
         # image and principle 1's input f killed on the cube is zero, with
-        # image zero: 2 applies in all at the 96 thresholds, not 194
+        # image zero: one apply in all, of the two trial functions as one
+        # block, at the 96 thresholds, not 194
         _, applied = self.record(monkeypatch, segment_scenario(n=16))
-        assert len(applied) == 2
+        assert len(applied) == 1
 
     def test_proper_cover_cube_is_applied(self, monkeypatch):
         # every stock cover cube is the whole space; understating C_K lowers

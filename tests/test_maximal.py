@@ -25,7 +25,7 @@ from dyadica.maximal import (
 )
 from dyadica.maximal import testing_constant_maximal as maximal_testing
 from dyadica.norms import indicator, standard_cubes
-from dyadica.policy import require
+from dyadica.policy import TOLERANCES, require
 from dyadica.space import PointMeasure, generate_space
 
 from conftest import random_masses
@@ -344,6 +344,157 @@ class TestEquivalence:
         rep = check_maximal_equivalence(fam, maximal_params(space, mu, 0.25),
                                         trials=3)
         assert (rep.status, rep.strict_mode) == ("pass", False)
+
+
+def loop_trial_functions(n, trials, salt, seed):
+    """The trial functions one at a time: ones, point masses, seeded."""
+    for t in range(trials):
+        if t == 0:
+            yield np.ones(n)
+        elif t <= n:
+            e = np.zeros(n)
+            e[t - 1] = 1.0
+            yield e
+        else:
+            yield np.random.default_rng(
+                np.random.SeedSequence([salt, seed, t])).random(n)
+
+
+def loop_maximal_equivalence(family, params, trials, seed):
+    """The per-trial loop over the rows of the trial block: (witness,
+    details) as one report would give them."""
+    import dyadica.maximal as maximal
+
+    systems = list(family)
+    bounds = [maximal._containment_ratio_bound(s, params.mu, params.gamma)
+              for s in systems]
+    g = TOLERANCES["exact_guard_rel"]
+    d_over_b, b_over_s, found = 0.0, 0.0, []
+    F = maximal._trial_functions(params.space.n, trials, maximal.MAXIMAL_SALT,
+                                 seed)
+    for t, f in enumerate(F):
+        mb = maximal.apply_M(params, f)
+        total = np.zeros(params.space.n)
+        pos = mb > 0.0
+        for sysi, system in enumerate(systems):
+            md = maximal.apply_M_dyadic(system, params, f)
+            total += md
+            cap = bounds[sysi] * mb
+            ok = md <= cap * (1.0 + g)
+            if not np.all(ok):
+                found.append(maximal._violation(t, sysi, ~ok, md, cap))
+            if np.any(pos):
+                d_over_b = max(d_over_b, float(np.max(md[pos] / mb[pos])))
+        if np.any(pos) and np.any(total[pos] == 0.0):
+            found.append(maximal._violation(t, None, pos & (total == 0.0),
+                                            mb, total))
+        elif np.any(pos):
+            b_over_s = max(b_over_s, float(np.max(mb[pos] / total[pos])))
+    witness = {"violations": len(found), "first": found[0]} if found else None
+    return witness, {"ratio_bound": max(bounds), "dyadic_over_ball": d_over_b,
+                     "ball_over_sum": b_over_s, "trials": trials,
+                     "systems": len(systems)}
+
+
+class TestEquivalenceBlock:
+    @pytest.mark.parametrize("n,trials", [(1, 5), (4, 3), (4, 5), (16, 40)])
+    def test_trial_functions(self, n, trials):
+        from dyadica.maximal import MAXIMAL_SALT, _trial_functions
+
+        F = _trial_functions(n, trials, MAXIMAL_SALT, 7)
+        want = list(loop_trial_functions(n, trials, MAXIMAL_SALT, 7))
+        assert F.shape == (trials, n)
+        assert all(np.array_equal(a, b) for a, b in zip(F, want))
+
+    @pytest.mark.parametrize("fixture,gamma", [("segment16", 0.25),
+                                               ("tree27", 0.5),
+                                               ("snowflake8", 0.0)])
+    def test_pass_details_match_the_row_loop(self, fixture, gamma, request):
+        space, mu = request.getfixturevalue(fixture)
+        fam = build_adjacent_systems(space)
+        params = maximal_params(space, mu, gamma)
+        rep = check_maximal_equivalence(fam, params, trials=space.n + 9,
+                                        seed=2)
+        witness, details = loop_maximal_equivalence(fam, params,
+                                                    space.n + 9, 2)
+        assert (rep.status, rep.witness, witness) == ("pass", None, None)
+        assert rep.details == details
+
+    @pytest.mark.parametrize("tight,order,first", [
+        (False, "poison-first", (2, None)),
+        (True, "poison-first", (2, None)),
+        (True, "random-first", (2, 0)),
+    ])
+    def test_first_fail_matches_the_row_loop(self, segment16, tight, order,
+                                             first, monkeypatch):
+        # the first two trials are zero and pass; the dyadic functions
+        # vanish on part of the poisoned trials, which fail the sum
+        # direction, and
+        # a tight containment bound (far below the truth) fails direction
+        # one on every other nonzero trial: the first failure is the
+        # earliest trial, whichever direction found it
+        import dyadica.maximal as maximal
+
+        space, mu = segment16
+        fam = build_adjacent_systems(space)
+        params = maximal_params(space, mu, 0.25)
+        rng = np.random.default_rng(3)
+        poison, other = rng.random(16), rng.random(16)
+        middle = [poison, other] if order == "poison-first" else [other, poison]
+        block = np.stack([np.zeros(16), np.zeros(16), *middle, np.ones(16),
+                          poison])
+        real_dyadic = maximal.apply_M_dyadic
+
+        def poisoned(system, params, f, inside=None):
+            # zero on half the points, and so large ratios M f / sum M^D f
+            # on the other half, which a failing trial must not report
+            out = real_dyadic(system, params, f, inside)
+            hit = np.all(np.atleast_2d(f) == poison, axis=-1).reshape(
+                out.shape[:-1])
+            out[hit] *= np.where(np.arange(16) < 8, 0.0, 1e-9)
+            return out
+
+        monkeypatch.setattr(maximal, "_trial_functions",
+                            lambda n, trials, salt, seed: block[:trials])
+        monkeypatch.setattr(maximal, "apply_M_dyadic", poisoned)
+        if tight:
+            monkeypatch.setattr(maximal, "_containment_ratio_bound",
+                                lambda *args: 1e-6)
+        rep = check_maximal_equivalence(fam, params, trials=len(block))
+        witness, details = loop_maximal_equivalence(fam, params, len(block),
+                                                    0)
+        assert rep.witness == witness
+        assert rep.details == details
+        assert (rep.witness["first"]["trial"],
+                rep.witness["first"]["system"]) == first
+
+    @pytest.mark.parametrize("trials", [1, 5, 30])
+    def test_one_call_per_form(self, tree27, trials, monkeypatch):
+        import dyadica.maximal as maximal
+        import dyadica.stopping as stopping
+
+        space, mu = tree27
+        fam = build_adjacent_systems(space)
+        params = maximal_params(space, mu, 0.5)
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kw):
+                calls.append(name)
+                return real(*args, **kw)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (maximal, stopping):
+            counted(module, "apply_M_dyadic")
+        counted(maximal, "apply_M")
+        assert check_maximal_equivalence(fam, params, trials=trials).ok
+        assert sorted(calls) == ["apply_M"] + ["apply_M_dyadic"] * len(fam)
+        calls.clear()
+        assert stopping.check_universal_maximal(fam[0], mu, 2.0,
+                                                trials=trials).ok
+        assert calls == ["apply_M_dyadic"]
 
 
 class TestSameSpace:

@@ -32,7 +32,7 @@ from dyadica.operators import (
     pairing,
     _vec_close,
 )
-from dyadica.policy import guard, require
+from dyadica.policy import TOLERANCES, close, guard, require
 from dyadica.space import PointMeasure, generate_space
 
 from conftest import random_masses
@@ -682,3 +682,279 @@ class TestMixedSystems:
         s1 = build_system(space, system_id=1)
         with pytest.raises(MixedSystems):
             s0.children(s1.top)
+
+
+# ---------------------------------------------------------------------------
+# trial blocks: every check that tests many functions takes one (K, n) block
+# ---------------------------------------------------------------------------
+
+def family_ops(space, mu, sigma=None, omega=None):
+    fam = build_adjacent_systems(space)
+    ker = build_kernel(space, mu, "ball_volume", gamma=0.5)
+    sigma = sigma if sigma is not None else mu
+    omega = omega if omega is not None else mu
+    return [build_dyadic_operator(ker, generalize(s, sigma, omega))
+            for s in fam]
+
+
+def loop_forms_agree(op):
+    """The per-basis loop: (first-fail witness, worst relative error)."""
+    rel = TOLERANCES["dual_form_rel"]
+    worst = 0.0
+    for j in range(op.n):
+        e = np.zeros(op.n)
+        e[j] = 1.0
+        a, b = op.apply(e), apply_dyadic_partition(op, e, m=1)
+        ok, i, err = _vec_close(a, b, rel)
+        if not ok:
+            return {"basis": j, "x": i, "kernel_form": float(a[i]),
+                    "telescoped": float(b[i])}, None
+        worst = max(worst, err)
+    return None, worst
+
+
+def loop_self_adjoint(op, seed, trials):
+    """The per-trial loop, g and h drawn alternately, scalar closeness."""
+    rel = TOLERANCES["duality_rel"]
+    rng = np.random.default_rng(np.random.SeedSequence([0xAD01, seed]))
+    worst = 0.0
+    for t in range(trials):
+        g = rng.uniform(0.0, 1.0, op.n)
+        h = rng.uniform(0.0, 1.0, op.n)
+        lhs = float(pairing(op.apply(g), h, op.gen.omega))
+        rhs = float(pairing(g, op.apply_adjoint(h), op.gen.sigma))
+        if np.isinf(lhs) or np.isinf(rhs):
+            if lhs == rhs:
+                continue
+        elif close(lhs, rhs, rel):
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+            continue
+        return {"trial": t, "lhs": lhs, "rhs": rhs}, None
+    return None, worst
+
+
+def loop_rows(check, block):
+    """Run a one-density check on each row: the first failing row's
+    witness, named by its row, or every row's report."""
+    reports = []
+    for t, f in enumerate(block):
+        rep = check(f)
+        if rep.status == "fail":
+            return dict(rep.witness, trial=t), reports
+        reports.append(rep)
+    return None, reports
+
+
+class TestBlockLayers:
+    @pytest.mark.parametrize("fixture", ["segment16", "tree27"])
+    def test_rows_equal_their_own_results(self, fixture, request):
+        space, mu = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(21)
+        sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
+        op = line_operator(space, mu, sigma=sigma, omega=mu)
+        F = rng.random((6, space.n))
+        F[2] = 0.0
+        F[4, ::3] = 0.0
+        G = rng.random((2, 3, space.n))
+        for layer in (lambda f: cube_sums(op.system, f),
+                      lambda f: apply_dyadic_partition(op, f, m=1),
+                      lambda f: apply_dyadic_partition(op, f, m=3)):
+            block = layer(F)
+            assert block.shape[0] == len(F)
+            for t, f in enumerate(F):
+                assert block[t].tobytes() == layer(f).tobytes()
+        # pairing reduces the last axis of any leading shape
+        u = op.apply(G.reshape(-1, space.n)).reshape(G.shape)
+        got = pairing(u, G, sigma)
+        assert got.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert got[idx] == pairing(u[idx], G[idx], sigma)
+
+
+class TestOneCallPerForm:
+    @pytest.mark.parametrize("trials", [1, 4, 13])
+    def test_each_check_applies_each_form_once(self, tree27, trials,
+                                               monkeypatch):
+        import dyadica.operators as operators
+
+        space, mu = tree27
+        ops = family_ops(space, mu)
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kw):
+                calls.append(name)
+                return real(*args, **kw)
+            return wrapper
+
+        for owner, attr in ((MatrixOperator, "apply"),
+                            (MatrixOperator, "apply_adjoint"),
+                            (operators, "apply_dyadic_partition"),
+                            (operators, "apply_direct")):
+            monkeypatch.setattr(owner, attr,
+                                counted(attr, getattr(owner, attr)))
+        F = np.random.default_rng(trials).random((trials, space.n))
+
+        def forms(check, *args):
+            calls.clear()
+            assert check(*args).status == "pass"
+            return sorted(calls)
+
+        assert forms(check_forms_agree, ops[0]) == \
+            ["apply", "apply_dyadic_partition"]
+        assert forms(check_self_adjoint, ops[0], 0, trials) == \
+            ["apply", "apply_adjoint"]
+        for m in (1, 2, 3):
+            assert forms(check_shifted_sandwich, ops[0], F, m) == \
+                ["apply_dyadic_partition"] * 2
+        assert forms(check_family_domination, ops, F) == \
+            ["apply"] * len(ops) + ["apply_direct"]
+
+
+class TestBlockOracles:
+    """Each block check against a per-row loop: the same details on an
+    all-pass block, and the same first-fail witness when a row in the
+    middle fails."""
+
+    @pytest.mark.parametrize("fixture", ["segment16", "snowflake8", "tree27"])
+    def test_forms_agree_pass(self, fixture, request):
+        space, mu = request.getfixturevalue(fixture)
+        sigma = PointMeasure(random_masses(np.random.default_rng(2), space.n,
+                                           zero_fraction=0.3))
+        op = line_operator(space, mu, sigma=sigma, omega=mu)
+        rep = check_forms_agree(op)
+        assert rep.details == {"worst_rel_err": loop_forms_agree(op)[1],
+                               "rel": TOLERANCES["dual_form_rel"]}
+
+    def test_forms_agree_first_fail(self, segment16):
+        space, mu = segment16
+        op = line_operator(space, mu)
+        op.matrix[3, 7] *= 2.0
+        op.matrix[12, 9] *= 2.0
+        rep = check_forms_agree(op)
+        assert rep.witness == loop_forms_agree(op)[0]
+        assert (rep.witness["basis"], rep.witness["x"]) == (7, 3)
+
+    @pytest.mark.parametrize("fixture", ["segment16", "tree27"])
+    def test_self_adjoint_pass(self, fixture, request):
+        space, mu = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(11)
+        sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.2))
+        omega = PointMeasure(random_masses(rng, space.n, zero_fraction=0.2))
+        op = line_operator(space, mu, sigma=sigma, omega=omega)
+        rep = check_self_adjoint(op, seed=3, trials=30)
+        assert rep.details == {"trials": 30,
+                               "worst_rel_err": loop_self_adjoint(op, 3, 30)[1]}
+
+    def test_self_adjoint_first_fail(self, segment16):
+        # the adjoint reads a transpose with one entry raised by eps, so a
+        # trial fails when its weight on that entry is large enough; a
+        # smaller eps moves the first failing trial later
+        from dyadica.operators import split_diagonal
+
+        space, mu = segment16
+        trials = 40
+        for eps in 10.0 ** -np.arange(6.0, 12.0, 0.25):
+            op = line_operator(space, mu)
+            skewed = op.matrix.copy()
+            skewed[2, 11] *= 1.0 + eps
+            op._splits = (split_diagonal(op.matrix),
+                          split_diagonal(skewed.T))
+            witness, _ = loop_self_adjoint(op, 0, trials)
+            if witness is not None and 0 < witness["trial"] < trials - 1:
+                break
+        else:
+            pytest.fail("no perturbation fails a middle trial first")
+        rep = check_self_adjoint(op, seed=0, trials=trials)
+        assert rep.witness == witness
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("fixture", ["segment16", "tree27"])
+    def test_sandwich_pass(self, m, fixture, request):
+        space, mu = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(5)
+        sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
+        op = line_operator(space, mu, sigma=sigma, omega=sigma)
+        F = rng.uniform(0, 2, (9, space.n))
+        F[3] = 0.0
+        F[F < 0.3] = 0.0
+        rep = check_shifted_sandwich(op, F, m)
+        witness, rows = loop_rows(lambda f: check_shifted_sandwich(op, f, m),
+                                  F)
+        assert witness is None and rep.status == "pass"
+        assert rep.details == dict(
+            rows[0].details,
+            worst_ratio=max(r.details["worst_ratio"] for r in rows))
+
+    def test_sandwich_pass_with_infinite_diagonal(self, segment4):
+        # inf / inf at a charged point counts as ratio 1, with no warning
+        space, mu = segment4
+        ker = build_kernel(space, mu, "frac_rho", alpha=0.5, n_dim=1.0)
+        op = build_dyadic_operator(ker, generalize(build_system(space), mu,
+                                                   mu))
+        F = np.random.default_rng(1).random((5, 4))
+        rep = check_shifted_sandwich(op, F, 2)
+        witness, rows = loop_rows(lambda f: check_shifted_sandwich(op, f, 2),
+                                  F)
+        assert witness is None and rep.status == "pass"
+        assert rep.details == dict(
+            rows[0].details,
+            worst_ratio=max(r.details["worst_ratio"] for r in rows))
+
+    @pytest.mark.parametrize("tamper,side", [("starve", "upper"),
+                                             ("negative", "lower"),
+                                             ("both", "lower")])
+    def test_sandwich_first_fail(self, segment16, tamper, side):
+        # zeroing the envelope one level below the top starves the base
+        # form (upper side); a negative top envelope enters only the
+        # 2-shifted form below the top, which falls below the base (lower);
+        # with a tiny C_K as well both sides fail, and the lower one counts
+        space, mu = segment16
+        op = line_operator(space, mu)
+        sys = op.system
+        op.phi.values = op.phi.values.copy()
+        if tamper == "starve":
+            op.phi.values[sys.containing_cube(sys.k_min + 1,
+                                              sys.top.center).id] = 0.0
+        else:
+            op.phi.values[sys.top.id] = -1.0
+        if tamper == "both":
+            op = dataclasses.replace(op, C_K=1e-9)
+        bad = np.zeros(16)
+        bad[sys.top.center] = 1.0
+        F = np.stack([np.zeros(16), np.zeros(16), bad, np.ones(16), bad])
+        base = apply_dyadic_partition(op, bad, m=1)
+        shifted = apply_dyadic_partition(op, bad, m=2)
+        assert np.any(shifted < base) == (side == "lower")
+        over_cap = np.any(shifted > guard(op.C_K * 2) * base)
+        assert over_cap == (tamper != "negative")
+        rep = check_shifted_sandwich(op, F, m=2)
+        witness, _ = loop_rows(lambda f: check_shifted_sandwich(op, f, 2), F)
+        assert rep.witness == witness
+        assert (rep.witness["trial"], rep.witness["side"]) == (2, side)
+
+    @pytest.mark.parametrize("fixture", ["segment16", "tree27"])
+    def test_family_domination_pass(self, fixture, request):
+        space, mu = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(9)
+        sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.2))
+        omega = PointMeasure(random_masses(rng, space.n, zero_fraction=0.2))
+        ops = family_ops(space, mu, sigma, omega)
+        F = rng.uniform(0, 1, (7, space.n))
+        F[F < 0.2] = 0.0
+        rep = check_family_domination(ops, F)
+        witness, rows = loop_rows(lambda f: check_family_domination(ops, f), F)
+        assert witness is None and rep.status == "pass"
+        assert all(rep.details == r.details for r in rows)
+
+    def test_family_domination_first_fail(self, tree27):
+        # a constant far below C_K fails every nonzero density
+        space, mu = tree27
+        ops = family_ops(space, mu)
+        ops[0] = dataclasses.replace(ops[0], C_K=1e-6)
+        rng = np.random.default_rng(4)
+        F = np.concatenate([np.zeros((3, space.n)), rng.random((3, space.n))])
+        rep = check_family_domination(ops, F)
+        witness, _ = loop_rows(lambda f: check_family_domination(ops, f), F)
+        assert rep.witness == witness
+        assert rep.witness["trial"] == 3

@@ -138,3 +138,13 @@ def test_no_unused_imports_in_the_package():
              if path.name != "__init__.py"
              for entry in _unused_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so a check written as one would
+    # vanish; the package raises its typed errors instead
+    root = Path(dyadica.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(root.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -99,21 +99,22 @@ class TestSpaceIndex:
         for c in space.points():
             order = np.argsort(space.dist[c], kind="stable")
             assert np.array_equal(idx.order[c], order)
-            assert np.array_equal(idx.dist_sorted[c], space.dist[c][order])
+            dist_sorted = space.dist[c][idx.order[c]]
+            assert np.all(dist_sorted[1:] >= dist_sorted[:-1])
             assert np.array_equal(idx.flat_rank[c][order],
                                   c * space.n + np.arange(space.n))
             # one end per distinct distance t, closing the prefix {d <= t}
             ends = np.flatnonzero(idx.end[c])
             assert ends.size == np.unique(space.dist[c]).size
             for j in ends:
-                closed = np.flatnonzero(space.dist[c] <= idx.dist_sorted[c, j])
+                closed = np.flatnonzero(space.dist[c] <= dist_sorted[j])
                 assert np.array_equal(np.sort(order[:j + 1]), closed)
 
     def test_built_once_and_read_only(self, segment4):
         space, _ = segment4
         idx = space.index
         assert space.index is idx
-        for a in (idx.order, idx.dist_sorted, idx.end, idx.flat_rank):
+        for a in (idx.order, idx.end, idx.flat_rank):
             with pytest.raises(ValueError):
                 a[0, 0] = a[0, 1]
 
