@@ -29,19 +29,21 @@ print(f"a0={space.a0}  delta={delta:.6f}  c1={c1:.6f}  C1={C1:.1f}  "
 family = build_adjacent_systems(space, seed=0)
 print(f"family size: {len(family.systems)} system(s)")
 
-# A cube is an integer id into sys0.cubes, which is sorted by (k, center);
-# generation(k) is the slice of ids at scale k, label[k - k_min, x] is the
-# id of the generation-k cube holding x, and parent[id] is -1 at the top.
+# A cube is an integer id, sorted by (k, center); sys0.cubes holds the
+# columns k, center and diameter by id. generation(k) is the slice of ids
+# at scale k, label[k - k_min, x] is the id of the generation-k cube
+# holding x, parent[id] is -1 at the top, and the members of cube id are
+# the row incidence[id].
 sys0 = family.systems[0]
 print(f"\nscale window k = {sys0.k_min} .. {sys0.k_max}")
 for k in sys0.generation_range():
     ids = sys0.generation(k)
-    sizes = sorted((c.size for c in sys0.cubes[ids]), reverse=True)
+    sizes = sorted(sys0.incidence[ids].sum(axis=1).tolist(), reverse=True)
     print(f"  generation {k:3d}: ids {ids.start:2d}..{ids.stop - 1:2d}, "
           f"sizes {sizes}")
 leaf = sys0.leaf(0)
-print(f"point 0: cube ids {[int(i) for i in sys0.label[:, 0]]} coarsest "
-      f"first; its leaf {leaf.id} has parent {sys0.parent[leaf.id]}")
+print(f"point 0: cube ids {sys0.label[:, 0].tolist()} coarsest "
+      f"first; its leaf {leaf} has parent {sys0.parent[leaf]}")
 
 # Five structural checks, all exact: each generation partitions the
 # space, children refine parents, every cube sits between an inner and an

@@ -72,7 +72,7 @@ print(f"\nnecessity branch: violating set {nv.violating_set}, "
 rng = np.random.default_rng(42)
 g = rng.random(16)
 pf = build_principal_cubes(family.systems[0], sigma, g)
-print(f"\nprincipal cubes selected: {len(pf.cubes)}")
+print(f"\nprincipal cubes selected: {len(pf.cubes)}, ids {pf.cubes.tolist()}")
 rep = check_mainlemma(family.systems[0], pf.cubes, sigma, g, p=2.0)
 print(f"average-sum bound: {rep.status}, "
       f"share of the cap used: {rep.details['max_ratio_of_two']:.3f}")

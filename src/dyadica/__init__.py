@@ -15,7 +15,7 @@ scenario; the ``dyadica`` command line exposes the same entry points.
 
 from .dyadic import (
     AdjacentSystems,
-    Cube,
+    CubeTable,
     DyadicSystem,
     GeneralizedSystem,
     build_adjacent_systems,
@@ -96,7 +96,7 @@ __all__ = [
     "AdjacentSystems",
     "CheckReport",
     "ConfigError",
-    "Cube",
+    "CubeTable",
     "DyadicOperator",
     "DyadicSystem",
     "DyadicaError",

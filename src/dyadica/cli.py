@@ -207,19 +207,20 @@ def _cmd_gen_space(args) -> int:
 # build-dyadic
 # ---------------------------------------------------------------------------
 
-def _alpha(sys_, i: int) -> int:
-    """Index of cube i among the cubes of its generation."""
-    return i - sys_.generation(sys_.cubes[i].k).start
+def _alpha(sys_) -> np.ndarray:
+    """Each cube's index among the cubes of its generation, by id."""
+    return np.arange(len(sys_.cubes)) - np.searchsorted(sys_.cubes.k,
+                                                        sys_.cubes.k)
 
 
 def _dump_family(family) -> dict:
-    systems = []
-    for sys_ in family:
-        systems.append([{"k": cube.k, "alpha": _alpha(sys_, cube.id),
-                         "center": cube.center, "members": list(cube.members),
-                         "parent": None if sys_.parent[cube.id] < 0
-                         else _alpha(sys_, sys_.parent[cube.id])}
-                        for cube in sys_.cubes])
+    systems, alphas = [], [_alpha(s) for s in family]
+    for sys_, alpha in zip(family, alphas):
+        systems.append([{"k": k, "alpha": alpha[i], "center": z,
+                         "members": np.flatnonzero(sys_.incidence[i]),
+                         "parent": None if up < 0 else alpha[up]}
+                        for i, (k, z, up) in enumerate(zip(
+                            sys_.cubes.k, sys_.cubes.center, sys_.parent))])
     cert = family.certificate
     entries = []
     for e in cert.entries:
@@ -227,7 +228,7 @@ def _dump_family(family) -> dict:
         entries.append({
             "ball": {"center": e.x, "radius": e.hi},
             "system": e.t,
-            "cube": [e.cube_k, _alpha(family[e.t], cube.id)],
+            "cube": [e.cube_k, alphas[e.t][cube]],
             "ratio": e.diameter / e.lo if e.lo > 0 else None,
         })
     sys0 = family[0]

@@ -8,13 +8,15 @@ cube at generation k is the set of points whose ancestor chain passes
 through the same center. The window is chosen so the coarsest generation is
 one cube equal to the whole space and the finest consists of singletons.
 
-A cube is an integer id. The system stores one cube table, ``cubes``,
-sorted by (k, center) so that ``cubes[i].id == i`` and ``generation(k)`` is
-a slice of it; one label array, ``label[k - k_min, x]`` = the id of the
-generation-k cube containing x; and one parent array, ``parent[i]`` = the
-id of cube i's parent, -1 at the coarsest generation. Per-cube tables
-elsewhere (envelope values, cube sums, stopping-time averages) are arrays
-indexed by id.
+A cube is an integer id, and every per-cube value is an array indexed by
+id. Ids are sorted by (k, center), so ``generation(k)`` is a slice of
+them. ``cubes`` holds the read-only columns ``k``, ``center`` and
+``diameter``; ``label[k - k_min, x]`` is the id of the generation-k cube
+containing x; ``parent[i]`` is the id of cube i's parent, -1 at the
+coarsest generation. The members of cube i are the row ``incidence[i]``,
+a (cubes x n) boolean block derived from ``label`` on first read.
+Per-cube tables elsewhere (envelope values, cube sums, stopping-time
+averages) are arrays indexed by id too.
 
 Geometry constants are calibrated as
 
@@ -43,17 +45,16 @@ generation (it is swept first, so every net keeps it), and a truncated
 window stops refinement early, leaving non-singleton finest cubes. A pair
 of measures extends a system with point cubes at the joint atoms that are
 not already singleton cubes; their ids follow the last standard cube, and
-``GeneralizedSystem.parent`` extends the parent array to them.
-``maximal_cubes(system, chosen)`` reads containment off ``parent``: it
-returns the chosen cubes with no chosen proper ancestor.
+``GeneralizedSystem`` appends them to the same columns, ``parent``,
+``label`` and ``incidence``. ``maximal_cubes(system, chosen)`` reads
+containment off ``parent``: it returns the ids of the chosen cubes with no
+chosen proper ancestor.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -67,7 +68,7 @@ from .errors import (
     SamePoint,
 )
 from .policy import TOLERANCES, CheckReport, outcome
-from .space import PointMeasure, QuasiMetricSpace, _frozen, ball
+from .space import PointMeasure, QuasiMetricSpace, _frozen
 
 _SALT_SYSTEM = 0xD7AD
 
@@ -80,24 +81,29 @@ PROPERTY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Cube:
-    system_id: int
-    id: int
-    k: int
-    center: int
-    members: tuple[int, ...]
-    diameter: float
+@dataclass(frozen=True, eq=False)
+class CubeTable:
+    """Read-only columns by cube id: generation ``k``, ``center`` and
+    ``diameter``."""
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    k: np.ndarray
+    center: np.ndarray
+    diameter: np.ndarray
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
+    def __len__(self) -> int:
+        return self.k.size
+
+    def name(self, i) -> dict:
+        """Cube i as a witness names it."""
+        return {"k": int(self.k[i]), "center": int(self.center[i])}
 
 
-_cube_k = attrgetter("k")
+def _incidence(label: np.ndarray, cubes: int) -> np.ndarray:
+    """Read-only (cubes x n) block: [i, x] when a row of ``label`` names
+    cube i at x; the id len(cubes) names none."""
+    inc = np.zeros((cubes + 1, label.shape[1]), dtype=bool)
+    inc[label, np.arange(label.shape[1])] = True
+    return _frozen(inc[:cubes])
 
 
 @dataclass(eq=False)
@@ -111,8 +117,7 @@ class DyadicSystem:
     k_min: int
     k_max: int
     strict_delta: bool
-    # sorted by (k, center): cubes[i].id == i
-    cubes: tuple[Cube, ...] = field(repr=False)
+    cubes: CubeTable = field(repr=False)
     # label[k - k_min, x] = id of the generation-k cube containing x
     label: np.ndarray = field(repr=False)
     # parent[i] = id of cube i's parent, -1 at the coarsest generation
@@ -132,56 +137,84 @@ class DyadicSystem:
         return k - self.k_min
 
     def generation(self, k: int) -> slice:
-        """The ids of the generation-k cubes, as a slice of ``cubes``."""
+        """The ids of the generation-k cubes, as a slice."""
         self._gi(k)
-        return slice(bisect_left(self.cubes, k, key=_cube_k),
-                     bisect_right(self.cubes, k, key=_cube_k))
+        start, stop = np.searchsorted(self.cubes.k, [k, k + 1])
+        return slice(int(start), int(stop))
 
-    def containing_cube(self, k: int, x: int) -> Cube:
-        return self.cubes[self.label[self._gi(k), x]]
+    def containing_cube(self, k: int, x: int) -> int:
+        return int(self.label[self._gi(k), x])
 
     @property
-    def top(self) -> Cube:
-        return self.cubes[0]
+    def top(self) -> int:
+        return 0
 
-    def leaf(self, x: int) -> Cube:
+    def leaf(self, x: int) -> int:
         return self.containing_cube(self.k_max, x)
 
-    def _own(self, cube: Cube) -> None:
-        # another system's cube, or a point cube, is not cubes[cube.id]
-        if not (cube.id < len(self.cubes) and self.cubes[cube.id] == cube):
-            raise MixedSystems(cube_system=cube.system_id, system=self.system_id,
-                               k=cube.k, center=cube.center)
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only (cubes x n) block: incidence[i, x] when x is in cube i."""
+        return _incidence(self.label, len(self.cubes))
 
-    def children(self, cube: Cube) -> tuple[Cube, ...]:
-        """The cubes whose parent is ``cube``, in id (= center) order."""
-        self._own(cube)
-        return tuple(self.cubes[i] for i in np.flatnonzero(self.parent == cube.id))
+    def balls(self, c: float) -> np.ndarray:
+        """(cubes x n) block: the strict ball of radius c delta^k around
+        each cube's center."""
+        radius = np.array([c * self.delta**k for k in self.generation_range()])
+        return self.space.dist[self.cubes.center] < \
+            radius[self.cubes.k - self.k_min, None]
 
-    def cube_chain(self, x: int) -> tuple[Cube, ...]:
-        """Cubes containing x, coarsest first."""
-        return tuple(self.cubes[i] for i in self.label[:, x])
+    @cached_property
+    def outer_balls(self) -> np.ndarray:
+        """Read-only ``balls(C1)``: each cube's containing ball."""
+        return _frozen(self.balls(self.C1))
 
-    def smallest_common_cube(self, x: int, y: int) -> Cube:
+    def _own(self, ids) -> np.ndarray:
+        """ids as an int array of this system's standard cube ids."""
+        ids = np.asarray(ids)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise BadParams("cube ids must be integers", dtype=str(ids.dtype))
+        ids = ids.astype(int)
+        if (ids < 0).any():
+            raise OutOfRange(cube=int(ids.min()), cubes=len(self.cubes))
+        if (ids >= len(self.cubes)).any():
+            raise MixedSystems(cube=int(ids.max()), cubes=len(self.cubes),
+                               system=self.system_id)
+        return ids
+
+    def children(self, i: int) -> np.ndarray:
+        """The ids whose parent is cube i, in id (= center) order."""
+        return np.flatnonzero(self.parent == self._own(i))
+
+    def smallest_common_cube(self, x: int, y: int) -> int:
         """Finest-generation cube containing both points; requires x != y."""
         if x == y:
             raise SamePoint(x=x)
         for row in self.label[::-1]:
             if row[x] == row[y]:
-                return self.cubes[row[x]]
+                return int(row[x])
         raise PropertyViolation("no common cube; coarsest generation is not the whole space",
                                 x=x, y=y)
 
     @cached_property
     def size_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The cubes grouped by size m, as read-only (ids, members[k x m])."""
-        sizes = np.array([c.size for c in self.cubes])
+        sizes = self.incidence.sum(axis=1)
         groups = []
         for m in np.unique(sizes):
             ids = np.flatnonzero(sizes == m)
-            members = np.array([self.cubes[i].members for i in ids])
+            members = np.nonzero(self.incidence[ids])[1].reshape(ids.size, m)
             groups.append((_frozen(ids), _frozen(members)))
         return tuple(groups)
+
+    def cube_totals(self, values: np.ndarray) -> np.ndarray:
+        """Per-cube sums by id along the last axis, each over the cube's
+        members in ascending point order, as ``PointMeasure.of`` sums."""
+        out = np.zeros((*values.shape[:-1], len(self.cubes)))
+        for ids, members in self.size_groups:
+            # take keeps each member row contiguous, so it sums as in 1-D
+            out[..., ids] = np.add.reduce(values.take(members, axis=-1), axis=-1)
+        return out
 
     @cached_property
     def property_reports(self) -> tuple[CheckReport, ...]:
@@ -190,10 +223,6 @@ class DyadicSystem:
 
     def outer_ball_radius(self, k: int) -> float:
         return self.C1 * self.delta**k
-
-    def outer_ball_members(self, cube: Cube) -> tuple[int, ...]:
-        """Strict ball around the cube center guaranteed to contain the cube."""
-        return ball(self.space, cube.center, self.outer_ball_radius(cube.k)).members
 
 
 def dyadic_parameters(a0: float, delta: float | None = None) -> tuple[float, float, float, bool]:
@@ -301,26 +330,26 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
                 link[z] = prev[best]
             owner[gi - 1] = link[owner[gi]]
 
-        cubes: list[Cube] = []
-        label = np.empty((gens, n), dtype=int)
-        parent = []
-        for gi in range(gens):
-            for z in sorted(nets[gi]):
-                inside = owner[gi] == z
-                members = tuple(int(i) for i in np.flatnonzero(inside))
-                if not members:
-                    raise PropertyViolation("net point owns no cube",
-                                            k=k_min + gi, center=z)
-                diam = float(d[np.ix_(members, members)].max()) if len(members) > 1 else 0.0
-                label[gi, inside] = len(cubes)
-                parent.append(int(label[gi - 1, z]) if gi else -1)
-                cubes.append(Cube(system_id=system_id, id=len(cubes), k=k_min + gi,
-                                  center=z, members=members, diameter=diam))
+        # ids run through each generation's centers in ascending order, and
+        # a cube's parent is the next-coarser cube holding its center
+        centers = [np.sort(net) for net in nets]
+        start = np.cumsum([0] + [c.size for c in centers])
+        label = np.array([start[gi] + np.searchsorted(c, owner[gi])
+                          for gi, c in enumerate(centers)])
+        parent = np.concatenate([np.full(centers[0].size, -1),
+                                 *(label[gi, c] for gi, c in enumerate(centers[1:]))])
+        # a cube's diameter: the largest distance between two of its members
+        diameter = np.zeros(start[-1])
+        for row in label:
+            np.maximum.at(diameter, row,
+                          np.where(row[:, None] == row, d, 0.0).max(axis=1))
+        ks = np.repeat(np.arange(k_min, k_max + 1), np.diff(start))
 
         sys = DyadicSystem(space=space, system_id=system_id, seed=seed, delta=delta,
                            c1=c1, C1=C1, k_min=k_min, k_max=k_max, strict_delta=strict,
-                           cubes=tuple(cubes), label=label, parent=np.asarray(parent),
-                           x0=x0)
+                           cubes=CubeTable(*map(_frozen, (ks, np.concatenate(centers),
+                                                          diameter))),
+                           label=_frozen(label), parent=_frozen(parent), x0=x0)
         bad = [r for r in sys.property_reports if not r.ok]
         if not bad:
             return sys
@@ -338,9 +367,7 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
 def check_partition(sys: DyadicSystem) -> CheckReport:
     """Every generation splits the space into pairwise disjoint cubes."""
     seen = np.zeros((sys.num_generations, sys.space.n), dtype=int)
-    for cube in sys.cubes:
-        for x in cube.members:
-            seen[cube.k - sys.k_min, x] += 1
+    np.add.at(seen, sys.cubes.k - sys.k_min, sys.incidence)
     bad = np.argwhere(seen != 1)
     if bad.size:
         gi, x = (int(i) for i in bad[0])
@@ -351,34 +378,33 @@ def check_partition(sys: DyadicSystem) -> CheckReport:
 
 
 def check_nesting(sys: DyadicSystem) -> CheckReport:
-    """Each cube lies inside a single cube of the previous generation."""
-    for cube in sys.cubes:
-        up = sys.parent[cube.id]
-        if up < 0:
-            continue
-        owners = np.unique(sys.label[cube.k - 1 - sys.k_min, list(cube.members)])
-        if owners.size != 1 or owners[0] != up:
+    """Each cube lies inside a single cube of the previous generation:
+    its parent, which holds every member."""
+    for k in range(sys.k_min + 1, sys.k_max + 1):
+        ids = np.arange(len(sys.cubes))[sys.generation(k)]
+        inside, prev = sys.incidence[ids], sys.label[k - 1 - sys.k_min]
+        held = np.where(inside, prev == sys.parent[ids, None], True)
+        bad = np.flatnonzero(~(held.all(axis=1) & inside.any(axis=1)))
+        if bad.size:
+            owners = np.unique(prev[inside[bad[0]]])
             return outcome("nesting", sys.strict_delta, PropertyViolation,
-                           {"k": cube.k, "center": cube.center,
-                            "owners": [sys.cubes[o].center for o in owners]})
+                           {**sys.cubes.name(ids[bad[0]]),
+                            "owners": sys.cubes.center[owners].tolist()})
     return outcome("nesting", sys.strict_delta, PropertyViolation)
 
 
 def check_ball_sandwich(sys: DyadicSystem) -> CheckReport:
     """B(z, c1 d^k) inside the cube inside B(z, C1 d^k), strict balls."""
-    d = sys.space.dist
-    for cube in sys.cubes:
-        inner = set(np.flatnonzero(d[cube.center] < sys.c1 * sys.delta**cube.k))
-        outer = set(np.flatnonzero(d[cube.center] < sys.C1 * sys.delta**cube.k))
-        mem = set(cube.members)
-        if not inner <= mem:
-            return outcome("ball_sandwich", sys.strict_delta, PropertyViolation,
-                           {"k": cube.k, "center": cube.center, "side": "inner",
-                            "missing": sorted(inner - mem)})
-        if not mem <= outer:
-            return outcome("ball_sandwich", sys.strict_delta, PropertyViolation,
-                           {"k": cube.k, "center": cube.center, "side": "outer",
-                            "excess": sorted(mem - outer)})
+    missing = sys.balls(sys.c1) & ~sys.incidence
+    excess = sys.incidence & ~sys.outer_balls
+    bad = np.flatnonzero(missing.any(axis=1) | excess.any(axis=1))
+    if bad.size:
+        i = bad[0]
+        side, key, points = (("inner", "missing", missing[i]) if missing[i].any()
+                             else ("outer", "excess", excess[i]))
+        return outcome("ball_sandwich", sys.strict_delta, PropertyViolation,
+                       {**sys.cubes.name(i), "side": side,
+                        key: np.flatnonzero(points).tolist()})
     return outcome("ball_sandwich", sys.strict_delta, PropertyViolation)
 
 
@@ -388,39 +414,35 @@ def check_outer_ball_nesting(sys: DyadicSystem) -> CheckReport:
     Containment composes along ancestor chains, so the parent step implies the
     statement for every nested pair of cubes.
     """
-    d = sys.space.dist
-    for cube in sys.cubes:
-        if sys.parent[cube.id] < 0:
-            continue
-        par = sys.cubes[sys.parent[cube.id]]
-        inner = np.flatnonzero(d[cube.center] < sys.outer_ball_radius(cube.k))
-        outer = d[par.center, inner] < sys.outer_ball_radius(par.k)
-        if not outer.all():
-            y = int(inner[~outer][0])
-            return outcome("outer_ball_nesting", sys.strict_delta,
-                           PropertyViolation,
-                           {"k": cube.k, "center": cube.center,
-                            "parent_center": par.center, "escapes": y})
+    ids = np.flatnonzero(sys.parent >= 0)
+    up = sys.parent[ids]
+    escapes = sys.outer_balls[ids] & ~sys.outer_balls[up]
+    bad = np.flatnonzero(escapes.any(axis=1))
+    if bad.size:
+        j = bad[0]
+        return outcome("outer_ball_nesting", sys.strict_delta,
+                       PropertyViolation,
+                       {**sys.cubes.name(ids[j]),
+                        "parent_center": int(sys.cubes.center[up[j]]),
+                        "escapes": int(np.argmax(escapes[j]))})
     return outcome("outer_ball_nesting", sys.strict_delta, PropertyViolation)
 
 
 def check_center_chain(sys: DyadicSystem) -> CheckReport:
     """Every center recurs one generation finer, and owns itself there."""
-    for k in range(sys.k_min, sys.k_max):
-        finer = {c.center for c in sys.cubes[sys.generation(k + 1)]}
-        for cube in sys.cubes[sys.generation(k)]:
-            z = cube.center
-            own = sys.containing_cube(k + 1, z)
-            if z not in finer:
-                reason = "not a finer center"
-            elif own.center != z:
-                reason = "not self-owned"
-            elif sys.parent[own.id] != cube.id:
-                reason = "parent differs"
-            else:
-                continue
-            return outcome("center_chain", sys.strict_delta, PropertyViolation,
-                           {"k": k, "center": z, "reason": reason})
+    k, center, n = sys.cubes.k, sys.cubes.center, sys.space.n
+    ids = np.flatnonzero(k < sys.k_max)
+    z = center[ids]
+    own = sys.label[k[ids] + 1 - sys.k_min, z]
+    reasons = np.select(
+        [~np.isin((k[ids] + 1) * n + z, k * n + center), center[own] != z,
+         sys.parent[own] != ids],
+        ["not a finer center", "not self-owned", "parent differs"], "")
+    bad = np.flatnonzero(reasons != "")
+    if bad.size:
+        return outcome("center_chain", sys.strict_delta, PropertyViolation,
+                       {**sys.cubes.name(ids[bad[0]]),
+                        "reason": str(reasons[bad[0]])})
     return outcome("center_chain", sys.strict_delta, PropertyViolation)
 
 
@@ -528,6 +550,7 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...]
 
     entries: list[CoverageEntry] = []
     observed = 0.0
+    diameters = [s.cubes.diameter.tolist() for s in systems]
     for x in range(n):
         dist_vals = np.unique(d[x])
         for k in range(k_min, k_max + 1):
@@ -541,11 +564,12 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...]
                 for t, sys in enumerate(systems):
                     for gi in range(k - k_min, -1, -1):
                         i = sys.label[gi, x]
-                        cube = sys.cubes[i]
-                        if cube.diameter <= C * lo and np.all(sys.label[gi, members] == i):
+                        diam = diameters[t][i]
+                        if diam <= C * lo and np.all(sys.label[gi, members] == i):
                             hit = CoverageEntry(x=x, band_k=k, lo=lo, hi=hi, t=t,
-                                                cube_k=cube.k, cube_center=cube.center,
-                                                diameter=cube.diameter)
+                                                cube_k=k_min + gi,
+                                                cube_center=int(sys.cubes.center[i]),
+                                                diameter=diam)
                             break
                     if hit is not None:
                         break
@@ -579,13 +603,13 @@ def replay_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...],
         sys = systems[e.t]
         if not (sys.k_min <= e.cube_k <= sys.k_max and 0 <= e.cube_center < space.n):
             return False
-        cube = sys.cubes[sys.label[e.cube_k - sys.k_min, e.cube_center]]
-        if cube.center != e.cube_center:
+        i = sys.label[e.cube_k - sys.k_min, e.cube_center]
+        if sys.cubes.center[i] != e.cube_center:
             return False
-        members = set(np.flatnonzero(d[e.x] <= e.lo))
-        if not members <= set(cube.members):
+        if ((d[e.x] <= e.lo) & ~sys.incidence[i]).any():
             return False
-        if cube.diameter > C * e.lo or cube.diameter != e.diameter:
+        diam = sys.cubes.diameter[i]
+        if diam > C * e.lo or diam != e.diameter:
             return False
     return True
 
@@ -633,16 +657,20 @@ class GeneralizedSystem:
     point cube one generation past the window; with a full window every
     finest cube is a singleton and no point cubes are added. Point cubes
     take the ids after the last standard cube, so a point cube never
-    indexes a row of a table over the standard cubes. ``parent`` is the
-    base system's parent array followed, for each point cube, by the id of
-    the finest standard cube holding its center.
+    indexes a row of a table over the standard cubes. ``cubes`` is the base
+    system's table followed by the point cubes (generation k_max + 1, center
+    the atom, diameter 0), and ``parent`` the base system's parent array
+    followed, for each point cube, by the id of the finest standard cube
+    holding its center. ``label`` is the base label plus a row naming each
+    point's point cube, and len(cubes) at a point that has none.
     """
 
     base: DyadicSystem
     sigma: PointMeasure
     omega: PointMeasure
     joint_atoms: tuple[int, ...]
-    point_cubes: tuple[Cube, ...]
+    cubes: CubeTable = field(repr=False)
+    label: np.ndarray = field(repr=False)
     parent: np.ndarray = field(repr=False)
 
     @property
@@ -650,12 +678,14 @@ class GeneralizedSystem:
         return self.base.space
 
     @property
-    def cubes(self) -> tuple[Cube, ...]:
-        """Standard cubes, then point cubes; cubes[i].id == i."""
-        return self.base.cubes + self.point_cubes
+    def point_cubes(self) -> range:
+        """The point cubes' ids."""
+        return range(len(self.base.cubes), len(self.cubes))
 
-    def is_joint_atom(self, x: int) -> bool:
-        return bool(self.sigma.masses[x] > 0 and self.omega.masses[x] > 0)
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """The base system's incidence block, then one row per point cube."""
+        return _incidence(self.label, len(self.cubes))
 
 
 def generalize(system: DyadicSystem, sigma: PointMeasure,
@@ -665,33 +695,39 @@ def generalize(system: DyadicSystem, sigma: PointMeasure,
         if mv.masses.shape != (n,):
             raise BadParams("measure does not match the space",
                             measure=name, size=mv.masses.shape, n=n)
-    joint = tuple(int(x) for x in np.flatnonzero(sigma.charged & omega.charged))
-    singleton_sets = {c.members for c in system.cubes if c.size == 1}
-    alone = [x for x in joint if (x,) not in singleton_sets]
-    extra = tuple(Cube(system_id=system.system_id, id=len(system.cubes) + i,
-                       k=system.k_max + 1, center=x, members=(x,), diameter=0.0)
-                  for i, x in enumerate(alone))
-    parent = np.concatenate([system.parent, system.label[-1, alone]])
+    joint = sigma.charged & omega.charged
+    # {x} is a standard cube exactly when x's finest cube holds x alone
+    finest = system.label[-1]
+    alone = np.flatnonzero(joint & (np.bincount(finest)[finest] > 1))
+    cubes = CubeTable(*map(_frozen, (
+        np.append(system.cubes.k, np.full(alone.size, system.k_max + 1)),
+        np.append(system.cubes.center, alone),
+        np.append(system.cubes.diameter, np.zeros(alone.size)))))
+    points = np.full(n, len(cubes))
+    points[alone] = range(len(system.cubes), len(cubes))
     return GeneralizedSystem(base=system, sigma=sigma, omega=omega,
-                             joint_atoms=joint, point_cubes=extra, parent=parent)
+                             joint_atoms=tuple(np.flatnonzero(joint).tolist()),
+                             cubes=cubes,
+                             label=_frozen(np.vstack([system.label, points])),
+                             parent=_frozen(np.append(system.parent,
+                                                      system.label[-1, alone])))
 
 
-def maximal_cubes(system, chosen) -> tuple[Cube, ...]:
-    """The chosen cubes with no chosen proper ancestor, by (-size, id).
+def maximal_cubes(system, chosen) -> np.ndarray:
+    """The ids of the chosen cubes with no chosen proper ancestor, by
+    (-size, id).
 
     ``system`` is a DyadicSystem or a GeneralizedSystem and ``chosen`` a
     boolean mask over its cube ids. Member sets nest only along ``parent``,
     so the coarsest of equal member sets wins, every chosen cube lies in
     exactly one returned cube, and the returned cubes are disjoint.
     """
-    cubes = system.cubes
     chosen = np.asarray(chosen, dtype=bool)
-    if chosen.shape != (len(cubes),):
+    if chosen.shape != (len(system.cubes),):
         raise BadParams("mask does not match the cube ids",
-                        size=chosen.shape, cubes=len(cubes))
+                        size=chosen.shape, cubes=len(system.cubes))
     kept = np.flatnonzero(_maximal_mask(system.parent, chosen))
-    return tuple(cubes[i] for i in sorted(kept.tolist(),
-                                          key=lambda i: (-cubes[i].size, i)))
+    return kept[np.argsort(-system.incidence[kept].sum(axis=1), kind="stable")]
 
 
 def _maximal_mask(parent: np.ndarray, chosen: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Cube, DyadicSystem
+from .dyadic import DyadicSystem
 from .errors import (
     BadExponents,
     BadParams,
@@ -41,7 +41,7 @@ from .errors import (
     EstimateViolated,
     Unbounded,
 )
-from .policy import CheckReport, guard, outcome
+from .policy import CheckReport, guard_vec, outcome
 from .space import PointMeasure, QuasiMetricSpace, ball_masses
 
 
@@ -193,12 +193,6 @@ class PhiTable:
     k1: float
     k2: float
 
-    def of(self, cube: Cube) -> float:
-        return float(self.values[cube.id])
-
-    def is_defined(self, cube: Cube) -> bool:
-        return bool(self.defined[cube.id])
-
 
 def phi_table(kernel: Kernel, sys: DyadicSystem) -> PhiTable:
     space = sys.space
@@ -209,15 +203,14 @@ def phi_table(kernel: Kernel, sys: DyadicSystem) -> PhiTable:
     values = np.zeros(len(sys.cubes))
     low = np.zeros(len(sys.cubes))
     defined = np.zeros(len(sys.cubes), dtype=bool)
-    for cube in sys.cubes:
-        r = sys.outer_ball_radius(cube.k)
-        ball = np.flatnonzero(d[cube.center] < r)
-        sep = d[np.ix_(ball, ball)] >= c * r
+    for i, (k, inside) in enumerate(zip(sys.cubes.k.tolist(), sys.outer_balls)):
+        ball = np.flatnonzero(inside)
+        sep = d[np.ix_(ball, ball)] >= c * sys.outer_ball_radius(k)
         if sep.any():
             vals = K[np.ix_(ball, ball)][sep]
-            values[cube.id] = vals.max()
-            low[cube.id] = vals.min()
-            defined[cube.id] = True
+            values[i] = vals.max()
+            low[i] = vals.min()
+            defined[i] = True
     return PhiTable(threshold=c, values=values, defined=defined, low=low,
                     C_K=C_K, k1=k1, k2=k2)
 
@@ -227,73 +220,61 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
     """Check the three envelope estimates exactly on the finite space."""
     if phi is None:
         phi = phi_table(kernel, sys)
-    C_K = phi.C_K
+    C_K, named, v = phi.C_K, sys.cubes.name, phi.values
     reports: list[CheckReport] = []
 
     def emit(name: str, witness: dict | None = None, **details):
         reports.append(outcome(name, sys.strict_delta, EstimateViolated,
                                witness, **details))
 
-    # (1) the envelope never exceeds C_K times any separated pair value
-    worst = 0.0
-    witness = None
-    for cube in sys.cubes:
-        if not phi.is_defined(cube):
-            continue
-        v = phi.of(cube)
-        low = float(phi.low[cube.id])
-        ratio = np.inf if low == 0.0 and v > 0 else (v / low if low > 0 else 0.0)
-        if ratio > worst:
-            worst = ratio
-            witness = {"k": cube.k, "center": cube.center,
-                       "phi": v, "min_pair_value": low}
-        if not v <= guard(C_K * low):
-            emit("bounded_on_separated_pairs",
-                 {"k": cube.k, "center": cube.center, "phi": v,
-                  "min_pair_value": low, "C_K": C_K})
-            break
-    else:
-        emit("bounded_on_separated_pairs", worst_ratio=worst, C_K=C_K,
-             worst_case=witness)
+    def ratio(top, bottom):
+        return np.divide(top, bottom, where=bottom > 0.0,
+                         out=np.where(top > 0.0, np.inf, 0.0))
 
-    # (2) ancestors never exceed C_K times descendants
-    done = False
-    worst2 = 0.0
-    for cube in sys.cubes:
-        if not phi.is_defined(cube) or done:
-            continue
-        up = sys.parent[cube.id]
-        while up >= 0 and not done:
-            walk = sys.cubes[up]
-            up = sys.parent[up]
-            if not phi.is_defined(walk):
-                continue
-            ratio = phi.of(walk) / phi.of(cube) if phi.of(cube) > 0 else (
-                np.inf if phi.of(walk) > 0 else 0.0)
-            worst2 = max(worst2, ratio)
-            if not phi.of(walk) <= guard(C_K * phi.of(cube)):
-                emit("bounded_along_ancestry",
-                     {"ancestor": (walk.k, walk.center),
-                      "descendant": (cube.k, cube.center),
-                      "phi_ancestor": phi.of(walk),
-                      "phi_descendant": phi.of(cube), "C_K": C_K})
-                done = True
-    if not done:
-        emit("bounded_along_ancestry", worst_ratio=worst2, C_K=C_K)
+    # (1) the envelope never exceeds C_K times any separated pair value
+    ids = np.flatnonzero(phi.defined)
+    worst = ratio(v[ids], phi.low[ids])
+    bad = np.flatnonzero(~(v[ids] <= guard_vec(C_K * phi.low[ids])))
+
+    def case(j):
+        return {**named(ids[j]), "phi": float(v[ids[j]]),
+                "min_pair_value": float(phi.low[ids[j]])}
+    if bad.size:
+        emit("bounded_on_separated_pairs", {**case(bad[0]), "C_K": C_K})
+    else:
+        top = float(worst.max(initial=0.0))
+        emit("bounded_on_separated_pairs", worst_ratio=top, C_K=C_K,
+             worst_case=case(np.argmax(worst)) if top > 0.0 else None)
+
+    # (2) ancestors never exceed C_K times descendants; up[g, i] is the
+    # generation-g cube holding i's center, i's ancestor when g is coarser
+    up = sys.label[:, sys.cubes.center]
+    pair = ((np.arange(sys.num_generations)[:, None] < sys.cubes.k - sys.k_min)
+            & phi.defined & phi.defined[up])
+    fail = pair & ~(v[up] <= guard_vec(C_K * v))
+    bad = np.flatnonzero(fail.any(axis=0))
+    if bad.size:  # the first descendant, its nearest failing ancestor
+        i = bad[0]
+        a = up[np.flatnonzero(fail[:, i])[-1], i]
+        emit("bounded_along_ancestry",
+             {"ancestor": tuple(named(a).values()),
+              "descendant": tuple(named(i).values()),
+              "phi_ancestor": float(v[a]), "phi_descendant": float(v[i]),
+              "C_K": C_K})
+    else:
+        emit("bounded_along_ancestry", C_K=C_K,
+             worst_ratio=float(ratio(v[up], v)[pair].max(initial=0.0)))
 
     # (3) a cube with no separated pair collapses onto its only child
     witness = None
-    seen_vacuous = False
-    for cube in sys.cubes:
-        if phi.is_defined(cube) or cube.k == sys.k_max:
-            continue
-        seen_vacuous = True
-        kids = sys.children(cube)
-        if len(kids) != 1 or kids[0].members != cube.members:
-            witness = {"k": cube.k, "center": cube.center,
-                       "children": len(kids)}
+    vacuous = np.flatnonzero(~phi.defined & (sys.cubes.k < sys.k_max))
+    for i in vacuous:
+        kids = sys.children(i)
+        if len(kids) != 1 or not np.array_equal(sys.incidence[kids[0]],
+                                                sys.incidence[i]):
+            witness = {**named(i), "children": len(kids)}
             break
-    if seen_vacuous:
+    if vacuous.size:
         emit("vacuous_cubes_collapse", witness)
     else:
         reports.append(CheckReport("vacuous_cubes_collapse", "vacuous",

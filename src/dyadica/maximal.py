@@ -6,8 +6,8 @@ balls reduces to finitely many distinct member sets: for every center the
 strict balls are exactly the tie-closed prefixes of that center's distance
 ordering, so the operator is computed exactly, not sampled, in a few
 (n x n) passes over the rows of ``QuasiMetricSpace.index``.  The dyadic
-variant replaces balls by the cubes of one system, summed per
-``DyadicSystem.size_groups``, and the two are pointwise comparable with
+variant replaces balls by the cubes of one system, summed by
+``DyadicSystem.cube_totals``, and the two are pointwise comparable with
 explicit constants on doubling instances; ``check_maximal_equivalence``
 reports that comparison as a ``CheckReport`` like every other check, on
 its trial functions as one (trials, n) block, with one ``apply_M`` call
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import Cube, DyadicSystem, _family_systems
+from .dyadic import DyadicSystem, _family_systems
 from .errors import (
     BadParams,
     BadExponents,
@@ -48,6 +48,8 @@ from .norms import (
     _check_structural,
     _equivalence_ratio,
     block_rows,
+    cube_name,
+    cube_seeds,
     cube_testing,
     indicator,
     lp_norm,
@@ -183,8 +185,8 @@ def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
 
     Same shape as apply_M with balls replaced by the cubes containing the
     point; cubes with mu(Q) = 0 are skipped, so empty cubes never produce
-    NaN or infinity.  Cubes are summed per size group, each in member
-    order, and each point reads its cubes through ``label``.  The system
+    NaN or infinity.  Cubes are summed by ``DyadicSystem.cube_totals``, and
+    each point reads its cubes through ``label``.  The system
     must be built on ``params.space`` itself; f may be a (K, n) block.
     """
     _same_space(system, params)
@@ -194,13 +196,9 @@ def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
     if a.ndim not in (1, 2) or a.shape[-1] != weights.size \
             or weights.size != system.space.n:
         raise BadParams("function size does not match the space", shape=a.shape)
-    terms = a.reshape(-1, weights.size) * weights
-    vals = np.zeros((len(terms), len(system.cubes)))
-    for ids, members in system.size_groups:
-        mass = np.add.reduce(mu.masses[members], axis=1)
-        scale = [m ** (gamma - 1.0) if m > 0.0 else 0.0 for m in mass.tolist()]
-        # take keeps each member row contiguous, so it sums as in 1-D
-        vals[:, ids] = scale * np.add.reduce(terms.take(members, axis=1), axis=2)
+    scale = np.array([m ** (gamma - 1.0) if m > 0.0 else 0.0
+                      for m in system.cube_totals(mu.masses).tolist()])
+    vals = scale * system.cube_totals(a.reshape(-1, weights.size) * weights)
     vals = np.where(vals > 0.0, vals, 0.0)
     return np.maximum.reduce(vals.take(system.label, axis=1), axis=1).reshape(a.shape)
 
@@ -208,11 +206,12 @@ def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
 def _containment_ratio_bound(system: DyadicSystem, mu: PointMeasure,
                              gamma: float) -> float:
     best = 0.0
-    for cube in system.cubes:
-        mq = mu.of(cube.members)
+    for mq, ball in zip(system.cube_totals(mu.masses).tolist(),
+                        system.outer_balls):
         if mq == 0.0:
             continue
-        mb = mu.of(system.outer_ball_members(cube))
+        # summed in ascending point order, as PointMeasure.of sums
+        mb = float(np.sum(mu.masses[ball]))
         best = max(best, (mb / mq) ** (1.0 - gamma))
     return best
 
@@ -326,13 +325,14 @@ def dual_weight(mu: PointMeasure, sigma: PointMeasure, p: float) -> DualWeight:
 class MaximalTesting:
     """Exact testing supremum for a maximal operator.
 
+    argmax is the best cube's row in ``standard_cubes(family)``;
     convention_hits counts cubes skipped because the normalizing mass
     vanished (the inf * 0 = 0 reading); per_system is filled by the dyadic
     form, one value per system, with ``value`` their maximum.
     """
 
     value: float
-    argmax: Cube | None
+    argmax: int | None
     convention_hits: int
     per_system: tuple[float, ...] = ()
 
@@ -355,24 +355,26 @@ def testing_constant_maximal(family, params: MaximalParams,
     for s in systems:
         _same_space(s, params)
     if dyadic:
-        sweeps = [(s.cubes, sigma,
+        sweeps = [(s, sigma,
                    lambda chi, s=s: apply_M_dyadic(s, params, chi, inside=sigma))
                   for s in systems]
     else:
         dw = dual_weight(params.mu, sigma, p)
-        sweeps = [(standard_cubes(systems), dw.v_measure,
+        sweeps = [(systems, dw.v_measure,
                    lambda chi: apply_M(params, chi, inside=dw.v_measure))]
-    best, argmax, hits, per = 0.0, None, 0, []
-    for cubes, normalizer, action in sweeps:
-        val, arg, h, infinite = cube_testing(cubes, action, normalizer, omega,
-                                             q, p)
+    best, argmax, hits, per, offset = 0.0, None, 0, [], 0
+    for swept, normalizer, action in sweeps:
+        incidence = standard_cubes(swept)
+        val, arg, h, infinite = cube_testing(incidence, action, normalizer,
+                                             omega, q, p)
         if infinite:
-            raise Infinite("infinite testing ratio", k=infinite[0].k,
-                           center=infinite[0].center)
+            raise Infinite("infinite testing ratio",
+                           **cube_name(swept, infinite[0]))
         per.append(val)
         hits += h
         if val > best:
-            best, argmax = val, arg
+            best, argmax = val, offset + arg
+        offset += len(incidence)
     return MaximalTesting(best, argmax, hits, tuple(per) if dyadic else ())
 
 
@@ -427,8 +429,7 @@ def verdict_theorem_a(family, mu: PointMeasure, sigma: PointMeasure,
                                confirmed=bool(lhs > 0.0 and rhs == 0.0))
     dw = dual_weight(mu, sigma, p)
     testing = testing_constant_maximal(family, params, sigma, omega, p, q)
-    chis = [indicator(params.space.n, c.members) for c in standard_cubes(family)]
-    seeds = [s for chi in chis for s in (chi * dw.v, chi)]
+    seeds = [s for chi in cube_seeds(family) for s in (chi * dw.v, chi)]
     norm = operator_norm_strong(lambda f: apply_M(params, f), sigma, omega,
                                 p, q, budget=budget, seeds=seeds, seed=seed)
     _check_structural("maximal", testing.value, norm.lower)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Cube, _family_systems
+from .dyadic import _family_systems
 from .errors import (
     BadExponents,
     BadParams,
@@ -401,6 +401,7 @@ def operator_norm_weak(apply, sigma: PointMeasure, omega: PointMeasure,
 class TestingConstants:
     """Exact testing suprema over the standard cubes of a family.
 
+    A cube is named by its row in ``standard_cubes(family)``.
     convention_hits counts cubes skipped because the normalizing measure
     vanished there (the inf * 0 = 0 reading); infinite_cubes lists cubes
     whose ratio is genuinely infinite, reported rather than raised.
@@ -408,10 +409,10 @@ class TestingConstants:
 
     strong: float
     dual: float
-    argmax_strong: Cube | None
-    argmax_dual: Cube | None
+    argmax_strong: int | None
+    argmax_dual: int | None
     convention_hits: int
-    infinite_cubes: tuple[Cube, ...] = ()
+    infinite_cubes: tuple[int, ...] = ()
 
 
 def indicator(n: int, members) -> np.ndarray:
@@ -420,40 +421,53 @@ def indicator(n: int, members) -> np.ndarray:
     return chi
 
 
-def standard_cubes(family) -> list[Cube]:
-    return [c for sys in _family_systems(family) for c in sys.cubes]
+def standard_cubes(family) -> np.ndarray:
+    """The incidence rows of the family's cubes, system by system."""
+    return np.concatenate([s.incidence for s in _family_systems(family)])
 
 
-def cube_seeds(family, n: int) -> list[np.ndarray]:
-    return [indicator(n, c.members) for c in standard_cubes(family)]
+def cube_name(family, row: int) -> dict:
+    """The (k, center) of row ``row`` of ``standard_cubes(family)``."""
+    for s in _family_systems(family):
+        if row < len(s.cubes):
+            return s.cubes.name(row)
+        row -= len(s.cubes)
+    raise BadParams("row past the family's cubes", row=row)
 
 
-def cube_testing(cubes, action, normalizer: PointMeasure,
+def cube_seeds(family) -> list[np.ndarray]:
+    return list(standard_cubes(family).astype(float))
+
+
+def cube_testing(cubes: np.ndarray, action, normalizer: PointMeasure,
                  inside: PointMeasure, r_out: float, r_norm: float):
-    """sup_Q normalizer(Q)^(-1/r_norm) ||chi_Q action(chi_Q)||_{L^r_out(inside)}.
+    """sup_Q normalizer(Q)^(-1/r_norm) ||chi_Q action(chi_Q)||_{L^r_out(inside)}
+    over the rows Q of a (cubes x n) incidence block.
 
-    Returns (sup, argmax, convention hits, infinite cubes): a cube whose
+    Returns (sup, argmax row, convention hits, infinite rows): a cube whose
     normalizing mass vanishes is skipped and counted (the inf * 0 = 0
     reading); a cube with an infinite ratio is listed and makes the sup
     infinite.  action maps a (K, n) block of indicators row by row; the
     cubes go to it block_rows(n) at a time.
     """
-    n, rows = normalizer.masses.size, block_rows(normalizer.masses.size)
-    live = [(c, m) for c in cubes if (m := normalizer.of(c.members)) != 0.0]
+    rows = block_rows(normalizer.masses.size)
+    # each mass summed in ascending point order, as PointMeasure.of sums
+    masses = [float(np.sum(normalizer.masses[q])) for q in cubes]
+    live = [i for i, m in enumerate(masses) if m != 0.0]
     norms: list[float] = []
     for i in range(0, len(live), rows):
-        chi = np.array([indicator(n, c.members) for c, _ in live[i:i + rows]])
+        chi = cubes[live[i:i + rows]].astype(float)
         img = np.where(chi > 0.0, _image(action, chi), 0.0)
         norms += lp_norm(img, inside, r_out).tolist()
     best, argmax, infinite = 0.0, None, []
-    for (cube, mass), nrm in zip(live, norms):
-        val = nrm / mass ** (1.0 / r_norm)
+    for i, nrm in zip(live, norms):
+        val = nrm / masses[i] ** (1.0 / r_norm)
         if math.isinf(val):
-            infinite.append(cube)
+            infinite.append(i)
             best = math.inf
             continue
         if val > best:
-            best, argmax = val, cube
+            best, argmax = val, i
     return best, argmax, len(cubes) - len(live), infinite
 
 
@@ -522,9 +536,10 @@ def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
     tc = testing_constants(op, family, p, q)
     if tc.infinite_cubes:
         raise InfiniteTesting("testing constant is infinite",
-                              witness={"cubes": [(c.k, c.center)
-                                                 for c in tc.infinite_cubes]})
-    seeds = cube_seeds(family, sigma.masses.size)
+                              witness={"cubes": [
+                                  tuple(cube_name(family, i).values())
+                                  for i in tc.infinite_cubes]})
+    seeds = cube_seeds(family)
     nrm = operator_norm_strong(op.apply, sigma, omega, p, q, budget, seeds,
                                apply_adjoint=op.apply_adjoint,
                                matrix=op.matrix, seed=seed)
@@ -574,9 +589,9 @@ def verdict_weak_type(strong: StrongVerdict, ops, *, budget: int = 8,
     sub_budget = max(2, budget // 3)
     for t, dop in enumerate(ops):
         sys = dop.system
-        dual = cube_testing(sys.cubes, dop.apply_adjoint, omega, sigma,
+        dual = cube_testing(sys.incidence, dop.apply_adjoint, omega, sigma,
                             ex.p_prime, ex.q_prime)[0]
-        sys_seeds = cube_seeds(sys, sigma.masses.size)
+        sys_seeds = cube_seeds(sys)
         dadj = operator_norm_strong(dop.apply_adjoint, omega, sigma,
                                     dual_ex.p, dual_ex.q, sub_budget,
                                     sys_seeds, apply_adjoint=dop.apply,

@@ -167,10 +167,9 @@ def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
     undefined = np.triu(~phi.defined[ids], 1)
     if undefined.any():
         x, y = (int(i) for i in np.argwhere(undefined)[0])
-        q = system.cubes[ids[x, y]]
         raise PropertyViolation(
             "envelope undefined on a cube separating two points",
-            x=x, y=y, k=q.k, center=q.center)
+            x=x, y=y, **system.cubes.name(ids[x, y]))
     M = phi.values[ids]
     joint = gen.sigma.charged & gen.omega.charged
     np.fill_diagonal(M, np.where(joint, kernel.matrix.diagonal(), 0.0))

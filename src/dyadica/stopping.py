@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import Cube, DyadicSystem, _maximal_mask, maximal_cubes
+from .dyadic import DyadicSystem, _maximal_mask, maximal_cubes
 from .errors import (
     BadExponents,
     BadParams,
@@ -57,36 +57,32 @@ class LevelSetDecomposition:
     """Level set of a dyadic operator image and its maximal cube cover.
 
     image is T f; omega_set lists the points where it exceeds rho; q_rho
-    holds the maximal generalized cubes whose omega mass outside the level
-    set vanishes, by (-size, k, center), checked as ``LevelSets.covers``.
+    holds the ids of the maximal generalized cubes whose omega mass outside
+    the level set vanishes, by (-size, id), checked as ``LevelSets.covers``.
     """
 
     rho: float
     omega_set: tuple[int, ...]
-    q_rho: tuple[Cube, ...]
+    q_rho: np.ndarray
     image: np.ndarray = field(repr=False)
 
 
 class LevelSets:
     """Every level set {T f > t} of one image: the candidates at t are the
     cubes whose ``low``, the minimum of T f over their omega-charged
-    members (+inf if none), exceeds t.  ``holder`` is the base ``label``
-    plus a row of point-cube ids; the sentinel len(cubes) marks none."""
+    members (+inf if none), exceeds t, read through the generalized
+    system's ``label``, whose sentinel len(cubes) names no cube."""
 
     def __init__(self, op, f, image: np.ndarray | None = None):
         self.op, self.f, gen = op, _nonnegative(f), op.gen
         self.image = np.asarray(op.apply(self.f) if image is None else image,
                                 dtype=float)
-        self.cubes, m = gen.cubes, len(gen.cubes)
-        points = np.full(self.f.size, m)
-        points[[c.center for c in gen.point_cubes]] = \
-            range(len(gen.base.cubes), m)
-        self.holder = np.vstack([gen.base.label, points])
+        self.cubes, m, self.label = gen.cubes, len(gen.cubes), gen.label
         self.low = np.full(m + 1, np.inf)
-        np.minimum.at(self.low, self.holder, np.broadcast_to(np.where(
-            op.omega.charged, self.image, np.inf), self.holder.shape))
+        np.minimum.at(self.low, self.label, np.broadcast_to(np.where(
+            op.omega.charged, self.image, np.inf), self.label.shape))
         self.low[m] = -np.inf  # the sentinel is never a candidate
-        self.sizes = np.bincount(self.holder.ravel(), minlength=m + 1)
+        self.sizes = np.bincount(self.label.ravel(), minlength=m + 1)
 
     def covers(self, rhos: np.ndarray, C: float = 1.0):
         """(rows, kept, cover, error) per block of <= 2^15 gathered entries:
@@ -94,7 +90,7 @@ class LevelSets:
         Rows re-check rho > 0, no point in two cover cubes, no candidate
         holding an uncovered point, and the omega-mass identity; a block
         stops before a broken row, with its error, and is the last."""
-        h, m, at = self.holder, len(self.cubes), np.arange(self.f.size)
+        h, m, at = self.label, len(self.cubes), np.arange(self.f.size)
         om, step = self.op.omega.masses, max(1, _BLOCK_ELEMS // h.size)
         for j0 in range(0, len(rhos), step):
             rb, error = rhos[j0:j0 + step], None
@@ -110,7 +106,7 @@ class LevelSets:
                    | mass.any(axis=1))
             j = int(np.argmax(bad)) if bad.any() else len(rb)
             if j < len(rb):
-                c, x = self.cubes[escaped[j] % m], int(np.argmax(mass[j]))
+                c, x = escaped[j] % m, int(np.argmax(mass[j]))
                 error = (
                     BadParams("need rho > 0", rho=float(rb[j]))
                     if not rb[j] > 0 else
@@ -118,7 +114,7 @@ class LevelSets:
                                       x=int(np.argmax(count[j] > 1)))
                     if (count[j] > 1).any() else
                     PropertyViolation("candidate cube escapes the maximal "
-                                      "cover", k=c.k, center=c.center)
+                                      "cover", **self.cubes.name(c))
                     if escaped[j] < m else PropertyViolation(
                         "level set and its cube cover disagree in omega mass",
                         rho=float(t[j, 0]), x=x,
@@ -159,7 +155,7 @@ def _principle(name, op, f, rho, C, localized, violates, details, image):
         table[0] = levels.image if localized else 0.0
         if ids.size:
             chi = np.zeros(table.shape, dtype=bool)
-            chi[slot[levels.holder], at] = True
+            chi[slot[levels.label], at] = True
             table[1:] = op.apply(np.where(chi[1:] == localized, levels.f, 0.0))
         vals, covered = table[slot[cover], at], cover < M - 1
         if localized:
@@ -172,8 +168,7 @@ def _principle(name, op, f, rho, C, localized, violates, details, image):
                                            kept.sum(axis=1).tolist())):
             values, x, witness = vals[j, covered[j]], first[j] % n, None
             if first[j] < none:
-                c = levels.cubes[cover[j, x]]
-                witness = {"k": c.k, "center": c.center, "x": int(x),
+                witness = {**levels.cubes.name(cover[j, x]), "x": int(x),
                            "value": float(vals[j, x]), "bound": r / 2.0}
             reports.append(CheckReport(
                 name, "fail" if witness else
@@ -285,57 +280,54 @@ def check_max_principle_2(op, f, rho, C_m: float | None = None,
 class PrincipalFamily:
     """Stopping-time cubes of strictly more than doubling averages.
 
-    cubes is the family sorted by id, i.e. by (generation, center);
-    averages holds, by cube id, the sigma-average of every positive-mass
-    standard cube and NaN elsewhere; principal_of holds, by cube id, the
-    id of the finest principal cube containing it, or -1 when none does.
-    pi(Q) looks Q up in principal_of.
+    cubes holds the family's ids in ascending order, i.e. by (generation,
+    center); averages holds, by cube id, the sigma-average of every
+    positive-mass standard cube and NaN elsewhere; principal_of holds, by
+    cube id, the id of the finest principal cube containing it, or -1 when
+    none does. pi(Q) looks the id Q up in principal_of.
     """
 
     system: DyadicSystem
     sigma: PointMeasure
-    cubes: tuple[Cube, ...]
+    cubes: np.ndarray
     averages: np.ndarray = field(repr=False)
     principal_of: np.ndarray = field(repr=False)
 
-    def average(self, cube: Cube) -> float:
-        return float(self.averages[cube.id])
+    def average(self, i: int) -> float:
+        return float(self.averages[self.system._own(i)])
 
-    def pi(self, cube: Cube) -> Cube:
-        self.system._own(cube)
-        i = self.principal_of[cube.id]
-        if i < 0:
+    def pi(self, i: int) -> int:
+        j = self.principal_of[self.system._own(i)]
+        if j < 0:
             raise PropertyViolation("cube has no principal ancestor",
-                                    k=cube.k, center=cube.center)
-        return self.system.cubes[i]
+                                    **self.system.cubes.name(i))
+        return int(j)
 
 
-def _sigma_average(a: np.ndarray, sigma: PointMeasure, cube: Cube) -> float:
-    idx = list(cube.members)
-    return float(np.sum(a[idx] * sigma.masses[idx])) / sigma.of(cube.members)
+def _sigma_averages(system: DyadicSystem, sigma: PointMeasure, a: np.ndarray):
+    """(sigma masses, sigma-averages of a) by cube id; NaN on null cubes."""
+    mass = system.cube_totals(sigma.masses)
+    return mass, np.divide(system.cube_totals(a * sigma.masses), mass,
+                           out=np.full(mass.size, np.nan), where=mass != 0.0)
 
 
 def _require_doubling(system: DyadicSystem, cubes, avgs, error, message):
     """Raise ``error`` at the first nested pair whose average fails to double.
 
-    A pair is (outer, inner) with outer a proper ancestor of inner holding
-    more members, found by walking ``parent``.  Every pair replays
+    A pair is (outer, inner) with inner's members a proper subset of
+    outer's: cubes of one system nest along ``parent``, so outer is a proper
+    ancestor of inner holding more members.  Every pair replays
     avgs[inner] > 2 avgs[outer] literally, in (outer, inner) collection
-    order; ``avgs`` is aligned with ``cubes``.
+    order; ``avgs`` is aligned with the ids ``cubes``.
     """
-    at = {c.id: j for j, c in enumerate(cubes)}
-    pairs = []
-    for j, inner in enumerate(cubes):
-        i = system.parent[inner.id]
-        while i >= 0:
-            o = at.get(int(i))
-            if o is not None and cubes[o].size > inner.size:
-                pairs.append((o, j))
-            i = system.parent[i]
-    for o, j in sorted(pairs):
+    members = system.incidence[cubes].astype(int)
+    size = members.sum(axis=1)
+    inside = (members @ members.T == size) & (size[:, None] > size)
+    name = system.cubes.name
+    for o, j in np.argwhere(inside):
         if not avgs[j] > 2.0 * avgs[o]:
-            raise error(message, inner=(cubes[j].k, cubes[j].center),
-                        outer=(cubes[o].k, cubes[o].center))
+            raise error(message, inner=tuple(name(cubes[j]).values()),
+                        outer=tuple(name(cubes[o]).values()))
 
 
 def build_principal_cubes(system: DyadicSystem, sigma: PointMeasure,
@@ -354,45 +346,38 @@ def build_principal_cubes(system: DyadicSystem, sigma: PointMeasure,
     a = _nonnegative(f)
     if a.size != system.space.n:
         raise BadParams("function size does not match the space", size=a.size)
-    averages = np.full(len(system.cubes), np.nan)
+    mass, averages = _sigma_averages(system, sigma, a)
     principal_of = np.full(len(system.cubes), -1)
-    principal: list[Cube] = []
-    for cube in system.cubes:
-        up = system.parent[cube.id]
-        ref = principal_of[up] if up >= 0 else -1
-        principal_of[cube.id] = ref
-        if sigma.of(cube.members) == 0.0:
-            continue
-        avg = averages[cube.id] = _sigma_average(a, sigma, cube)
-        if up < 0 or avg > 2.0 * averages[ref]:
-            principal.append(cube)
-            principal_of[cube.id] = cube.id
-    fam = PrincipalFamily(system=system, sigma=sigma, cubes=tuple(principal),
+    for i, up in enumerate(system.parent.tolist()):
+        ref = principal_of[i] = principal_of[up] if up >= 0 else -1
+        if mass[i] != 0.0 and (ref < 0 or averages[i] > 2.0 * averages[ref]):
+            principal_of[i] = i
+    fam = PrincipalFamily(system=system, sigma=sigma,
+                          cubes=np.flatnonzero(principal_of == np.arange(mass.size)),
                           averages=averages, principal_of=principal_of)
     _check_principal_invariants(fam)
     return fam
 
 
 def _check_principal_invariants(fam: PrincipalFamily) -> None:
-    _require_doubling(fam.system, fam.cubes,
-                      fam.averages[[c.id for c in fam.cubes]],
+    _require_doubling(fam.system, fam.cubes, fam.averages[fam.cubes],
                       PropertyViolation,
                       "nested principal cubes fail to double the average")
     ids = np.flatnonzero(~np.isnan(fam.averages))
     ok = fam.averages[ids] <= 2.0 * fam.averages[fam.principal_of[ids]]
     if not ok.all():
-        cube = fam.system.cubes[ids[~ok][0]]
         raise PropertyViolation(
             "cube average exceeds twice its principal ancestor",
-            k=cube.k, center=cube.center)
+            **fam.system.cubes.name(ids[~ok][0]))
 
 
 def check_mainlemma(system: DyadicSystem, collection, sigma: PointMeasure,
                     f, p: float) -> CheckReport:
     """Average sums over a strictly-doubling family against the maximal bound.
 
-    Verifies the hypotheses first: every cube is one of the system's own
-    standard cubes (a point cube or another system's cube raises
+    ``collection`` holds cube ids.  Verifies the hypotheses first: every
+    id is one of the system's own standard cube ids (a negative id raises
+    OutOfRange; a point cube's id, or any id past the last standard cube,
     MixedSystems), distinct member sets, positive sigma mass on every
     cube, and nested pairs strictly more than doubling the average.  Then
     at every point the sum of the p-th powers of the averages over member
@@ -403,21 +388,21 @@ def check_mainlemma(system: DyadicSystem, collection, sigma: PointMeasure,
     if not 1.0 <= p < math.inf:
         raise BadExponents("need 1 <= p < inf", p=p)
     a = _nonnegative(f)
-    cubes = list(collection)
-    for cube in cubes:
-        system._own(cube)
-    if len({c.members for c in cubes}) != len(cubes):
+    cubes = system._own(collection)
+    members = system.incidence[cubes]
+    if len(np.unique(members, axis=0)) != len(cubes):
         raise HypothesisViolated("collection repeats a member set")
-    for cube in cubes:
-        if sigma.of(cube.members) == 0.0:
-            raise HypothesisViolated("collection contains a sigma-null cube",
-                                     k=cube.k, center=cube.center)
-    avgs = [_sigma_average(a, sigma, c) for c in cubes]
+    mass, averages = _sigma_averages(system, sigma, a)
+    null = cubes[mass[cubes] == 0.0]
+    if null.size:
+        raise HypothesisViolated("collection contains a sigma-null cube",
+                                 **system.cubes.name(null[0]))
+    avgs = averages[cubes].tolist()
     _require_doubling(system, cubes, avgs, HypothesisViolated,
                       "nested pair does not strictly double the average")
     lhs = np.zeros(a.size)
-    for cube, avg in zip(cubes, avgs):
-        lhs[list(cube.members)] += avg ** p
+    for row, avg in zip(members, avgs):
+        lhs[row] += avg ** p
     params = MaximalParams(space=system.space, mu=sigma, gamma=0.0)
     rhs = 2.0 * apply_M_dyadic(system, params, a) ** p
     bad = np.flatnonzero(~(lhs <= guard_vec(rhs)))

@@ -43,3 +43,8 @@ def random_masses(rng, n, zero_fraction=0.0):
             kill[rng.integers(0, n)] = False
         m[kill] = 0.0
     return m
+
+
+def members(system, i):
+    """Cube i's points in ascending order, read off the incidence block."""
+    return tuple(np.flatnonzero(system.incidence[i]).tolist())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,13 @@ from dyadica.dyadic import (
 )
 from dyadica.errors import (
     BadParams,
+    MixedSystems,
     OutOfRange,
     SamePoint,
 )
 from dyadica.space import PointMeasure, build_space, generate_space
+
+from conftest import members
 
 
 class TestParameters:
@@ -55,11 +60,11 @@ class TestWindow:
         sys = build_system(space)
         assert (sys.k_min, sys.k_max) == (-2, 1)
         # coarse generations collapse to the whole space, fine ones split fully
-        assert len(sys.cubes[sys.generation(-2)]) == 1
-        assert len(sys.cubes[sys.generation(-1)]) == 1
-        assert sys.top.members == tuple(range(16))
-        assert all(c.size == 1 for c in sys.cubes[sys.generation(0)])
-        assert all(c.size == 1 for c in sys.cubes[sys.generation(1)])
+        assert len(sys.cubes.k[sys.generation(-2)]) == 1
+        assert len(sys.cubes.k[sys.generation(-1)]) == 1
+        assert members(sys, sys.top) == tuple(range(16))
+        assert all(sys.incidence[sys.generation(0)].sum(axis=1) == 1)
+        assert all(sys.incidence[sys.generation(1)].sum(axis=1) == 1)
 
     def test_snowflake_window(self, snowflake8):
         space, _ = snowflake8
@@ -70,23 +75,24 @@ class TestWindow:
         space, _ = tree27
         sys = build_system(space)
         assert (sys.k_min, sys.k_max) == (-1, 3)
-        counts = [len(sys.cubes[sys.generation(k)]) for k in sys.generation_range()]
+        counts = [len(sys.cubes.k[sys.generation(k)]) for k in sys.generation_range()]
         assert counts == [1, 3, 9, 27, 27]
 
     def test_tree_branch_cubes(self, tree27):
         space, _ = tree27
         sys = build_system(space)
-        branches = sorted(c.members for c in sys.cubes[sys.generation(0)])
+        ids = range(len(sys.cubes))
+        branches = sorted(members(sys, i) for i in ids[sys.generation(0)])
         assert branches == [tuple(range(0, 9)), tuple(range(9, 18)),
                             tuple(range(18, 27))]
-        subtrees = sorted(c.members for c in sys.cubes[sys.generation(1)])
+        subtrees = sorted(members(sys, i) for i in ids[sys.generation(1)])
         assert subtrees == [tuple(range(3 * i, 3 * i + 3)) for i in range(9)]
 
     def test_single_point_space(self):
         space, _ = generate_space("integer_segment_counting", n=1)
         sys = build_system(space)
         assert sys.k_min == sys.k_max
-        assert sys.top.members == (0,)
+        assert members(sys, sys.top) == (0,)
 
 
 class TestProperties:
@@ -133,26 +139,26 @@ class TestNavigation:
         space, _ = tree27
         sys = build_system(space)
         for x in (0, 13, 26):
-            chain = sys.cube_chain(x)
-            assert [c.k for c in chain] == list(sys.generation_range())
+            chain = sys.label[:, x]
+            assert [sys.cubes.k[c] for c in chain] == list(sys.generation_range())
             for coarse, fine in zip(chain, chain[1:]):
-                assert set(fine.members) <= set(coarse.members)
-                assert x in fine
+                assert set(members(sys, fine)) <= set(members(sys, coarse))
+                assert x in members(sys, fine)
 
     def test_parent_children_inverse(self, tree27):
         space, _ = tree27
         sys = build_system(space)
-        for cube in sys.cubes:
+        for cube in range(len(sys.cubes)):
             for child in sys.children(cube):
-                assert sys.cubes[sys.parent[child.id]] == cube
-            if cube.k < sys.k_max:
-                got = sorted(m for ch in sys.children(cube) for m in ch.members)
-                assert got == list(cube.members)
+                assert sys.parent[child] == cube
+            if sys.cubes.k[cube] < sys.k_max:
+                got = sorted(m for ch in sys.children(cube) for m in members(sys, ch))
+                assert got == list(members(sys, cube))
 
     def test_parent_of_top(self, segment16):
         space, _ = segment16
         sys = build_system(space)
-        assert sys.parent[sys.top.id] == -1
+        assert sys.parent[sys.top] == -1
 
     def test_containing_cube_out_of_window(self, segment16):
         space, _ = segment16
@@ -166,15 +172,15 @@ class TestNavigation:
         # generations -2 and -1 are both the whole space; the finest shared
         # cube for distant points is the generation -1 copy
         q = sys.smallest_common_cube(0, 15)
-        assert q.k == -1
-        assert q.members == tuple(range(16))
+        assert sys.cubes.k[q] == -1
+        assert members(sys, q) == tuple(range(16))
 
     def test_smallest_common_cube_tree(self, tree27):
         space, _ = tree27
         sys = build_system(space)
-        assert sys.smallest_common_cube(0, 1).k == 1
-        assert sys.smallest_common_cube(0, 4).k == 0
-        assert sys.smallest_common_cube(0, 10).k == -1
+        assert sys.cubes.k[sys.smallest_common_cube(0, 1)] == 1
+        assert sys.cubes.k[sys.smallest_common_cube(0, 4)] == 0
+        assert sys.cubes.k[sys.smallest_common_cube(0, 10)] == -1
 
     def test_same_point_rejected(self, segment16):
         space, _ = segment16
@@ -186,7 +192,12 @@ class TestNavigation:
         space, _ = tree27
         sys = build_system(space)
         for x in space.points():
-            assert sys.leaf(x).members == (x,)
+            assert members(sys, sys.leaf(x)) == (x,)
+
+
+def same_cubes(a, b):
+    return all(np.array_equal(getattr(a.cubes, col), getattr(b.cubes, col))
+               for col in ("k", "center", "diameter"))
 
 
 class TestDeterminism:
@@ -194,14 +205,14 @@ class TestDeterminism:
         space, _ = generate_space("euclidean_random_points", seed=5, n=20, dim=2)
         s1 = build_system(space, seed=11)
         s2 = build_system(space, seed=11)
-        assert s1.cubes == s2.cubes
+        assert same_cubes(s1, s2)
         assert np.array_equal(s1.label, s2.label)
 
     def test_different_seed_varies(self):
         space, _ = generate_space("euclidean_random_points", seed=5, n=20, dim=2)
         s1 = build_system(space, seed=11)
         s2 = build_system(space, seed=12)
-        assert s1.cubes != s2.cubes or not np.array_equal(s1.label, s2.label)
+        assert not same_cubes(s1, s2) or not np.array_equal(s1.label, s2.label)
 
 
 class TestCoverage:
@@ -263,16 +274,16 @@ class TestPinnedPoint:
         d = space.dist
         for k in sys.generation_range():
             cube = sys.containing_cube(k, x0)
-            assert cube.center == x0
+            assert sys.cubes.center[cube] == x0
             inner = set(np.flatnonzero(d[x0] < sys.c1 * sys.delta**k))
             outer = set(np.flatnonzero(d[x0] < sys.C1 * sys.delta**k))
-            assert inner <= set(cube.members) <= outer
+            assert inner <= set(members(sys, cube)) <= outer
 
     def test_pinned_point_on_random_space(self):
         space, _ = generate_space("euclidean_random_points", seed=42, n=14, dim=2)
         sys = build_system(space, x0=9)
         for k in sys.generation_range():
-            assert sys.containing_cube(k, 9).center == 9
+            assert sys.cubes.center[sys.containing_cube(k, 9)] == 9
 
     def test_pin_out_of_range(self, segment16):
         space, _ = segment16
@@ -310,9 +321,9 @@ class TestTruncatedWindow:
         assert all(r.ok for r in check_system(sys))
         for x in range(space.n):
             leaf = sys.leaf(x)
-            assert leaf.k == 1
-            assert leaf.size == 3
-            assert x in leaf
+            assert sys.cubes.k[leaf] == 1
+            assert len(members(sys, leaf)) == 3
+            assert x in members(sys, leaf)
 
     def test_truncation_clamps(self, tree27):
         space, _ = tree27
@@ -320,7 +331,7 @@ class TestTruncatedWindow:
         assert build_system(space, k_max=99).k_max == auto.k_max
         shallow = build_system(space, k_max=-99)
         assert shallow.k_max == shallow.k_min
-        assert shallow.leaf(0).size == space.n
+        assert len(members(shallow, shallow.leaf(0))) == space.n
 
     def test_full_window_unchanged(self, segment16):
         space, _ = segment16
@@ -333,9 +344,10 @@ class TestGeneralize:
     def test_counting_has_no_point_cubes(self, segment16):
         space, mu = segment16
         gen = generalize(build_system(space), mu, mu)
-        assert gen.point_cubes == ()
+        assert len(gen.point_cubes) == 0
         assert gen.joint_atoms == tuple(range(16))
-        assert all(gen.is_joint_atom(x) for x in range(16))
+        assert all(gen.sigma.masses[x] > 0 and gen.omega.masses[x] > 0
+                   for x in range(16))
 
     def test_joint_atoms_intersect_supports(self, segment16):
         space, _ = segment16
@@ -343,8 +355,8 @@ class TestGeneralize:
         omega = PointMeasure(np.where(np.arange(16) % 2 == 0, 3.0, 0.0))
         gen = generalize(build_system(space), sigma, omega)
         assert gen.joint_atoms == (0, 2, 4, 6)
-        assert not gen.is_joint_atom(1)
-        assert not gen.is_joint_atom(8)
+        assert not (gen.sigma.masses[1] > 0 and gen.omega.masses[1] > 0)
+        assert not (gen.sigma.masses[8] > 0 and gen.omega.masses[8] > 0)
 
     def test_truncated_window_gains_point_cubes(self, tree27):
         space, mu = tree27
@@ -352,10 +364,10 @@ class TestGeneralize:
         gen = generalize(sys, mu, mu)
         assert len(gen.point_cubes) == space.n
         for pc in gen.point_cubes:
-            assert pc.k == sys.k_max + 1
-            assert pc.members == (pc.center,)
-            assert pc.diameter == 0.0
-            assert pc.system_id == sys.system_id
+            assert gen.cubes.k[pc] == sys.k_max + 1
+            assert members(gen, pc) == (gen.cubes.center[pc],)
+            assert gen.cubes.diameter[pc] == 0.0
+        assert gen.base is sys
 
     def test_point_cubes_only_at_joint_atoms(self, tree27):
         space, mu = tree27
@@ -364,7 +376,7 @@ class TestGeneralize:
         gen = generalize(sys, mu, omega)
         assert gen.joint_atoms == (5,)
         assert len(gen.point_cubes) == 1
-        assert gen.point_cubes[0].members == (5,)
+        assert members(gen, gen.point_cubes[0]) == (5,)
 
     def test_measure_size_mismatch(self, segment16):
         space, _ = segment16
@@ -373,64 +385,68 @@ class TestGeneralize:
                        PointMeasure(np.ones(16)))
 
 
-def brute_maximal(cubes):
+def brute_maximal(system, cubes):
+    k, center = system.cubes.k, system.cubes.center
     best = {}
     for c in cubes:
-        if c.members not in best or c.k < best[c.members].k:
-            best[c.members] = c
+        m = members(system, c)
+        if m not in best or k[c] < k[best[m]]:
+            best[m] = c
     cands = list(best.values())
     out = [c for c in cands
-           if not any(set(c.members) < set(o.members) for o in cands)]
-    return sorted(out, key=lambda c: (-c.size, c.k, c.center))
+           if not any(set(members(system, c)) < set(members(system, o))
+                      for o in cands)]
+    return sorted(out, key=lambda c: (-len(members(system, c)), k[c], center[c]))
 
 
 def mask(system, cubes):
     chosen = np.zeros(len(system.cubes), dtype=bool)
-    chosen[[c.id for c in cubes]] = True
+    chosen[list(cubes)] = True
     return chosen
 
 
 class TestMaximalCubes:
     def test_empty(self, tree27):
         sys = build_system(tree27[0])
-        assert maximal_cubes(sys, mask(sys, [])) == ()
+        assert maximal_cubes(sys, mask(sys, [])).tolist() == []
 
     def test_duplicate_sets_keep_coarsest(self, tree27):
         space, _ = tree27
         sys = build_system(space)
         fine = sys.containing_cube(sys.k_max, 4)
         coarse = sys.containing_cube(sys.k_max - 1, 4)
-        assert fine.members == coarse.members  # both singleton generations
+        assert members(sys, fine) == members(sys, coarse)  # both singleton generations
         got = maximal_cubes(sys, mask(sys, [fine, coarse]))
-        assert got == (coarse,)
+        assert got.tolist() == [coarse]
 
     def test_matches_brute_force(self, tree27):
         # one truncated generalized system: its standard cubes keep
         # non-singleton leaves, and its point cubes hang below them
         space, mu = tree27
         gen = generalize(build_system(space, k_max=1), mu, mu)
-        pool = gen.cubes
+        pool = range(len(gen.cubes))
         assert gen.point_cubes
         rng = np.random.default_rng(17)
+        k, center = gen.cubes.k, gen.cubes.center
         for _ in range(25):
             take = rng.integers(0, len(pool), size=rng.integers(1, 18))
             coll = [pool[i] for i in take]
             got = maximal_cubes(gen, mask(gen, coll))
-            want = brute_maximal(coll)
-            assert [(c.k, c.center, c.members) for c in got] == \
-                   [(c.k, c.center, c.members) for c in want]
+            want = brute_maximal(gen, coll)
+            assert [(k[c], center[c], members(gen, c)) for c in got] == \
+                   [(k[c], center[c], members(gen, c)) for c in want]
 
     def test_outputs_disjoint_and_cover_inputs(self, tree27):
         space, _ = tree27
         sys = build_system(space)
-        coll = [c for c in sys.cubes if c.k >= sys.k_min + 1]
+        coll = [c for c in range(len(sys.cubes)) if sys.cubes.k[c] >= sys.k_min + 1]
         got = maximal_cubes(sys, mask(sys, coll))
-        seen = [set(c.members) for c in got]
+        seen = [set(members(sys, c)) for c in got]
         for i in range(len(seen)):
             for j in range(i + 1, len(seen)):
                 assert not (seen[i] & seen[j])
         for c in coll:
-            owners = [o for o in seen if set(c.members) <= o]
+            owners = [o for o in seen if set(members(sys, c)) <= o]
             assert len(owners) == 1
 
     def test_size_orders_before_generation(self):
@@ -441,13 +457,14 @@ class TestMaximalCubes:
         sys = build_system(build_space(np.abs(x[:, None] - x[None, :])))
         single = sys.containing_cube(sys.k_min + 1, 0)
         pair = sys.containing_cube(sys.k_min + 2, 1)
-        assert (single.size, pair.size) == (1, 2) and single.id < pair.id
-        assert maximal_cubes(sys, mask(sys, [single, pair])) == (pair, single)
+        assert (len(members(sys, single)), len(members(sys, pair))) == (1, 2) \
+            and single < pair
+        assert maximal_cubes(sys, mask(sys, [single, pair])).tolist() == [pair, single]
         rng = np.random.default_rng(5)
         for _ in range(40):
-            coll = [c for c in sys.cubes if rng.random() < 0.3]
+            coll = [c for c in range(len(sys.cubes)) if rng.random() < 0.3]
             got = maximal_cubes(sys, mask(sys, coll))
-            assert [c.id for c in got] == [c.id for c in brute_maximal(coll)]
+            assert got.tolist() == brute_maximal(sys, coll)
 
     def test_mask_size_mismatch(self, tree27):
         sys = build_system(tree27[0])
@@ -461,5 +478,170 @@ class TestMaximalCubes:
         assert gen.point_cubes
         assert np.array_equal(gen.parent[:len(sys.cubes)], sys.parent)
         for cube in gen.point_cubes:
-            up = gen.cubes[gen.parent[cube.id]]
-            assert up.k == sys.k_max and cube.center in up.members
+            up = gen.parent[cube]
+            assert gen.cubes.k[up] == sys.k_max
+            assert gen.cubes.center[cube] in members(gen, up)
+
+
+# ---------------------------------------------------------------------------
+# the structural checks on corrupted copies: one column changed each
+# ---------------------------------------------------------------------------
+
+def move_label_up(s):
+    """Point 0's finest label names point 1's cube one generation up."""
+    label = s.label.copy()
+    label[-1, 0] = s.containing_cube(s.k_max - 1, 1)
+    return dataclasses.replace(s, label=label)
+
+
+def move_label_to_sibling(s):
+    """Point 0 leaves its singleton leaf for point 1's."""
+    label = s.label.copy()
+    label[-1, 0] = s.leaf(1)
+    return dataclasses.replace(s, label=label)
+
+
+def move_parent(s):
+    """Point 0's generation-1 cube hangs under the branch of point 9."""
+    parent = s.parent.copy()
+    parent[s.containing_cube(1, 0)] = s.containing_cube(0, 9)
+    return dataclasses.replace(s, parent=parent)
+
+
+def swap_centers(k, x, y):
+    """The centers of the generation-k cubes of x and y trade places."""
+    def corrupt(s):
+        center = s.cubes.center.copy()
+        i, j = s.containing_cube(k, x), s.containing_cube(k, y)
+        center[[i, j]] = center[[j, i]]
+        return dataclasses.replace(
+            s, cubes=dataclasses.replace(s.cubes, center=center))
+    return corrupt
+
+
+CORRUPTIONS = {
+    "label_up": move_label_up,
+    "label_sibling": move_label_to_sibling,
+    "parent": move_parent,
+    "centers_k1": swap_centers(1, 0, 9),
+    "centers_k3": swap_centers(3, 0, 26),
+}
+
+
+def loop_checks(s):
+    """The five checks as per-cube loops over member lists, in id order."""
+    d, k, center = s.space.dist, s.cubes.k, s.cubes.center
+    ids = range(len(s.cubes))
+    out = {}
+    seen = np.zeros((s.num_generations, s.space.n), dtype=int)
+    for i in ids:
+        for x in members(s, i):
+            seen[k[i] - s.k_min, x] += 1
+    bad = np.argwhere(seen != 1)
+    out["partition"] = None if not bad.size else {
+        "k": s.k_min + int(bad[0][0]), "x": int(bad[0][1]),
+        "multiplicity": int(seen[tuple(bad[0])])}
+    out["nesting"] = None
+    for i in ids:
+        if k[i] == s.k_min:
+            continue
+        owners = np.unique(s.label[k[i] - 1 - s.k_min, list(members(s, i))])
+        if owners.size != 1 or owners[0] != s.parent[i]:
+            out["nesting"] = {"k": k[i], "center": center[i],
+                              "owners": [center[o] for o in owners]}
+            break
+    out["ball_sandwich"] = None
+    for i in ids:
+        inner = set(np.flatnonzero(d[center[i]] < s.c1 * s.delta**int(k[i])))
+        outer = set(np.flatnonzero(d[center[i]] < s.C1 * s.delta**int(k[i])))
+        mem = set(members(s, i))
+        if not inner <= mem:
+            out["ball_sandwich"] = {"k": k[i], "center": center[i],
+                                    "side": "inner",
+                                    "missing": sorted(inner - mem)}
+            break
+        if not mem <= outer:
+            out["ball_sandwich"] = {"k": k[i], "center": center[i],
+                                    "side": "outer",
+                                    "excess": sorted(mem - outer)}
+            break
+    out["outer_ball_nesting"] = None
+    for i in ids:
+        up = s.parent[i]
+        if up < 0:
+            continue
+        inner = np.flatnonzero(d[center[i]] < s.outer_ball_radius(int(k[i])))
+        ok = d[center[up], inner] < s.outer_ball_radius(int(k[up]))
+        if not ok.all():
+            out["outer_ball_nesting"] = {"k": k[i], "center": center[i],
+                                         "parent_center": center[up],
+                                         "escapes": int(inner[~ok][0])}
+            break
+    out["center_chain"] = None
+    for i in ids:
+        if k[i] == s.k_max:
+            continue
+        z = center[i]
+        own = s.containing_cube(int(k[i]) + 1, z)
+        finer = {center[j] for j in ids if k[j] == k[i] + 1}
+        reason = ("not a finer center" if z not in finer else
+                  "not self-owned" if center[own] != z else
+                  "parent differs" if s.parent[own] != i else None)
+        if reason:
+            out["center_chain"] = {"k": k[i], "center": z, "reason": reason}
+            break
+    return out
+
+
+class TestCorruptedColumns:
+    @pytest.mark.parametrize("check,corruption", [
+        ("partition", "label_up"),
+        ("nesting", "parent"),
+        ("ball_sandwich", "centers_k1"),
+        ("outer_ball_nesting", "centers_k3"),
+        ("center_chain", "centers_k1")])
+    def test_each_check_fails_on_a_corruption(self, tree27, check,
+                                              corruption):
+        s = build_system(tree27[0])
+        assert all(r.status == "pass" for r in check_system(s))
+        bad = CORRUPTIONS[corruption](s)
+        assert {r.name: r for r in check_system(bad)}[check].status == "fail"
+
+    @pytest.mark.parametrize("corruption", [None, *CORRUPTIONS])
+    def test_witnesses_match_the_per_cube_loops(self, tree27, corruption):
+        s = build_system(tree27[0])
+        if corruption is not None:
+            s = CORRUPTIONS[corruption](s)
+        want = loop_checks(s)
+        for r in check_system(s):
+            assert (r.status, r.witness) == \
+                ("pass" if want[r.name] is None else "fail", want[r.name])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_built_systems_pass_the_loops(self, seed):
+        space, _ = generate_space("euclidean_random_points", seed=seed, n=18,
+                                  dim=2)
+        assert all(w is None for w in
+                   loop_checks(build_system(space, seed=seed)).values())
+
+
+class TestIdsAtTheBoundary:
+    @pytest.mark.parametrize("i,error", [(-1, OutOfRange), (-40, OutOfRange),
+                                         (None, MixedSystems)])
+    def test_children_reject_foreign_ids(self, tree27, i, error):
+        s = build_system(tree27[0])
+        with pytest.raises(error):
+            s.children(len(s.cubes) if i is None else i)
+
+    def test_children_reject_non_integer_ids(self, tree27):
+        s = build_system(tree27[0])
+        with pytest.raises(BadParams):
+            s.children(1.5)
+
+    def test_point_cube_id_is_not_a_standard_id(self, tree27):
+        space, mu = tree27
+        s = build_system(space, k_max=1)
+        gen = generalize(s, mu, mu)
+        with pytest.raises(MixedSystems):
+            s.children(gen.point_cubes[0])

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from dyadica.kernel import (
     pair_threshold,
     phi_table,
 )
+from dyadica.policy import guard
 from dyadica.space import PointMeasure, generate_space
 
 
@@ -289,8 +293,8 @@ class TestPhi:
         sys = build_system(space)
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
         phi = phi_table(ker, sys)
-        assert phi.of(sys.top) == 2.0**-0.5
-        assert phi.is_defined(sys.top)
+        assert phi.values[sys.top] == 2.0**-0.5
+        assert phi.defined[sys.top]
 
     def test_threshold_formula(self, segment16):
         space, mu = segment16
@@ -305,9 +309,9 @@ class TestPhi:
         sys = build_system(space)
         ker = build_kernel(space, mu, "ball_volume", gamma=0.5)
         phi = phi_table(ker, sys)
-        for cube in sys.cubes[sys.generation(sys.k_max)]:
-            assert not phi.is_defined(cube)
-            assert phi.of(cube) == 0.0
+        for cube in range(len(sys.cubes))[sys.generation(sys.k_max)]:
+            assert not phi.defined[cube]
+            assert phi.values[cube] == 0.0
 
     def test_tree_envelopes(self, tree27):
         # closed-ball kernel: pair values are 3^-1/2, 9^-1/2, 27^-1/2 at the
@@ -316,9 +320,9 @@ class TestPhi:
         sys = build_system(space)
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
         phi = phi_table(ker, sys)
-        assert phi.of(sys.top) == 9.0**-0.5
+        assert phi.values[sys.top] == 9.0**-0.5
         branch = sys.containing_cube(0, 0)
-        assert phi.of(branch) == 3.0**-0.5
+        assert phi.values[branch] == 3.0**-0.5
 
 
 class TestEstimates:
@@ -358,3 +362,83 @@ class TestEstimates:
         assert k2 == growth_scale_factor(space.a0, sys.delta)
         assert C_K == k1 * k1
         assert k1 >= 1.0
+
+
+def loop_estimates(sys, phi):
+    """The three estimates as per-cube loops, each cube's ancestors walked
+    up ``parent``; (name, status, witness, details) per report."""
+    k, center, C_K = sys.cubes.k, sys.cubes.center, phi.C_K
+    v, low, defined = phi.values.tolist(), phi.low.tolist(), phi.defined
+    out = []
+    worst, case, fail = 0.0, None, None
+    for i in np.flatnonzero(defined):
+        ratio = (math.inf if low[i] == 0.0 and v[i] > 0 else
+                 v[i] / low[i] if low[i] > 0 else 0.0)
+        if ratio > worst:
+            worst, case = ratio, {"k": k[i], "center": center[i],
+                                  "phi": v[i], "min_pair_value": low[i]}
+        if not v[i] <= guard(C_K * low[i]):
+            fail = {"k": k[i], "center": center[i], "phi": v[i],
+                    "min_pair_value": low[i], "C_K": C_K}
+            break
+    out.append(("bounded_on_separated_pairs", "fail", fail, {}) if fail else
+               ("bounded_on_separated_pairs", "pass", None,
+                {"worst_ratio": worst, "C_K": C_K, "worst_case": case}))
+    worst, fail = 0.0, None
+    for i in np.flatnonzero(defined):
+        a = sys.parent[i]
+        while a >= 0 and fail is None:
+            if defined[a]:
+                ratio = (v[a] / v[i] if v[i] > 0 else
+                         math.inf if v[a] > 0 else 0.0)
+                worst = max(worst, ratio)
+                if not v[a] <= guard(C_K * v[i]):
+                    fail = {"ancestor": (k[a], center[a]),
+                            "descendant": (k[i], center[i]),
+                            "phi_ancestor": v[a], "phi_descendant": v[i],
+                            "C_K": C_K}
+            a = sys.parent[a]
+    out.append(("bounded_along_ancestry", "fail", fail, {}) if fail else
+               ("bounded_along_ancestry", "pass", None,
+                {"worst_ratio": worst, "C_K": C_K}))
+    vacuous = [i for i in range(len(sys.cubes))
+               if not defined[i] and k[i] < sys.k_max]
+    fail = next(({"k": k[i], "center": center[i],
+                  "children": len(sys.children(i))} for i in vacuous
+                 if len(sys.children(i)) != 1 or not np.array_equal(
+                     sys.incidence[sys.children(i)[0]], sys.incidence[i])),
+                None)
+    out.append(("vacuous_cubes_collapse",
+                "vacuous" if not vacuous else "fail" if fail else "pass",
+                fail, {}))
+    return out
+
+
+class TestEstimatesMatchTheLoops:
+    @pytest.mark.parametrize("fixture", ["segment16", "snowflake8", "tree27"])
+    @pytest.mark.parametrize("kind,params", [
+        ("ball_volume", {"gamma": 0.5}),
+        ("ball_volume_closed", {"gamma": 0.25}),
+        ("frac_rho", {"alpha": 0.5, "n_dim": 1.0})])
+    @pytest.mark.parametrize("tamper", [None, "low_C_K", "tiny_C_K",
+                                        "undefined"])
+    def test_reports(self, fixture, kind, params, tamper, request):
+        # an understated C_K fails the first two estimates; clearing
+        # ``defined`` on a cube with several children fails the third
+        space, mu = request.getfixturevalue(fixture)
+        sys = build_system(space)
+        ker = build_kernel(space, mu, kind, **params)
+        phi = phi_table(ker, sys)
+        if tamper == "low_C_K":
+            phi = dataclasses.replace(phi, C_K=1.0)
+        elif tamper == "tiny_C_K":
+            phi = dataclasses.replace(phi, C_K=1e-3)
+        elif tamper == "undefined":
+            kids = np.bincount(sys.parent[sys.parent >= 0],
+                               minlength=len(sys.cubes))
+            defined = phi.defined.copy()
+            defined[np.flatnonzero(kids > 1)] = False
+            phi = dataclasses.replace(phi, defined=defined)
+        got = [(r.name, r.status, r.witness, r.details)
+               for r in check_kernel_estimates(ker, sys, phi)]
+        assert got == loop_estimates(sys, phi)

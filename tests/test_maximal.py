@@ -201,8 +201,8 @@ class TestApplyM:
         dw = dual_weight(mu, sigma, 2.5)
         params = MaximalParams(space=space, mu=mu, gamma=0.25)
         fam = build_adjacent_systems(space)
-        for cube in standard_cubes(fam)[::5]:
-            chi = indicator(16, cube.members)
+        for row in standard_cubes(fam)[::5]:
+            chi = indicator(16, np.flatnonzero(row))
             via_arg = apply_M(params, chi * dw.v)
             via_inside = apply_M(params, chi, inside=dw.v_measure)
             assert np.array_equal(via_arg, via_inside)
@@ -750,11 +750,11 @@ def apply_M_dyadic_loop(system, params, f, inside=None):
     weights = (inside if inside is not None else mu).masses
     a = np.abs(np.asarray(f, dtype=float))
     out = np.zeros(a.size)
-    for cube in system.cubes:
-        m = mu.of(cube.members)
+    for row in system.incidence:
+        idx = np.flatnonzero(row).tolist()
+        m = mu.of(idx)
         if m == 0.0:
             continue
-        idx = list(cube.members)
         val = m ** (gamma - 1.0) * float(np.sum(a[idx] * weights[idx]))
         if val > 0.0:
             out[idx] = np.maximum(out[idx], val)
@@ -904,7 +904,7 @@ class TestSizeGroups:
         seen = []
         for ids, members in system.size_groups:
             for i, row in zip(ids, members):
-                assert tuple(row) == system.cubes[i].members
+                assert tuple(row) == tuple(np.flatnonzero(system.incidence[i]))
             seen.extend(ids.tolist())
         assert sorted(seen) == list(range(len(system.cubes)))
 
@@ -917,3 +917,82 @@ class TestSizeGroups:
             ids[0] = 1
         with pytest.raises(ValueError):
             members[0, 0] = 1
+
+
+# ---------------------------------------------------------------------------
+# known answers: both maximal functions on every point mass
+# ---------------------------------------------------------------------------
+
+KNOWN_ANSWER_SPACES = {
+    "segment64": lambda: generate_space("integer_segment_counting", n=64),
+    "cloud48": lambda: generate_space("euclidean_random_points", seed=3,
+                                      n=48, dim=2),
+    "tree27": lambda: generate_space("ultrametric_tree", depth=3,
+                                     branching=3, ratio=1.0 / 96.0),
+}
+
+
+def point_mass_params(name, gamma):
+    space, _ = KNOWN_ANSWER_SPACES[name]()
+    rng = np.random.default_rng(space.n)
+    mu = PointMeasure(rng.uniform(0.5, 2.0, space.n))
+    return MaximalParams(space=space, mu=mu, gamma=gamma)
+
+
+def dyadic_point_mass_gap(system, params):
+    """Largest relative gap between apply_M_dyadic on every point mass and
+    M^D delta_y(x) = mu(y) mu(Q_xy)^(gamma - 1), with Q_xy the smallest
+    common cube of x and y (the leaf when x = y)."""
+    import dyadica.maximal as maximal
+    n, mu = system.space.n, params.mu
+    got = maximal.apply_M_dyadic(system, params, np.eye(n))
+    want = np.empty((n, n))
+    for y in range(n):
+        for x in range(n):
+            q = system.leaf(x) if x == y else system.smallest_common_cube(x, y)
+            mass = mu.of(np.flatnonzero(system.incidence[q]))
+            want[y, x] = mu.masses[y] * mass ** (params.gamma - 1.0)
+    return float(np.max(np.abs(got - want) / want))
+
+
+def ball_point_mass_gap(params):
+    """Largest relative gap between apply_M on every point mass and
+    M delta_y(x) = mu(y) (min_c mu({z : d(c, z) <= max(d(c, x),
+    d(c, y))}))^(gamma - 1): the smallest ball holding both points."""
+    import dyadica.maximal as maximal
+    d, m = params.space.dist, params.mu.masses
+    n = d.shape[0]
+    got = maximal.apply_M(params, np.eye(n))
+    smallest = np.full((n, n), np.inf)
+    for c in range(n):
+        radius = np.maximum(d[c][:, None], d[c][None, :])
+        mass = np.where(d[c] <= radius[:, :, None], m, 0.0).sum(axis=2)
+        smallest = np.minimum(smallest, mass)
+    want = m[:, None] * smallest ** (params.gamma - 1.0)
+    return float(np.max(np.abs(got - want) / want))
+
+
+class TestPointMassKnownAnswers:
+    @pytest.mark.parametrize("name", sorted(KNOWN_ANSWER_SPACES))
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_dyadic_maximal(self, name, gamma):
+        params = point_mass_params(name, gamma)
+        gap = dyadic_point_mass_gap(build_system(params.space), params)
+        assert gap <= TOLERANCES["exact_guard_rel"]
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_ANSWER_SPACES))
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_ball_maximal(self, name, gamma):
+        params = point_mass_params(name, gamma)
+        assert ball_point_mass_gap(params) <= TOLERANCES["exact_guard_rel"]
+
+    @pytest.mark.parametrize("operator", ["apply_M", "apply_M_dyadic"])
+    def test_doubled_operator_is_caught(self, operator, monkeypatch):
+        import dyadica.maximal as maximal
+        real = getattr(maximal, operator)
+        monkeypatch.setattr(maximal, operator,
+                            lambda *args, **kw: 2.0 * real(*args, **kw))
+        params = point_mass_params("tree27", 0.5)
+        gap = (ball_point_mass_gap(params) if operator == "apply_M" else
+               dyadic_point_mass_gap(build_system(params.space), params))
+        assert gap > TOLERANCES["exact_guard_rel"]

@@ -454,7 +454,7 @@ class TestTestingConstants:
         op = MatrixOperator(kernel.matrix, sigma, omega)
         tc = compute_testing(op, fam, 2.0, 3.0)
         est = operator_norm_strong(op.apply, sigma, omega, 2.0, 3.0, budget=2,
-                                   seeds=cube_seeds(fam, 16))
+                                   seeds=cube_seeds(fam))
         assert tc.strong <= est.lower + 1e-9
 
 
@@ -756,12 +756,13 @@ def norm_search_seq(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
 def cube_testing_seq(cubes, action, normalizer, inside, r_out, r_norm):
     n = normalizer.masses.size
     best, argmax, hits, infinite = 0.0, None, 0, []
-    for cube in cubes:
-        mass = normalizer.of(cube.members)
+    for cube, row in enumerate(cubes):
+        members = np.flatnonzero(row)
+        mass = normalizer.of(members)
         if mass == 0.0:
             hits += 1
             continue
-        chi = indicator(n, cube.members)
+        chi = indicator(n, members)
         img = np.where(chi > 0.0, np.asarray(action(chi), dtype=float), 0.0)
         val = lp_norm_seq(img, inside, r_out) / mass ** (1.0 / r_norm)
         if math.isinf(val):
@@ -826,7 +827,7 @@ class TestBlockSearchMatchesSequential:
         def seq_adj(h):
             return weighted_apply_seq(off_t, diag_t, h, omega)
 
-        seeds = cube_seeds(fam, n)
+        seeds = cube_seeds(fam)
         got = operator_norm_strong(op.apply, sigma, omega, p, q, 2, seeds,
                                    apply_adjoint=op.apply_adjoint,
                                    matrix=op.matrix, seed=3)
@@ -854,7 +855,7 @@ class TestBlockSearchMatchesSequential:
     def test_apply_M(self, kind, n, p, q):
         space, mu, sigma, omega, kernel, fam = oracle_instance(kind, n, 1)
         params = maximal_params(space, mu, 0.5)
-        seeds = cube_seeds(fam, n)
+        seeds = cube_seeds(fam)
 
         def block(f):
             return apply_M(params, f)

@@ -10,7 +10,6 @@ from dyadica.errors import (
     BadM,
     BadParams,
     FormMismatch,
-    MixedSystems,
     PointCubeViolated,
     PropertyViolation,
     SandwichViolated,
@@ -35,7 +34,7 @@ from dyadica.operators import (
 from dyadica.policy import TOLERANCES, close, guard, require
 from dyadica.space import PointMeasure, generate_space
 
-from conftest import random_masses
+from conftest import members, random_masses
 
 
 def line_operator(space, mu, gamma=0.5, sigma=None, omega=None):
@@ -251,10 +250,11 @@ def reference_matrix(kernel, gen, phi):
     n = sys.space.n
     M = np.empty((n, n))
     for x in range(n):
-        M[x, x] = kernel.matrix[x, x] if gen.is_joint_atom(x) else 0.0
+        joint = gen.sigma.masses[x] > 0 and gen.omega.masses[x] > 0
+        M[x, x] = kernel.matrix[x, x] if joint else 0.0
         for y in range(n):
             if y != x:
-                M[x, y] = phi.of(sys.smallest_common_cube(x, y))
+                M[x, y] = phi.values[sys.smallest_common_cube(x, y)]
     return M
 
 
@@ -283,15 +283,16 @@ class TestBuildMatrix:
         gen = generalize(sys, mu, mu)
         phi = build_dyadic_operator(ker, gen).phi
         cleared = dataclasses.replace(phi, defined=phi.defined.copy())
-        cleared.defined[sys.top.id] = False
+        cleared.defined[sys.top] = False
         first = next((x, y) for x in range(space.n)
                      for y in range(x + 1, space.n)
                      if sys.smallest_common_cube(x, y) == sys.top)
         assert first == (0, 9)
         with pytest.raises(PropertyViolation) as info:
             build_dyadic_operator(ker, gen, phi=cleared)
-        assert info.value.witness == {"x": 0, "y": 9, "k": sys.top.k,
-                                      "center": sys.top.center}
+        assert info.value.witness == {"x": 0, "y": 9,
+                                      "k": sys.cubes.k[sys.top],
+                                      "center": sys.cubes.center[sys.top]}
 
 
 class TestJointAtomDiagonal:
@@ -335,7 +336,8 @@ class TestJointAtomDiagonal:
 
 def reference_sum(sys, vals, cube):
     """A cube total by the ordered recursion over children."""
-    parts = ([vals[x] for x in cube.members] if cube.k == sys.k_max
+    parts = ([vals[x] for x in members(sys, cube)]
+             if sys.cubes.k[cube] == sys.k_max
              else [reference_sum(sys, vals, c) for c in sys.children(cube)])
     s = 0.0
     for v in parts:
@@ -349,12 +351,12 @@ def reference_partition(op, f, m):
     g = f * op.gen.sigma.masses
     out = np.empty(op.n)
     for x in range(op.n):
-        chain = sys.cube_chain(x)
+        chain = sys.label[:, x]
         sums = [reference_sum(sys, g, c) for c in chain]
         total = 0.0
         for i, cube in enumerate(chain):
             far = sums[i + m] if i + m < len(chain) else g[x]
-            total += op.phi.of(cube) * (sums[i] - far)
+            total += float(op.phi.values[cube]) * (sums[i] - far)
         out[x] = total if g[x] == 0.0 else total + op.matrix[x, x] * g[x]
     return out
 
@@ -366,8 +368,8 @@ class TestCubeSums:
         sys = build_system(space, k_max=k_max)
         vals = np.random.default_rng(4).uniform(0, 1, space.n)
         sums = cube_sums(sys, vals)
-        assert [sums[c.id] for c in sys.cubes] == \
-            [reference_sum(sys, vals, c) for c in sys.cubes]
+        assert [sums[c] for c in range(len(sys.cubes))] == \
+            [reference_sum(sys, vals, c) for c in range(len(sys.cubes))]
         sigma = PointMeasure(random_masses(np.random.default_rng(6), space.n,
                                            zero_fraction=0.3))
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
@@ -382,9 +384,9 @@ class TestCubeSums:
         rng = np.random.default_rng(3)
         vals = rng.uniform(0, 1, space.n)
         sums = cube_sums(sys, vals)
-        for cube in sys.cubes:
+        for cube in range(len(sys.cubes)):
             for child in sys.children(cube):
-                assert sums[child.id] <= sums[cube.id]
+                assert sums[child] <= sums[cube]
 
     def test_leaf_values(self, segment16):
         space, _ = segment16
@@ -392,17 +394,17 @@ class TestCubeSums:
         vals = np.arange(16, dtype=float)
         sums = cube_sums(sys, vals)
         for x in range(16):
-            assert sums[sys.leaf(x).id] == vals[x]
-        assert sums[sys.top.id] == pytest.approx(vals.sum())
+            assert sums[sys.leaf(x)] == vals[x]
+        assert sums[sys.top] == pytest.approx(vals.sum())
 
     def test_truncated_leaves_sum_members(self, segment16):
         space, _ = segment16
         sys = build_system(space, k_max=0)
         vals = np.arange(16, dtype=float)
         sums = cube_sums(sys, vals)
-        for cube in sys.cubes[sys.generation(sys.k_max)]:
-            assert sums[cube.id] == pytest.approx(
-                sum(vals[list(cube.members)]))
+        for cube in range(len(sys.cubes))[sys.generation(sys.k_max)]:
+            assert sums[cube] == pytest.approx(
+                sum(vals[list(members(sys, cube))]))
 
 
 class TestSelfAdjoint:
@@ -457,9 +459,10 @@ class TestSandwich:
         op = line_operator(space, mu)
         sys = op.system
         op.phi.values = op.phi.values.copy()
-        op.phi.values[sys.containing_cube(sys.k_min + 1, sys.top.center).id] = 0.0
+        top_center = sys.cubes.center[sys.top]
+        op.phi.values[sys.containing_cube(sys.k_min + 1, top_center)] = 0.0
         f = np.zeros(16)
-        f[sys.top.center] = 1.0
+        f[top_center] = 1.0
         rep = check_shifted_sandwich(op, f, m=2)
         assert rep.status == "fail"
         assert rep.witness["side"] == "upper"
@@ -474,7 +477,7 @@ class TestTruncatedWindow:
         space, mu = tree27
         sys = build_system(space, k_max=1)
         assert sys.k_max == 1
-        assert any(c.size > 1 for c in sys.cubes[sys.generation(sys.k_max)])
+        assert any(sys.incidence[sys.generation(sys.k_max)].sum(axis=1) > 1)
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
         op = build_dyadic_operator(ker, generalize(sys, mu, mu))
         assert check_forms_agree(op).status == "pass"
@@ -673,15 +676,6 @@ class TestPointCubeTesting:
         assert rep.witness["kxx_infinite"] is True
         with pytest.raises(PointCubeViolated):
             require(rep)
-
-
-class TestMixedSystems:
-    def test_foreign_cube_rejected(self, segment16):
-        space, _ = segment16
-        s0 = build_system(space, system_id=0)
-        s1 = build_system(space, system_id=1)
-        with pytest.raises(MixedSystems):
-            s0.children(s1.top)
 
 
 # ---------------------------------------------------------------------------
@@ -915,13 +909,13 @@ class TestBlockOracles:
         op.phi.values = op.phi.values.copy()
         if tamper == "starve":
             op.phi.values[sys.containing_cube(sys.k_min + 1,
-                                              sys.top.center).id] = 0.0
+                                              sys.cubes.center[sys.top])] = 0.0
         else:
-            op.phi.values[sys.top.id] = -1.0
+            op.phi.values[sys.top] = -1.0
         if tamper == "both":
             op = dataclasses.replace(op, C_K=1e-9)
         bad = np.zeros(16)
-        bad[sys.top.center] = 1.0
+        bad[sys.cubes.center[sys.top]] = 1.0
         F = np.stack([np.zeros(16), np.zeros(16), bad, np.ones(16), bad])
         base = apply_dyadic_partition(op, bad, m=1)
         shifted = apply_dyadic_partition(op, bad, m=2)

@@ -41,9 +41,11 @@ class TestRequire:
     def test_real_check_failure_is_catchable(self):
         space, _ = generate_space("integer_segment_counting", n=8)
         sys = build_system(space)
-        finest = sys.cubes[sys.generation(sys.k_max)]
-        sys.cubes += (replace(finest[0], id=len(sys.cubes)),)
-        rep = check_partition(sys)
+        # point 0's finest label names point 1's cube one generation up,
+        # so two cubes of that generation hold point 0
+        label = sys.label.copy()
+        label[-1, 0] = sys.containing_cube(sys.k_max - 1, 1)
+        rep = check_partition(replace(sys, label=label))
         assert rep.status == "fail"
         assert rep.witness["multiplicity"] == 2
         with pytest.raises(PropertyViolation) as info:

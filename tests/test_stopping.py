@@ -13,6 +13,7 @@ from dyadica.errors import (
     BoundViolated,
     HypothesisViolated,
     MixedSystems,
+    OutOfRange,
     PrincipleViolated,
     PropertyViolation,
 )
@@ -34,7 +35,7 @@ from dyadica.stopping import (
 )
 from dyadica.space import PointMeasure, generate_space
 
-from conftest import random_masses
+from conftest import members, random_masses
 
 
 def line_operator(space, mu, gamma=0.5, sigma=None, omega=None):
@@ -53,7 +54,7 @@ class TestDecompose:
         rho = float(np.max(op.apply(f))) * 1.01
         dec = decompose_level_set(op, f, rho)
         assert dec.omega_set == ()
-        assert dec.q_rho == ()
+        assert dec.q_rho.tolist() == []
 
     def test_rho_below_min_gives_top(self, segment16):
         space, mu = segment16
@@ -63,7 +64,7 @@ class TestDecompose:
         rho = float(np.min(img[mu.masses > 0])) * 0.5
         dec = decompose_level_set(op, f, rho)
         assert len(dec.q_rho) == 1
-        assert dec.q_rho[0].members == op.system.top.members
+        assert members(op.gen, dec.q_rho[0]) == members(op.system, op.system.top)
 
     def test_exact_measure_identity(self, segment16):
         space, _ = segment16
@@ -75,12 +76,12 @@ class TestDecompose:
         f = rng.random(16)
         for rho in rho_grid(op, f)[::3]:
             dec = decompose_level_set(op, f, float(rho))
-            total = sum(omega.of(q.members) for q in dec.q_rho)
+            total = sum(omega.of(members(op.gen, q)) for q in dec.q_rho)
             assert omega.of(dec.omega_set) == total
             seen: set[int] = set()
             for q in dec.q_rho:
-                assert not (seen & set(q.members))
-                seen |= set(q.members)
+                assert not (seen & set(members(op.gen, q)))
+                seen |= set(members(op.gen, q))
 
     def test_rejects_negative_f(self, segment4):
         space, mu = segment4
@@ -97,7 +98,7 @@ class TestDecompose:
         space, mu = segment16
         sys = build_system(space, k_max=-1)
         leaf = sys.leaf(0)
-        assert leaf.size > 1
+        assert len(members(sys, leaf)) > 1
         sigma_masses = np.ones(16)
         sigma_masses[0] = 0.0
         gen = generalize(sys, PointMeasure(sigma_masses), PointMeasure(np.ones(16)))
@@ -118,7 +119,7 @@ class TestDecompose:
         img[0] = 2.0
         fake = SimpleNamespace(apply=lambda f: img, gen=gen, omega=gen.omega)
         dec = decompose_level_set(fake, np.ones(16), 1.0)
-        assert [q.members for q in dec.q_rho] == [(0,)]
+        assert [members(gen, q) for q in dec.q_rho] == [(0,)]
 
 
 def oracle_decomposition(op, f, rho):
@@ -126,17 +127,20 @@ def oracle_decomposition(op, f, rho):
     img = op.apply(f)
     level = {x for x in range(op.n) if img[x] > rho}
     om = op.omega.masses
-    candidates = [c for c in op.gen.cubes
-                  if all(x in level or om[x] == 0.0 for x in c.members)]
+    gen = op.gen
+    k, center = gen.cubes.k, gen.cubes.center
+    candidates = [c for c in range(len(gen.cubes))
+                  if all(x in level or om[x] == 0.0 for x in members(gen, c))]
     coarsest = {}
     for c in candidates:
-        if c.members not in coarsest or c.k < coarsest[c.members].k:
-            coarsest[c.members] = c
+        m = members(gen, c)
+        if m not in coarsest or k[c] < k[coarsest[m]]:
+            coarsest[m] = c
     kept = [c for c in coarsest.values()
-            if not any(set(c.members) < set(o.members)
+            if not any(set(members(gen, c)) < set(members(gen, o))
                        for o in coarsest.values())]
     return (tuple(sorted(level)),
-            sorted(kept, key=lambda c: (-c.size, c.k, c.center)))
+            sorted(kept, key=lambda c: (-len(members(gen, c)), k[c], center[c])))
 
 
 class TestDecomposeOracle:
@@ -163,16 +167,17 @@ class TestDecomposeOracle:
                 dec = decompose_level_set(op, f, float(rho))
                 level, cover = oracle_decomposition(op, f, rho)
                 assert dec.omega_set == level
-                assert [c.id for c in dec.q_rho] == [c.id for c in cover]
+                assert dec.q_rho.tolist() == cover
                 assert np.array_equal(dec.image, op.apply(f))
-                point_cubes_used |= any(c.k > sys.k_max for c in dec.q_rho)
+                point_cubes_used |= any(op.gen.cubes.k[c] > sys.k_max
+                                        for c in dec.q_rho)
         assert point_cubes_used == bool(op.gen.point_cubes)
 
 
 def oracle_cubes_holding(gen, points):
     hit = np.zeros(len(gen.cubes), dtype=bool)
     hit[gen.base.label[:, points].ravel()] = True
-    hit[len(gen.base.cubes):] = points[[c.center for c in gen.point_cubes]]
+    hit[len(gen.base.cubes):] = points[gen.cubes.center[gen.point_cubes]]
     return hit
 
 
@@ -191,15 +196,16 @@ def oracle_decompose(op, f, rho, image=None):
     q = maximal_cubes(op.gen, ~ruled_out)
     count = np.zeros(a.size, dtype=int)
     for cube in q:
-        count[list(cube.members)] += 1
+        count[list(members(op.gen, cube))] += 1
     if np.any(count > 1):
         raise PropertyViolation("maximal cubes overlap",
                                 x=int(np.flatnonzero(count > 1)[0]))
     escaped = ~ruled_out & oracle_cubes_holding(op.gen, count == 0)
     if escaped.any():
-        c = op.gen.cubes[int(np.flatnonzero(escaped)[0])]
+        c = int(np.flatnonzero(escaped)[0])
         raise PropertyViolation("candidate cube escapes the maximal cover",
-                                k=c.k, center=c.center)
+                                k=int(op.gen.cubes.k[c]),
+                                center=int(op.gen.cubes.center[c]))
     lhs = np.where(in_omega, om, 0.0)
     rhs = np.where(count > 0, om, 0.0)
     if not np.array_equal(lhs, rhs):
@@ -222,20 +228,22 @@ def oracle_sweep(op, f, rho, C, localized, violates, image, whole=True):
     dec = oracle_decompose(op, a, rho / C, image)
     values, witness = [], None
     for cube in dec.q_rho:
-        if whole and cube.size == a.size:
+        points = members(op.gen, cube)
+        if whole and len(points) == a.size:
             img = dec.image if localized else np.zeros(a.size)
         else:
             chi = np.zeros(a.size)
-            chi[list(cube.members)] = 1.0
+            chi[list(points)] = 1.0
             img = np.asarray(op.apply(a * chi if localized
                                       else a * (1.0 - chi)), dtype=float)
-        for x in cube.members:
+        for x in points:
             if localized and not dec.image[x] > rho:
                 continue
             val = float(img[x])
             values.append(val)
             if witness is None and violates(val):
-                witness = {"k": cube.k, "center": cube.center, "x": x,
+                witness = {"k": int(op.gen.cubes.k[cube]),
+                           "center": int(op.gen.cubes.center[cube]), "x": x,
                            "value": val, "bound": rho / 2.0}
     return dec, values, witness
 
@@ -245,7 +253,7 @@ def oracle_principle_1(op, f, rho, C=None, image=None, whole=True):
     bound = rho / 2.0
     dec, values, witness = oracle_sweep(
         op, f, rho, C, False, lambda val: val > guard(bound), image, whole)
-    status = "vacuous" if not dec.q_rho else ("fail" if witness else "pass")
+    status = "vacuous" if not len(dec.q_rho) else ("fail" if witness else "pass")
     return CheckReport("max_principle_1", status, op.system.strict_delta,
                        witness, {"rho": rho, "C": C, "bound": bound,
                                  "worst": max([-math.inf, *values]),
@@ -331,7 +339,7 @@ class TestLevelSetsOracle:
                 dec = decompose_level_set(op, f, rho, image)
                 want = oracle_decompose(op, f, rho)
                 assert (dec.rho, dec.omega_set) == (want.rho, want.omega_set)
-                assert [c.id for c in dec.q_rho] == [c.id for c in want.q_rho]
+                assert dec.q_rho.tolist() == want.q_rho.tolist()
                 statuses |= {r1.status, r2.status}
         assert statuses >= ({"pass", "fail"} if understated else {"pass"})
 
@@ -400,7 +408,7 @@ class TestLevelSetsOracle:
         space, _ = generate_space("ultrametric_tree", depth=3, branching=3,
                                   ratio=1.0 / 96.0)
         sys = build_system(space, k_max=0)
-        leaf = np.array(sys.leaf(0).members)
+        leaf = np.array(members(sys, sys.leaf(0)))
         assert 1 < leaf.size < 27
         sigma = np.ones(27)
         sigma[0] = 0.0
@@ -534,16 +542,17 @@ class TestMaxPrinciples:
             dec = decompose_level_set(op, f, rho)
             in_omega = op.apply(f) > rho
             first, second = [], []
+            k, center = op.gen.cubes.k, op.gen.cubes.center
             for cube in dec.q_rho:
                 chi = np.zeros(16)
-                chi[list(cube.members)] = 1.0
+                chi[list(members(op.gen, cube))] = 1.0
                 off_img = op.apply(f * (1.0 - chi))
                 on_img = op.apply(f * chi)
-                for x in cube.members:
+                for x in members(op.gen, cube):
                     if off_img[x] > rho / 2 * (1 + g):
-                        first.append((cube.k, cube.center, x, off_img[x]))
+                        first.append((k[cube], center[cube], x, off_img[x]))
                     if in_omega[x] and not on_img[x] > rho / 2 * (1 - g):
-                        second.append((cube.k, cube.center, x, on_img[x]))
+                        second.append((k[cube], center[cube], x, on_img[x]))
             if len(first) >= 2 and len(second) >= 2:
                 break
         else:
@@ -598,19 +607,19 @@ class TestPrincipalCubes:
         space, mu = segment16
         sys = build_system(space)
         fam = build_principal_cubes(sys, mu, np.full(16, 3.0))
-        assert [c.members for c in fam.cubes] == [sys.top.members]
+        assert [members(sys, c) for c in fam.cubes] == [members(sys, sys.top)]
 
     def test_zero_f_top_only(self, segment16):
         space, mu = segment16
         sys = build_system(space)
         fam = build_principal_cubes(sys, mu, np.zeros(16))
-        assert [c.members for c in fam.cubes] == [sys.top.members]
+        assert [members(sys, c) for c in fam.cubes] == [members(sys, sys.top)]
 
     def test_zero_sigma_empty(self, segment4):
         space, _ = segment4
         sys = build_system(space)
         fam = build_principal_cubes(sys, PointMeasure(np.zeros(4)), np.ones(4))
-        assert fam.cubes == ()
+        assert fam.cubes.tolist() == []
 
     def test_point_mass_chain_oracle(self, segment16):
         space, mu = segment16
@@ -620,12 +629,12 @@ class TestPrincipalCubes:
         fam = build_principal_cubes(sys, mu, f)
         expected = []
         ref = None
-        for cube in sys.cube_chain(0):
-            avg = 1.0 / cube.size
+        for cube in sys.label[:, 0]:
+            avg = 1.0 / len(members(sys, cube))
             if ref is None or avg > 2.0 * ref:
-                expected.append(cube.members)
+                expected.append(members(sys, cube))
                 ref = avg
-        assert [c.members for c in fam.cubes] == expected
+        assert [members(sys, c) for c in fam.cubes] == expected
 
     def test_invariants_replayed_externally(self, segment16):
         space, _ = segment16
@@ -636,15 +645,15 @@ class TestPrincipalCubes:
         fam = build_principal_cubes(sys, sigma, f)
 
         def avg(cube):
-            idx = list(cube.members)
-            return float(np.sum(f[idx] * sigma.masses[idx])) / sigma.of(cube.members)
+            idx = list(members(sys, cube))
+            return float(np.sum(f[idx] * sigma.masses[idx])) / sigma.of(idx)
 
         for outer in fam.cubes:
             for inner in fam.cubes:
-                if set(inner.members) < set(outer.members):
+                if set(members(sys, inner)) < set(members(sys, outer)):
                     assert avg(inner) > 2.0 * avg(outer)
-        for cube in sys.cubes:
-            if sigma.of(cube.members) == 0.0:
+        for cube in range(len(sys.cubes)):
+            if sigma.of(members(sys, cube)) == 0.0:
                 continue
             assert avg(cube) <= 2.0 * avg(fam.pi(cube))
 
@@ -655,13 +664,25 @@ class TestPrincipalCubes:
         f[3] = 5.0
         fam = build_principal_cubes(sys, mu, f)
         for cube in fam.cubes:
-            assert fam.pi(cube).members == cube.members
+            assert members(sys, fam.pi(cube)) == members(sys, cube)
 
     def test_rejects_negative(self, segment4):
         space, mu = segment4
         sys = build_system(space)
         with pytest.raises(BadParams):
             build_principal_cubes(sys, mu, np.array([1.0, -2.0, 0.0, 0.0]))
+
+    def test_pi_and_average_take_standard_ids(self, segment16):
+        space, mu = segment16
+        sys = build_system(space, k_max=-1)
+        fam = build_principal_cubes(sys, mu, np.ones(16))
+        point = generalize(sys, mu, mu).point_cubes[0]
+        for lookup in (fam.pi, fam.average):
+            with pytest.raises(OutOfRange):
+                lookup(-1)
+            with pytest.raises(MixedSystems):
+                lookup(point)
+        assert fam.pi(len(sys.cubes) - 1) == sys.top
 
     def test_principal_of_is_the_finest_principal_ancestor(self, tree27):
         space, _ = tree27
@@ -671,13 +692,13 @@ class TestPrincipalCubes:
         f = np.zeros(27)
         f[rng.choice(27, size=4, replace=False)] = rng.random(4) + 1.0
         fam = build_principal_cubes(sys, sigma, f)
-        principal = {c.id for c in fam.cubes}
+        principal = set(fam.cubes.tolist())
         assert len(principal) > 1
-        for cube in sys.cubes:
-            i = cube.id
+        for cube in range(len(sys.cubes)):
+            i = cube
             while i >= 0 and i not in principal:
                 i = sys.parent[i]
-            assert fam.principal_of[cube.id] == i
+            assert fam.principal_of[cube] == i
 
 
 class TestMainLemma:
@@ -716,10 +737,25 @@ class TestMainLemma:
     def test_point_cube_rejected(self, segment16):
         space, mu = segment16
         sys = build_system(space, k_max=-1)
-        point = generalize(sys, mu, mu).point_cubes[0]
-        assert point.system_id == sys.system_id
+        gen = generalize(sys, mu, mu)
+        point = gen.point_cubes[0]
+        assert gen.base is sys
         with pytest.raises(MixedSystems):
             check_mainlemma(sys, [point], mu, np.ones(16), 2.0)
+
+    @pytest.mark.parametrize("i", [-1, -5])
+    def test_negative_id_rejected(self, segment16, i):
+        # numpy would read id -1 as the last cube
+        space, mu = segment16
+        sys = build_system(space)
+        with pytest.raises(OutOfRange):
+            check_mainlemma(sys, [sys.top, i], mu, np.ones(16), 2.0)
+
+    def test_id_past_the_cubes_rejected(self, segment16):
+        space, mu = segment16
+        sys = build_system(space)
+        with pytest.raises(MixedSystems):
+            check_mainlemma(sys, [len(sys.cubes)], mu, np.ones(16), 2.0)
 
     def test_overshoot_is_a_failed_report(self, segment16, monkeypatch):
         # a maximal function shrunk below the averages breaks the bound at
