@@ -38,10 +38,6 @@ class ZeroOffDiagonal(DyadicaError):
     pass
 
 
-class NonPositiveRadius(DyadicaError):
-    pass
-
-
 class UnknownKind(DyadicaError):
     pass
 

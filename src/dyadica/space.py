@@ -6,7 +6,8 @@ constant ``a0`` is the smallest real >= 1 with
 
     dist(x, y) <= a0 * (dist(x, z) + dist(z, y))   for all x, y, z.
 
-Balls use strict inequality everywhere: ``ball(x, r) = {y : dist(x,y) < r}``.
+Balls use strict inequality everywhere: ``B(x, r) = {y : dist(x,y) < r}``,
+which is a prefix of ``index.order[x]`` ending at an ``index.end``.
 Measures assign a nonnegative mass to each point; a point with positive mass
 is an atom. All randomized constructors are deterministic given their seed.
 """
@@ -24,7 +25,6 @@ from .errors import (
     BadParams,
     ConfigError,
     NegativeDistance,
-    NonPositiveRadius,
     NonSymmetric,
     UnknownKind,
     ZeroOffDiagonal,
@@ -122,25 +122,21 @@ class PointMeasure:
         return float(np.sum(self.masses[idx]))
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: int
-    radius: float
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoublingEstimate:
     """Greedy upper bound a1_upper on the geometric doubling constant.
 
-    ``covers`` maps (center, threshold) to the chosen half-radius cover
-    centers for the ball class {y : dist(y, center) <= threshold}, so every
-    recorded cover can be replayed and re-verified.
+    Read-only row i is the ball class {y : dist(y, center[i]) <= threshold[i]},
+    one per (center, distinct distance) in ascending order, and
+    ``covers[i]`` its chosen half-radius cover centers in the order picked,
+    padded with -1 to width ``a1_upper``, so every cover can be replayed.
     """
 
     a1_upper: int
     method: str
-    covers: dict = field(repr=False, default_factory=dict)
+    center: np.ndarray = field(repr=False)
+    threshold: np.ndarray = field(repr=False)
+    covers: np.ndarray = field(repr=False)
 
 
 def build_space(dist: Sequence[Sequence[float]] | np.ndarray) -> QuasiMetricSpace:
@@ -177,24 +173,31 @@ def _quasi_triangle_constant(d: np.ndarray) -> float:
     return a0
 
 
-def ball(space: QuasiMetricSpace, x: int, r: float) -> Ball:
-    """Strict ball {y : dist(x, y) < r}. The center is always a member."""
-    if not 0 <= x < space.n:
-        raise BadParams("center out of range", x=x, n=space.n)
-    if not r > 0:
-        raise NonPositiveRadius(x=x, r=r)
-    members = np.flatnonzero(space.dist[x] < r)
-    return Ball(center=x, radius=float(r), members=tuple(int(i) for i in members))
-
-
 def ball_masses(space: QuasiMetricSpace, mu: PointMeasure):
     """Per center x, in id order: its distinct distances ``steps``,
-    ascending, and mass[j] = mu(ball(x, steps[j])) summed in point-id
+    ascending, and mass[j] = mu(B(x, steps[j])) summed in point-id
     order, with mass[-1] = mu(X)."""
     for row in space.dist:
         steps = np.unique(row)
         yield steps, np.array([np.sum(mu.masses[row < t]) for t in steps]
                               + [np.sum(mu.masses)])
+
+
+# elements of one (classes x n) temporary of the doubling cover and its replay
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _ball_classes(space: QuasiMetricSpace):
+    """(center, threshold) of every class {y : dist(y, center) <= threshold},
+    one per center and distinct distance (the tie-group ends of the index),
+    and its consecutive blocks as (rows, threshold / 2, boolean members)."""
+    idx, d = space.index, space.dist
+    center, pos = np.nonzero(idx.end)
+    threshold = d[center, idx.order[center, pos]]
+    step = max(1, _BLOCK_ELEMENTS // max(space.n, 1))
+    blocks = ((r, threshold[r] / 2.0, d[center[r]] <= threshold[r, None])
+              for r in (slice(s, s + step) for s in range(0, center.size, step)))
+    return center, threshold, blocks
 
 
 def estimate_geometric_doubling(space: QuasiMetricSpace) -> DoublingEstimate:
@@ -205,36 +208,50 @@ def estimate_geometric_doubling(space: QuasiMetricSpace) -> DoublingEstimate:
     half-radius cover is the limit from above, i.e. covering
     {dist(.,x) <= a} by closed balls of radius a/2. Sweeping those classes
     therefore bounds the cover count of every ball of the space.
+
+    The greedy rule picks the smallest uncovered id. It runs on blocks of
+    classes as one boolean (classes x n) uncovered array, one array pass
+    per step, so the passes number the widest cover, not the classes.
     """
     d = space.dist
-    worst = 1
-    covers: dict[tuple[int, float], list[int]] = {}
-    for x in space.points():
-        thresholds = np.unique(d[x])
-        for a in thresholds:
-            members = np.flatnonzero(d[x] <= a)
-            uncovered = set(int(i) for i in members)
-            chosen: list[int] = []
-            while uncovered:
-                y = min(uncovered)
-                chosen.append(y)
-                uncovered -= {int(i) for i in members[d[y, members] <= a / 2.0]}
-            covers[(x, float(a))] = chosen
-            worst = max(worst, len(chosen))
-    return DoublingEstimate(a1_upper=worst, method="greedy-cover", covers=covers)
+    center, threshold, blocks = _ball_classes(space)
+    columns = [np.full(center.size, -1)]  # columns[j][i]: j-th id of row i
+    for rows, half, uncovered in blocks:
+        live, j = np.arange(half.size), 0
+        while live.size:
+            if j == len(columns):
+                columns.append(np.full(center.size, -1))
+            y = uncovered.argmax(axis=1)  # the smallest uncovered id
+            columns[j][rows][live] = y  # rows is a slice: writes through
+            uncovered &= d[y] > half[:, None]
+            keep = uncovered.any(axis=1)
+            uncovered, live, half = uncovered[keep], live[keep], half[keep]
+            j += 1
+    covers = np.column_stack(columns)
+    return DoublingEstimate(a1_upper=covers.shape[1], method="greedy-cover",
+                            center=_frozen(center),
+                            threshold=_frozen(threshold),
+                            covers=_frozen(covers))
 
 
 def replay_doubling_cover(space: QuasiMetricSpace, est: DoublingEstimate) -> bool:
-    """Re-verify every recorded cover; True iff all covers are valid."""
-    d = space.dist
-    for (x, a), chosen in est.covers.items():
-        members = np.flatnonzero(d[x] <= a)
-        if len(chosen) > est.a1_upper:
-            return False
-        covered = np.zeros(space.n, dtype=bool)
-        for y in chosen:
-            covered |= d[y] <= a / 2.0
-        if not covered[members].all():
+    """Re-verify every recorded cover; True iff all covers are valid. False
+    also when the rows are not the space's classes in the estimate's order,
+    an id is neither a point nor -1 padding, or a row has > a1_upper ids."""
+    center, threshold, blocks = _ball_classes(space)
+    covers = np.asarray(est.covers)
+    if not (np.array_equal(est.center, center)
+            and np.array_equal(est.threshold, threshold)
+            and covers.ndim == 2 and len(covers) == center.size
+            and np.issubdtype(covers.dtype, np.integer)
+            and np.all((covers >= -1) & (covers < space.n))
+            and np.all((covers >= 0).sum(axis=1) <= est.a1_upper)):
+        return False
+    for rows, half, uncovered in blocks:
+        for ids in covers[rows].T:
+            # a -1 pad reads d[-1]; OR-ing ids < 0 leaves its row as it was
+            uncovered &= (space.dist[ids] > half[:, None]) | (ids < 0)[:, None]
+        if uncovered.any():
             return False
     return True
 
@@ -293,11 +310,14 @@ def generate_space(kind: str, seed: int = 0, **params) -> tuple[QuasiMetricSpace
         if not 0 < ratio < 1:
             raise BadParams("ratio must lie in (0,1)", ratio=ratio)
         n = branching**depth
-        d = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                lca = _common_prefix_len(i, j, branching, depth)
-                d[i, j] = d[j, i] = ratio**lca
+        # i and j share their first depth - s digits iff i // b^s == j // b^s,
+        # so the common prefix length counts the s in 0..depth-1 where they do
+        ids = np.arange(n)
+        lca = sum(ids[:, None] // branching**s == ids[None, :] // branching**s
+                  for s in range(depth))
+        # Python-float powers, as np.power's SIMD kernels may round differently
+        d = np.array([ratio**k for k in range(depth + 1)])[lca]
+        np.fill_diagonal(d, 0.0)
     space = build_space(d)
     return space, PointMeasure(np.ones(space.n))
 
@@ -306,22 +326,6 @@ def _euclidean_table(coords: np.ndarray, power: float) -> np.ndarray:
     diff = coords[:, None, :] - coords[None, :, :]
     d = np.sqrt(np.sum(diff * diff, axis=-1))
     return d if power == 1.0 else d**power
-
-
-def _common_prefix_len(i: int, j: int, branching: int, depth: int) -> int:
-    digits_i, digits_j = [], []
-    for _ in range(depth):
-        digits_i.append(i % branching)
-        digits_j.append(j % branching)
-        i //= branching
-        j //= branching
-    # most significant digit first
-    k = 0
-    for a, b in zip(reversed(digits_i), reversed(digits_j)):
-        if a != b:
-            break
-        k += 1
-    return k
 
 
 def _req_int(params: dict, key: str, minimum: int,

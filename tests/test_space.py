@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +10,12 @@ from dyadica.errors import (
     BadParams,
     ConfigError,
     NegativeDistance,
-    NonPositiveRadius,
     NonSymmetric,
     UnknownKind,
     ZeroOffDiagonal,
 )
 from dyadica.space import (
     PointMeasure,
-    ball,
     build_space,
     estimate_geometric_doubling,
     generate_space,
@@ -135,23 +136,22 @@ class TestSpaceIndex:
             space.dist[0, 1] = 5.0
 
 
+def strict_ball(space, c, r):
+    """B(c, r) as the prefix of ``index.order[c]`` of the points closer
+    than r, ascending; it ends at an ``index.end`` (or is empty)."""
+    idx = space.index
+    size = int(np.sum(space.dist[c] < r))
+    assert size == 0 or idx.end[c, size - 1]
+    return sorted(idx.order[c, :size].tolist())
+
+
 class TestBalls:
     def test_strict_membership(self, segment4):
         space, _ = segment4
-        b = ball(space, 1, 1.0)
-        assert b.members == (1,)
-        b = ball(space, 1, 1.5)
-        assert b.members == (0, 1, 2)
-
-    def test_radius_must_be_positive(self, segment4):
-        space, _ = segment4
-        with pytest.raises(NonPositiveRadius):
-            ball(space, 0, 0.0)
-
-    def test_center_in_range(self, segment4):
-        space, _ = segment4
-        with pytest.raises(BadParams):
-            ball(space, 7, 1.0)
+        assert strict_ball(space, 1, 1.0) == [1]
+        assert strict_ball(space, 1, 1.5) == [0, 1, 2]
+        assert strict_ball(space, 1, 2.0) == [0, 1, 2]
+        assert strict_ball(space, 1, 2.5) == [0, 1, 2, 3]
 
 
 class TestMeasure:
@@ -182,6 +182,31 @@ class TestMeasure:
             PointMeasure(np.array([np.nan]))
 
 
+def greedy_cover_loop(space):
+    """Reference: the set-based greedy cover of every class {d(x, .) <= a},
+    keyed (x, a) in center then threshold order, and the widest cover."""
+    d = space.dist
+    worst = 1
+    covers = {}
+    for x in space.points():
+        for a in np.unique(d[x]):
+            members = np.flatnonzero(d[x] <= a)
+            uncovered = set(members.tolist())
+            chosen = []
+            while uncovered:
+                y = min(uncovered)
+                chosen.append(y)
+                uncovered -= set(members[d[y, members] <= a / 2.0].tolist())
+            covers[(x, float(a))] = chosen
+            worst = max(worst, len(chosen))
+    return worst, covers
+
+
+def cover_rows(est):
+    return {(int(x), float(a)): [int(y) for y in row if y >= 0]
+            for x, a, row in zip(est.center, est.threshold, est.covers)}
+
+
 class TestDoubling:
     def test_two_point(self, two_point):
         space, _ = two_point
@@ -189,11 +214,15 @@ class TestDoubling:
         # the full ball at threshold 1 needs both half-balls
         assert est.a1_upper == 2
         assert replay_doubling_cover(space, est)
+        assert cover_rows(est) == {(0, 0.0): [0], (0, 1.0): [0, 1],
+                                   (1, 0.0): [1], (1, 1.0): [0, 1]}
+        assert est.covers.tolist() == [[0, -1], [0, 1], [1, -1], [0, 1]]
 
     def test_one_point(self):
         space = build_space(np.zeros((1, 1)))
         est = estimate_geometric_doubling(space)
         assert est.a1_upper == 1
+        assert est.covers.tolist() == [[0]]
 
     def test_segment_small(self):
         space, _ = generate_space("integer_segment_counting", n=8)
@@ -201,6 +230,13 @@ class TestDoubling:
         # 1-d counting geometry: a handful of half-balls always suffice
         assert est.a1_upper <= 4
         assert replay_doubling_cover(space, est)
+
+    def test_arrays_are_read_only(self, segment4):
+        space, _ = segment4
+        est = estimate_geometric_doubling(space)
+        for a in (est.center, est.threshold, est.covers):
+            with pytest.raises(ValueError):
+                a[0] = a[1]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -210,14 +246,102 @@ class TestDoubling:
         assert replay_doubling_cover(space, est)
         assert est.a1_upper >= 1
 
-    def test_tampered_cover_fails_replay(self, two_point):
-        space, _ = two_point
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["cloud", "snowflake", "segment", "tree"]),
+           st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=1, max_value=40))
+    def test_same_covers_as_the_set_loop(self, kind, seed, n):
+        space = {
+            "cloud": lambda: generate_space("euclidean_random_points",
+                                            seed=seed, n=n, dim=1 + seed % 3),
+            "snowflake": lambda: generate_space("snowflake_power", n=n,
+                                                power=0.25 + seed % 8 / 4),
+            "segment": lambda: generate_space("integer_segment_counting", n=n),
+            # many tied distances: depth 1..3, branching 2..4
+            "tree": lambda: generate_space("ultrametric_tree",
+                                           depth=1 + seed % 3,
+                                           branching=2 + n % 3,
+                                           ratio=0.05 + seed % 9 / 10),
+        }[kind]()[0]
         est = estimate_geometric_doubling(space)
-        bad = {k: v[:1] for k, v in est.covers.items() if len(v) > 1}
-        if bad:
-            est2 = type(est)(a1_upper=est.a1_upper, method=est.method,
-                             covers={**est.covers, **bad})
-            assert not replay_doubling_cover(space, est2)
+        worst, covers = greedy_cover_loop(space)
+        assert est.a1_upper == worst
+        assert len(est.covers) == len(covers) == sum(
+            np.unique(row).size for row in space.dist)
+        assert list(cover_rows(est).items()) == list(covers.items())
+        assert replay_doubling_cover(space, est)
+
+    def test_tampered_cover_fails_replay(self, segment16):
+        space, _ = segment16
+        est = estimate_geometric_doubling(space)
+        assert replay_doubling_cover(space, est)
+        # drop the last id of every row holding two or more, one at a time
+        ids = (est.covers >= 0).sum(axis=1)
+        for i in np.flatnonzero(ids >= 2):
+            covers = est.covers.copy()
+            covers[i, ids[i] - 1] = -1
+            assert not replay_doubling_cover(space, replace(est, covers=covers))
+
+    @pytest.mark.parametrize("row", [0, 5, -1])
+    def test_missing_class_fails_replay(self, segment16, row):
+        space, _ = segment16
+        est = estimate_geometric_doubling(space)
+        keep = np.arange(len(est.covers)) != row % len(est.covers)
+        assert not replay_doubling_cover(space, replace(
+            est, center=est.center[keep], threshold=est.threshold[keep],
+            covers=est.covers[keep]))
+
+    def test_moved_class_fails_replay(self, segment16):
+        space, _ = segment16
+        est = estimate_geometric_doubling(space)
+        # the class {d(0, .) <= 1} recorded as {d(0, .) <= 0.5}: its cover
+        # {0} covers that ball, but the class at distance 1 goes unchecked
+        threshold = est.threshold.copy()
+        threshold[1] = 0.5
+        assert not replay_doubling_cover(space, replace(est, threshold=threshold))
+        # the whole space {d(0, .) <= 15} recorded at center 15: its cover
+        # covers the class of either center
+        center = est.center.copy()
+        center[15] = 15
+        assert (est.center[15], est.threshold[15]) == (0, 15.0)
+        assert not replay_doubling_cover(space, replace(est, center=center))
+
+    @pytest.mark.parametrize("bad", [16, 99, -2])
+    def test_out_of_range_id_fails_replay(self, segment16, bad):
+        space, _ = segment16
+        est = estimate_geometric_doubling(space)
+        covers = est.covers.copy()
+        covers[3, -1] = bad
+        assert not replay_doubling_cover(space, replace(est, covers=covers))
+
+    def test_row_wider_than_a1_upper_fails_replay(self, segment16):
+        space, _ = segment16
+        est = estimate_geometric_doubling(space)
+        # one more valid id on a full row: still a cover, but wider than
+        # the bound the estimate states
+        covers = np.column_stack([est.covers, np.full(len(est.covers), -1)])
+        full = np.flatnonzero(est.covers[:, -1] >= 0)[0]
+        covers[full, -1] = 0
+        assert not replay_doubling_cover(space, replace(est, covers=covers))
+        # the same ids under a wider bound replay
+        assert replay_doubling_cover(space, replace(
+            est, covers=covers, a1_upper=est.a1_upper + 1))
+
+    def test_blocks_bound_the_memory(self):
+        # the 192-point segment has 27,744 classes: one unblocked
+        # (classes x n) float pass would hold 40.6 MiB; the blocked
+        # estimate and replay peak near 3 MiB, 1.5 MiB of it the estimate
+        space, _ = generate_space("integer_segment_counting", n=192)
+        space.index
+        tracemalloc.start()
+        try:
+            est = estimate_geometric_doubling(space)
+            assert replay_doubling_cover(space, est)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(est.covers) == 27_744
+        assert peak < 8 * 2**20
 
 
 class TestGenerators:
@@ -263,8 +387,9 @@ class TestGenerators:
         space, _ = tree27
         r = 1.0 / 96.0
         # siblings at depth 3 share a prefix of length 2
-        b = ball(space, 0, r**2 * 1.0000001)
-        assert len(b.members) == 3
+        assert strict_ball(space, 0, r**2 * 1.0000001) == [0, 1, 2]
+        # one tie group per tree level: 1 + 2 + 6 + 18 points
+        assert np.flatnonzero(space.index.end[0]).tolist() == [0, 2, 8, 26]
 
     def test_counting_measure(self, segment4):
         _, mu = segment4
