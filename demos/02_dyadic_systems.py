@@ -53,11 +53,12 @@ print(f"point 0: cube ids {sys0.label[:, 0].tolist()} coarsest "
 for report in check_system(sys0):
     print(f"  {report.name:22s} {require(report).status}")
 
-# The adjacency certificate: every ball in a seeded sample (plus the
-# extreme radii) landed inside a cube whose diameter is at most C times
-# the radius. The observed constant must stay below 8 a0^3 / delta^2.
+# The adjacency certificate covers every ball: one row per center, band
+# and radius regime (plus the extreme radii) names a cube that holds the
+# ball with diameter at most C times the radius. The observed constant
+# must stay below 8 a0^3 / delta^2.
 cert = family.certificate
 bound = coverage_bound(space.a0, sys0.delta)
 print(f"\ncoverage: observed C = {cert.observed_C:.2f} <= bound {bound:.2f}")
-print(f"balls checked: {len(cert.entries)}, replay ok: "
+print(f"regimes certified: {len(cert.entries)}, replay ok: "
       f"{replay_coverage(family.systems, cert)}")

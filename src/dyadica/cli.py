@@ -222,15 +222,17 @@ def _dump_family(family) -> dict:
                         for i, (k, z, up) in enumerate(zip(
                             sys_.cubes.k, sys_.cubes.center, sys_.parent))])
     cert = family.certificate
-    entries = []
-    for e in cert.entries:
-        cube = family[e.t].containing_cube(e.cube_k, e.cube_center)
-        entries.append({
-            "ball": {"center": e.x, "radius": e.hi},
-            "system": e.t,
-            "cube": [e.cube_k, alphas[e.t][cube]],
-            "ratio": e.diameter / e.lo if e.lo > 0 else None,
-        })
+    rows = cert.entries
+    alpha = np.zeros(len(rows), dtype=int)  # each row's cube among its generation
+    for t, sys_ in enumerate(family):
+        sel = rows.t == t
+        alpha[sel] = alphas[t][sys_.label[rows.cube_k[sel] - sys_.k_min,
+                                          rows.cube_center[sel]]]
+    entries = [{"ball": {"center": x, "radius": hi}, "system": t, "cube": [k, a],
+                "ratio": diam / lo if lo > 0 else None}
+               for x, hi, t, k, a, diam, lo in zip(*(c.tolist() for c in (
+                   rows.x, rows.hi, rows.t, rows.cube_k, alpha, rows.diameter,
+                   rows.lo)))]
     sys0 = family[0]
     return jsonable({
         "delta": sys0.delta, "strict": sys0.strict_delta,

@@ -36,9 +36,12 @@ B(x, r) embeds in a single cube of one of the systems whose diameter is at
 most C r with C = 8 a0^3 / delta^2. Finiteness makes this checkable exactly:
 for a fixed center the strict-ball member set is constant while the radius
 runs between consecutive distance values, so check_ball_coverage enumerates
-those finitely many member sets, searches each system's containing cubes for
-an embedding with the diameter bound, and emits a replayable certificate
-with the worst observed diameter ratio.
+those finitely many regimes, one row per (center, band, regime) read off
+``space.index``, and resolves them all at once against each system's
+containing cubes. The certificate stores the rows as the read-only columns
+``x``, ``band_k``, ``lo``, ``hi``, ``t``, ``cube_k``, ``cube_center`` and
+``diameter`` with the worst observed diameter ratio; replay_coverage
+re-derives the rows and re-checks each named cube on its own.
 
 Two optional build knobs: pinning a point makes it a cube center at every
 generation (it is swept first, so every net keeps it), and a truncated
@@ -68,7 +71,7 @@ from .errors import (
     SamePoint,
 )
 from .policy import TOLERANCES, CheckReport, outcome
-from .space import PointMeasure, QuasiMetricSpace, _frozen
+from .space import PointMeasure, QuasiMetricSpace, _ball_classes, _frozen
 
 _SALT_SYSTEM = 0xD7AD
 
@@ -276,6 +279,12 @@ def _greedy_nets(space: QuasiMetricSpace, perm: np.ndarray,
     return nets
 
 
+def _nearest(d: np.ndarray, rank: np.ndarray, rows, net) -> np.ndarray:
+    """Each row's nearest point of net, ties to the lowest rank."""
+    net = np.asarray(net)[np.argsort(rank[net])]
+    return net[d[np.ix_(rows, net)].argmin(axis=1)]
+
+
 def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = None,
                  system_id: int = 0, max_attempts: int = 8,
                  x0: int | None = None, k_max: int | None = None) -> DyadicSystem:
@@ -316,18 +325,10 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
         # owner[gi, x] = center of the generation-(k_min + gi) cube holding x
         gens = k_max - k_min + 1
         owner = np.empty((gens, n), dtype=int)
-        fin = np.asarray(nets[-1])
-        for x in range(n):
-            dd = d[x, fin]
-            best = np.lexsort((perm_rank[fin], dd))[0]
-            owner[gens - 1, x] = fin[best]
+        owner[-1] = _nearest(d, perm_rank, np.arange(n), nets[-1])
         for gi in range(gens - 1, 0, -1):
-            prev = np.asarray(nets[gi - 1])
             link = np.empty(n, dtype=int)  # valid on nets[gi] only
-            for z in nets[gi]:
-                dd = d[z, prev]
-                best = np.lexsort((perm_rank[prev], dd))[0]
-                link[z] = prev[best]
+            link[nets[gi]] = _nearest(d, perm_rank, nets[gi], nets[gi - 1])
             owner[gi - 1] = link[owner[gi]]
 
         # ids run through each generation's centers in ascending order, and
@@ -464,16 +465,23 @@ def check_system(sys: DyadicSystem) -> list[CheckReport]:
 # adjacent families and ball coverage
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoverageEntry:
-    x: int
-    band_k: int
-    lo: float
-    hi: float
-    t: int
-    cube_k: int
-    cube_center: int
-    diameter: float
+@dataclass(frozen=True, eq=False)
+class CoverageTable:
+    """Read-only columns by regime row: ball center ``x``, band ``band_k``,
+    radii (``lo``, ``hi``] and the cube: system ``t``, generation
+    ``cube_k``, ``cube_center`` and ``diameter``."""
+
+    x: np.ndarray
+    band_k: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    t: np.ndarray
+    cube_k: np.ndarray
+    cube_center: np.ndarray
+    diameter: np.ndarray
+
+    def __len__(self) -> int:
+        return self.x.size
 
 
 @dataclass(frozen=True)
@@ -481,17 +489,17 @@ class CoverageCertificate:
     """Replayable witness that every ball embeds in some system's cube.
 
     For each ball center and each radius regime (lo, hi] between consecutive
-    distance values, one entry names a cube that contains the ball with
-    diameter at most C_bound * lo. observed_C is the worst diameter / lo over
-    entries with lo > 0; radii above the top band are covered by the whole
-    space (r_large_ok), radii below the bottom band give singleton balls
-    inside singleton cubes (r_small_ok).
+    distance values, one row of ``entries`` names a cube that contains the
+    ball with diameter at most C_bound * lo. observed_C is the worst
+    diameter / lo over rows with lo > 0; radii above the top band are
+    covered by the whole space (r_large_ok), radii below the bottom band
+    give singleton balls inside singleton cubes (r_small_ok).
     """
 
     C_bound: float
     observed_C: float
     num_systems: int
-    entries: tuple[CoverageEntry, ...]
+    entries: CoverageTable
     r_large_ok: bool
     r_small_ok: bool
 
@@ -515,6 +523,40 @@ def coverage_bound(a0: float, delta: float) -> float:
     return 8.0 * a0**3 / delta**2
 
 
+def _window_terms(systems) -> tuple[float, bool, bool] | None:
+    """C_bound, r_large_ok and r_small_ok of the systems' shared space and
+    window; None when they do not share one."""
+    b = systems[0]
+    if any(s.space is not b.space or (s.delta, s.k_min, s.k_max)
+           != (b.delta, b.k_min, b.k_max) for s in systems[1:]):
+        return None
+    C = coverage_bound(b.space.a0, b.delta)
+    return (C, b.space.diameter <= C * b.delta ** (b.k_min + 1),
+            b.delta ** (b.k_max + 2) < b.space.min_distance)
+
+
+def _regime_rows(sys: DyadicSystem):
+    """(x, band_k, lo, hi) of every regime by (x, band_k, lo): band k's radii
+    (delta^(k+2), delta^(k+1)] split at the distinct distances from x
+    strictly inside."""
+    space, k_max = sys.space, sys.k_max
+    bands = np.arange(sys.k_min, k_max + 1)
+    # Python-float powers, ascending: edge[j] = delta^(k_max + 2 - j)
+    edge = np.array([sys.delta**e for e in range(k_max + 2, sys.k_min, -1)])
+    c, v, _ = _ball_classes(space)
+    j = np.searchsorted(edge, v)  # edge[j - 1] < v <= edge[j]
+    inner = (j >= 1) & (j < edge.size) & (v != edge[np.minimum(j, edge.size - 1)])
+    x = np.concatenate([np.repeat(space.points(), bands.size), c[inner]])
+    band_k = np.concatenate([np.tile(bands, space.n), k_max + 1 - j[inner]])
+    lo = np.concatenate([np.tile(edge[k_max - bands], space.n), v[inner]])
+    rows = np.lexsort((lo, band_k, x))
+    x, band_k, lo = x[rows], band_k[rows], lo[rows]
+    hi = edge[k_max + 1 - band_k]  # the band's top edge, unless a next lo follows
+    same = (x[1:] == x[:-1]) & (band_k[1:] == band_k[:-1])
+    hi[:-1][same] = lo[1:][same]
+    return x, band_k, lo, hi
+
+
 def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...]
                         ) -> tuple[CheckReport, CoverageCertificate | None]:
     """Certify that every strict ball embeds in one cube of one system.
@@ -524,92 +566,100 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...]
     {y : dist(x, y) <= lo}. The diameter constraint diam(Q) <= C_bound * r is
     hardest as r decreases to lo, so testing at lo settles the whole regime.
     Candidate cubes are the containing cubes of x at the band generation of
-    the regime and coarser; any candidate meeting both constraints certifies.
-    The certificate is None exactly when the report fails.
+    the regime and coarser, system by system; the first meeting both
+    constraints certifies. x's cube holds the ball exactly when lo is below
+    the distance from x to the nearest point outside it, so one pass per
+    (system, generation) resolves every open row. The certificate is None
+    exactly when the report fails, with the first failing row as witness.
     """
     if not systems:
         raise BadParams("need at least one system")
-    base = systems[0]
-    for s in systems[1:]:
-        if (s.space is not base.space or s.delta != base.delta
-                or s.k_min != base.k_min or s.k_max != base.k_max):
-            raise BadParams("systems must share a space and a window")
-    space = base.space
-    delta, k_min, k_max = base.delta, base.k_min, base.k_max
-    C = coverage_bound(space.a0, delta)
-    d = space.dist
-    n = space.n
+    terms = _window_terms(systems)
+    if terms is None:
+        raise BadParams("systems must share a space and a window")
+    C, r_large_ok, r_small_ok = terms
     strict_mode = all(s.strict_delta for s in systems)
-
-    r_large_ok = space.diameter <= C * delta ** (k_min + 1)
-    r_small_ok = delta ** (k_max + 2) < space.min_distance
     if not (r_large_ok and r_small_ok):
         return outcome("ball_coverage", strict_mode, CoverageIncomplete,
                        {"r_large_ok": r_large_ok,
                         "r_small_ok": r_small_ok}), None
 
-    entries: list[CoverageEntry] = []
-    observed = 0.0
-    diameters = [s.cubes.diameter.tolist() for s in systems]
-    for x in range(n):
-        dist_vals = np.unique(d[x])
-        for k in range(k_min, k_max + 1):
-            lo_edge = delta ** (k + 2)
-            hi_edge = delta ** (k + 1)
-            interior = dist_vals[(dist_vals > lo_edge) & (dist_vals < hi_edge)]
-            edges = [lo_edge, *[float(a) for a in interior], hi_edge]
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                members = np.flatnonzero(d[x] <= lo)
-                hit = None
-                for t, sys in enumerate(systems):
-                    for gi in range(k - k_min, -1, -1):
-                        i = sys.label[gi, x]
-                        diam = diameters[t][i]
-                        if diam <= C * lo and np.all(sys.label[gi, members] == i):
-                            hit = CoverageEntry(x=x, band_k=k, lo=lo, hi=hi, t=t,
-                                                cube_k=k_min + gi,
-                                                cube_center=int(sys.cubes.center[i]),
-                                                diameter=diam)
-                            break
-                    if hit is not None:
-                        break
-                if hit is None:
-                    return outcome("ball_coverage", strict_mode,
-                                   CoverageIncomplete,
-                                   {"x": x, "band_k": k, "lo": lo,
-                                    "members": [int(m) for m in members]}), None
-                entries.append(hit)
-                if lo > 0:
-                    observed = max(observed, hit.diameter / lo)
+    d, k_min = systems[0].space.dist, systems[0].k_min
+    x, band_k, lo, hi = _regime_rows(systems[0])
+    t = np.full(x.size, -1)
+    cube_k, center, diameter = np.zeros_like(t), np.zeros_like(t), np.zeros(x.size)
+    for ti, sys in enumerate(systems):
+        for gi in range(sys.num_generations - 1, -1, -1):
+            rows = np.flatnonzero((t < 0) & (band_k - k_min >= gi))
+            label = sys.label[gi]
+            exit_dist = np.where(label[:, None] != label, d, np.inf).min(axis=1)
+            i = label[x[rows]]
+            ok = (sys.cubes.diameter[i] <= C * lo[rows]) & (lo[rows] < exit_dist[x[rows]])
+            rows, i = rows[ok], i[ok]
+            t[rows], cube_k[rows] = ti, k_min + gi
+            center[rows], diameter[rows] = sys.cubes.center[i], sys.cubes.diameter[i]
 
+    if (t < 0).any():
+        r = np.argmax(t < 0)
+        return outcome("ball_coverage", strict_mode, CoverageIncomplete,
+                       {"x": int(x[r]), "band_k": int(band_k[r]), "lo": float(lo[r]),
+                        "members": np.flatnonzero(d[x[r]] <= lo[r]).tolist()}), None
+    observed = float(np.max(diameter[lo > 0] / lo[lo > 0], initial=0.0))
     cert = CoverageCertificate(C_bound=C, observed_C=observed,
-                               num_systems=len(systems), entries=tuple(entries),
+                               num_systems=len(systems),
+                               entries=CoverageTable(*map(_frozen, (
+                                   x, band_k, lo, hi, t, cube_k, center, diameter))),
                                r_large_ok=r_large_ok, r_small_ok=r_small_ok)
     return outcome("ball_coverage", strict_mode, CoverageIncomplete,
-                   entries=len(entries), observed_C=observed, C_bound=C), cert
+                   entries=x.size, observed_C=observed, C_bound=C), cert
 
 
 def replay_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...],
                     cert: CoverageCertificate) -> bool:
-    """Re-verify every certificate entry against the named cubes."""
-    if not systems:
+    """Re-verify every certificate row against its named cube.
+
+    A ball's members are a prefix of ``space.index.order[x]``, so x's cube
+    holds it when the cube's incidence runs along that order past the last
+    point within lo. False also when the rows are not the space's regime
+    rows in order, a cube is not named by a center of its generation, a
+    diameter is not its cube's or exceeds C_bound * lo, or a scalar field
+    disagrees with the systems and rows.
+    """
+    rows = cert.entries
+    if not (systems and isinstance(rows, CoverageTable)
+            and _window_terms(systems) == (cert.C_bound, True, True)
+            and cert.r_large_ok and cert.r_small_ok
+            and cert.num_systems == len(systems)):
         return False
-    space = systems[0].space
-    d = space.dist
-    C = cert.C_bound
-    for e in cert.entries:
-        if not 0 <= e.t < len(systems):
-            return False
-        sys = systems[e.t]
-        if not (sys.k_min <= e.cube_k <= sys.k_max and 0 <= e.cube_center < space.n):
-            return False
-        i = sys.label[e.cube_k - sys.k_min, e.cube_center]
-        if sys.cubes.center[i] != e.cube_center:
-            return False
-        if ((d[e.x] <= e.lo) & ~sys.incidence[i]).any():
-            return False
-        diam = sys.cubes.diameter[i]
-        if diam > C * e.lo or diam != e.diameter:
+    base = systems[0]
+    n, k_min, order = base.space.n, base.k_min, base.space.index.order
+    x, band_k, lo, hi = _regime_rows(base)
+    t, cube_k, center, diameter = map(np.asarray, (
+        rows.t, rows.cube_k, rows.cube_center, rows.diameter))
+    if not (all(map(np.array_equal, (rows.x, rows.band_k, rows.lo, rows.hi),
+                    (x, band_k, lo, hi)))
+            and all(c.shape == x.shape and c.dtype.kind in "iu"
+                    for c in (t, cube_k, center))
+            and diameter.shape == x.shape
+            and np.all((t >= 0) & (t < len(systems)) & (cube_k >= k_min)
+                       & (cube_k <= base.k_max) & (center >= 0) & (center < n))
+            and np.all(diameter <= cert.C_bound * lo)
+            and cert.observed_C == np.max(diameter[lo > 0] / lo[lo > 0], initial=0.0)):
+        return False
+    # far[c, j]: the distance from c to the j-th point of order[c], inf at n
+    far = np.column_stack([np.take_along_axis(base.space.dist, order, axis=1),
+                           np.full(n, np.inf)])
+    for ti, sys in enumerate(systems):
+        sel = t == ti
+        g, xs = cube_k[sel] - k_min, x[sel]
+        cube = sys.label[g, center[sel]]
+        # run[g, c]: how far c's generation-g cube runs along order[c]
+        held = np.take_along_axis(sys.incidence[sys.label], order[None], axis=2)
+        run = np.where(held.all(axis=2), n, held.argmin(axis=2))
+        if not (np.array_equal(sys.cubes.center[cube], center[sel])
+                and np.array_equal(cube, sys.label[g, xs])
+                and np.array_equal(sys.cubes.diameter[cube], diameter[sel])
+                and (lo[sel] < far[xs, run[g, xs]]).all()):
             return False
     return True
 

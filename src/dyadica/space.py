@@ -14,6 +14,7 @@ is an atom. All randomized constructors are deterministic given their seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -139,6 +140,11 @@ class DoublingEstimate:
     covers: np.ndarray = field(repr=False)
 
 
+# elements of one temporary block of the quasi-triangle constant and of
+# the doubling cover and its replay
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def build_space(dist: Sequence[Sequence[float]] | np.ndarray) -> QuasiMetricSpace:
     """Validate a distance table, keep a read-only copy of it, and compute
     its quasi-triangle constant."""
@@ -164,13 +170,20 @@ def build_space(dist: Sequence[Sequence[float]] | np.ndarray) -> QuasiMetricSpac
 
 
 def _quasi_triangle_constant(d: np.ndarray) -> float:
+    """max(1, d[x, y] / (d[x, z] + d[z, y])) over every x, y, z with a
+    positive denominator. Division rounds monotonically, so each (x, y)
+    divides once, by its smallest denominator over z, taken in (rows x z x
+    n) tiles of at most _BLOCK_ELEMENTS elements; it is zero on the
+    diagonal only, where d is zero too."""
     n = d.shape[0]
-    a0 = 1.0
-    for z in range(n):
-        denom = d[:, z][:, None] + d[z, :][None, :]
-        ratio = np.divide(d, denom, out=np.zeros((n, n)), where=denom > 0)
-        a0 = max(a0, float(ratio.max()))
-    return a0
+    rows = min(n, max(1, _BLOCK_ELEMENTS // n))
+    zs = max(1, _BLOCK_ELEMENTS // (rows * n))
+    low = np.full((n, n), np.inf)
+    for x, z in itertools.product(range(0, n, rows), range(0, n, zs)):
+        tile = d[x:x + rows, z:z + zs, None] + d[z:z + zs]
+        np.minimum(low[x:x + rows], tile.min(axis=1), out=low[x:x + rows])
+    ratio = np.divide(d, low, out=np.zeros((n, n)), where=low > 0)
+    return max(1.0, float(ratio.max()))
 
 
 def ball_masses(space: QuasiMetricSpace, mu: PointMeasure):
@@ -181,10 +194,6 @@ def ball_masses(space: QuasiMetricSpace, mu: PointMeasure):
         steps = np.unique(row)
         yield steps, np.array([np.sum(mu.masses[row < t]) for t in steps]
                               + [np.sum(mu.masses)])
-
-
-# elements of one (classes x n) temporary of the doubling cover and its replay
-_BLOCK_ELEMENTS = 1 << 16
 
 
 def _ball_classes(space: QuasiMetricSpace):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dyadica.dyadic import (
     PROPERTY_NAMES,
+    _nearest,
     build_adjacent_systems,
     build_system,
     check_ball_coverage,
@@ -200,6 +201,21 @@ def same_cubes(a, b):
                for col in ("k", "center", "diameter"))
 
 
+class TestNearest:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_same_choice_as_the_lexsort_loop(self, seed):
+        # integer distances tie often; each tie goes to the lowest rank
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        d = rng.integers(0, 4, size=(n, n)).astype(float)
+        rank = rng.permutation(n)
+        rows = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        net = list(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        want = [net[np.lexsort((rank[net], d[x, net]))[0]] for x in rows]
+        assert _nearest(d, rank, rows, net).tolist() == want
+
+
 class TestDeterminism:
     def test_same_seed_same_cubes(self):
         space, _ = generate_space("euclidean_random_points", seed=5, n=20, dim=2)
@@ -244,25 +260,252 @@ class TestCoverage:
     def test_tampered_certificate_fails(self, segment16):
         space, _ = segment16
         fam = build_adjacent_systems(space, num_systems=1)
-        cert = fam.certificate
-        e = cert.entries[0]
-        bad_entry = type(e)(x=e.x, band_k=e.band_k, lo=e.lo, hi=e.hi, t=e.t,
-                            cube_k=cert.entries[-1].cube_k,
-                            cube_center=cert.entries[-1].cube_center,
-                            diameter=e.diameter)
-        # swap in a fine singleton cube for a whole-space regime: must fail
-        if bad_entry.cube_k != e.cube_k:
-            bad = type(cert)(C_bound=cert.C_bound, observed_C=cert.observed_C,
-                             num_systems=cert.num_systems,
-                             entries=(bad_entry,) + cert.entries[1:],
-                             r_large_ok=True, r_small_ok=True)
-            assert not replay_coverage(fam.systems, bad)
+        rows = fam.certificate.entries
+        # swap the last row's fine singleton cube in for the first row's
+        assert rows.cube_k[-1] != rows.cube_k[0]
+        bad = forged(fam.certificate, **{
+            c: set_at(getattr(rows, c), 0, getattr(rows, c)[-1])
+            for c in ("cube_k", "cube_center", "diameter")})
+        assert not replay_coverage(fam.systems, bad)
 
     def test_mismatched_windows_rejected(self, segment16, tree27):
         s1 = build_system(segment16[0])
         s2 = build_system(tree27[0])
         with pytest.raises(BadParams):
             check_ball_coverage([s1, s2])
+        cert = build_adjacent_systems(segment16[0], num_systems=1).certificate
+        assert not replay_coverage([s1, s2], cert)
+
+    def test_columns_are_read_only(self, segment16):
+        rows = build_adjacent_systems(segment16[0]).certificate.entries
+        for c in COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(rows, c)[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# the coverage certificate against the per-regime loop it replaced
+# ---------------------------------------------------------------------------
+
+COLUMNS = ("x", "band_k", "lo", "hi", "t", "cube_k", "cube_center",
+           "diameter")
+
+
+def coverage_loop(systems):
+    """The per-regime reference: (witness, columns, observed_C) with the
+    first failing regime's witness, or None and the certificate's columns.
+    For each center, band and regime it tries the containing cubes from the
+    band generation up, system by system, on the ball's member list."""
+    base = systems[0]
+    space, delta, k_min = base.space, base.delta, base.k_min
+    C = coverage_bound(space.a0, delta)
+    d = space.dist
+    rows, observed = [], 0.0
+    for x in range(space.n):
+        dist_vals = np.unique(d[x])
+        for k in range(k_min, base.k_max + 1):
+            lo_edge, hi_edge = delta ** (k + 2), delta ** (k + 1)
+            interior = dist_vals[(dist_vals > lo_edge) & (dist_vals < hi_edge)]
+            edges = [lo_edge, *[float(a) for a in interior], hi_edge]
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                ball = np.flatnonzero(d[x] <= lo)
+                hit = next(((t, gi, s.label[gi, x]) for t, s in enumerate(systems)
+                            for gi in range(k - k_min, -1, -1)
+                            if s.cubes.diameter[s.label[gi, x]] <= C * lo
+                            and np.all(s.label[gi, ball] == s.label[gi, x])), None)
+                if hit is None:
+                    return ({"x": x, "band_k": k, "lo": lo,
+                             "members": ball.tolist()}, None, None)
+                t, gi, i = hit
+                diam = float(systems[t].cubes.diameter[i])
+                rows.append((x, k, lo, hi, t, k_min + gi,
+                             int(systems[t].cubes.center[i]), diam))
+                if lo > 0:
+                    observed = max(observed, diam / lo)
+    return None, dict(zip(COLUMNS, map(np.array, zip(*rows)))), observed
+
+
+ORACLE_SPACES = {
+    "segment16": ("integer_segment_counting", dict(n=16)),
+    "segment64": ("integer_segment_counting", dict(n=64)),
+    "cloud16": ("euclidean_random_points", dict(n=16, dim=2)),
+    "cloud64": ("euclidean_random_points", dict(n=64, dim=2)),
+    "tree16": ("ultrametric_tree", dict(depth=4, branching=2)),
+    "tree27": ("ultrametric_tree", dict(depth=3, branching=3)),
+}
+
+
+def forged(cert, observed_C=None, **columns):
+    """cert with some table columns replaced and observed_C recomputed from
+    the new rows unless given."""
+    rows = dataclasses.replace(cert.entries, **columns)
+    if observed_C is None:
+        observed_C = float(np.max(rows.diameter / rows.lo))
+    return dataclasses.replace(cert, entries=rows, observed_C=observed_C)
+
+
+def take_rows(cert, rows, observed_C=None):
+    """cert keeping the table rows ``rows`` in the order given."""
+    return forged(cert, observed_C, **{c: getattr(cert.entries, c)[rows]
+                                       for c in COLUMNS})
+
+
+def set_at(column, r, value):
+    out = np.array(column)
+    out[r] = value
+    return out
+
+
+class TestCoverageOracle:
+    @pytest.mark.parametrize("delta", [None, 0.25])
+    @pytest.mark.parametrize("num_systems", [1, 2, 3])
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    def test_same_certificate_as_the_loop(self, name, num_systems, delta):
+        kind, params = ORACLE_SPACES[name]
+        space, _ = generate_space(kind, seed=4, **params)
+        systems = [build_system(space, seed=4, delta=delta, system_id=t)
+                   for t in range(num_systems)]
+        report, cert = check_ball_coverage(systems)
+        witness, columns, observed = coverage_loop(systems)
+        assert witness is None and report.status == "pass"
+        assert len(cert.entries) == columns["x"].size == report.details["entries"]
+        for c in COLUMNS:
+            got = getattr(cert.entries, c)
+            assert got.dtype.kind == columns[c].dtype.kind
+            assert np.array_equal(got, columns[c]), c
+        assert cert.observed_C == observed
+        assert replay_coverage(systems, cert)
+
+    def test_same_witness_when_a_coarse_cube_grows(self, segment16):
+        sys = build_system(segment16[0])
+        diameter = sys.cubes.diameter.copy()
+        diameter[sys.top] = np.inf  # the whole space no longer certifies
+        grown = dataclasses.replace(
+            sys, cubes=dataclasses.replace(sys.cubes, diameter=diameter))
+        report, cert = check_ball_coverage([grown])
+        witness, _, _ = coverage_loop([grown])
+        assert witness is not None and cert is None
+        assert report.status == "fail"
+        assert report.witness == witness
+
+
+    def test_a_diameter_of_exactly_C_lo_still_certifies(self, segment16):
+        sys = build_system(segment16[0])
+        rows = check_ball_coverage([sys])[1].entries
+        # the last row certified below the top, with its cube grown to C * lo
+        r = int(np.flatnonzero(rows.cube_k > sys.k_min)[-1])
+        i = sys.containing_cube(int(rows.cube_k[r]), int(rows.cube_center[r]))
+        diameter = sys.cubes.diameter.copy()
+        diameter[i] = coverage_bound(sys.space.a0, sys.delta) * rows.lo[r]
+        grown = dataclasses.replace(
+            sys, cubes=dataclasses.replace(sys.cubes, diameter=diameter))
+        _, cert = check_ball_coverage([grown])
+        _, columns, observed = coverage_loop([grown])
+        assert cert.entries.cube_k[r] == rows.cube_k[r]
+        for c in COLUMNS:
+            assert np.array_equal(getattr(cert.entries, c), columns[c]), c
+        assert cert.observed_C == observed
+
+
+class TestReplayRefusesForgeries:
+    @pytest.fixture
+    def family(self, segment16):
+        fam = build_adjacent_systems(segment16[0], num_systems=1)
+        assert replay_coverage(fam.systems, fam.certificate)
+        return fam
+
+    def refuses(self, family, cert):
+        return not replay_coverage(family.systems, cert)
+
+    def test_empty(self, family):
+        assert self.refuses(family, dataclasses.replace(family.certificate,
+                                                        entries=()))
+
+    @pytest.mark.parametrize("observed_C", [0.0, None])
+    def test_truncated(self, family, observed_C):
+        assert self.refuses(family, take_rows(family.certificate, slice(0, 5),
+                                              observed_C))
+
+    def test_one_row_dropped(self, family):
+        rows = np.delete(np.arange(len(family.certificate.entries)), 7)
+        assert self.refuses(family, take_rows(family.certificate, rows))
+
+    def test_two_rows_swapped(self, family):
+        rows = np.arange(len(family.certificate.entries))
+        rows[[3, 4]] = rows[[4, 3]]
+        assert self.refuses(family, take_rows(family.certificate, rows))
+
+    def test_observed_lowered(self, family):
+        cert = family.certificate
+        assert self.refuses(family, dataclasses.replace(
+            cert, observed_C=cert.observed_C / 2))
+
+    def test_num_systems_wrong(self, family):
+        assert self.refuses(family, dataclasses.replace(family.certificate,
+                                                        num_systems=2))
+
+    def test_bound_raised(self, family):
+        cert = family.certificate
+        assert self.refuses(family, dataclasses.replace(
+            cert, C_bound=2 * cert.C_bound))
+
+    @pytest.mark.parametrize("t", [1, -1])
+    def test_wrong_system(self, family, t):
+        rows = family.certificate.entries
+        assert self.refuses(family, forged(family.certificate,
+                                           t=set_at(rows.t, 0, t)))
+
+    def test_cube_misses_a_ball_member(self, family):
+        sys, rows = family[0], family.certificate.entries
+        d = sys.space.dist
+        # the first row whose ball holds two points, named by x's leaf {x}
+        r = int(np.argmax([(d[x] <= lo).sum() >= 2
+                           for x, lo in zip(rows.x, rows.lo)]))
+        x = int(rows.x[r])
+        leaf = sys.leaf(x)
+        assert (d[x] <= rows.lo[r]).sum() >= 2 and members(sys, leaf) == (x,)
+        assert self.refuses(family, forged(
+            family.certificate, cube_k=set_at(rows.cube_k, r, sys.k_max),
+            cube_center=set_at(rows.cube_center, r, x),
+            diameter=set_at(rows.diameter, r, 0.0)))
+
+    def test_cube_misses_the_ball_center(self, family):
+        sys, rows = family[0], family.certificate.entries
+        # a one-point ball named by another point's leaf, also one point
+        r = int(np.flatnonzero(rows.cube_k == sys.k_max)[0])
+        x, y = int(rows.x[r]), (int(rows.x[r]) + 1) % sys.space.n
+        assert members(sys, sys.leaf(x)) == (x,) and members(sys, sys.leaf(y)) == (y,)
+        assert self.refuses(family, forged(
+            family.certificate, cube_center=set_at(rows.cube_center, r, y)))
+
+    def test_diameter_mismatch(self, family):
+        rows = family.certificate.entries
+        r = int(np.flatnonzero(rows.diameter > 0)[0])
+        assert self.refuses(family, forged(
+            family.certificate,
+            diameter=set_at(rows.diameter, r, rows.diameter[r] / 2)))
+
+    def test_diameter_above_the_bound(self, family):
+        sys, cert = family[0], family.certificate
+        rows = cert.entries
+        # the smallest ball of the finest band, named by the whole space
+        r = int(np.flatnonzero(rows.band_k == sys.k_max)[0])
+        top = sys.top
+        assert sys.cubes.diameter[top] > cert.C_bound * rows.lo[r]
+        assert self.refuses(family, forged(
+            cert, cube_k=set_at(rows.cube_k, r, sys.k_min),
+            cube_center=set_at(rows.cube_center, r, sys.cubes.center[top]),
+            diameter=set_at(rows.diameter, r, sys.cubes.diameter[top])))
+
+    def test_center_not_a_center_at_its_generation(self, family):
+        sys, rows = family[0], family.certificate.entries
+        r = int(np.flatnonzero(rows.cube_k == sys.k_min)[0])
+        centers = sys.cubes.center[sys.generation(sys.k_min)]
+        y = int(np.setdiff1d(np.arange(sys.space.n), centers)[0])
+        assert sys.containing_cube(sys.k_min, y) == \
+            sys.containing_cube(sys.k_min, int(rows.cube_center[r]))
+        assert self.refuses(family, forged(
+            family.certificate, cube_center=set_at(rows.cube_center, r, y)))
 
 
 class TestPinnedPoint:

@@ -26,6 +26,18 @@ from dyadica.space import (
 )
 
 
+def quasi_triangle_loop(d):
+    """The per-z reference: every ratio d[x, y] / (d[x, z] + d[z, y]) with
+    a positive denominator, one (n x n) block per z."""
+    n = d.shape[0]
+    a0 = 1.0
+    for z in range(n):
+        denom = d[:, z][:, None] + d[z, :][None, :]
+        ratio = np.divide(d, denom, out=np.zeros((n, n)), where=denom > 0)
+        a0 = max(a0, float(ratio.max()))
+    return a0
+
+
 class TestBuildSpace:
     def test_segment_is_metric(self, segment4):
         space, _ = segment4
@@ -79,6 +91,30 @@ class TestBuildSpace:
             rhs = space.a0 * (d[:, z][:, None] + d[z, :][None, :])
             mask = ~np.eye(n, dtype=bool)
             assert np.all(lhs[mask] <= rhs[mask] * (1 + 1e-12))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("integer_segment_counting", dict(n=70)),
+        ("euclidean_random_points", dict(n=70, dim=2)),
+        ("euclidean_random_points", dict(n=40, dim=3, power=1.7)),
+        ("snowflake_power", dict(n=70, power=2.0)),
+        ("snowflake_power", dict(n=70, power=0.5)),
+        ("ultrametric_tree", dict(depth=4, branching=3)),
+        ("ultrametric_tree", dict(depth=2, branching=9, ratio=0.25)),
+    ])
+    def test_constant_matches_the_loop_on_stock_spaces(self, kind, params):
+        # n = 70 and 81 split into several (rows x z x n) tiles
+        space, _ = generate_space(kind, seed=3, **params)
+        assert space.a0 == quasi_triangle_loop(np.asarray(space.dist))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_constant_matches_the_loop_on_random_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        d = np.triu(rng.uniform(0.0, 1.0, size=(n, n)) ** rng.choice([1, 4, 12])
+                    + 1e-300, 1)
+        d = d + d.T
+        assert build_space(d).a0 == quasi_triangle_loop(d)
 
     def test_constant_is_tight(self):
         # shrinking a0 by any factor breaks the inequality somewhere
