@@ -13,6 +13,8 @@ operator. ``harness.run_scenario`` drives everything from a plain JSON
 scenario; the ``dyadica`` command line exposes the same entry points.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dyadic import (
     AdjacentSystems,
     CubeTable,
@@ -92,73 +94,6 @@ from .stopping import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjacentSystems",
-    "CheckReport",
-    "ConfigError",
-    "CubeTable",
-    "DyadicOperator",
-    "DyadicSystem",
-    "DyadicaError",
-    "Exponents",
-    "GeneralizedSystem",
-    "Kernel",
-    "MatrixOperator",
-    "PointMeasure",
-    "QuasiMetricSpace",
-    "Report",
-    "Scenario",
-    "TOLERANCES",
-    "apply_M",
-    "apply_M_dyadic",
-    "apply_direct",
-    "build_adjacent_systems",
-    "build_dyadic_operator",
-    "build_kernel",
-    "build_principal_cubes",
-    "build_space",
-    "build_system",
-    "check_ball_coverage",
-    "check_direct_below_family",
-    "check_dyadic_below_direct",
-    "check_family_domination",
-    "check_forms_agree",
-    "check_kernel_estimates",
-    "check_mainlemma",
-    "check_max_principle_1",
-    "check_max_principle_2",
-    "check_maximal_equivalence",
-    "check_point_cube_testing",
-    "check_self_adjoint",
-    "check_shifted_sandwich",
-    "check_system",
-    "check_universal_maximal",
-    "coverage_bound",
-    "decompose_level_set",
-    "dual_weight",
-    "estimate_geometric_doubling",
-    "generalize",
-    "generate_space",
-    "kernel_bound_constant",
-    "load_space",
-    "lp_norm",
-    "maximal_cubes",
-    "maximal_params",
-    "measure_doubling_constant",
-    "operator_norm_strong",
-    "operator_norm_weak",
-    "phi_table",
-    "random_measure",
-    "replay_coverage",
-    "require",
-    "rho_grid",
-    "run_scenario",
-    "save_space",
-    "sweep",
-    "testing_constant_maximal",
-    "testing_constants",
-    "verdict_theorem_a",
-    "verdict_theorem_b",
-    "verdict_weak_type",
-    "weak_quasinorm",
-]
+# every public name imported above, so the list cannot drift from them
+__all__ = sorted(n for n, v in globals().items()
+                 if not n.startswith("_") and not isinstance(v, _ModuleType))

@@ -12,8 +12,11 @@ returned value is attained by a stored witness function and never exceeds
 the true norm.  The maximizer combines a mandatory seed pool (every cube
 indicator the caller supplies, every point mass, the constant one), a
 power-type fixed-point iteration for linear operators, and multistart
-random ascent.  Testing constants are exact suprema over the standard
-cubes of a system family.  The verdict helpers wire these together for the
+random ascent.  One search runs many problems on one (sigma, omega, p,
+q) in lockstep, each with its own operator, effort and random streams,
+one block evaluation per step, and each gets exactly the result or first
+error of its search alone.  Testing constants are exact suprema over the
+standard cubes of a system family.  The verdict helpers wire these for the
 two-weight strong-type and weak-type characterizations: the testing side
 is always at most the seeded norm lower bound by construction, and the
 reported ratio measures the empirical equivalence constant.
@@ -197,38 +200,58 @@ def _image(apply, f: np.ndarray) -> np.ndarray:
     return g
 
 
-def _block_values(apply, sigma, omega, p, q, weak: bool):
-    """values(F): ||apply(F[i])|| / ||F[i]|| per row (None on a null row),
-    each the float F[i] gives alone; rows go to apply block_rows(n) at a
-    time, one at a time once apply raises.  The first failing row raises;
-    with partial=True it returns (the values before it, its error).  Given
-    images, images[i] stands for apply(F[i]) and nothing is applied."""
-    def values(F, partial: bool = False, images=None):
-        F, out, rows, err = np.asarray(F), [], block_rows(len(sigma.masses)), None
-        while err is None and len(out) < len(F):
-            block = F[len(out):len(out) + rows]
-            try:
-                g = _image(apply, block) if images is None else \
-                    images[len(out):len(out) + rows]
-            except Exception as exc:
-                err, rows = (exc if rows == 1 else None), 1
-                continue
-            num = (weak_quasinorm if weak else lp_norm)(g, omega, q)
-            for f, d, m in zip(block, lp_norm(block, sigma, p).tolist(),
-                               num.tolist()):
+def _block_values(sigma, omega, p, q, weak: bool):
+    """values(jobs, images=None) gives each (apply, F) job, one per
+    problem, (vals, err): vals[i] = ||apply(F[i])|| / ||F[i]|| (None on a
+    null row), the float F[i] gives alone, up to the first failing row,
+    whose error is err.  A job applies its rows block_rows(n) at a time,
+    one at a time once its apply raises (images[j] stands for job j's
+    images); all rows then share one lp_norm and one image norm per block."""
+    cap, norm = block_rows(len(sigma.masses)), weak_quasinorm if weak else lp_norm
+
+    def values(jobs, images=None):
+        fs, gs, done = [], [], []
+        for j, (apply, F) in enumerate(jobs):
+            i, rows, exc = 0, cap, None
+            while i < len(F) and exc is None:
+                try:
+                    gs.append(_image(apply, F[i:i + rows]) if images is None
+                              else images[j][i:i + rows])
+                except Exception as e:
+                    exc, rows = (e if rows == 1 else None), 1
+                    continue
+                fs.append(F[i:i + rows])
+                i += len(fs[-1])
+            done.append((i, exc))
+        X = fs[0] if len(fs) == 1 else np.concatenate(fs) if fs else ()
+        G = gs[0] if len(gs) == 1 else np.concatenate(gs) if gs else ()
+        ds, ms = [], []
+        for s in range(0, len(X), cap):
+            ds += lp_norm(X[s:s + cap], sigma, p).tolist()
+            ms += norm(G[s:s + cap], omega, q).tolist()
+        out, s = [], 0
+        for i, exc in done:
+            vals = []
+            for r, d, m in zip(range(s, s + i), ds[s:s + i], ms[s:s + i]):
                 if (m > 0.0) if d == 0.0 else math.isinf(m):
-                    err = Infinite("operator maps a null function to positive mass"
-                                   if d == 0.0 else "infinite image norm at "
-                                   "positive input norm", witness={"f": f.tolist()})
+                    exc = Infinite("operator maps a null function to positive "
+                                   "mass" if d == 0.0 else "infinite image norm"
+                                   " at positive input norm",
+                                   witness={"f": X[r].tolist()})
                     break
-                out.append(m / d if d != 0.0 else None)
-        if partial:
-            return out, err
-        if err is not None:
-            raise err
+                vals.append(m / d if d != 0.0 else None)
+            out.append((vals, exc))
+            s += i
         return out
 
     return values
+
+
+def _ok(got):
+    """The values or result of a (values or result, error) pair, or raise."""
+    if got[1] is not None:
+        raise got[1]
+    return got[0]
 
 
 def _spot_check_monotone(apply, n: int, seed: int) -> None:
@@ -260,12 +283,12 @@ def _seed_pool(n: int, seeds, budget: int, seed: int):
     return pool + [(f"random:{b}", _rng(seed, b).random(n)) for b in range(budget)]
 
 
-def _lockstep_ascent(values, starts, seed: int) -> list:
+def _lockstep_ascent(apply, starts, seed: int):
     """Random ascent from all starts in lockstep, start i on _rng(seed,
-    0x200 + i), one block of proposals per iteration, so each start takes
-    the steps it takes alone.  A failing row stops its start and the later
-    ones; the earliest error in (start, iteration) order is raised.
-    Returns (f, value) per start."""
+    0x200 + i): each iteration yields one block of proposals and is sent
+    their (values, error), so each start takes the steps it takes alone.
+    A failing row stops its start and the later ones; the earliest error
+    in (start, iteration) order is raised.  Returns (f, value) per start."""
     rngs = [_rng(seed, 0x200 + i) for i in range(len(starts))]
     f, best = [f0.copy() for _, f0, _ in starts], [v0 for *_, v0 in starts]
     step, stall = np.full(len(starts), 0.5), [0] * len(starts)
@@ -282,9 +305,9 @@ def _lockstep_ascent(values, starts, seed: int) -> list:
         else:
             props = cur * np.exp(step[live][:, None] * np.array(
                 [rngs[i].standard_normal(n) for i in live]))
-        m = props.max(axis=1, keepdims=True)
-        props /= np.where((m > 0) & (m < math.inf), m, 1.0)
-        vals, err = values(props, partial=True)
+        m = [x if 0.0 < x < math.inf else 1.0 for x in props.max(axis=1).tolist()]
+        props /= np.array(m)[:, None]  # each row by its max, if positive and finite
+        vals, err = yield apply, props
         error = err or error
         for i, v, prop in zip(live, vals, props):
             if v is not None and v > best[i]:
@@ -293,7 +316,7 @@ def _lockstep_ascent(values, starts, seed: int) -> list:
                 step[i], stall[i] = step[i] * 0.5, 0  # five stalls halve it
             else:
                 stall[i] += 1
-        live = [i for i in live[:len(vals)] if step[i] >= 1e-4]
+        live = live[:len(vals)]
     if error is not None:
         raise error
     return list(zip(f, best))
@@ -301,61 +324,74 @@ def _lockstep_ascent(values, starts, seed: int) -> list:
 
 def _fixed_point(values, apply, apply_adjoint, f0: np.ndarray,
                  p: float, q: float) -> tuple[np.ndarray | None, float]:
-    f = f0.copy()
+    """Power-type iteration from f0, stopped at an iterate that repeats an
+    earlier one bit for bit (every later value would repeat); the iterates
+    are valued afterwards in one block through the images it computed."""
+    f, seen, fs, gs = f0.copy(), set(), [], []
+    try:
+        for _ in range(_FIXED_POINT_ITERS):
+            if f.tobytes() in seen:
+                break
+            seen.add(f.tobytes())
+            fs.append(f)
+            gs.append(g := _image(apply, f))
+            if not np.isfinite(g).all() or float(g.max()) <= 0.0:
+                break
+            u = np.power(g, q - 1.0)
+            u = u / float(u.max())
+            h = np.asarray(apply_adjoint(u), dtype=float)
+            if not np.isfinite(h).all() or float(h.max()) <= 0.0:
+                break
+            f = np.power(h, 1.0 / (p - 1.0))
+            f = f / float(f.max())
+    finally:  # a valuation error came before any that stopped the loop
+        vals = _ok(values([(apply, np.reshape(fs, (len(fs), f0.size)))],
+                          [np.reshape(gs, (len(gs), f0.size))])[0])
     best, bw = -math.inf, None
-    for _ in range(_FIXED_POINT_ITERS):
-        g = _image(apply, f)
-        v = values([f], images=g[None])[0]
+    for f, v in zip(fs, vals):
         if v is not None and v > best:
-            best, bw = v, f.copy()
-        if not np.isfinite(g).all() or float(g.max()) <= 0.0:
-            break
-        u = np.power(g, q - 1.0)
-        u = u / float(u.max())
-        h = np.asarray(apply_adjoint(u), dtype=float)
-        if not np.isfinite(h).all() or float(h.max()) <= 0.0:
-            break
-        f = np.power(h, 1.0 / (p - 1.0))
-        f = f / float(f.max())
+            best, bw = v, f
     return bw, best
 
 
-def _norm_search(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
-                 matrix, seed, weak: bool) -> NormEstimate:
-    ex = Exponents(p, q)
-    if weak:
-        require_finite_q(ex)
+def _search(values, sigma, omega, p, q, weak: bool, pool_only: bool,
+            apply, budget, seeds, seed, apply_adjoint=None, matrix=None):
+    """One problem's search: it yields each (apply, rows) job it needs
+    valued, is sent the job's (values, error), and returns its estimate.
+    pool_only keeps the spot check, the pool and the witness replay."""
     n = sigma.masses.size
     _spot_check_monotone(apply, n, seed)
-    values = _block_values(apply, sigma, omega, p, q, weak)
     pool = _seed_pool(n, seeds, budget, seed)
     best, witness, method = -math.inf, None, "none"
-    for (name, f), v in zip(pool, values([f for _, f in pool])):
+    F = np.array([f for _, f in pool])
+    for (name, f), v in zip(pool, _ok((yield apply, F))):
         if v is not None and v > best:
             best, witness, method = v, f, f"pool:{name}"
 
     details: dict = {}
-    if apply_adjoint is not None and not weak and not math.isinf(q):
+    if apply_adjoint is not None and not (weak or pool_only or math.isinf(q)):
         start = witness if witness is not None and np.max(witness) > 0 else np.ones(n)
         bw, bv = _fixed_point(values, apply, apply_adjoint, start, p, q)
         details["fixed_point"] = bv if bv > -math.inf else None
         if bw is not None and bv > best:
             best, witness, method = bv, bw, "fixed-point"
 
-    starts = [("best", witness, best)] if witness is not None else []
-    f0s = [_rng(seed, 0x100 + b).random(n) for b in range(max(1, budget))]
-    starts += [(f"restart:{b}", f0, v0)
-               for b, (f0, v0) in enumerate(zip(f0s, values(f0s)))
-               if v0 is not None]
-    for (tag, _, _), (f1, v1) in zip(starts,
-                                     _lockstep_ascent(values, starts, seed)):
-        if v1 > best:
-            best, witness, method = v1, f1, f"ascent:{tag}"
+    if not pool_only:
+        starts = [("best", witness, best)] if witness is not None else []
+        f0s = np.array([_rng(seed, 0x100 + b).random(n)
+                        for b in range(max(1, budget))])
+        starts += [(f"restart:{b}", f0, v0) for b, (f0, v0)
+                   in enumerate(zip(f0s, _ok((yield apply, f0s))))
+                   if v0 is not None]
+        ascent = yield from _lockstep_ascent(apply, starts, seed)
+        for (tag, _, _), (f1, v1) in zip(starts, ascent):
+            if v1 > best:
+                best, witness, method = v1, f1, f"ascent:{tag}"
 
     if best == -math.inf:
         return NormEstimate(0.0, 0.0, None, "vacuous", details)
 
-    replay = values([witness])[0]
+    replay = _ok((yield apply, witness[None]))[0]
     if replay is None or not close(replay, best,
                                    TOLERANCES["witness_replay_rel"]):
         raise LowerBoundViolated("witness replay does not reproduce the bound",
@@ -365,10 +401,35 @@ def _norm_search(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
             and np.all(np.isfinite(matrix))):
         b_mat = (np.sqrt(omega.masses)[:, None] * np.asarray(matrix, dtype=float)
                  * np.sqrt(sigma.masses)[None, :])
-        spectral = float(np.linalg.norm(b_mat, 2))
-        details["spectral"] = spectral
+        details["spectral"] = spectral = float(np.linalg.norm(b_mat, 2))
         estimate = max(best, spectral)
     return NormEstimate(best, estimate, witness, method, details)
+
+
+def _norm_search(problems, sigma, omega, p, q, weak: bool,
+                 pool_only: bool = False) -> list:
+    """Search every problem (apply, budget, seeds, seed[, apply_adjoint,
+    matrix]) on one (sigma, omega, p, q, weak) in lockstep, one values call
+    per step.  Returns per problem (NormEstimate, None) or (None, error)."""
+    ex = Exponents(p, q)
+    if weak:
+        require_finite_q(ex)
+    values = _block_values(sigma, omega, p, q, weak)
+    runs = [_search(values, sigma, omega, p, q, weak, pool_only, *pr)
+            for pr in problems]
+    out, got = [None] * len(runs), dict.fromkeys(range(len(runs)))
+    while got:  # problem -> what its last job was valued to
+        jobs, asking = [], []
+        for k, g in got.items():
+            try:
+                jobs.append(runs[k].send(g))
+                asking.append(k)
+            except StopIteration as stop:
+                out[k] = (stop.value, None)
+            except Exception as exc:  # the problem's error, raised by _ok
+                out[k] = (None, exc)
+        got = dict(zip(asking, values(jobs)))
+    return out
 
 
 def operator_norm_strong(apply, sigma: PointMeasure, omega: PointMeasure,
@@ -381,8 +442,8 @@ def operator_norm_strong(apply, sigma: PointMeasure, omega: PointMeasure,
     the constant one, so any testing constant whose test functions are
     passed as seeds is structurally dominated by the result.
     """
-    return _norm_search(apply, sigma, omega, p, q, budget, seeds,
-                        apply_adjoint, matrix, seed, weak=False)
+    return _ok(_norm_search([(apply, budget, seeds, seed, apply_adjoint,
+                              matrix)], sigma, omega, p, q, weak=False)[0])
 
 
 def operator_norm_weak(apply, sigma: PointMeasure, omega: PointMeasure,
@@ -393,8 +454,8 @@ def operator_norm_weak(apply, sigma: PointMeasure, omega: PointMeasure,
     The level supremum inside the weak quasinorm is exact per function;
     only the outer supremum over functions is a lower bound.
     """
-    return _norm_search(apply, sigma, omega, p, q, budget, seeds,
-                        None, None, seed, weak=True)
+    return _ok(_norm_search([(apply, budget, seeds, seed)], sigma, omega,
+                            p, q, weak=True)[0])
 
 
 @dataclass
@@ -576,32 +637,36 @@ class WeakVerdict:
 def verdict_weak_type(strong: StrongVerdict, ops, *, budget: int = 8,
                       seed: int = 0) -> WeakVerdict:
     """Weak-type verdict on a theorem-B verdict's instance; ops are its
-    dyadic model operators, one per system, on the same kernel and pair."""
+    dyadic model operators, one per system, on the same kernel and pair.
+
+    One search runs the weak norms of the direct and every dyadic operator
+    in lockstep.  A dyadic adjoint's structural check reads its seed-pool
+    bound alone, whose cube indicators bound the dual testing constant.
+    Errors come in a system-by-system run's order: the direct search, then
+    per system its dual testing, structural check and weak search."""
     ex, direct = strong.exponents, strong.operator
     sigma, omega = direct.sigma, direct.omega
     require_same_instance(ops, strong.kernel, sigma, omega)
-    weak = operator_norm_weak(direct.apply, sigma, omega, ex.p, ex.q, budget,
-                              strong.seeds, seed=seed)
-    ratio = _equivalence_ratio(weak.lower, strong.testing.dual)
-
-    dual_ex = ex.dual()
-    per_system = []
     sub_budget = max(2, budget // 3)
+    systems = [(t, o, cube_seeds(o.system)) for t, o in enumerate(ops)]
+    weak = _norm_search([(direct.apply, budget, strong.seeds, seed)] + [
+        (o.apply, sub_budget, s, seed + 200 + t) for t, o, s in systems],
+        sigma, omega, ex.p, ex.q, weak=True)
+    weak_norm, dual_ex = _ok(weak[0]), ex.dual()
+    pools = _norm_search([(o.apply_adjoint, sub_budget, s, seed + 100 + t)
+                          for t, o, s in systems], omega, sigma, dual_ex.p,
+                         dual_ex.q, weak=False, pool_only=True)
+    per_system = []
     for t, dop in enumerate(ops):
         sys = dop.system
         dual = cube_testing(sys.incidence, dop.apply_adjoint, omega, sigma,
                             ex.p_prime, ex.q_prime)[0]
-        sys_seeds = cube_seeds(sys)
-        dadj = operator_norm_strong(dop.apply_adjoint, omega, sigma,
-                                    dual_ex.p, dual_ex.q, sub_budget,
-                                    sys_seeds, apply_adjoint=dop.apply,
-                                    seed=seed + 100 + t)
         _check_structural(f"dyadic dual (system {sys.system_id})",
-                          dual, dadj.lower)
-        dweak = operator_norm_weak(dop.apply, sigma, omega, ex.p, ex.q,
-                                   sub_budget, sys_seeds, seed=seed + 200 + t)
+                          dual, _ok(pools[t]).lower)
+        dweak = _ok(weak[1 + t])
         per_system.append({"system": sys.system_id, "dual_testing": dual,
                            "weak_lb": dweak.lower,
                            "ratio": _equivalence_ratio(dweak.lower, dual)})
-    return WeakVerdict(ex, strong.testing, weak, strong.adjoint_norm, ratio,
+    return WeakVerdict(ex, strong.testing, weak_norm, strong.adjoint_norm,
+                       _equivalence_ratio(weak_norm.lower, strong.testing.dual),
                        tuple(per_system))

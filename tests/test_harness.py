@@ -492,16 +492,18 @@ class TestRunScenario:
 class TestSharedProducts:
     def test_each_quantity_is_computed_once(self, monkeypatch):
         # one growth constant per system (the envelope table), one direct
-        # testing sweep and two norm searches for theorem B, and one dual
-        # norm search per system for weak-type (whose dual-only cube sweep
-        # is not a testing_constants call)
+        # testing sweep and two norm searches for theorem B, and for
+        # weak-type one lockstep search of every weak norm and one of every
+        # dyadic adjoint's pool bound, whatever the number of systems (its
+        # dual-only cube sweep is not a testing_constants call)
         import dyadica.kernel as kernel
         import dyadica.norms as norms
 
         calls = Counter()
         for mod, name in ((kernel, "kernel_growth_constant"),
                           (norms, "testing_constants"),
-                          (norms, "operator_norm_strong")):
+                          (norms, "operator_norm_strong"),
+                          (norms, "_norm_search")):
             def counted(*args, _real=getattr(mod, name), _name=name, **kw):
                 calls[_name] += 1
                 return _real(*args, **kw)
@@ -520,7 +522,8 @@ class TestSharedProducts:
         assert L == 2
         assert calls == {"kernel_growth_constant": L,
                          "testing_constants": 1,
-                         "operator_norm_strong": 2 + L}
+                         "operator_norm_strong": 2,
+                         "_norm_search": 2 + 2}
 
 
     def test_theorem_a_builds_one_params_and_one_ball_table(self,

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -27,11 +29,13 @@ from dyadica.norms import (
     weak_quasinorm,
 )
 from dyadica.maximal import apply_M, apply_M_dyadic, maximal_params
+from dyadica import norms
 from dyadica.norms import (
     NORM_SALT,
     NormEstimate,
     _block_values,
     _fixed_point,
+    _norm_search,
     block_rows,
     cube_testing,
 )
@@ -308,7 +312,9 @@ class TestStrongNorm:
 
     def test_fixed_point_applies_once_per_iterate(self, segment4):
         # each iterate's value reads the image the iteration needs anyway,
-        # and the result equals the sequential loop's, which applies twice
+        # the iteration stops at the first iterate that repeats an earlier
+        # one bit for bit, and the result equals the sequential loop's,
+        # which applies twice and runs all 30 iterations
         space, mu = segment4
         kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
         op = MatrixOperator(kernel.matrix, mu, mu)
@@ -322,12 +328,39 @@ class TestStrongNorm:
             adjoint.append(u)
             return op.apply_adjoint(u)
 
-        values = _block_values(apply, mu, mu, 1.5, 3.0, False)
+        values = _block_values(mu, mu, 1.5, 3.0, False)
         got = _fixed_point(values, apply, apply_adjoint, np.ones(4), 1.5, 3.0)
-        assert len(applied) == len(adjoint) == 30
+        assert len(applied) == len(adjoint) == \
+            len({f.tobytes() for f in applied}) < 30
         want = fixed_point_seq(objective_seq(op.apply, mu, mu, 1.5, 3.0, False),
                                op.apply, op.apply_adjoint, np.ones(4), 1.5, 3.0)
         assert got[1] == want[1] and np.array_equal(got[0], want[0])
+
+    def test_fixed_point_raises_the_first_error_in_iteration_order(self):
+        # the iterates are valued after the loop, yet the first iterate's
+        # value error (a null function mapped to positive mass) still comes
+        # before the adjoint's error at that iterate, as in the sequential
+        # loop; with every value fine, the adjoint's error stands
+        sigma = PointMeasure(np.array([0.0, 0.0, 1.0, 1.0]))
+        omega = PointMeasure(np.ones(4))
+
+        def apply(f):
+            return np.ones(np.shape(f))
+
+        def adjoint(u):
+            raise ValueError("adjoint")
+
+        values = _block_values(sigma, omega, 2.0, 2.0, False)
+        null = np.array([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(Infinite) as want:
+            fixed_point_seq(objective_seq(apply, sigma, omega, 2.0, 2.0, False),
+                            apply, adjoint, null, 2.0, 2.0)
+        with pytest.raises(Infinite) as got:
+            _fixed_point(values, apply, adjoint, null, 2.0, 2.0)
+        assert str(got.value) == str(want.value)
+        assert got.value.witness == want.value.witness
+        with pytest.raises(ValueError, match="adjoint"):
+            _fixed_point(values, apply, adjoint, np.ones(4), 2.0, 2.0)
 
     def test_witness_replays(self, segment4):
         space, mu = segment4
@@ -1020,3 +1053,246 @@ class TestBlockContract:
             search(lambda f: np.asarray(f)[..., :1], mu, mu, 2.0, 2.0,
                    budget=1)
         assert err.value.witness["field"] == "apply"
+
+
+# ---------------------------------------------------------------------------
+# one lockstep for many problems: each problem's result is its one-problem
+# search's, bit for bit, and each keeps its own first error
+# ---------------------------------------------------------------------------
+
+def lockstep_instance(kind, L, p, q, seed=0):
+    """An oracle instance at n=16 with L forced systems, its theorem-B
+    verdict and one dyadic operator per system."""
+    space, mu, sigma, omega, kernel, _ = oracle_instance(kind, 16, seed)
+    fam = build_adjacent_systems(space, num_systems=L)
+    strong = verdict_theorem_b(kernel, fam, sigma, omega, p, q, budget=2)
+    ops = [build_dyadic_operator(kernel, generalize(s, sigma, omega))
+           for s in fam]
+    return sigma, omega, fam, strong, ops
+
+
+def with_apply(op, **methods):
+    """A copy of op whose apply/apply_adjoint are replaced."""
+    out = copy.copy(op)
+    for name, fn in methods.items():
+        setattr(out, name, fn)
+    return out
+
+
+def inf_at(apply, x):
+    """apply, but an infinite image for the point mass at x."""
+    def run(f):
+        g = np.array(apply(f), dtype=float)
+        rows, fs = g.reshape(-1, g.shape[-1]), np.reshape(f, (-1, g.shape[-1]))
+        rows[(fs == np.eye(g.shape[-1])[x]).all(axis=1)] = math.inf
+        return g
+    return run
+
+
+def inf_in_ascent(apply):
+    """apply, but infinite on any normalized proposal of the ascent: a row
+    whose maximum is exactly 1 and which is not a 0/1 function."""
+    def run(f):
+        g = np.array(apply(f), dtype=float)
+        rows, fs = g.reshape(-1, g.shape[-1]), np.reshape(f, (-1, g.shape[-1]))
+        rows[(fs.max(axis=1) == 1.0) & ~np.isin(fs, (0.0, 1.0)).all(axis=1)] \
+            = math.inf
+        return g
+    return run
+
+
+def raising(message):
+    def run(f):
+        raise ValueError(message)
+    return run
+
+
+def one_problem(weak, sigma, omega, p, q, apply, budget, seeds, seed,
+                apply_adjoint=None):
+    """(estimate, None) or (None, error) of the one-problem search."""
+    try:
+        if weak:
+            return operator_norm_weak(apply, sigma, omega, p, q, budget,
+                                      seeds, seed=seed), None
+        return operator_norm_strong(apply, sigma, omega, p, q, budget, seeds,
+                                    apply_adjoint=apply_adjoint,
+                                    seed=seed), None
+    except Exception as exc:
+        return None, exc
+
+
+def assert_same_outcome(got, want):
+    if want[1] is not None:
+        assert got[0] is None and type(got[1]) is type(want[1])
+        assert str(got[1]) == str(want[1])
+        assert getattr(got[1], "witness", None) == \
+            getattr(want[1], "witness", None)
+        return
+    assert got[1] is None
+    assert (got[0].lower, got[0].method, got[0].details) == \
+        (want[0].lower, want[0].method, want[0].details)
+    assert got[0].witness.tobytes() == want[0].witness.tobytes()
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("kind", ["segment", "cloud", "tree"])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("p,q", [(1.5, 3.0), (2.0, 2.0)])
+    def test_each_problem_matches_its_one_problem_search(self, kind, L, p, q):
+        sigma, omega, fam, strong, ops = lockstep_instance(kind, L, p, q)
+        rng = np.random.default_rng([L, int(2 * p), len(kind)])
+        budgets = rng.integers(1, 5, size=1 + L).tolist()
+        seeds = rng.integers(0, 1000, size=1 + L).tolist()
+        weak = [(strong.operator.apply, budgets[0], strong.seeds, seeds[0])]
+        weak += [(o.apply, b, cube_seeds(o.system), s)
+                 for o, b, s in zip(ops, budgets[1:], seeds[1:])]
+        for got, pr in zip(_norm_search(weak, sigma, omega, p, q, weak=True),
+                           weak):
+            assert_same_outcome(got, one_problem(True, sigma, omega, p, q,
+                                                 *pr))
+        # the adjoints with their fixed points, on the dual exponents
+        d = Exponents(p, q).dual()
+        dual = [(o.apply_adjoint, b, cube_seeds(o.system), s, o.apply)
+                for o, b, s in zip(ops, budgets[1:], seeds[1:])]
+        for got, pr in zip(_norm_search(dual, omega, sigma, d.p, d.q,
+                                        weak=False), dual):
+            assert_same_outcome(got, one_problem(False, omega, sigma, d.p,
+                                                 d.q, *pr))
+
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_a_failing_problem_leaves_the_others(self, weak):
+        # problem 1 fails in its pool, problem 2 in its ascent, problem 3
+        # in its spot check; problems 0 and 4 are searched as if alone
+        sigma, omega, fam, strong, ops = lockstep_instance("segment", 1,
+                                                           1.5, 3.0)
+        apply, seeds = strong.operator.apply, strong.seeds
+        problems = [(apply, 2, seeds, 0), (inf_at(apply, 3), 2, seeds, 1),
+                    (inf_in_ascent(apply), 3, seeds, 2),
+                    (raising("no apply"), 1, seeds, 3),
+                    (ops[0].apply, 4, cube_seeds(fam), 4)]
+        got = _norm_search(problems, sigma, omega, 1.5, 3.0, weak=weak)
+        assert [g[1] is None for g in got] == [True, False, False, False,
+                                               True]
+        assert isinstance(got[1][1], Infinite) and \
+            isinstance(got[2][1], Infinite)
+        assert got[1][1].witness["witness"]["f"] == np.eye(16)[3].tolist()
+        for g, pr in zip(got, problems):
+            assert_same_outcome(g, one_problem(weak, sigma, omega, 1.5, 3.0,
+                                               *pr))
+
+
+    def test_blocks_hold_at_most_block_rows(self, monkeypatch):
+        # at n = 27 a block holds 2^15 // 27^2 = 44 rows: two problems'
+        # pools run past it, and every apply and every norm call stays
+        # within it while the jobs share blocks
+        space, mu, sigma, omega, kernel, fam = oracle_instance("tree", 27, 0)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
+        cap, sizes = block_rows(27), []
+
+        def sized(fn):
+            def run(f, *args):
+                sizes.append(len(np.reshape(f, (-1, 27))))
+                return fn(f, *args)
+            return run
+
+        for name in ("weak_quasinorm", "lp_norm"):
+            monkeypatch.setattr(norms, name, sized(getattr(norms, name)))
+        seeds = cube_seeds(fam)
+        assert 2 * len(seeds) > cap
+        got = _norm_search([(sized(op.apply), 1, seeds, 0),
+                            (sized(op.apply), 2, seeds[:cap], 1)],
+                           sigma, omega, 1.5, 3.0, weak=True)
+        assert max(sizes) == cap and all(g[1] is None for g in got)
+
+
+class TestWeakTypeLockstep:
+    @pytest.fixture
+    def instance(self):
+        return lockstep_instance("segment", 2, 1.5, 3.0)
+
+    @staticmethod
+    def verdict(strong, ops, direct=None):
+        if direct is not None:
+            strong = dataclasses.replace(strong, operator=direct)
+        return verdict_weak_type(strong, ops, budget=2)
+
+    def test_direct_search_error_comes_first(self, instance):
+        sigma, omega, fam, strong, ops = instance
+        direct = with_apply(strong.operator,
+                            apply=inf_at(strong.operator.apply, 3))
+        bad = [with_apply(ops[0], apply=inf_at(ops[0].apply, 5),
+                          apply_adjoint=raising("adjoint 0")), ops[1]]
+        with pytest.raises(Infinite) as err:
+            self.verdict(strong, bad, direct)
+        assert err.value.witness["witness"]["f"] == np.eye(16)[3].tolist()
+
+    def test_system_errors_come_in_system_order(self, instance):
+        sigma, omega, fam, strong, ops = instance
+        # system 0's weak search fails before system 1's dual testing
+        bad = [with_apply(ops[0], apply=inf_at(ops[0].apply, 5)),
+               with_apply(ops[1], apply_adjoint=raising("adjoint 1"))]
+        with pytest.raises(Infinite) as err:
+            self.verdict(strong, bad)
+        assert err.value.witness["witness"]["f"] == np.eye(16)[5].tolist()
+        # within a system, the dual testing fails before the weak search
+        bad = [with_apply(ops[0], apply=inf_at(ops[0].apply, 5),
+                          apply_adjoint=raising("adjoint 0")), ops[1]]
+        with pytest.raises(ValueError, match="adjoint 0"):
+            self.verdict(strong, bad)
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_structural_check_fires_against_the_pool_bound(
+            self, instance, monkeypatch, t):
+        # system t's adjoint at half strength inside the norm search only:
+        # its pool bound (the whole-space cube here) falls below its dual
+        # testing constant
+        sigma, omega, fam, strong, ops = instance
+        real = norms._norm_search
+
+        def halved(problems, *args, pool_only=False, **kw):
+            if pool_only:
+                apply = problems[t][0]
+                problems = list(problems)
+                problems[t] = (lambda f: 0.5 * apply(f),) + problems[t][1:]
+            return real(problems, *args, pool_only=pool_only, **kw)
+
+        monkeypatch.setattr(norms, "_norm_search", halved)
+        fired = rf"dyadic dual \(system {t}\)"
+        with pytest.raises(LowerBoundViolated, match=fired):
+            self.verdict(strong, ops)
+        # with the other system's weak search failing, the earlier system's
+        # error is raised: the check for t = 0, the weak search for t = 1
+        bad = list(ops)
+        bad[1 - t] = with_apply(ops[1 - t], apply=inf_at(ops[1 - t].apply, 5))
+        with pytest.raises(LowerBoundViolated if t == 0 else Infinite) as err:
+            self.verdict(strong, bad)
+        if t == 0:
+            assert "system 0" in str(err.value)
+
+    def test_one_evaluator_call_per_step_and_no_fixed_point(
+            self, segment16, monkeypatch):
+        # 16 points, budget 2, one system: the direct and the dyadic weak
+        # searches fit one block of block_rows(16) = 128 rows per step, so
+        # their pools, restarts, 60 ascent iterations and witness replays
+        # are 1 + 1 + 60 + 1 weak_quasinorm calls together; the dyadic
+        # adjoint's pool bound runs no fixed point
+        space, mu = segment16
+        rng = np.random.default_rng(41)
+        sigma = PointMeasure(random_masses(rng, 16))
+        omega = PointMeasure(random_masses(rng, 16, zero_fraction=0.25))
+        kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
+        fam = build_adjacent_systems(space, num_systems=1)
+        strong = verdict_theorem_b(kernel, fam, sigma, omega, 1.5, 3.0,
+                                   budget=2)
+        ops = [build_dyadic_operator(kernel, generalize(s, sigma, omega))
+               for s in fam]
+        assert 2 * (1 + 16 + len(standard_cubes(fam)) + 2) <= block_rows(16)
+        calls = {"weak_quasinorm": 0, "_fixed_point": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(norms, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+            monkeypatch.setattr(norms, name, counted)
+        v = verdict_weak_type(strong, ops, budget=2)
+        assert calls == {"weak_quasinorm": 63, "_fixed_point": 0}
+        assert len(v.per_system) == 1
