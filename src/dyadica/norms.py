@@ -248,7 +248,7 @@ def _block_values(sigma, omega, p, q, weak: bool):
 
 
 def _ok(got):
-    """The values or result of a (values or result, error) pair, or raise."""
+    """The result of a (result, error) pair, or its error raised."""
     if got[1] is not None:
         raise got[1]
     return got[0]
