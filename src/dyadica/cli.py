@@ -28,11 +28,12 @@ from .harness import _Run, random_measure, run_scenario, sweep
 from .reporting import (
     Report,
     Scenario,
+    _read_json,
     jsonable,
     report_to_csv,
     reports_to_csv,
 )
-from .space import PointMeasure, generate_space, save_space
+from .space import _SPACE_PARAMS, PointMeasure, generate_space, save_space
 
 _CHECKS_BY_COMMAND = {
     "verify-dyadic": ["space", "dyadic"],
@@ -42,6 +43,8 @@ _CHECKS_BY_COMMAND = {
     "weak-type": ["weak-type"],
     "theorem-a": ["theorem-a"],
 }
+_GEN_FLAGS = {key: cast for params in _SPACE_PARAMS.values()
+              for key, cast in params.items()}
 
 
 def _io_flags(p: argparse.ArgumentParser, config: str | None,
@@ -62,16 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-space", help="generate a space file")
-    g.add_argument("--kind", required=True,
-                   choices=("integer_segment_counting",
-                            "euclidean_random_points", "snowflake_power",
-                            "ultrametric_tree"))
-    g.add_argument("--n", type=int, default=None)
-    g.add_argument("--dim", type=int, default=None)
-    g.add_argument("--power", type=float, default=None)
-    g.add_argument("--depth", type=int, default=None)
-    g.add_argument("--branching", type=int, default=None)
-    g.add_argument("--ratio", type=float, default=None)
+    g.add_argument("--kind", required=True, choices=tuple(_SPACE_PARAMS))
+    for key, cast in _GEN_FLAGS.items():
+        g.add_argument(f"--{key}", type=cast, default=None)
     g.add_argument("--measure", action="append", default=[],
                    metavar="NAME=SPEC",
                    help="attach a measure: NAME=counting, NAME=random[:SEED"
@@ -100,13 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str | None) -> dict:
     if not path:
         raise ConfigError("config: required (--config FILE)")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON ({exc})") from exc
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
     return doc
@@ -178,11 +168,8 @@ def _cmd_gen_space(args) -> int:
         raise ConfigError("out: required for gen-space")
     if not 0 <= args.seed < 2**64:
         raise ConfigError("seed: expected an integer in [0, 2^64)")
-    params = {}
-    for key in ("n", "dim", "power", "depth", "branching", "ratio"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in _GEN_FLAGS
+              if getattr(args, key) is not None}
     try:
         space, counting = generate_space(args.kind, seed=args.seed, **params)
     except DyadicaError as exc:

@@ -27,7 +27,8 @@ system satisfies the five structural properties enforced by check_system:
 each generation partitions the space, generations are nested, every cube is
 sandwiched between the strict balls of radii c1 delta^k and C1 delta^k
 around its center, containing balls grow monotonically along ancestry, and
-every center persists to the next finer generation. A caller may relax
+every center persists to the next finer generation; PROPERTY_NAMES lists
+their report names in that order. A caller may relax
 delta; reports produced under a relaxed delta are marked non-strict and
 construction retries reseeded sweeps before giving up.
 
@@ -74,15 +75,6 @@ from .policy import TOLERANCES, CheckReport, outcome
 from .space import PointMeasure, QuasiMetricSpace, _ball_classes, _frozen
 
 _SALT_SYSTEM = 0xD7AD
-
-PROPERTY_NAMES = (
-    "partition",
-    "nesting",
-    "ball_sandwich",
-    "outer_ball_nesting",
-    "center_chain",
-)
-
 
 @dataclass(frozen=True, eq=False)
 class CubeTable:
@@ -454,11 +446,12 @@ _CHECKS = {
     "outer_ball_nesting": check_outer_ball_nesting,
     "center_chain": check_center_chain,
 }
+PROPERTY_NAMES = tuple(_CHECKS)
 
 
 def check_system(sys: DyadicSystem) -> list[CheckReport]:
     """Run all five structural checks, one report each."""
-    return [_CHECKS[name](sys) for name in PROPERTY_NAMES]
+    return [check(sys) for check in _CHECKS.values()]
 
 
 # ---------------------------------------------------------------------------

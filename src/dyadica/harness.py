@@ -270,11 +270,9 @@ class _Run:
         kind = spec["type"]
         try:
             if kind == "frac_rho":
-                return build_kernel(
-                    space, None, "frac_rho",
-                    alpha=spec.get("alpha"),
-                    n_dim=spec.get("n"),
-                    diag=spec.get("diag"))
+                return build_kernel(space, None, "frac_rho",
+                                    alpha=spec["alpha"], n_dim=spec["n"],
+                                    diag=spec.get("diag"))
             if kind == "ball_volume":
                 name = spec.get("measure", "mu")
                 if name not in roles:
@@ -287,8 +285,8 @@ class _Run:
                 variant = "ball_volume_closed" if ball == "closed" \
                     else "ball_volume"
                 return build_kernel(space, roles[name], variant,
-                                    gamma=spec.get("gamma"))
-            values = np.array(spec.get("values"), dtype=float)
+                                    gamma=spec["gamma"])
+            values = np.array(spec["values"], dtype=float)
             if values.shape != (space.n, space.n):
                 raise ConfigError(
                     f"kernel.values: expected {space.n}x{space.n}, "
@@ -365,7 +363,7 @@ class _Run:
             return self.sc.gamma
         spec = self.sc.kernel
         if spec is not None and spec.get("type") == "ball_volume":
-            return float(spec.get("gamma", 0.5))
+            return float(spec["gamma"])
         return 0.5
 
 

@@ -141,6 +141,16 @@ def maximal_params(space: QuasiMetricSpace, mu: PointMeasure,
     return params
 
 
+def _weighted_rows(params: MaximalParams, f, inside: PointMeasure | None):
+    """(|f| times inside's, else mu's, masses as (K, n) rows; f's shape)."""
+    weights = (inside if inside is not None else params.mu).masses
+    a = np.abs(np.asarray(f, dtype=float))
+    if a.ndim not in (1, 2) or a.shape[-1] != weights.size \
+            or weights.size != params.space.n:
+        raise BadParams("function size does not match the space", shape=a.shape)
+    return a.reshape(-1, weights.size) * weights, a.shape
+
+
 def apply_M(params: MaximalParams, f,
             inside: PointMeasure | None = None) -> np.ndarray:
     """Fractional maximal function, exact sup over all balls.
@@ -154,13 +164,9 @@ def apply_M(params: MaximalParams, f,
     clipped at 0 cover all balls at once (0 where every ball is mu-null).
     A (K, n) block is mapped row by row, block_rows(n) rows at a time.
     """
-    weights = (inside if inside is not None else params.mu).masses
-    a, n = np.abs(np.asarray(f, dtype=float)), params.space.n
-    if a.ndim not in (1, 2) or a.shape[-1] != weights.size or weights.size != n:
-        raise BadParams("function size does not match the space", shape=a.shape)
-    idx = params.space.index
+    w, shape = _weighted_rows(params, f, inside)
+    n, idx = params.space.n, params.space.index
     ball, power = params.ball_powers
-    w = a.reshape(-1, n) * weights
     best = np.empty(w.shape)
     for i in range(0, len(w), block_rows(n)):
         s_pref = w[i:i + block_rows(n), idx.order].cumsum(axis=2)
@@ -169,7 +175,7 @@ def apply_M(params: MaximalParams, f,
         rev = cut[:, :, ::-1]  # running max from the right, in place
         np.maximum.accumulate(rev, axis=2, out=rev)
         best[i:i + len(cut)] = cut.reshape(len(cut), -1)[:, idx.flat_rank].max(axis=1)
-    return np.where(best > 0.0, best, 0.0).reshape(a.shape)
+    return np.where(best > 0.0, best, 0.0).reshape(shape)
 
 
 def _same_space(system: DyadicSystem, params: MaximalParams) -> None:
@@ -191,16 +197,12 @@ def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
     """
     _same_space(system, params)
     mu, gamma = params.mu, params.gamma
-    weights = (inside if inside is not None else mu).masses
-    a = np.abs(np.asarray(f, dtype=float))
-    if a.ndim not in (1, 2) or a.shape[-1] != weights.size \
-            or weights.size != system.space.n:
-        raise BadParams("function size does not match the space", shape=a.shape)
+    w, shape = _weighted_rows(params, f, inside)
     scale = np.array([m ** (gamma - 1.0) if m > 0.0 else 0.0
                       for m in system.cube_totals(mu.masses).tolist()])
-    vals = scale * system.cube_totals(a.reshape(-1, weights.size) * weights)
+    vals = scale * system.cube_totals(w)
     vals = np.where(vals > 0.0, vals, 0.0)
-    return np.maximum.reduce(vals.take(system.label, axis=1), axis=1).reshape(a.shape)
+    return np.maximum.reduce(vals.take(system.label, axis=1), axis=1).reshape(shape)
 
 
 def _containment_ratio_bound(system: DyadicSystem, mu: PointMeasure,

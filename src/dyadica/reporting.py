@@ -46,6 +46,8 @@ _RANDOM_KEYS = frozenset({"seed", "zero_fraction"})
 _KERNEL_KEYS = {"frac_rho": {"type", "alpha", "n", "diag"},
                 "ball_volume": {"type", "measure", "ball", "gamma"},
                 "matrix": {"type", "values", "diag"}}
+_KERNEL_REQUIRED = {"frac_rho": ("alpha", "n"), "ball_volume": ("gamma",),
+                    "matrix": ("values",)}
 _MEASURE_ROLES = ("mu", "sigma", "omega")
 
 
@@ -89,6 +91,17 @@ def _known_fields(doc: dict, allowed, prefix: str) -> None:
     for key in doc:
         _expect(key in allowed, f"{prefix}{key}",
                 f"unknown field, expected one of {sorted(allowed)}")
+
+
+def _read_json(path: str, label: str):
+    """The JSON document at path, else a ConfigError starting with label."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{label}: invalid JSON ({exc})") from exc
 
 
 def _is_int(value) -> bool:
@@ -168,6 +181,9 @@ class Scenario:
                     and kernel["type"] in _KERNEL_KEYS,
                     "kernel.type", f"unknown kernel type {kernel['type']!r}")
             _known_fields(kernel, _KERNEL_KEYS[kernel["type"]], "kernel.")
+            for key in _KERNEL_REQUIRED[kernel["type"]]:
+                _expect(kernel.get(key) is not None, f"kernel.{key}",
+                        f"required for a {kernel['type']} kernel")
 
         dyadic = doc.get("dyadic", {})
         _expect(isinstance(dyadic, dict), "dyadic", "expected an object")

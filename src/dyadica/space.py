@@ -30,7 +30,7 @@ from .errors import (
     UnknownKind,
     ZeroOffDiagonal,
 )
-from .reporting import _known_fields
+from .reporting import _known_fields, _read_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,28 +269,27 @@ def replay_doubling_cover(space: QuasiMetricSpace, est: DoublingEstimate) -> boo
 # generators
 # ---------------------------------------------------------------------------
 
+# each kind's parameters with their types, as gen-space reads its flags
 _SPACE_PARAMS = {
-    "integer_segment_counting": ("n",),
-    "euclidean_random_points": ("n", "dim", "power"),
-    "snowflake_power": ("n", "power"),
-    "ultrametric_tree": ("depth", "branching", "ratio"),
+    "integer_segment_counting": {"n": int},
+    "euclidean_random_points": {"n": int, "dim": int, "power": float},
+    "snowflake_power": {"n": int, "power": float},
+    "ultrametric_tree": {"depth": int, "branching": int, "ratio": float},
 }
 
 
 def generate_space(kind: str, seed: int = 0, **params) -> tuple[QuasiMetricSpace, PointMeasure]:
     """Build one of the stock test spaces, with the counting measure.
 
-    Kinds: ``integer_segment_counting(n)``, ``euclidean_random_points(n,
-    dim, power)``, ``snowflake_power(n, power)``, ``ultrametric_tree(depth,
-    branching, ratio)``.  A parameter the kind does not take is a
-    ConfigError naming it.
+    ``_SPACE_PARAMS`` lists the kinds and the parameters each takes; a
+    parameter the kind does not take is a ConfigError naming it.
     """
     if kind not in _SPACE_PARAMS:
         raise UnknownKind(kind=kind)
     for key in params:
         if key not in _SPACE_PARAMS[kind]:
             raise ConfigError(f"{key}: unknown parameter for {kind}, "
-                              f"expected one of {_SPACE_PARAMS[kind]}")
+                              f"expected one of {tuple(_SPACE_PARAMS[kind])}")
     if kind == "integer_segment_counting":
         n = _req_int(params, "n", minimum=1)
         idx = np.arange(n, dtype=float)
@@ -421,14 +420,7 @@ def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure
 
 
 def load_space(path: str) -> tuple[QuasiMetricSpace, dict[str, PointMeasure]]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return space_from_dict(doc)
+    return space_from_dict(_read_json(path, path))
 
 
 def space_to_dict(space: QuasiMetricSpace, measures: dict[str, PointMeasure]) -> dict:

@@ -13,10 +13,12 @@ function.  Containment between cubes is read off ``parent`` alone, and
 one ``LevelSets`` per f serves every threshold of a principle check.  All
 set and measure identities here are checked exactly; the analytic
 inequalities carry only a last-ulp roundoff guard, since the source
-results hold in exact arithmetic with explicit constants.  The checks
-return a ``CheckReport`` whether the inequality holds or fails, marked
-non-strict under a relaxed delta where their constants depend on it;
-only broken hypotheses and malformed input raise.
+results hold in exact arithmetic with explicit constants; the second
+principle's C_m defaults to the least power of two >= max(2, 2 C_K).  The
+checks return a ``CheckReport`` whether the inequality holds or fails,
+marked non-strict under a relaxed delta where their constants depend on
+it; only broken hypotheses and malformed input raise, the latter as
+``BadParams``.
 """
 
 from __future__ import annotations
@@ -43,13 +45,25 @@ from .space import PointMeasure
 STOPPING_SALT = 0x5707
 
 
-def _nonnegative(f, rho: float | None = None) -> np.ndarray:
+def _nonnegative(f, n: int) -> np.ndarray:
+    """f as a float array of shape (n,) with no negative value."""
     a = np.asarray(f, dtype=float)
+    if a.shape != (n,):
+        raise BadParams("function size does not match the space",
+                        shape=a.shape)
     if np.any(a < 0):
         raise BadParams("need f >= 0")
-    if rho is not None and not rho > 0:
-        raise BadParams("need rho > 0", rho=rho)
     return a
+
+
+def _inputs(op, f, image: np.ndarray | None):
+    """(f, T f), checked; T f, as given or applied, must have f's shape."""
+    f = _nonnegative(f, op.omega.masses.size)
+    image = np.asarray(op.apply(f) if image is None else image, dtype=float)
+    if image.shape != f.shape:
+        raise BadParams("image size does not match the space",
+                        shape=image.shape)
+    return f, image
 
 
 @dataclass
@@ -74,9 +88,8 @@ class LevelSets:
     system's ``label``, whose sentinel len(cubes) names no cube."""
 
     def __init__(self, op, f, image: np.ndarray | None = None):
-        self.op, self.f, gen = op, _nonnegative(f), op.gen
-        self.image = np.asarray(op.apply(self.f) if image is None else image,
-                                dtype=float)
+        self.op, gen = op, op.gen
+        self.f, self.image = _inputs(op, f, image)
         self.cubes, m, self.label = gen.cubes, len(gen.cubes), gen.label
         self.low = np.full(m + 1, np.inf)
         np.minimum.at(self.low, self.label, np.broadcast_to(np.where(
@@ -144,8 +157,9 @@ def _principle(name, op, f, rho, C, localized, violates, details, image):
     rhos = np.asarray(rho, dtype=float).reshape(-1)
     if not rhos.size:
         raise BadParams("need a threshold")
-    levels = LevelSets(op, _nonnegative(f, None if np.ndim(rho) else rho),
-                       image)
+    levels = LevelSets(op, f, image)
+    if not np.ndim(rho) and not rho > 0:
+        raise BadParams("need rho > 0", rho=rho)
     n, M, reports, error = levels.f.size, levels.sizes.size, [], None
     at, none = np.arange(n), M * M * n  # above every key
     for rows, kept, cover, error in levels.covers(rhos, C):
@@ -180,7 +194,9 @@ def _principle(name, op, f, rho, C, localized, violates, details, image):
 
 def decompose_level_set(op, f, rho: float,
                         image: np.ndarray | None = None) -> LevelSetDecomposition:
-    levels = LevelSets(op, _nonnegative(f, rho), image)
+    levels = LevelSets(op, f, image)
+    if not rho > 0:
+        raise BadParams("need rho > 0", rho=rho)
     for *_, error in levels.covers(np.array([rho], dtype=float)):
         if error is not None:
             raise error
@@ -189,41 +205,19 @@ def decompose_level_set(op, f, rho: float,
         q_rho=maximal_cubes(op.gen, levels.low[:-1] > rho), image=levels.image)
 
 
-@dataclass(frozen=True)
-class ShellParams:
-    """Constants for the maximum principles derived from the kernel bound.
-
-    n is an integer with 2^(n-1) >= 2 C_K and C_m >= 2 C_K is the level
-    lowering factor; the default C_m = 2^(n-1) keeps both inequalities
-    tight simultaneously.
-    """
-
-    C_K: float
-    n: int
-    C_m: float
-
-    def __post_init__(self):
-        if self.n < 2 or not 2.0 ** (self.n - 1) >= 2.0 * self.C_K:
-            raise BadParams("need n >= 2 with 2^(n-1) >= 2 C_K",
-                            n=self.n, C_K=self.C_K)
-        if self.C_m < 2.0 * self.C_K:
-            raise BadParams("need C_m >= 2 C_K", C_m=self.C_m, C_K=self.C_K)
-
-
-def shell_params(C_K: float) -> ShellParams:
-    """Smallest admissible shell constants for a kernel bound C_K >= 1."""
+def default_C_m(C_K: float) -> float:
+    """Default C_m for a kernel bound C_K >= 1: least 2^k >= max(2, 2 C_K)."""
     if not (math.isfinite(C_K) and C_K >= 1.0):
         raise BadParams("need finite C_K >= 1", C_K=C_K)
-    n = 2
-    while 2.0 ** (n - 1) < 2.0 * C_K:
-        n += 1
-    return ShellParams(C_K=C_K, n=n, C_m=2.0 ** (n - 1))
+    C_m = 2.0
+    while C_m < 2.0 * C_K:
+        C_m *= 2.0
+    return C_m
 
 
 def rho_grid(op, f, image: np.ndarray | None = None) -> np.ndarray:
     """Thresholds exercising every jump of the image: values x {1/2, 1, 2}."""
-    img = np.asarray(op.apply(np.asarray(f, dtype=float)) if image is None
-                     else image, dtype=float)
+    img = _inputs(op, f, image)[1]
     vals = np.unique(img[img > 0.0])
     if not vals.size:
         return np.array([1.0])
@@ -263,7 +257,7 @@ def check_max_principle_2(op, f, rho, C_m: float | None = None,
     names the first violating point in q_rho-then-member order.  An array
     of thresholds is checked as in ``check_max_principle_1``.
     """
-    C_m = shell_params(op.C_K).C_m if C_m is None else C_m
+    C_m = default_C_m(op.C_K) if C_m is None else C_m
     if C_m < 2.0 * op.C_K:
         raise BadParams("need C_m >= 2 C_K", C_m=C_m, C_K=op.C_K)
     floor = 1.0 - TOLERANCES["exact_guard_rel"]
@@ -343,9 +337,7 @@ def build_principal_cubes(system: DyadicSystem, sigma: PointMeasure,
     the defining comparisons are replayed literally, so they must hold bit
     for bit.
     """
-    a = _nonnegative(f)
-    if a.size != system.space.n:
-        raise BadParams("function size does not match the space", size=a.size)
+    a = _nonnegative(f, system.space.n)
     mass, averages = _sigma_averages(system, sigma, a)
     principal_of = np.full(len(system.cubes), -1)
     for i, up in enumerate(system.parent.tolist()):
@@ -387,7 +379,7 @@ def check_mainlemma(system: DyadicSystem, collection, sigma: PointMeasure,
     """
     if not 1.0 <= p < math.inf:
         raise BadExponents("need 1 <= p < inf", p=p)
-    a = _nonnegative(f)
+    a = _nonnegative(f, system.space.n)
     cubes = system._own(collection)
     members = system.incidence[cubes]
     if len(np.unique(members, axis=0)) != len(cubes):

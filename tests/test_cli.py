@@ -11,7 +11,7 @@ from dyadica.cli import build_parser, main
 from dyadica.dyadic import dyadic_parameters
 from dyadica.errors import ConfigError
 from dyadica.harness import run_scenario
-from dyadica.space import load_space
+from dyadica.space import _SPACE_PARAMS, load_space
 
 BV_KERNEL = {"type": "ball_volume", "gamma": 0.5, "measure": "mu",
              "ball": "closed"}
@@ -490,6 +490,18 @@ class TestArgparseBehavior:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_gen_space_follows_the_generator_table(self):
+        # a kind added to space._SPACE_PARAMS reaches gen-space with no CLI
+        # edit: its name as a --kind choice, its parameters as typed flags
+        actions = {a.dest: a for a in _subparsers()["gen-space"]._actions}
+        assert actions["kind"].choices == tuple(_SPACE_PARAMS)
+        flags = {}
+        for params in _SPACE_PARAMS.values():
+            flags.update(params)
+        assert {key: actions[key].type for key in flags} == flags
+        assert set(actions) - set(flags) == {"help", "kind", "measure",
+                                             "seed", "out"}
 
     def test_surface_has_34_options(self):
         assert sorted(_subparsers()) == sorted(SURFACE)

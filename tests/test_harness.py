@@ -114,11 +114,18 @@ def segment(n):
     return {"kind": "integer_segment_counting", "n": n}
 
 
+# an all-ones kernel has C_K = 1, so the maximum principles run at
+# C = C_m = 2 and cover some level sets by proper cubes
+PROPER_COVER_PIN = pin_doc(segment(12), checks=["stopping"], kernel={
+    "type": "matrix", "values": (1.0 - np.eye(12)).tolist(),
+    "diag": [1.0] * 12})
+
 # whole reports on the paths that only some rows take: non-strict rows
 # under a relaxed delta (on a segment, and on a tree at p=1.5, q=3), two
 # systems, a frac_rho kernel, a mu with null points (theorem-b fails and
 # the ball/dyadic comparison is vacuous), and theorem-a alone on a sigma
-# with a null point (the necessity branch) and on a non-doubling mu. The
+# with a null point (the necessity branch) and on a non-doubling mu, and
+# the stopping rows on proper cover cubes. The
 # digests hold under the OpenBLAS Haswell and SkylakeX core types; under
 # Prescott the first four differ, since full reports include the
 # matrix-vector products whose rounding depends on the core type.
@@ -144,6 +151,8 @@ SCENARIO_PINS = [
     (pin_doc(segment(4), checks=["theorem-a"],
              measures=dict(_PIN_MEASURES, mu=[1, 0, 0, 0])),
      "33031335e496374e0a512f3ba0a115052ab5fa25c6d8c22ef096cb7f40ccdc38"),
+    (PROPER_COVER_PIN,
+     "dadff35c8cc20fd9debebf0abda297f056536cd33c71dda2a619b219723dd3f9"),
 ]
 
 
@@ -196,6 +205,21 @@ class TestScenarioValidation:
         del doc["kernel"]
         with pytest.raises(ConfigError, match="kernel"):
             Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("checks", [["kernel"], ["theorem-a"]])
+    @pytest.mark.parametrize("kernel,field", [
+        ({"type": "ball_volume"}, "gamma"),
+        ({"type": "ball_volume", "gamma": None}, "gamma"),
+        ({"type": "frac_rho", "n": 1}, "alpha"),
+        ({"type": "frac_rho", "alpha": 0.5, "diag": 1}, "n"),
+        ({"type": "matrix", "diag": 1}, "values"),
+    ])
+    def test_missing_kernel_field_is_refused(self, kernel, field, checks):
+        # unrefused, the kernel stage failed on a TypeError's text, and a
+        # theorem-a run took gamma = 0.5 for a ball_volume kernel without it
+        with pytest.raises(ConfigError, match=f"^kernel.{field}: required "
+                                              f"for a {kernel['type']} kernel$"):
+            Scenario.from_dict(segment_scenario(kernel=kernel, checks=checks))
 
     def test_kernel_not_required_for_theorem_a(self):
         doc = segment_scenario(checks=["space", "dyadic", "theorem-a"])
@@ -754,6 +778,15 @@ class TestStoppingImages:
             assert check(op, f, grid, 1.0, image).status in ("pass", "fail")
             assert len(calls) == 1 and calls[0].shape == (len(proper), op.n)
             assert all(0 < np.count_nonzero(g) < op.n for g in calls[0])
+
+
+    def test_pinned_principles_apply_proper_cover_cubes(self, monkeypatch):
+        # past the one block of trial functions, every apply is a principle
+        # applying op off or on proper cover cubes
+        trials, applied = self.record(monkeypatch, PROPER_COVER_PIN)
+        assert len(applied) > 1 and applied[0] is trials[0]
+        assert all(0 < np.count_nonzero(g) < 12
+                   for block in applied[1:] for g in block)
 
 
 class TestDeterminism:

@@ -23,15 +23,14 @@ from dyadica.norms import lp_norm
 from dyadica.operators import build_dyadic_operator
 from dyadica.policy import TOLERANCES, CheckReport, guard, require
 from dyadica.stopping import (
-    ShellParams,
     build_principal_cubes,
     check_mainlemma,
     check_max_principle_1,
     check_max_principle_2,
     check_universal_maximal,
     decompose_level_set,
+    default_C_m,
     rho_grid,
-    shell_params,
 )
 from dyadica.space import PointMeasure, generate_space
 
@@ -261,7 +260,7 @@ def oracle_principle_1(op, f, rho, C=None, image=None, whole=True):
 
 
 def oracle_principle_2(op, f, rho, C_m=None, image=None, whole=True):
-    C_m = shell_params(op.C_K).C_m if C_m is None else C_m
+    C_m = default_C_m(op.C_K) if C_m is None else C_m
     bound = rho / 2.0
     floor = bound * (1.0 - TOLERANCES["exact_guard_rel"])
     _, values, witness = oracle_sweep(
@@ -462,24 +461,43 @@ class TestLevelSetsOracle:
 
 class TestShellParams:
     def test_smallest_n(self):
-        sp = shell_params(1.0)
-        assert (sp.n, sp.C_m) == (2, 2.0)
-        sp = shell_params(3.0)
-        assert (sp.n, sp.C_m) == (4, 8.0)
+        # the smallest power of two that is at least 2 and at least 2 C_K
+        assert [default_C_m(c) for c in (1.0, 1.5, 2.0, 3.0, 4.0001)] == \
+            [2.0, 4.0, 4.0, 8.0, 16.0]
 
     def test_invariants(self):
-        with pytest.raises(BadParams):
-            ShellParams(C_K=4.0, n=3, C_m=8.0)
-        with pytest.raises(BadParams):
-            ShellParams(C_K=1.0, n=2, C_m=1.0)
-        with pytest.raises(BadParams):
-            shell_params(math.inf)
+        for C_K in (math.inf, math.nan, 0.5):
+            with pytest.raises(BadParams):
+                default_C_m(C_K)
 
     def test_default_is_admissible(self, segment16):
         space, mu = segment16
         op = line_operator(space, mu)
-        sp = shell_params(op.C_K)
-        assert sp.C_m >= 2.0 * op.C_K
+        assert default_C_m(op.C_K) >= 2.0 * op.C_K
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("call", [
+        lambda op, mu: check_mainlemma(op.system, [0], mu, np.ones(5), 2.0),
+        lambda op, mu: build_principal_cubes(op.system, mu, np.ones((2, 8))),
+        lambda op, mu: stopping.LevelSets(op, np.ones((2, 16))),
+        lambda op, mu: check_max_principle_1(op, np.ones(16), 1.0,
+                                             image=np.ones(5)),
+        lambda op, mu: rho_grid(op, np.ones(16), image=np.ones(3)),
+    ], ids=["mainlemma", "principal_cubes", "level_sets", "principle_1",
+            "rho_grid"])
+    def test_wrong_shape_raises_bad_params(self, segment16, call):
+        space, mu = segment16
+        with pytest.raises(BadParams, match="size does not match the space"):
+            call(line_operator(space, mu), mu)
+
+    @pytest.mark.parametrize("check", [check_max_principle_1,
+                                       check_max_principle_2,
+                                       decompose_level_set])
+    def test_f_is_refused_before_rho(self, segment4, check):
+        space, mu = segment4
+        with pytest.raises(BadParams, match="need f >= 0"):
+            check(line_operator(space, mu), -np.ones(4), -1.0)
 
 
 class TestMaxPrinciples:
