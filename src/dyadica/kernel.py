@@ -8,6 +8,7 @@ off the diagonal; +inf may appear only at K(x, x). Built-in families:
 * ``ball_volume``: K(x, y) = mu(B(x, dist(x, y)))^(gamma - 1) with the strict
   ball centered at the first argument, hence possibly asymmetric. The
   diagonal is mu({x})^(gamma - 1) when x carries mass and +inf otherwise.
+  Masses are summed in distance order, as ``apply_M`` sums them.
 * ``ball_volume_closed``: same with the closed ball.
 * ``matrix``: caller-supplied values.
 
@@ -42,7 +43,7 @@ from .errors import (
     Unbounded,
 )
 from .policy import CheckReport, guard_vec, outcome
-from .space import PointMeasure, QuasiMetricSpace, ball_masses
+from .space import PointMeasure, QuasiMetricSpace
 
 
 @dataclass(eq=False)
@@ -83,19 +84,19 @@ def build_kernel(space: QuasiMetricSpace, mu: PointMeasure | None, kind: str,
         gamma = float(params.get("gamma", np.nan))
         if not (np.isfinite(gamma) and 0 < gamma <= 1):
             raise BadExponents("need gamma in (0, 1]", gamma=gamma)
-        side = "right" if kind.endswith("closed") else "left"
-        K = np.empty((n, n))
-        for x, (steps, mass) in enumerate(ball_masses(space, mu)):
-            row = mass[np.searchsorted(steps, d[x], side=side)]
-            empty = np.flatnonzero((row == 0.0) & (np.arange(n) != x))
-            if empty.size:
-                y = int(empty[0])
-                raise EmptyBallMass(x=x, y=y, radius=float(d[x, y]))
-            # Python float powers: numpy's power may move the last ulp
-            K[x] = [m ** (gamma - 1.0) if m > 0.0 else np.inf
-                    for m in row.tolist()]
-            mx = float(mu.masses[x])
-            K[x, x] = mx ** (gamma - 1.0) if mx > 0 else np.inf
+        # the strict diagonal reads a neighbour's entry; it is set below
+        mass = space.index.prefix_sums(mu.masses).ravel()[
+            space.ball_ends(d, closed=kind.endswith("closed"))]
+        empty = np.argwhere((mass == 0.0) & ~np.eye(n, dtype=bool))
+        if empty.size:
+            x, y = map(int, empty[0])
+            raise EmptyBallMass(x=x, y=y, radius=float(d[x, y]))
+        np.fill_diagonal(mass, mu.masses)
+        # Python float powers, one per distinct mass: numpy's power may
+        # move the last ulp
+        vals, at = np.unique(mass.ravel(), return_inverse=True)
+        K = np.array([m ** (gamma - 1.0) if m > 0.0 else np.inf
+                      for m in vals.tolist()])[at].reshape(n, n)
     elif kind == "matrix":
         K = np.asarray(params.get("values"), dtype=float)
         if K.ndim != 2 or K.shape != (n, n):

@@ -57,7 +57,7 @@ from .norms import (
     standard_cubes,
 )
 from .policy import TOLERANCES, CheckReport, close, outcome
-from .space import PointMeasure, QuasiMetricSpace, _frozen, ball_masses
+from .space import PointMeasure, QuasiMetricSpace, _frozen
 
 MAXIMAL_SALT = 0xD0B1
 
@@ -93,7 +93,7 @@ class MaximalParams:
         positive mu mass, and mu(B)^(gamma-1) of every prefix.  Built on
         first use and then kept, read-only; apply_M reads both."""
         idx = self.space.index
-        mu_pref = np.cumsum(self.mu.masses[idx.order], axis=1)
+        mu_pref = idx.prefix_sums(self.mu.masses)
         with np.errstate(divide="ignore"):
             power = np.power(mu_pref, self.gamma - 1.0)
         return _frozen(idx.end & (mu_pref > 0.0)), _frozen(power)
@@ -103,34 +103,22 @@ def measure_doubling_constant(space: QuasiMetricSpace,
                               mu: PointMeasure) -> float:
     """sup over centers and radii of mu(B(x, 2r)) / mu(B(x, r)).
 
-    Both balls are piecewise constant in r between consecutive points of
-    the grid {distances} union {distances/2}, left-open right-closed, so
-    evaluating at every grid value plus one radius beyond the largest
-    distance visits every distinct pair.  A ball B(x, r) is fixed by how
-    many distinct distances from x lie below r, so each center's masses
-    are summed once per distinct distance, in point-id order, and looked
-    up by searchsorted.  Ratios 0/0 are skipped; positive mass at the
-    doubled radius over an empty inner ball yields +inf.  With no
-    admissible ratio at all (the zero measure) the supremum is vacuous and
-    reported as 1.0.
+    B(x, r) is constant for r in (s, t] between consecutive distances from
+    x, while B(x, 2r) only grows with r, so the ratio peaks at r = t; past
+    the largest distance both balls are the whole space.  So r runs over
+    the positive distances from x.  Masses are prefix sums in distance
+    order, read at each ball's end.  Ratios 0/0 are skipped; positive mass
+    over an empty inner ball yields +inf, and with no admissible ratio (the
+    zero measure) the supremum is 1.0.
     """
-    d = space.dist
-    vals = np.unique(d[d > 0.0])
-    if vals.size:
-        radii = np.unique(np.concatenate([vals, vals / 2.0,
-                                          [float(vals.max()) + 1.0]]))
-    else:
-        radii = np.array([1.0])
-    best = 1.0
-    for steps, mass in ball_masses(space, mu):
-        den = mass[np.searchsorted(steps, radii)]
-        num = mass[np.searchsorted(steps, 2.0 * radii)]
-        if np.any((den == 0.0) & (num > 0.0)):
-            return math.inf
-        pos = den > 0.0
-        if pos.any():
-            best = max(best, float(np.max(num[pos] / den[pos])))
-    return best
+    n, mass = space.n, space.index.prefix_sums(mu.masses).ravel()
+    d = space.dist[~np.eye(n, dtype=bool)].reshape(n, n - 1)  # B(x, r) holds x
+    ends = space.ball_ends(np.concatenate([d, 2.0 * d], axis=1))
+    den, num = np.split(mass[ends], 2, axis=1)
+    if np.any((den == 0.0) & (num > 0.0)):
+        return math.inf
+    pos = den > 0.0
+    return float((num[pos] / den[pos]).max(initial=1.0))
 
 
 def maximal_params(space: QuasiMetricSpace, mu: PointMeasure,
@@ -169,7 +157,7 @@ def apply_M(params: MaximalParams, f,
     ball, power = params.ball_powers
     best = np.empty(w.shape)
     for i in range(0, len(w), block_rows(n)):
-        s_pref = w[i:i + block_rows(n), idx.order].cumsum(axis=2)
+        s_pref = idx.prefix_sums(w[i:i + block_rows(n)])
         cut = np.full(s_pref.shape, -np.inf)
         np.multiply(power, s_pref, out=cut, where=ball)
         rev = cut[:, :, ::-1]  # running max from the right, in place
@@ -207,15 +195,15 @@ def apply_M_dyadic(system: DyadicSystem, params: MaximalParams, f,
 
 def _containment_ratio_bound(system: DyadicSystem, mu: PointMeasure,
                              gamma: float) -> float:
-    best = 0.0
-    for mq, ball in zip(system.cube_totals(mu.masses).tolist(),
-                        system.outer_balls):
-        if mq == 0.0:
-            continue
-        # summed in ascending point order, as PointMeasure.of sums
-        mb = float(np.sum(mu.masses[ball]))
-        best = max(best, (mb / mq) ** (1.0 - gamma))
-    return best
+    """max (mu(outer ball) / mu(Q))^(1-gamma) over cubes Q with mu(Q) > 0;
+    each outer ball is a strict prefix of its center's row of the index."""
+    mq = system.cube_totals(mu.masses)
+    mb = system.space.index.prefix_sums(mu.masses)[
+        system.cubes.center, system.outer_balls.sum(axis=1) - 1]
+    pos = mq > 0.0
+    return max(((b / q) ** (1.0 - gamma)
+                for b, q in zip(mb[pos].tolist(), mq[pos].tolist())),
+               default=0.0)
 
 
 def _trial_functions(n: int, trials: int, salt: int, seed: int) -> np.ndarray:
@@ -316,10 +304,11 @@ def dual_weight(mu: PointMeasure, sigma: PointMeasure, p: float) -> DualWeight:
     v = np.where(u > 0.0, np.power(u, 1.0 / (p - 1.0)), 0.0)
     lhs = np.power(v, p) * s
     rhs = v * m
-    for x in range(m.size):
-        if not close(float(lhs[x]), float(rhs[x]), TOLERANCES["dual_weight_rel"]):
-            raise PropertyViolation("dual weight identity v^p sigma = v mu failed",
-                                    x=x, lhs=float(lhs[x]), rhs=float(rhs[x]))
+    bad = np.flatnonzero(~close(lhs, rhs, TOLERANCES["dual_weight_rel"]))
+    if bad.size:
+        x = int(bad[0])
+        raise PropertyViolation("dual weight identity v^p sigma = v mu failed",
+                                x=x, lhs=float(lhs[x]), rhs=float(rhs[x]))
     return DualWeight(u=u, v=v, v_measure=PointMeasure(v * m))
 
 

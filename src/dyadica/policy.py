@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DyadicaError
 
 TOLERANCES: dict[str, float] = {
@@ -38,9 +40,10 @@ def guard(value: float) -> float:
     return value * (1.0 + rel) if value >= 0 else value * (1.0 - rel)
 
 
-def close(a: float, b: float, rel: float) -> bool:
-    scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) <= rel * scale
+def close(a, b, rel: float):
+    """|a - b| <= rel * max(|a|, |b|, 1), elementwise on arrays."""
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    return np.abs(np.subtract(a, b)) <= rel * scale
 
 
 @dataclass
@@ -86,7 +89,6 @@ def require(report: CheckReport) -> CheckReport:
 
 def guard_vec(values):
     """Elementwise ``guard`` for arrays."""
-    import numpy as np
     v = np.asarray(values, dtype=float)
     rel = TOLERANCES["exact_guard_rel"]
     return np.where(v >= 0, v * (1.0 + rel), v * (1.0 - rel))

@@ -68,6 +68,18 @@ class QuasiMetricSpace:
         np.put_along_axis(flat_rank, order, np.arange(order.size).reshape(order.shape), axis=1)
         return SpaceIndex(*map(_frozen, (order, end, flat_rank)))
 
+    def ball_ends(self, radii, closed: bool = False) -> np.ndarray:
+        """c * n + |B| - 1 for B = B(c, r[c, j]) or its closure: where B ends
+        in a raveled (n, n) table of per-row values of ``index``.  Distances
+        become ranks, offset by c times their count in row c, so one
+        searchsorted serves every row."""
+        rows = np.arange(self.n)[:, None]
+        vals = np.unique(self.dist)
+        offset = (vals.size + 1) * rows
+        keys = np.searchsorted(vals, self.dist[rows, self.index.order]) + offset
+        return np.searchsorted(keys.ravel(), offset + np.searchsorted(
+            vals, radii, side="right" if closed else "left")) - 1
+
 
 @dataclass(frozen=True, eq=False)
 class SpaceIndex:
@@ -83,6 +95,12 @@ class SpaceIndex:
     order: np.ndarray
     end: np.ndarray
     flat_rank: np.ndarray
+
+    def prefix_sums(self, w) -> np.ndarray:
+        """w, or each row of a (K, n) block w, summed along every row of
+        ``order``: [..., c, j] sums the first j + 1 points of ``order[c]``,
+        in that (distance) order, so a ball's mass is read at its end."""
+        return np.cumsum(np.asarray(w)[..., self.order], axis=-1)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -186,16 +204,6 @@ def _quasi_triangle_constant(d: np.ndarray) -> float:
     return max(1.0, float(ratio.max()))
 
 
-def ball_masses(space: QuasiMetricSpace, mu: PointMeasure):
-    """Per center x, in id order: its distinct distances ``steps``,
-    ascending, and mass[j] = mu(B(x, steps[j])) summed in point-id
-    order, with mass[-1] = mu(X)."""
-    for row in space.dist:
-        steps = np.unique(row)
-        yield steps, np.array([np.sum(mu.masses[row < t]) for t in steps]
-                              + [np.sum(mu.masses)])
-
-
 def _ball_classes(space: QuasiMetricSpace):
     """(center, threshold) of every class {y : dist(y, center) <= threshold},
     one per center and distinct distance (the tie-group ends of the index),
@@ -291,30 +299,31 @@ def generate_space(kind: str, seed: int = 0, **params) -> tuple[QuasiMetricSpace
             raise ConfigError(f"{key}: unknown parameter for {kind}, "
                               f"expected one of {tuple(_SPACE_PARAMS[kind])}")
     if kind == "integer_segment_counting":
-        n = _req_int(params, "n", minimum=1)
+        n = _req(params, kind, "n", minimum=1)
         idx = np.arange(n, dtype=float)
         d = np.abs(idx[:, None] - idx[None, :])
     elif kind == "euclidean_random_points":
-        n = _req_int(params, "n", minimum=1)
-        dim = _req_int(params, "dim", minimum=1, default=2)
+        n = _req(params, kind, "n", minimum=1)
+        dim = _req(params, kind, "dim", 2, minimum=1)
         rng = np.random.default_rng(np.random.SeedSequence([0x5A11, seed]))
         coords = rng.uniform(0.0, 1.0, size=(n, dim))
-        d = _euclidean_table(coords, float(params.get("power", 1.0)))
+        power = _req(params, kind, "power", 1.0)
+        d = _euclidean_table(coords, power)
         if n > 1 and np.any((d + np.eye(n)) == 0):
             # astronomically unlikely; resample once rather than fail
             coords = rng.uniform(0.0, 1.0, size=(n, dim))
-            d = _euclidean_table(coords, float(params.get("power", 1.0)))
+            d = _euclidean_table(coords, power)
     elif kind == "snowflake_power":
-        n = _req_int(params, "n", minimum=1)
-        power = float(params.get("power", 2.0))
+        n = _req(params, kind, "n", minimum=1)
+        power = _req(params, kind, "power", 2.0)
         if power <= 0:
             raise BadParams("power must be positive", power=power)
         idx = np.arange(n, dtype=float)
         d = np.abs(idx[:, None] - idx[None, :]) ** power
     elif kind == "ultrametric_tree":
-        depth = _req_int(params, "depth", minimum=1)
-        branching = _req_int(params, "branching", minimum=2)
-        ratio = float(params.get("ratio", 1.0 / 96.0))
+        depth = _req(params, kind, "depth", minimum=1)
+        branching = _req(params, kind, "branching", minimum=2)
+        ratio = _req(params, kind, "ratio", 1.0 / 96.0)
         if not 0 < ratio < 1:
             raise BadParams("ratio must lie in (0,1)", ratio=ratio)
         n = branching**depth
@@ -336,16 +345,20 @@ def _euclidean_table(coords: np.ndarray, power: float) -> np.ndarray:
     return d if power == 1.0 else d**power
 
 
-def _req_int(params: dict, key: str, minimum: int,
-             default: int | None = None) -> int:
-    v = params.get(key, default)
-    if v is None:
+def _req(params: dict, kind: str, key: str, default=None, minimum=None):
+    """params[key], else its default, as the key's ``_SPACE_PARAMS`` type;
+    a bool, str, None or non-finite value is a BadParams naming the key."""
+    cast, v = _SPACE_PARAMS[kind][key], params.get(key, default)
+    if v is None and key not in params:
         raise BadParams(f"missing required parameter '{key}'")
-    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-        raise BadParams(f"'{key}' must be an integer", value=v)
-    if v < minimum:
+    number = (int, np.integer) + ((float, np.floating) if cast is float else ())
+    if not isinstance(v, number) or isinstance(v, bool) or not np.isfinite(v):
+        raise BadParams(f"'{key}' must be "
+                        + ("a finite number" if cast is float else "an integer"),
+                        value=v)
+    if minimum is not None and v < minimum:
         raise BadParams(f"'{key}' must be >= {minimum}", value=v)
-    return int(v)
+    return cast(v)
 
 
 # ---------------------------------------------------------------------------
@@ -366,38 +379,17 @@ def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure
     mtype = metric.get("type")
     if mtype == "matrix":
         _known_fields(metric, ("type", "values"), "metric.")
-        values = metric.get("values")
-        if not isinstance(values, list) or len(values) != n:
-            raise ConfigError("metric.values: expected an n-by-n array")
-        for i, row in enumerate(values):
-            if not isinstance(row, list) or len(row) != n:
-                raise ConfigError(f"metric.values[{i}]: expected a row of length n")
-            for j, v in enumerate(row):
-                if not isinstance(v, (int, float)):
-                    raise ConfigError(f"metric.values[{i}][{j}]: expected a number")
-                if v < 0:
-                    raise ConfigError(f"metric.values[{i}][{j}]: negative distance")
-        d = np.asarray(values, dtype=float)
+        d = _number_rows(metric.get("values"), "metric.values", n, n)
+        if np.any(d < 0):
+            i, j = np.argwhere(d < 0)[0]
+            raise ConfigError(f"metric.values[{i}][{j}]: negative distance")
     elif mtype == "euclidean":
         _known_fields(metric, ("type", "coords", "power"), "metric.")
-        coords = metric.get("coords")
-        if not isinstance(coords, list) or len(coords) != n:
-            raise ConfigError("metric.coords: expected n coordinate rows")
-        width = None
-        for i, row in enumerate(coords):
-            if not isinstance(row, list) or not row:
-                raise ConfigError(f"metric.coords[{i}]: expected a nonempty row")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ConfigError(f"metric.coords[{i}]: inconsistent dimension")
-            for j, v in enumerate(row):
-                if not isinstance(v, (int, float)):
-                    raise ConfigError(f"metric.coords[{i}][{j}]: expected a number")
+        coords = _number_rows(metric.get("coords"), "metric.coords", n)
         power = metric.get("power", 1.0)
         if not isinstance(power, (int, float)) or power <= 0:
             raise ConfigError("metric.power: expected a positive number")
-        d = _euclidean_table(np.asarray(coords, dtype=float), float(power))
+        d = _euclidean_table(coords, float(power))
     else:
         raise ConfigError("metric.type: expected 'matrix' or 'euclidean'")
     try:
@@ -417,6 +409,22 @@ def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure
                 raise ConfigError(f"measures.{name}[{i}]: expected a nonnegative number")
         measures[name] = PointMeasure(np.asarray(masses, dtype=float))
     return space, measures
+
+
+def _number_rows(rows, path: str, n: int, width: int | None = None) -> np.ndarray:
+    """n lists of numbers, each of ``width`` (else the first row's) length,
+    as a float array; a ConfigError names the first bad row or entry."""
+    if not isinstance(rows, list) or len(rows) != n:
+        raise ConfigError(f"{path}: expected {n} rows")
+    width = width or (len(rows[0]) if isinstance(rows[0], list) else 0)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not row or len(row) != width:
+            raise ConfigError(f"{path}[{i}]: expected a row of "
+                              f"{width or 'one or more'} numbers")
+        for j, v in enumerate(row):
+            if not isinstance(v, (int, float)):
+                raise ConfigError(f"{path}[{i}][{j}]: expected a number")
+    return np.asarray(rows, dtype=float)
 
 
 def load_space(path: str) -> tuple[QuasiMetricSpace, dict[str, PointMeasure]]:

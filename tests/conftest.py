@@ -48,3 +48,21 @@ def random_masses(rng, n, zero_fraction=0.0):
 def members(system, i):
     """Cube i's points in ascending order, read off the incidence block."""
     return tuple(np.flatnonzero(system.incidence[i]).tolist())
+
+
+def distance_prefix(space, mu, x):
+    """x's distances in the order of its row of the space index, and mu
+    summed point by point along that row: pref[k] is the mass of the first
+    k points, so a ball of k points has mass pref[k]."""
+    order = space.index.order[x]
+    pref = [0.0]
+    for m in mu.masses[order].tolist():
+        pref.append(pref[-1] + m)
+    return space.dist[x, order].tolist(), pref
+
+
+def order_ulps(n):
+    """Relative bound on how far two sums of the same n nonnegative floats,
+    added in different orders, may lie apart: each is within (n - 1) units
+    of 2^-53 of the exact sum."""
+    return max(n - 1, 1) * 2.0**-52

@@ -282,6 +282,32 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match=f"^{field}: unknown"):
             run_scenario(doc)
 
+    @pytest.mark.parametrize("space,field", [
+        ({"kind": "snowflake_power", "n": 4, "power": "2"}, "power"),
+        ({"kind": "snowflake_power", "n": 4, "power": True}, "power"),
+        ({"kind": "snowflake_power", "n": 4, "power": "x"}, "power"),
+        ({"kind": "snowflake_power", "n": 4, "power": math.nan}, "power"),
+        ({"kind": "euclidean_random_points", "n": 4, "power": math.inf},
+         "power"),
+        ({"kind": "ultrametric_tree", "depth": 2, "branching": 2,
+          "ratio": None}, "ratio"),
+    ])
+    def test_float_space_parameter_is_typed(self, space, field):
+        # unchecked, "2" and true ran as 2.0 and 1.0 but hashed as given
+        with pytest.raises(ConfigError,
+                           match=f"^space: '{field}' must be a finite number"):
+            run_scenario(segment_scenario(checks=["space"], space=space))
+
+    @pytest.mark.parametrize("kind,digest", [
+        ("snowflake_power",
+         "55f5be05f555302f415ded0519da9492b1ae162a18cf1c329f0ec59208fe823c"),
+        ("euclidean_random_points",
+         "d56500b71d429f5fabe5ef04544e483276ccafbdb9c8b3218c8d17d9773fdade"),
+    ])
+    def test_integer_float_parameter_runs_as_before(self, kind, digest):
+        doc = segment_scenario(space={"kind": kind, "n": 6, "power": 2})
+        assert run_scenario(doc).hash == digest
+
     def test_row_rejects_unknown_status(self):
         with pytest.raises(ValueError):
             row("x", "maybe")

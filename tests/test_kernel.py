@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from dyadica.kernel import (
     pair_threshold,
     phi_table,
 )
+from dyadica.maximal import MaximalParams
 from dyadica.policy import guard
 from dyadica.space import PointMeasure, generate_space
+
+from conftest import distance_prefix, order_ulps
 
 
 def brute_growth_constant(K, d, k2):
@@ -50,8 +54,29 @@ def brute_growth_constant(K, d, k2):
 
 
 def ball_volume_loop(space, mu, gamma, closed):
-    """One masked sum per ordered pair; the ball-volume kernel's oracle,
-    raising EmptyBallMass at the first empty ball in row-major order."""
+    """One ball per ordered pair, summed point by point in distance order;
+    the ball-volume kernel's oracle, raising EmptyBallMass at the first
+    empty ball in row-major order."""
+    n, d = space.n, space.dist
+    K = np.empty((n, n))
+    for x in range(n):
+        dist, pref = distance_prefix(space, mu, x)
+        for y in range(n):
+            if x == y:
+                continue
+            r = d[x, y]
+            mass = pref[(bisect_right if closed else bisect_left)(dist, r)]
+            if mass == 0.0:
+                raise EmptyBallMass(x=x, y=y, radius=float(r))
+            K[x, y] = mass ** (gamma - 1.0)
+        mx = float(mu.masses[x])
+        K[x, x] = mx ** (gamma - 1.0) if mx > 0 else np.inf
+    return K
+
+
+def ball_volume_id_loop(space, mu, gamma, closed):
+    """The second oracle: one masked np.sum per ordered pair, in point-id
+    order."""
     n, d = space.n, space.dist
     K = np.empty((n, n))
     for x in range(n):
@@ -112,21 +137,52 @@ class TestArrayFormsAreExact:
         space, _ = make()
         rng = np.random.default_rng(space.n)
         measures = [PointMeasure(np.ones(space.n)),
+                    PointMeasure(rng.integers(0, 4, size=space.n)),
                     PointMeasure(np.exp(3.0 * rng.normal(size=space.n))),
                     PointMeasure(rng.random(space.n)
                                  * (rng.random(space.n) < 0.6))]
+        # the masses' sums differ in order only; a power |gamma - 1| < 1
+        # keeps their relative gap and rounds once more on each side
+        rel = order_ulps(space.n) + 2.0**-51
         for mu in measures:
+            integer = np.array_equal(mu.masses, np.round(mu.masses))
             for closed in (False, True):
                 kind = "ball_volume_closed" if closed else "ball_volume"
                 for gamma in (0.25, 0.5, 1.0):
                     want = outcome_of(ball_volume_loop, space, mu, gamma,
                                       closed)
+                    by_id = outcome_of(ball_volume_id_loop, space, mu, gamma,
+                                       closed)
                     got = outcome_of(lambda: build_kernel(
                         space, mu, kind, gamma=gamma).matrix)
                     if isinstance(want, tuple):
-                        assert got == want
+                        assert got == want == by_id
                     else:
                         assert np.array_equal(got, want)
+                        if integer:
+                            assert np.array_equal(by_id, want)
+                        assert np.allclose(by_id, want, rtol=rel, atol=0.0)
+
+    def test_closed_kernel_reads_the_maximal_prefix(self, make):
+        # one mu(B) per ball: the closed kernel at (x, y) is the Python power
+        # of the prefix sum that MaximalParams raises, at the end of y's tie
+        # group in x's row of the space index
+        space, _ = make()
+        n, idx = space.n, space.index
+        mu = PointMeasure(np.exp(3.0 * np.random.default_rng(n).normal(size=n)))
+        gamma = 0.5
+        K = build_kernel(space, mu, "ball_volume_closed", gamma=gamma).matrix
+        ball, power = MaximalParams(space=space, mu=mu, gamma=gamma).ball_powers
+        pref = idx.prefix_sums(mu.masses)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(power, np.power(pref, gamma - 1.0))
+        for x in range(n):
+            for y in range(n):
+                j = int(idx.flat_rank[x, y]) - x * n
+                tie_end = j + int(np.argmax(idx.end[x, j:]))
+                assert ball[x, tie_end]
+                if x != y:
+                    assert K[x, y] == float(pref[x, tie_end]) ** (gamma - 1.0)
 
     def test_growth_constants(self, make):
         # zeroed entries make some kernels unbounded, with a witness

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dyadica.errors import (
     BadParams,
     EquivalenceViolated,
     NotAbsolutelyContinuous,
+    PropertyViolation,
 )
 from dyadica.maximal import (
     MaximalParams,
@@ -25,10 +27,10 @@ from dyadica.maximal import (
 )
 from dyadica.maximal import testing_constant_maximal as maximal_testing
 from dyadica.norms import indicator, standard_cubes
-from dyadica.policy import TOLERANCES, require
-from dyadica.space import PointMeasure, generate_space
+from dyadica.policy import TOLERANCES, close, require
+from dyadica.space import PointMeasure, build_space, generate_space
 
-from conftest import random_masses
+from conftest import distance_prefix, order_ulps, random_masses
 
 
 def counting(n):
@@ -553,6 +555,22 @@ class TestDualWeight:
         assert np.array_equal(dw.u, np.array([1.0, 0.0]))
         assert np.array_equal(dw.v, np.array([1.0, 0.0]))
 
+    def test_failure_names_the_first_failing_point(self, monkeypatch):
+        # with no slack the identity fails wherever rounding shows, and the
+        # per-point loop it replaced names the first such point
+        monkeypatch.setitem(TOLERANCES, "dual_weight_rel", 0.0)
+        rng = np.random.default_rng(3)
+        m, s, p = rng.random(12), rng.random(12) + 0.1, 3.0
+        v = np.power(m / s, 1.0 / (p - 1.0))
+        lhs, rhs = np.power(v, p) * s, v * m
+        x = next(x for x in range(12)
+                 if not close(float(lhs[x]), float(rhs[x]), 0.0))
+        assert x > 0
+        with pytest.raises(PropertyViolation) as err:
+            dual_weight(PointMeasure(m), PointMeasure(s), p)
+        assert err.value.witness == {"x": x, "lhs": float(lhs[x]),
+                                     "rhs": float(rhs[x])}
+
     def test_bad_exponent(self, segment4):
         _, mu = segment4
         for p in (1.0, math.inf):
@@ -761,16 +779,37 @@ def apply_M_dyadic_loop(system, params, f, inside=None):
     return out
 
 
-def doubling_loop(space, mu):
-    """Two masked sums per center and radius."""
+def doubling_radii(space):
+    """Every distance and half distance, and one radius beyond them all."""
     d = space.dist
     vals = np.unique(d[d > 0.0])
     if vals.size:
-        radii = np.unique(np.concatenate([vals, vals / 2.0,
-                                          [float(vals.max()) + 1.0]]))
-    else:
-        radii = np.array([1.0])
-    best = 1.0
+        return np.unique(np.concatenate([vals, vals / 2.0,
+                                         [float(vals.max()) + 1.0]]))
+    return np.array([1.0])
+
+
+def doubling_loop(space, mu):
+    """Two balls per center and radius of the global grid, each summed
+    point by point in distance order."""
+    radii, best = doubling_radii(space).tolist(), 1.0
+    for x in space.points():
+        dist, pref = distance_prefix(space, mu, x)
+        for r in radii:
+            den = pref[bisect_left(dist, r)]
+            num = pref[bisect_left(dist, 2.0 * r)]
+            if den == 0.0:
+                if num > 0.0:
+                    return math.inf
+                continue
+            best = max(best, num / den)
+    return best
+
+
+def doubling_id_loop(space, mu):
+    """The second oracle: two masked np.sums, in point-id order, per center
+    and radius."""
+    d, radii, best = space.dist, doubling_radii(space), 1.0
     for x in space.points():
         row = d[x]
         for r in radii:
@@ -839,6 +878,27 @@ class TestArrayFormsAreExact:
                             want = apply_M_dyadic_loop(system, params, f, ins)
                             assert np.array_equal(got, want)
 
+    def test_containment_ratio_bound(self, name):
+        # each outer ball summed point by point along its center's row
+        import dyadica.maximal as maximal
+
+        space, _ = EXACT_SPACES[name]()
+        systems = [build_system(space), build_system(space, seed=1, delta=0.25)]
+        for mu in exact_measures(space.n, 6):
+            for system in systems:
+                cube_mass = system.cube_totals(mu.masses).tolist()
+                for gamma in (0.0, 0.5):
+                    want = 0.0
+                    for i, mq in enumerate(cube_mass):
+                        row = space.index.order[system.cubes.center[i]]
+                        mb = 0.0
+                        for x in row[system.outer_balls[i, row]].tolist():
+                            mb += float(mu.masses[x])
+                        if mq > 0.0:
+                            want = max(want, (mb / mq) ** (1.0 - gamma))
+                    assert maximal._containment_ratio_bound(
+                        system, mu, gamma) == want
+
     def test_doubling_constant(self, name):
         # masses over several orders of magnitude put the supremum on balls
         # of many points, where the summation order shows in the last ulp
@@ -846,9 +906,16 @@ class TestArrayFormsAreExact:
         rng = np.random.default_rng(5)
         spread = [PointMeasure(np.exp(3.0 * rng.normal(size=space.n)))
                   for _ in range(20)]
-        for mu in [*exact_measures(space.n, 5), *spread]:
-            assert (measure_doubling_constant(space, mu)
-                    == doubling_loop(space, mu))
+        # two masses off by order_ulps each, and one division per side
+        rel = 2.0 * order_ulps(space.n) + 2.0**-51
+        for i, mu in enumerate([*exact_measures(space.n, 5), *spread]):
+            got = measure_doubling_constant(space, mu)
+            assert got == doubling_loop(space, mu)
+            if i < 6:  # the slow second oracle on the first few
+                by_id = doubling_id_loop(space, mu)
+                if i == 0:  # the counting measure: every order is exact
+                    assert by_id == got
+                assert by_id == got or abs(by_id - got) <= rel * got
 
 
 STOCK_SPACES = [
@@ -879,6 +946,20 @@ def test_apply_M_bytes_match_previous_form(kind, params):
 
 
 class TestDoublingEdgeCases:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=1, max_value=10))
+    def test_own_distances_give_the_global_grid_supremum(self, seed, n):
+        # few distinct distances (long tie groups, halves that fall on other
+        # distances) and masses with null points, so +inf and 0/0 both occur
+        rng = np.random.default_rng(seed)
+        d = np.triu(rng.integers(1, 5, size=(n, n)).astype(float), 1)
+        space = build_space(d + d.T)
+        for masses in (rng.integers(0, 3, size=n),
+                       rng.random(n) * (rng.random(n) < 0.7)):
+            mu = PointMeasure(masses)
+            assert measure_doubling_constant(space, mu) == doubling_loop(space, mu)
+
     def test_zero_mass_inner_ball_is_infinite(self, segment16):
         # point 5 is null but its neighbours are not: the ball B(5, 1) is
         # empty of mass while B(5, 2) is not
@@ -887,6 +968,7 @@ class TestDoublingEdgeCases:
         masses[5] = 0.0
         mu = PointMeasure(masses)
         assert doubling_loop(space, mu) == math.inf
+        assert doubling_id_loop(space, mu) == math.inf
         assert measure_doubling_constant(space, mu) == math.inf
 
     def test_zero_measure_on_every_space(self):
@@ -895,6 +977,7 @@ class TestDoublingEdgeCases:
             mu = PointMeasure(np.zeros(space.n))
             assert measure_doubling_constant(space, mu) == 1.0
             assert doubling_loop(space, mu) == 1.0
+            assert doubling_id_loop(space, mu) == 1.0
 
 
 class TestSizeGroups:

@@ -15,6 +15,7 @@ from dyadica.errors import (
     ZeroOffDiagonal,
 )
 from dyadica.space import (
+    _SPACE_PARAMS,
     PointMeasure,
     build_space,
     estimate_geometric_doubling,
@@ -24,6 +25,16 @@ from dyadica.space import (
     save_space,
     space_from_dict,
 )
+
+
+def ball_masses(space, mu):
+    """Per center x, in id order: its distinct distances ``steps``,
+    ascending, and mass[j] = mu(B(x, steps[j])) summed in point-id order,
+    with mass[-1] = mu(X); the reference for ``SpaceIndex.prefix_sums``."""
+    for row in space.dist:
+        steps = np.unique(row)
+        yield steps, np.array([np.sum(mu.masses[row < t]) for t in steps]
+                              + [np.sum(mu.masses)])
 
 
 def quasi_triangle_loop(d):
@@ -165,6 +176,28 @@ class TestSpaceIndex:
         assert np.array_equal(space.index.order, order)
         assert np.array_equal(
             space.index.order, np.argsort(space.dist, axis=1, kind="stable"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=1, max_value=14))
+    def test_prefix_sums_give_the_ball_masses(self, seed, n):
+        # few distinct distances, so rows have long tie groups, and small
+        # integer masses with zeros, which sum exactly in any order
+        rng = np.random.default_rng(seed)
+        d = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+        space = build_space(d + d.T)
+        mu = PointMeasure(rng.integers(0, 5, size=n))
+        pref = space.index.prefix_sums(mu.masses)
+        for x, (steps, mass) in enumerate(ball_masses(space, mu)):
+            # B(x, 0) is empty, then one ball per tie group
+            ends = space.index.end[x]
+            assert np.array_equal(space.dist[x, space.index.order[x]][ends],
+                                  steps)
+            assert np.array_equal(np.concatenate([[0.0], pref[x][ends]]),
+                                  mass)
+        block = rng.integers(0, 5, size=(3, n)).astype(float)
+        assert np.array_equal(space.index.prefix_sums(block),
+                              [space.index.prefix_sums(w) for w in block])
 
     def test_distance_table_is_read_only(self, segment4):
         space, _ = segment4
@@ -398,6 +431,22 @@ class TestGenerators:
     def test_parameter_the_kind_does_not_take(self, kind, params, field):
         with pytest.raises(ConfigError, match=f"^{field}: unknown parameter"):
             generate_space(kind, **params)
+
+    @pytest.mark.parametrize("value", ["2", "x", True, None, np.inf, np.nan])
+    def test_float_parameters_are_typed(self, value):
+        # every parameter the table types float, on every kind taking one
+        required = {"n": 4, "depth": 2, "branching": 2}
+        for kind, table in _SPACE_PARAMS.items():
+            for key in (k for k, cast in table.items() if cast is float):
+                params = {k: v for k, v in required.items() if k in table}
+                with pytest.raises(BadParams,
+                                   match=f"^'{key}' must be a finite number"):
+                    generate_space(kind, **params, **{key: value})
+
+    def test_integer_float_parameter_is_its_float(self):
+        a, _ = generate_space("snowflake_power", n=5, power=2)
+        b, _ = generate_space("snowflake_power", n=5, power=2.0)
+        assert np.array_equal(a.dist, b.dist)
 
     def test_determinism(self):
         s1, _ = generate_space("euclidean_random_points", seed=42, n=10, dim=3)
