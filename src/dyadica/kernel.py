@@ -16,8 +16,8 @@ The dyadic envelope phi assigns to a cube Q the largest kernel value over
 pairs drawn from the containing ball B(Q) that are at least c * radius(B(Q))
 apart, with c = delta^2 / (5 a0^2). Three estimates tie phi back to the
 kernel and are checked exactly on the finite space, with constant
-C_K = k1(k2)^2 where k1 is the brute-forced growth constant at scale factor
-k2 = 20 a0^4 / delta^2:
+C_K = k1(k2)^2 where k1 is the exact growth constant at scale factor
+k2 = 20 a0^4 / delta^2, read in one pass off the rows of the space index:
 
 1. phi(Q) <= C_K * K(x, y) for every such separated pair in B(Q);
 2. phi(ancestor) <= C_K * phi(descendant) along cube ancestry;
@@ -43,7 +43,7 @@ from .errors import (
     Unbounded,
 )
 from .policy import CheckReport, guard_vec, outcome
-from .space import PointMeasure, QuasiMetricSpace
+from .space import _BLOCK_ELEMENTS, PointMeasure, QuasiMetricSpace
 
 
 @dataclass(eq=False)
@@ -130,40 +130,34 @@ def kernel_growth_constant(kernel: Kernel, space: QuasiMetricSpace,
     Zero kernel values are allowed only against zero: a positive value
     comparable to a zero one means no finite k1 exists.
     """
-    K, d = kernel.matrix, space.dist
-    k1 = _first_slot_growth(K, d, k2, "x")
-    if not kernel.symmetric:
-        k1 = max(k1, _first_slot_growth(K.T, d.T, k2, "y"))
-    return k1
+    return _slot_growth(kernel.matrix, space, k2,
+                        "x" if kernel.symmetric else "xy")
 
 
-def _first_slot_growth(K: np.ndarray, d: np.ndarray, k2: float,
-                       slot: str) -> float:
-    """The growth constant of K's first argument; ``slot`` names that
-    argument in the original kernel (K is its transpose for "y").  In a
-    column b the points a may move to are a prefix of the a' != b sorted by
-    d(a', b), so one running minimum serves every a."""
-    ids = np.arange(K.shape[0])
-    k1 = 1.0
-    for b in range(ids.size):
-        moves = ids[ids != b]
-        moves = moves[np.argsort(d[moves, b], kind="stable")]
-        den = K[moves, b]
-        reach = np.searchsorted(d[moves, b], k2 * d[:, b], side="right")
-        live = np.flatnonzero((ids != b) & (K[:, b] != 0.0) & (reach > 0))
-        if not live.size:
-            continue
-        low = np.minimum.accumulate(den)[reach[live] - 1]
-        if np.any(low == 0.0):
-            a = int(live[np.argmax(low == 0.0)])
-            # the moved point is the smallest id among reachable zeros
-            zeros = np.minimum.accumulate(np.where(den == 0.0, moves, ids.size))
-            moved = int(zeros[reach[a] - 1])
-            x, y = (a, b) if slot == "x" else (b, a)
-            raise Unbounded("positive value comparable to a zero one",
-                            x=x, y=y, **{f"{slot}_moved": moved})
-        k1 = max(k1, float(np.max(K[live, b] / low)))
-    return k1
+def _slot_growth(K: np.ndarray, space: QuasiMetricSpace, k2: float,
+                 slots: str) -> float:
+    """The growth constant of the kernel slots in ``slots``, checked in
+    that order; col[i, b, a] is the kernel with slot i first (K for "x",
+    K.T for "y") at (a, b).  d is symmetric, so the points a may move to
+    are order[b] after b, and those within k2 * d(a, b) of b are the first
+    |closed ball| - 1.  One running minimum along each row of ``order``, b
+    read as +inf, is read at each ball's end and serves every a."""
+    n, order = space.n, space.index.order
+    ends = space.ball_ends(k2 * space.dist, closed=True)
+    reach = ends - n * np.arange(n)[:, None]
+    col = np.stack([{"x": K.T, "y": K}[s] for s in slots])
+    low = np.take_along_axis(col, order[None], axis=2)
+    low[..., 0] = np.inf  # order[b, 0] is b
+    low = np.minimum.accumulate(low, axis=2).reshape(len(slots), -1)[:, ends]
+    live = (col != 0.0) & (reach > 0)
+    if np.any(zero := live & (low == 0.0)):  # first slot, b, then a
+        i, b, a = map(int, np.argwhere(zero)[0])
+        moves = order[b, 1:reach[b, a] + 1]
+        x, y = (a, b) if slots[i] == "x" else (b, a)
+        raise Unbounded("positive value comparable to a zero one", x=x, y=y,
+                        **{f"{slots[i]}_moved":
+                           int(moves[col[i, b, moves] == 0.0].min())})
+    return float((col[live] / low[live]).max(initial=1.0))
 
 
 def kernel_bound_constant(kernel: Kernel, space: QuasiMetricSpace,
@@ -196,22 +190,38 @@ class PhiTable:
 
 
 def phi_table(kernel: Kernel, sys: DyadicSystem) -> PhiTable:
+    """Each containing ball is a prefix of its center's ``index.order`` row.
+    By ball size, blocks of cubes gather (cubes, s, s) tables of d and K, s
+    their largest ball, of at most _BLOCK_ELEMENTS entries."""
     space = sys.space
     C_K, k1, k2 = kernel_bound_constant(kernel, space, sys.delta)
-    d = space.dist
-    K = kernel.matrix
     c = pair_threshold(space.a0, sys.delta)
+    radius = np.array([sys.outer_ball_radius(k) for k in sys.generation_range()])
+    cut = c * radius[sys.cubes.k - sys.k_min]
+    size = sys.outer_balls.sum(axis=1)
     values = np.zeros(len(sys.cubes))
     low = np.zeros(len(sys.cubes))
     defined = np.zeros(len(sys.cubes), dtype=bool)
-    for i, (k, inside) in enumerate(zip(sys.cubes.k.tolist(), sys.outer_balls)):
-        ball = np.flatnonzero(inside)
-        sep = d[np.ix_(ball, ball)] >= c * sys.outer_ball_radius(k)
-        if sep.any():
-            vals = K[np.ix_(ball, ball)][sep]
-            values[i] = vals.max()
-            low[i] = vals.min()
-            defined[i] = True
+    by_size, start = np.argsort(size, kind="stable"), 0
+    while start < size.size:
+        # at most _BLOCK_ELEMENTS // s^2 cubes fit, s the block's first size
+        s = size[by_size[start:start + max(1, _BLOCK_ELEMENTS
+                                           // size[by_size[start]] ** 2)]]
+        fit = np.arange(1, s.size + 1) * s * s <= _BLOCK_ELEMENTS
+        ids = by_size[start:start + max(1, int(fit.sum()))]
+        start += ids.size
+        w = int(size[ids[-1]])
+        # past its ball a row repeats the center, which adds no pair
+        center = sys.cubes.center[ids]
+        pts = np.where(np.arange(w) < size[ids, None],
+                       space.index.order[center, :w], center[:, None])
+        flat = pts[:, :, None] * space.n + pts[:, None, :]
+        sep = space.dist.take(flat) >= cut[ids, None, None]
+        vals = kernel.matrix.take(flat)
+        defined[ids] = sep.any(axis=(1, 2))
+        values[ids] = np.where(sep, vals, 0.0).max(axis=(1, 2))
+        low[ids] = np.where(defined[ids],
+                            np.where(sep, vals, np.inf).min(axis=(1, 2)), 0.0)
     return PhiTable(threshold=c, values=values, defined=defined, low=low,
                     C_K=C_K, k1=k1, k2=k2)
 

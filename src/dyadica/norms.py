@@ -298,8 +298,12 @@ def _lockstep_ascent(apply, starts, seed: int):
             break
         cur, n = np.array([f[i] for i in live]), len(f[0])
         if it % 3 == 2:  # additive, scaled by the mean positive value
-            base = [float(x.mean()) if (x := f[i][f[i] > 0]).size else 1.0
-                    for i in live]
+            # rows with every entry positive take one row reduction, the
+            # pairwise sum x.mean() takes; the others their positive entries
+            base = np.add.reduce(cur, axis=1) / n
+            for j in np.flatnonzero(~(cur > 0.0).all(axis=1)):
+                x = cur[j][cur[j] > 0.0]
+                base[j] = float(x.mean()) if x.size else 1.0
             props = cur + (step[live] * base)[:, None] * np.array(
                 [rngs[i].random(n) for i in live])
         else:

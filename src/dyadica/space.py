@@ -30,7 +30,7 @@ from .errors import (
     UnknownKind,
     ZeroOffDiagonal,
 )
-from .reporting import _known_fields, _read_json
+from .reporting import _is_int, _is_number, _known_fields, _read_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,16 +68,24 @@ class QuasiMetricSpace:
         np.put_along_axis(flat_rank, order, np.arange(order.size).reshape(order.shape), axis=1)
         return SpaceIndex(*map(_frozen, (order, end, flat_rank)))
 
+    @cached_property
+    def _distance_ranks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``ball_ends``' tables, kept after first use: the distinct
+        distances, each row's rank offset and the raveled offset ranks of
+        the rows of ``index``."""
+        rows = np.arange(self.n)[:, None]
+        vals = np.unique(self.dist)
+        offset = (vals.size + 1) * rows
+        keys = np.searchsorted(vals, self.dist[rows, self.index.order]) + offset
+        return _frozen(vals), _frozen(offset), _frozen(keys.ravel())
+
     def ball_ends(self, radii, closed: bool = False) -> np.ndarray:
         """c * n + |B| - 1 for B = B(c, r[c, j]) or its closure: where B ends
         in a raveled (n, n) table of per-row values of ``index``.  Distances
         become ranks, offset by c times their count in row c, so one
         searchsorted serves every row."""
-        rows = np.arange(self.n)[:, None]
-        vals = np.unique(self.dist)
-        offset = (vals.size + 1) * rows
-        keys = np.searchsorted(vals, self.dist[rows, self.index.order]) + offset
-        return np.searchsorted(keys.ravel(), offset + np.searchsorted(
+        vals, offset, keys = self._distance_ranks
+        return np.searchsorted(keys, offset + np.searchsorted(
             vals, radii, side="right" if closed else "left")) - 1
 
 
@@ -158,8 +166,8 @@ class DoublingEstimate:
     covers: np.ndarray = field(repr=False)
 
 
-# elements of one temporary block of the quasi-triangle constant and of
-# the doubling cover and its replay
+# elements of one temporary block of the quasi-triangle constant, of the
+# doubling cover and its replay, and of the kernel envelope
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -371,7 +379,7 @@ def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure
         raise ConfigError("$: expected an object")
     _known_fields(doc, ("n", "metric", "measures"), "")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ConfigError("n: expected a positive integer")
     metric = doc.get("metric")
     if not isinstance(metric, dict):
@@ -387,7 +395,7 @@ def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure
         _known_fields(metric, ("type", "coords", "power"), "metric.")
         coords = _number_rows(metric.get("coords"), "metric.coords", n)
         power = metric.get("power", 1.0)
-        if not isinstance(power, (int, float)) or power <= 0:
+        if not _is_number(power) or power <= 0:
             raise ConfigError("metric.power: expected a positive number")
         d = _euclidean_table(coords, float(power))
     else:
@@ -405,7 +413,7 @@ def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure
         if not isinstance(masses, list) or len(masses) != n:
             raise ConfigError(f"measures.{name}: expected n masses")
         for i, v in enumerate(masses):
-            if not isinstance(v, (int, float)) or v < 0:
+            if not _is_number(v) or v < 0:
                 raise ConfigError(f"measures.{name}[{i}]: expected a nonnegative number")
         measures[name] = PointMeasure(np.asarray(masses, dtype=float))
     return space, measures
@@ -422,7 +430,7 @@ def _number_rows(rows, path: str, n: int, width: int | None = None) -> np.ndarra
             raise ConfigError(f"{path}[{i}]: expected a row of "
                               f"{width or 'one or more'} numbers")
         for j, v in enumerate(row):
-            if not isinstance(v, (int, float)):
+            if not _is_number(v):
                 raise ConfigError(f"{path}[{i}][{j}]: expected a number")
     return np.asarray(rows, dtype=float)
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadica import kernel as kernel_module
 from dyadica.dyadic import build_system
 from dyadica.errors import BadExponents, BadParams, EmptyBallMass, Unbounded
 from dyadica.kernel import (
-    _first_slot_growth,
+    _slot_growth,
     build_kernel,
     check_kernel_estimates,
     growth_scale_factor,
@@ -115,6 +116,22 @@ def growth_loop(K, d, k2, slot):
     return k1
 
 
+def phi_loop(kernel, sys):
+    """One np.ix_ gather of each cube's containing ball: the envelope's
+    oracle, as (values, low, defined)."""
+    d, K = sys.space.dist, kernel.matrix
+    c = pair_threshold(sys.space.a0, sys.delta)
+    values, low = np.zeros(len(sys.cubes)), np.zeros(len(sys.cubes))
+    defined = np.zeros(len(sys.cubes), dtype=bool)
+    for i, (k, inside) in enumerate(zip(sys.cubes.k.tolist(), sys.outer_balls)):
+        ball = np.flatnonzero(inside)
+        sep = d[np.ix_(ball, ball)] >= c * sys.outer_ball_radius(k)
+        if sep.any():
+            vals = K[np.ix_(ball, ball)][sep]
+            values[i], low[i], defined[i] = vals.max(), vals.min(), True
+    return values, low, defined
+
+
 def outcome_of(fn, *args):
     try:
         return fn(*args)
@@ -192,10 +209,36 @@ class TestArrayFormsAreExact:
         zeroed = np.where(rng.random(base.shape) < 0.1, 0.0, base)
         for K in (base, base.T.copy(), zeroed):
             for k2 in (0.5, 1.0, 2.0, 1e6):
-                for slot, M in (("x", K), ("y", K.T)):
-                    assert outcome_of(_first_slot_growth, M, space.dist,
-                                      k2, slot) == \
-                        outcome_of(growth_loop, M, space.dist, k2, slot)
+                # each slot alone, then both: the x witness first, else
+                # the larger constant
+                want = [outcome_of(growth_loop, M, space.dist, k2, slot)
+                        for slot, M in (("x", K), ("y", K.T))]
+                raised = [w for w in want if isinstance(w, tuple)]
+                both = raised[0] if raised else max(want)
+                for slots, w in (("x", want[0]), ("y", want[1]), ("xy", both)):
+                    assert outcome_of(_slot_growth, K, space, k2, slots) == w
+
+    @pytest.mark.parametrize("cap", [None, 80])
+    def test_envelopes(self, make, cap, monkeypatch):
+        # the stock cap puts every cube of these spaces in one block of mixed
+        # ball sizes; an 80-entry cap makes blocks many, and on the segment
+        # some (4, 4, 5)- and (5, 6)-point blocks still mix sizes
+        if cap is not None:
+            monkeypatch.setattr(kernel_module, "_BLOCK_ELEMENTS", cap)
+        space, mu = make()
+        rng = np.random.default_rng(space.n + 2)
+        kernels = [build_kernel(space, mu, "ball_volume", gamma=0.5),
+                   build_kernel(space, mu, "ball_volume_closed", gamma=0.25),
+                   build_kernel(space, mu, "frac_rho", alpha=0.5, n_dim=1.0),
+                   build_kernel(space, mu, "matrix",
+                                values=rng.random((space.n, space.n)))]
+        for seed in (0, 1):
+            sys = build_system(space, seed=seed)
+            for ker in kernels:
+                phi = phi_table(ker, sys)
+                for got, want in zip((phi.values, phi.low, phi.defined),
+                                     phi_loop(ker, sys)):
+                    assert np.array_equal(got, want)
 
 
 class TestBuildKernel:

@@ -559,6 +559,26 @@ class TestSpaceFiles:
             space_from_dict(doc)
         assert path_fragment in str(err.value)
 
+    @pytest.mark.parametrize("doc,path_fragment", [
+        ({"n": True, "metric": {"type": "matrix", "values": [[0]]}}, "n:"),
+        ({"n": 2, "metric": {"type": "matrix",
+                             "values": [[0, True], [1, 0]]}},
+         "metric.values[0][1]"),
+        ({"n": 2, "metric": {"type": "euclidean",
+                             "coords": [[0.0], [False]]}},
+         "metric.coords[1][0]"),
+        ({"n": 2, "metric": {"type": "euclidean", "coords": [[0.0], [1.0]],
+                             "power": True}}, "metric.power"),
+        ({"n": 2, "metric": {"type": "matrix", "values": [[0, 1], [1, 0]]},
+          "measures": {"mu": [True, 1]}}, "measures.mu[0]"),
+    ])
+    def test_booleans_are_not_numbers(self, doc, path_fragment):
+        # JSON true and false are Python bools, which isinstance counts as
+        # int; each would otherwise load as 1 or 0
+        with pytest.raises(ConfigError) as err:
+            space_from_dict(doc)
+        assert path_fragment in str(err.value)
+
     def test_asymmetric_matrix_rejected_with_metric_path(self):
         doc = {"n": 2, "metric": {"type": "matrix", "values": [[0, 1], [2, 0]]}}
         with pytest.raises(ConfigError, match="metric:"):
