@@ -48,8 +48,8 @@ print(f"point 0: cube ids {sys0.label[:, 0].tolist()} coarsest "
 # Five structural checks, all exact: each generation partitions the
 # space, children refine parents, every cube sits between an inner and an
 # outer ball, outer balls of descendants nest, and centers persist
-# through the generations. Each check returns a report; require() turns a
-# failed one into its typed error (here PropertyViolation) with the witness.
+# through the generations. Each check returns a report; require() raises a
+# failed one as a CheckFailed named by the report, with its witness.
 for report in check_system(sys0):
     print(f"  {report.name:22s} {require(report).status}")
 

@@ -29,7 +29,7 @@ from .dyadic import (
     maximal_cubes,
     replay_coverage,
 )
-from .errors import ConfigError, DyadicaError
+from .errors import BadParams, CheckFailed, ConfigError, DyadicaError
 from .harness import random_measure, run_scenario, sweep
 from .kernel import (
     Kernel,

@@ -63,14 +63,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    CoverageIncomplete,
-    MixedSystems,
-    OutOfRange,
-    PropertyViolation,
-    SamePoint,
-)
+from .errors import BadParams, CheckFailed
 from .policy import TOLERANCES, CheckReport, outcome
 from .space import PointMeasure, QuasiMetricSpace, _ball_classes, _frozen
 
@@ -128,7 +121,8 @@ class DyadicSystem:
 
     def _gi(self, k: int) -> int:
         if not self.k_min <= k <= self.k_max:
-            raise OutOfRange(k=k, k_min=self.k_min, k_max=self.k_max)
+            raise BadParams("generation outside the window", k=k,
+                            k_min=self.k_min, k_max=self.k_max)
         return k - self.k_min
 
     def generation(self, k: int) -> slice:
@@ -171,10 +165,12 @@ class DyadicSystem:
             raise BadParams("cube ids must be integers", dtype=str(ids.dtype))
         ids = ids.astype(int)
         if (ids < 0).any():
-            raise OutOfRange(cube=int(ids.min()), cubes=len(self.cubes))
+            raise BadParams("cube ids must be nonnegative",
+                            cube=int(ids.min()), cubes=len(self.cubes))
         if (ids >= len(self.cubes)).any():
-            raise MixedSystems(cube=int(ids.max()), cubes=len(self.cubes),
-                               system=self.system_id)
+            raise BadParams("cube id past this system's cubes",
+                            cube=int(ids.max()), cubes=len(self.cubes),
+                            system=self.system_id)
         return ids
 
     def children(self, i: int) -> np.ndarray:
@@ -184,12 +180,12 @@ class DyadicSystem:
     def smallest_common_cube(self, x: int, y: int) -> int:
         """Finest-generation cube containing both points; requires x != y."""
         if x == y:
-            raise SamePoint(x=x)
+            raise BadParams("need two distinct points", x=x)
         for row in self.label[::-1]:
             if row[x] == row[y]:
                 return int(row[x])
-        raise PropertyViolation("no common cube; coarsest generation is not the whole space",
-                                x=x, y=y)
+        raise CheckFailed("common_cube", "no common cube; coarsest generation "
+                          "is not the whole space", x=x, y=y)
 
     @cached_property
     def size_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -297,7 +293,7 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
         k_max = int(min(max(k_max, k_min), k_auto))
     n = space.n
     if x0 is not None and not 0 <= x0 < n:
-        raise OutOfRange(x0=x0, n=n)
+        raise BadParams("need 0 <= x0 < n", x0=x0, n=n)
     d = space.dist
 
     for attempt in range(max_attempts):
@@ -310,7 +306,8 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
         perm_rank[perm] = np.arange(n)
         nets = _greedy_nets(space, perm, k_min, k_max, delta)
         if k_max == k_auto and len(nets[-1]) != n:
-            raise PropertyViolation(
+            raise CheckFailed(
+                "finest_net",
                 "finest net is not the whole space; window selection is broken",
                 k_max=k_max, net_size=len(nets[-1]), n=n)
 
@@ -348,9 +345,9 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
             return sys
         last_failure = bad[0]
 
-    raise PropertyViolation(f"property '{last_failure.name}' failed after "
-                            f"{max_attempts} attempts",
-                            **(last_failure.witness or {}))
+    raise CheckFailed(last_failure.name, f"property '{last_failure.name}' "
+                      f"failed after {max_attempts} attempts",
+                      **(last_failure.witness or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +361,10 @@ def check_partition(sys: DyadicSystem) -> CheckReport:
     bad = np.argwhere(seen != 1)
     if bad.size:
         gi, x = (int(i) for i in bad[0])
-        return outcome("partition", sys.strict_delta, PropertyViolation,
+        return outcome("partition", sys.strict_delta,
                        {"k": sys.k_min + gi, "x": x,
                         "multiplicity": int(seen[gi, x])})
-    return outcome("partition", sys.strict_delta, PropertyViolation)
+    return outcome("partition", sys.strict_delta)
 
 
 def check_nesting(sys: DyadicSystem) -> CheckReport:
@@ -380,10 +377,10 @@ def check_nesting(sys: DyadicSystem) -> CheckReport:
         bad = np.flatnonzero(~(held.all(axis=1) & inside.any(axis=1)))
         if bad.size:
             owners = np.unique(prev[inside[bad[0]]])
-            return outcome("nesting", sys.strict_delta, PropertyViolation,
+            return outcome("nesting", sys.strict_delta,
                            {**sys.cubes.name(ids[bad[0]]),
                             "owners": sys.cubes.center[owners].tolist()})
-    return outcome("nesting", sys.strict_delta, PropertyViolation)
+    return outcome("nesting", sys.strict_delta)
 
 
 def check_ball_sandwich(sys: DyadicSystem) -> CheckReport:
@@ -395,10 +392,10 @@ def check_ball_sandwich(sys: DyadicSystem) -> CheckReport:
         i = bad[0]
         side, key, points = (("inner", "missing", missing[i]) if missing[i].any()
                              else ("outer", "excess", excess[i]))
-        return outcome("ball_sandwich", sys.strict_delta, PropertyViolation,
+        return outcome("ball_sandwich", sys.strict_delta,
                        {**sys.cubes.name(i), "side": side,
                         key: np.flatnonzero(points).tolist()})
-    return outcome("ball_sandwich", sys.strict_delta, PropertyViolation)
+    return outcome("ball_sandwich", sys.strict_delta)
 
 
 def check_outer_ball_nesting(sys: DyadicSystem) -> CheckReport:
@@ -414,11 +411,10 @@ def check_outer_ball_nesting(sys: DyadicSystem) -> CheckReport:
     if bad.size:
         j = bad[0]
         return outcome("outer_ball_nesting", sys.strict_delta,
-                       PropertyViolation,
                        {**sys.cubes.name(ids[j]),
                         "parent_center": int(sys.cubes.center[up[j]]),
                         "escapes": int(np.argmax(escapes[j]))})
-    return outcome("outer_ball_nesting", sys.strict_delta, PropertyViolation)
+    return outcome("outer_ball_nesting", sys.strict_delta)
 
 
 def check_center_chain(sys: DyadicSystem) -> CheckReport:
@@ -433,10 +429,10 @@ def check_center_chain(sys: DyadicSystem) -> CheckReport:
         ["not a finer center", "not self-owned", "parent differs"], "")
     bad = np.flatnonzero(reasons != "")
     if bad.size:
-        return outcome("center_chain", sys.strict_delta, PropertyViolation,
+        return outcome("center_chain", sys.strict_delta,
                        {**sys.cubes.name(ids[bad[0]]),
                         "reason": str(reasons[bad[0]])})
-    return outcome("center_chain", sys.strict_delta, PropertyViolation)
+    return outcome("center_chain", sys.strict_delta)
 
 
 _CHECKS = {
@@ -573,9 +569,8 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...]
     C, r_large_ok, r_small_ok = terms
     strict_mode = all(s.strict_delta for s in systems)
     if not (r_large_ok and r_small_ok):
-        return outcome("ball_coverage", strict_mode, CoverageIncomplete,
-                       {"r_large_ok": r_large_ok,
-                        "r_small_ok": r_small_ok}), None
+        return outcome("ball_coverage", strict_mode, {
+            "r_large_ok": r_large_ok, "r_small_ok": r_small_ok}), None
 
     d, k_min = systems[0].space.dist, systems[0].k_min
     x, band_k, lo, hi = _regime_rows(systems[0])
@@ -594,7 +589,7 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...]
 
     if (t < 0).any():
         r = np.argmax(t < 0)
-        return outcome("ball_coverage", strict_mode, CoverageIncomplete,
+        return outcome("ball_coverage", strict_mode,
                        {"x": int(x[r]), "band_k": int(band_k[r]), "lo": float(lo[r]),
                         "members": np.flatnonzero(d[x[r]] <= lo[r]).tolist()}), None
     observed = float(np.max(diameter[lo > 0] / lo[lo > 0], initial=0.0))
@@ -603,8 +598,8 @@ def check_ball_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...]
                                entries=CoverageTable(*map(_frozen, (
                                    x, band_k, lo, hi, t, cube_k, center, diameter))),
                                r_large_ok=r_large_ok, r_small_ok=r_small_ok)
-    return outcome("ball_coverage", strict_mode, CoverageIncomplete,
-                   entries=x.size, observed_C=observed, C_bound=C), cert
+    return outcome("ball_coverage", strict_mode, entries=x.size,
+                   observed_C=observed, C_bound=C), cert
 
 
 def replay_coverage(systems: list[DyadicSystem] | tuple[DyadicSystem, ...],
@@ -681,7 +676,8 @@ def build_adjacent_systems(space: QuasiMetricSpace, seed: int = 0,
         if cert is not None:
             return AdjacentSystems(systems=tuple(systems), certificate=cert)
         if num_systems is not None or target >= max_systems:
-            raise CoverageIncomplete(
+            raise CheckFailed(
+                "ball_coverage",
                 f"coverage incomplete with {len(systems)} systems",
                 **(report.witness or {}))
         target += 1

@@ -40,7 +40,7 @@ from .dyadic import (
     generalize,
     replay_coverage,
 )
-from .errors import BadExponents, BadParams, ConfigError, DyadicaError
+from .errors import BadParams, ConfigError, DyadicaError
 from .kernel import build_kernel, check_kernel_estimates, phi_table
 from .maximal import check_maximal_equivalence, verdict_theorem_a
 from .norms import verdict_theorem_b, verdict_weak_type
@@ -132,7 +132,10 @@ class _Blocked(Exception):
 
 
 def _error_witness(exc: DyadicaError) -> dict:
-    out = {"error": type(exc).__name__, "message": str(exc)}
+    """The failed check's name (a BadParams has none: its class name), the
+    message and the error's witness."""
+    out = {"error": getattr(exc, "check", type(exc).__name__),
+           "message": str(exc)}
     if getattr(exc, "witness", None):
         out["witness"] = jsonable(exc.witness)
     return out
@@ -298,9 +301,7 @@ class _Run:
                                       f"values, got {diag.shape}")
                 np.fill_diagonal(values, diag)
             return build_kernel(space, None, "matrix", values=values)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"kernel: {exc}") from exc
-        except (BadExponents, BadParams) as exc:
+        except (TypeError, ValueError, BadParams) as exc:
             raise ConfigError(f"kernel: {exc}") from exc
 
     def _build_envelopes(self):

@@ -35,13 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .errors import (
-    BadExponents,
-    BadParams,
-    EmptyBallMass,
-    EstimateViolated,
-    Unbounded,
-)
+from .errors import BadParams, CheckFailed
 from .policy import CheckReport, guard_vec, outcome
 from .space import _BLOCK_ELEMENTS, PointMeasure, QuasiMetricSpace
 
@@ -66,7 +60,7 @@ def build_kernel(space: QuasiMetricSpace, mu: PointMeasure | None, kind: str,
         alpha = float(params.get("alpha", np.nan))
         n_dim = float(params.get("n_dim", np.nan))
         if not (np.isfinite(alpha) and np.isfinite(n_dim) and 0 < alpha < n_dim):
-            raise BadExponents("need 0 < alpha < n_dim", alpha=alpha, n_dim=n_dim)
+            raise BadParams("need 0 < alpha < n_dim", alpha=alpha, n_dim=n_dim)
         with np.errstate(divide="ignore"):
             K = np.where(d > 0, d, np.nan) ** (alpha - n_dim)
         diag = params.get("diag")
@@ -83,14 +77,16 @@ def build_kernel(space: QuasiMetricSpace, mu: PointMeasure | None, kind: str,
             raise BadParams("ball volume kernels need a reference measure")
         gamma = float(params.get("gamma", np.nan))
         if not (np.isfinite(gamma) and 0 < gamma <= 1):
-            raise BadExponents("need gamma in (0, 1]", gamma=gamma)
+            raise BadParams("need gamma in (0, 1]", gamma=gamma)
         # the strict diagonal reads a neighbour's entry; it is set below
         mass = space.index.prefix_sums(mu.masses).ravel()[
             space.ball_ends(d, closed=kind.endswith("closed"))]
         empty = np.argwhere((mass == 0.0) & ~np.eye(n, dtype=bool))
         if empty.size:
             x, y = map(int, empty[0])
-            raise EmptyBallMass(x=x, y=y, radius=float(d[x, y]))
+            raise CheckFailed("empty_ball_mass", "the ball around x of radius "
+                              "dist(x, y) has no mu mass", x=x, y=y,
+                              radius=float(d[x, y]))
         np.fill_diagonal(mass, mu.masses)
         # Python float powers, one per distinct mass: numpy's power may
         # move the last ulp
@@ -154,9 +150,9 @@ def _slot_growth(K: np.ndarray, space: QuasiMetricSpace, k2: float,
         i, b, a = map(int, np.argwhere(zero)[0])
         moves = order[b, 1:reach[b, a] + 1]
         x, y = (a, b) if slots[i] == "x" else (b, a)
-        raise Unbounded("positive value comparable to a zero one", x=x, y=y,
-                        **{f"{slots[i]}_moved":
-                           int(moves[col[i, b, moves] == 0.0].min())})
+        raise CheckFailed("unbounded", "positive value comparable to a zero "
+                          "one", x=x, y=y, **{f"{slots[i]}_moved": int(
+                              moves[col[i, b, moves] == 0.0].min())})
     return float((col[live] / low[live]).max(initial=1.0))
 
 
@@ -235,8 +231,7 @@ def check_kernel_estimates(kernel: Kernel, sys: DyadicSystem,
     reports: list[CheckReport] = []
 
     def emit(name: str, witness: dict | None = None, **details):
-        reports.append(outcome(name, sys.strict_delta, EstimateViolated,
-                               witness, **details))
+        reports.append(outcome(name, sys.strict_delta, witness, **details))
 
     def ratio(top, bottom):
         return np.divide(top, bottom, where=bottom > 0.0,

@@ -34,14 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import DyadicSystem, _family_systems
-from .errors import (
-    BadParams,
-    BadExponents,
-    EquivalenceViolated,
-    Infinite,
-    NotAbsolutelyContinuous,
-    PropertyViolation,
-)
+from .errors import BadParams, CheckFailed
 from .norms import (
     Exponents,
     NormEstimate,
@@ -244,8 +237,7 @@ def check_maximal_equivalence(family, params: MaximalParams,
     strict_mode = all(s.strict_delta for s in systems)
     if not math.isfinite(params.doubling_constant):
         return CheckReport("ball_dyadic_equivalence", "vacuous", strict_mode,
-                           {"reason": "reference measure is not doubling"},
-                           error=EquivalenceViolated)
+                           {"reason": "reference measure is not doubling"})
     bounds = [_containment_ratio_bound(s, params.mu, params.gamma)
               for s in systems]
     g = TOLERANCES["exact_guard_rel"]
@@ -270,10 +262,9 @@ def check_maximal_equivalence(family, params: MaximalParams,
     b_over_s = float((mb[fine] / total[fine]).max(initial=0.0))
     found.sort(key=lambda entry: entry[0])
     witness = {"violations": len(found), "first": found[0][1]} if found else None
-    return outcome("ball_dyadic_equivalence", strict_mode, EquivalenceViolated,
-                   witness, ratio_bound=max(bounds),
-                   dyadic_over_ball=d_over_b, ball_over_sum=b_over_s,
-                   trials=trials, systems=len(systems))
+    return outcome("ball_dyadic_equivalence", strict_mode, witness,
+                   ratio_bound=max(bounds), dyadic_over_ball=d_over_b,
+                   ball_over_sum=b_over_s, trials=trials, systems=len(systems))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,14 +282,14 @@ class DualWeight:
 
 def dual_weight(mu: PointMeasure, sigma: PointMeasure, p: float) -> DualWeight:
     if not 1.0 < p < math.inf:
-        raise BadExponents("need 1 < p < inf", p=p)
+        raise BadParams("need 1 < p < inf", p=p)
     m, s = mu.masses, sigma.masses
     if m.size != s.size:
         raise BadParams("measure sizes differ", mu=m.size, sigma=s.size)
     bad = np.flatnonzero((s == 0.0) & (m > 0.0))
     if bad.size:
-        raise NotAbsolutelyContinuous("mu charges a sigma-null point",
-                                      x=int(bad[0]))
+        raise CheckFailed("absolute_continuity",
+                          "mu charges a sigma-null point", x=int(bad[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(s > 0.0, m / s, 0.0)
     v = np.where(u > 0.0, np.power(u, 1.0 / (p - 1.0)), 0.0)
@@ -307,8 +298,9 @@ def dual_weight(mu: PointMeasure, sigma: PointMeasure, p: float) -> DualWeight:
     bad = np.flatnonzero(~close(lhs, rhs, TOLERANCES["dual_weight_rel"]))
     if bad.size:
         x = int(bad[0])
-        raise PropertyViolation("dual weight identity v^p sigma = v mu failed",
-                                x=x, lhs=float(lhs[x]), rhs=float(rhs[x]))
+        raise CheckFailed("dual_weight", "dual weight identity v^p sigma = "
+                          "v mu failed", x=x, lhs=float(lhs[x]),
+                          rhs=float(rhs[x]))
     return DualWeight(u=u, v=v, v_measure=PointMeasure(v * m))
 
 
@@ -359,8 +351,8 @@ def testing_constant_maximal(family, params: MaximalParams,
         val, arg, h, infinite = cube_testing(incidence, action, normalizer,
                                              omega, q, p)
         if infinite:
-            raise Infinite("infinite testing ratio",
-                           **cube_name(swept, infinite[0]))
+            raise CheckFailed("infinite_testing", "infinite testing ratio",
+                              **cube_name(swept, infinite[0]))
         per.append(val)
         hits += h
         if val > best:

@@ -30,14 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import _family_systems
-from .errors import (
-    BadExponents,
-    BadParams,
-    Infinite,
-    InfiniteTesting,
-    LowerBoundViolated,
-    NonPositiveOperator,
-)
+from .errors import BadParams, CheckFailed
 from .kernel import Kernel
 from .operators import MatrixOperator, require_same_instance
 from .policy import TOLERANCES, close
@@ -77,13 +70,13 @@ class Exponents:
 
     def __post_init__(self):
         if not (isinstance(self.p, (int, float)) and isinstance(self.q, (int, float))):
-            raise BadExponents("exponents must be numbers", p=self.p, q=self.q)
+            raise BadParams("exponents must be numbers", p=self.p, q=self.q)
         if not (1.0 < self.p < math.inf):
-            raise BadExponents("need 1 < p < inf", p=self.p)
+            raise BadParams("need 1 < p < inf", p=self.p)
         if not (self.p <= self.q):
-            raise BadExponents("need p <= q", p=self.p, q=self.q)
+            raise BadParams("need p <= q", p=self.p, q=self.q)
         if abs(1.0 / self.p + 1.0 / self.p_prime - 1.0) > 1e-15:
-            raise BadExponents("conjugate identity failed", p=self.p)
+            raise BadParams("conjugate identity failed", p=self.p)
 
     @property
     def p_prime(self) -> float:
@@ -98,13 +91,13 @@ class Exponents:
     def dual(self) -> "Exponents":
         # adjoint acts L^{q'} -> L^{p'}; q' > 1 requires q < inf
         if math.isinf(self.q):
-            raise BadExponents("dual exponents need q < inf", q=self.q)
+            raise BadParams("dual exponents need q < inf", q=self.q)
         return Exponents(self.q_prime, self.p_prime)
 
 
 def require_finite_q(ex: Exponents) -> None:
     if math.isinf(ex.q):
-        raise BadExponents("this path requires q < inf", q=ex.q)
+        raise BadParams("this path requires q < inf", q=ex.q)
 
 
 def lp_norm(f, measure: PointMeasure, p: float):
@@ -115,7 +108,7 @@ def lp_norm(f, measure: PointMeasure, p: float):
     if math.isinf(p):
         out = a[:, measure.charged].max(axis=1, initial=0.0)
     elif p <= 0:
-        raise BadExponents("need p > 0", p=p)
+        raise BadParams("need p > 0", p=p)
     else:
         terms = np.zeros(a.shape)
         np.multiply(np.power(a, p), measure.masses, out=terms,
@@ -151,7 +144,7 @@ def weak_quasinorm(g, omega: PointMeasure, q: float):
     block screens its rows in one sort, each row's value its own float.
     """
     if math.isinf(q):
-        raise BadExponents("weak quasinorm needs q < inf", q=q)
+        raise BadParams("weak quasinorm needs q < inf", q=q)
     masses = omega.masses
     a, single = _rows(g, masses.size)
     inv_q = 1.0 / q
@@ -234,10 +227,10 @@ def _block_values(sigma, omega, p, q, weak: bool):
             vals = []
             for r, d, m in zip(range(s, s + i), ds[s:s + i], ms[s:s + i]):
                 if (m > 0.0) if d == 0.0 else math.isinf(m):
-                    exc = Infinite("operator maps a null function to positive "
-                                   "mass" if d == 0.0 else "infinite image norm"
-                                   " at positive input norm",
-                                   witness={"f": X[r].tolist()})
+                    exc = CheckFailed(
+                        "finite_image", "operator maps a null function to "
+                        "positive mass" if d == 0.0 else "infinite image "
+                        "norm at positive input norm", f=X[r].tolist())
                     break
                 vals.append(m / d if d != 0.0 else None)
             out.append((vals, exc))
@@ -263,9 +256,8 @@ def _spot_check_monotone(apply, n: int, seed: int) -> None:
     ok = np.where(np.isfinite(g2), g1 <= g2 * (1.0 + 1e-12) + 1e-300, True)
     bad = np.flatnonzero(~ok.all(axis=1))
     if bad.size:
-        raise NonPositiveOperator("operator is not order preserving",
-                                  witness={"f1": f1[bad[0]].tolist(),
-                                           "f2": f2[bad[0]].tolist()})
+        raise CheckFailed("monotone", "operator is not order preserving",
+                          f1=f1[bad[0]].tolist(), f2=f2[bad[0]].tolist())
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
@@ -398,8 +390,8 @@ def _search(values, sigma, omega, p, q, weak: bool, pool_only: bool,
     replay = _ok((yield apply, witness[None]))[0]
     if replay is None or not close(replay, best,
                                    TOLERANCES["witness_replay_rel"]):
-        raise LowerBoundViolated("witness replay does not reproduce the bound",
-                                 replayed=replay, recorded=best)
+        raise CheckFailed("witness_replay", "witness replay does not "
+                          "reproduce the bound", replayed=replay, recorded=best)
     estimate = best
     if (not weak and p == 2.0 and q == 2.0 and matrix is not None
             and np.all(np.isfinite(matrix))):
@@ -468,8 +460,9 @@ class TestingConstants:
 
     A cube is named by its row in ``standard_cubes(family)``.
     convention_hits counts cubes skipped because the normalizing measure
-    vanished there (the inf * 0 = 0 reading); infinite_cubes lists cubes
-    whose ratio is genuinely infinite, reported rather than raised.
+    vanished there (the inf * 0 = 0 reading); infinite_strong and
+    infinite_dual list the cubes whose strong or dual ratio is genuinely
+    infinite, reported rather than raised.
     """
 
     strong: float
@@ -477,7 +470,8 @@ class TestingConstants:
     argmax_strong: int | None
     argmax_dual: int | None
     convention_hits: int
-    infinite_cubes: tuple[int, ...] = ()
+    infinite_strong: tuple[int, ...] = ()
+    infinite_dual: tuple[int, ...] = ()
 
 
 def indicator(n: int, members) -> np.ndarray:
@@ -551,7 +545,7 @@ def testing_constants(op, family, p: float, q: float) -> TestingConstants:
     d_val, d_arg, d_hits, d_inf = cube_testing(
         cubes, op.apply_adjoint, op.omega, op.sigma, ex.p_prime, ex.q_prime)
     return TestingConstants(s_val, d_val, s_arg, d_arg, s_hits + d_hits,
-                            tuple(s_inf + d_inf))
+                            tuple(s_inf), tuple(d_inf))
 
 
 def _equivalence_ratio(lower: float, testing_sum: float) -> float:
@@ -586,9 +580,10 @@ class StrongVerdict:
 
 def _check_structural(label: str, testing_value: float, bound: float) -> None:
     if testing_value > bound + TOLERANCES["testing_le_norm_abs"]:
-        raise LowerBoundViolated(
+        raise CheckFailed(
+            "testing_below_norm",
             f"{label} testing constant exceeds its seeded norm bound",
-            witness={"testing": testing_value, "bound": bound})
+            testing=testing_value, bound=bound)
 
 
 def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
@@ -599,11 +594,12 @@ def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
     require_finite_q(ex)
     op = MatrixOperator(kernel.matrix, sigma, omega)
     tc = testing_constants(op, family, p, q)
-    if tc.infinite_cubes:
-        raise InfiniteTesting("testing constant is infinite",
-                              witness={"cubes": [
-                                  tuple(cube_name(family, i).values())
-                                  for i in tc.infinite_cubes]})
+    if tc.infinite_strong or tc.infinite_dual:
+        def names(rows):
+            return [tuple(cube_name(family, i).values()) for i in rows]
+        raise CheckFailed("infinite_testing", "testing constant is infinite",
+                          strong=names(tc.infinite_strong),
+                          dual=names(tc.infinite_dual))
     seeds = cube_seeds(family)
     nrm = operator_norm_strong(op.apply, sigma, omega, p, q, budget, seeds,
                                apply_adjoint=op.apply_adjoint,

@@ -42,16 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic import GeneralizedSystem
-from .errors import (
-    BadM,
-    BadParams,
-    DualityViolated,
-    EquivalenceViolated,
-    FormMismatch,
-    PointCubeViolated,
-    PropertyViolation,
-    SandwichViolated,
-)
+from .errors import BadParams, CheckFailed
 from .kernel import Kernel, PhiTable, phi_table
 from .policy import TOLERANCES, CheckReport, guard, guard_vec, outcome
 from .space import PointMeasure, _frozen
@@ -167,7 +158,8 @@ def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
     undefined = np.triu(~phi.defined[ids], 1)
     if undefined.any():
         x, y = (int(i) for i in np.argwhere(undefined)[0])
-        raise PropertyViolation(
+        raise CheckFailed(
+            "envelope_defined",
             "envelope undefined on a cube separating two points",
             x=x, y=y, **system.cubes.name(ids[x, y]))
     M = phi.values[ids]
@@ -204,7 +196,7 @@ def apply_dyadic_partition(op: DyadicOperator, f, m: int = 1) -> np.ndarray:
     """Telescoping form of the dyadic operator with shells m generations
     deep; a (K, n) block is mapped row by row."""
     if not isinstance(m, int) or m < 1:
-        raise BadM(m=m)
+        raise BadParams("need an integer m >= 1", m=m)
     system = op.system
     g = _as_density(f, op.n) * op.gen.sigma.masses
     # sums[..., label[gi, x]] = A_k(x), the total of the generation-k cube
@@ -246,11 +238,11 @@ def check_forms_agree(op: DyadicOperator) -> CheckReport:
     ok, i, err = _vec_close(a, b, rel)
     if not ok:
         j, x = divmod(i, op.n)
-        return outcome("forms_agree", op.system.strict_delta, FormMismatch,
+        return outcome("forms_agree", op.system.strict_delta,
                        {"basis": j, "x": x, "kernel_form": float(a[j, x]),
                         "telescoped": float(b[j, x])})
-    return outcome("forms_agree", op.system.strict_delta, FormMismatch,
-                   worst_rel_err=err, rel=rel)
+    return outcome("forms_agree", op.system.strict_delta, worst_rel_err=err,
+                   rel=rel)
 
 
 def check_self_adjoint(op: DyadicOperator, seed: int = 0,
@@ -265,11 +257,10 @@ def check_self_adjoint(op: DyadicOperator, seed: int = 0,
     rhs = pairing(g, op.apply_adjoint(h), op.gen.sigma)
     ok, t, err = _vec_close(lhs, rhs, rel)
     if not ok:
-        return outcome("self_adjoint", op.system.strict_delta, DualityViolated,
-                       {"trial": t, "lhs": float(lhs[t]),
-                        "rhs": float(rhs[t])})
-    return outcome("self_adjoint", op.system.strict_delta, DualityViolated,
-                   trials=trials, worst_rel_err=err)
+        return outcome("self_adjoint", op.system.strict_delta, {
+            "trial": t, "lhs": float(lhs[t]), "rhs": float(rhs[t])})
+    return outcome("self_adjoint", op.system.strict_delta, trials=trials,
+                   worst_rel_err=err)
 
 
 def check_shifted_sandwich(op: DyadicOperator, f, m: int) -> CheckReport:
@@ -288,12 +279,12 @@ def check_shifted_sandwich(op: DyadicOperator, f, m: int) -> CheckReport:
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(base > 0, shifted / base, 1.0)
         ratio = float(np.where(np.isfinite(ratio), ratio, 1.0).max(initial=1.0))
-        return outcome("shifted_sandwich", op.system.strict_delta,
-                       SandwichViolated, m=m, cap=op.C_K * m, worst_ratio=ratio)
+        return outcome("shifted_sandwich", op.system.strict_delta, m=m,
+                       cap=op.C_K * m, worst_ratio=ratio)
     t = int(bad[0, 0])
     side, row = ("lower", low[t]) if low[t].any() else ("upper", high[t])
     x = int(np.flatnonzero(row)[0])
-    return outcome("shifted_sandwich", op.system.strict_delta, SandwichViolated,
+    return outcome("shifted_sandwich", op.system.strict_delta,
                    {"trial": t, "m": m, "side": side, "x": x,
                     "base": float(base[t, x]), "shifted": float(shifted[t, x]),
                     "cap": op.C_K * m})
@@ -315,7 +306,6 @@ def check_dyadic_below_direct(op: DyadicOperator) -> CheckReport:
     if bad.any():
         x, y, t = (int(i) for i in np.argwhere(bad)[0])
         return outcome("dyadic_below_direct", op.system.strict_delta,
-                       EquivalenceViolated,
                        {"x": x, "y": y, "against": labels[t],
                         "phi": float(v[x, y, t]),
                         "kernel": float(target[x, y, t]), "C_K": op.C_K})
@@ -325,8 +315,7 @@ def check_dyadic_below_direct(op: DyadicOperator) -> CheckReport:
         x, y, t = (int(i) for i in np.argwhere(ratio == worst)[0])
         witness = {"x": x, "y": y, "against": labels[t]}
     return outcome("dyadic_below_direct", op.system.strict_delta,
-                   EquivalenceViolated, worst_ratio=worst, C_K=op.C_K,
-                   worst_at=witness)
+                   worst_ratio=worst, C_K=op.C_K, worst_at=witness)
 
 
 def require_same_instance(ops, kernel: Kernel, sigma: PointMeasure,
@@ -364,14 +353,12 @@ def check_direct_below_family(
     if bad.size:
         x, y = (int(i) for i in bad[0])
         return outcome("direct_below_family", ops[0].system.strict_delta,
-                       EquivalenceViolated,
                        {"x": x, "y": y, "kernel": float(K[x, y]),
                         "family_sum": float(total[x, y]), "C_K": C_K})
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(off & (total > 0), K / total / (3.0 * C_K), 0.0)
     return outcome("direct_below_family", ops[0].system.strict_delta,
-                   EquivalenceViolated, systems=len(ops),
-                   worst_margin=float(ratio.max(initial=0.0)))
+                   systems=len(ops), worst_margin=float(ratio.max(initial=0.0)))
 
 
 def check_family_domination(ops: list[DyadicOperator] | tuple[DyadicOperator, ...],
@@ -393,12 +380,10 @@ def check_family_domination(ops: list[DyadicOperator] | tuple[DyadicOperator, ..
     if bad.size:
         t, x = (int(i) for i in bad[0])
         return outcome("family_domination", ops[0].system.strict_delta,
-                       EquivalenceViolated,
                        {"trial": t, "x": x, "direct": float(lhs[t, x]),
                         "family_bound": float(rhs[t, x])})
     return outcome("family_domination", ops[0].system.strict_delta,
-                   EquivalenceViolated, points=int(omega.charged.sum()),
-                   systems=len(ops))
+                   points=int(omega.charged.sum()), systems=len(ops))
 
 
 def check_point_cube_testing(op: DyadicOperator, p: float, q: float,
@@ -415,15 +400,13 @@ def check_point_cube_testing(op: DyadicOperator, p: float, q: float,
     with finite testing constants; that case fails with kxx_infinite set in
     the witness. With no joint atoms the check is vacuous.
     """
-    if not (1.0 < p <= q):
-        raise BadParams("need 1 < p <= q", p=p, q=q)
+    from .norms import Exponents  # norms imports this module
+    ex = Exponents(p, q)
     gen = op.gen
     if not gen.joint_atoms:
         return CheckReport("point_cube_testing", "vacuous",
                            op.system.strict_delta,
                            details={"joint_atoms": 0})
-    p_prime = p / (p - 1.0)
-    q_prime = q / (q - 1.0) if np.isfinite(q) else 1.0
     sig, om = gen.sigma.masses, gen.omega.masses
     worst = 0.0
     for x in gen.joint_atoms:
@@ -431,20 +414,18 @@ def check_point_cube_testing(op: DyadicOperator, p: float, q: float,
         sides = (
             ("strong", kxx * om[x] ** (1.0 / q),
              strong_constant * sig[x] ** (1.0 / p - 1.0)),
-            ("dual", kxx * sig[x] ** (1.0 / p_prime),
-             dual_constant * om[x] ** (1.0 / q_prime - 1.0)),
+            ("dual", kxx * sig[x] ** (1.0 / ex.p_prime),
+             dual_constant * om[x] ** (1.0 / ex.q_prime - 1.0)),
         )
         for label, lhs, rhs in sides:
             if np.isinf(lhs) and np.isinf(rhs):
                 continue
             if not lhs <= guard(rhs):
                 return outcome("point_cube_testing", op.system.strict_delta,
-                               PointCubeViolated,
                                {"x": int(x), "side": label, "lhs": float(lhs),
                                 "rhs": float(rhs),
                                 "kxx_infinite": bool(np.isinf(kxx))})
             if rhs > 0 and np.isfinite(lhs / rhs):
                 worst = max(worst, float(lhs / rhs))
     return outcome("point_cube_testing", op.system.strict_delta,
-                   PointCubeViolated, joint_atoms=len(gen.joint_atoms),
-                   worst_ratio=worst)
+                   joint_atoms=len(gen.joint_atoms), worst_ratio=worst)

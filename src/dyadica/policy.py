@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DyadicaError
+from .errors import CheckFailed
 
 TOLERANCES: dict[str, float] = {
     # float-roundoff guard on exact-in-real-arithmetic ratio comparisons
@@ -52,8 +52,7 @@ class CheckReport:
 
     ``status`` is "pass", "fail", or "vacuous" (nothing to check). A report
     produced under relaxed construction parameters carries
-    ``strict_mode=False`` so downstream consumers can discount it. ``error``
-    is the exception class a failure stands for; ``require`` raises it.
+    ``strict_mode=False`` so downstream consumers can discount it.
     """
 
     name: str
@@ -61,29 +60,25 @@ class CheckReport:
     strict_mode: bool = True
     witness: dict | None = None
     details: dict = field(default_factory=dict)
-    error: type[DyadicaError] = DyadicaError
 
     @property
     def ok(self) -> bool:
         return self.status in ("pass", "vacuous")
 
 
-def outcome(name: str, strict_mode: bool, error: type[DyadicaError],
-            witness: dict | None = None, **details) -> CheckReport:
+def outcome(name: str, strict_mode: bool, witness: dict | None = None,
+            **details) -> CheckReport:
     """A pass report when ``witness`` is None, else a fail report."""
     return CheckReport(name, "pass" if witness is None else "fail",
-                       strict_mode, witness, details, error)
+                       strict_mode, witness, details)
 
 
 def require(report: CheckReport) -> CheckReport:
-    """Return a pass or vacuous report; raise a failed one's error.
-
-    The raised error carries the report's witness, so a failure found by a
-    check is caught as the same typed error wherever it is required.
-    """
+    """Return a pass or vacuous report; raise a failed one as CheckFailed,
+    named by the report and carrying its witness."""
     if report.status == "fail":
-        raise report.error(f"check '{report.name}' failed",
-                           **(report.witness or {}))
+        raise CheckFailed(report.name, f"check '{report.name}' failed",
+                          **(report.witness or {}))
     return report
 
 

@@ -22,14 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    ConfigError,
-    NegativeDistance,
-    NonSymmetric,
-    UnknownKind,
-    ZeroOffDiagonal,
-)
+from .errors import BadParams, ConfigError
 from .reporting import _is_int, _is_number, _known_fields, _read_json
 
 
@@ -182,16 +175,18 @@ def build_space(dist: Sequence[Sequence[float]] | np.ndarray) -> QuasiMetricSpac
         raise BadParams("distances must be finite")
     if np.any(d < 0):
         x, y = np.argwhere(d < 0)[0]
-        raise NegativeDistance(x=int(x), y=int(y), value=float(d[x, y]))
+        raise BadParams("distances must be nonnegative", x=int(x), y=int(y),
+                        value=float(d[x, y]))
     if not np.array_equal(d, d.T):
         x, y = np.argwhere(d != d.T)[0]
-        raise NonSymmetric(x=int(x), y=int(y))
+        raise BadParams("distance table must be symmetric", x=int(x), y=int(y))
     if np.any(np.diag(d) != 0):
         raise BadParams("diagonal must be zero")
     off = d + np.diag(np.full(n, np.inf))
     if n > 1 and np.any(off == 0):
         x, y = np.argwhere(off == 0)[0]
-        raise ZeroOffDiagonal(x=int(x), y=int(y))
+        raise BadParams("distinct points need a positive distance", x=int(x),
+                        y=int(y))
     return QuasiMetricSpace(dist=_frozen(d), a0=_quasi_triangle_constant(d))
 
 
@@ -301,7 +296,7 @@ def generate_space(kind: str, seed: int = 0, **params) -> tuple[QuasiMetricSpace
     parameter the kind does not take is a ConfigError naming it.
     """
     if kind not in _SPACE_PARAMS:
-        raise UnknownKind(kind=kind)
+        raise BadParams("unknown space kind", kind=kind)
     for key in params:
         if key not in _SPACE_PARAMS[kind]:
             raise ConfigError(f"{key}: unknown parameter for {kind}, "

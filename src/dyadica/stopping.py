@@ -17,8 +17,8 @@ results hold in exact arithmetic with explicit constants; the second
 principle's C_m defaults to the least power of two >= max(2, 2 C_K).  The
 checks return a ``CheckReport`` whether the inequality holds or fails,
 marked non-strict under a relaxed delta where their constants depend on
-it; only broken hypotheses and malformed input raise, the latter as
-``BadParams``.
+it; only broken hypotheses and malformed input raise, as ``CheckFailed``
+and ``BadParams``.
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicSystem, _maximal_mask, maximal_cubes
-from .errors import (
-    BadExponents,
-    BadParams,
-    BoundViolated,
-    HypothesisViolated,
-    PrincipleViolated,
-    PropertyViolation,
-)
+from .errors import BadParams, CheckFailed
 from .maximal import MaximalParams, _trial_functions, apply_M_dyadic
 from .norms import _BLOCK_ELEMS, lp_norm
 from .policy import TOLERANCES, CheckReport, guard_vec, outcome
@@ -123,12 +116,13 @@ class LevelSets:
                 error = (
                     BadParams("need rho > 0", rho=float(rb[j]))
                     if not rb[j] > 0 else
-                    PropertyViolation("maximal cubes overlap",
-                                      x=int(np.argmax(count[j] > 1)))
+                    CheckFailed("cover_disjoint", "maximal cubes overlap",
+                                x=int(np.argmax(count[j] > 1)))
                     if (count[j] > 1).any() else
-                    PropertyViolation("candidate cube escapes the maximal "
-                                      "cover", **self.cubes.name(c))
-                    if escaped[j] < m else PropertyViolation(
+                    CheckFailed("cover_maximal", "candidate cube escapes "
+                                "the maximal cover", **self.cubes.name(c))
+                    if escaped[j] < m else CheckFailed(
+                        "cover_mass",
                         "level set and its cube cover disagree in omega mass",
                         rho=float(t[j, 0]), x=x,
                         in_level_set=bool(in_omega[j, x])))
@@ -187,8 +181,7 @@ def _principle(name, op, f, rho, C, localized, violates, details, image):
             reports.append(CheckReport(
                 name, "fail" if witness else
                 ("pass" if values.size else "vacuous"),
-                op.system.strict_delta, witness, details(r, cubes, values),
-                PrincipleViolated))
+                op.system.strict_delta, witness, details(r, cubes, values)))
     return reports, error
 
 
@@ -293,8 +286,8 @@ class PrincipalFamily:
     def pi(self, i: int) -> int:
         j = self.principal_of[self.system._own(i)]
         if j < 0:
-            raise PropertyViolation("cube has no principal ancestor",
-                                    **self.system.cubes.name(i))
+            raise CheckFailed("principal_ancestor", "cube has no principal "
+                              "ancestor", **self.system.cubes.name(i))
         return int(j)
 
 
@@ -305,8 +298,9 @@ def _sigma_averages(system: DyadicSystem, sigma: PointMeasure, a: np.ndarray):
                            out=np.full(mass.size, np.nan), where=mass != 0.0)
 
 
-def _require_doubling(system: DyadicSystem, cubes, avgs, error, message):
-    """Raise ``error`` at the first nested pair whose average fails to double.
+def _require_doubling(system: DyadicSystem, cubes, avgs, check, message):
+    """Raise CheckFailed(check) at the first nested pair whose average fails
+    to double.
 
     A pair is (outer, inner) with inner's members a proper subset of
     outer's: cubes of one system nest along ``parent``, so outer is a proper
@@ -320,8 +314,9 @@ def _require_doubling(system: DyadicSystem, cubes, avgs, error, message):
     name = system.cubes.name
     for o, j in np.argwhere(inside):
         if not avgs[j] > 2.0 * avgs[o]:
-            raise error(message, inner=tuple(name(cubes[j]).values()),
-                        outer=tuple(name(cubes[o]).values()))
+            raise CheckFailed(check, message,
+                              inner=tuple(name(cubes[j]).values()),
+                              outer=tuple(name(cubes[o]).values()))
 
 
 def build_principal_cubes(system: DyadicSystem, sigma: PointMeasure,
@@ -353,12 +348,13 @@ def build_principal_cubes(system: DyadicSystem, sigma: PointMeasure,
 
 def _check_principal_invariants(fam: PrincipalFamily) -> None:
     _require_doubling(fam.system, fam.cubes, fam.averages[fam.cubes],
-                      PropertyViolation,
+                      "principal_doubling",
                       "nested principal cubes fail to double the average")
     ids = np.flatnonzero(~np.isnan(fam.averages))
     ok = fam.averages[ids] <= 2.0 * fam.averages[fam.principal_of[ids]]
     if not ok.all():
-        raise PropertyViolation(
+        raise CheckFailed(
+            "principal_bound",
             "cube average exceeds twice its principal ancestor",
             **fam.system.cubes.name(ids[~ok][0]))
 
@@ -368,29 +364,30 @@ def check_mainlemma(system: DyadicSystem, collection, sigma: PointMeasure,
     """Average sums over a strictly-doubling family against the maximal bound.
 
     ``collection`` holds cube ids.  Verifies the hypotheses first: every
-    id is one of the system's own standard cube ids (a negative id raises
-    OutOfRange; a point cube's id, or any id past the last standard cube,
-    MixedSystems), distinct member sets, positive sigma mass on every
-    cube, and nested pairs strictly more than doubling the average.  Then
+    id is one of the system's own standard cube ids (BadParams for a
+    negative id, a point cube's id, or any id past the last standard cube),
+    distinct member sets, positive sigma mass on every cube, and nested
+    pairs strictly more than doubling the average.  Then
     at every point the sum of the p-th powers of the averages over member
     cubes containing it is at most exactly twice the p-th power of the
     dyadic sigma-maximal function, up to last-ulp roundoff; a failed
     report names the first point that exceeds it.
     """
     if not 1.0 <= p < math.inf:
-        raise BadExponents("need 1 <= p < inf", p=p)
+        raise BadParams("need 1 <= p < inf", p=p)
     a = _nonnegative(f, system.space.n)
     cubes = system._own(collection)
     members = system.incidence[cubes]
     if len(np.unique(members, axis=0)) != len(cubes):
-        raise HypothesisViolated("collection repeats a member set")
+        raise CheckFailed("distinct_member_sets",
+                          "collection repeats a member set")
     mass, averages = _sigma_averages(system, sigma, a)
     null = cubes[mass[cubes] == 0.0]
     if null.size:
-        raise HypothesisViolated("collection contains a sigma-null cube",
-                                 **system.cubes.name(null[0]))
+        raise CheckFailed("positive_sigma_mass", "collection contains a "
+                          "sigma-null cube", **system.cubes.name(null[0]))
     avgs = averages[cubes].tolist()
-    _require_doubling(system, cubes, avgs, HypothesisViolated,
+    _require_doubling(system, cubes, avgs, "strict_doubling",
                       "nested pair does not strictly double the average")
     lhs = np.zeros(a.size)
     for row, avg in zip(members, avgs):
@@ -403,9 +400,8 @@ def check_mainlemma(system: DyadicSystem, collection, sigma: PointMeasure,
         x = int(bad[0])
         witness = {"x": x, "lhs": float(lhs[x]), "rhs": float(rhs[x])}
     ratios = np.divide(lhs, rhs, out=np.zeros(lhs.size), where=rhs > 0.0)
-    return outcome("mainlemma", system.strict_delta, BoundViolated, witness,
-                   p=p, cubes=len(cubes),
-                   max_ratio_of_two=float(np.max(ratios))
+    return outcome("mainlemma", system.strict_delta, witness, p=p,
+                   cubes=len(cubes), max_ratio_of_two=float(np.max(ratios))
                    if ratios.size else 0.0)
 
 
@@ -419,7 +415,7 @@ def check_universal_maximal(system: DyadicSystem, w: PointMeasure, p: float,
     last-ulp roundoff.  A failure names the first trial that overshoots.
     """
     if not 1.0 < p < math.inf:
-        raise BadExponents("need 1 < p < inf", p=p)
+        raise BadParams("need 1 < p < inf", p=p)
     p_prime = p / (p - 1.0)
     params = MaximalParams(space=system.space, mu=w, gamma=0.0)
     F = _trial_functions(system.space.n, trials, STOPPING_SALT, seed)
@@ -430,9 +426,9 @@ def check_universal_maximal(system: DyadicSystem, w: PointMeasure, p: float,
     over = np.flatnonzero(lhs > guard_vec(rhs))
     if over.size:
         t = int(over[0])
-        return outcome("universal_maximal", True, BoundViolated,
+        return outcome("universal_maximal", True,
                        {"trial": t, "lhs": float(lhs[t]), "rhs": float(rhs[t]),
                         "p_prime": p_prime})
     worst = max([0.0, *(lhs[rhs > 0.0] / rhs[rhs > 0.0]).tolist()])
-    return outcome("universal_maximal", True, BoundViolated, p=p,
-                   p_prime=p_prime, trials=trials, max_ratio_of_p_prime=worst)
+    return outcome("universal_maximal", True, p=p, p_prime=p_prime,
+                   trials=trials, max_ratio_of_p_prime=worst)

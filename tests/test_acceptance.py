@@ -51,7 +51,7 @@ from dyadica import (
     verdict_weak_type,
     weak_quasinorm,
 )
-from dyadica.errors import NotAbsolutelyContinuous
+from dyadica.errors import CheckFailed
 from dyadica.harness import sweep
 from dyadica.kernel import growth_scale_factor, phi_table
 from dyadica.operators import apply_dyadic_partition
@@ -380,9 +380,10 @@ def test_criterion_09_maximal_characterization():
             assert v.branch == "necessity"
             assert v.confirmed and v.lhs > 0.0 and v.rhs == 0.0
             confirmed += 1
-        with pytest.raises(NotAbsolutelyContinuous):
+        with pytest.raises(CheckFailed) as err:
             dual_weight(PointMeasure(np.ones(3)),
                         PointMeasure(np.array([1.0, 0.0, 1.0])), 2.0)
+        assert err.value.check == "absolute_continuity"
         template = {
             "space": {"kind": "integer_segment_counting", "n": 16},
             "measures": _SWEEP_MEASURES,

@@ -91,7 +91,7 @@ KERNEL_PINS = [
     ({"space": {"kind": "euclidean_random_points", "n": 12},
       "kernel": {"type": "ball_volume", "gamma": 0.5, "ball": "strict"},
       "measures": {"mu": {"random": {"seed": 14, "zero_fraction": 0.3}}}},
-     "35b15a1f5747b0865028a3607447263fb2c19197a855ec0c8fa7fe7b26b9973b"),
+     "32218db950dcdcbb16bace79a45c02d48647003598aae150f7961d23bb5203e0"),
     ({"space": {"kind": "euclidean_random_points", "n": 16},
       "kernel": {"type": "frac_rho", "alpha": 0.5, "n": 1, "diag": 1.0}},
      "6ebf7fe21da3c9328fcb26604c42aa23ac08c2dc6a0411858290a9456a3ea6e1"),
@@ -144,7 +144,7 @@ SCENARIO_PINS = [
     (pin_doc(segment(10), measures={
         "mu": [1, 0, 1, 1, 0, 1, 1, 1, 1, 1], "sigma": "counting",
         "omega": {"random": {"seed": 3, "zero_fraction": 0.3}}}),
-     "fd39bbf90d7384e9acc25befebf32fcc4c07220139435da03d73506923f48b4f"),
+     "8f10ea9302a4e66998843f2c9797d288f9e4b9608e2a70b1447c7a73d878ac24"),
     (pin_doc(segment(8), checks=["theorem-a"],
              measures=dict(_PIN_MEASURES, sigma=[1, 0, 1, 1, 1, 1, 1, 1])),
      "67de6848175754ad15dc676be48807f89600cf34bd223dc3bc65e8abf27991d5"),
@@ -418,7 +418,7 @@ class TestRunScenario:
         rep = run_scenario(doc)
         by_name = {r["name"]: r for r in rep.checks}
         assert by_name["kernel"]["status"] == "fail"
-        assert by_name["kernel"]["witness"]["error"] == "EmptyBallMass"
+        assert by_name["kernel"]["witness"]["error"] == "empty_ball_mass"
         assert by_name["operators"]["status"] == "vacuous"
         assert by_name["operators"]["witness"]["blocked_by"] == "kernel"
         assert rep.exit_code == 1
@@ -428,7 +428,10 @@ class TestRunScenario:
         doc["kernel"] = {"type": "frac_rho", "alpha": 0.5, "n": 1.0}
         rep = run_scenario(doc)
         assert rep.failed
-        assert rep.checks[-1]["witness"]["error"] == "InfiniteTesting"
+        assert rep.checks[-1]["witness"]["error"] == "infinite_testing"
+        # one flat list per sweep, each cube named as (k, center)
+        cubes = rep.checks[-1]["witness"]["witness"]
+        assert set(cubes) == {"strong", "dual"} and cubes["strong"]
 
     def test_frac_rho_diag_override_passes(self):
         doc = segment_scenario(checks=["theorem-b"])
@@ -514,7 +517,7 @@ class TestRunScenario:
         rep = run_scenario(doc)
         by_name = {r["name"]: r for r in rep.checks}
         assert by_name["kernel"]["status"] == "fail"
-        assert by_name["kernel"]["witness"]["error"] == "Unbounded"
+        assert by_name["kernel"]["witness"]["error"] == "unbounded"
         assert by_name["operators"]["status"] == "vacuous"
         assert by_name["operators"]["witness"]["blocked_by"] == "envelopes"
 
@@ -530,13 +533,13 @@ class TestRunScenario:
         if "theorem-b" in checks:
             assert by_name["theorem-b"]["status"] == "fail"
             assert by_name["theorem-b"]["witness"]["error"] == \
-                "InfiniteTesting"
+                "infinite_testing"
         weak = by_name["weak-type"]
         assert weak["status"] == weak_status
         if weak_status == "vacuous":
             assert weak["witness"]["blocked_by"] == "theorem-b"
         else:
-            assert weak["witness"]["error"] == "InfiniteTesting"
+            assert weak["witness"]["error"] == "infinite_testing"
 
 
 class TestSharedProducts:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dyadica import kernel as kernel_module
 from dyadica.dyadic import build_system
-from dyadica.errors import BadExponents, BadParams, EmptyBallMass, Unbounded
+from dyadica.errors import BadParams, CheckFailed
 from dyadica.kernel import (
     _slot_growth,
     build_kernel,
@@ -56,7 +56,7 @@ def brute_growth_constant(K, d, k2):
 
 def ball_volume_loop(space, mu, gamma, closed):
     """One ball per ordered pair, summed point by point in distance order;
-    the ball-volume kernel's oracle, raising EmptyBallMass at the first
+    the ball-volume kernel's oracle, failing empty_ball_mass at the first
     empty ball in row-major order."""
     n, d = space.n, space.dist
     K = np.empty((n, n))
@@ -68,7 +68,8 @@ def ball_volume_loop(space, mu, gamma, closed):
             r = d[x, y]
             mass = pref[(bisect_right if closed else bisect_left)(dist, r)]
             if mass == 0.0:
-                raise EmptyBallMass(x=x, y=y, radius=float(r))
+                raise CheckFailed("empty_ball_mass", x=x, y=y,
+                                  radius=float(r))
             K[x, y] = mass ** (gamma - 1.0)
         mx = float(mu.masses[x])
         K[x, x] = mx ** (gamma - 1.0) if mx > 0 else np.inf
@@ -88,7 +89,8 @@ def ball_volume_id_loop(space, mu, gamma, closed):
             inside = d[x] <= r if closed else d[x] < r
             mass = float(np.sum(mu.masses[inside]))
             if mass == 0.0:
-                raise EmptyBallMass(x=x, y=y, radius=float(r))
+                raise CheckFailed("empty_ball_mass", x=x, y=y,
+                                  radius=float(r))
             K[x, y] = mass ** (gamma - 1.0)
         mx = float(mu.masses[x])
         K[x, x] = mx ** (gamma - 1.0) if mx > 0 else np.inf
@@ -97,7 +99,7 @@ def ball_volume_id_loop(space, mu, gamma, closed):
 
 def growth_loop(K, d, k2, slot):
     """One masked minimum per (a, b): the first-slot growth constant's
-    oracle, raising Unbounded with the same witness."""
+    oracle, failing unbounded with the same witness."""
     n = K.shape[0]
     k1 = 1.0
     off = ~np.eye(n, dtype=bool)
@@ -110,7 +112,8 @@ def growth_loop(K, d, k2, slot):
             if np.any(den == 0.0):
                 moved = int(np.flatnonzero(reachable)[np.argmax(den == 0.0)])
                 x, y = (a, b) if slot == "x" else (b, a)
-                raise Unbounded(x=x, y=y, **{f"{slot}_moved": moved})
+                raise CheckFailed("unbounded", x=x, y=y,
+                                  **{f"{slot}_moved": moved})
             if den.size:
                 k1 = max(k1, float(K[a, b] / den.min()))
     return k1
@@ -135,8 +138,8 @@ def phi_loop(kernel, sys):
 def outcome_of(fn, *args):
     try:
         return fn(*args)
-    except (EmptyBallMass, Unbounded) as exc:
-        return type(exc).__name__, exc.witness
+    except CheckFailed as exc:
+        return exc.check, exc.witness
 
 
 ORACLE_SPACES = [
@@ -285,9 +288,9 @@ class TestBuildKernel:
 
     def test_frac_rho_bad_exponents(self, segment4):
         space, mu = segment4
-        with pytest.raises(BadExponents):
+        with pytest.raises(BadParams, match="alpha"):
             build_kernel(space, mu, "frac_rho", alpha=1.0, n_dim=1.0)
-        with pytest.raises(BadExponents):
+        with pytest.raises(BadParams, match="alpha"):
             build_kernel(space, mu, "frac_rho", alpha=-0.5, n_dim=1.0)
 
     def test_frac_rho_diag_override(self, segment4):
@@ -304,9 +307,9 @@ class TestBuildKernel:
 
     def test_gamma_domain(self, segment4):
         space, mu = segment4
-        with pytest.raises(BadExponents):
+        with pytest.raises(BadParams, match="gamma"):
             build_kernel(space, mu, "ball_volume", gamma=0.0)
-        with pytest.raises(BadExponents):
+        with pytest.raises(BadParams, match="gamma"):
             build_kernel(space, mu, "ball_volume", gamma=1.5)
 
     def test_gamma_one_is_flat_off_diagonal(self, segment4):
@@ -319,8 +322,10 @@ class TestBuildKernel:
         space, _ = segment4
         mu = PointMeasure(np.array([0.0, 1.0, 1.0, 1.0]))
         # B(0, 1) = {0} carries no mass
-        with pytest.raises(EmptyBallMass):
+        with pytest.raises(CheckFailed) as err:
             build_kernel(space, mu, "ball_volume", gamma=0.5)
+        assert err.value.check == "empty_ball_mass"
+        assert err.value.witness == {"x": 0, "y": 1, "radius": 1.0}
 
     def test_matrix_kind(self, segment4):
         space, _ = segment4
@@ -376,8 +381,9 @@ class TestGrowthConstant:
                          [1.0, 0.0, 0.0],
                          [1.0, 0.0, 0.0]])
         ker = build_kernel(space, None, "matrix", values=vals)
-        with pytest.raises(Unbounded):
+        with pytest.raises(CheckFailed) as err:
             kernel_growth_constant(ker, space, 10.0)
+        assert err.value.check == "unbounded"
 
     def test_scale_factor_formula(self):
         assert growth_scale_factor(1.0, 1.0 / 96.0) == 20.0 * 96.0**2

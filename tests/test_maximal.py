@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadica.dyadic import build_adjacent_systems, build_system
-from dyadica.errors import (
-    BadExponents,
-    BadParams,
-    EquivalenceViolated,
-    NotAbsolutelyContinuous,
-    PropertyViolation,
-)
+from dyadica.errors import BadParams, CheckFailed
 from dyadica.maximal import (
     MaximalParams,
     apply_M,
@@ -335,8 +329,9 @@ class TestEquivalence:
         # the measured constants are kept on a failure too
         assert set(rep.details) == {"ratio_bound", "dyadic_over_ball",
                                     "ball_over_sum", "trials", "systems"}
-        with pytest.raises(EquivalenceViolated) as info:
+        with pytest.raises(CheckFailed) as info:
             require(rep)
+        assert info.value.check == "ball_dyadic_equivalence"
         assert info.value.witness == rep.witness
 
     def test_relaxed_family_is_non_strict(self, segment16):
@@ -544,8 +539,10 @@ class TestDualWeight:
     def test_not_absolutely_continuous(self, segment4):
         _, mu = segment4
         sigma = PointMeasure(np.array([1.0, 0.0, 1.0, 1.0]))
-        with pytest.raises(NotAbsolutelyContinuous):
+        with pytest.raises(CheckFailed) as err:
             dual_weight(mu, sigma, 2.0)
+        assert err.value.check == "absolute_continuity"
+        assert err.value.witness == {"x": 1}
 
     def test_joint_null_point(self, two_point):
         _, _ = two_point
@@ -566,15 +563,16 @@ class TestDualWeight:
         x = next(x for x in range(12)
                  if not close(float(lhs[x]), float(rhs[x]), 0.0))
         assert x > 0
-        with pytest.raises(PropertyViolation) as err:
+        with pytest.raises(CheckFailed) as err:
             dual_weight(PointMeasure(m), PointMeasure(s), p)
+        assert err.value.check == "dual_weight"
         assert err.value.witness == {"x": x, "lhs": float(lhs[x]),
                                      "rhs": float(rhs[x])}
 
     def test_bad_exponent(self, segment4):
         _, mu = segment4
         for p in (1.0, math.inf):
-            with pytest.raises(BadExponents):
+            with pytest.raises(BadParams, match="1 < p < inf"):
                 dual_weight(mu, mu, p)
 
 
@@ -643,7 +641,7 @@ class TestTestingConstant:
         mu = counting(4)
         sigma = PointMeasure(np.array([1.0, 0.0, 0.0, 0.0]))
         params = MaximalParams(space, mu, 0.0)
-        with pytest.raises(NotAbsolutelyContinuous):
+        with pytest.raises(CheckFailed, match="sigma-null"):
             maximal_testing(fam, params, sigma, counting(4), 2.0, 2.0)
         t = maximal_testing(fam, params, sigma, counting(4), 2.0, 2.0,
                             dyadic=True)

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadica.dyadic import build_adjacent_systems, generalize
-from dyadica.errors import (
-    BadExponents,
-    BadParams,
-    Infinite,
-    LowerBoundViolated,
-    NonPositiveOperator,
-)
+from dyadica.errors import BadParams, CheckFailed
 from dyadica.kernel import build_kernel
 from dyadica.norms import (
     Exponents,
@@ -76,7 +70,7 @@ class TestExponents:
     def test_infinite_q(self):
         ex = Exponents(2.0, math.inf)
         assert ex.q_prime == 1.0
-        with pytest.raises(BadExponents):
+        with pytest.raises(BadParams, match="q < inf"):
             ex.dual()
 
     def test_dual_swaps(self):
@@ -87,7 +81,7 @@ class TestExponents:
     @pytest.mark.parametrize("p,q", [(1.0, 2.0), (0.5, 2.0), (3.0, 2.0),
                                      (math.inf, math.inf)])
     def test_rejects(self, p, q):
-        with pytest.raises(BadExponents):
+        with pytest.raises(BadParams):
             Exponents(p, q)
 
 
@@ -352,10 +346,10 @@ class TestStrongNorm:
 
         values = _block_values(sigma, omega, 2.0, 2.0, False)
         null = np.array([1.0, 1.0, 0.0, 0.0])
-        with pytest.raises(Infinite) as want:
+        with pytest.raises(CheckFailed) as want:
             fixed_point_seq(objective_seq(apply, sigma, omega, 2.0, 2.0, False),
                             apply, adjoint, null, 2.0, 2.0)
-        with pytest.raises(Infinite) as got:
+        with pytest.raises(CheckFailed) as got:
             _fixed_point(values, apply, adjoint, null, 2.0, 2.0)
         assert str(got.value) == str(want.value)
         assert got.value.witness == want.value.witness
@@ -379,8 +373,9 @@ class TestStrongNorm:
             calls[0] += 1
             return np.asarray(f) * calls[0]
 
-        with pytest.raises(LowerBoundViolated, match="replay"):
+        with pytest.raises(CheckFailed, match="replay") as err:
             operator_norm_strong(drifting, mu, mu, 2.0, 2.0, budget=1)
+        assert err.value.check == "witness_replay"
 
     def test_infinite_diagonal_raises(self):
         space, _ = generate_space("integer_segment_counting", n=1)
@@ -388,14 +383,17 @@ class TestStrongNorm:
                               gamma=0.5)
         m = PointMeasure(np.ones(1))
         op = MatrixOperator(kernel.matrix, m, m)
-        with pytest.raises(Infinite):
+        with pytest.raises(CheckFailed) as err:
             operator_norm_strong(op.apply, m, m, 2.0, 2.0, budget=2)
+        assert err.value.check == "finite_image"
 
     def test_non_monotone_rejected(self, two_point):
         space, mu = two_point
-        with pytest.raises(NonPositiveOperator):
+        with pytest.raises(CheckFailed) as err:
             operator_norm_strong(lambda f: -np.asarray(f), mu, mu, 2.0, 2.0,
                                  budget=2)
+        assert err.value.check == "monotone"
+        assert set(err.value.witness) == {"f1", "f2"}
 
 
 class TestWeakNorm:
@@ -475,7 +473,7 @@ class TestTestingConstants:
         assert 0.0 < tc.strong < math.inf
         assert 0.0 < tc.dual < math.inf
         assert tc.argmax_strong is not None and tc.argmax_dual is not None
-        assert tc.infinite_cubes == ()
+        assert tc.infinite_strong == tc.infinite_dual == ()
 
     def test_testing_below_seeded_norm(self, segment16):
         space, mu = segment16
@@ -525,7 +523,7 @@ class TestTheoremB:
         space, mu = two_point
         kernel = build_kernel(space, None, "matrix", values=np.zeros((2, 2)))
         fam = build_adjacent_systems(space)
-        with pytest.raises(BadExponents):
+        with pytest.raises(BadParams, match="q < inf"):
             verdict_theorem_b(kernel, fam, mu, mu, 2.0, math.inf, budget=2)
 
 
@@ -662,12 +660,12 @@ def objective_seq(apply, sigma, omega, p, q, weak):
             g, omega, q)
         if den == 0.0:
             if num > 0.0:
-                raise Infinite("operator maps a null function to positive mass",
-                               witness={"f": f.tolist()})
+                raise CheckFailed("finite_image", "operator maps a null "
+                                  "function to positive mass", f=f.tolist())
             return None
         if math.isinf(num):
-            raise Infinite("infinite image norm at positive input norm",
-                           witness={"f": f.tolist()})
+            raise CheckFailed("finite_image", "infinite image norm at "
+                              "positive input norm", f=f.tolist())
         return num / den
 
     return value
@@ -739,7 +737,7 @@ def norm_search_seq(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
         g1, g2 = np.asarray(apply(f1)), np.asarray(apply(f2))
         ok = np.where(np.isfinite(g2), g1 <= g2 * (1.0 + 1e-12) + 1e-300, True)
         if not np.all(ok):
-            raise NonPositiveOperator("operator is not order preserving")
+            raise CheckFailed("monotone", "operator is not order preserving")
     value = objective_seq(apply, sigma, omega, p, q, weak)
     pool = [("ones", np.ones(n))]
     for x in range(n):
@@ -933,16 +931,16 @@ class TestBlockSearchMatchesSequential:
                 return g
             return run
 
-        with pytest.raises(Infinite) as want:
+        with pytest.raises(CheckFailed) as want:
             norm_search_seq(poisoned(lambda f: weighted_apply_seq(
                 off, diag, f, sigma)), sigma, omega, 1.5, 3.0, 3, (), None,
                 None, 9, False)
-        with pytest.raises(Infinite) as got:
+        with pytest.raises(CheckFailed) as got:
             operator_norm_strong(poisoned(op.apply), sigma, omega, 1.5, 3.0,
                                  3, (), seed=9)
         assert str(got.value) == str(want.value)
         assert got.value.witness == want.value.witness
-        assert got.value.witness["witness"]["f"] == trace[2][10][1].tolist()
+        assert got.value.witness["f"] == trace[2][10][1].tolist()
 
     def test_raising_apply_keeps_the_first_failing_row(self):
         # the pool's seed:1 has a non-finite density and point:3 an infinite
@@ -960,12 +958,12 @@ class TestBlockSearchMatchesSequential:
                 return g
             return run
 
-        with pytest.raises(Infinite) as want:
+        with pytest.raises(CheckFailed) as want:
             norm_search_seq(inf_at_point_3(
                 lambda f: MatrixOperator(kernel.matrix, sigma, omega).apply(
                     np.asarray(f))), sigma, omega, 2.0, 2.0, 1, seeds, None,
                 None, 0, False)
-        with pytest.raises(Infinite) as got:
+        with pytest.raises(CheckFailed) as got:
             operator_norm_strong(inf_at_point_3(op.apply), sigma, omega, 2.0,
                                  2.0, 1, seeds)
         assert got.value.witness == want.value.witness
@@ -1124,6 +1122,7 @@ def one_problem(weak, sigma, omega, p, q, apply, budget, seeds, seed,
 def assert_same_outcome(got, want):
     if want[1] is not None:
         assert got[0] is None and type(got[1]) is type(want[1])
+        assert getattr(got[1], "check", None) == getattr(want[1], "check", None)
         assert str(got[1]) == str(want[1])
         assert getattr(got[1], "witness", None) == \
             getattr(want[1], "witness", None)
@@ -1173,9 +1172,8 @@ class TestLockstepSearch:
         got = _norm_search(problems, sigma, omega, 1.5, 3.0, weak=weak)
         assert [g[1] is None for g in got] == [True, False, False, False,
                                                True]
-        assert isinstance(got[1][1], Infinite) and \
-            isinstance(got[2][1], Infinite)
-        assert got[1][1].witness["witness"]["f"] == np.eye(16)[3].tolist()
+        assert got[1][1].check == got[2][1].check == "finite_image"
+        assert got[1][1].witness["f"] == np.eye(16)[3].tolist()
         for g, pr in zip(got, problems):
             assert_same_outcome(g, one_problem(weak, sigma, omega, 1.5, 3.0,
                                                *pr))
@@ -1222,18 +1220,18 @@ class TestWeakTypeLockstep:
                             apply=inf_at(strong.operator.apply, 3))
         bad = [with_apply(ops[0], apply=inf_at(ops[0].apply, 5),
                           apply_adjoint=raising("adjoint 0")), ops[1]]
-        with pytest.raises(Infinite) as err:
+        with pytest.raises(CheckFailed) as err:
             self.verdict(strong, bad, direct)
-        assert err.value.witness["witness"]["f"] == np.eye(16)[3].tolist()
+        assert err.value.witness["f"] == np.eye(16)[3].tolist()
 
     def test_system_errors_come_in_system_order(self, instance):
         sigma, omega, fam, strong, ops = instance
         # system 0's weak search fails before system 1's dual testing
         bad = [with_apply(ops[0], apply=inf_at(ops[0].apply, 5)),
                with_apply(ops[1], apply_adjoint=raising("adjoint 1"))]
-        with pytest.raises(Infinite) as err:
+        with pytest.raises(CheckFailed) as err:
             self.verdict(strong, bad)
-        assert err.value.witness["witness"]["f"] == np.eye(16)[5].tolist()
+        assert err.value.witness["f"] == np.eye(16)[5].tolist()
         # within a system, the dual testing fails before the weak search
         bad = [with_apply(ops[0], apply=inf_at(ops[0].apply, 5),
                           apply_adjoint=raising("adjoint 0")), ops[1]]
@@ -1258,14 +1256,16 @@ class TestWeakTypeLockstep:
 
         monkeypatch.setattr(norms, "_norm_search", halved)
         fired = rf"dyadic dual \(system {t}\)"
-        with pytest.raises(LowerBoundViolated, match=fired):
+        with pytest.raises(CheckFailed, match=fired) as err:
             self.verdict(strong, ops)
+        assert err.value.check == "testing_below_norm"
         # with the other system's weak search failing, the earlier system's
         # error is raised: the check for t = 0, the weak search for t = 1
         bad = list(ops)
         bad[1 - t] = with_apply(ops[1 - t], apply=inf_at(ops[1 - t].apply, 5))
-        with pytest.raises(LowerBoundViolated if t == 0 else Infinite) as err:
+        with pytest.raises(CheckFailed) as err:
             self.verdict(strong, bad)
+        assert err.value.check == ("testing_below_norm", "finite_image")[t]
         if t == 0:
             assert "system 0" in str(err.value)
 

@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadica.dyadic import build_adjacent_systems, build_system, generalize
-from dyadica.errors import (
-    BadM,
-    BadParams,
-    FormMismatch,
-    PointCubeViolated,
-    PropertyViolation,
-    SandwichViolated,
-)
+from dyadica.errors import BadParams, CheckFailed
 from dyadica.kernel import build_kernel
 from dyadica.operators import (
     MatrixOperator,
@@ -234,13 +227,13 @@ class TestDyadicForms:
         op = line_operator(space, mu)
         op.matrix[0, 1] *= 2.0
         op.matrix[1, 0] *= 2.0
-        with pytest.raises(FormMismatch):
+        with pytest.raises(CheckFailed, match="forms_agree"):
             require(check_forms_agree(op))
 
     def test_bad_m(self, segment16):
         space, mu = segment16
         op = line_operator(space, mu)
-        with pytest.raises(BadM):
+        with pytest.raises(BadParams, match="m >= 1"):
             apply_dyadic_partition(op, np.ones(16), m=0)
 
 
@@ -288,8 +281,9 @@ class TestBuildMatrix:
                      for y in range(x + 1, space.n)
                      if sys.smallest_common_cube(x, y) == sys.top)
         assert first == (0, 9)
-        with pytest.raises(PropertyViolation) as info:
+        with pytest.raises(CheckFailed) as info:
             build_dyadic_operator(ker, gen, phi=cleared)
+        assert info.value.check == "envelope_defined"
         assert info.value.witness == {"x": 0, "y": 9,
                                       "k": sys.cubes.k[sys.top],
                                       "center": sys.cubes.center[sys.top]}
@@ -466,7 +460,7 @@ class TestSandwich:
         rep = check_shifted_sandwich(op, f, m=2)
         assert rep.status == "fail"
         assert rep.witness["side"] == "upper"
-        with pytest.raises(SandwichViolated):
+        with pytest.raises(CheckFailed, match="shifted_sandwich"):
             require(rep)
 
 
@@ -663,7 +657,7 @@ class TestPointCubeTesting:
         rep = check_point_cube_testing(op, 2.0, 2.0, 12.0, 12.0)
         assert rep.status == "pass"
         assert rep.details["worst_ratio"] == pytest.approx(1.0)
-        with pytest.raises(PointCubeViolated):
+        with pytest.raises(CheckFailed, match="point_cube_testing"):
             require(check_point_cube_testing(op, 2.0, 2.0, 11.9, 12.0))
 
     def test_infinite_diagonal_fails_finite_constants(self, segment4):
@@ -674,8 +668,16 @@ class TestPointCubeTesting:
         rep = check_point_cube_testing(op, 2.0, 2.0, 5.0, 5.0)
         assert rep.status == "fail"
         assert rep.witness["kxx_infinite"] is True
-        with pytest.raises(PointCubeViolated):
+        with pytest.raises(CheckFailed, match="point_cube_testing"):
             require(rep)
+
+    @pytest.mark.parametrize("p,q", [(1.0, 2.0), (3.0, 2.0),
+                                     (np.inf, np.inf)])
+    def test_exponents_are_checked(self, segment4, p, q):
+        space, mu = segment4
+        op = line_operator(space, mu)
+        with pytest.raises(BadParams):
+            check_point_cube_testing(op, p, q, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 
 import dyadica
 from dyadica.dyadic import build_system, check_partition
-from dyadica import policy
-from dyadica.errors import DyadicaError, PropertyViolation, SandwichViolated
+from dyadica import errors, policy
+from dyadica.errors import CheckFailed, DyadicaError
 from dyadica.maximal import MaximalParams
 from dyadica.policy import CheckReport, outcome, require
 from dyadica.space import generate_space
@@ -23,18 +23,19 @@ from dyadica.space import generate_space
 class TestRequire:
     def test_fail_raises_recorded_error_with_witness(self):
         witness = {"x": 3, "side": "upper"}
-        rep = outcome("shifted_sandwich", True, SandwichViolated, witness)
+        rep = outcome("shifted_sandwich", True, witness)
         assert rep.status == "fail"
-        with pytest.raises(SandwichViolated) as info:
+        with pytest.raises(CheckFailed) as info:
             require(rep)
+        assert info.value.check == "shifted_sandwich"
         assert info.value.witness == witness
 
     @pytest.mark.parametrize("status", ["pass", "vacuous"])
     def test_non_failing_report_returned_unchanged(self, status):
         rep = CheckReport("shifted_sandwich", status, witness=None,
-                          details={"m": 2}, error=SandwichViolated)
+                          details={"m": 2})
         before = CheckReport("shifted_sandwich", status, witness=None,
-                             details={"m": 2}, error=SandwichViolated)
+                             details={"m": 2})
         assert require(rep) is rep
         assert rep == before
 
@@ -48,9 +49,10 @@ class TestRequire:
         rep = check_partition(replace(sys, label=label))
         assert rep.status == "fail"
         assert rep.witness["multiplicity"] == 2
-        with pytest.raises(PropertyViolation) as info:
+        with pytest.raises(CheckFailed) as info:
             require(rep)
         assert isinstance(info.value, DyadicaError)
+        assert info.value.check == "partition"
         assert info.value.witness == rep.witness
 
 
@@ -140,6 +142,18 @@ def test_no_unused_imports_in_the_package():
              if path.name != "__init__.py"
              for entry in _unused_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+def test_one_error_class_per_role():
+    # a new failure is a CheckFailed naming its check, not a new class
+    roles = ("DyadicaError", "ConfigError", "BadParams", "CheckFailed")
+    defined = {f"{module.__name__}.{name}" for module in _public_modules()
+               for name, obj in vars(module).items()
+               if inspect.isclass(obj) and obj.__module__ == module.__name__
+               and (module is errors or issubclass(obj, DyadicaError))}
+    assert defined == {f"dyadica.errors.{name}" for name in roles}
+    assert sorted(c.__name__ for c in DyadicaError.__subclasses__()) == \
+        sorted(roles[1:])
 
 
 def test_no_assert_statements_in_the_package():

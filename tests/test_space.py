@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadica.errors import (
-    BadParams,
-    ConfigError,
-    NegativeDistance,
-    NonSymmetric,
-    UnknownKind,
-    ZeroOffDiagonal,
-)
+from dyadica.errors import BadParams, ConfigError
 from dyadica.space import (
     _SPACE_PARAMS,
     PointMeasure,
@@ -70,18 +63,21 @@ class TestBuildSpace:
 
     def test_rejects_asymmetry(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(NonSymmetric):
+        with pytest.raises(BadParams, match="symmetric") as err:
             build_space(d)
+        assert err.value.witness == {"x": 0, "y": 1}
 
     def test_rejects_negative(self):
         d = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(NegativeDistance):
+        with pytest.raises(BadParams, match="nonnegative") as err:
             build_space(d)
+        assert err.value.witness == {"x": 0, "y": 1, "value": -1.0}
 
     def test_rejects_zero_off_diagonal(self):
         d = np.array([[0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(ZeroOffDiagonal):
+        with pytest.raises(BadParams, match="positive distance") as err:
             build_space(d)
+        assert err.value.witness == {"x": 0, "y": 1}
 
     def test_rejects_nonzero_diagonal(self):
         d = np.array([[1.0, 1.0], [1.0, 0.0]])
@@ -415,7 +411,7 @@ class TestDoubling:
 
 class TestGenerators:
     def test_unknown_kind(self):
-        with pytest.raises(UnknownKind):
+        with pytest.raises(BadParams, match="unknown space kind"):
             generate_space("nope", n=3)
 
     def test_missing_param(self):

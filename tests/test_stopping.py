@@ -7,16 +7,7 @@ import pytest
 
 from dyadica.dyadic import build_system, generalize, maximal_cubes
 import dyadica.stopping as stopping
-from dyadica.errors import (
-    BadExponents,
-    BadParams,
-    BoundViolated,
-    HypothesisViolated,
-    MixedSystems,
-    OutOfRange,
-    PrincipleViolated,
-    PropertyViolation,
-)
+from dyadica.errors import BadParams, CheckFailed
 from dyadica.kernel import build_kernel
 from dyadica.maximal import MaximalParams, _trial_functions, apply_M_dyadic
 from dyadica.norms import lp_norm
@@ -105,8 +96,9 @@ class TestDecompose:
         img[0] = 2.0
         fake = SimpleNamespace(apply=lambda f: img, gen=gen,
                                omega=gen.omega)
-        with pytest.raises(PropertyViolation):
+        with pytest.raises(CheckFailed) as err:
             decompose_level_set(fake, np.ones(16), 1.0)
+        assert err.value.check == "cover_mass"
 
     def test_point_cube_covers_atom(self, segment16):
         # same cut as above, but at a joint atom: the point cube makes the
@@ -197,20 +189,21 @@ def oracle_decompose(op, f, rho, image=None):
     for cube in q:
         count[list(members(op.gen, cube))] += 1
     if np.any(count > 1):
-        raise PropertyViolation("maximal cubes overlap",
-                                x=int(np.flatnonzero(count > 1)[0]))
+        raise CheckFailed("cover_disjoint", "maximal cubes overlap",
+                          x=int(np.flatnonzero(count > 1)[0]))
     escaped = ~ruled_out & oracle_cubes_holding(op.gen, count == 0)
     if escaped.any():
         c = int(np.flatnonzero(escaped)[0])
-        raise PropertyViolation("candidate cube escapes the maximal cover",
-                                k=int(op.gen.cubes.k[c]),
-                                center=int(op.gen.cubes.center[c]))
+        raise CheckFailed("cover_maximal",
+                          "candidate cube escapes the maximal cover",
+                          k=int(op.gen.cubes.k[c]),
+                          center=int(op.gen.cubes.center[c]))
     lhs = np.where(in_omega, om, 0.0)
     rhs = np.where(count > 0, om, 0.0)
     if not np.array_equal(lhs, rhs):
         x = int(np.flatnonzero(lhs != rhs)[0])
-        raise PropertyViolation(
-            "level set and its cube cover disagree in omega mass",
+        raise CheckFailed(
+            "cover_mass", "level set and its cube cover disagree in omega mass",
             rho=rho, x=x, in_level_set=bool(in_omega[x]))
     return stopping.LevelSetDecomposition(
         rho=rho, omega_set=tuple(int(i) for i in np.flatnonzero(in_omega)),
@@ -256,7 +249,7 @@ def oracle_principle_1(op, f, rho, C=None, image=None, whole=True):
     return CheckReport("max_principle_1", status, op.system.strict_delta,
                        witness, {"rho": rho, "C": C, "bound": bound,
                                  "worst": max([-math.inf, *values]),
-                                 "cubes": len(dec.q_rho)}, PrincipleViolated)
+                                 "cubes": len(dec.q_rho)})
 
 
 def oracle_principle_2(op, f, rho, C_m=None, image=None, whole=True):
@@ -269,7 +262,7 @@ def oracle_principle_2(op, f, rho, C_m=None, image=None, whole=True):
     return CheckReport("max_principle_2", status, op.system.strict_delta,
                        witness, {"rho": rho, "C_m": C_m, "bound": bound,
                                  "worst": min(values) if values else None,
-                                 "points": len(values)}, PrincipleViolated)
+                                 "points": len(values)})
 
 
 def every_report(check, *args, **kwargs):
@@ -392,10 +385,11 @@ class TestLevelSetsOracle:
         for run in (lambda: check_max_principle_1(op, f, grid),
                     lambda: [oracle_principle_1(op, f, rho)
                              for rho in grid.tolist()]):
-            with pytest.raises(PropertyViolation) as info:
+            with pytest.raises(CheckFailed) as info:
                 run()
-            raised.append((str(info.value), info.value.witness))
-        assert raised[0] == raised[1] and raised[0][0].startswith(message)
+            raised.append((info.value.check, str(info.value),
+                           info.value.witness))
+        assert raised[0] == raised[1] and raised[0][1].startswith(message)
 
     @staticmethod
     def broken_cover():
@@ -440,7 +434,7 @@ class TestLevelSetsOracle:
                  "checks": ["space"]}))
             try:
                 run.check("stopping.t0", reports)
-            except PropertyViolation as exc:
+            except CheckFailed as exc:
                 run.add(harness.row("stopping", "fail",
                                     witness=harness._error_witness(exc)))
             return run.rows
@@ -696,9 +690,9 @@ class TestPrincipalCubes:
         fam = build_principal_cubes(sys, mu, np.ones(16))
         point = generalize(sys, mu, mu).point_cubes[0]
         for lookup in (fam.pi, fam.average):
-            with pytest.raises(OutOfRange):
+            with pytest.raises(BadParams, match="nonnegative"):
                 lookup(-1)
-            with pytest.raises(MixedSystems):
+            with pytest.raises(BadParams, match="past this system's cubes"):
                 lookup(point)
         assert fam.pi(len(sys.cubes) - 1) == sys.top
 
@@ -741,16 +735,18 @@ class TestMainLemma:
     def test_duplicate_sets_rejected(self, segment16):
         space, mu = segment16
         sys = build_system(space)
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(CheckFailed) as err:
             check_mainlemma(sys, [sys.top, sys.top], mu, np.ones(16), 2.0)
+        assert err.value.check == "distinct_member_sets"
 
     def test_null_cube_rejected(self, segment16):
         space, _ = segment16
         sys = build_system(space)
         sigma = PointMeasure(indicator_mass(16, [0]))
         far_leaf = sys.leaf(15)
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(CheckFailed) as err:
             check_mainlemma(sys, [far_leaf], sigma, np.ones(16), 2.0)
+        assert err.value.check == "positive_sigma_mass"
 
     def test_point_cube_rejected(self, segment16):
         space, mu = segment16
@@ -758,7 +754,7 @@ class TestMainLemma:
         gen = generalize(sys, mu, mu)
         point = gen.point_cubes[0]
         assert gen.base is sys
-        with pytest.raises(MixedSystems):
+        with pytest.raises(BadParams, match="past this system's cubes"):
             check_mainlemma(sys, [point], mu, np.ones(16), 2.0)
 
     @pytest.mark.parametrize("i", [-1, -5])
@@ -766,13 +762,13 @@ class TestMainLemma:
         # numpy would read id -1 as the last cube
         space, mu = segment16
         sys = build_system(space)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(BadParams, match="nonnegative"):
             check_mainlemma(sys, [sys.top, i], mu, np.ones(16), 2.0)
 
     def test_id_past_the_cubes_rejected(self, segment16):
         space, mu = segment16
         sys = build_system(space)
-        with pytest.raises(MixedSystems):
+        with pytest.raises(BadParams, match="past this system's cubes"):
             check_mainlemma(sys, [len(sys.cubes)], mu, np.ones(16), 2.0)
 
     def test_overshoot_is_a_failed_report(self, segment16, monkeypatch):
@@ -784,11 +780,11 @@ class TestMainLemma:
         monkeypatch.setattr(stopping, "apply_M_dyadic",
                             lambda *args, **kw: 0.25 * real(*args, **kw))
         rep = check_mainlemma(sys, [sys.top], mu, np.ones(16), 2.0)
-        assert (rep.name, rep.status, rep.error) == \
-            ("mainlemma", "fail", BoundViolated)
+        assert (rep.name, rep.status) == ("mainlemma", "fail")
         assert rep.witness == {"x": 0, "lhs": 1.0, "rhs": 0.125}
-        with pytest.raises(BoundViolated) as info:
+        with pytest.raises(CheckFailed) as info:
             require(rep)
+        assert info.value.check == "mainlemma"
         assert info.value.witness == rep.witness
 
     def test_relaxed_system_is_non_strict(self, segment16):
@@ -801,9 +797,12 @@ class TestMainLemma:
     def test_non_doubling_pair_rejected(self, segment16):
         space, mu = segment16
         sys = build_system(space)
-        child = sys.children(sys.top)[0]
-        with pytest.raises(HypothesisViolated):
+        # the top's child is the whole space again; the first proper cube
+        # nests in the top and keeps its average, 1
+        child = int(np.argmax(sys.incidence.sum(axis=1) < 16))
+        with pytest.raises(CheckFailed) as err:
             check_mainlemma(sys, [sys.top, child], mu, np.ones(16), 2.0)
+        assert err.value.check == "strict_doubling"
 
 
 def indicator_mass(n, points):
@@ -856,7 +855,7 @@ class TestUniversalMaximal:
         space, mu = segment4
         sys = build_system(space)
         for p in (1.0, math.inf):
-            with pytest.raises(BadExponents):
+            with pytest.raises(BadParams, match="1 < p < inf"):
                 check_universal_maximal(sys, mu, p, trials=2)
 
     def test_overshoot_is_a_failed_report(self, segment16, monkeypatch):
@@ -869,12 +868,12 @@ class TestUniversalMaximal:
                             lambda *args, **kw: 4.0 * real(*args, **kw))
         rep = check_universal_maximal(sys, mu, 2.0, trials=5)
         assert rep.status == "fail"
-        assert rep.error is BoundViolated
         assert rep.witness["trial"] == 0
         assert rep.witness["p_prime"] == 2.0
         assert rep.witness["lhs"] > rep.witness["rhs"]
-        with pytest.raises(BoundViolated) as info:
+        with pytest.raises(CheckFailed) as info:
             require(rep)
+        assert info.value.check == "universal_maximal"
         assert info.value.witness == rep.witness
 
 
