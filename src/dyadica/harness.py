@@ -13,7 +13,8 @@ system, carrying C_K) serve the kernel checks and the dyadic operators,
 and the theorem-B verdict serves the weak-type stage. When a shared
 product cannot be built (say the kernel rejects the measure), the first
 check that needed it fails with the builder's witness and every later
-check depending on it reports "vacuous" with a blocked_by marker.
+check depending on it reports "vacuous" with a blocked_by marker and
+the failed check's name.
 
 sweep replays a scenario template over the cross-product of a parameter
 grid and a seed list, collecting per-run reports plus a summary that
@@ -553,8 +554,8 @@ def run_scenario(scenario: Scenario | dict, base_dir: str = "") -> Report:
             _STAGES[name](run)
         except _Blocked as blocked:
             run.add(row(name, "vacuous",
-                        witness={"blocked_by": blocked.stage,
-                                 "error": str(blocked.error)}))
+                        witness={"blocked_by": blocked.stage, "error":
+                                 _error_witness(blocked.error)["error"]}))
         except ConfigError:
             raise
         except DyadicaError as exc:

@@ -281,8 +281,7 @@ class DualWeight:
 
 
 def dual_weight(mu: PointMeasure, sigma: PointMeasure, p: float) -> DualWeight:
-    if not 1.0 < p < math.inf:
-        raise BadParams("need 1 < p < inf", p=p)
+    Exponents(p, p)  # 1 < p < inf
     m, s = mu.masses, sigma.masses
     if m.size != s.size:
         raise BadParams("measure sizes differ", mu=m.size, sigma=s.size)

@@ -14,12 +14,13 @@ indicator the caller supplies, every point mass, the constant one), a
 power-type fixed-point iteration for linear operators, and multistart
 random ascent.  One search runs many problems on one (sigma, omega, p,
 q) in lockstep, each with its own operator, effort and random streams,
-one block evaluation per step, and each gets exactly the result or first
-error of its search alone.  Testing constants are exact suprema over the
-standard cubes of a system family.  The verdict helpers wire these for the
-two-weight strong-type and weak-type characterizations: the testing side
-is always at most the seeded norm lower bound by construction, and the
-reported ratio measures the empirical equivalence constant.
+one block evaluation per step: each gets exactly the result of its search
+alone, and the first error the batch meets raises.  Testing constants are
+exact suprema over the standard cubes of a system family.  The verdict
+helpers wire these for the two-weight strong-type and weak-type
+characterizations: the testing side is always at most the seeded norm
+lower bound by construction, and the reported ratio measures the
+empirical equivalence constant.
 """
 
 from __future__ import annotations
@@ -195,56 +196,38 @@ def _image(apply, f: np.ndarray) -> np.ndarray:
 
 def _block_values(sigma, omega, p, q, weak: bool):
     """values(jobs, images=None) gives each (apply, F) job, one per
-    problem, (vals, err): vals[i] = ||apply(F[i])|| / ||F[i]|| (None on a
-    null row), the float F[i] gives alone, up to the first failing row,
-    whose error is err.  A job applies its rows block_rows(n) at a time,
-    one at a time once its apply raises (images[j] stands for job j's
-    images); all rows then share one lp_norm and one image norm per block."""
+    problem, its values: vals[i] = ||apply(F[i])|| / ||F[i]||, None on a
+    null row, the float F[i] gives alone.  A job applies its rows
+    block_rows(n) at a time (images[j] stands for job j's images), and all
+    rows then share one lp_norm and one image norm per block.  An error of
+    apply propagates as raised; after the norms, the first row in job
+    order that maps a null input to positive mass or has an infinite image
+    norm raises CheckFailed("finite_image")."""
     cap, norm = block_rows(len(sigma.masses)), weak_quasinorm if weak else lp_norm
 
     def values(jobs, images=None):
-        fs, gs, done = [], [], []
+        fs, gs = [], []
         for j, (apply, F) in enumerate(jobs):
-            i, rows, exc = 0, cap, None
-            while i < len(F) and exc is None:
-                try:
-                    gs.append(_image(apply, F[i:i + rows]) if images is None
-                              else images[j][i:i + rows])
-                except Exception as e:
-                    exc, rows = (e if rows == 1 else None), 1
-                    continue
-                fs.append(F[i:i + rows])
-                i += len(fs[-1])
-            done.append((i, exc))
+            for i in range(0, len(F), cap):
+                fs.append(F[i:i + cap])
+                gs.append(_image(apply, fs[-1]) if images is None
+                          else images[j][i:i + cap])
         X = fs[0] if len(fs) == 1 else np.concatenate(fs) if fs else ()
         G = gs[0] if len(gs) == 1 else np.concatenate(gs) if gs else ()
         ds, ms = [], []
         for s in range(0, len(X), cap):
             ds += lp_norm(X[s:s + cap], sigma, p).tolist()
             ms += norm(G[s:s + cap], omega, q).tolist()
-        out, s = [], 0
-        for i, exc in done:
-            vals = []
-            for r, d, m in zip(range(s, s + i), ds[s:s + i], ms[s:s + i]):
-                if (m > 0.0) if d == 0.0 else math.isinf(m):
-                    exc = CheckFailed(
-                        "finite_image", "operator maps a null function to "
-                        "positive mass" if d == 0.0 else "infinite image "
-                        "norm at positive input norm", f=X[r].tolist())
-                    break
-                vals.append(m / d if d != 0.0 else None)
-            out.append((vals, exc))
-            s += i
-        return out
+        for r, (d, m) in enumerate(zip(ds, ms)):
+            if (m > 0.0) if d == 0.0 else math.isinf(m):
+                raise CheckFailed(
+                    "finite_image", "operator maps a null function to "
+                    "positive mass" if d == 0.0 else "infinite image norm "
+                    "at positive input norm", f=X[r].tolist())
+        vals, s = [m / d if d != 0.0 else None for d, m in zip(ds, ms)], 0
+        return [vals[s:(s := s + len(F))] for _, F in jobs]
 
     return values
-
-
-def _ok(got):
-    """The result of a (result, error) pair, or its error raised."""
-    if got[1] is not None:
-        raise got[1]
-    return got[0]
 
 
 def _spot_check_monotone(apply, n: int, seed: int) -> None:
@@ -278,17 +261,15 @@ def _seed_pool(n: int, seeds, budget: int, seed: int):
 def _lockstep_ascent(apply, starts, seed: int):
     """Random ascent from all starts in lockstep, start i on _rng(seed,
     0x200 + i): each iteration yields one block of proposals and is sent
-    their (values, error), so each start takes the steps it takes alone.
-    A failing row stops its start and the later ones; the earliest error
-    in (start, iteration) order is raised.  Returns (f, value) per start."""
+    their values, so each start takes the steps it takes alone.  Returns
+    (f, value) per start."""
+    if not starts:
+        return []
     rngs = [_rng(seed, 0x200 + i) for i in range(len(starts))]
     f, best = [f0.copy() for _, f0, _ in starts], [v0 for *_, v0 in starts]
-    step, stall = np.full(len(starts), 0.5), [0] * len(starts)
-    live, error = list(range(len(starts))), None
+    step, stall, n = np.full(len(starts), 0.5), [0] * len(starts), len(f[0])
     for it in range(_ASCENT_ITERS):
-        if not live:
-            break
-        cur, n = np.array([f[i] for i in live]), len(f[0])
+        cur = np.array(f)
         if it % 3 == 2:  # additive, scaled by the mean positive value
             # rows with every entry positive take one row reduction, the
             # pairwise sum x.mean() takes; the others their positive entries
@@ -296,25 +277,21 @@ def _lockstep_ascent(apply, starts, seed: int):
             for j in np.flatnonzero(~(cur > 0.0).all(axis=1)):
                 x = cur[j][cur[j] > 0.0]
                 base[j] = float(x.mean()) if x.size else 1.0
-            props = cur + (step[live] * base)[:, None] * np.array(
-                [rngs[i].random(n) for i in live])
+            props = cur + (step * base)[:, None] * np.array(
+                [r.random(n) for r in rngs])
         else:
-            props = cur * np.exp(step[live][:, None] * np.array(
-                [rngs[i].standard_normal(n) for i in live]))
+            props = cur * np.exp(step[:, None] * np.array(
+                [r.standard_normal(n) for r in rngs]))
         m = [x if 0.0 < x < math.inf else 1.0 for x in props.max(axis=1).tolist()]
         props /= np.array(m)[:, None]  # each row by its max, if positive and finite
-        vals, err = yield apply, props
-        error = err or error
-        for i, v, prop in zip(live, vals, props):
+        vals = yield apply, props
+        for i, (v, prop) in enumerate(zip(vals, props)):
             if v is not None and v > best[i]:
                 f[i], best[i], stall[i] = prop, v, 0
             elif stall[i] == 4:
                 step[i], stall[i] = step[i] * 0.5, 0  # five stalls halve it
             else:
                 stall[i] += 1
-        live = live[:len(vals)]
-    if error is not None:
-        raise error
     return list(zip(f, best))
 
 
@@ -324,25 +301,22 @@ def _fixed_point(values, apply, apply_adjoint, f0: np.ndarray,
     earlier one bit for bit (every later value would repeat); the iterates
     are valued afterwards in one block through the images it computed."""
     f, seen, fs, gs = f0.copy(), set(), [], []
-    try:
-        for _ in range(_FIXED_POINT_ITERS):
-            if f.tobytes() in seen:
-                break
-            seen.add(f.tobytes())
-            fs.append(f)
-            gs.append(g := _image(apply, f))
-            if not np.isfinite(g).all() or float(g.max()) <= 0.0:
-                break
-            u = np.power(g, q - 1.0)
-            u = u / float(u.max())
-            h = np.asarray(apply_adjoint(u), dtype=float)
-            if not np.isfinite(h).all() or float(h.max()) <= 0.0:
-                break
-            f = np.power(h, 1.0 / (p - 1.0))
-            f = f / float(f.max())
-    finally:  # a valuation error came before any that stopped the loop
-        vals = _ok(values([(apply, np.reshape(fs, (len(fs), f0.size)))],
-                          [np.reshape(gs, (len(gs), f0.size))])[0])
+    for _ in range(_FIXED_POINT_ITERS):
+        if f.tobytes() in seen:
+            break
+        seen.add(f.tobytes())
+        fs.append(f)
+        gs.append(g := _image(apply, f))
+        if not np.isfinite(g).all() or float(g.max()) <= 0.0:
+            break
+        u = np.power(g, q - 1.0)
+        u = u / float(u.max())
+        h = np.asarray(apply_adjoint(u), dtype=float)
+        if not np.isfinite(h).all() or float(h.max()) <= 0.0:
+            break
+        f = np.power(h, 1.0 / (p - 1.0))
+        f = f / float(f.max())
+    vals = values([(apply, np.array(fs))], [np.array(gs)])[0]
     best, bw = -math.inf, None
     for f, v in zip(fs, vals):
         if v is not None and v > best:
@@ -353,14 +327,14 @@ def _fixed_point(values, apply, apply_adjoint, f0: np.ndarray,
 def _search(values, sigma, omega, p, q, weak: bool, pool_only: bool,
             apply, budget, seeds, seed, apply_adjoint=None, matrix=None):
     """One problem's search: it yields each (apply, rows) job it needs
-    valued, is sent the job's (values, error), and returns its estimate.
+    valued, is sent the job's values, and returns its estimate.
     pool_only keeps the spot check, the pool and the witness replay."""
     n = sigma.masses.size
     _spot_check_monotone(apply, n, seed)
     pool = _seed_pool(n, seeds, budget, seed)
     best, witness, method = -math.inf, None, "none"
     F = np.array([f for _, f in pool])
-    for (name, f), v in zip(pool, _ok((yield apply, F))):
+    for (name, f), v in zip(pool, (yield apply, F)):
         if v is not None and v > best:
             best, witness, method = v, f, f"pool:{name}"
 
@@ -377,7 +351,7 @@ def _search(values, sigma, omega, p, q, weak: bool, pool_only: bool,
         f0s = np.array([_rng(seed, 0x100 + b).random(n)
                         for b in range(max(1, budget))])
         starts += [(f"restart:{b}", f0, v0) for b, (f0, v0)
-                   in enumerate(zip(f0s, _ok((yield apply, f0s))))
+                   in enumerate(zip(f0s, (yield apply, f0s)))
                    if v0 is not None]
         ascent = yield from _lockstep_ascent(apply, starts, seed)
         for (tag, _, _), (f1, v1) in zip(starts, ascent):
@@ -387,7 +361,7 @@ def _search(values, sigma, omega, p, q, weak: bool, pool_only: bool,
     if best == -math.inf:
         return NormEstimate(0.0, 0.0, None, "vacuous", details)
 
-    replay = _ok((yield apply, witness[None]))[0]
+    replay = (yield apply, witness[None])[0]
     if replay is None or not close(replay, best,
                                    TOLERANCES["witness_replay_rel"]):
         raise CheckFailed("witness_replay", "witness replay does not "
@@ -403,10 +377,11 @@ def _search(values, sigma, omega, p, q, weak: bool, pool_only: bool,
 
 
 def _norm_search(problems, sigma, omega, p, q, weak: bool,
-                 pool_only: bool = False) -> list:
+                 pool_only: bool = False) -> list[NormEstimate]:
     """Search every problem (apply, budget, seeds, seed[, apply_adjoint,
     matrix]) on one (sigma, omega, p, q, weak) in lockstep, one values call
-    per step.  Returns per problem (NormEstimate, None) or (None, error)."""
+    per step, and return one NormEstimate per problem.  The first error
+    raises, by step and then by problem."""
     ex = Exponents(p, q)
     if weak:
         require_finite_q(ex)
@@ -421,9 +396,7 @@ def _norm_search(problems, sigma, omega, p, q, weak: bool,
                 jobs.append(runs[k].send(g))
                 asking.append(k)
             except StopIteration as stop:
-                out[k] = (stop.value, None)
-            except Exception as exc:  # the problem's error, raised by _ok
-                out[k] = (None, exc)
+                out[k] = stop.value
         got = dict(zip(asking, values(jobs)))
     return out
 
@@ -438,8 +411,8 @@ def operator_norm_strong(apply, sigma: PointMeasure, omega: PointMeasure,
     the constant one, so any testing constant whose test functions are
     passed as seeds is structurally dominated by the result.
     """
-    return _ok(_norm_search([(apply, budget, seeds, seed, apply_adjoint,
-                              matrix)], sigma, omega, p, q, weak=False)[0])
+    return _norm_search([(apply, budget, seeds, seed, apply_adjoint,
+                          matrix)], sigma, omega, p, q, weak=False)[0]
 
 
 def operator_norm_weak(apply, sigma: PointMeasure, omega: PointMeasure,
@@ -450,8 +423,8 @@ def operator_norm_weak(apply, sigma: PointMeasure, omega: PointMeasure,
     The level supremum inside the weak quasinorm is exact per function;
     only the outer supremum over functions is a lower bound.
     """
-    return _ok(_norm_search([(apply, budget, seeds, seed)], sigma, omega,
-                            p, q, weak=True)[0])
+    return _norm_search([(apply, budget, seeds, seed)], sigma, omega,
+                        p, q, weak=True)[0]
 
 
 @dataclass
@@ -642,8 +615,8 @@ def verdict_weak_type(strong: StrongVerdict, ops, *, budget: int = 8,
     One search runs the weak norms of the direct and every dyadic operator
     in lockstep.  A dyadic adjoint's structural check reads its seed-pool
     bound alone, whose cube indicators bound the dual testing constant.
-    Errors come in a system-by-system run's order: the direct search, then
-    per system its dual testing, structural check and weak search."""
+    Errors come in the order the steps run: the weak search, the adjoints'
+    pool search, then per system its dual testing and structural check."""
     ex, direct = strong.exponents, strong.operator
     sigma, omega = direct.sigma, direct.omega
     require_same_instance(ops, strong.kernel, sigma, omega)
@@ -652,18 +625,17 @@ def verdict_weak_type(strong: StrongVerdict, ops, *, budget: int = 8,
     weak = _norm_search([(direct.apply, budget, strong.seeds, seed)] + [
         (o.apply, sub_budget, s, seed + 200 + t) for t, o, s in systems],
         sigma, omega, ex.p, ex.q, weak=True)
-    weak_norm, dual_ex = _ok(weak[0]), ex.dual()
+    weak_norm, dual_ex = weak[0], ex.dual()
     pools = _norm_search([(o.apply_adjoint, sub_budget, s, seed + 100 + t)
                           for t, o, s in systems], omega, sigma, dual_ex.p,
                          dual_ex.q, weak=False, pool_only=True)
     per_system = []
-    for t, dop in enumerate(ops):
+    for dop, pool, dweak in zip(ops, pools, weak[1:]):
         sys = dop.system
         dual = cube_testing(sys.incidence, dop.apply_adjoint, omega, sigma,
                             ex.p_prime, ex.q_prime)[0]
         _check_structural(f"dyadic dual (system {sys.system_id})",
-                          dual, _ok(pools[t]).lower)
-        dweak = _ok(weak[1 + t])
+                          dual, pool.lower)
         per_system.append({"system": sys.system_id, "dual_testing": dual,
                            "weak_lb": dweak.lower,
                            "ratio": _equivalence_ratio(dweak.lower, dual)})

@@ -31,7 +31,7 @@ import numpy as np
 from .dyadic import DyadicSystem, _maximal_mask, maximal_cubes
 from .errors import BadParams, CheckFailed
 from .maximal import MaximalParams, _trial_functions, apply_M_dyadic
-from .norms import _BLOCK_ELEMS, lp_norm
+from .norms import _BLOCK_ELEMS, Exponents, lp_norm
 from .policy import TOLERANCES, CheckReport, guard_vec, outcome
 from .space import PointMeasure
 
@@ -91,16 +91,18 @@ class LevelSets:
         self.sizes = np.bincount(self.label.ravel(), minlength=m + 1)
 
     def covers(self, rhos: np.ndarray, C: float = 1.0):
-        """(rows, kept, cover, error) per block of <= 2^15 gathered entries:
-        the maximal candidates at rhos/C and the one holding each point.
-        Rows re-check rho > 0, no point in two cover cubes, no candidate
-        holding an uncovered point, and the omega-mass identity; a block
-        stops before a broken row, with its error, and is the last."""
+        """(rows, kept, cover) per block of <= 2^15 gathered entries: the
+        maximal candidates at rhos/C and the one holding each point.  Every
+        rho must be > 0; each row re-checks that no point is in two cover
+        cubes, no candidate holds an uncovered point, and the omega-mass
+        identity, and the first broken row raises."""
+        bad = ~(rhos > 0)
+        if bad.any():
+            raise BadParams("need rho > 0", rho=float(rhos[np.argmax(bad)]))
         h, m, at = self.label, len(self.cubes), np.arange(self.f.size)
         om, step = self.op.omega.masses, max(1, _BLOCK_ELEMS // h.size)
         for j0 in range(0, len(rhos), step):
-            rb, error = rhos[j0:j0 + step], None
-            t = rb[:, None] / C
+            t = rhos[j0:j0 + step, None] / C
             cand, in_omega = self.low > t, self.image > t
             kept = _maximal_mask(self.op.gen.parent, cand)
             hits = kept[:, h]
@@ -108,55 +110,43 @@ class LevelSets:
             escaped = np.where(cand[:, h] & (count == 0)[:, None], h,
                                m).min(axis=(1, 2))
             mass = np.where(in_omega, om, 0.0) != np.where(count > 0, om, 0.0)
-            bad = (~(rb > 0) | (count > 1).any(axis=1) | (escaped < m)
-                   | mass.any(axis=1))
-            j = int(np.argmax(bad)) if bad.any() else len(rb)
-            if j < len(rb):
-                c, x = escaped[j] % m, int(np.argmax(mass[j]))
-                error = (
-                    BadParams("need rho > 0", rho=float(rb[j]))
-                    if not rb[j] > 0 else
-                    CheckFailed("cover_disjoint", "maximal cubes overlap",
-                                x=int(np.argmax(count[j] > 1)))
-                    if (count[j] > 1).any() else
-                    CheckFailed("cover_maximal", "candidate cube escapes "
-                                "the maximal cover", **self.cubes.name(c))
-                    if escaped[j] < m else CheckFailed(
-                        "cover_mass",
-                        "level set and its cube cover disagree in omega mass",
-                        rho=float(t[j, 0]), x=x,
-                        in_level_set=bool(in_omega[j, x])))
+            bad = (count > 1).any(axis=1) | (escaped < m) | mass.any(axis=1)
+            if bad.any():
+                j = int(np.argmax(bad))
+                if (count[j] > 1).any():
+                    raise CheckFailed("cover_disjoint", "maximal cubes overlap",
+                                      x=int(np.argmax(count[j] > 1)))
+                if escaped[j] < m:
+                    raise CheckFailed("cover_maximal", "candidate cube escapes "
+                                      "the maximal cover",
+                                      **self.cubes.name(escaped[j]))
+                x = int(np.argmax(mass[j]))
+                raise CheckFailed(
+                    "cover_mass",
+                    "level set and its cube cover disagree in omega mass",
+                    rho=float(t[j, 0]), x=x, in_level_set=bool(in_omega[j, x]))
             cover = np.where(count > 0, h[hits.argmax(axis=1), at], m)
-            yield slice(j0, j0 + j), kept[:j], cover[:j], error
-            if error is not None:
-                return
+            yield slice(j0, j0 + len(t)), kept, cover
 
 
-def _outcome(reports, error) -> CheckReport:
-    """The first failing report, else the first passing one, else the
-    first; a broken cover's error raises unless a report before it fails,
-    as a consumer that stops at the first fail would never reach it."""
-    if error is not None and all(r.status != "fail" for r in reports):
-        raise error
+def _outcome(reports) -> CheckReport:
+    """The first failing report, else the first passing one, else the first."""
     return min(reports,
                key=lambda r: ("fail", "pass", "vacuous").index(r.status))
 
 
 def _principle(name, op, f, rho, C, localized, violates, details, image):
-    """(reports, error) at each threshold of rho before the first whose
-    cover breaks: op applied to f off (on, if localized, where T f > rho)
-    each cube of q_{rho/C}, one apply per row block; a whole-space cube
-    reads 0 (T f).  A fail names the first value that ``violates`` in
-    q_rho-then-member order."""
+    """The report at each threshold of rho: op applied to f off (on, if
+    localized, where T f > rho) each cube of q_{rho/C}, one apply per row
+    block; a whole-space cube reads 0 (T f).  A fail names the first value
+    that ``violates`` in q_rho-then-member order."""
     rhos = np.asarray(rho, dtype=float).reshape(-1)
     if not rhos.size:
         raise BadParams("need a threshold")
     levels = LevelSets(op, f, image)
-    if not np.ndim(rho) and not rho > 0:
-        raise BadParams("need rho > 0", rho=rho)
-    n, M, reports, error = levels.f.size, levels.sizes.size, [], None
+    n, M, reports = levels.f.size, levels.sizes.size, []
     at, none = np.arange(n), M * M * n  # above every key
-    for rows, kept, cover, error in levels.covers(rhos, C):
+    for rows, kept, cover in levels.covers(rhos, C):
         ids = np.flatnonzero(kept.any(axis=0) & (levels.sizes < n))
         slot, table = np.zeros(M, dtype=int), np.zeros((ids.size + 1, n))
         slot[ids] = range(1, ids.size + 1)
@@ -182,17 +172,14 @@ def _principle(name, op, f, rho, C, localized, violates, details, image):
                 name, "fail" if witness else
                 ("pass" if values.size else "vacuous"),
                 op.system.strict_delta, witness, details(r, cubes, values)))
-    return reports, error
+    return reports
 
 
 def decompose_level_set(op, f, rho: float,
                         image: np.ndarray | None = None) -> LevelSetDecomposition:
     levels = LevelSets(op, f, image)
-    if not rho > 0:
-        raise BadParams("need rho > 0", rho=rho)
-    for *_, error in levels.covers(np.array([rho], dtype=float)):
-        if error is not None:
-            raise error
+    for _ in levels.covers(np.array([rho], dtype=float)):
+        pass
     return LevelSetDecomposition(
         rho=rho, omega_set=tuple(np.flatnonzero(levels.image > rho).tolist()),
         q_rho=maximal_cubes(op.gen, levels.low[:-1] > rho), image=levels.image)
@@ -226,12 +213,12 @@ def check_max_principle_1(op, f, rho, C: float | None = None,
     lowered level set has no cubes.  A failure names the first violating
     point in q_rho-then-member order.  An array of thresholds is checked
     at once and reports its first fail, else its first pass, else its
-    first threshold; a broken cover raises unless an earlier one fails.
+    first threshold; a broken cover at any of them raises.
     """
     C = 2.0 * op.C_K if C is None else C
     if C < 2.0 * op.C_K:
         raise BadParams("need C >= 2 C_K", C=C, C_K=op.C_K)
-    return _outcome(*_principle(
+    return _outcome(_principle(
         "max_principle_1", op, f, rho, C, False,
         lambda vals, bound: vals > guard_vec(bound),
         lambda rho, cubes, vals: {
@@ -254,7 +241,7 @@ def check_max_principle_2(op, f, rho, C_m: float | None = None,
     if C_m < 2.0 * op.C_K:
         raise BadParams("need C_m >= 2 C_K", C_m=C_m, C_K=op.C_K)
     floor = 1.0 - TOLERANCES["exact_guard_rel"]
-    return _outcome(*_principle(
+    return _outcome(_principle(
         "max_principle_2", op, f, rho, C_m, True,
         lambda vals, bound: ~(vals > bound * floor),
         lambda rho, _, vals: {
@@ -414,9 +401,7 @@ def check_universal_maximal(system: DyadicSystem, w: PointMeasure, p: float,
     w-maximal function is at most p' times the norm of the input, up to
     last-ulp roundoff.  A failure names the first trial that overshoots.
     """
-    if not 1.0 < p < math.inf:
-        raise BadParams("need 1 < p < inf", p=p)
-    p_prime = p / (p - 1.0)
+    p_prime = Exponents(p, p).p_prime
     params = MaximalParams(space=system.space, mu=w, gamma=0.0)
     F = _trial_functions(system.space.n, trials, STOPPING_SALT, seed)
     lhs = lp_norm(apply_M_dyadic(system, params, F), w, p)

@@ -331,10 +331,10 @@ class TestStrongNorm:
         assert got[1] == want[1] and np.array_equal(got[0], want[0])
 
     def test_fixed_point_raises_the_first_error_in_iteration_order(self):
-        # the iterates are valued after the loop, yet the first iterate's
-        # value error (a null function mapped to positive mass) still comes
-        # before the adjoint's error at that iterate, as in the sequential
-        # loop; with every value fine, the adjoint's error stands
+        # the iterates are valued after the loop, so an error of the loop
+        # (the adjoint's) raises before the first iterate's value error (a
+        # null function mapped to positive mass); with the adjoint fine,
+        # the value errors come in iteration order, the first iterate's
         sigma = PointMeasure(np.array([0.0, 0.0, 1.0, 1.0]))
         omega = PointMeasure(np.ones(4))
 
@@ -346,15 +346,20 @@ class TestStrongNorm:
 
         values = _block_values(sigma, omega, 2.0, 2.0, False)
         null = np.array([1.0, 1.0, 0.0, 0.0])
-        with pytest.raises(CheckFailed) as want:
-            fixed_point_seq(objective_seq(apply, sigma, omega, 2.0, 2.0, False),
-                            apply, adjoint, null, 2.0, 2.0)
-        with pytest.raises(CheckFailed) as got:
-            _fixed_point(values, apply, adjoint, null, 2.0, 2.0)
-        assert str(got.value) == str(want.value)
-        assert got.value.witness == want.value.witness
         with pytest.raises(ValueError, match="adjoint"):
-            _fixed_point(values, apply, adjoint, np.ones(4), 2.0, 2.0)
+            _fixed_point(values, apply, adjoint, null, 2.0, 2.0)
+        with pytest.raises(CheckFailed) as got:
+            _fixed_point(values, apply, np.asarray, null, 2.0, 2.0)
+        assert got.value.check == "finite_image"
+        assert got.value.witness == {"f": null.tolist()}
+
+    @pytest.mark.parametrize("search", [operator_norm_strong,
+                                        operator_norm_weak])
+    def test_null_measure_is_vacuous(self, search):
+        # every pool row and restart is null, so the ascent has no start
+        null = PointMeasure(np.zeros(3))
+        est = search(lambda f: np.zeros(np.shape(f)), null, null, 2.0, 2.0)
+        assert (est.lower, est.witness, est.method) == (0.0, None, "vacuous")
 
     def test_witness_replays(self, segment4):
         space, mu = segment4
@@ -908,9 +913,9 @@ class TestBlockSearchMatchesSequential:
             assert cube_testing(cubes, *args) == cube_testing_seq(cubes, *args)
 
     def test_error_order_in_lockstep_ascent(self):
-        # restart:1 (start 2) fails at its tenth proposal, and restart:2
-        # (start 3) fails earlier, at its third: a start-by-start run meets
-        # start 2's failure first, so that is the error raised
+        # restart:1 (start 2) fails at iteration 10 and restart:2 (start 3)
+        # at iteration 3: the lockstep values every start's proposal of an
+        # iteration in one block, so start 3's failure is met first
         space, mu, sigma, omega, kernel, fam = oracle_instance("segment", 16, 0)
         op = MatrixOperator(kernel.matrix, sigma, omega)
         off, diag = split_diagonal(kernel.matrix)
@@ -931,45 +936,28 @@ class TestBlockSearchMatchesSequential:
                 return g
             return run
 
-        with pytest.raises(CheckFailed) as want:
-            norm_search_seq(poisoned(lambda f: weighted_apply_seq(
-                off, diag, f, sigma)), sigma, omega, 1.5, 3.0, 3, (), None,
-                None, 9, False)
         with pytest.raises(CheckFailed) as got:
             operator_norm_strong(poisoned(op.apply), sigma, omega, 1.5, 3.0,
                                  3, (), seed=9)
-        assert str(got.value) == str(want.value)
-        assert got.value.witness == want.value.witness
-        assert got.value.witness["f"] == trace[2][10][1].tolist()
+        assert got.value.check == "finite_image"
+        assert got.value.witness["f"] == trace[3][3][1].tolist()
 
     def test_raising_apply_keeps_the_first_failing_row(self):
-        # the pool's seed:1 has a non-finite density and point:3 an infinite
-        # image; the one-by-one pool meets point:3 first
+        # the pool's seed:1 has a non-finite density, which op.apply
+        # refuses, and point:3 an infinite image: apply's error on their
+        # block propagates as raised, with no row-by-row retry; without
+        # seed:1, the first failing row in pool order, point:3, raises
         space, mu, sigma, omega, kernel, fam = oracle_instance("segment", 8, 0)
-        off, diag = split_diagonal(kernel.matrix)
         op = MatrixOperator(kernel.matrix, sigma, omega)
         seeds = [np.ones(8), np.full(8, math.inf)]
-
-        def inf_at_point_3(apply):
-            def run(f):
-                g = np.array(apply(f), dtype=float)
-                rows, fs = g.reshape(-1, 8), np.reshape(f, (-1, 8))
-                rows[(fs == np.eye(8)[3]).all(axis=1)] = math.inf
-                return g
-            return run
-
-        with pytest.raises(CheckFailed) as want:
-            norm_search_seq(inf_at_point_3(
-                lambda f: MatrixOperator(kernel.matrix, sigma, omega).apply(
-                    np.asarray(f))), sigma, omega, 2.0, 2.0, 1, seeds, None,
-                None, 0, False)
-        with pytest.raises(CheckFailed) as got:
-            operator_norm_strong(inf_at_point_3(op.apply), sigma, omega, 2.0,
-                                 2.0, 1, seeds)
-        assert got.value.witness == want.value.witness
-        # and with only the non-finite seed left, its own error comes out
         with pytest.raises(BadParams, match="finite"):
-            operator_norm_strong(op.apply, sigma, omega, 2.0, 2.0, 1, seeds)
+            operator_norm_strong(inf_at(op.apply, 3), sigma, omega, 2.0, 2.0,
+                                 1, seeds)
+        with pytest.raises(CheckFailed) as got:
+            operator_norm_strong(inf_at(op.apply, 3), sigma, omega, 2.0, 2.0,
+                                 1, seeds[:1])
+        assert got.value.check == "finite_image"
+        assert got.value.witness == {"f": np.eye(8)[3].tolist()}
 
     @pytest.mark.parametrize("q", [1.5, 3.0])
     def test_weak_quasinorm_block(self, q):
@@ -1055,7 +1043,7 @@ class TestBlockContract:
 
 # ---------------------------------------------------------------------------
 # one lockstep for many problems: each problem's result is its one-problem
-# search's, bit for bit, and each keeps its own first error
+# search's, bit for bit, and the first error by step, then problem, raises
 # ---------------------------------------------------------------------------
 
 def lockstep_instance(kind, L, p, q, seed=0):
@@ -1107,30 +1095,12 @@ def raising(message):
 
 def one_problem(weak, sigma, omega, p, q, apply, budget, seeds, seed,
                 apply_adjoint=None):
-    """(estimate, None) or (None, error) of the one-problem search."""
-    try:
-        if weak:
-            return operator_norm_weak(apply, sigma, omega, p, q, budget,
-                                      seeds, seed=seed), None
-        return operator_norm_strong(apply, sigma, omega, p, q, budget, seeds,
-                                    apply_adjoint=apply_adjoint,
-                                    seed=seed), None
-    except Exception as exc:
-        return None, exc
-
-
-def assert_same_outcome(got, want):
-    if want[1] is not None:
-        assert got[0] is None and type(got[1]) is type(want[1])
-        assert getattr(got[1], "check", None) == getattr(want[1], "check", None)
-        assert str(got[1]) == str(want[1])
-        assert getattr(got[1], "witness", None) == \
-            getattr(want[1], "witness", None)
-        return
-    assert got[1] is None
-    assert (got[0].lower, got[0].method, got[0].details) == \
-        (want[0].lower, want[0].method, want[0].details)
-    assert got[0].witness.tobytes() == want[0].witness.tobytes()
+    """The estimate of the one-problem search."""
+    if weak:
+        return operator_norm_weak(apply, sigma, omega, p, q, budget, seeds,
+                                  seed=seed)
+    return operator_norm_strong(apply, sigma, omega, p, q, budget, seeds,
+                                apply_adjoint=apply_adjoint, seed=seed)
 
 
 class TestLockstepSearch:
@@ -1147,37 +1117,53 @@ class TestLockstepSearch:
                  for o, b, s in zip(ops, budgets[1:], seeds[1:])]
         for got, pr in zip(_norm_search(weak, sigma, omega, p, q, weak=True),
                            weak):
-            assert_same_outcome(got, one_problem(True, sigma, omega, p, q,
-                                                 *pr))
+            assert_same_estimate(got, one_problem(True, sigma, omega, p, q,
+                                                  *pr))
         # the adjoints with their fixed points, on the dual exponents
         d = Exponents(p, q).dual()
         dual = [(o.apply_adjoint, b, cube_seeds(o.system), s, o.apply)
                 for o, b, s in zip(ops, budgets[1:], seeds[1:])]
         for got, pr in zip(_norm_search(dual, omega, sigma, d.p, d.q,
                                         weak=False), dual):
-            assert_same_outcome(got, one_problem(False, omega, sigma, d.p,
-                                                 d.q, *pr))
+            assert_same_estimate(got, one_problem(False, omega, sigma, d.p,
+                                                  d.q, *pr))
 
     @pytest.mark.parametrize("weak", [False, True])
-    def test_a_failing_problem_leaves_the_others(self, weak):
-        # problem 1 fails in its pool, problem 2 in its ascent, problem 3
-        # in its spot check; problems 0 and 4 are searched as if alone
+    def test_the_first_failing_step_raises(self, weak):
+        # a raising apply fails its spot check (step 0), an infinite point
+        # image its pool (step 1), an infinite proposal its ascent: the
+        # batch raises the error of the earliest step whatever the problem
+        # order, within a step the first problem's, and the problems that
+        # pass are searched as if alone
         sigma, omega, fam, strong, ops = lockstep_instance("segment", 1,
                                                            1.5, 3.0)
         apply, seeds = strong.operator.apply, strong.seeds
-        problems = [(apply, 2, seeds, 0), (inf_at(apply, 3), 2, seeds, 1),
-                    (inf_in_ascent(apply), 3, seeds, 2),
-                    (raising("no apply"), 1, seeds, 3),
-                    (ops[0].apply, 4, cube_seeds(fam), 4)]
-        got = _norm_search(problems, sigma, omega, 1.5, 3.0, weak=weak)
-        assert [g[1] is None for g in got] == [True, False, False, False,
-                                               True]
-        assert got[1][1].check == got[2][1].check == "finite_image"
-        assert got[1][1].witness["f"] == np.eye(16)[3].tolist()
-        for g, pr in zip(got, problems):
-            assert_same_outcome(g, one_problem(weak, sigma, omega, 1.5, 3.0,
-                                               *pr))
+        ok = [(apply, 2, seeds, 0), (ops[0].apply, 4, cube_seeds(fam), 4)]
+        ascent = (inf_in_ascent(apply), 3, seeds, 2)
 
+        def pool(x):
+            return inf_at(apply, x), 2, seeds, 1
+
+        def search(*problems):
+            return _norm_search([ok[0], *problems, ok[1]], sigma, omega,
+                                1.5, 3.0, weak=weak)
+
+        with pytest.raises(ValueError, match="no apply"):
+            search(ascent, pool(3), (raising("no apply"), 1, seeds, 3))
+        for problems, f in (((ascent, pool(3), pool(5)), np.eye(16)[3]),
+                            ((pool(5), pool(3)), np.eye(16)[5])):
+            with pytest.raises(CheckFailed) as err:
+                search(*problems)
+            assert err.value.check == "finite_image"
+            assert err.value.witness["f"] == f.tolist()
+        with pytest.raises(CheckFailed) as err:
+            search(ascent)
+        f = np.array(err.value.witness["f"])
+        assert f.max() == 1.0 and not np.isin(f, (0.0, 1.0)).all()
+        for got, pr in zip(_norm_search(ok, sigma, omega, 1.5, 3.0,
+                                        weak=weak), ok, strict=True):
+            assert_same_estimate(got, one_problem(weak, sigma, omega, 1.5,
+                                                  3.0, *pr))
 
     def test_blocks_hold_at_most_block_rows(self, monkeypatch):
         # at n = 27 a block holds 2^15 // 27^2 = 44 rows: two problems'
@@ -1200,7 +1186,7 @@ class TestLockstepSearch:
         got = _norm_search([(sized(op.apply), 1, seeds, 0),
                             (sized(op.apply), 2, seeds[:cap], 1)],
                            sigma, omega, 1.5, 3.0, weak=True)
-        assert max(sizes) == cap and all(g[1] is None for g in got)
+        assert max(sizes) == cap and len(got) == 2
 
 
 class TestWeakTypeLockstep:
@@ -1226,15 +1212,16 @@ class TestWeakTypeLockstep:
 
     def test_system_errors_come_in_system_order(self, instance):
         sigma, omega, fam, strong, ops = instance
-        # system 0's weak search fails before system 1's dual testing
-        bad = [with_apply(ops[0], apply=inf_at(ops[0].apply, 5)),
-               with_apply(ops[1], apply_adjoint=raising("adjoint 1"))]
+        # every weak search runs before any system's adjoint: system 1's
+        # weak search fails before system 0's dual testing
+        bad = [with_apply(ops[0], apply_adjoint=raising("adjoint 0")),
+               with_apply(ops[1], apply=inf_at(ops[1].apply, 5))]
         with pytest.raises(CheckFailed) as err:
             self.verdict(strong, bad)
         assert err.value.witness["f"] == np.eye(16)[5].tolist()
-        # within a system, the dual testing fails before the weak search
-        bad = [with_apply(ops[0], apply=inf_at(ops[0].apply, 5),
-                          apply_adjoint=raising("adjoint 0")), ops[1]]
+        # the adjoints then fail in system order
+        bad = [with_apply(ops[0], apply_adjoint=raising("adjoint 0")),
+               with_apply(ops[1], apply_adjoint=raising("adjoint 1"))]
         with pytest.raises(ValueError, match="adjoint 0"):
             self.verdict(strong, bad)
 
@@ -1245,13 +1232,13 @@ class TestWeakTypeLockstep:
         # its pool bound (the whole-space cube here) falls below its dual
         # testing constant
         sigma, omega, fam, strong, ops = instance
-        real = norms._norm_search
+        real, halve = norms._norm_search, {t}
 
         def halved(problems, *args, pool_only=False, **kw):
             if pool_only:
-                apply = problems[t][0]
-                problems = list(problems)
-                problems[t] = (lambda f: 0.5 * apply(f),) + problems[t][1:]
+                problems = [(lambda f, a=pr[0]: 0.5 * a(f),) + pr[1:]
+                            if i in halve else pr
+                            for i, pr in enumerate(problems)]
             return real(problems, *args, pool_only=pool_only, **kw)
 
         monkeypatch.setattr(norms, "_norm_search", halved)
@@ -1259,15 +1246,18 @@ class TestWeakTypeLockstep:
         with pytest.raises(CheckFailed, match=fired) as err:
             self.verdict(strong, ops)
         assert err.value.check == "testing_below_norm"
-        # with the other system's weak search failing, the earlier system's
-        # error is raised: the check for t = 0, the weak search for t = 1
+        # with both pool bounds halved, the checks fire in system order
+        halve.add(1 - t)
+        with pytest.raises(CheckFailed, match=r"dyadic dual \(system 0\)"):
+            self.verdict(strong, ops)
+        # the weak searches run before any structural check, so the other
+        # system's failing weak search is raised instead, for either t
         bad = list(ops)
         bad[1 - t] = with_apply(ops[1 - t], apply=inf_at(ops[1 - t].apply, 5))
         with pytest.raises(CheckFailed) as err:
             self.verdict(strong, bad)
-        assert err.value.check == ("testing_below_norm", "finite_image")[t]
-        if t == 0:
-            assert "system 0" in str(err.value)
+        assert err.value.check == "finite_image"
+        assert err.value.witness["f"] == np.eye(16)[5].tolist()
 
     def test_one_evaluator_call_per_step_and_no_fixed_point(
             self, segment16, monkeypatch):

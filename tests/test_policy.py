@@ -111,14 +111,6 @@ def test_every_check_returns_a_report():
     assert offenders == {}
 
 
-def test_no_bare_asserts_in_the_package():
-    src = Path(dyadica.__file__).parent
-    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)]
-    assert found == []
-
-
 def _unused_imports(tree: ast.Module) -> list[str]:
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
@@ -154,6 +146,29 @@ def test_one_error_class_per_role():
     assert defined == {f"dyadica.errors.{name}" for name in roles}
     assert sorted(c.__name__ for c in DyadicaError.__subclasses__()) == \
         sorted(roles[1:])
+
+
+def test_no_catch_all_except_in_the_package():
+    # an error nobody expected propagates as raised; the one exception
+    # re-raises any failure to build a config file's space as a
+    # ConfigError that names the config path
+    root = Path(dyadica.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        wrap = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef)
+                and (path.name, fn.name) == ("space.py", "space_from_dict")
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler) or id(node) in wrap:
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            if any(c is None or getattr(c, "id", None) in
+                   ("Exception", "BaseException") for c in caught):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_no_assert_statements_in_the_package():

@@ -266,10 +266,10 @@ def oracle_principle_2(op, f, rho, C_m=None, image=None, whole=True):
 
 
 def every_report(check, *args, **kwargs):
-    """(reports, error) of an array of thresholds, before check_* reduces
-    them to one outcome."""
+    """The reports of an array of thresholds, before check_* reduces them
+    to one outcome."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stopping, "_outcome", lambda reports, error: (reports, error))
+        mp.setattr(stopping, "_outcome", lambda reports: reports)
         return check(*args, **kwargs)
 
 
@@ -318,9 +318,9 @@ class TestLevelSetsOracle:
             want2 = [oracle_principle_2(op, f, rho, C_m, image)
                      for rho in grid.tolist()]
             assert every_report(check_max_principle_1, op, f, grid,
-                                image=image) == (want1, None)
+                                image=image) == want1
             assert every_report(check_max_principle_2, op, f, grid, C_m,
-                                image) == (want2, None)
+                                image) == want2
             assert check_max_principle_1(op, f, grid, image=image) == \
                 oracle_outcome(want1)
             assert check_max_principle_2(op, f, grid, C_m, image) == \
@@ -336,33 +336,32 @@ class TestLevelSetsOracle:
         assert statuses >= ({"pass", "fail"} if understated else {"pass"})
 
     def test_nonpositive_rho_raises_what_the_oracle_raises(self, segment16):
-        # alone it raises at once; in a grid the reports before it are read
-        # first, then the same error names it as given
+        # alone a nonpositive rho raises what the oracle raises; in a grid
+        # the first one raises before any threshold is checked, even after
+        # a threshold whose report fails (an understated C_K)
         space, mu = segment16
-        op = line_operator(space, mu)
+        op = dataclasses.replace(line_operator(space, mu), C_K=0.5)
         f = np.random.default_rng(4).random(16)
         image = op.apply(f)
-        grid = rho_grid(op, f, image)[:3].tolist() + [-1.0, 1.0]
+        fails = [rho for rho in rho_grid(op, f, image).tolist()
+                 if oracle_principle_1(op, f, rho, image=image).status
+                 == "fail"]
+        assert fails
+        grid = np.array(fails[:1] + [0.0, -1.0, 1.0])
 
         def outcome(run):
             with pytest.raises(BadParams) as info:
                 run()
             return str(info.value), info.value.witness
 
-        assert outcome(lambda: decompose_level_set(op, f, -1)) == \
-            outcome(lambda: oracle_decompose(op, f, -1))
+        assert outcome(lambda: decompose_level_set(op, f, -1.0)) == \
+            outcome(lambda: oracle_decompose(op, f, -1.0))
         for check, oracle in ((check_max_principle_1, oracle_principle_1),
                               (check_max_principle_2, oracle_principle_2)):
-            assert outcome(lambda: check(op, f, -1)) == \
-                outcome(lambda: oracle(op, f, -1))
-            reports, error = every_report(check, op, f, np.array(grid),
-                                          image=image)
-            assert reports == [oracle(op, f, rho, image=image)
-                               for rho in grid[:3]]
-            assert outcome(lambda: check(op, f, np.array(grid), image=image)) \
-                == outcome(lambda: oracle(op, f, -1.0, image=image)) \
-                == (str(error), error.witness) \
-                == ("need rho > 0 [rho=-1.0]", {"rho": -1.0})
+            assert outcome(lambda: check(op, f, -1.0, 1.0)) == \
+                outcome(lambda: oracle(op, f, -1.0, 1.0))
+            assert outcome(lambda: check(op, f, grid, 1.0, image)) == \
+                ("need rho > 0 [rho=0.0]", {"rho": 0.0})
 
     @pytest.mark.parametrize("walk,message", [
         (lambda parent, chosen: chosen, "maximal cubes overlap"),
@@ -419,38 +418,32 @@ class TestLevelSetsOracle:
                                C_K=0.5, system=sys), f, img
 
     def test_broken_cover_gives_the_rows_the_oracle_gives(self):
+        # principle 1 fails below the broken thresholds and principle 2
+        # passes there; a sweep over every threshold raises either way, so
+        # its stage row is the fail row of the oracle's error at the first
+        # broken threshold
         import dyadica.harness as harness
 
+        def row(exc):
+            return harness.row("stopping", "fail",
+                               witness=harness._error_witness(exc))
+
         op, f, img = self.broken_cover()
-        grid = rho_grid(op, f, img)
-        sweeps = {
-            "max_principle_1": (check_max_principle_1, oracle_principle_1),
-            "max_principle_2": (check_max_principle_2, oracle_principle_2),
-        }
-
-        def rows(reports):
-            run = harness._Run(harness.Scenario.from_dict(
-                {"space": {"kind": "integer_segment_counting", "n": 4},
-                 "checks": ["space"]}))
-            try:
-                run.check("stopping.t0", reports)
-            except CheckFailed as exc:
-                run.add(harness.row("stopping", "fail",
-                                    witness=harness._error_witness(exc)))
-            return run.rows
-
-        seen = []
-        for key, (sweep, oracle) in sweeps.items():
-            C = {"max_principle_2": 1.0} if key.endswith("2") else {}
-            got = rows(sweep(op, f, grid, *C.values(), image=img)
-                       for _ in range(1))
-            want = rows(oracle(op, f, float(rho), *C.values(), image=img)
-                        for rho in grid)
-            assert got == want
-            seen.append(got[-1]["name"])
-        # principle 1 stops at its fail row before the broken threshold;
-        # principle 2 never fails, so the broken cover is the stage row
-        assert seen == ["stopping.t0", "stopping"]
+        grid = rho_grid(op, f, img).tolist()
+        for check, oracle, C, status in (
+                (check_max_principle_1, oracle_principle_1, None, "fail"),
+                (check_max_principle_2, oracle_principle_2, 1.0, "pass")):
+            before = []
+            for rho in grid:
+                try:
+                    before.append(oracle(op, f, rho, C, img).status)
+                except CheckFailed as exc:
+                    want = row(exc)
+                    break
+            assert status in before and len(before) < len(grid)
+            with pytest.raises(CheckFailed) as info:
+                check(op, f, np.array(grid), C, img)
+            assert row(info.value) == want
 
 
 class TestShellParams:
@@ -591,10 +584,10 @@ class TestMaxPrinciples:
             f = trial.random(16)
             image = op.apply(f)
             grid = rho_grid(op, f, image)
-            reports1, _ = every_report(check_max_principle_1, op, f, grid,
-                                       image=image)
-            reports2, _ = every_report(check_max_principle_2, op, f, grid,
-                                       C_m, image)
+            reports1 = every_report(check_max_principle_1, op, f, grid,
+                                    image=image)
+            reports2 = every_report(check_max_principle_2, op, f, grid, C_m,
+                                    image)
             for rho, r1, r2 in zip(grid.tolist(), reports1, reports2,
                                    strict=True):
                 assert r1 == oracle_principle_1(op, f, rho, image=image,
