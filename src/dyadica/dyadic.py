@@ -44,13 +44,12 @@ containing cubes. The certificate stores the rows as the read-only columns
 ``diameter`` with the worst observed diameter ratio; replay_coverage
 re-derives the rows and re-checks each named cube on its own.
 
-Two optional build knobs: pinning a point makes it a cube center at every
-generation (it is swept first, so every net keeps it), and a truncated
-window stops refinement early, leaving non-singleton finest cubes. A pair
-of measures extends a system with point cubes at the joint atoms that are
-not already singleton cubes; their ids follow the last standard cube, and
-``GeneralizedSystem`` appends them to the same columns, ``parent``,
-``label`` and ``incidence``. ``maximal_cubes(system, chosen)`` reads
+Pinning a point makes it a cube center at every generation (it is swept
+first, so every net keeps it). A pair of measures generalizes a system:
+the paper adds a point cube {x} at each joint atom x, a point both measures
+charge, but on the full window every finest cube is already a singleton,
+so ``GeneralizedSystem`` is the base system plus the pair and its joint
+atoms, with no cubes of its own. ``maximal_cubes(system, chosen)`` reads
 containment off ``parent``: it returns the ids of the chosen cubes with no
 chosen proper ancestor.
 """
@@ -68,6 +67,7 @@ from .policy import TOLERANCES, CheckReport, outcome
 from .space import PointMeasure, QuasiMetricSpace, _ball_classes, _frozen
 
 _SALT_SYSTEM = 0xD7AD
+_MAX_ATTEMPTS = 8
 
 @dataclass(frozen=True, eq=False)
 class CubeTable:
@@ -84,14 +84,6 @@ class CubeTable:
     def name(self, i) -> dict:
         """Cube i as a witness names it."""
         return {"k": int(self.k[i]), "center": int(self.center[i])}
-
-
-def _incidence(label: np.ndarray, cubes: int) -> np.ndarray:
-    """Read-only (cubes x n) block: [i, x] when a row of ``label`` names
-    cube i at x; the id len(cubes) names none."""
-    inc = np.zeros((cubes + 1, label.shape[1]), dtype=bool)
-    inc[label, np.arange(label.shape[1])] = True
-    return _frozen(inc[:cubes])
 
 
 @dataclass(eq=False)
@@ -144,7 +136,9 @@ class DyadicSystem:
     @cached_property
     def incidence(self) -> np.ndarray:
         """Read-only (cubes x n) block: incidence[i, x] when x is in cube i."""
-        return _incidence(self.label, len(self.cubes))
+        inc = np.zeros((len(self.cubes), self.space.n), dtype=bool)
+        inc[self.label, np.arange(self.space.n)] = True
+        return _frozen(inc)
 
     def balls(self, c: float) -> np.ndarray:
         """(cubes x n) block: the strict ball of radius c delta^k around
@@ -159,7 +153,7 @@ class DyadicSystem:
         return _frozen(self.balls(self.C1))
 
     def _own(self, ids) -> np.ndarray:
-        """ids as an int array of this system's standard cube ids."""
+        """ids as an int array of this system's cube ids."""
         ids = np.asarray(ids)
         if ids.size and ids.dtype.kind not in "iu":
             raise BadParams("cube ids must be integers", dtype=str(ids.dtype))
@@ -274,29 +268,22 @@ def _nearest(d: np.ndarray, rank: np.ndarray, rows, net) -> np.ndarray:
 
 
 def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = None,
-                 system_id: int = 0, max_attempts: int = 8,
-                 x0: int | None = None, k_max: int | None = None) -> DyadicSystem:
+                 system_id: int = 0, x0: int | None = None) -> DyadicSystem:
     """Build one cube system; retries reseeded sweeps on a property failure.
 
-    x0 pins a point as the first sweep candidate of every attempt, so it
-    joins every net and is a cube center at every generation. k_max asks for
-    a coarser finest generation; the value is clamped to the computed window
-    and a truncated finest generation may keep non-singleton cubes.
+    The window runs from one cube equal to the whole space down to a
+    generation of singletons. x0 pins a point as the first sweep candidate
+    of every attempt, so it joins every net and is a cube center at every
+    generation.
     """
-    if max_attempts < 1:
-        raise BadParams("need at least one attempt", max_attempts=max_attempts)
     delta, c1, C1, strict = dyadic_parameters(space.a0, delta)
-    k_min, k_auto = _window(space, delta, c1, C1)
-    if k_max is None:
-        k_max = k_auto
-    else:
-        k_max = int(min(max(k_max, k_min), k_auto))
+    k_min, k_max = _window(space, delta, c1, C1)
     n = space.n
     if x0 is not None and not 0 <= x0 < n:
         raise BadParams("need 0 <= x0 < n", x0=x0, n=n)
     d = space.dist
 
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng(
             np.random.SeedSequence([_SALT_SYSTEM, seed, system_id, attempt]))
         perm = rng.permutation(n)
@@ -305,7 +292,7 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
         perm_rank = np.empty(n, dtype=int)
         perm_rank[perm] = np.arange(n)
         nets = _greedy_nets(space, perm, k_min, k_max, delta)
-        if k_max == k_auto and len(nets[-1]) != n:
+        if len(nets[-1]) != n:
             raise CheckFailed(
                 "finest_net",
                 "finest net is not the whole space; window selection is broken",
@@ -314,7 +301,7 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
         # owner[gi, x] = center of the generation-(k_min + gi) cube holding x
         gens = k_max - k_min + 1
         owner = np.empty((gens, n), dtype=int)
-        owner[-1] = _nearest(d, perm_rank, np.arange(n), nets[-1])
+        owner[-1] = np.arange(n)  # the finest net holds every point
         for gi in range(gens - 1, 0, -1):
             link = np.empty(n, dtype=int)  # valid on nets[gi] only
             link[nets[gi]] = _nearest(d, perm_rank, nets[gi], nets[gi - 1])
@@ -346,7 +333,7 @@ def build_system(space: QuasiMetricSpace, seed: int = 0, delta: float | None = N
         last_failure = bad[0]
 
     raise CheckFailed(last_failure.name, f"property '{last_failure.name}' "
-                      f"failed after {max_attempts} attempts",
+                      f"failed after {_MAX_ATTEMPTS} attempts",
                       **(last_failure.witness or {}))
 
 
@@ -689,42 +676,15 @@ def build_adjacent_systems(space: QuasiMetricSpace, seed: int = 0,
 
 @dataclass(eq=False)
 class GeneralizedSystem:
-    """A cube system extended with point cubes at the joint atoms of two measures.
-
-    A point x is a joint atom when both measures charge it. Joint atoms whose
-    singleton {x} is not already the member set of a standard cube gain a
-    point cube one generation past the window; with a full window every
-    finest cube is a singleton and no point cubes are added. Point cubes
-    take the ids after the last standard cube, so a point cube never
-    indexes a row of a table over the standard cubes. ``cubes`` is the base
-    system's table followed by the point cubes (generation k_max + 1, center
-    the atom, diameter 0), and ``parent`` the base system's parent array
-    followed, for each point cube, by the id of the finest standard cube
-    holding its center. ``label`` is the base label plus a row naming each
-    point's point cube, and len(cubes) at a point that has none.
-    """
+    """A cube system, a measure pair and its joint atoms, the points both
+    measures charge, ascending. The paper adds a point cube {x} at each
+    joint atom; every finest cube of a built system is a singleton, so the
+    generalized cubes are the base system's cubes."""
 
     base: DyadicSystem
     sigma: PointMeasure
     omega: PointMeasure
     joint_atoms: tuple[int, ...]
-    cubes: CubeTable = field(repr=False)
-    label: np.ndarray = field(repr=False)
-    parent: np.ndarray = field(repr=False)
-
-    @property
-    def space(self) -> QuasiMetricSpace:
-        return self.base.space
-
-    @property
-    def point_cubes(self) -> range:
-        """The point cubes' ids."""
-        return range(len(self.base.cubes), len(self.cubes))
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """The base system's incidence block, then one row per point cube."""
-        return _incidence(self.label, len(self.cubes))
 
 
 def generalize(system: DyadicSystem, sigma: PointMeasure,
@@ -734,32 +694,19 @@ def generalize(system: DyadicSystem, sigma: PointMeasure,
         if mv.masses.shape != (n,):
             raise BadParams("measure does not match the space",
                             measure=name, size=mv.masses.shape, n=n)
-    joint = sigma.charged & omega.charged
-    # {x} is a standard cube exactly when x's finest cube holds x alone
-    finest = system.label[-1]
-    alone = np.flatnonzero(joint & (np.bincount(finest)[finest] > 1))
-    cubes = CubeTable(*map(_frozen, (
-        np.append(system.cubes.k, np.full(alone.size, system.k_max + 1)),
-        np.append(system.cubes.center, alone),
-        np.append(system.cubes.diameter, np.zeros(alone.size)))))
-    points = np.full(n, len(cubes))
-    points[alone] = range(len(system.cubes), len(cubes))
+    joint = np.flatnonzero(sigma.charged & omega.charged)
     return GeneralizedSystem(base=system, sigma=sigma, omega=omega,
-                             joint_atoms=tuple(np.flatnonzero(joint).tolist()),
-                             cubes=cubes,
-                             label=_frozen(np.vstack([system.label, points])),
-                             parent=_frozen(np.append(system.parent,
-                                                      system.label[-1, alone])))
+                             joint_atoms=tuple(joint.tolist()))
 
 
-def maximal_cubes(system, chosen) -> np.ndarray:
+def maximal_cubes(system: DyadicSystem, chosen) -> np.ndarray:
     """The ids of the chosen cubes with no chosen proper ancestor, by
     (-size, id).
 
-    ``system`` is a DyadicSystem or a GeneralizedSystem and ``chosen`` a
-    boolean mask over its cube ids. Member sets nest only along ``parent``,
-    so the coarsest of equal member sets wins, every chosen cube lies in
-    exactly one returned cube, and the returned cubes are disjoint.
+    ``chosen`` is a boolean mask over the system's cube ids. Member sets
+    nest only along ``parent``, so the coarsest of equal member sets wins,
+    every chosen cube lies in exactly one returned cube, and the returned
+    cubes are disjoint.
     """
     chosen = np.asarray(chosen, dtype=bool)
     if chosen.shape != (len(system.cubes),):

@@ -26,6 +26,7 @@ empirical equivalence constant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,17 +62,21 @@ def _rows(f, n: int) -> tuple[np.ndarray, bool]:
 class Exponents:
     """Pair 1 < p <= q <= inf with conjugates derived, not stored.
 
-    Recomputing p' = p/(p-1) on access keeps the conjugate identity
-    1/p + 1/p' = 1 true to the last representable digit with no chance of
-    a stale cached value drifting from p.
+    p and q may be any real numbers but booleans, numpy scalars included,
+    and are stored as floats. Recomputing p' = p/(p-1) on access keeps the
+    conjugate identity 1/p + 1/p' = 1 true to the last representable digit
+    with no chance of a stale cached value drifting from p.
     """
 
     p: float
     q: float
 
     def __post_init__(self):
-        if not (isinstance(self.p, (int, float)) and isinstance(self.q, (int, float))):
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in (self.p, self.q)):
             raise BadParams("exponents must be numbers", p=self.p, q=self.q)
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "q", float(self.q))
         if not (1.0 < self.p < math.inf):
             raise BadParams("need 1 < p < inf", p=self.p)
         if not (self.p <= self.q):

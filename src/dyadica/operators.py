@@ -198,7 +198,7 @@ def apply_dyadic_partition(op: DyadicOperator, f, m: int = 1) -> np.ndarray:
     if not isinstance(m, int) or m < 1:
         raise BadParams("need an integer m >= 1", m=m)
     system = op.system
-    g = _as_density(f, op.n) * op.gen.sigma.masses
+    g = _as_density(f, op.n) * op.sigma.masses
     # sums[..., label[gi, x]] = A_k(x), the total of the generation-k cube
     # holding x
     sums = cube_sums(system, g)
@@ -253,8 +253,8 @@ def check_self_adjoint(op: DyadicOperator, seed: int = 0,
     rel = TOLERANCES["duality_rel"]
     rng = np.random.default_rng(np.random.SeedSequence([0xAD01, seed]))
     g, h = np.moveaxis(rng.uniform(0.0, 1.0, (trials, 2, op.n)), 1, 0)
-    lhs = pairing(op.apply(g), h, op.gen.omega)
-    rhs = pairing(g, op.apply_adjoint(h), op.gen.sigma)
+    lhs = pairing(op.apply(g), h, op.omega)
+    rhs = pairing(g, op.apply_adjoint(h), op.sigma)
     ok, t, err = _vec_close(lhs, rhs, rel)
     if not ok:
         return outcome("self_adjoint", op.system.strict_delta, {
@@ -402,14 +402,14 @@ def check_point_cube_testing(op: DyadicOperator, p: float, q: float,
     """
     from .norms import Exponents  # norms imports this module
     ex = Exponents(p, q)
-    gen = op.gen
-    if not gen.joint_atoms:
+    atoms = op.gen.joint_atoms
+    if not atoms:
         return CheckReport("point_cube_testing", "vacuous",
                            op.system.strict_delta,
                            details={"joint_atoms": 0})
-    sig, om = gen.sigma.masses, gen.omega.masses
+    sig, om = op.sigma.masses, op.omega.masses
     worst = 0.0
-    for x in gen.joint_atoms:
+    for x in atoms:
         kxx = float(op.kernel.matrix[x, x])
         sides = (
             ("strong", kxx * om[x] ** (1.0 / q),
@@ -428,4 +428,4 @@ def check_point_cube_testing(op: DyadicOperator, p: float, q: float,
             if rhs > 0 and np.isfinite(lhs / rhs):
                 worst = max(worst, float(lhs / rhs))
     return outcome("point_cube_testing", op.system.strict_delta,
-                   joint_atoms=len(gen.joint_atoms), worst_ratio=worst)
+                   joint_atoms=len(atoms), worst_ratio=worst)

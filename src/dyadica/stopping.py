@@ -1,12 +1,12 @@
 """Level-set decompositions, maximum principles, and principal cubes.
 
 The level set of a dyadic potential operator is covered, up to omega-null
-sets, by the maximal generalized cubes whose part outside the set carries
-no omega mass.  That cover feeds the two maximum principles: on a level
-cube of the lowered threshold, mass from outside the cube contributes at
-most half the threshold, and consequently the localized operator stays
-above half the threshold on the part of the cube inside the original level
-set.  Principal cubes implement the stopping-time family whose averages
+sets, by the maximal cubes whose part outside the set carries no omega
+mass.  That cover feeds the two maximum principles: on a level cube of the
+lowered threshold, mass from outside the cube contributes at most half the
+threshold, and consequently the localized operator stays above half the
+threshold on the part of the cube inside the original level set.
+Principal cubes implement the stopping-time family whose averages
 strictly more than double along nesting, and the summation lemma bounds
 the resulting average sums by twice the p-th power of the dyadic maximal
 function.  Containment between cubes is read off ``parent`` alone, and
@@ -64,8 +64,8 @@ class LevelSetDecomposition:
     """Level set of a dyadic operator image and its maximal cube cover.
 
     image is T f; omega_set lists the points where it exceeds rho; q_rho
-    holds the ids of the maximal generalized cubes whose omega mass outside
-    the level set vanishes, by (-size, id), checked as ``LevelSets.covers``.
+    holds the ids of the maximal cubes whose omega mass outside the level
+    set vanishes, by (-size, id), checked as ``LevelSets.covers``.
     """
 
     rho: float
@@ -77,17 +77,16 @@ class LevelSetDecomposition:
 class LevelSets:
     """Every level set {T f > t} of one image: the candidates at t are the
     cubes whose ``low``, the minimum of T f over their omega-charged
-    members (+inf if none), exceeds t, read through the generalized
-    system's ``label``, whose sentinel len(cubes) names no cube."""
+    members (+inf if none), exceeds t, read through the system's
+    ``label``; in a cover, the id len(cubes) marks an uncovered point."""
 
     def __init__(self, op, f, image: np.ndarray | None = None):
-        self.op, gen = op, op.gen
+        self.op, sys = op, op.system
         self.f, self.image = _inputs(op, f, image)
-        self.cubes, m, self.label = gen.cubes, len(gen.cubes), gen.label
-        self.low = np.full(m + 1, np.inf)
+        self.cubes, m, self.label = sys.cubes, len(sys.cubes), sys.label
+        self.low = np.full(m, np.inf)
         np.minimum.at(self.low, self.label, np.broadcast_to(np.where(
             op.omega.charged, self.image, np.inf), self.label.shape))
-        self.low[m] = -np.inf  # the sentinel is never a candidate
         self.sizes = np.bincount(self.label.ravel(), minlength=m + 1)
 
     def covers(self, rhos: np.ndarray, C: float = 1.0):
@@ -104,7 +103,7 @@ class LevelSets:
         for j0 in range(0, len(rhos), step):
             t = rhos[j0:j0 + step, None] / C
             cand, in_omega = self.low > t, self.image > t
-            kept = _maximal_mask(self.op.gen.parent, cand)
+            kept = _maximal_mask(self.op.system.parent, cand)
             hits = kept[:, h]
             count = hits.sum(axis=1)
             escaped = np.where(cand[:, h] & (count == 0)[:, None], h,
@@ -147,7 +146,7 @@ def _principle(name, op, f, rho, C, localized, violates, details, image):
     n, M, reports = levels.f.size, levels.sizes.size, []
     at, none = np.arange(n), M * M * n  # above every key
     for rows, kept, cover in levels.covers(rhos, C):
-        ids = np.flatnonzero(kept.any(axis=0) & (levels.sizes < n))
+        ids = np.flatnonzero(kept.any(axis=0) & (levels.sizes[:-1] < n))
         slot, table = np.zeros(M, dtype=int), np.zeros((ids.size + 1, n))
         slot[ids] = range(1, ids.size + 1)
         table[0] = levels.image if localized else 0.0
@@ -182,7 +181,7 @@ def decompose_level_set(op, f, rho: float,
         pass
     return LevelSetDecomposition(
         rho=rho, omega_set=tuple(np.flatnonzero(levels.image > rho).tolist()),
-        q_rho=maximal_cubes(op.gen, levels.low[:-1] > rho), image=levels.image)
+        q_rho=maximal_cubes(op.system, levels.low > rho), image=levels.image)
 
 
 def default_C_m(C_K: float) -> float:
@@ -351,11 +350,10 @@ def check_mainlemma(system: DyadicSystem, collection, sigma: PointMeasure,
     """Average sums over a strictly-doubling family against the maximal bound.
 
     ``collection`` holds cube ids.  Verifies the hypotheses first: every
-    id is one of the system's own standard cube ids (BadParams for a
-    negative id, a point cube's id, or any id past the last standard cube),
-    distinct member sets, positive sigma mass on every cube, and nested
-    pairs strictly more than doubling the average.  Then
-    at every point the sum of the p-th powers of the averages over member
+    id is one of the system's own cube ids (BadParams for a negative id
+    or any id past the last cube), distinct member sets, positive sigma
+    mass on every cube, and nested pairs strictly more than doubling the
+    average.  Then at every point the sum of the p-th powers of the averages over member
     cubes containing it is at most exactly twice the p-th power of the
     dyadic sigma-maximal function, up to last-ulp roundoff; a failed
     report names the first point that exceeds it.

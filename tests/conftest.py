@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dyadica.dyadic import CubeTable
 from dyadica.space import PointMeasure, build_space, generate_space
 
 
@@ -43,6 +46,19 @@ def random_masses(rng, n, zero_fraction=0.0):
             kill[rng.integers(0, n)] = False
         m[kill] = 0.0
     return m
+
+
+def coarse_copy(system, k_max):
+    """system cut to generations k_min..k_max, built from its arrays: ids
+    run by generation, so the cut keeps a prefix of the cube table, and
+    its finest cubes may hold many points."""
+    stop = int(np.searchsorted(system.cubes.k, k_max + 1))
+    c = system.cubes
+    return dataclasses.replace(
+        system, k_max=k_max,
+        cubes=CubeTable(c.k[:stop], c.center[:stop], c.diameter[:stop]),
+        label=system.label[:k_max - system.k_min + 1],
+        parent=system.parent[:stop])
 
 
 def members(system, i):

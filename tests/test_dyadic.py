@@ -21,7 +21,7 @@ from dyadica.dyadic import (
 from dyadica.errors import BadParams
 from dyadica.space import PointMeasure, build_space, generate_space
 
-from conftest import members
+from conftest import coarse_copy, members, random_masses
 
 
 class TestParameters:
@@ -124,10 +124,6 @@ class TestProperties:
         assert [(r.name, r.status, r.details) for r in fresh] == \
             [(r.name, r.status, r.details) for r in kept]
         assert all(a is not b for a, b in zip(fresh, kept))
-
-    def test_build_needs_an_attempt(self, segment16):
-        with pytest.raises(BadParams, match="attempt"):
-            build_system(segment16[0], max_attempts=0)
 
 
 class TestNavigation:
@@ -551,38 +547,10 @@ class TestSeparationClause:
                         assert sys.label[gi, x] != sys.label[gi, y]
 
 
-class TestTruncatedWindow:
-    def test_truncation_keeps_properties(self, tree27):
-        space, _ = tree27
-        sys = build_system(space, k_max=1)
-        assert sys.k_max == 1
-        assert all(r.ok for r in check_system(sys))
-        for x in range(space.n):
-            leaf = sys.leaf(x)
-            assert sys.cubes.k[leaf] == 1
-            assert len(members(sys, leaf)) == 3
-            assert x in members(sys, leaf)
-
-    def test_truncation_clamps(self, tree27):
-        space, _ = tree27
-        auto = build_system(space)
-        assert build_system(space, k_max=99).k_max == auto.k_max
-        shallow = build_system(space, k_max=-99)
-        assert shallow.k_max == shallow.k_min
-        assert len(members(shallow, shallow.leaf(0))) == space.n
-
-    def test_full_window_unchanged(self, segment16):
-        space, _ = segment16
-        a = build_system(space)
-        b = build_system(space, k_max=a.k_max)
-        assert np.array_equal(a.label, b.label)
-
-
 class TestGeneralize:
     def test_counting_has_no_point_cubes(self, segment16):
         space, mu = segment16
         gen = generalize(build_system(space), mu, mu)
-        assert len(gen.point_cubes) == 0
         assert gen.joint_atoms == tuple(range(16))
         assert all(gen.sigma.masses[x] > 0 and gen.omega.masses[x] > 0
                    for x in range(16))
@@ -596,25 +564,37 @@ class TestGeneralize:
         assert not (gen.sigma.masses[1] > 0 and gen.omega.masses[1] > 0)
         assert not (gen.sigma.masses[8] > 0 and gen.omega.masses[8] > 0)
 
-    def test_truncated_window_gains_point_cubes(self, tree27):
-        space, mu = tree27
-        sys = build_system(space, k_max=1)
-        gen = generalize(sys, mu, mu)
-        assert len(gen.point_cubes) == space.n
-        for pc in gen.point_cubes:
-            assert gen.cubes.k[pc] == sys.k_max + 1
-            assert members(gen, pc) == (gen.cubes.center[pc],)
-            assert gen.cubes.diameter[pc] == 0.0
-        assert gen.base is sys
-
     def test_point_cubes_only_at_joint_atoms(self, tree27):
+        # the point cube {5} at the one joint atom is 5's finest cube
         space, mu = tree27
-        sys = build_system(space, k_max=1)
+        sys = build_system(space)
         omega = PointMeasure(np.where(np.arange(27) == 5, 1.0, 0.0))
         gen = generalize(sys, mu, omega)
         assert gen.joint_atoms == (5,)
-        assert len(gen.point_cubes) == 1
-        assert members(gen, gen.point_cubes[0]) == (5,)
+        assert gen.base is sys
+        assert members(sys, sys.leaf(5)) == (5,)
+
+    @pytest.mark.parametrize("delta", [None, 0.25])
+    @pytest.mark.parametrize("x0", [None, 0])
+    @pytest.mark.parametrize("kind,params", [
+        ("integer_segment_counting", dict(n=16)),
+        ("euclidean_random_points", dict(n=18)),
+        ("snowflake_power", dict(n=8, power=2.0)),
+        ("ultrametric_tree", dict(depth=3, branching=3, ratio=1.0 / 96.0))])
+    def test_finest_cubes_are_the_point_cubes(self, kind, params, x0, delta):
+        # every finest cube is a singleton, so each joint atom's point cube
+        # is already a standard cube
+        space, _ = generate_space(kind, **params)
+        sys = build_system(space, delta=delta, x0=x0)
+        finest = sys.incidence[sys.generation(sys.k_max)]
+        assert finest.sum(axis=1).tolist() == [1] * space.n
+        assert finest.any(axis=0).all()
+        rng = np.random.default_rng(space.n)
+        sigma, omega = (PointMeasure(random_masses(rng, space.n, 0.4))
+                        for _ in range(2))
+        both = [x for x in range(space.n)
+                if sigma.masses[x] > 0 and omega.masses[x] > 0]
+        assert generalize(sys, sigma, omega).joint_atoms == tuple(both)
 
     def test_measure_size_mismatch(self, segment16):
         space, _ = segment16
@@ -658,21 +638,19 @@ class TestMaximalCubes:
         assert got.tolist() == [coarse]
 
     def test_matches_brute_force(self, tree27):
-        # one truncated generalized system: its standard cubes keep
-        # non-singleton leaves, and its point cubes hang below them
-        space, mu = tree27
-        gen = generalize(build_system(space, k_max=1), mu, mu)
-        pool = range(len(gen.cubes))
-        assert gen.point_cubes
-        rng = np.random.default_rng(17)
-        k, center = gen.cubes.k, gen.cubes.center
-        for _ in range(25):
-            take = rng.integers(0, len(pool), size=rng.integers(1, 18))
-            coll = [pool[i] for i in take]
-            got = maximal_cubes(gen, mask(gen, coll))
-            want = brute_maximal(gen, coll)
-            assert [(k[c], center[c], members(gen, c)) for c in got] == \
-                   [(k[c], center[c], members(gen, c)) for c in want]
+        # the full window, whose finest two generations are both
+        # singletons, and a coarse copy whose finest cubes are not
+        full = build_system(tree27[0])
+        for sys in (full, coarse_copy(full, full.k_max - 2)):
+            rng = np.random.default_rng(17)
+            k, center = sys.cubes.k, sys.cubes.center
+            for _ in range(25):
+                coll = rng.integers(0, len(sys.cubes),
+                                    size=rng.integers(1, 18)).tolist()
+                got = maximal_cubes(sys, mask(sys, coll))
+                want = brute_maximal(sys, coll)
+                assert [(k[c], center[c], members(sys, c)) for c in got] == \
+                       [(k[c], center[c], members(sys, c)) for c in want]
 
     def test_outputs_disjoint_and_cover_inputs(self, tree27):
         space, _ = tree27
@@ -708,17 +686,6 @@ class TestMaximalCubes:
         sys = build_system(tree27[0])
         with pytest.raises(BadParams):
             maximal_cubes(sys, np.ones(len(sys.cubes) + 1, dtype=bool))
-
-    def test_point_cube_parent_holds_its_center(self, segment16):
-        space, mu = segment16
-        sys = build_system(space, k_max=-1)
-        gen = generalize(sys, mu, mu)
-        assert gen.point_cubes
-        assert np.array_equal(gen.parent[:len(sys.cubes)], sys.parent)
-        for cube in gen.point_cubes:
-            up = gen.parent[cube]
-            assert gen.cubes.k[up] == sys.k_max
-            assert gen.cubes.center[cube] in members(gen, up)
 
 
 # ---------------------------------------------------------------------------
@@ -877,10 +844,3 @@ class TestIdsAtTheBoundary:
         s = build_system(tree27[0])
         with pytest.raises(BadParams):
             s.children(1.5)
-
-    def test_point_cube_id_is_not_a_standard_id(self, tree27):
-        space, mu = tree27
-        s = build_system(space, k_max=1)
-        gen = generalize(s, mu, mu)
-        with pytest.raises(BadParams, match="past this system's cubes"):
-            s.children(gen.point_cubes[0])

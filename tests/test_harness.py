@@ -790,7 +790,7 @@ class TestStoppingImages:
         f = np.random.default_rng(0).random(op.n)
         image = op.apply(f)
         grid = rho_grid(op, f, image)
-        sizes = op.gen.incidence.sum(axis=1)
+        sizes = op.system.incidence.sum(axis=1)
         proper = {cube for rho in grid.tolist()
                   for cube in decompose_level_set(op, f, rho, image).q_rho
                   if sizes[cube] < op.n}

@@ -24,7 +24,7 @@ from dyadica.norms import indicator, standard_cubes
 from dyadica.policy import TOLERANCES, close, require
 from dyadica.space import PointMeasure, build_space, generate_space
 
-from conftest import distance_prefix, order_ulps, random_masses
+from conftest import coarse_copy, distance_prefix, order_ulps, random_masses
 
 
 def counting(n):
@@ -862,9 +862,11 @@ class TestArrayFormsAreExact:
         space, _ = EXACT_SPACES[name]()
         rng = np.random.default_rng(3)
         # the strict window, then relaxed ones with cubes of many sizes
+        relaxed = build_system(space, seed=2, delta=0.25)
         systems = [build_system(space),
                    build_system(space, seed=1, delta=0.25),
-                   build_system(space, seed=2, delta=0.25, k_max=0)]
+                   coarse_copy(relaxed, int(np.clip(0, relaxed.k_min,
+                                                    relaxed.k_max)))]
         for mu in exact_measures(space.n, 4):
             inside = PointMeasure(rng.random(space.n))
             for gamma in (0.0, 0.25, 0.5):

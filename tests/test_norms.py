@@ -84,6 +84,21 @@ class TestExponents:
         with pytest.raises(BadParams):
             Exponents(p, q)
 
+    @pytest.mark.parametrize("p,q", [(np.int64(2), np.int64(2)),
+                                     (np.float32(1.5), np.float32(3.0)),
+                                     (2, np.float64(4.0))])
+    def test_numpy_scalars_are_stored_as_floats(self, p, q):
+        ex = Exponents(p, q)
+        assert (type(ex.p), type(ex.q)) == (float, float)
+        assert (ex.p, ex.q) == (float(p), float(q))
+
+    @pytest.mark.parametrize("p,q", [(True, 2.0), (2.0, True),
+                                     (np.bool_(True), 2.0), (2.0, np.bool_(True)),
+                                     ("2", 2.0)])
+    def test_refuses_booleans_and_non_numbers(self, p, q):
+        with pytest.raises(BadParams, match="exponents must be numbers"):
+            Exponents(p, q)
+
 
 class TestLpNorm:
     def test_constant_counting(self):

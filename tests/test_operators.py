@@ -27,7 +27,7 @@ from dyadica.operators import (
 from dyadica.policy import TOLERANCES, close, guard, require
 from dyadica.space import PointMeasure, generate_space
 
-from conftest import members, random_masses
+from conftest import coarse_copy, members, random_masses
 
 
 def line_operator(space, mu, gamma=0.5, sigma=None, omega=None):
@@ -257,13 +257,13 @@ class TestBuildMatrix:
                                                ("tree27", 1)])
     def test_matches_pairwise_reference(self, fixture, k_max, request):
         space, mu = request.getfixturevalue(fixture)
-        sys = build_system(space, k_max=k_max)
+        sys = build_system(space)
+        if k_max is not None:
+            sys = coarse_copy(sys, k_max)
         rng = np.random.default_rng(29)
         sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
         gen = generalize(sys, sigma, mu)
-        if k_max is not None:
-            assert gen.point_cubes
         op = build_dyadic_operator(ker, gen)
         assert (op.matrix == reference_matrix(ker, gen, op.phi)).all()
 
@@ -342,7 +342,7 @@ def reference_sum(sys, vals, cube):
 def reference_partition(op, f, m):
     """The telescoping form one point and one chain at a time."""
     sys = op.system
-    g = f * op.gen.sigma.masses
+    g = f * op.sigma.masses
     out = np.empty(op.n)
     for x in range(op.n):
         chain = sys.label[:, x]
@@ -359,7 +359,9 @@ class TestCubeSums:
     @pytest.mark.parametrize("k_max", [None, 1])
     def test_matches_ordered_recursion(self, tree27, k_max):
         space, mu = tree27
-        sys = build_system(space, k_max=k_max)
+        sys = build_system(space)
+        if k_max is not None:
+            sys = coarse_copy(sys, k_max)
         vals = np.random.default_rng(4).uniform(0, 1, space.n)
         sums = cube_sums(sys, vals)
         assert [sums[c] for c in range(len(sys.cubes))] == \
@@ -393,7 +395,7 @@ class TestCubeSums:
 
     def test_truncated_leaves_sum_members(self, segment16):
         space, _ = segment16
-        sys = build_system(space, k_max=0)
+        sys = coarse_copy(build_system(space), 0)
         vals = np.arange(16, dtype=float)
         sums = cube_sums(sys, vals)
         for cube in range(len(sys.cubes))[sys.generation(sys.k_max)]:
@@ -466,10 +468,10 @@ class TestSandwich:
 
 class TestTruncatedWindow:
     def test_forms_and_sandwich(self, tree27):
-        # a truncated window leaves multi-point finest cubes; within-leaf
-        # pairs then share the leaf envelope and both forms must still match
+        # a coarse copy has multi-point finest cubes; within-leaf pairs
+        # then share the leaf envelope and both forms must still match
         space, mu = tree27
-        sys = build_system(space, k_max=1)
+        sys = coarse_copy(build_system(space), 1)
         assert sys.k_max == 1
         assert any(sys.incidence[sys.generation(sys.k_max)].sum(axis=1) > 1)
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)

@@ -25,7 +25,7 @@ from dyadica.stopping import (
 )
 from dyadica.space import PointMeasure, generate_space
 
-from conftest import members, random_masses
+from conftest import coarse_copy, members, random_masses
 
 
 def line_operator(space, mu, gamma=0.5, sigma=None, omega=None):
@@ -54,7 +54,7 @@ class TestDecompose:
         rho = float(np.min(img[mu.masses > 0])) * 0.5
         dec = decompose_level_set(op, f, rho)
         assert len(dec.q_rho) == 1
-        assert members(op.gen, dec.q_rho[0]) == members(op.system, op.system.top)
+        assert members(op.system, dec.q_rho[0]) == members(op.system, op.system.top)
 
     def test_exact_measure_identity(self, segment16):
         space, _ = segment16
@@ -66,12 +66,12 @@ class TestDecompose:
         f = rng.random(16)
         for rho in rho_grid(op, f)[::3]:
             dec = decompose_level_set(op, f, float(rho))
-            total = sum(omega.of(members(op.gen, q)) for q in dec.q_rho)
+            total = sum(omega.of(members(op.system, q)) for q in dec.q_rho)
             assert omega.of(dec.omega_set) == total
             seen: set[int] = set()
             for q in dec.q_rho:
-                assert not (seen & set(members(op.gen, q)))
-                seen |= set(members(op.gen, q))
+                assert not (seen & set(members(op.system, q)))
+                seen |= set(members(op.system, q))
 
     def test_rejects_negative_f(self, segment4):
         space, mu = segment4
@@ -82,35 +82,19 @@ class TestDecompose:
             decompose_level_set(op, np.ones(4), 0.0)
 
     def test_truncated_sigma_null_gap_is_caught(self, segment16):
-        # a sigma-null omega-positive point inside a coarse leaf can exceed
-        # the threshold alone; no generalized cube isolates it, so the
-        # omega-mass identity must fail loudly.
+        # an omega-positive point inside a coarse leaf can exceed the
+        # threshold alone; no cube isolates it, so the omega-mass identity
+        # must fail loudly
         space, mu = segment16
-        sys = build_system(space, k_max=-1)
-        leaf = sys.leaf(0)
-        assert len(members(sys, leaf)) > 1
-        sigma_masses = np.ones(16)
-        sigma_masses[0] = 0.0
-        gen = generalize(sys, PointMeasure(sigma_masses), PointMeasure(np.ones(16)))
+        sys = coarse_copy(build_system(space), -1)
+        assert len(members(sys, sys.leaf(0))) > 1
         img = np.zeros(16)
         img[0] = 2.0
-        fake = SimpleNamespace(apply=lambda f: img, gen=gen,
-                               omega=gen.omega)
+        fake = SimpleNamespace(apply=lambda f: img, system=sys,
+                               omega=PointMeasure(np.ones(16)))
         with pytest.raises(CheckFailed) as err:
             decompose_level_set(fake, np.ones(16), 1.0)
         assert err.value.check == "cover_mass"
-
-    def test_point_cube_covers_atom(self, segment16):
-        # same cut as above, but at a joint atom: the point cube makes the
-        # cover exact.
-        space, mu = segment16
-        sys = build_system(space, k_max=-1)
-        gen = generalize(sys, PointMeasure(np.ones(16)), PointMeasure(np.ones(16)))
-        img = np.zeros(16)
-        img[0] = 2.0
-        fake = SimpleNamespace(apply=lambda f: img, gen=gen, omega=gen.omega)
-        dec = decompose_level_set(fake, np.ones(16), 1.0)
-        assert [members(gen, q) for q in dec.q_rho] == [(0,)]
 
 
 def oracle_decomposition(op, f, rho):
@@ -118,57 +102,64 @@ def oracle_decomposition(op, f, rho):
     img = op.apply(f)
     level = {x for x in range(op.n) if img[x] > rho}
     om = op.omega.masses
-    gen = op.gen
-    k, center = gen.cubes.k, gen.cubes.center
-    candidates = [c for c in range(len(gen.cubes))
-                  if all(x in level or om[x] == 0.0 for x in members(gen, c))]
+    sys = op.system
+    k, center = sys.cubes.k, sys.cubes.center
+    candidates = [c for c in range(len(sys.cubes))
+                  if all(x in level or om[x] == 0.0 for x in members(sys, c))]
     coarsest = {}
     for c in candidates:
-        m = members(gen, c)
+        m = members(sys, c)
         if m not in coarsest or k[c] < k[coarsest[m]]:
             coarsest[m] = c
     kept = [c for c in coarsest.values()
-            if not any(set(members(gen, c)) < set(members(gen, o))
+            if not any(set(members(sys, c)) < set(members(sys, o))
                        for o in coarsest.values())]
     return (tuple(sorted(level)),
-            sorted(kept, key=lambda c: (-len(members(gen, c)), k[c], center[c])))
+            sorted(kept, key=lambda c: (-len(members(sys, c)), k[c], center[c])))
 
 
 class TestDecomposeOracle:
     @pytest.mark.parametrize("name", ["segment16", "tree27"])
     @pytest.mark.parametrize("depth", [None, 1, 2])
     def test_matches_set_definition(self, request, name, depth):
-        # sigma- and omega-null points, on the full window and on windows
-        # truncated depth generations below the top, where joint atoms in
-        # coarse leaves get point cubes
+        # sigma- and omega-null points, on the full window and on coarse
+        # copies cut depth generations below the top; there a level-set
+        # point alone in a multi-point leaf escapes every cube, and the
+        # decomposition raises cover_mass exactly when the set-based cover
+        # misses omega mass of the level set
         space, mu = request.getfixturevalue(name)
-        full = build_system(space)
-        sys = build_system(space, k_max=None if depth is None
-                           else full.k_min + depth)
+        sys = build_system(space)
+        if depth is not None:
+            sys = coarse_copy(sys, sys.k_min + depth)
         rng = np.random.default_rng(31)
         sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
         omega = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
         op = build_dyadic_operator(
             build_kernel(space, mu, "ball_volume_closed", gamma=0.5),
             generalize(sys, sigma, omega))
-        point_cubes_used = False
+        raised = False
         for _ in range(3):
             f = rng.random(space.n)
             for rho in rho_grid(op, f):
-                dec = decompose_level_set(op, f, float(rho))
                 level, cover = oracle_decomposition(op, f, rho)
+                covered = {x for c in cover for x in members(sys, c)}
+                if any(omega.masses[x] > 0 for x in set(level) - covered):
+                    with pytest.raises(CheckFailed) as info:
+                        decompose_level_set(op, f, float(rho))
+                    assert info.value.check == "cover_mass"
+                    raised = True
+                    continue
+                dec = decompose_level_set(op, f, float(rho))
                 assert dec.omega_set == level
                 assert dec.q_rho.tolist() == cover
                 assert np.array_equal(dec.image, op.apply(f))
-                point_cubes_used |= any(op.gen.cubes.k[c] > sys.k_max
-                                        for c in dec.q_rho)
-        assert point_cubes_used == bool(op.gen.point_cubes)
+        coarse = sys.incidence[sys.generation(sys.k_max)].sum(axis=1) > 1
+        assert raised == coarse.any()
 
 
-def oracle_cubes_holding(gen, points):
-    hit = np.zeros(len(gen.cubes), dtype=bool)
-    hit[gen.base.label[:, points].ravel()] = True
-    hit[len(gen.base.cubes):] = points[gen.cubes.center[gen.point_cubes]]
+def oracle_cubes_holding(system, points):
+    hit = np.zeros(len(system.cubes), dtype=bool)
+    hit[system.label[:, points].ravel()] = True
     return hit
 
 
@@ -183,21 +174,21 @@ def oracle_decompose(op, f, rho, image=None):
     img = np.asarray(op.apply(a) if image is None else image, dtype=float)
     in_omega = img > rho
     om = op.omega.masses
-    ruled_out = oracle_cubes_holding(op.gen, ~in_omega & (om > 0.0))
-    q = maximal_cubes(op.gen, ~ruled_out)
+    ruled_out = oracle_cubes_holding(op.system, ~in_omega & (om > 0.0))
+    q = maximal_cubes(op.system, ~ruled_out)
     count = np.zeros(a.size, dtype=int)
     for cube in q:
-        count[list(members(op.gen, cube))] += 1
+        count[list(members(op.system, cube))] += 1
     if np.any(count > 1):
         raise CheckFailed("cover_disjoint", "maximal cubes overlap",
                           x=int(np.flatnonzero(count > 1)[0]))
-    escaped = ~ruled_out & oracle_cubes_holding(op.gen, count == 0)
+    escaped = ~ruled_out & oracle_cubes_holding(op.system, count == 0)
     if escaped.any():
         c = int(np.flatnonzero(escaped)[0])
         raise CheckFailed("cover_maximal",
                           "candidate cube escapes the maximal cover",
-                          k=int(op.gen.cubes.k[c]),
-                          center=int(op.gen.cubes.center[c]))
+                          k=int(op.system.cubes.k[c]),
+                          center=int(op.system.cubes.center[c]))
     lhs = np.where(in_omega, om, 0.0)
     rhs = np.where(count > 0, om, 0.0)
     if not np.array_equal(lhs, rhs):
@@ -220,7 +211,7 @@ def oracle_sweep(op, f, rho, C, localized, violates, image, whole=True):
     dec = oracle_decompose(op, a, rho / C, image)
     values, witness = [], None
     for cube in dec.q_rho:
-        points = members(op.gen, cube)
+        points = members(op.system, cube)
         if whole and len(points) == a.size:
             img = dec.image if localized else np.zeros(a.size)
         else:
@@ -234,8 +225,8 @@ def oracle_sweep(op, f, rho, C, localized, violates, image, whole=True):
             val = float(img[x])
             values.append(val)
             if witness is None and violates(val):
-                witness = {"k": int(op.gen.cubes.k[cube]),
-                           "center": int(op.gen.cubes.center[cube]), "x": x,
+                witness = {"k": int(op.system.cubes.k[cube]),
+                           "center": int(op.system.cubes.center[cube]), "x": x,
                            "value": val, "bound": rho / 2.0}
     return dec, values, witness
 
@@ -392,29 +383,26 @@ class TestLevelSetsOracle:
 
     @staticmethod
     def broken_cover():
-        # a sigma-null, omega-charged point 0 in a coarse leaf gets no point
-        # cube, so the cover breaks at thresholds in [2.5, 3): the level set
-        # holds 0 alone.  Below them its leaf is a candidate cube, and the
-        # fake image of f off or on a proper cover cube, 100, fails
-        # principle 1 there and passes principle 2.
+        # a coarse copy whose leaves are 0..8, 9..17 and 18..26: point 0
+        # is in no cube alone, so the cover breaks at thresholds in
+        # [2.5, 3), where the level set holds 0 alone.  Below them whole
+        # leaves are candidate cubes, and the fake image of f off or on a
+        # proper cover cube, 100, fails principle 1 there and passes
+        # principle 2.
         space, _ = generate_space("ultrametric_tree", depth=3, branching=3,
                                   ratio=1.0 / 96.0)
-        sys = build_system(space, k_max=0)
-        leaf = np.array(members(sys, sys.leaf(0)))
-        assert 1 < leaf.size < 27
-        sigma = np.ones(27)
-        sigma[0] = 0.0
-        gen = generalize(sys, PointMeasure(sigma), PointMeasure(np.ones(27)))
+        sys = coarse_copy(build_system(space), 0)
+        assert [members(sys, sys.leaf(x)) for x in (0, 9, 18)] == \
+            [tuple(range(x, x + 9)) for x in (0, 9, 18)]
         f = np.random.default_rng(3).random(27)
-        img = np.where(np.arange(27) % 2, 1.0, 2.0)
-        img[leaf] = 2.5
+        img = np.repeat([2.5, 2.0, 1.0], 9)
         img[0] = 3.0
 
         def apply(g):
             own = (np.atleast_2d(g) == f).all(axis=1)[:, None]
             return np.where(own, img, 100.0).reshape(np.shape(g))
 
-        return SimpleNamespace(apply=apply, gen=gen, omega=gen.omega,
+        return SimpleNamespace(apply=apply, omega=PointMeasure(np.ones(27)),
                                C_K=0.5, system=sys), f, img
 
     def test_broken_cover_gives_the_rows_the_oracle_gives(self):
@@ -547,13 +535,13 @@ class TestMaxPrinciples:
             dec = decompose_level_set(op, f, rho)
             in_omega = op.apply(f) > rho
             first, second = [], []
-            k, center = op.gen.cubes.k, op.gen.cubes.center
+            k, center = op.system.cubes.k, op.system.cubes.center
             for cube in dec.q_rho:
                 chi = np.zeros(16)
-                chi[list(members(op.gen, cube))] = 1.0
+                chi[list(members(op.system, cube))] = 1.0
                 off_img = op.apply(f * (1.0 - chi))
                 on_img = op.apply(f * chi)
-                for x in members(op.gen, cube):
+                for x in members(op.system, cube):
                     if off_img[x] > rho / 2 * (1 + g):
                         first.append((k[cube], center[cube], x, off_img[x]))
                     if in_omega[x] and not on_img[x] > rho / 2 * (1 - g):
@@ -679,14 +667,13 @@ class TestPrincipalCubes:
 
     def test_pi_and_average_take_standard_ids(self, segment16):
         space, mu = segment16
-        sys = build_system(space, k_max=-1)
+        sys = build_system(space)
         fam = build_principal_cubes(sys, mu, np.ones(16))
-        point = generalize(sys, mu, mu).point_cubes[0]
         for lookup in (fam.pi, fam.average):
             with pytest.raises(BadParams, match="nonnegative"):
                 lookup(-1)
             with pytest.raises(BadParams, match="past this system's cubes"):
-                lookup(point)
+                lookup(len(sys.cubes))
         assert fam.pi(len(sys.cubes) - 1) == sys.top
 
     def test_principal_of_is_the_finest_principal_ancestor(self, tree27):
@@ -742,13 +729,12 @@ class TestMainLemma:
         assert err.value.check == "positive_sigma_mass"
 
     def test_point_cube_rejected(self, segment16):
+        # len(cubes), the id a point cube appended after the last cube
+        # would take, names no cube
         space, mu = segment16
-        sys = build_system(space, k_max=-1)
-        gen = generalize(sys, mu, mu)
-        point = gen.point_cubes[0]
-        assert gen.base is sys
+        sys = build_system(space)
         with pytest.raises(BadParams, match="past this system's cubes"):
-            check_mainlemma(sys, [point], mu, np.ones(16), 2.0)
+            check_mainlemma(sys, [len(sys.cubes)], mu, np.ones(16), 2.0)
 
     @pytest.mark.parametrize("i", [-1, -5])
     def test_negative_id_rejected(self, segment16, i):
