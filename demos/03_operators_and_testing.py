@@ -19,7 +19,6 @@ from dyadica import (
     check_kernel_estimates,
     check_self_adjoint,
     check_shifted_sandwich,
-    generalize,
     generate_space,
     phi_table,
     random_measure,
@@ -53,7 +52,7 @@ print(f"sigma total {sigma.total:.0f}, omega total {omega.total:.0f}, "
       f"omega-null points {int((omega.masses == 0).sum())}")
 
 # The dyadic model operators read the same tables.
-ops = [build_dyadic_operator(kernel, generalize(s, sigma, omega), phi)
+ops = [build_dyadic_operator(kernel, s, sigma, omega, phi)
        for s, phi in zip(family, envelopes)]
 op = ops[0]
 

@@ -19,7 +19,6 @@ from .dyadic import (
     AdjacentSystems,
     CubeTable,
     DyadicSystem,
-    GeneralizedSystem,
     build_adjacent_systems,
     build_system,
     check_ball_coverage,

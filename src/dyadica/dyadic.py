@@ -48,10 +48,9 @@ Pinning a point makes it a cube center at every generation (it is swept
 first, so every net keeps it). A pair of measures generalizes a system:
 the paper adds a point cube {x} at each joint atom x, a point both measures
 charge, but on the full window every finest cube is already a singleton,
-so ``GeneralizedSystem`` is the base system plus the pair and its joint
-atoms, with no cubes of its own. ``maximal_cubes(system, chosen)`` reads
-containment off ``parent``: it returns the ids of the chosen cubes with no
-chosen proper ancestor.
+so ``generalize`` adds no cubes and returns only the joint atoms.
+``maximal_cubes(system, chosen)`` reads containment off ``parent``: it
+returns the ids of the chosen cubes with no chosen proper ancestor.
 """
 
 from __future__ import annotations
@@ -674,29 +673,18 @@ def build_adjacent_systems(space: QuasiMetricSpace, seed: int = 0,
 # generalized cubes and cube combinatorics
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class GeneralizedSystem:
-    """A cube system, a measure pair and its joint atoms, the points both
-    measures charge, ascending. The paper adds a point cube {x} at each
-    joint atom; every finest cube of a built system is a singleton, so the
-    generalized cubes are the base system's cubes."""
-
-    base: DyadicSystem
-    sigma: PointMeasure
-    omega: PointMeasure
-    joint_atoms: tuple[int, ...]
-
-
 def generalize(system: DyadicSystem, sigma: PointMeasure,
-               omega: PointMeasure) -> GeneralizedSystem:
+               omega: PointMeasure) -> tuple[int, ...]:
+    """The joint atoms of the pair, the points both measures charge,
+    ascending. The paper adds a point cube {x} at each; every finest cube
+    of a built system is a singleton, so the generalized cubes are the
+    system's own."""
     n = system.space.n
     for name, mv in (("sigma", sigma), ("omega", omega)):
         if mv.masses.shape != (n,):
             raise BadParams("measure does not match the space",
                             measure=name, size=mv.masses.shape, n=n)
-    joint = np.flatnonzero(sigma.charged & omega.charged)
-    return GeneralizedSystem(base=system, sigma=sigma, omega=omega,
-                             joint_atoms=tuple(joint.tolist()))
+    return tuple(np.flatnonzero(sigma.charged & omega.charged).tolist())
 
 
 def maximal_cubes(system: DyadicSystem, chosen) -> np.ndarray:

@@ -38,7 +38,6 @@ import numpy as np
 from .dyadic import (
     build_adjacent_systems,
     dyadic_parameters,
-    generalize,
     replay_coverage,
 )
 from .errors import BadParams, ConfigError, DyadicaError
@@ -310,12 +309,10 @@ class _Run:
         return tuple(phi_table(kernel, sys) for sys in self.family)
 
     def _build_ops(self):
-        kernel = self.kernel
-        roles = self.roles
-        return tuple(
-            build_dyadic_operator(kernel, generalize(sys, roles["sigma"],
-                                                     roles["omega"]), phi)
-            for sys, phi in zip(self.family, self.envelopes))
+        kernel, roles = self.kernel, self.roles
+        return tuple(build_dyadic_operator(kernel, sys, roles["sigma"],
+                                           roles["omega"], phi)
+                     for sys, phi in zip(self.family, self.envelopes))
 
     def _build_strong(self):
         roles, ex = self.roles, self.sc.exponents

@@ -42,7 +42,6 @@ from .norms import (
     _equivalence_ratio,
     block_rows,
     cube_name,
-    cube_seeds,
     cube_testing,
     indicator,
     lp_norm,
@@ -411,7 +410,7 @@ def verdict_theorem_a(family, mu: PointMeasure, sigma: PointMeasure,
                                confirmed=bool(lhs > 0.0 and rhs == 0.0))
     dw = dual_weight(mu, sigma, p)
     testing = testing_constant_maximal(family, params, sigma, omega, p, q)
-    seeds = [s for chi in cube_seeds(family) for s in (chi * dw.v, chi)]
+    seeds = [s for chi in standard_cubes(family) for s in (chi * dw.v, chi)]
     norm = operator_norm_strong(lambda f: apply_M(params, f), sigma, omega,
                                 p, q, budget=budget, seeds=seeds, seed=seed)
     _check_structural("maximal", testing.value, norm.lower)

@@ -200,23 +200,23 @@ def _image(apply, f: np.ndarray) -> np.ndarray:
 
 
 def _block_values(sigma, omega, p, q, weak: bool):
-    """values(jobs, images=None) gives each (apply, F) job, one per
-    problem, its values: vals[i] = ||apply(F[i])|| / ||F[i]||, None on a
-    null row, the float F[i] gives alone.  A job applies its rows
-    block_rows(n) at a time (images[j] stands for job j's images), and all
-    rows then share one lp_norm and one image norm per block.  An error of
-    apply propagates as raised; after the norms, the first row in job
-    order that maps a null input to positive mass or has an infinite image
-    norm raises CheckFailed("finite_image")."""
+    """values(jobs) gives each (apply, F[, G]) job, one per problem, its
+    values: vals[i] = ||apply(F[i])|| / ||F[i]||, None on a null row, the
+    float F[i] gives alone.  A job applies its rows block_rows(n) at a time
+    unless it carries their images G, and all rows then share one lp_norm
+    and one image norm per block.  An error of apply propagates as raised;
+    after the norms, the first row in job order that maps a null input to
+    positive mass or has an infinite image norm raises
+    CheckFailed("finite_image")."""
     cap, norm = block_rows(len(sigma.masses)), weak_quasinorm if weak else lp_norm
 
-    def values(jobs, images=None):
+    def values(jobs):
         fs, gs = [], []
-        for j, (apply, F) in enumerate(jobs):
+        for apply, F, *images in jobs:
             for i in range(0, len(F), cap):
                 fs.append(F[i:i + cap])
-                gs.append(_image(apply, fs[-1]) if images is None
-                          else images[j][i:i + cap])
+                gs.append(images[0][i:i + cap] if images
+                          else _image(apply, fs[-1]))
         X = fs[0] if len(fs) == 1 else np.concatenate(fs) if fs else ()
         G = gs[0] if len(gs) == 1 else np.concatenate(gs) if gs else ()
         ds, ms = [], []
@@ -230,7 +230,7 @@ def _block_values(sigma, omega, p, q, weak: bool):
                     "positive mass" if d == 0.0 else "infinite image norm "
                     "at positive input norm", f=X[r].tolist())
         vals, s = [m / d if d != 0.0 else None for d, m in zip(ds, ms)], 0
-        return [vals[s:(s := s + len(F))] for _, F in jobs]
+        return [vals[s:(s := s + len(job[1]))] for job in jobs]
 
     return values
 
@@ -253,14 +253,17 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
 
 
 def _seed_pool(n: int, seeds, budget: int, seed: int):
-    pool = [("ones", np.ones(n))] + [(f"point:{x}", e)
-                                      for x, e in enumerate(np.eye(n))]
-    for i, s in enumerate(seeds):
-        v = np.abs(np.asarray(s, dtype=float))
-        if v.shape != (n,):
-            raise BadParams("seed function has the wrong size", index=i)
-        pool.append((f"seed:{i}", v))
-    return pool + [(f"random:{b}", _rng(seed, b).random(n)) for b in range(budget)]
+    """The pool's names and rows: the constant one, every point mass, the
+    rows of the (K, n) seed block in absolute value, and budget random
+    rows."""
+    S = np.abs(np.asarray(seeds, dtype=float))
+    if len(S) and S.shape[1:] != (n,):
+        raise BadParams("seed block has the wrong shape", shape=S.shape, n=n)
+    names = (["ones"] + [f"point:{x}" for x in range(n)]
+             + [f"seed:{i}" for i in range(len(S))]
+             + [f"random:{b}" for b in range(budget)])
+    return names, np.vstack([np.ones(n), np.eye(n), S.reshape(-1, n)]
+                            + [_rng(seed, b).random(n) for b in range(budget)])
 
 
 def _lockstep_ascent(apply, starts, seed: int):
@@ -300,11 +303,11 @@ def _lockstep_ascent(apply, starts, seed: int):
     return list(zip(f, best))
 
 
-def _fixed_point(values, apply, apply_adjoint, f0: np.ndarray,
-                 p: float, q: float) -> tuple[np.ndarray | None, float]:
+def _fixed_point(apply, apply_adjoint, f0: np.ndarray, p: float, q: float):
     """Power-type iteration from f0, stopped at an iterate that repeats an
-    earlier one bit for bit (every later value would repeat); the iterates
-    are valued afterwards in one block through the images it computed."""
+    earlier one bit for bit (every later value would repeat).  It then
+    yields its iterates as one job with the images it computed, is sent
+    their values, and returns the best (iterate, value)."""
     f, seen, fs, gs = f0.copy(), set(), [], []
     for _ in range(_FIXED_POINT_ITERS):
         if f.tobytes() in seen:
@@ -321,7 +324,7 @@ def _fixed_point(values, apply, apply_adjoint, f0: np.ndarray,
             break
         f = np.power(h, 1.0 / (p - 1.0))
         f = f / float(f.max())
-    vals = values([(apply, np.array(fs))], [np.array(gs)])[0]
+    vals = yield apply, np.array(fs), np.array(gs)
     best, bw = -math.inf, None
     for f, v in zip(fs, vals):
         if v is not None and v > best:
@@ -329,24 +332,23 @@ def _fixed_point(values, apply, apply_adjoint, f0: np.ndarray,
     return bw, best
 
 
-def _search(values, sigma, omega, p, q, weak: bool, pool_only: bool,
+def _search(sigma, omega, p, q, weak: bool, pool_only: bool,
             apply, budget, seeds, seed, apply_adjoint=None, matrix=None):
-    """One problem's search: it yields each (apply, rows) job it needs
-    valued, is sent the job's values, and returns its estimate.
+    """One problem's search: it yields each (apply, rows[, images]) job it
+    needs valued, is sent the job's values, and returns its estimate.
     pool_only keeps the spot check, the pool and the witness replay."""
     n = sigma.masses.size
     _spot_check_monotone(apply, n, seed)
-    pool = _seed_pool(n, seeds, budget, seed)
+    names, F = _seed_pool(n, seeds, budget, seed)
     best, witness, method = -math.inf, None, "none"
-    F = np.array([f for _, f in pool])
-    for (name, f), v in zip(pool, (yield apply, F)):
+    for name, f, v in zip(names, F, (yield apply, F)):
         if v is not None and v > best:
             best, witness, method = v, f, f"pool:{name}"
 
     details: dict = {}
     if apply_adjoint is not None and not (weak or pool_only or math.isinf(q)):
         start = witness if witness is not None and np.max(witness) > 0 else np.ones(n)
-        bw, bv = _fixed_point(values, apply, apply_adjoint, start, p, q)
+        bw, bv = yield from _fixed_point(apply, apply_adjoint, start, p, q)
         details["fixed_point"] = bv if bv > -math.inf else None
         if bw is not None and bv > best:
             best, witness, method = bv, bw, "fixed-point"
@@ -391,7 +393,7 @@ def _norm_search(problems, sigma, omega, p, q, weak: bool,
     if weak:
         require_finite_q(ex)
     values = _block_values(sigma, omega, p, q, weak)
-    runs = [_search(values, sigma, omega, p, q, weak, pool_only, *pr)
+    runs = [_search(sigma, omega, p, q, weak, pool_only, *pr)
             for pr in problems]
     out, got = [None] * len(runs), dict.fromkeys(range(len(runs)))
     while got:  # problem -> what its last job was valued to
@@ -472,10 +474,6 @@ def cube_name(family, row: int) -> dict:
     raise BadParams("row past the family's cubes", row=row)
 
 
-def cube_seeds(family) -> list[np.ndarray]:
-    return list(standard_cubes(family).astype(float))
-
-
 def cube_testing(cubes: np.ndarray, action, normalizer: PointMeasure,
                  inside: PointMeasure, r_out: float, r_norm: float):
     """sup_Q normalizer(Q)^(-1/r_norm) ||chi_Q action(chi_Q)||_{L^r_out(inside)}
@@ -540,8 +538,8 @@ class StrongVerdict:
     in exact arithmetic by duality; we keep the max of the two searches).
     ratio = n_lb / (strong + dual testing) is the empirical equivalence
     constant; the structural direction testing <= bound is hard-asserted.
-    kernel, the direct operator and the cube seeds let verdict_weak_type
-    reuse the instance.
+    kernel, the direct operator and the cube seeds (the incidence block of
+    the standard cubes) let verdict_weak_type reuse the instance.
     """
 
     exponents: Exponents
@@ -553,7 +551,7 @@ class StrongVerdict:
     ratio: float
     kernel: Kernel = field(repr=False)
     operator: MatrixOperator = field(repr=False)
-    seeds: list[np.ndarray] = field(repr=False)
+    seeds: np.ndarray = field(repr=False)
 
 
 def _check_structural(label: str, testing_value: float, bound: float) -> None:
@@ -578,7 +576,7 @@ def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
         raise CheckFailed("infinite_testing", "testing constant is infinite",
                           strong=names(tc.infinite_strong),
                           dual=names(tc.infinite_dual))
-    seeds = cube_seeds(family)
+    seeds = standard_cubes(family)
     nrm = operator_norm_strong(op.apply, sigma, omega, p, q, budget, seeds,
                                apply_adjoint=op.apply_adjoint,
                                matrix=op.matrix, seed=seed)
@@ -626,7 +624,7 @@ def verdict_weak_type(strong: StrongVerdict, ops, *, budget: int = 8,
     sigma, omega = direct.sigma, direct.omega
     require_same_instance(ops, strong.kernel, sigma, omega)
     sub_budget = max(2, budget // 3)
-    systems = [(t, o, cube_seeds(o.system)) for t, o in enumerate(ops)]
+    systems = [(t, o, o.system.incidence) for t, o in enumerate(ops)]
     weak = _norm_search([(direct.apply, budget, strong.seeds, seed)] + [
         (o.apply, sub_budget, s, seed + 200 + t) for t, o, s in systems],
         sigma, omega, ex.p, ex.q, weak=True)

@@ -5,9 +5,9 @@ The direct operator integrates the kernel against a weighted density,
     T(f dsigma)(x) = sum_y K(x, y) f(y) sigma({y}),
 
 and its adjoint uses the transposed kernel. The dyadic model operator is
-tied to a cube system generalized by the measure pair (sigma, omega): off
-the diagonal K is replaced by the envelope of the finest cube containing
-both points, and the diagonal keeps K(x, x) only at joint atoms,
+tied to a cube system and the measure pair (sigma, omega): off the
+diagonal K is replaced by the envelope of the finest cube containing both
+points, and the diagonal keeps K(x, x) only at joint atoms,
 
     T_D(f dsigma)(x) = sum_{y != x} phi(Q(x, y)) f(y) sigma({y})
                        + [x joint atom] K(x, x) f(x) sigma({x}),
@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import GeneralizedSystem
+from .dyadic import DyadicSystem, generalize
 from .errors import BadParams, CheckFailed
 from .kernel import Kernel, PhiTable, phi_table
 from .policy import TOLERANCES, CheckReport, guard, guard_vec, outcome
@@ -123,26 +123,27 @@ class MatrixOperator:
 
 @dataclass(eq=False)
 class DyadicOperator(MatrixOperator):
-    """Dyadic model operator bound to a generalized system and its measures.
+    """Dyadic model operator of a kernel on a system and a measure pair.
 
-    sigma and omega are the generalized system's pair; the matrix is
-    symmetric and its diagonal is positive only at joint atoms. C_K is the
-    envelope's bound constant, copied from ``phi``.
+    The matrix is symmetric and its diagonal is positive only at
+    ``joint_atoms``, the points both measures charge, ascending.
     """
 
     kernel: Kernel
-    gen: GeneralizedSystem
+    system: DyadicSystem
     phi: PhiTable
-    C_K: float
+    joint_atoms: tuple[int, ...]
 
     @property
-    def system(self):
-        return self.gen.base
+    def C_K(self) -> float:
+        """The envelope's bound constant."""
+        return self.phi.C_K
 
 
-def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
+def build_dyadic_operator(kernel: Kernel, system: DyadicSystem,
+                          sigma: PointMeasure, omega: PointMeasure,
                           phi: PhiTable | None = None) -> DyadicOperator:
-    system = gen.base
+    atoms = generalize(system, sigma, omega)
     space = system.space
     if kernel.n != space.n:
         raise BadParams("kernel and system disagree on the point count",
@@ -163,10 +164,9 @@ def build_dyadic_operator(kernel: Kernel, gen: GeneralizedSystem,
             "envelope undefined on a cube separating two points",
             x=x, y=y, **system.cubes.name(ids[x, y]))
     M = phi.values[ids]
-    joint = gen.sigma.charged & gen.omega.charged
-    np.fill_diagonal(M, np.where(joint, kernel.matrix.diagonal(), 0.0))
-    return DyadicOperator(matrix=M, sigma=gen.sigma, omega=gen.omega,
-                          kernel=kernel, gen=gen, phi=phi, C_K=phi.C_K)
+    np.fill_diagonal(M, 0.0)
+    M[atoms, atoms] = kernel.matrix[atoms, atoms]
+    return DyadicOperator(M, sigma, omega, kernel, system, phi, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,7 @@ def check_point_cube_testing(op: DyadicOperator, p: float, q: float,
     """
     from .norms import Exponents  # norms imports this module
     ex = Exponents(p, q)
-    atoms = op.gen.joint_atoms
+    atoms = op.joint_atoms
     if not atoms:
         return CheckReport("point_cube_testing", "vacuous",
                            op.system.strict_delta,

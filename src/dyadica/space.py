@@ -397,7 +397,7 @@ def space_from_dict(doc: dict) -> tuple[QuasiMetricSpace, dict[str, PointMeasure
         raise ConfigError("metric.type: expected 'matrix' or 'euclidean'")
     try:
         space = build_space(d)
-    except Exception as exc:  # surfaced with a config path
+    except BadParams as exc:
         raise ConfigError(f"metric: {exc}") from exc
 
     measures: dict[str, PointMeasure] = {}

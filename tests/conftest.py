@@ -61,6 +61,12 @@ def coarse_copy(system, k_max):
         parent=system.parent[:stop])
 
 
+def with_C_K(op, C_K):
+    """op on a copy of its envelope whose bound constant is C_K; the
+    operator reads C_K off its envelope, and nothing else changes."""
+    return dataclasses.replace(op, phi=dataclasses.replace(op.phi, C_K=C_K))
+
+
 def members(system, i):
     """Cube i's points in ascending order, read off the incidence block."""
     return tuple(np.flatnonzero(system.incidence[i]).tolist())

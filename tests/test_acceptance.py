@@ -39,7 +39,6 @@ from dyadica import (
     check_universal_maximal,
     coverage_bound,
     dual_weight,
-    generalize,
     generate_space,
     maximal_cubes,
     operator_norm_strong,
@@ -131,7 +130,7 @@ def _operator_sets() -> tuple:
     for label, space, mu, sigma, omega in _measure_pairs():
         kernel = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
         fam = _fam_of(label)
-        ops = tuple(build_dyadic_operator(kernel, generalize(s, sigma, omega))
+        ops = tuple(build_dyadic_operator(kernel, s, sigma, omega)
                     for s in fam.systems)
         out.append((label, ops))
     return tuple(out)
@@ -279,7 +278,7 @@ def test_criterion_07_weak_type_characterization():
             fam = _fam_of(label)
             strong = verdict_theorem_b(kernel, fam, sigma, omega, 2.0, 2.0,
                                        budget=4, seed=0)
-            ops = [build_dyadic_operator(kernel, generalize(s, sigma, omega))
+            ops = [build_dyadic_operator(kernel, s, sigma, omega)
                    for s in fam.systems]
             v = verdict_weak_type(strong, ops, budget=4, seed=0)
             slack = TOLERANCES["testing_le_norm_abs"]

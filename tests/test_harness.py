@@ -35,6 +35,8 @@ from dyadica.reporting import (
     row,
 )
 
+from conftest import with_C_K
+
 
 def segment_scenario(n=8, budget=2, **extra):
     doc = {
@@ -777,8 +779,6 @@ class TestStoppingImages:
         # applies op once per trial function, to one block holding f off
         # (or on) each distinct proper cover cube of the grid, never the
         # whole space
-        import dataclasses
-
         from dyadica.operators import MatrixOperator
         from dyadica.stopping import (check_max_principle_1,
                                       check_max_principle_2,
@@ -786,7 +786,7 @@ class TestStoppingImages:
 
         op = _Run(Scenario.from_dict(segment_scenario(
             space={"kind": "euclidean_random_points", "n": 16}))).ops[0]
-        op = dataclasses.replace(op, C_K=0.5)
+        op = with_C_K(op, 0.5)
         f = np.random.default_rng(0).random(op.n)
         image = op.apply(f)
         grid = rho_grid(op, f, image)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -7,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadica.dyadic import build_adjacent_systems, generalize
+from dyadica.dyadic import build_adjacent_systems
 from dyadica.errors import BadParams, CheckFailed
 from dyadica.kernel import build_kernel
 from dyadica.norms import (
     Exponents,
-    cube_seeds,
     indicator,
     lp_norm,
     operator_norm_strong,
@@ -22,7 +22,8 @@ from dyadica.norms import (
     verdict_weak_type,
     weak_quasinorm,
 )
-from dyadica.maximal import apply_M, apply_M_dyadic, maximal_params
+from dyadica.maximal import (apply_M, apply_M_dyadic, maximal_params,
+                             verdict_theorem_a)
 from dyadica import norms
 from dyadica.norms import (
     NORM_SALT,
@@ -49,9 +50,19 @@ from test_maximal import apply_M_rows
 def weak_verdict(kernel, fam, sigma, omega, p, q, budget):
     """Theorem B's verdict, then the weak-type verdict on the same instance."""
     strong = verdict_theorem_b(kernel, fam, sigma, omega, p, q, budget=budget)
-    ops = [build_dyadic_operator(kernel, generalize(s, sigma, omega))
+    ops = [build_dyadic_operator(kernel, s, sigma, omega)
            for s in fam]
     return verdict_weak_type(strong, ops, budget=budget)
+
+
+def run_fixed_point(values, *args):
+    """Drive the _fixed_point step: value the one job it yields with
+    values and return what it returns."""
+    run = _fixed_point(*args)
+    job = next(run)
+    with pytest.raises(StopIteration) as done:
+        run.send(values([job])[0])
+    return done.value.value
 
 
 def one_point_setup(k=1.0, s=4.0, w=9.0):
@@ -338,7 +349,8 @@ class TestStrongNorm:
             return op.apply_adjoint(u)
 
         values = _block_values(mu, mu, 1.5, 3.0, False)
-        got = _fixed_point(values, apply, apply_adjoint, np.ones(4), 1.5, 3.0)
+        got = run_fixed_point(values, apply, apply_adjoint, np.ones(4), 1.5,
+                              3.0)
         assert len(applied) == len(adjoint) == \
             len({f.tobytes() for f in applied}) < 30
         want = fixed_point_seq(objective_seq(op.apply, mu, mu, 1.5, 3.0, False),
@@ -362,9 +374,9 @@ class TestStrongNorm:
         values = _block_values(sigma, omega, 2.0, 2.0, False)
         null = np.array([1.0, 1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="adjoint"):
-            _fixed_point(values, apply, adjoint, null, 2.0, 2.0)
+            run_fixed_point(values, apply, adjoint, null, 2.0, 2.0)
         with pytest.raises(CheckFailed) as got:
-            _fixed_point(values, apply, np.asarray, null, 2.0, 2.0)
+            run_fixed_point(values, apply, np.asarray, null, 2.0, 2.0)
         assert got.value.check == "finite_image"
         assert got.value.witness == {"f": null.tolist()}
 
@@ -505,7 +517,7 @@ class TestTestingConstants:
         op = MatrixOperator(kernel.matrix, sigma, omega)
         tc = compute_testing(op, fam, 2.0, 3.0)
         est = operator_norm_strong(op.apply, sigma, omega, 2.0, 3.0, budget=2,
-                                   seeds=cube_seeds(fam))
+                                   seeds=standard_cubes(fam))
         assert tc.strong <= est.lower + 1e-9
 
 
@@ -590,17 +602,17 @@ class TestWeakType:
         strong = verdict_theorem_b(kernel, fam, sigma, omega, 2.0, 2.0,
                                    budget=2)
         other_pair = [
-            build_dyadic_operator(kernel, generalize(s, omega, sigma))
+            build_dyadic_operator(kernel, s, omega, sigma)
             for s in fam]
         with pytest.raises(BadParams, match="measure pair"):
             verdict_weak_type(strong, other_pair, budget=2)
         twin = build_kernel(space, mu, "ball_volume", gamma=0.5)
         other_kernel = [
-            build_dyadic_operator(twin, generalize(s, sigma, omega))
+            build_dyadic_operator(twin, s, sigma, omega)
             for s in fam]
         with pytest.raises(BadParams, match="kernel"):
             verdict_weak_type(strong, other_kernel, budget=2)
-        same = [build_dyadic_operator(kernel, generalize(s, sigma, omega))
+        same = [build_dyadic_operator(kernel, s, sigma, omega)
                 for s in fam]
         assert len(verdict_weak_type(strong, same, budget=2).per_system) \
             == len(fam)
@@ -878,7 +890,7 @@ class TestBlockSearchMatchesSequential:
         def seq_adj(h):
             return weighted_apply_seq(off_t, diag_t, h, omega)
 
-        seeds = cube_seeds(fam)
+        seeds = standard_cubes(fam)
         got = operator_norm_strong(op.apply, sigma, omega, p, q, 2, seeds,
                                    apply_adjoint=op.apply_adjoint,
                                    matrix=op.matrix, seed=3)
@@ -906,7 +918,7 @@ class TestBlockSearchMatchesSequential:
     def test_apply_M(self, kind, n, p, q):
         space, mu, sigma, omega, kernel, fam = oracle_instance(kind, n, 1)
         params = maximal_params(space, mu, 0.5)
-        seeds = cube_seeds(fam)
+        seeds = standard_cubes(fam)
 
         def block(f):
             return apply_M(params, f)
@@ -1067,7 +1079,7 @@ def lockstep_instance(kind, L, p, q, seed=0):
     space, mu, sigma, omega, kernel, _ = oracle_instance(kind, 16, seed)
     fam = build_adjacent_systems(space, num_systems=L)
     strong = verdict_theorem_b(kernel, fam, sigma, omega, p, q, budget=2)
-    ops = [build_dyadic_operator(kernel, generalize(s, sigma, omega))
+    ops = [build_dyadic_operator(kernel, s, sigma, omega)
            for s in fam]
     return sigma, omega, fam, strong, ops
 
@@ -1128,7 +1140,7 @@ class TestLockstepSearch:
         budgets = rng.integers(1, 5, size=1 + L).tolist()
         seeds = rng.integers(0, 1000, size=1 + L).tolist()
         weak = [(strong.operator.apply, budgets[0], strong.seeds, seeds[0])]
-        weak += [(o.apply, b, cube_seeds(o.system), s)
+        weak += [(o.apply, b, o.system.incidence, s)
                  for o, b, s in zip(ops, budgets[1:], seeds[1:])]
         for got, pr in zip(_norm_search(weak, sigma, omega, p, q, weak=True),
                            weak):
@@ -1136,7 +1148,7 @@ class TestLockstepSearch:
                                                   *pr))
         # the adjoints with their fixed points, on the dual exponents
         d = Exponents(p, q).dual()
-        dual = [(o.apply_adjoint, b, cube_seeds(o.system), s, o.apply)
+        dual = [(o.apply_adjoint, b, o.system.incidence, s, o.apply)
                 for o, b, s in zip(ops, budgets[1:], seeds[1:])]
         for got, pr in zip(_norm_search(dual, omega, sigma, d.p, d.q,
                                         weak=False), dual):
@@ -1153,7 +1165,7 @@ class TestLockstepSearch:
         sigma, omega, fam, strong, ops = lockstep_instance("segment", 1,
                                                            1.5, 3.0)
         apply, seeds = strong.operator.apply, strong.seeds
-        ok = [(apply, 2, seeds, 0), (ops[0].apply, 4, cube_seeds(fam), 4)]
+        ok = [(apply, 2, seeds, 0), (ops[0].apply, 4, standard_cubes(fam), 4)]
         ascent = (inf_in_ascent(apply), 3, seeds, 2)
 
         def pool(x):
@@ -1180,6 +1192,53 @@ class TestLockstepSearch:
             assert_same_estimate(got, one_problem(weak, sigma, omega, 1.5,
                                                   3.0, *pr))
 
+    def test_a_fixed_point_valuation_raises_in_step_order(self):
+        # at the step after the pools, one problem's restart and the other
+        # problem's second fixed-point iterate have infinite images; the
+        # iterates go through that step's one evaluator call, so the first
+        # problem's error raises, whichever of the two it is
+        sigma, omega, fam, strong, ops = lockstep_instance("segment", 1,
+                                                           2.0, 2.0)
+        op, seeds = strong.operator, strong.seeds
+        restart = norms._rng(0, 0x100).random(16)
+
+        def inf_on_restart(f):
+            g = np.array(op.apply(f), dtype=float)
+            g[(np.reshape(f, g.shape) == restart).all(axis=-1)] = math.inf
+            return g
+
+        restarts = (inf_on_restart, 0, seeds, 0)
+        fixed = (inf_in_ascent(op.apply), 0, seeds, 1, op.apply_adjoint)
+        for problems in ([restarts, fixed], [fixed, restarts]):
+            with pytest.raises(CheckFailed) as err:
+                _norm_search(problems, sigma, omega, 2.0, 2.0, weak=False)
+            assert err.value.check == "finite_image"
+            f = np.array(err.value.witness["f"])
+            assert np.array_equal(f, restart) == (problems[0] is restarts)
+            if problems[0] is fixed:
+                assert f.max() == 1.0 and not np.isin(f, (0.0, 1.0)).all()
+
+    def test_every_valuation_goes_through_the_norm_search(self, monkeypatch):
+        # the search steps only yield the rows they need valued, the fixed
+        # point's iterates included: every evaluator call is made by
+        # _norm_search, on the theorem-B, weak-type and theorem-A searches
+        callers, real = [], norms._block_values
+
+        def block_values(*args):
+            values = real(*args)
+
+            def traced(*a, **kw):
+                callers.append(inspect.currentframe().f_back.f_code.co_name)
+                return values(*a, **kw)
+            return traced
+
+        monkeypatch.setattr(norms, "_block_values", block_values)
+        space, mu, sigma, omega, kernel, fam = oracle_instance("segment", 16, 0)
+        for p, q in ((2.0, 2.0), (1.5, 3.0)):
+            weak_verdict(kernel, fam, sigma, omega, p, q, budget=2)
+            verdict_theorem_a(fam, mu, sigma, omega, 0.5, p, q, budget=2)
+        assert len(callers) > 100 and set(callers) == {"_norm_search"}
+
     def test_blocks_hold_at_most_block_rows(self, monkeypatch):
         # at n = 27 a block holds 2^15 // 27^2 = 44 rows: two problems'
         # pools run past it, and every apply and every norm call stays
@@ -1196,7 +1255,7 @@ class TestLockstepSearch:
 
         for name in ("weak_quasinorm", "lp_norm"):
             monkeypatch.setattr(norms, name, sized(getattr(norms, name)))
-        seeds = cube_seeds(fam)
+        seeds = standard_cubes(fam)
         assert 2 * len(seeds) > cap
         got = _norm_search([(sized(op.apply), 1, seeds, 0),
                             (sized(op.apply), 2, seeds[:cap], 1)],
@@ -1289,7 +1348,7 @@ class TestWeakTypeLockstep:
         fam = build_adjacent_systems(space, num_systems=1)
         strong = verdict_theorem_b(kernel, fam, sigma, omega, 1.5, 3.0,
                                    budget=2)
-        ops = [build_dyadic_operator(kernel, generalize(s, sigma, omega))
+        ops = [build_dyadic_operator(kernel, s, sigma, omega)
                for s in fam]
         assert 2 * (1 + 16 + len(standard_cubes(fam)) + 2) <= block_rows(16)
         calls = {"weak_quasinorm": 0, "_fixed_point": 0}

@@ -27,15 +27,14 @@ from dyadica.operators import (
 from dyadica.policy import TOLERANCES, close, guard, require
 from dyadica.space import PointMeasure, generate_space
 
-from conftest import coarse_copy, members, random_masses
+from conftest import coarse_copy, members, random_masses, with_C_K
 
 
 def line_operator(space, mu, gamma=0.5, sigma=None, omega=None):
     sys = build_system(space)
     ker = build_kernel(space, mu, "ball_volume_closed", gamma=gamma)
-    gen = generalize(sys, sigma if sigma is not None else mu,
-                     omega if omega is not None else mu)
-    return build_dyadic_operator(ker, gen)
+    return build_dyadic_operator(ker, sys, mu if sigma is None else sigma,
+                                 mu if omega is None else omega)
 
 
 class TestDirect:
@@ -218,7 +217,7 @@ class TestDyadicForms:
         space, mu = segment4
         sys = build_system(space)
         ker = build_kernel(space, mu, "frac_rho", alpha=0.5, n_dim=1.0)
-        op = build_dyadic_operator(ker, generalize(sys, mu, mu))
+        op = build_dyadic_operator(ker, sys, mu, mu)
         rep = check_forms_agree(op)
         assert rep.status == "pass"
 
@@ -237,13 +236,12 @@ class TestDyadicForms:
             apply_dyadic_partition(op, np.ones(16), m=0)
 
 
-def reference_matrix(kernel, gen, phi):
+def reference_matrix(kernel, sys, sigma, omega, phi):
     """The dyadic matrix entry by entry through smallest_common_cube."""
-    sys = gen.base
     n = sys.space.n
     M = np.empty((n, n))
     for x in range(n):
-        joint = gen.sigma.masses[x] > 0 and gen.omega.masses[x] > 0
+        joint = sigma.masses[x] > 0 and omega.masses[x] > 0
         M[x, x] = kernel.matrix[x, x] if joint else 0.0
         for y in range(n):
             if y != x:
@@ -263,9 +261,9 @@ class TestBuildMatrix:
         rng = np.random.default_rng(29)
         sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
-        gen = generalize(sys, sigma, mu)
-        op = build_dyadic_operator(ker, gen)
-        assert (op.matrix == reference_matrix(ker, gen, op.phi)).all()
+        op = build_dyadic_operator(ker, sys, sigma, mu)
+        assert (op.matrix == reference_matrix(ker, sys, sigma, mu,
+                                              op.phi)).all()
 
     def test_undefined_envelope_names_first_pair(self, tree27):
         # the root is the smallest common cube of points in different
@@ -273,8 +271,7 @@ class TestBuildMatrix:
         space, mu = tree27
         sys = build_system(space)
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
-        gen = generalize(sys, mu, mu)
-        phi = build_dyadic_operator(ker, gen).phi
+        phi = build_dyadic_operator(ker, sys, mu, mu).phi
         cleared = dataclasses.replace(phi, defined=phi.defined.copy())
         cleared.defined[sys.top] = False
         first = next((x, y) for x in range(space.n)
@@ -282,7 +279,7 @@ class TestBuildMatrix:
                      if sys.smallest_common_cube(x, y) == sys.top)
         assert first == (0, 9)
         with pytest.raises(CheckFailed) as info:
-            build_dyadic_operator(ker, gen, phi=cleared)
+            build_dyadic_operator(ker, sys, mu, mu, phi=cleared)
         assert info.value.check == "envelope_defined"
         assert info.value.witness == {"x": 0, "y": 9,
                                       "k": sys.cubes.k[sys.top],
@@ -290,6 +287,30 @@ class TestBuildMatrix:
 
 
 class TestJointAtomDiagonal:
+    @pytest.mark.parametrize("kind,params", [
+        ("integer_segment_counting", dict(n=16)),
+        ("euclidean_random_points", dict(n=18)),
+        ("snowflake_power", dict(n=8, power=2.0)),
+        ("ultrametric_tree", dict(depth=3, branching=3, ratio=1.0 / 96.0))])
+    def test_operator_holds_each_fact_once(self, kind, params):
+        # the joint atoms are generalize's, the pair and system are the
+        # ones passed in, and C_K is read off the envelope
+        space, mu = generate_space(kind, **params)
+        sys = build_system(space)
+        rng = np.random.default_rng(space.n)
+        sigma, omega = (PointMeasure(random_masses(rng, space.n, 0.4))
+                        for _ in range(2))
+        ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
+        assert (ker.matrix.diagonal() > 0).all()
+        op = build_dyadic_operator(ker, sys, sigma, omega)
+        assert op.joint_atoms == generalize(sys, sigma, omega)
+        assert op.sigma is sigma and op.omega is omega and op.system is sys
+        assert tuple(np.flatnonzero(op.matrix.diagonal() > 0).tolist()) == \
+            op.joint_atoms
+        moved = dataclasses.replace(
+            op, phi=dataclasses.replace(op.phi, C_K=7.0 * op.phi.C_K))
+        assert op.C_K == op.phi.C_K and moved.C_K == 7.0 * op.phi.C_K
+
     def test_counting_measures_keep_kernel_diagonal(self, segment4):
         space, mu = segment4
         op = line_operator(space, mu)
@@ -301,7 +322,7 @@ class TestJointAtomDiagonal:
         omega = PointMeasure(np.where(np.arange(16) % 3 == 0, 1.0, 0.0))
         op = line_operator(space, mu, sigma=sigma, omega=omega)
         joint = {x for x in range(16) if x % 6 == 0}
-        assert set(op.gen.joint_atoms) == joint
+        assert set(op.joint_atoms) == joint
         for x in range(16):
             if x in joint:
                 assert op.matrix[x, x] == op.kernel.matrix[x, x] > 0
@@ -369,7 +390,7 @@ class TestCubeSums:
         sigma = PointMeasure(random_masses(np.random.default_rng(6), space.n,
                                            zero_fraction=0.3))
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
-        op = build_dyadic_operator(ker, generalize(sys, sigma, mu))
+        op = build_dyadic_operator(ker, sys, sigma, mu)
         for m in (1, 2, 3):
             assert np.array_equal(apply_dyadic_partition(op, vals, m=m),
                                   reference_partition(op, vals, m))
@@ -432,7 +453,7 @@ class TestSandwich:
         for _ in range(10):
             f = rng.uniform(0, 2, space.n)
             sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
-            op = build_dyadic_operator(ker, generalize(sys, sigma, sigma))
+            op = build_dyadic_operator(ker, sys, sigma, sigma)
             rep = check_shifted_sandwich(op, f, m=m)
             assert rep.status == "pass"
 
@@ -475,7 +496,7 @@ class TestTruncatedWindow:
         assert sys.k_max == 1
         assert any(sys.incidence[sys.generation(sys.k_max)].sum(axis=1) > 1)
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
-        op = build_dyadic_operator(ker, generalize(sys, mu, mu))
+        op = build_dyadic_operator(ker, sys, mu, mu)
         assert check_forms_agree(op).status == "pass"
         rng = np.random.default_rng(13)
         for m in (1, 2, 3):
@@ -498,7 +519,7 @@ class TestEquivalences:
         space, mu = request.getfixturevalue(fixture)
         fam = build_adjacent_systems(space)
         ker = build_kernel(space, mu, "ball_volume_closed", gamma=0.5)
-        ops = [build_dyadic_operator(ker, generalize(s, mu, mu)) for s in fam]
+        ops = [build_dyadic_operator(ker, s, mu, mu) for s in fam]
         rep = check_direct_below_family(ops)
         assert rep.status == "pass"
 
@@ -511,7 +532,7 @@ class TestEquivalences:
             f = rng.uniform(0, 1, space.n)
             sigma = PointMeasure(random_masses(rng, space.n, zero_fraction=0.2))
             omega = PointMeasure(random_masses(rng, space.n, zero_fraction=0.2))
-            ops = [build_dyadic_operator(ker, generalize(s, sigma, omega))
+            ops = [build_dyadic_operator(ker, s, sigma, omega)
                    for s in fam]
             rep = check_family_domination(ops, f)
             assert rep.status == "pass"
@@ -522,7 +543,7 @@ class TestEquivalences:
         space, mu = generate_space("euclidean_random_points", seed=seed, n=12, dim=2)
         sys = build_system(space, seed=seed)
         ker = build_kernel(space, mu, "ball_volume", gamma=0.5)
-        op = build_dyadic_operator(ker, generalize(sys, mu, mu))
+        op = build_dyadic_operator(ker, sys, mu, mu)
         assert check_dyadic_below_direct(op).status == "pass"
 
 
@@ -609,11 +630,11 @@ class TestEquivalenceReference:
         space, mu = request.getfixturevalue(fixture)
         fam = build_adjacent_systems(space)
         ker = build_kernel(space, mu, "ball_volume", gamma=0.5)
-        ops = [build_dyadic_operator(ker, generalize(s, mu, mu)) for s in fam]
+        ops = [build_dyadic_operator(ker, s, mu, mu) for s in fam]
         below, family = ops, ops
         if shrink is not None:
             worst = loop_dyadic_below_direct(ops[0])[2]
-            below = [dataclasses.replace(o, C_K=shrink * worst) for o in ops]
+            below = [with_C_K(o, shrink * worst) for o in ops]
             # random envelope scaling moves the family's tightest entry off
             # the first pair
             rng = np.random.default_rng(41)
@@ -621,8 +642,7 @@ class TestEquivalenceReference:
                 o, matrix=o.matrix * rng.uniform(1.0, 2.0, o.matrix.shape))
                 for o in ops]
             margin = loop_direct_below_family(family)[2]
-            family = [dataclasses.replace(o, C_K=shrink * margin * o.C_K)
-                      for o in family]
+            family = [with_C_K(o, shrink * margin * o.C_K) for o in family]
         for op in below:
             status, witness, worst, at = loop_dyadic_below_direct(op)
             rep = check_dyadic_below_direct(op)
@@ -635,6 +655,9 @@ class TestEquivalenceReference:
         assert (rep.status, rep.witness) == (status, witness)
         if status == "pass":
             assert rep.details["worst_margin"] == worst
+        if shrink is not None:  # the understated C_K reaches both checks
+            assert rep.status == "fail"
+            assert check_dyadic_below_direct(below[0]).status == "fail"
 
 
 class TestPointCubeTesting:
@@ -655,7 +678,7 @@ class TestPointCubeTesting:
         ker = build_kernel(space, None, "matrix", values=np.array([[2.0]]))
         sigma = PointMeasure(np.array([4.0]))
         omega = PointMeasure(np.array([9.0]))
-        op = build_dyadic_operator(ker, generalize(sys, sigma, omega))
+        op = build_dyadic_operator(ker, sys, sigma, omega)
         rep = check_point_cube_testing(op, 2.0, 2.0, 12.0, 12.0)
         assert rep.status == "pass"
         assert rep.details["worst_ratio"] == pytest.approx(1.0)
@@ -666,7 +689,7 @@ class TestPointCubeTesting:
         space, mu = segment4
         sys = build_system(space)
         ker = build_kernel(space, mu, "frac_rho", alpha=0.5, n_dim=1.0)
-        op = build_dyadic_operator(ker, generalize(sys, mu, mu))
+        op = build_dyadic_operator(ker, sys, mu, mu)
         rep = check_point_cube_testing(op, 2.0, 2.0, 5.0, 5.0)
         assert rep.status == "fail"
         assert rep.witness["kxx_infinite"] is True
@@ -691,7 +714,7 @@ def family_ops(space, mu, sigma=None, omega=None):
     ker = build_kernel(space, mu, "ball_volume", gamma=0.5)
     sigma = sigma if sigma is not None else mu
     omega = omega if omega is not None else mu
-    return [build_dyadic_operator(ker, generalize(s, sigma, omega))
+    return [build_dyadic_operator(ker, s, sigma, omega)
             for s in fam]
 
 
@@ -719,8 +742,8 @@ def loop_self_adjoint(op, seed, trials):
     for t in range(trials):
         g = rng.uniform(0.0, 1.0, op.n)
         h = rng.uniform(0.0, 1.0, op.n)
-        lhs = float(pairing(op.apply(g), h, op.gen.omega))
-        rhs = float(pairing(g, op.apply_adjoint(h), op.gen.sigma))
+        lhs = float(pairing(op.apply(g), h, op.omega))
+        rhs = float(pairing(g, op.apply_adjoint(h), op.sigma))
         if np.isinf(lhs) or np.isinf(rhs):
             if lhs == rhs:
                 continue
@@ -888,8 +911,7 @@ class TestBlockOracles:
         # inf / inf at a charged point counts as ratio 1, with no warning
         space, mu = segment4
         ker = build_kernel(space, mu, "frac_rho", alpha=0.5, n_dim=1.0)
-        op = build_dyadic_operator(ker, generalize(build_system(space), mu,
-                                                   mu))
+        op = build_dyadic_operator(ker, build_system(space), mu, mu)
         F = np.random.default_rng(1).random((5, 4))
         rep = check_shifted_sandwich(op, F, 2)
         witness, rows = loop_rows(lambda f: check_shifted_sandwich(op, f, 2),
@@ -917,7 +939,7 @@ class TestBlockOracles:
         else:
             op.phi.values[sys.top] = -1.0
         if tamper == "both":
-            op = dataclasses.replace(op, C_K=1e-9)
+            op = with_C_K(op, 1e-9)
         bad = np.zeros(16)
         bad[sys.cubes.center[sys.top]] = 1.0
         F = np.stack([np.zeros(16), np.zeros(16), bad, np.ones(16), bad])
@@ -949,7 +971,7 @@ class TestBlockOracles:
         # a constant far below C_K fails every nonzero density
         space, mu = tree27
         ops = family_ops(space, mu)
-        ops[0] = dataclasses.replace(ops[0], C_K=1e-6)
+        ops[0] = with_C_K(ops[0], 1e-6)
         rng = np.random.default_rng(4)
         F = np.concatenate([np.zeros((3, space.n)), rng.random((3, space.n))])
         rep = check_family_domination(ops, F)

@@ -1,11 +1,10 @@
-import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dyadica.dyadic import build_system, generalize, maximal_cubes
+from dyadica.dyadic import build_system, maximal_cubes
 import dyadica.stopping as stopping
 from dyadica.errors import BadParams, CheckFailed
 from dyadica.kernel import build_kernel
@@ -25,15 +24,14 @@ from dyadica.stopping import (
 )
 from dyadica.space import PointMeasure, generate_space
 
-from conftest import coarse_copy, members, random_masses
+from conftest import coarse_copy, members, random_masses, with_C_K
 
 
 def line_operator(space, mu, gamma=0.5, sigma=None, omega=None):
     sys = build_system(space)
     ker = build_kernel(space, mu, "ball_volume_closed", gamma=gamma)
-    gen = generalize(sys, sigma if sigma is not None else mu,
-                     omega if omega is not None else mu)
-    return build_dyadic_operator(ker, gen)
+    return build_dyadic_operator(ker, sys, mu if sigma is None else sigma,
+                                 mu if omega is None else omega)
 
 
 class TestDecompose:
@@ -136,7 +134,7 @@ class TestDecomposeOracle:
         omega = PointMeasure(random_masses(rng, space.n, zero_fraction=0.3))
         op = build_dyadic_operator(
             build_kernel(space, mu, "ball_volume_closed", gamma=0.5),
-            generalize(sys, sigma, omega))
+            sys, sigma, omega)
         raised = False
         for _ in range(3):
             f = rng.random(space.n)
@@ -298,7 +296,7 @@ class TestLevelSetsOracle:
         op = line_operator(space, mu, sigma=sigma, omega=omega)
         C_m = None
         if understated:
-            op, C_m = dataclasses.replace(op, C_K=0.5), 1.0
+            op, C_m = with_C_K(op, 0.5), 1.0
         statuses = set()
         for _ in range(2):
             f = rng.random(n)
@@ -331,7 +329,7 @@ class TestLevelSetsOracle:
         # the first one raises before any threshold is checked, even after
         # a threshold whose report fails (an understated C_K)
         space, mu = segment16
-        op = dataclasses.replace(line_operator(space, mu), C_K=0.5)
+        op = with_C_K(line_operator(space, mu), 0.5)
         f = np.random.default_rng(4).random(16)
         image = op.apply(f)
         fails = [rho for rho in rho_grid(op, f, image).tolist()
@@ -526,7 +524,7 @@ class TestMaxPrinciples:
         # need, so both fail at several points; each witness must name the
         # first of them in q_rho-then-member order, with its bound
         space, mu = segment16
-        op = dataclasses.replace(line_operator(space, mu), C_K=0.5)
+        op = with_C_K(line_operator(space, mu), 0.5)
         f = np.random.default_rng(0).random(16)
         g = 1e-12
         for rho in rho_grid(op, f):
@@ -566,7 +564,7 @@ class TestMaxPrinciples:
         rng = np.random.default_rng(12)
         sigma = PointMeasure(random_masses(rng, 16, zero_fraction=0.2))
         good = line_operator(space, mu, sigma=sigma)
-        bad = dataclasses.replace(good, C_K=0.5)
+        bad = with_C_K(good, 0.5)
         trial, statuses = np.random.default_rng(13), set()
         for op, C_m in ((good, None), (bad, 1.0)):
             f = trial.random(16)
