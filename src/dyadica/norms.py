@@ -9,18 +9,20 @@ float as summing every level's mass directly.
 
 Operator norms between weighted spaces are certified lower bounds: the
 returned value is attained by a stored witness function and never exceeds
-the true norm.  The maximizer combines a mandatory seed pool (every cube
-indicator the caller supplies, every point mass, the constant one), a
-power-type fixed-point iteration for linear operators, and multistart
-random ascent.  One search runs many problems on one (sigma, omega, p,
-q) in lockstep, each with its own operator, effort and random streams,
-one block evaluation per step: each gets exactly the result of its search
-alone, and the first error the batch meets raises.  Testing constants are
-exact suprema over the standard cubes of a system family.  The verdict
-helpers wire these for the two-weight strong-type and weak-type
-characterizations: the testing side is always at most the seeded norm
-lower bound by construction, and the reported ratio measures the
-empirical equivalence constant.
+the true norm.  Every search values a mandatory seed pool (every cube
+indicator the caller supplies, every point mass, the constant one).  A
+strong search given the adjoint, at q < inf, then runs Boyd's power-type
+fixed-point iteration from the pool's best row and stops there.  The
+other searches run random restarts and a multistart random ascent
+instead, and a pool-only search stops after the pool.  One search runs
+many problems on one (sigma, omega, p, q) in lockstep, each with its own
+operator, effort and random streams, one block evaluation per step: each
+gets exactly the result of its search alone, and the first error the
+batch meets raises.  Testing constants are exact suprema over the
+standard cubes of a system family.  The verdict helpers wire these for the
+two-weight strong-type and weak-type characterizations: the testing side
+is always at most the seeded norm lower bound by construction, and the
+reported ratio measures the empirical equivalence constant.
 """
 
 from __future__ import annotations
@@ -307,10 +309,11 @@ def _fixed_point(apply, apply_adjoint, f0: np.ndarray, p: float, q: float):
     """Power-type iteration from f0, stopped at an iterate that repeats an
     earlier one bit for bit (every later value would repeat).  It then
     yields its iterates as one job with the images it computed, is sent
-    their values, and returns the best (iterate, value)."""
-    f, seen, fs, gs = f0.copy(), set(), [], []
+    their values, and returns the best (iterate, value), the number of
+    iterates and whether it stopped on a repeat."""
+    f, seen, fs, gs, settled = f0.copy(), set(), [], [], False
     for _ in range(_FIXED_POINT_ITERS):
-        if f.tobytes() in seen:
+        if settled := f.tobytes() in seen:
             break
         seen.add(f.tobytes())
         fs.append(f)
@@ -329,14 +332,16 @@ def _fixed_point(apply, apply_adjoint, f0: np.ndarray, p: float, q: float):
     for f, v in zip(fs, vals):
         if v is not None and v > best:
             best, bw = v, f
-    return bw, best
+    return bw, best, len(fs), settled
 
 
 def _search(sigma, omega, p, q, weak: bool, pool_only: bool,
             apply, budget, seeds, seed, apply_adjoint=None, matrix=None):
     """One problem's search: it yields each (apply, rows[, images]) job it
     needs valued, is sent the job's values, and returns its estimate.
-    pool_only keeps the spot check, the pool and the witness replay."""
+    A strong search with an adjoint and q < inf stops after its fixed
+    point, with no restarts and no ascent.  pool_only keeps the spot
+    check, the pool and the witness replay."""
     n = sigma.masses.size
     _spot_check_monotone(apply, n, seed)
     names, F = _seed_pool(n, seeds, budget, seed)
@@ -346,14 +351,18 @@ def _search(sigma, omega, p, q, weak: bool, pool_only: bool,
             best, witness, method = v, f, f"pool:{name}"
 
     details: dict = {}
-    if apply_adjoint is not None and not (weak or pool_only or math.isinf(q)):
+    fixed = apply_adjoint is not None and not (weak or pool_only
+                                               or math.isinf(q))
+    if fixed:
         start = witness if witness is not None and np.max(witness) > 0 else np.ones(n)
-        bw, bv = yield from _fixed_point(apply, apply_adjoint, start, p, q)
-        details["fixed_point"] = bv if bv > -math.inf else None
+        bw, bv, iters, settled = yield from _fixed_point(
+            apply, apply_adjoint, start, p, q)
+        details.update(fixed_point=bv if bv > -math.inf else None,
+                       fixed_point_iters=iters, fixed_point_settled=settled)
         if bw is not None and bv > best:
             best, witness, method = bv, bw, "fixed-point"
 
-    if not pool_only:
+    if not (pool_only or fixed):
         starts = [("best", witness, best)] if witness is not None else []
         f0s = np.array([_rng(seed, 0x100 + b).random(n)
                         for b in range(max(1, budget))])
@@ -416,7 +425,10 @@ def operator_norm_strong(apply, sigma: PointMeasure, omega: PointMeasure,
 
     The seed pool always contains every caller seed, every point mass, and
     the constant one, so any testing constant whose test functions are
-    passed as seeds is structurally dominated by the result.
+    passed as seeds is structurally dominated by the result.  Given
+    apply_adjoint and q < inf, the fixed-point iteration replaces the
+    restarts and the random ascent; details record its value,
+    fixed_point_iters and fixed_point_settled (it stopped on a repeat).
     """
     return _norm_search([(apply, budget, seeds, seed, apply_adjoint,
                           matrix)], sigma, omega, p, q, weak=False)[0]

@@ -41,6 +41,8 @@ from dyadica.operators import (
     split_diagonal,
     weighted_apply,
 )
+from dyadica.harness import _Run
+from dyadica.reporting import Scenario
 from dyadica.space import PointMeasure, generate_space
 
 from conftest import random_masses
@@ -63,6 +65,31 @@ def run_fixed_point(values, *args):
     with pytest.raises(StopIteration) as done:
         run.send(values([job])[0])
     return done.value.value
+
+
+def count_steps(monkeypatch):
+    """Record the rows of every evaluator step of the norm searches (a call
+    with no job, which ends a search, is not a step), and each entry into
+    the random ascent."""
+    steps, ascents = [], []
+    real_values, real_ascent = norms._block_values, norms._lockstep_ascent
+
+    def block_values(*args):
+        values = real_values(*args)
+
+        def counted(jobs):
+            if jobs:
+                steps.append([row for job in jobs for row in job[1]])
+            return values(jobs)
+        return counted
+
+    def ascent(*args):
+        ascents.append(args)
+        return (yield from real_ascent(*args))
+
+    monkeypatch.setattr(norms, "_block_values", block_values)
+    monkeypatch.setattr(norms, "_lockstep_ascent", ascent)
+    return steps, ascents
 
 
 def one_point_setup(k=1.0, s=4.0, w=9.0):
@@ -315,7 +342,7 @@ class TestStrongNorm:
         assert est.lower >= grid - 1e-9
         assert abs(est.lower - grid) <= 1e-4 * grid
 
-    def test_fixed_point_matches_multistart(self, segment4):
+    def test_fixed_point_reaches_the_spectral_norm(self, segment4):
         space, mu = segment4
         kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
         rng = np.random.default_rng(5)
@@ -334,7 +361,8 @@ class TestStrongNorm:
         # each iterate's value reads the image the iteration needs anyway,
         # the iteration stops at the first iterate that repeats an earlier
         # one bit for bit, and the result equals the sequential loop's,
-        # which applies twice and runs all 30 iterations
+        # which applies twice and runs all 30 iterations; both count the
+        # iterates before the repeat and say that one came
         space, mu = segment4
         kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
         op = MatrixOperator(kernel.matrix, mu, mu)
@@ -356,6 +384,7 @@ class TestStrongNorm:
         want = fixed_point_seq(objective_seq(op.apply, mu, mu, 1.5, 3.0, False),
                                op.apply, op.apply_adjoint, np.ones(4), 1.5, 3.0)
         assert got[1] == want[1] and np.array_equal(got[0], want[0])
+        assert got[2:] == want[2:] == (len(applied), True)
 
     def test_fixed_point_raises_the_first_error_in_iteration_order(self):
         # the iterates are valued after the loop, so an error of the loop
@@ -379,6 +408,56 @@ class TestStrongNorm:
             run_fixed_point(values, apply, np.asarray, null, 2.0, 2.0)
         assert got.value.check == "finite_image"
         assert got.value.witness == {"f": null.tolist()}
+
+    def test_adjoint_search_stops_at_the_fixed_point(self, segment16,
+                                                    monkeypatch):
+        # the pool, the fixed point and the witness replay are the search's
+        # three evaluator steps: no restarts, and the ascent never starts
+        steps, ascents = count_steps(monkeypatch)
+        space, mu = segment16
+        rng = np.random.default_rng(3)
+        sigma = PointMeasure(random_masses(rng, 16))
+        omega = PointMeasure(random_masses(rng, 16, zero_fraction=0.25))
+        op = MatrixOperator(build_kernel(space, mu, "ball_volume",
+                                         gamma=0.5).matrix, sigma, omega)
+        est = operator_norm_strong(op.apply, sigma, omega, 1.5, 3.0, budget=8,
+                                   apply_adjoint=op.apply_adjoint)
+        assert (len(steps), ascents) == (3, [])
+        assert est.method == "fixed-point" or est.method.startswith("pool:")
+        assert est.details["fixed_point_iters"] == len(steps[1])
+
+    def test_only_the_fixed_point_searches_skip_the_ascent(self, segment16,
+                                                          monkeypatch):
+        # a strong search without an adjoint, a weak search and the
+        # theorem-A search take the pool, the restarts, 60 ascent steps
+        # and the replay; the search with an adjoint takes three steps
+        steps, ascents = count_steps(monkeypatch)
+        space, mu = segment16
+        rng = np.random.default_rng(4)
+        sigma = PointMeasure(random_masses(rng, 16))
+        omega = PointMeasure(random_masses(rng, 16, zero_fraction=0.25))
+        op = MatrixOperator(build_kernel(space, mu, "ball_volume",
+                                         gamma=0.5).matrix, sigma, omega)
+        fam = build_adjacent_systems(space, num_systems=1)
+        searches = {
+            "adjoint": lambda: operator_norm_strong(
+                op.apply, sigma, omega, 2.0, 2.0, 2,
+                apply_adjoint=op.apply_adjoint),
+            "strong": lambda: operator_norm_strong(op.apply, sigma, omega,
+                                                   2.0, 2.0, 2),
+            "weak": lambda: operator_norm_weak(op.apply, sigma, omega, 2.0,
+                                               2.0, 2),
+            "theorem-a": lambda: verdict_theorem_a(fam, mu, sigma, omega, 0.5,
+                                                   2.0, 2.0, budget=2),
+        }
+        counts = {}
+        for name, search in searches.items():
+            steps.clear()
+            ascents.clear()
+            search()
+            counts[name] = (len(steps), len(ascents))
+        assert counts == {"adjoint": (3, 0), "strong": (63, 1),
+                          "weak": (63, 1), "theorem-a": (63, 1)}
 
     @pytest.mark.parametrize("search", [operator_norm_strong,
                                         operator_norm_weak])
@@ -537,6 +616,34 @@ class TestTheoremB:
         v = verdict_theorem_b(kernel, fam, mu, mu, 2.0, 2.0, budget=2)
         assert v.ratio == 1.0
         assert v.n_lb == 0.0
+
+    @pytest.mark.parametrize("p,q,seed", [(2.0, 2.0, 2), (1.5, 3.0, 0),
+                                          (1.5, 1.5, 2)])
+    def test_bounds_are_the_pool_or_the_fixed_point(self, p, q, seed):
+        # the 27-point tree with the frac_rho kernel, where the fixed point
+        # runs all 30 iterations without repeating: each of the two bounds
+        # is the larger of its pool value and its fixed-point value
+        doc = {"space": {"kind": "ultrametric_tree", "depth": 3,
+                         "branching": 3, "ratio": 1.0 / 96.0},
+               "measures": {"sigma": {"random": {"seed": 5}},
+                            "omega": {"random": {"seed": 6,
+                                                 "zero_fraction": 0.25}}},
+               "kernel": {"type": "frac_rho", "alpha": 0.5, "n": 1,
+                          "diag": 1.0},
+               "exponents": {"p": p, "q": q}, "dyadic": {"x0": 0},
+               "seed": seed, "budget": 1, "checks": ["theorem-b"]}
+        v = _Run(Scenario.from_dict(doc)).strong
+        op, d = v.operator, v.exponents.dual()
+        for est, (apply, s, pair) in zip(
+                (v.norm, v.adjoint_norm),
+                ((op.apply, seed, (op.sigma, op.omega, p, q)),
+                 (op.apply_adjoint, seed + 1, (op.omega, op.sigma, d.p, d.q)))):
+            pool = _norm_search([(apply, 1, v.seeds, s)], *pair, weak=False,
+                                pool_only=True)[0]
+            assert est.lower == max(pool.lower, est.details["fixed_point"])
+            assert (est.details["fixed_point_iters"],
+                    est.details["fixed_point_settled"]) == (30, False)
+        assert v.n_lb == max(v.norm.lower, v.adjoint_norm.lower)
 
     def test_segment_instance(self, segment16):
         space, mu = segment16
@@ -705,10 +812,14 @@ def objective_seq(apply, sigma, omega, p, q, weak):
 
 def fixed_point_seq(value, apply, apply_adjoint, f0, p, q):
     """The power iteration with one value(f) call per iterate, which applies
-    the operator to f once more than the iteration itself."""
-    f = f0.copy()
+    the operator to f once more than the iteration itself.  It runs all 30
+    iterations and returns the best (iterate, value), the number of
+    iterates before the first one that repeats an earlier one bit for bit,
+    and whether one did."""
+    f, keys = f0.copy(), []
     best, bw = -math.inf, None
     for _ in range(30):
+        keys.append(f.tobytes())
         v = value(f)
         if v is not None and v > best:
             best, bw = v, f.copy()
@@ -722,7 +833,8 @@ def fixed_point_seq(value, apply, apply_adjoint, f0, p, q):
             break
         f = np.power(h, 1.0 / (p - 1.0))
         f = f / float(f.max())
-    return bw, best
+    repeats = [i for i, k in enumerate(keys) if k in keys[:i]]
+    return bw, best, (repeats + [len(keys)])[0], bool(repeats)
 
 
 def seq_rng(seed, tag):
@@ -760,7 +872,8 @@ def ascend_seq(value, f0, v0, rng, trace):
 def norm_search_seq(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
                     matrix, seed, weak, trace=None):
     """The sequential search; trace[i] collects (iteration, proposal) of
-    ascent start i."""
+    ascent start i.  A strong search with an adjoint and q < inf stops
+    after its fixed point, with no restarts and no ascent."""
     n = sigma.masses.size
     rng = seq_rng(seed, 0xC0)
     for _ in range(3):
@@ -785,15 +898,19 @@ def norm_search_seq(apply, sigma, omega, p, q, budget, seeds, apply_adjoint,
         if v is not None and v > best:
             best, witness, method = v, f, f"pool:{name}"
     details = {}
-    if apply_adjoint is not None and not weak and not math.isinf(q):
+    fixed = apply_adjoint is not None and not weak and not math.isinf(q)
+    if fixed:
         start = witness if witness is not None and np.max(witness) > 0 \
             else np.ones(n)
-        bw, bv = fixed_point_seq(value, apply, apply_adjoint, start, p, q)
+        bw, bv, iters, settled = fixed_point_seq(value, apply, apply_adjoint,
+                                                 start, p, q)
         details["fixed_point"] = bv if bv > -math.inf else None
+        details["fixed_point_iters"] = iters
+        details["fixed_point_settled"] = settled
         if bw is not None and bv > best:
             best, witness, method = bv, bw, "fixed-point"
-    starts = [("best", witness, best)] if witness is not None else []
-    for b in range(max(1, budget)):
+    starts = [] if fixed or witness is None else [("best", witness, best)]
+    for b in range(0 if fixed else max(1, budget)):
         f0 = seq_rng(seed, 0x100 + b).random(n)
         v0 = value(f0)
         if v0 is not None:
