@@ -5,7 +5,8 @@ positive-mass points at p = inf.  The weak quasinorm is the exact supremum
 over the jump thresholds of its argument, not a sample: one sorted cumulative
 sum screens every level, and only the levels within a rounding margin of the
 screened maximum are re-summed in point-id order, so the result is the same
-float as summing every level's mass directly.
+float as summing every level's mass directly.  A measure memoizes each level
+set's sum, so a set that repeats is summed once.
 
 Operator norms between weighted spaces are certified lower bounds: the
 returned value is attained by a stored witness function and never exceeds
@@ -14,7 +15,10 @@ indicator the caller supplies, every point mass, the constant one).  A
 strong search given the adjoint, at q < inf, then runs Boyd's power-type
 fixed-point iteration from the pool's best row and stops there.  The
 other searches run random restarts and a multistart random ascent
-instead, and a pool-only search stops after the pool.  One search runs
+instead, whose blocks hold each start's next few proposals, each made as
+if the ones before it were refused: a start keeps its rows up to its first
+gain, so it takes the proposals and values it takes one at a time, in fewer
+steps.  A pool-only search stops after the pool.  One search runs
 many problems on one (sigma, omega, p, q) in lockstep, each with its own
 operator, effort and random streams, one block evaluation per step: each
 gets exactly the result of its search alone, and the first error the
@@ -43,6 +47,7 @@ from .space import PointMeasure
 NORM_SALT = 0xB0AD
 
 _ASCENT_ITERS = 60
+_LOOKAHEAD = 4  # ascent proposals per start valued ahead in one block
 _FIXED_POINT_ITERS = 30
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _BLOCK_ELEMS = 2 ** 15  # cap on a block's entries of (n x n) temporaries
@@ -150,6 +155,8 @@ def weak_quasinorm(g, omega: PointMeasure, q: float):
     underflows are kept, and a non-finite screened maximum keeps every
     level.  The bound holds for any order of the screen's sum, so a (K, n)
     block screens its rows in one sort, each row's value its own float.
+    A kept level's mass is read from omega.level_set_masses, keyed by the
+    np.packbits mask of its set {|g| >= v}, and summed into it on a miss.
     """
     if math.isinf(q):
         raise BadParams("weak quasinorm needs q < inf", q=q)
@@ -161,7 +168,7 @@ def weak_quasinorm(g, omega: PointMeasure, q: float):
     vals = vals[np.arange(len(a))[:, None], order]
     level = vals > 0.0  # last of a tie group; zeros sort after every level
     level[:, :-1] &= vals[:, 1:] != vals[:, :-1]
-    powers = np.power(masses[order].cumsum(axis=1), inv_q,
+    powers = np.power(masses.take(order).cumsum(axis=1), inv_q,
                       out=np.ones(a.shape), where=level)
     approx = np.where(level, vals * powers, 0.0)
     top = approx.max(axis=1, keepdims=True)
@@ -169,12 +176,17 @@ def weak_quasinorm(g, omega: PointMeasure, q: float):
     margin = 64.0 * masses.size * _EPS * max(1.0, abs(inv_q))
     keep = level & ((approx >= top - (top * margin + _TINY))
                     | (powers < 2.0 * _TINY))
-    best = np.zeros(len(a))
     rows, cols = np.nonzero(keep)
-    for r, v in zip(rows.tolist(), vals[rows, cols].tolist()):
-        w = float(masses[a[r] >= v].sum())
+    levels = vals[rows, cols]
+    # each kept level's set {|g| >= v}; one row broadcasts
+    sets = (a if len(a) == 1 else a.take(rows, axis=0)) >= levels[:, None]
+    keys, width = np.packbits(sets, axis=1).tobytes(), (masses.size + 7) // 8
+    memo, best = omega.level_set_masses, [0.0] * len(a)
+    for j, r, v in zip(range(len(levels)), rows.tolist(), levels.tolist()):
+        if (w := memo.get(key := keys[j * width:(j + 1) * width])) is None:
+            w = memo[key] = float(np.add.reduce(masses[sets[j]]))
         best[r] = max(best[r], v * w ** inv_q)
-    return float(best[0]) if single else best
+    return best[0] if single else np.array(best)
 
 
 @dataclass
@@ -268,40 +280,70 @@ def _seed_pool(n: int, seeds, budget: int, seed: int):
                             + [_rng(seed, b).random(n) for b in range(budget)])
 
 
-def _lockstep_ascent(apply, starts, seed: int):
+def _lockstep_ascent(apply, starts, seed: int, lockstep: list[int]):
     """Random ascent from all starts in lockstep, start i on _rng(seed,
-    0x200 + i): each iteration yields one block of proposals and is sent
-    their values, so each start takes the steps it takes alone.  Returns
-    (f, value) per start."""
+    0x200 + i), each taking the proposals and values it takes alone.  A
+    draw never depends on a value, and a refused proposal moves only the
+    step schedule, so each yielded block holds, per live start, its next k
+    proposals, each built as if every earlier one were refused, rows in
+    (iteration, start) order.  Sent their values, each start walks its rows
+    in iteration order up to its first gain and drops the rest; the next
+    block builds those rows again from the same draws.  lockstep holds one
+    entry per ascent sharing the evaluator's steps, its live starts: k =
+    min(_LOOKAHEAD, max(1, block_rows(n) // their sum)).  Returns (f,
+    value) per start."""
     if not starts:
         return []
-    rngs = [_rng(seed, 0x200 + i) for i in range(len(starts))]
-    f, best = [f0.copy() for _, f0, _ in starts], [v0 for *_, v0 in starts]
-    step, stall, n = np.full(len(starts), 0.5), [0] * len(starts), len(f[0])
-    for it in range(_ASCENT_ITERS):
-        cur = np.array(f)
-        if it % 3 == 2:  # additive, scaled by the mean positive value
+    K, n, N = len(starts), len(starts[0][1]), _ASCENT_ITERS
+    draws = np.empty((K * N, n))  # start i's draw of iteration it at i * N + it
+    for i in range(K):  # standard_normal(n) twice, then random(n)
+        r = _rng(seed, 0x200 + i)
+        for it in range(i * N, (i + 1) * N, 3):
+            r.standard_normal(out=draws[it:it + 2])
+            r.random(out=draws[it + 2:it + 3])
+    f, best = np.array([f0 for _, f0, _ in starts]), [v0 for *_, v0 in starts]
+    step, stall, at = [0.5] * K, [0] * K, [0] * K
+    me = len(lockstep)
+    lockstep.append(K)
+    while live := [i for i, a in enumerate(at) if a < N]:
+        lockstep[me] = len(live)
+        k = min(_LOOKAHEAD, max(1, block_rows(n) // sum(lockstep)))
+        # (iteration, start, step): the step after j refusals, five of
+        # which halve it (stall < 5, so j = 0 keeps the step)
+        rows = sorted((at[i] + j, i, step[i] * 0.5 ** ((stall[i] + j) // 5))
+                      for i in live for j in range(min(k, N - at[i])))
+        iters, who, s = zip(*rows)
+        cur, s = f.take(who, axis=0), np.array(s)
+        d = draws.take([i * N + it for it, i, _ in rows], axis=0)
+        add = [it % 3 == 2 for it in iters]
+        if any(add):  # additive, scaled by the mean positive value
             # rows with every entry positive take one row reduction, the
             # pairwise sum x.mean() takes; the others their positive entries
             base = np.add.reduce(cur, axis=1) / n
-            for j in np.flatnonzero(~(cur > 0.0).all(axis=1)):
+            for j in np.flatnonzero(~(cur > 0.0).all(axis=1) & add):
                 x = cur[j][cur[j] > 0.0]
                 base[j] = float(x.mean()) if x.size else 1.0
-            props = cur + (step * base)[:, None] * np.array(
-                [r.random(n) for r in rngs])
+            props = cur + (s * base)[:, None] * d
+            if not all(add):
+                props = np.where(np.array(add)[:, None], props,
+                                 cur * np.exp(s[:, None] * d))
         else:
-            props = cur * np.exp(step[:, None] * np.array(
-                [r.standard_normal(n) for r in rngs]))
+            props = cur * np.exp(s[:, None] * d)
         m = [x if 0.0 < x < math.inf else 1.0 for x in props.max(axis=1).tolist()]
         props /= np.array(m)[:, None]  # each row by its max, if positive and finite
-        vals = yield apply, props
-        for i, (v, prop) in enumerate(zip(vals, props)):
+        vals, gained = (yield apply, props), set()
+        for (it, i, _), v, prop in zip(rows, vals, props):
+            if i in gained:
+                continue
+            at[i] = it + 1
             if v is not None and v > best[i]:
                 f[i], best[i], stall[i] = prop, v, 0
+                gained.add(i)
             elif stall[i] == 4:
                 step[i], stall[i] = step[i] * 0.5, 0  # five stalls halve it
             else:
                 stall[i] += 1
+    lockstep[me] = 0
     return list(zip(f, best))
 
 
@@ -335,13 +377,14 @@ def _fixed_point(apply, apply_adjoint, f0: np.ndarray, p: float, q: float):
     return bw, best, len(fs), settled
 
 
-def _search(sigma, omega, p, q, weak: bool, pool_only: bool,
+def _search(sigma, omega, p, q, weak: bool, pool_only: bool, lockstep,
             apply, budget, seeds, seed, apply_adjoint=None, matrix=None):
     """One problem's search: it yields each (apply, rows[, images]) job it
     needs valued, is sent the job's values, and returns its estimate.
     A strong search with an adjoint and q < inf stops after its fixed
     point, with no restarts and no ascent.  pool_only keeps the spot
-    check, the pool and the witness replay."""
+    check, the pool and the witness replay.  lockstep is shared by the
+    ascents of every problem searched together (see _lockstep_ascent)."""
     n = sigma.masses.size
     _spot_check_monotone(apply, n, seed)
     names, F = _seed_pool(n, seeds, budget, seed)
@@ -369,7 +412,7 @@ def _search(sigma, omega, p, q, weak: bool, pool_only: bool,
         starts += [(f"restart:{b}", f0, v0) for b, (f0, v0)
                    in enumerate(zip(f0s, (yield apply, f0s)))
                    if v0 is not None]
-        ascent = yield from _lockstep_ascent(apply, starts, seed)
+        ascent = yield from _lockstep_ascent(apply, starts, seed, lockstep)
         for (tag, _, _), (f1, v1) in zip(starts, ascent):
             if v1 > best:
                 best, witness, method = v1, f1, f"ascent:{tag}"
@@ -402,7 +445,8 @@ def _norm_search(problems, sigma, omega, p, q, weak: bool,
     if weak:
         require_finite_q(ex)
     values = _block_values(sigma, omega, p, q, weak)
-    runs = [_search(sigma, omega, p, q, weak, pool_only, *pr)
+    lockstep: list[int] = []  # each ascent's live starts
+    runs = [_search(sigma, omega, p, q, weak, pool_only, lockstep, *pr)
             for pr in problems]
     out, got = [None] * len(runs), dict.fromkeys(range(len(runs)))
     while got:  # problem -> what its last job was valued to
@@ -413,7 +457,7 @@ def _norm_search(problems, sigma, omega, p, q, weak: bool,
                 asking.append(k)
             except StopIteration as stop:
                 out[k] = stop.value
-        got = dict(zip(asking, values(jobs)))
+        got = dict(zip(asking, values(jobs))) if jobs else {}
     return out
 
 

@@ -126,6 +126,12 @@ class PointMeasure:
         """Read-only mask of the points with positive (read-only) mass."""
         return _frozen(self.masses > 0.0)
 
+    @cached_property
+    def level_set_masses(self) -> dict[bytes, float]:
+        """Memo of point-set masses, each summed in point-id order, keyed
+        by the set's np.packbits mask; weak_quasinorm fills it."""
+        return {}
+
     @property
     def total(self) -> float:
         return float(np.sum(self.masses))

@@ -1,6 +1,7 @@
 """Report-first checks: one raise path, and no strict knob left behind."""
 
 import ast
+import collections
 import dataclasses
 import importlib
 import inspect
@@ -9,6 +10,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dyadica
@@ -171,4 +173,24 @@ def test_no_assert_statements_in_the_package():
     found = [f"{path.name}:{node.lineno}" for path in sorted(root.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_caches_live_on_the_objects_they_describe():
+    # a cache sits on the object it describes, so it dies with it:
+    # PointMeasure.charged and level_set_masses, a space's index,
+    # MaximalParams.ball_powers; the package makes no id() call, whose value
+    # a later object may reuse, and keeps no module-level mutable container
+    # but upper-case constant tables such as TOLERANCES and _STAGES
+    root = Path(dyadica.__file__).parent
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(root.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "id"]
+    assert calls == []
+    mutable = (list, dict, set, bytearray, collections.deque, np.ndarray)
+    found = [f"{module.__name__}.{name}" for module in _public_modules()
+             for name, value in vars(module).items()
+             if isinstance(value, mutable) and not name.strip("_").isupper()
+             and not (name.startswith("__") and name.endswith("__"))]
     assert found == []
