@@ -15,10 +15,11 @@ indicator the caller supplies, every point mass, the constant one).  A
 strong search given the adjoint, at q < inf, then runs Boyd's power-type
 fixed-point iteration from the pool's best row and stops there.  The
 other searches run random restarts and a multistart random ascent
-instead, whose blocks hold each start's next few proposals, each made as
-if the ones before it were refused: a start keeps its rows up to its first
-gain, so it takes the proposals and values it takes one at a time, in fewer
-steps.  A pool-only search stops after the pool.  One search runs
+instead.  Where few starts are live, an ascent block holds each start's
+next few proposals, each made as if the ones before it were refused: a
+start keeps its rows up to its first gain, so it takes the proposals and
+values it takes one at a time, in fewer steps.  A pool-only search stops
+after the pool.  One search runs
 many problems on one (sigma, omega, p, q) in lockstep, each with its own
 operator, effort and random streams, one block evaluation per step: each
 gets exactly the result of its search alone, and the first error the
@@ -47,7 +48,8 @@ from .space import PointMeasure
 NORM_SALT = 0xB0AD
 
 _ASCENT_ITERS = 60
-_LOOKAHEAD = 4  # ascent proposals per start valued ahead in one block
+_LOOKAHEAD = 3  # ascent proposals per start valued ahead in one block
+_LOOKAHEAD_ROWS = 12  # most rows of an ascent block that values ahead
 _FIXED_POINT_ITERS = 30
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _BLOCK_ELEMS = 2 ** 15  # cap on a block's entries of (n x n) temporaries
@@ -280,7 +282,7 @@ def _seed_pool(n: int, seeds, budget: int, seed: int):
                             + [_rng(seed, b).random(n) for b in range(budget)])
 
 
-def _lockstep_ascent(apply, starts, seed: int, lockstep: list[int]):
+def _lockstep_ascent(apply, starts, seed: int):
     """Random ascent from all starts in lockstep, start i on _rng(seed,
     0x200 + i), each taking the proposals and values it takes alone.  A
     draw never depends on a value, and a refused proposal moves only the
@@ -288,9 +290,10 @@ def _lockstep_ascent(apply, starts, seed: int, lockstep: list[int]):
     proposals, each built as if every earlier one were refused, rows in
     (iteration, start) order.  Sent their values, each start walks its rows
     in iteration order up to its first gain and drops the rest; the next
-    block builds those rows again from the same draws.  lockstep holds one
-    entry per ascent sharing the evaluator's steps, its live starts: k =
-    min(_LOOKAHEAD, max(1, block_rows(n) // their sum)).  Returns (f,
+    block builds those rows again from the same draws.  A dropped row
+    costs apply's work on it, so the lookahead pays only while a step's
+    fixed cost outweighs a few rows: k = min(_LOOKAHEAD, max(1,
+    min(_LOOKAHEAD_ROWS, block_rows(n)) // live starts)).  Returns (f,
     value) per start."""
     if not starts:
         return []
@@ -303,24 +306,24 @@ def _lockstep_ascent(apply, starts, seed: int, lockstep: list[int]):
             r.random(out=draws[it + 2:it + 3])
     f, best = np.array([f0 for _, f0, _ in starts]), [v0 for *_, v0 in starts]
     step, stall, at = [0.5] * K, [0] * K, [0] * K
-    me = len(lockstep)
-    lockstep.append(K)
-    while live := [i for i, a in enumerate(at) if a < N]:
-        lockstep[me] = len(live)
-        k = min(_LOOKAHEAD, max(1, block_rows(n) // sum(lockstep)))
-        # (iteration, start, step): the step after j refusals, five of
-        # which halve it (stall < 5, so j = 0 keeps the step)
-        rows = sorted((at[i] + j, i, step[i] * 0.5 ** ((stall[i] + j) // 5))
-                      for i in live for j in range(min(k, N - at[i])))
-        iters, who, s = zip(*rows)
-        cur, s = f.take(who, axis=0), np.array(s)
-        d = draws.take([i * N + it for it, i, _ in rows], axis=0)
-        add = [it % 3 == 2 for it in iters]
+    cap = min(_LOOKAHEAD_ROWS, block_rows(n))
+    while live := [i for i in range(K) if at[i] < N]:
+        k = min(_LOOKAHEAD, max(1, cap // len(live)))
+        # (iteration, start, draw, step): the step after j refusals, five
+        # of which halve it (stall < 5, so j = 0 keeps the step)
+        rows = [(at[i] + j, i, i * N + at[i] + j,
+                 step[i] * 0.5 ** ((stall[i] + j) // 5))
+                for j in range(k) for i in live if at[i] + j < N]
+        if k > 1:  # k never shrinks: at k = 1 the starts share an iteration
+            rows.sort()
+        its, who, idx, s = zip(*rows)
+        cur, d, s = f.take(who, axis=0), draws.take(idx, axis=0), np.array(s)
+        add = [it % 3 == 2 for it in its]
         if any(add):  # additive, scaled by the mean positive value
             # rows with every entry positive take one row reduction, the
             # pairwise sum x.mean() takes; the others their positive entries
             base = np.add.reduce(cur, axis=1) / n
-            for j in np.flatnonzero(~(cur > 0.0).all(axis=1) & add):
+            for j in np.flatnonzero(~(cur > 0.0).all(axis=1)).tolist():
                 x = cur[j][cur[j] > 0.0]
                 base[j] = float(x.mean()) if x.size else 1.0
             props = cur + (s * base)[:, None] * d
@@ -332,18 +335,17 @@ def _lockstep_ascent(apply, starts, seed: int, lockstep: list[int]):
         m = [x if 0.0 < x < math.inf else 1.0 for x in props.max(axis=1).tolist()]
         props /= np.array(m)[:, None]  # each row by its max, if positive and finite
         vals, gained = (yield apply, props), set()
-        for (it, i, _), v, prop in zip(rows, vals, props):
+        for r, (it, i, v) in enumerate(zip(its, who, vals)):
             if i in gained:
                 continue
             at[i] = it + 1
             if v is not None and v > best[i]:
-                f[i], best[i], stall[i] = prop, v, 0
+                f[i], best[i], stall[i] = props[r], v, 0
                 gained.add(i)
             elif stall[i] == 4:
                 step[i], stall[i] = step[i] * 0.5, 0  # five stalls halve it
             else:
                 stall[i] += 1
-    lockstep[me] = 0
     return list(zip(f, best))
 
 
@@ -377,14 +379,13 @@ def _fixed_point(apply, apply_adjoint, f0: np.ndarray, p: float, q: float):
     return bw, best, len(fs), settled
 
 
-def _search(sigma, omega, p, q, weak: bool, pool_only: bool, lockstep,
+def _search(sigma, omega, p, q, weak: bool, pool_only: bool,
             apply, budget, seeds, seed, apply_adjoint=None, matrix=None):
     """One problem's search: it yields each (apply, rows[, images]) job it
     needs valued, is sent the job's values, and returns its estimate.
     A strong search with an adjoint and q < inf stops after its fixed
     point, with no restarts and no ascent.  pool_only keeps the spot
-    check, the pool and the witness replay.  lockstep is shared by the
-    ascents of every problem searched together (see _lockstep_ascent)."""
+    check, the pool and the witness replay."""
     n = sigma.masses.size
     _spot_check_monotone(apply, n, seed)
     names, F = _seed_pool(n, seeds, budget, seed)
@@ -412,7 +413,7 @@ def _search(sigma, omega, p, q, weak: bool, pool_only: bool, lockstep,
         starts += [(f"restart:{b}", f0, v0) for b, (f0, v0)
                    in enumerate(zip(f0s, (yield apply, f0s)))
                    if v0 is not None]
-        ascent = yield from _lockstep_ascent(apply, starts, seed, lockstep)
+        ascent = yield from _lockstep_ascent(apply, starts, seed)
         for (tag, _, _), (f1, v1) in zip(starts, ascent):
             if v1 > best:
                 best, witness, method = v1, f1, f"ascent:{tag}"
@@ -445,8 +446,7 @@ def _norm_search(problems, sigma, omega, p, q, weak: bool,
     if weak:
         require_finite_q(ex)
     values = _block_values(sigma, omega, p, q, weak)
-    lockstep: list[int] = []  # each ascent's live starts
-    runs = [_search(sigma, omega, p, q, weak, pool_only, lockstep, *pr)
+    runs = [_search(sigma, omega, p, q, weak, pool_only, *pr)
             for pr in problems]
     out, got = [None] * len(runs), dict.fromkeys(range(len(runs)))
     while got:  # problem -> what its last job was valued to

@@ -698,9 +698,9 @@ class TestTrials:
 class TestSpaceIndexReuse:
     def test_one_index_serves_every_apply_M_call(self, monkeypatch):
         # the norm search, the testing sweep and the ball/dyadic comparison
-        # evaluate their functions in blocks, so the 344 functions of this
+        # evaluate their functions in blocks, so the 306 functions of this
         # scenario (the ascent's proposals valued ahead among them) go to
-        # apply_M in 32 calls; every call reads one index object
+        # apply_M in 34 calls; every call reads one index object
         import dyadica.maximal as maximal
 
         indexes, rows = [], []
@@ -718,8 +718,8 @@ class TestSpaceIndexReuse:
                       "omega": {"random": {"seed": 2}}},
             exponents={"p": 1.5, "q": 3.0}))
         assert not rep.failed
-        assert sum(rows) == 344
-        assert len(indexes) == 32
+        assert sum(rows) == 306
+        assert len(indexes) == 34
         assert all(idx is indexes[0] for idx in indexes)
 
 

@@ -458,8 +458,8 @@ class TestStrongNorm:
             ascents.clear()
             search()
             counts[name] = (len(steps), len(ascents))
-        assert counts == {"adjoint": (3, 0), "strong": (28, 1),
-                          "weak": (26, 1), "theorem-a": (29, 1)}
+        assert counts == {"adjoint": (3, 0), "strong": (29, 1),
+                          "weak": (28, 1), "theorem-a": (32, 1)}
 
     @pytest.mark.parametrize("search", [operator_norm_strong,
                                         operator_norm_weak])
@@ -1457,7 +1457,7 @@ class TestWeakTypeLockstep:
         # 16 points, budget 2, one system: the direct and the dyadic weak
         # searches fit one block of block_rows(16) = 128 rows per step, so
         # their pools, restarts, 60 ascent iterations (in blocks of up to
-        # _LOOKAHEAD per start) and witness replays are 28 weak_quasinorm
+        # _LOOKAHEAD per start) and witness replays are 30 weak_quasinorm
         # calls together; the dyadic adjoint's pool bound runs no fixed
         # point
         space, mu = segment16
@@ -1478,7 +1478,7 @@ class TestWeakTypeLockstep:
                 return _real(*args, **kw)
             monkeypatch.setattr(norms, name, counted)
         v = verdict_weak_type(strong, ops, budget=2)
-        assert calls == {"weak_quasinorm": 28, "_fixed_point": 0}
+        assert calls == {"weak_quasinorm": 30, "_fixed_point": 0}
         assert len(v.per_system) == 1
 
 
@@ -1488,12 +1488,16 @@ class TestLookahead:
     returns the estimate of the one-at-a-time ascent (_LOOKAHEAD = 1)."""
 
     @staticmethod
-    def searches(segment16, p, q):
+    def instance(segment16):
         space, mu = segment16
         rng = np.random.default_rng(4)
         sigma = PointMeasure(random_masses(rng, 16))
         omega = PointMeasure(random_masses(rng, 16, zero_fraction=0.25))
         kernel = build_kernel(space, mu, "ball_volume", gamma=0.5)
+        return space, mu, sigma, omega, kernel
+
+    def searches(self, segment16, p, q):
+        space, mu, sigma, omega, kernel = self.instance(segment16)
         op = MatrixOperator(kernel.matrix, sigma, omega)
         fam = build_adjacent_systems(space, num_systems=2)
         ops = [build_dyadic_operator(kernel, s, sigma, omega) for s in fam]
@@ -1503,6 +1507,8 @@ class TestLookahead:
         return {
             "strong": lambda: [operator_norm_strong(op.apply, sigma, omega,
                                                     p, q, 2, seed=1)],
+            "strong-8": lambda: [operator_norm_strong(op.apply, sigma, omega,
+                                                      p, q, 8, seed=1)],
             "weak": lambda: [operator_norm_weak(op.apply, sigma, omega, p, q,
                                                 2, seed=2)],
             "theorem-a": lambda: [verdict_theorem_a(
@@ -1511,20 +1517,24 @@ class TestLookahead:
                                              weak=True),
         }
 
-    @pytest.mark.parametrize("p,q", [(1.5, 3.0), (2.0, 2.0)])
+    @pytest.mark.parametrize("p,q,want", [
+        (1.5, 3.0, {"strong": 29, "strong-8": 63, "weak": 28,
+                    "theorem-a": 32, "lockstep": 28}),
+        (2.0, 2.0, {"strong": 30, "strong-8": 63, "weak": 29,
+                    "theorem-a": 32, "lockstep": 28})])
     def test_every_lookahead_gives_the_one_at_a_time_estimates(
-            self, segment16, monkeypatch, p, q):
-        # a strong search without an adjoint, a weak search, the theorem-A
-        # search and three weak problems in lockstep: the same lower bound,
-        # estimate, witness bytes, method and details at every lookahead;
-        # one at a time each takes the pool, the restarts, 60 ascent steps
-        # and the replay, and at the committed lookahead at most half that
-        # (27 to 31 steps here)
-        committed = norms._LOOKAHEAD
+            self, segment16, monkeypatch, p, q, want):
+        # a strong search without an adjoint at budgets 2 and 8, a weak
+        # search, the theorem-A search and three weak problems in lockstep:
+        # the same lower bound, estimate, witness bytes, method and details
+        # at every lookahead.  One at a time each takes the pool, the
+        # restarts, 60 ascent steps and the replay; at the committed
+        # lookahead the three starts of budget 2 take 3 proposals a step,
+        # and the nine of budget 8 (more than _LOOKAHEAD_ROWS // 2) one
         steps, ascents = count_steps(monkeypatch)
         searches = self.searches(segment16, p, q)
         got, counts = {}, {}
-        for look in (1, 2, 3, 7, committed):
+        for look in (1, 2, 3, 4, 7, norms._LOOKAHEAD):
             monkeypatch.setattr(norms, "_LOOKAHEAD", look)
             for name, search in searches.items():
                 steps.clear()
@@ -1532,11 +1542,48 @@ class TestLookahead:
                 counts[look, name] = len(steps)
         for (look, name), estimates in got.items():
             assert len(estimates) == len(got[1, name])
-            for est, want in zip(estimates, got[1, name]):
-                assert_same_estimate(est, want)
+            for est, want_est in zip(estimates, got[1, name]):
+                assert_same_estimate(est, want_est)
         assert {counts[1, name] for name in searches} == {63}
-        assert max(counts[committed, name] for name in searches) <= 63 // 2
+        assert {name: counts[norms._LOOKAHEAD, name]
+                for name in searches} == want
         assert any(e.method.startswith("ascent:") for e in got[1, "lockstep"])
+
+    def test_a_fault_in_a_proposal_valued_ahead_raises(self, segment16,
+                                                       monkeypatch):
+        # a block also values a start's proposals after its first gain,
+        # which the one-at-a-time ascent never builds: an apply that fails
+        # only on such a row leaves the one-at-a-time search its bound and
+        # makes the search at the committed lookahead raise on that row
+        space, mu, sigma, omega, kernel = self.instance(segment16)
+        op = MatrixOperator(kernel.matrix, sigma, omega)
+
+        def search(apply):
+            return operator_norm_strong(apply, sigma, omega, 1.5, 3.0, 2,
+                                        seed=1)
+
+        steps, _ = count_steps(monkeypatch)
+        search(op.apply)
+        ahead = [row for block in steps for row in block]
+        monkeypatch.setattr(norms, "_LOOKAHEAD", 1)
+        steps.clear()
+        alone = search(op.apply)
+        built = {row.tobytes() for block in steps for row in block}
+        bad = next(row for row in ahead if row.tobytes() not in built)
+
+        def poisoned(f):
+            g = np.array(op.apply(f), dtype=float)
+            for row, x in zip(g.reshape(-1, 16), np.reshape(f, (-1, 16))):
+                if x.tobytes() == bad.tobytes():
+                    row[:] = math.inf
+            return g
+
+        assert_same_estimate(search(poisoned), alone)
+        monkeypatch.undo()
+        with pytest.raises(CheckFailed) as got:
+            search(poisoned)
+        assert got.value.check == "finite_image"
+        assert got.value.witness["f"] == bad.tolist()
 
 
 class TestLevelSetMemo:
