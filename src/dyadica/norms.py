@@ -19,9 +19,12 @@ instead.  Where few starts are live, an ascent block holds each start's
 next few proposals, each made as if the ones before it were refused: a
 start keeps its rows up to its first gain, so it takes the proposals and
 values it takes one at a time, in fewer steps.  A pool-only search stops
-after the pool.  One search runs
-many problems on one (sigma, omega, p, q) in lockstep, each with its own
-operator, effort and random streams, one block evaluation per step: each
+after the pool.  One search runs many problems in lockstep, each on its
+own (sigma, omega, p, q) with its own operator, effort and random
+streams, one block evaluation per step and measure pair; the fixed-point
+iterations of one step run as chains of one runner, which maps the rows
+of every chain calling an equal operator in one block, so theorem B's
+primal and adjoint iterations share their operator calls.  Each problem
 gets exactly the result of its search alone, and the first error the
 batch meets raises.  Testing constants are exact suprema over the
 standard cubes of a system family.  The verdict helpers wire these for the
@@ -35,6 +38,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import groupby
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -219,12 +224,13 @@ def _block_values(sigma, omega, p, q, weak: bool):
     """values(jobs) gives each (apply, F[, G]) job, one per problem, its
     values: vals[i] = ||apply(F[i])|| / ||F[i]||, None on a null row, the
     float F[i] gives alone.  A job applies its rows block_rows(n) at a time
-    unless it carries their images G, and all rows then share one lp_norm
-    and one image norm per block.  An error of apply propagates as raised;
-    after the norms, the first row in job order that maps a null input to
-    positive mass or has an infinite image norm raises
-    CheckFailed("finite_image")."""
-    cap, norm = block_rows(len(sigma.masses)), weak_quasinorm if weak else lp_norm
+    unless it carries their images G.  All rows then share one lp_norm and
+    one image norm per _BLOCK_ELEMS // n rows, the norms' temporaries being
+    (rows x n).  An error of apply propagates as raised; after the norms,
+    the first row in job order that maps a null input to positive mass or
+    has an infinite image norm raises CheckFailed("finite_image")."""
+    n, norm = len(sigma.masses), weak_quasinorm if weak else lp_norm
+    cap, wide = block_rows(n), max(1, _BLOCK_ELEMS // n)
 
     def values(jobs):
         fs, gs = [], []
@@ -236,9 +242,9 @@ def _block_values(sigma, omega, p, q, weak: bool):
         X = fs[0] if len(fs) == 1 else np.concatenate(fs) if fs else ()
         G = gs[0] if len(gs) == 1 else np.concatenate(gs) if gs else ()
         ds, ms = [], []
-        for s in range(0, len(X), cap):
-            ds += lp_norm(X[s:s + cap], sigma, p).tolist()
-            ms += norm(G[s:s + cap], omega, q).tolist()
+        for s in range(0, len(X), wide):
+            ds += lp_norm(X[s:s + wide], sigma, p).tolist()
+            ms += norm(G[s:s + wide], omega, q).tolist()
         for r, (d, m) in enumerate(zip(ds, ms)):
             if (m > 0.0) if d == 0.0 else math.isinf(m):
                 raise CheckFailed(
@@ -321,11 +327,13 @@ def _lockstep_ascent(apply, starts, seed: int):
         add = [it % 3 == 2 for it in its]
         if any(add):  # additive, scaled by the mean positive value
             # rows with every entry positive take one row reduction, the
-            # pairwise sum x.mean() takes; the others their positive entries
+            # pairwise sum x.mean() takes; other additive rows their
+            # positive entries' (x.mean() is np.add.reduce(x) / x.size)
             base = np.add.reduce(cur, axis=1) / n
             for j in np.flatnonzero(~(cur > 0.0).all(axis=1)).tolist():
-                x = cur[j][cur[j] > 0.0]
-                base[j] = float(x.mean()) if x.size else 1.0
+                if add[j]:
+                    x = cur[j][cur[j] > 0.0]
+                    base[j] = np.add.reduce(x) / x.size if x.size else 1.0
             props = cur + (s * base)[:, None] * d
             if not all(add):
                 props = np.where(np.array(add)[:, None], props,
@@ -349,40 +357,71 @@ def _lockstep_ascent(apply, starts, seed: int):
     return list(zip(f, best))
 
 
-def _fixed_point(apply, apply_adjoint, f0: np.ndarray, p: float, q: float):
-    """Power-type iteration from f0, stopped at an iterate that repeats an
-    earlier one bit for bit (every later value would repeat).  It then
-    yields its iterates as one job with the images it computed, is sent
-    their values, and returns the best (iterate, value), the number of
-    iterates and whether it stopped on a repeat."""
-    f, seen, fs, gs, settled = f0.copy(), set(), [], [], False
-    for _ in range(_FIXED_POINT_ITERS):
-        if settled := f.tobytes() in seen:
-            break
-        seen.add(f.tobytes())
-        fs.append(f)
-        gs.append(g := _image(apply, f))
-        if not np.isfinite(g).all() or float(g.max()) <= 0.0:
-            break
-        u = np.power(g, q - 1.0)
-        u = u / float(u.max())
-        h = np.asarray(apply_adjoint(u), dtype=float)
-        if not np.isfinite(h).all() or float(h.max()) <= 0.0:
-            break
-        f = np.power(h, 1.0 / (p - 1.0))
-        f = f / float(f.max())
-    vals = yield apply, np.array(fs), np.array(gs)
-    best, bw = -math.inf, None
-    for f, v in zip(fs, vals):
-        if v is not None and v > best:
-            best, bw = v, f
-    return bw, best, len(fs), settled
+class _Chain(NamedTuple):
+    """Boyd's power iteration for ||apply||: L^p -> L^q from f0, as a
+    search hands it to _norm_search."""
+
+    apply: Callable
+    apply_adjoint: Callable
+    f0: np.ndarray
+    p: float
+    q: float
 
 
-def _search(sigma, omega, p, q, weak: bool, pool_only: bool,
-            apply, budget, seeds, seed, apply_adjoint=None, matrix=None):
-    """One problem's search: it yields each (apply, rows[, images]) job it
-    needs valued, is sent the job's values, and returns its estimate.
+def _run_chains(chains):
+    """Run every chain's power iteration (Boyd, 1974) in lockstep: an
+    iterate f maps to g = apply(f), u = g^(q-1) / max u, h =
+    apply_adjoint(u) and the next iterate h^(1/(p-1)) / max.  A chain stops
+    after _FIXED_POINT_ITERS iterates, at a non-finite or null image, or at
+    an iterate that repeats an earlier one bit for bit (every later one
+    would repeat).  Each round maps, as one (chains x n) block, every live
+    chain whose next half-step calls an operator equal to the largest such
+    group's (ties to the group of the earliest chain); each row then takes
+    its own chain's power, max-normalization and stop rule.  Apply maps
+    each row of a block as it maps that row alone, so every chain takes
+    the iterates it takes alone.  Returns per chain its iterates, their
+    images and whether it stopped on a repeat."""
+    fs, gs = [[c.f0.copy()] for c in chains], [[] for _ in chains]
+    seen, settled = [{c.f0.tobytes()} for c in chains], [False] * len(chains)
+    todo = [(0, c.f0) for c in chains]  # (half-step, the row it maps)
+    live = list(range(len(chains)))
+    while live:
+        groups = []  # [operator, its chains], by each first chain
+        for k in live:  # half-step 0 calls apply, 1 apply_adjoint
+            op = chains[k][todo[k][0]]
+            for g in groups:
+                if g[0] == op:
+                    g[1].append(k)
+                    break
+            else:
+                groups.append([op, [k]])
+        op, ks = max(groups, key=lambda g: len(g[1]))
+        for k, y in zip(ks, _image(op, np.array([todo[k][1] for k in ks]))):
+            half, c = todo[k][0], chains[k]
+            if half == 0:
+                gs[k].append(y)
+            if (not np.isfinite(y).all() or float(y.max()) <= 0.0
+                    or half == 0 and len(fs[k]) == _FIXED_POINT_ITERS):
+                live.remove(k)
+                continue
+            y = np.power(y, c.q - 1.0 if half == 0 else 1.0 / (c.p - 1.0))
+            y = y / float(y.max())
+            if half == 1:
+                if (key := y.tobytes()) in seen[k]:
+                    settled[k] = True
+                    live.remove(k)
+                    continue
+                seen[k].add(key)
+                fs[k].append(y)
+            todo[k] = (1 - half, y)
+    return [(np.array(f), np.array(g), s) for f, g, s in zip(fs, gs, settled)]
+
+
+def _search(weak: bool, pool_only: bool, sigma, omega, p, q, apply, budget,
+            seeds, seed, apply_adjoint=None, matrix=None):
+    """One problem's search: it yields each (apply, rows) job it needs
+    valued, or the _Chain of its fixed point, is sent the job's values (a
+    chain's iterates, values and settled flag), and returns its estimate.
     A strong search with an adjoint and q < inf stops after its fixed
     point, with no restarts and no ascent.  pool_only keeps the spot
     check, the pool and the witness replay."""
@@ -399,11 +438,14 @@ def _search(sigma, omega, p, q, weak: bool, pool_only: bool,
                                                or math.isinf(q))
     if fixed:
         start = witness if witness is not None and np.max(witness) > 0 else np.ones(n)
-        bw, bv, iters, settled = yield from _fixed_point(
-            apply, apply_adjoint, start, p, q)
+        fs, vals, settled = yield _Chain(apply, apply_adjoint, start, p, q)
+        bv, bw = -math.inf, None
+        for f, v in zip(fs, vals):
+            if v is not None and v > bv:
+                bv, bw = v, f
         details.update(fixed_point=bv if bv > -math.inf else None,
-                       fixed_point_iters=iters, fixed_point_settled=settled)
-        if bw is not None and bv > best:
+                       fixed_point_iters=len(fs), fixed_point_settled=settled)
+        if bv > best:
             best, witness, method = bv, bw, "fixed-point"
 
     if not (pool_only or fixed):
@@ -436,28 +478,53 @@ def _search(sigma, omega, p, q, weak: bool, pool_only: bool,
     return NormEstimate(best, estimate, witness, method, details)
 
 
-def _norm_search(problems, sigma, omega, p, q, weak: bool,
+def _norm_search(problems, weak: bool,
                  pool_only: bool = False) -> list[NormEstimate]:
-    """Search every problem (apply, budget, seeds, seed[, apply_adjoint,
-    matrix]) on one (sigma, omega, p, q, weak) in lockstep, one values call
-    per step, and return one NormEstimate per problem.  The first error
-    raises, by step and then by problem."""
-    ex = Exponents(p, q)
-    if weak:
-        require_finite_q(ex)
-    values = _block_values(sigma, omega, p, q, weak)
-    runs = [_search(sigma, omega, p, q, weak, pool_only, *pr)
-            for pr in problems]
+    """Search every problem (sigma, omega, p, q, apply, budget, seeds,
+    seed[, apply_adjoint, matrix]) in lockstep and return one NormEstimate
+    per problem.  Each step runs the fixed-point chains its searches hand
+    over together (_run_chains, so theorem B's primal and adjoint chains
+    share every operator call), then values each run of consecutive
+    problems on one (sigma, omega, p, q) in one call of that pair's
+    evaluator, a chain's iterates with the images the runner computed.
+    The first error raises, by step and then by problem, a step's chains
+    before its valuations."""
+    made, evaluators, runs = {}, [], []  # (sigma, omega, p, q) -> values
+    for sigma, omega, p, q, *problem in problems:
+        if (at := (sigma, omega, p, q)) not in made:  # measures hash by id
+            ex = Exponents(p, q)
+            if weak:
+                require_finite_q(ex)
+            made[at] = _block_values(*at, weak)
+        evaluators.append(made[at])
+        runs.append(_search(weak, pool_only, *at, *problem))
     out, got = [None] * len(runs), dict.fromkeys(range(len(runs)))
     while got:  # problem -> what its last job was valued to
-        jobs, asking = [], []
+        jobs, asking, chained = [], [], []
         for k, g in got.items():
             try:
-                jobs.append(runs[k].send(g))
-                asking.append(k)
+                job = runs[k].send(g)
             except StopIteration as stop:
                 out[k] = stop.value
-        got = dict(zip(asking, values(jobs))) if jobs else {}
+                continue
+            if type(job) is _Chain:
+                chained.append(len(jobs))
+            jobs.append(job)
+            asking.append(k)
+        if chained:
+            ran = _run_chains([jobs[i] for i in chained])
+            for i, (fs, gs, _) in zip(chained, ran):
+                jobs[i] = (jobs[i].apply, fs, gs)
+        if len(made) == 1 and jobs:  # one (sigma, omega, p, q): one call
+            vals = evaluators[0](jobs)
+        else:  # one call per run of consecutive problems on one pair
+            vals = []
+            for values, ks in groupby(asking, key=evaluators.__getitem__):
+                vals += values(jobs[len(vals):len(vals) + len(list(ks))])
+        if chained:
+            for i, (fs, _, settled) in zip(chained, ran):
+                vals[i] = (fs, vals[i], settled)
+        got = dict(zip(asking, vals))
     return out
 
 
@@ -474,8 +541,8 @@ def operator_norm_strong(apply, sigma: PointMeasure, omega: PointMeasure,
     restarts and the random ascent; details record its value,
     fixed_point_iters and fixed_point_settled (it stopped on a repeat).
     """
-    return _norm_search([(apply, budget, seeds, seed, apply_adjoint,
-                          matrix)], sigma, omega, p, q, weak=False)[0]
+    return _norm_search([(sigma, omega, p, q, apply, budget, seeds, seed,
+                          apply_adjoint, matrix)], weak=False)[0]
 
 
 def operator_norm_weak(apply, sigma: PointMeasure, omega: PointMeasure,
@@ -486,8 +553,8 @@ def operator_norm_weak(apply, sigma: PointMeasure, omega: PointMeasure,
     The level supremum inside the weak quasinorm is exact per function;
     only the outer supremum over functions is a lower bound.
     """
-    return _norm_search([(apply, budget, seeds, seed)], sigma, omega,
-                        p, q, weak=True)[0]
+    return _norm_search([(sigma, omega, p, q, apply, budget, seeds, seed)],
+                        weak=True)[0]
 
 
 @dataclass
@@ -542,8 +609,14 @@ def cube_testing(cubes: np.ndarray, action, normalizer: PointMeasure,
     cubes go to it block_rows(n) at a time.
     """
     rows = block_rows(normalizer.masses.size)
-    # each mass summed in ascending point order, as PointMeasure.of sums
-    masses = [float(np.sum(normalizer.masses[q])) for q in cubes]
+    # each mass summed in ascending point order, as PointMeasure.of sums:
+    # the cubes of one size in one row reduction over their members
+    sizes, masses = np.count_nonzero(cubes, axis=1), np.zeros(len(cubes))
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        at = np.flatnonzero(sizes == size)
+        members = np.nonzero(cubes[at])[1].reshape(len(at), size)
+        masses[at] = np.add.reduce(normalizer.masses[members], axis=1)
+    masses = masses.tolist()
     live = [i for i, m in enumerate(masses) if m != 0.0]
     norms: list[float] = []
     for i in range(0, len(live), rows):
@@ -621,7 +694,15 @@ def _check_structural(label: str, testing_value: float, bound: float) -> None:
 def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
                       omega: PointMeasure, p: float, q: float, *,
                       budget: int = 8, seed: int = 0) -> StrongVerdict:
-    """Strong-type verdict: norm lower bound vs the two testing constants."""
+    """Strong-type verdict: norm lower bound vs the two testing constants.
+
+    One search runs the primal problem (T on (sigma, omega, p, q)) and the
+    adjoint problem (T* on (omega, sigma, q', p')) in lockstep.  The
+    adjoint's power iteration is the primal's with its half-steps swapped,
+    so after the primal's first half-step the two chains share every call
+    of T and T*, one two-row block each.  Each estimate is its one-problem
+    search's; errors come by step, so the adjoint's spot check raises
+    before the primal's pool."""
     ex = Exponents(p, q)
     require_finite_q(ex)
     op = MatrixOperator(kernel.matrix, sigma, omega)
@@ -632,15 +713,12 @@ def verdict_theorem_b(kernel: Kernel, family, sigma: PointMeasure,
         raise CheckFailed("infinite_testing", "testing constant is infinite",
                           strong=names(tc.infinite_strong),
                           dual=names(tc.infinite_dual))
-    seeds = standard_cubes(family)
-    nrm = operator_norm_strong(op.apply, sigma, omega, p, q, budget, seeds,
-                               apply_adjoint=op.apply_adjoint,
-                               matrix=op.matrix, seed=seed)
-    dual_ex = ex.dual()
-    adj = operator_norm_strong(op.apply_adjoint, omega, sigma,
-                               dual_ex.p, dual_ex.q, budget, seeds,
-                               apply_adjoint=op.apply, matrix=op.matrix.T,
-                               seed=seed + 1)
+    seeds, dual_ex = standard_cubes(family), ex.dual()
+    nrm, adj = _norm_search([
+        (sigma, omega, p, q, op.apply, budget, seeds, seed, op.apply_adjoint,
+         op.matrix),
+        (omega, sigma, dual_ex.p, dual_ex.q, op.apply_adjoint, budget, seeds,
+         seed + 1, op.apply, op.matrix.T)], weak=False)
     _check_structural("strong", tc.strong, nrm.lower)
     _check_structural("dual", tc.dual, adj.lower)
     n_lb = max(nrm.lower, adj.lower)
@@ -681,13 +759,14 @@ def verdict_weak_type(strong: StrongVerdict, ops, *, budget: int = 8,
     require_same_instance(ops, strong.kernel, sigma, omega)
     sub_budget = max(2, budget // 3)
     systems = [(t, o, o.system.incidence) for t, o in enumerate(ops)]
-    weak = _norm_search([(direct.apply, budget, strong.seeds, seed)] + [
-        (o.apply, sub_budget, s, seed + 200 + t) for t, o, s in systems],
-        sigma, omega, ex.p, ex.q, weak=True)
-    weak_norm, dual_ex = weak[0], ex.dual()
-    pools = _norm_search([(o.apply_adjoint, sub_budget, s, seed + 100 + t)
-                          for t, o, s in systems], omega, sigma, dual_ex.p,
-                         dual_ex.q, weak=False, pool_only=True)
+    at, dual_ex = (sigma, omega, ex.p, ex.q), ex.dual()
+    weak = _norm_search([(*at, direct.apply, budget, strong.seeds, seed)] + [
+        (*at, o.apply, sub_budget, s, seed + 200 + t) for t, o, s in systems],
+        weak=True)
+    weak_norm, dual_at = weak[0], (omega, sigma, dual_ex.p, dual_ex.q)
+    pools = _norm_search([(*dual_at, o.apply_adjoint, sub_budget, s,
+                           seed + 100 + t) for t, o, s in systems],
+                         weak=False, pool_only=True)
     per_system = []
     for dop, pool, dweak in zip(ops, pools, weak[1:]):
         sys = dop.system

@@ -547,10 +547,11 @@ class TestRunScenario:
 class TestSharedProducts:
     def test_each_quantity_is_computed_once(self, monkeypatch):
         # one growth constant per system (the envelope table), one direct
-        # testing sweep and two norm searches for theorem B, and for
-        # weak-type one lockstep search of every weak norm and one of every
-        # dyadic adjoint's pool bound, whatever the number of systems (its
-        # dual-only cube sweep is not a testing_constants call)
+        # testing sweep and one lockstep search of the primal and adjoint
+        # norms for theorem B, and for weak-type one lockstep search of
+        # every weak norm and one of every dyadic adjoint's pool bound,
+        # whatever the number of systems (its dual-only cube sweep is not a
+        # testing_constants call)
         import dyadica.kernel as kernel
         import dyadica.norms as norms
 
@@ -577,8 +578,7 @@ class TestSharedProducts:
         assert L == 2
         assert calls == {"kernel_growth_constant": L,
                          "testing_constants": 1,
-                         "operator_norm_strong": 2,
-                         "_norm_search": 2 + 2}
+                         "_norm_search": 1 + 2}
 
 
     def test_theorem_a_builds_one_params_and_one_ball_table(self,

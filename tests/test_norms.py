@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from collections import Counter
 import inspect
 import math
 
@@ -29,8 +30,9 @@ from dyadica.norms import (
     NORM_SALT,
     NormEstimate,
     _block_values,
-    _fixed_point,
+    _Chain,
     _norm_search,
+    _run_chains,
     block_rows,
     cube_testing,
 )
@@ -57,14 +59,22 @@ def weak_verdict(kernel, fam, sigma, omega, p, q, budget):
     return verdict_weak_type(strong, ops, budget=budget)
 
 
-def run_fixed_point(values, *args):
-    """Drive the _fixed_point step: value the one job it yields with
-    values and return what it returns."""
-    run = _fixed_point(*args)
-    job = next(run)
-    with pytest.raises(StopIteration) as done:
-        run.send(values([job])[0])
-    return done.value.value
+def run_fixed_point(values, apply, apply_adjoint, f0, p, q):
+    """Run one chain alone, value its iterates with values as the search
+    does, and return the best (iterate, value), the number of iterates
+    and whether the chain stopped on a repeat."""
+    [(fs, gs, settled)] = _run_chains([_Chain(apply, apply_adjoint, f0, p, q)])
+    best, bw = -math.inf, None
+    for f, v in zip(fs, values([(apply, fs, gs)])[0]):
+        if v is not None and v > best:
+            best, bw = v, f
+    return bw, best, len(fs), settled
+
+
+def norm_search(problems, sigma, omega, p, q, weak, pool_only=False):
+    """The lockstep search of problems that share one (sigma, omega, p, q)."""
+    return _norm_search([(sigma, omega, p, q, *pr) for pr in problems],
+                        weak=weak, pool_only=pool_only)
 
 
 def count_steps(monkeypatch):
@@ -640,12 +650,44 @@ class TestTheoremB:
                 (v.norm, v.adjoint_norm),
                 ((op.apply, seed, (op.sigma, op.omega, p, q)),
                  (op.apply_adjoint, seed + 1, (op.omega, op.sigma, d.p, d.q)))):
-            pool = _norm_search([(apply, 1, v.seeds, s)], *pair, weak=False,
-                                pool_only=True)[0]
+            pool = norm_search([(apply, 1, v.seeds, s)], *pair, weak=False,
+                               pool_only=True)[0]
             assert est.lower == max(pool.lower, est.details["fixed_point"])
             assert (est.details["fixed_point_iters"],
                     est.details["fixed_point_settled"]) == (30, False)
         assert v.n_lb == max(v.norm.lower, v.adjoint_norm.lower)
+
+    def test_the_adjoint_spot_check_raises_before_the_primal_pool(
+            self, monkeypatch):
+        # the primal and adjoint searches run in one lockstep, so the
+        # adjoint's spot check (its first step) raises before the primal's
+        # pool (its second): here an adjoint that refuses the adjoint
+        # search's first spot-check row, and an infinite image of the
+        # primal pool's random:0 row, which raises once the adjoint is fine
+        space, mu, sigma, omega, kernel, fam = oracle_instance("segment", 16, 0)
+        random0 = norms._rng(0, 0).random(16)  # the primal's seed is 0
+        spot = norms._rng(1, 0xC0).random(16) + 0.1  # the adjoint's is 1
+        real_apply, real_adjoint = MatrixOperator.apply, MatrixOperator.apply_adjoint
+
+        def apply(op, f):
+            g = np.array(real_apply(op, f), dtype=float)
+            g[(np.reshape(f, g.shape) == random0).all(axis=-1)] = math.inf
+            return g
+
+        def adjoint(op, h):
+            if (np.reshape(h, (-1, 16)) == spot).all(axis=1).any():
+                raise ValueError("adjoint spot check")
+            return real_adjoint(op, h)
+
+        monkeypatch.setattr(MatrixOperator, "apply", apply)
+        monkeypatch.setattr(MatrixOperator, "apply_adjoint", adjoint)
+        with pytest.raises(ValueError, match="adjoint spot check"):
+            verdict_theorem_b(kernel, fam, sigma, omega, 1.5, 3.0, budget=1)
+        monkeypatch.setattr(MatrixOperator, "apply_adjoint", real_adjoint)
+        with pytest.raises(CheckFailed) as err:
+            verdict_theorem_b(kernel, fam, sigma, omega, 1.5, 3.0, budget=1)
+        assert err.value.check == "finite_image"
+        assert err.value.witness == {"f": random0.tolist()}
 
     def test_segment_instance(self, segment16):
         space, mu = segment16
@@ -1105,6 +1147,23 @@ class TestBlockSearchMatchesSequential:
         assert got.value.check == "finite_image"
         assert got.value.witness == {"f": np.eye(8)[3].tolist()}
 
+    def test_cube_masses_match_per_cube_sums(self):
+        # cube_testing sums the cubes of one size in one row reduction over
+        # their members in ascending point order: each mass is the float of
+        # the cube's own sum (sizes past 8 and 128 take numpy's unrolled
+        # and recursive pairwise sums), so every ratio is the sweep's
+        rng = np.random.default_rng(31)
+        for n in (1, 3, 8, 16, 40, 130, 300):
+            normalizer = PointMeasure(real_masses(rng, n, 0.25))
+            inside = PointMeasure(real_masses(rng, n))
+            cubes = np.array([rng.permutation(n) < size
+                              for size in rng.integers(0, n + 1, 8)
+                              for _ in range(8)])
+            for r_out, r_norm in ((2.0, 2.0), (3.0, 1.5)):
+                args = (np.asarray, normalizer, inside, r_out, r_norm)
+                assert cube_testing(cubes, *args) == cube_testing_seq(
+                    cubes, *args)
+
     @pytest.mark.parametrize("q", [1.5, 3.0])
     def test_weak_quasinorm_block(self, q):
         rng = np.random.default_rng(int(q * 7))
@@ -1261,7 +1320,7 @@ class TestLockstepSearch:
         weak = [(strong.operator.apply, budgets[0], strong.seeds, seeds[0])]
         weak += [(o.apply, b, o.system.incidence, s)
                  for o, b, s in zip(ops, budgets[1:], seeds[1:])]
-        for got, pr in zip(_norm_search(weak, sigma, omega, p, q, weak=True),
+        for got, pr in zip(norm_search(weak, sigma, omega, p, q, weak=True),
                            weak):
             assert_same_estimate(got, one_problem(True, sigma, omega, p, q,
                                                   *pr))
@@ -1269,8 +1328,8 @@ class TestLockstepSearch:
         d = Exponents(p, q).dual()
         dual = [(o.apply_adjoint, b, o.system.incidence, s, o.apply)
                 for o, b, s in zip(ops, budgets[1:], seeds[1:])]
-        for got, pr in zip(_norm_search(dual, omega, sigma, d.p, d.q,
-                                        weak=False), dual):
+        for got, pr in zip(norm_search(dual, omega, sigma, d.p, d.q,
+                                       weak=False), dual):
             assert_same_estimate(got, one_problem(False, omega, sigma, d.p,
                                                   d.q, *pr))
 
@@ -1291,8 +1350,8 @@ class TestLockstepSearch:
             return inf_at(apply, x), 2, seeds, 1
 
         def search(*problems):
-            return _norm_search([ok[0], *problems, ok[1]], sigma, omega,
-                                1.5, 3.0, weak=weak)
+            return norm_search([ok[0], *problems, ok[1]], sigma, omega,
+                               1.5, 3.0, weak=weak)
 
         with pytest.raises(ValueError, match="no apply"):
             search(ascent, pool(3), (raising("no apply"), 1, seeds, 3))
@@ -1306,8 +1365,8 @@ class TestLockstepSearch:
             search(ascent)
         f = np.array(err.value.witness["f"])
         assert f.max() == 1.0 and not np.isin(f, (0.0, 1.0)).all()
-        for got, pr in zip(_norm_search(ok, sigma, omega, 1.5, 3.0,
-                                        weak=weak), ok, strict=True):
+        for got, pr in zip(norm_search(ok, sigma, omega, 1.5, 3.0,
+                                       weak=weak), ok, strict=True):
             assert_same_estimate(got, one_problem(weak, sigma, omega, 1.5,
                                                   3.0, *pr))
 
@@ -1330,7 +1389,7 @@ class TestLockstepSearch:
         fixed = (inf_in_ascent(op.apply), 0, seeds, 1, op.apply_adjoint)
         for problems in ([restarts, fixed], [fixed, restarts]):
             with pytest.raises(CheckFailed) as err:
-                _norm_search(problems, sigma, omega, 2.0, 2.0, weak=False)
+                norm_search(problems, sigma, omega, 2.0, 2.0, weak=False)
             assert err.value.check == "finite_image"
             f = np.array(err.value.witness["f"])
             assert np.array_equal(f, restart) == (problems[0] is restarts)
@@ -1359,27 +1418,147 @@ class TestLockstepSearch:
         assert len(callers) > 100 and set(callers) == {"_norm_search"}
 
     def test_blocks_hold_at_most_block_rows(self, monkeypatch):
-        # at n = 27 a block holds 2^15 // 27^2 = 44 rows: two problems'
-        # pools run past it, and every apply and every norm call stays
-        # within it while the jobs share blocks
+        # apply's (rows x n x n) work takes block_rows(n) = _BLOCK_ELEMS //
+        # n^2 rows a call and the norms' (rows x n) work _BLOCK_ELEMS // n:
+        # at n = 27, 44 and 1213 rows, so the two pools' 170 rows take
+        # several applies and one call of each norm; with _BLOCK_ELEMS cut
+        # to 4 n^2 the caps are 4 and 108 rows, the norms split too, and
+        # every estimate is the same
         space, mu, sigma, omega, kernel, fam = oracle_instance("tree", 27, 0)
         op = MatrixOperator(kernel.matrix, sigma, omega)
-        cap, sizes = block_rows(27), []
+        seeds, sizes = standard_cubes(fam), {}
 
-        def sized(fn):
+        def sized(name, fn):
             def run(f, *args):
-                sizes.append(len(np.reshape(f, (-1, 27))))
+                sizes.setdefault(name, []).append(len(np.reshape(f, (-1, 27))))
                 return fn(f, *args)
             return run
 
         for name in ("weak_quasinorm", "lp_norm"):
-            monkeypatch.setattr(norms, name, sized(getattr(norms, name)))
-        seeds = standard_cubes(fam)
-        assert 2 * len(seeds) > cap
-        got = _norm_search([(sized(op.apply), 1, seeds, 0),
-                            (sized(op.apply), 2, seeds[:cap], 1)],
-                           sigma, omega, 1.5, 3.0, weak=True)
-        assert max(sizes) == cap and len(got) == 2
+            monkeypatch.setattr(norms, name, sized(name, getattr(norms, name)))
+        apply = sized("apply", op.apply)
+
+        def search():
+            sizes.clear()
+            got = norm_search([(apply, 1, seeds, 0), (apply, 2, seeds[:44], 1)],
+                              sigma, omega, 1.5, 3.0, weak=True)
+            return got, {name: max(rows) for name, rows in sizes.items()}
+
+        pools = (1 + 27 + len(seeds) + 1) + (1 + 27 + 44 + 2)
+        want, peak = search()
+        assert (block_rows(27), pools, 2 ** 15 // 27) == (44, 170, 1213)
+        assert peak == {"apply": 44, "weak_quasinorm": 170, "lp_norm": 170}
+        monkeypatch.setattr(norms, "_BLOCK_ELEMS", 4 * 27 * 27)
+        got, peak = search()
+        assert peak == {"apply": 4, "weak_quasinorm": 108, "lp_norm": 108}
+        for est, want_est in zip(got, want, strict=True):
+            assert_same_estimate(est, want_est)
+
+
+class TestChainRunner:
+    """Theorem B's primal and adjoint power iterations run as two chains
+    of one runner; every chain takes the iterates it takes alone."""
+
+    @pytest.mark.parametrize("kind", ["segment", "cloud", "tree"])
+    @pytest.mark.parametrize("p,q", [(2.0, 2.0), (1.5, 3.0), (1.5, 1.5),
+                                     (3.0, 3.0), (1.25, 4.0), (1.7, 2.3)])
+    def test_each_verdict_estimate_is_its_one_problem_search(self, kind, p,
+                                                             q):
+        # at (1.25, 4) the primal's power q - 1 and the adjoint's 1/(q'-1)
+        # are an ulp apart, at (1.7, 2.3) 1/(p-1) and p'-1: a shared call
+        # leaves each row its own chain's power
+        space, mu, sigma, omega, kernel, fam = oracle_instance(kind, 16, 0)
+        v = verdict_theorem_b(kernel, fam, sigma, omega, p, q, budget=2,
+                              seed=3)
+        op, d = v.operator, v.exponents.dual()
+        apart = {(1.25, 4.0): q - 1.0 != 1.0 / (d.p - 1.0),
+                 (1.7, 2.3): 1.0 / (p - 1.0) != d.q - 1.0}
+        assert apart.get((p, q), True)
+        assert_same_estimate(v.norm, operator_norm_strong(
+            op.apply, sigma, omega, p, q, 2, v.seeds,
+            apply_adjoint=op.apply_adjoint, matrix=op.matrix, seed=3))
+        assert_same_estimate(v.adjoint_norm, operator_norm_strong(
+            op.apply_adjoint, omega, sigma, d.p, d.q, 2, v.seeds,
+            apply_adjoint=op.apply, matrix=op.matrix.T, seed=4))
+        assert {"fixed_point", "fixed_point_iters",
+                "fixed_point_settled"} <= v.norm.details.keys()
+
+    def test_the_chains_share_every_call_after_the_first(self, monkeypatch):
+        # the 16-point segment at (1.5, 3): one runner call holds both
+        # chains, whose half-steps (2 per iterate, less one at the 30-iterate
+        # cap) go through at most 31 calls of each operator (one chain at a
+        # time would take 60 each), and the searches still take 3 evaluator
+        # steps, each one call per measure pair
+        space, mu, sigma, omega, kernel, fam = oracle_instance("segment", 16, 0)
+        steps, _ = count_steps(monkeypatch)
+        calls, rows, ran, real_run = Counter(), Counter(), [], norms._run_chains
+
+        def counted(name, real):
+            def run(op, f):
+                if ran and ran[-1] is None:  # inside the runner
+                    calls[name] += 1
+                    rows[name] += len(np.reshape(f, (-1, 16)))
+                return real(op, f)
+            return run
+
+        def run_chains(chains):
+            ran.append(None)
+            out = real_run(chains)
+            ran[-1] = len(chains)
+            return out
+
+        for name in ("apply", "apply_adjoint"):
+            monkeypatch.setattr(MatrixOperator, name,
+                                counted(name, getattr(MatrixOperator, name)))
+        monkeypatch.setattr(norms, "_run_chains", run_chains)
+        v = verdict_theorem_b(kernel, fam, sigma, omega, 1.5, 3.0, budget=8)
+        ests = (v.norm, v.adjoint_norm)
+        assert ran == [2] and len(steps) == 3 * 2
+        assert max(calls.values()) <= 31
+        assert sum(rows.values()) == sum(
+            2 * e.details["fixed_point_iters"] - 1
+            + e.details["fixed_point_settled"] for e in ests)
+        assert sum(calls.values()) <= 1 + max(
+            2 * e.details["fixed_point_iters"] for e in ests)
+
+    def test_a_chain_that_stops_and_one_that_settles_run_as_alone(
+            self, segment4):
+        # two chains on one operator pair: from 1 the iteration settles,
+        # from a point mass the image of its second iterate is infinite;
+        # run together, in either order, each takes the iterates, images
+        # and stop of its run alone, in fewer operator calls
+        space, mu = segment4
+        op = MatrixOperator(build_kernel(space, mu, "ball_volume",
+                                         gamma=0.5).matrix, mu, mu)
+        [(fs, _, settled)] = _run_chains([_Chain(op.apply, op.apply_adjoint,
+                                                 np.ones(4), 1.5, 3.0)])
+        finite, point, applied = {f.tobytes() for f in fs}, np.eye(4)[0], []
+        finite.add(point.tobytes())
+
+        def apply(f):  # infinite off the settling chain's iterates
+            applied.append(f)
+            g = op.apply(f)
+            g[[x.tobytes() not in finite for x in f]] = math.inf
+            return g
+
+        chains = [_Chain(apply, op.apply_adjoint, f0, 1.5, 3.0)
+                  for f0 in (np.ones(4), point)]
+        alone = [_run_chains([c])[0] for c in chains]
+        calls = len(applied)
+        assert settled and alone[0][2]
+        assert (len(alone[1][0]), alone[1][2]) == (2, False)
+        assert not np.isfinite(alone[1][1][-1]).all()
+        for order in (chains, chains[::-1]):
+            applied.clear()
+            got = _run_chains(order)
+            if order is not chains:
+                got = got[::-1]
+            for (fs, gs, stop), (want_fs, want_gs, want_stop) in zip(
+                    got, alone, strict=True):
+                assert fs.tobytes() == want_fs.tobytes()
+                assert gs.tobytes() == want_gs.tobytes()
+                assert stop == want_stop
+            assert len(applied) < calls
 
 
 class TestWeakTypeLockstep:
@@ -1428,8 +1607,8 @@ class TestWeakTypeLockstep:
         real, halve = norms._norm_search, {t}
 
         def halved(problems, *args, pool_only=False, **kw):
-            if pool_only:
-                problems = [(lambda f, a=pr[0]: 0.5 * a(f),) + pr[1:]
+            if pool_only:  # apply follows (sigma, omega, p, q)
+                problems = [pr[:4] + (lambda f, a=pr[4]: 0.5 * a(f),) + pr[5:]
                             if i in halve else pr
                             for i, pr in enumerate(problems)]
             return real(problems, *args, pool_only=pool_only, **kw)
@@ -1471,14 +1650,14 @@ class TestWeakTypeLockstep:
         ops = [build_dyadic_operator(kernel, s, sigma, omega)
                for s in fam]
         assert 2 * (1 + 16 + len(standard_cubes(fam)) + 2) <= block_rows(16)
-        calls = {"weak_quasinorm": 0, "_fixed_point": 0}
+        calls = {"weak_quasinorm": 0, "_run_chains": 0}
         for name in calls:
             def counted(*args, _real=getattr(norms, name), _name=name, **kw):
                 calls[_name] += 1
                 return _real(*args, **kw)
             monkeypatch.setattr(norms, name, counted)
         v = verdict_weak_type(strong, ops, budget=2)
-        assert calls == {"weak_quasinorm": 30, "_fixed_point": 0}
+        assert calls == {"weak_quasinorm": 30, "_run_chains": 0}
         assert len(v.per_system) == 1
 
 
@@ -1513,8 +1692,8 @@ class TestLookahead:
                                                 2, seed=2)],
             "theorem-a": lambda: [verdict_theorem_a(
                 fam, mu, sigma, omega, 0.5, p, q, budget=2).norm],
-            "lockstep": lambda: _norm_search(lockstep, sigma, omega, p, q,
-                                             weak=True),
+            "lockstep": lambda: norm_search(lockstep, sigma, omega, p, q,
+                                            weak=True),
         }
 
     @pytest.mark.parametrize("p,q,want", [
