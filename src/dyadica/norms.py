@@ -386,16 +386,11 @@ def _run_chains(chains):
     todo = [(0, c.f0) for c in chains]  # (half-step, the row it maps)
     live = list(range(len(chains)))
     while live:
-        groups = []  # [operator, its chains], by each first chain
-        for k in live:  # half-step 0 calls apply, 1 apply_adjoint
-            op = chains[k][todo[k][0]]
-            for g in groups:
-                if g[0] == op:
-                    g[1].append(k)
-                    break
-            else:
-                groups.append([op, [k]])
-        op, ks = max(groups, key=lambda g: len(g[1]))
+        # half-step 0 calls apply, 1 apply_adjoint; max takes the first of
+        # the most common operators, so ties go to the earliest chain
+        ops = [chains[k][todo[k][0]] for k in live]
+        op = max(ops, key=ops.count)
+        ks = [k for k, o in zip(live, ops) if o == op]
         for k, y in zip(ks, _image(op, np.array([todo[k][1] for k in ks]))):
             half, c = todo[k][0], chains[k]
             if half == 0:
