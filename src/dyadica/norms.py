@@ -159,11 +159,15 @@ def weak_quasinorm(g, omega: PointMeasure, q: float):
     in the definition, and the largest of those values is returned.
     Rounding is relative only for normal numbers, so the margin also has
     an absolute slack of the smallest normal float, levels whose power
-    underflows are kept, and a non-finite screened maximum keeps every
-    level.  The bound holds for any order of the screen's sum, so a (K, n)
-    block screens its rows in one sort, each row's value its own float.
-    A kept level's mass is read from omega.level_set_masses, keyed by the
-    np.packbits mask of its set {|g| >= v}, and summed into it on a miss.
+    underflows are kept, a row with an infinite value keeps that value's
+    level alone (its value, and so the row's, is infinite), and any other
+    non-finite screened maximum keeps every level.  The bound holds for
+    any order of the screen's sum, so a (K, n) block screens its rows in
+    one sort, each row's value its own float.  A kept level's mass is read
+    from omega.level_set_masses, keyed by the np.packbits mask of its set
+    {|g| >= v}, and summed into it on a miss; the sets are built
+    _BLOCK_ELEMS // n levels at a time, so a call's temporaries stay
+    within (K x n) and (_BLOCK_ELEMS // n x n) entries.
     """
     if math.isinf(q):
         raise BadParams("weak quasinorm needs q < inf", q=q)
@@ -172,27 +176,33 @@ def weak_quasinorm(g, omega: PointMeasure, q: float):
     inv_q = 1.0 / q
     vals = np.where(omega.charged & (a > 0.0), a, 0.0)
     order = vals.argsort(axis=1)[:, ::-1]
-    vals = vals[np.arange(len(a))[:, None], order]
+    vals = np.sort(vals, axis=1)[:, ::-1]  # the values in that order
     level = vals > 0.0  # last of a tie group; zeros sort after every level
     level[:, :-1] &= vals[:, 1:] != vals[:, :-1]
-    powers = np.power(masses.take(order).cumsum(axis=1), inv_q,
-                      out=np.ones(a.shape), where=level)
+    powers = np.power(masses.take(order).cumsum(axis=1), inv_q)
     approx = np.where(level, vals * powers, 0.0)
     top = approx.max(axis=1, keepdims=True)
-    top = np.where(top < math.inf, top, 0.0)  # an infinite top keeps all
+    if (top == math.inf).any():
+        # an infinite value is its row's value: its level alone is kept;
+        # any other infinite top keeps every level
+        level &= (vals == math.inf) | (vals[:, :1] < math.inf)
+        top = np.where(top < math.inf, top, 0.0)
     margin = 64.0 * masses.size * _EPS * max(1.0, abs(inv_q))
     keep = level & ((approx >= top - (top * margin + _TINY))
                     | (powers < 2.0 * _TINY))
     rows, cols = np.nonzero(keep)
     levels = vals[rows, cols]
-    # each kept level's set {|g| >= v}; one row broadcasts
-    sets = (a if len(a) == 1 else a.take(rows, axis=0)) >= levels[:, None]
-    keys, width = np.packbits(sets, axis=1).tobytes(), (masses.size + 7) // 8
     memo, best = omega.level_set_masses, [0.0] * len(a)
-    for j, r, v in zip(range(len(levels)), rows.tolist(), levels.tolist()):
-        if (w := memo.get(key := keys[j * width:(j + 1) * width])) is None:
-            w = memo[key] = float(np.add.reduce(masses[sets[j]]))
-        best[r] = max(best[r], v * w ** inv_q)
+    width, step = (masses.size + 7) // 8, max(1, _BLOCK_ELEMS // masses.size)
+    for s in range(0, len(levels), step):  # (levels x n) sets, step at a time
+        rs, vs = rows[s:s + step], levels[s:s + step]
+        # each kept level's set {|g| >= v}; one row broadcasts
+        sets = (a if len(a) == 1 else a.take(rs, axis=0)) >= vs[:, None]
+        keys = np.packbits(sets, axis=1).tobytes()
+        for j, r, v in zip(range(len(vs)), rs.tolist(), vs.tolist()):
+            if (w := memo.get(key := keys[j * width:(j + 1) * width])) is None:
+                w = memo[key] = float(np.add.reduce(masses[sets[j]]))
+            best[r] = max(best[r], v * w ** inv_q)
     return best[0] if single else np.array(best)
 
 
@@ -225,10 +235,11 @@ def _block_values(sigma, omega, p, q, weak: bool):
     values: vals[i] = ||apply(F[i])|| / ||F[i]||, None on a null row, the
     float F[i] gives alone.  A job applies its rows block_rows(n) at a time
     unless it carries their images G.  All rows then share one lp_norm and
-    one image norm per _BLOCK_ELEMS // n rows, the norms' temporaries being
-    (rows x n).  An error of apply propagates as raised; after the norms,
-    the first row in job order that maps a null input to positive mass or
-    has an infinite image norm raises CheckFailed("finite_image")."""
+    one image norm per _BLOCK_ELEMS // n rows, the norms' temporaries,
+    weak_quasinorm's level sets included, being (rows x n).  An error of
+    apply propagates as raised; after the norms, the first row in job
+    order that maps a null input to positive mass or has an infinite image
+    norm raises CheckFailed("finite_image")."""
     n, norm = len(sigma.masses), weak_quasinorm if weak else lp_norm
     cap, wide = block_rows(n), max(1, _BLOCK_ELEMS // n)
 
@@ -510,12 +521,9 @@ def _norm_search(problems, weak: bool,
             ran = _run_chains([jobs[i] for i in chained])
             for i, (fs, gs, _) in zip(chained, ran):
                 jobs[i] = (jobs[i].apply, fs, gs)
-        if len(made) == 1 and jobs:  # one (sigma, omega, p, q): one call
-            vals = evaluators[0](jobs)
-        else:  # one call per run of consecutive problems on one pair
-            vals = []
-            for values, ks in groupby(asking, key=evaluators.__getitem__):
-                vals += values(jobs[len(vals):len(vals) + len(list(ks))])
+        vals = []  # one call per run of consecutive problems on one pair
+        for values, ks in groupby(asking, key=evaluators.__getitem__):
+            vals += values(jobs[len(vals):len(vals) + len(list(ks))])
         if chained:
             for i, (fs, _, settled) in zip(chained, ran):
                 vals[i] = (fs, vals[i], settled)

@@ -1454,6 +1454,41 @@ class TestLockstepSearch:
         for est, want_est in zip(got, want, strict=True):
             assert_same_estimate(est, want_est)
 
+    def test_an_infinite_weak_image_block_raises_after_bounded_work(self):
+        # at n = 256 one weak_quasinorm call takes 2^15 // 256 = 128 rows;
+        # an infinite value keeps its level alone, and finite values whose
+        # screened products overflow keep every level, built 128 levels at
+        # a time: the finite_image raise comes within a few MB (every level
+        # of every row at once took 78 MB) and one memo entry per row
+        import tracemalloc
+
+        n, rng = 256, np.random.default_rng(31)
+        sigma, F = PointMeasure(np.ones(n)), rng.random((2 ** 15 // n, n))
+        ramp = 1.0 - np.arange(n) / (4.0 * n)
+        infinite = np.array([rng.permutation(ramp) for _ in F])
+        infinite[:, 0] = math.inf
+        for image, memo_cap in ((infinite, len(F)), (1e308 * infinite[:, 1:2]
+                                                     * ramp, n)):
+            omega = PointMeasure(2.0 + rng.random(n))
+            values = _block_values(sigma, omega, 1.5, 3.0, weak=True)
+            tracemalloc.start()
+            try:
+                with pytest.raises(CheckFailed) as err, \
+                        np.errstate(over="ignore"):
+                    values([(None, F, image)])  # the images as given
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert err.value.check == "finite_image"
+            assert peak < 8e6 and len(omega.level_set_masses) <= memo_cap
+        # a block mixing rows with and without an infinite value: each row
+        # is the level loop's value
+        omega = PointMeasure(real_masses(rng, 27, 0.25))
+        block = rng.random((6, 27))
+        block[::2, np.argmax(omega.masses)] = math.inf
+        assert weak_quasinorm(block, omega, 1.5).tolist() == [
+            weak_quasinorm_loop(g, omega, 1.5) for g in block]
+
 
 class TestChainRunner:
     """Theorem B's primal and adjoint power iterations run as two chains
