@@ -1458,8 +1458,9 @@ class TestLockstepSearch:
         # at n = 256 one weak_quasinorm call takes 2^15 // 256 = 128 rows;
         # an infinite value keeps its level alone, and finite values whose
         # screened products overflow keep every level, built 128 levels at
-        # a time: the finite_image raise comes within a few MB (every level
-        # of every row at once took 78 MB) and one memo entry per row
+        # a time: each finite_image raise comes within a few MB (every level
+        # of every row at once took 78 MB), the infinite block's with one
+        # memo entry per row
         import tracemalloc
 
         n, rng = 256, np.random.default_rng(31)
